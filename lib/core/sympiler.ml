@@ -564,10 +564,11 @@ module Cholesky = struct
     if not (Csc.is_lower_triangular a_natural) then
       invalid_arg "Sympiler.Cholesky.compile: pass lower(A)";
     let t0 = Prof.now_seconds () in
-    (* The ordering stage: permute the pattern, re-run the fill analysis on
+    (* The ordering stage: permute the pattern, run the fill analysis on
        P A P^T, and record the predicted fill ratio ordered-vs-natural as a
-       traced decision (a caller-provided [?fill] is the natural-order
-       analysis, so it seeds the comparison baseline, not the compile). *)
+       traced decision. The natural-order nnz(L) comes from the counts-only
+       pass (a caller-provided [?fill] is the natural-order analysis, so it
+       seeds the comparison baseline, not the compile). *)
     let a_lower, fill0, ord, ord_decisions =
       match ordering with
       | `Natural -> (a_natural, fill0, natural_ordering, [])
@@ -579,15 +580,16 @@ module Cholesky = struct
               n
           in
           let pl, map = Perm.permute_lower p a_natural in
-          let fill_nat =
+          let nnz_nat =
             match fill0 with
-            | Some f -> f
-            | None -> Sympiler_symbolic.Fill_pattern.analyze a_natural
+            | Some f -> f.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
+            | None ->
+                let _, counts =
+                  Sympiler_symbolic.Fill_pattern.col_counts a_natural
+                in
+                Array.fold_left ( + ) 0 counts
           in
           let fill_perm = Sympiler_symbolic.Fill_pattern.analyze pl in
-          let nnz_nat =
-            fill_nat.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
-          in
           let nnz_perm =
             fill_perm.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
           in
@@ -1842,18 +1844,18 @@ module Explain = struct
     let depth, maxw =
       level_stats fill.Sympiler_symbolic.Fill_pattern.l_pattern
     in
-    (* Natural-order baseline columns: on an ordered handle, re-run the
-       fill analysis on the caller's pattern to show what the ordering
-       bought; on a natural handle both columns coincide. *)
+    (* Natural-order baseline columns: on an ordered handle, count the
+       caller's pattern (etree and column counts only) to show what the
+       ordering bought; on a natural handle both columns coincide. *)
     let nnz_l_natural, predicted_flops_natural =
       match t.Cholesky.ord.o_perm with
       | None -> (t.Cholesky.nnz_l, t.Cholesky.flops)
       | Some _ ->
-          let fn =
-            Sympiler_symbolic.Fill_pattern.analyze t.Cholesky.natural_pattern
+          let _, counts =
+            Sympiler_symbolic.Fill_pattern.col_counts t.Cholesky.natural_pattern
           in
-          ( fn.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n),
-            Sympiler_symbolic.Fill_pattern.flops fn )
+          ( Array.fold_left ( + ) 0 counts,
+            Sympiler_symbolic.Fill_pattern.flops_of_counts counts )
     in
     {
       kernel = "cholesky";

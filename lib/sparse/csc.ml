@@ -194,8 +194,7 @@ let spmv t x =
 (* Column-major iteration preserves CSC order, so filtering needs no
    re-sort: count survivors per column, then copy them. Two passes — the
    predicate runs twice per entry — but no triplet round-trip and no
-   resize churn, which is what keeps [lower] O(nnz) with small constants
-   at 10^6-row scale. *)
+   resize churn. *)
 let filter t keep =
   let n = t.ncols in
   let colptr = Array.make (n + 1) 0 in
@@ -221,24 +220,88 @@ let filter t keep =
   done;
   { nrows = t.nrows; ncols = n; colptr; rowind; values }
 
-(* Lower-triangular part, diagonal included. *)
-let lower t = filter t (fun i j _ -> i >= j)
+(* Lower-triangular part, diagonal included. Rows ascend within a column,
+   so it is the run of each column from its first row >= j: one scan finds
+   the run, one loop copies it, and no predicate runs per entry. *)
+let lower t =
+  let n = t.ncols in
+  let first = Array.make n 0 in
+  let colptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    let stop = t.colptr.(j + 1) in
+    let p = ref t.colptr.(j) in
+    while !p < stop && t.rowind.(!p) < j do
+      incr p
+    done;
+    first.(j) <- !p;
+    colptr.(j + 1) <- colptr.(j) + stop - !p
+  done;
+  let rowind = Array.make colptr.(n) 0 in
+  let values = Array.make colptr.(n) 0.0 in
+  for j = 0 to n - 1 do
+    let shift = colptr.(j) - first.(j) in
+    for p = first.(j) to t.colptr.(j + 1) - 1 do
+      rowind.(shift + p) <- t.rowind.(p);
+      values.(shift + p) <- t.values.(p)
+    done
+  done;
+  { nrows = t.nrows; ncols = n; colptr; rowind; values }
+
 let upper t = filter t (fun i j _ -> i <= j)
 let strict_lower t = filter t (fun i j _ -> i > j)
 
 let is_lower_triangular t =
   let ok = ref true in
-  iter t (fun i j _ -> if i < j then ok := false);
+  for j = 0 to t.ncols - 1 do
+    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      if t.rowind.(p) < j then ok := false
+    done
+  done;
   !ok
 
-(* Rebuild the full symmetric matrix from lower-triangular storage. *)
+(* Rebuild the full symmetric matrix from lower-triangular storage in
+   O(n + nnz), without a triplet round trip: column j of the result holds
+   the mirror images (i, j), i < j, of the stored entries (j, i), scattered
+   in column order i so their rows ascend, followed by column j of the
+   input. An entry above the diagonal would be mirrored on top of its
+   stored twin, so it is rejected. *)
 let symmetrize_from_lower t =
   if t.nrows <> t.ncols then invalid_arg "Csc.symmetrize_from_lower: square";
-  let tr = Triplet.create ~nrows:t.nrows ~ncols:t.ncols () in
-  iter t (fun i j v ->
-      Triplet.add tr i j v;
-      if i <> j then Triplet.add tr j i v);
-  of_triplet tr
+  let n = t.ncols in
+  let colptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    colptr.(j) <- colptr.(j) + (t.colptr.(j + 1) - t.colptr.(j));
+    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      let i = t.rowind.(p) in
+      if i < j then
+        invalid_arg
+          "Csc.symmetrize_from_lower: input is not lower triangular";
+      if i > j then colptr.(i) <- colptr.(i) + 1
+    done
+  done;
+  let nnz = Utils.cumsum colptr in
+  let next = Array.sub colptr 0 n in
+  let rowind = Array.make nnz 0 in
+  let values = Array.make nnz 0.0 in
+  for j = 0 to n - 1 do
+    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      let i = t.rowind.(p) in
+      if i > j then begin
+        let q = next.(i) in
+        rowind.(q) <- j;
+        values.(q) <- t.values.(p);
+        next.(i) <- q + 1
+      end
+    done
+  done;
+  for j = 0 to n - 1 do
+    let dst = next.(j) - t.colptr.(j) in
+    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      rowind.(dst + p) <- t.rowind.(p);
+      values.(dst + p) <- t.values.(p)
+    done
+  done;
+  { nrows = n; ncols = n; colptr; rowind; values }
 
 let map_values t f =
   { t with values = Array.map f t.values }

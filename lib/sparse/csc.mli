@@ -95,7 +95,10 @@ val strict_lower : t -> t
 val is_lower_triangular : t -> bool
 
 val symmetrize_from_lower : t -> t
-(** Rebuild the full symmetric matrix from lower-triangular storage. *)
+(** Rebuild the full symmetric matrix from lower-triangular storage, in
+    O(n + nnz) with rows sorted. Raises [Invalid_argument] when the input
+    is not square or stores an entry above the diagonal (mirroring it would
+    double the off-diagonal values). *)
 
 val map_values : t -> (float -> float) -> t
 (** Same pattern, transformed values — the paper's core scenario of

@@ -232,17 +232,22 @@ let min_degree (a : Csc.t) : Perm.t =
    elements whose members are all inside the new pivot's element
    (aggressive absorption). Node ids are shared between variables and
    elements — a node is exactly one of the two, per [state]. *)
+(* Int-typed min/max: [Stdlib.min]/[max] are polymorphic and compare
+   through the runtime. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
 let amd (a : Csc.t) : Perm.t =
   Sympiler_prof.Prof.time "ordering" @@ fun () ->
   bump_counter ();
   let n = a.Csc.ncols in
   if n = 0 then [||]
   else begin
-    let avar =
-      let aptr, aind = adjacency_csr a in
-      Array.init n (fun v -> Array.sub aind aptr.(v) (aptr.(v + 1) - aptr.(v)))
-    in
-    let alen = Array.map Array.length avar in
+    (* Variable lists A_v live in place in the CSR adjacency: A_v is
+       [aind.(aptr.(v) .. aptr.(v) + alen.(v) - 1)] and only ever shrinks,
+       so pruning compacts it inside its own segment. *)
+    let aptr, aind = adjacency_csr a in
+    let alen = Array.init n (fun v -> aptr.(v + 1) - aptr.(v)) in
     let elist = Array.make n [||] in
     let elen = Array.make n 0 in
     let emem = Array.make n [||] in
@@ -281,12 +286,30 @@ let amd (a : Csc.t) : Perm.t =
     for v = 0 to n - 1 do
       bucket_insert v deg.(v)
     done;
+    (* Supervariable hash groups: singly-linked lists per hash key,
+       prepended to (so a group lists its members newest first) and
+       emptied as each pivot's groups are scanned. [hkey.(v)] is v's key
+       at the current pivot, or -1 when v was not hashed. *)
+    let hhead = Array.make n (-1) in
+    let hnext = Array.make n (-1) in
+    let hkey = Array.make n (-1) in
     (* Iteration-stamped workspaces: a fresh stamp value replaces clearing
        the mark arrays between pivots. *)
     let stamp = Array.make n 0 in
     let wstamp = Array.make n 0 in
     let w = Array.make n 0 in
     let cur = ref 0 in
+    (* The pivot's members in the order they are gathered. *)
+    let mbuf = Array.make n 0 in
+    let nm = ref 0 and dmass = ref 0 in
+    let add v =
+      if state.(v) = 0 && nv.(v) > 0 && stamp.(v) <> !cur then begin
+        stamp.(v) <- !cur;
+        mbuf.(!nm) <- v;
+        incr nm;
+        dmass := !dmass + nv.(v)
+      end
+    in
     let push_elem v e =
       let cap = Array.length elist.(v) in
       if elen.(v) = cap then begin
@@ -311,16 +334,10 @@ let amd (a : Csc.t) : Perm.t =
       incr cur;
       let c = !cur in
       stamp.(p) <- c;
-      let members = ref [] and dp = ref 0 in
-      let add v =
-        if state.(v) = 0 && nv.(v) > 0 && stamp.(v) <> c then begin
-          stamp.(v) <- c;
-          members := v :: !members;
-          dp := !dp + nv.(v)
-        end
-      in
+      nm := 0;
+      dmass := 0;
       for k = 0 to alen.(p) - 1 do
-        add avar.(p).(k)
+        add aind.(aptr.(p) + k)
       done;
       for k = 0 to elen.(p) - 1 do
         let e = elist.(p).(k) in
@@ -331,11 +348,16 @@ let amd (a : Csc.t) : Perm.t =
           state.(e) <- 2
         end
       done;
-      let lp = Array.of_list !members in
-      let dp = !dp in
+      (* L_p lists the members newest first. *)
+      let nlp = !nm in
+      let lp = Array.make nlp 0 in
+      for k = 0 to nlp - 1 do
+        lp.(k) <- mbuf.(nlp - 1 - k)
+      done;
+      let dp = !dmass in
       state.(p) <- 1;
       emem.(p) <- lp;
-      emlen.(p) <- Array.length lp;
+      emlen.(p) <- nlp;
       alen.(p) <- 0;
       elen.(p) <- 0;
       norder := !norder + nv.(p);
@@ -344,142 +366,149 @@ let amd (a : Csc.t) : Perm.t =
          compacted (dead entries dropped) when first touched. *)
       incr cur;
       let cw = !cur in
-      Array.iter
-        (fun v ->
-          for k = 0 to elen.(v) - 1 do
-            let e = elist.(v).(k) in
-            if state.(e) = 1 then begin
-              if wstamp.(e) <> cw then begin
-                let len = ref 0 and sz = ref 0 in
-                for m = 0 to emlen.(e) - 1 do
-                  let u = emem.(e).(m) in
-                  if state.(u) = 0 && nv.(u) > 0 then begin
-                    emem.(e).(!len) <- u;
-                    incr len;
-                    sz := !sz + nv.(u)
-                  end
-                done;
-                emlen.(e) <- !len;
-                w.(e) <- !sz;
-                wstamp.(e) <- cw
-              end;
-              w.(e) <- w.(e) - nv.(v)
-            end
-          done)
-        lp;
+      for t = 0 to nlp - 1 do
+        let v = lp.(t) in
+        for k = 0 to elen.(v) - 1 do
+          let e = elist.(v).(k) in
+          if state.(e) = 1 then begin
+            if wstamp.(e) <> cw then begin
+              let len = ref 0 and sz = ref 0 in
+              for m = 0 to emlen.(e) - 1 do
+                let u = emem.(e).(m) in
+                if state.(u) = 0 && nv.(u) > 0 then begin
+                  emem.(e).(!len) <- u;
+                  incr len;
+                  sz := !sz + nv.(u)
+                end
+              done;
+              emlen.(e) <- !len;
+              w.(e) <- !sz;
+              wstamp.(e) <- cw
+            end;
+            w.(e) <- w.(e) - nv.(v)
+          end
+        done
+      done;
       (* Update pass over the pivot's members: prune A_v and E_v, apply
          aggressive absorption, recompute the approximate degree, detect
          mass eliminations, and hash for supervariable detection. *)
-      let hash_groups : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-      Array.iter
-        (fun v ->
-          let len = ref 0 and asz = ref 0 and h = ref p in
-          for k = 0 to alen.(v) - 1 do
-            let u = avar.(v).(k) in
-            if state.(u) = 0 && nv.(u) > 0 && stamp.(u) <> c then begin
-              avar.(v).(!len) <- u;
-              incr len;
-              asz := !asz + nv.(u);
-              h := !h + u
-            end
-          done;
-          alen.(v) <- !len;
-          let el = ref 0 and sumw = ref 0 in
-          for k = 0 to elen.(v) - 1 do
-            let e = elist.(v).(k) in
-            if state.(e) = 1 then begin
-              if wstamp.(e) = cw && w.(e) <= 0 then
-                (* Aggressive absorption: every live member of e is inside
-                   L_p, so element e is redundant from now on. *)
-                state.(e) <- 2
-              else begin
-                elist.(v).(!el) <- e;
-                incr el;
-                sumw := !sumw + (if wstamp.(e) = cw then w.(e) else 0);
-                h := !h + e
-              end
-            end
-          done;
-          elen.(v) <- !el;
-          push_elem v p;
-          bucket_remove v;
-          if alen.(v) = 0 && elen.(v) = 1 then begin
-            (* Mass elimination: v's neighborhood is exactly L_p, so it can
-               be eliminated with p at no extra fill; it is emitted right
-               after p in the output ordering. *)
-            state.(v) <- 2;
-            parent.(v) <- p;
-            norder := !norder + nv.(v);
-            nv.(v) <- 0
+      for t = 0 to nlp - 1 do
+        let v = lp.(t) in
+        let base = aptr.(v) in
+        let len = ref 0 and asz = ref 0 and h = ref p in
+        for k = 0 to alen.(v) - 1 do
+          let u = aind.(base + k) in
+          if state.(u) = 0 && nv.(u) > 0 && stamp.(u) <> c then begin
+            aind.(base + !len) <- u;
+            incr len;
+            asz := !asz + nv.(u);
+            h := !h + u
           end
-          else begin
-            let ext_p = dp - nv.(v) in
-            let d_new =
-              min (n - !norder) (min (deg.(v) + ext_p) (ext_p + !sumw + !asz))
-            in
-            deg.(v) <- max 0 d_new;
-            let key = (!h mod n) + if !h mod n < 0 then n else 0 in
-            (match Hashtbl.find_opt hash_groups key with
-            | Some l -> l := v :: !l
-            | None -> Hashtbl.add hash_groups key (ref [ v ]))
-          end)
-        lp;
+        done;
+        alen.(v) <- !len;
+        let el = ref 0 and sumw = ref 0 in
+        for k = 0 to elen.(v) - 1 do
+          let e = elist.(v).(k) in
+          if state.(e) = 1 then begin
+            if wstamp.(e) = cw && w.(e) <= 0 then
+              (* Aggressive absorption: every live member of e is inside
+                 L_p, so element e is redundant from now on. *)
+              state.(e) <- 2
+            else begin
+              elist.(v).(!el) <- e;
+              incr el;
+              sumw := !sumw + (if wstamp.(e) = cw then w.(e) else 0);
+              h := !h + e
+            end
+          end
+        done;
+        elen.(v) <- !el;
+        push_elem v p;
+        bucket_remove v;
+        hkey.(v) <- -1;
+        if alen.(v) = 0 && elen.(v) = 1 then begin
+          (* Mass elimination: v's neighborhood is exactly L_p, so it can
+             be eliminated with p at no extra fill; it is emitted right
+             after p in the output ordering. *)
+          state.(v) <- 2;
+          parent.(v) <- p;
+          norder := !norder + nv.(v);
+          nv.(v) <- 0
+        end
+        else begin
+          let ext_p = dp - nv.(v) in
+          let d_new =
+            imin (n - !norder) (imin (deg.(v) + ext_p) (ext_p + !sumw + !asz))
+          in
+          deg.(v) <- imax 0 d_new;
+          let key = (!h mod n) + if !h mod n < 0 then n else 0 in
+          hkey.(v) <- key;
+          hnext.(v) <- hhead.(key);
+          hhead.(key) <- v
+        end
+      done;
       (* Supervariable detection within each hash group: exact set
-         comparison of the pruned (A, E) lists via stamping; [j] merges
-         into [i] and is emitted adjacent to it at output time. *)
-      Hashtbl.iter
-        (fun _ group ->
-          let vs = Array.of_list !group in
-          let m = Array.length vs in
-          if m > 1 then
-            for i = 0 to m - 2 do
-              let vi = vs.(i) in
-              if state.(vi) = 0 && nv.(vi) > 0 then begin
-                let stamped = ref false in
-                for j = i + 1 to m - 1 do
-                  let vj = vs.(j) in
-                  if
-                    state.(vj) = 0
-                    && nv.(vj) > 0
-                    && alen.(vi) = alen.(vj)
-                    && elen.(vi) = elen.(vj)
-                  then begin
-                    if not !stamped then begin
-                      incr cur;
-                      for k = 0 to alen.(vi) - 1 do
-                        stamp.(avar.(vi).(k)) <- !cur
-                      done;
-                      for k = 0 to elen.(vi) - 1 do
-                        stamp.(elist.(vi).(k)) <- !cur
-                      done;
-                      stamped := true
-                    end;
-                    let same = ref true in
-                    for k = 0 to alen.(vj) - 1 do
-                      if stamp.(avar.(vj).(k)) <> !cur then same := false
+         comparison of the pruned (A, E) lists via stamping; [vj] merges
+         into [vi] and is emitted adjacent to it at output time. Groups
+         are disjoint, so the order they are scanned in does not matter;
+         each is scanned once, from its first member in L_p. *)
+      for t = 0 to nlp - 1 do
+        let key = hkey.(lp.(t)) in
+        if key >= 0 && hhead.(key) >= 0 then begin
+          let vi = ref hhead.(key) in
+          hhead.(key) <- -1;
+          while !vi >= 0 do
+            let vi' = !vi in
+            if state.(vi') = 0 && nv.(vi') > 0 then begin
+              let stamped = ref false in
+              let vj = ref hnext.(vi') in
+              while !vj >= 0 do
+                let vj' = !vj in
+                if
+                  state.(vj') = 0
+                  && nv.(vj') > 0
+                  && alen.(vi') = alen.(vj')
+                  && elen.(vi') = elen.(vj')
+                then begin
+                  if not !stamped then begin
+                    incr cur;
+                    for k = 0 to alen.(vi') - 1 do
+                      stamp.(aind.(aptr.(vi') + k)) <- !cur
                     done;
-                    for k = 0 to elen.(vj) - 1 do
-                      if stamp.(elist.(vj).(k)) <> !cur then same := false
+                    for k = 0 to elen.(vi') - 1 do
+                      stamp.(elist.(vi').(k)) <- !cur
                     done;
-                    if !same then begin
-                      let mass = nv.(vj) in
-                      nv.(vi) <- nv.(vi) + mass;
-                      nv.(vj) <- 0;
-                      state.(vj) <- 2;
-                      parent.(vj) <- vi;
-                      bucket_remove vj;
-                      deg.(vi) <- max 0 (deg.(vi) - mass)
-                    end
+                    stamped := true
+                  end;
+                  let same = ref true in
+                  for k = 0 to alen.(vj') - 1 do
+                    if stamp.(aind.(aptr.(vj') + k)) <> !cur then same := false
+                  done;
+                  for k = 0 to elen.(vj') - 1 do
+                    if stamp.(elist.(vj').(k)) <> !cur then same := false
+                  done;
+                  if !same then begin
+                    let mass = nv.(vj') in
+                    nv.(vi') <- nv.(vi') + mass;
+                    nv.(vj') <- 0;
+                    state.(vj') <- 2;
+                    parent.(vj') <- vi';
+                    bucket_remove vj';
+                    deg.(vi') <- imax 0 (deg.(vi') - mass)
                   end
-                done
-              end
-            done)
-        hash_groups;
+                end;
+                vj := hnext.(vj')
+              done
+            end;
+            vi := hnext.(vi')
+          done
+        end
+      done;
       (* Reinsert the surviving members with their updated degrees. *)
-      Array.iter
-        (fun v ->
-          if state.(v) = 0 && nv.(v) > 0 then bucket_insert v deg.(v))
-        lp
+      for t = 0 to nlp - 1 do
+        let v = lp.(t) in
+        if state.(v) = 0 && nv.(v) > 0 then bucket_insert v deg.(v)
+      done
     done;
     (* Output: pivots in elimination order; each absorbed or
        mass-eliminated node is emitted right after the node that absorbed

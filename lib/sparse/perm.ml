@@ -54,26 +54,27 @@ let symmetric_permute p (a : Csc.t) =
   Csc.of_triplet tr
 
 (* Shared builder for the two permute-with-gather-map operations below:
-   [coords] lists one (new row, new col, source entry) triple per stored
-   entry; the result's entry [q] reads its value from
-   [values.(map.(q))] of the source matrix. Column-major counting sort
-   followed by an in-column sort keeps rows strictly increasing. *)
-let build_permuted ~n (coords : (int * int * int) array) =
-  let nnz = Array.length coords in
+   source entry [q] lands at (rows.(q), cols.(q)); the result's entry [k]
+   reads its value from [values.(map.(k))] of the source matrix.
+   Column-major counting sort followed by an in-column sort keeps rows
+   strictly increasing. *)
+let build_permuted ~n ~(rows : int array) ~(cols : int array)
+    (src_values : float array) =
+  let nnz = Array.length rows in
   let colptr = Array.make (n + 1) 0 in
-  Array.iter (fun (_, c, _) -> colptr.(c + 1) <- colptr.(c + 1) + 1) coords;
-  for c = 0 to n - 1 do
-    colptr.(c + 1) <- colptr.(c + 1) + colptr.(c)
+  for q = 0 to nnz - 1 do
+    colptr.(cols.(q)) <- colptr.(cols.(q)) + 1
   done;
-  let next = Array.copy colptr in
+  let _ = Utils.cumsum colptr in
+  let next = Array.sub colptr 0 n in
   let rowind = Array.make nnz 0 and map = Array.make nnz 0 in
-  Array.iter
-    (fun (r, c, q) ->
-      let slot = next.(c) in
-      next.(c) <- slot + 1;
-      rowind.(slot) <- r;
-      map.(slot) <- q)
-    coords;
+  for q = 0 to nnz - 1 do
+    let c = cols.(q) in
+    let slot = next.(c) in
+    next.(c) <- slot + 1;
+    rowind.(slot) <- rows.(q);
+    map.(slot) <- q
+  done;
   (* Sort each column by row, carrying the map along (compile-time code;
      columns are short, insertion sort suffices and allocates nothing). *)
   for c = 0 to n - 1 do
@@ -90,6 +91,9 @@ let build_permuted ~n (coords : (int * int * int) array) =
     done
   done;
   let values = Array.make nnz 0.0 in
+  for k = 0 to nnz - 1 do
+    values.(k) <- src_values.(map.(k))
+  done;
   (Csc.create ~nrows:n ~ncols:n ~colptr ~rowind ~values, map)
 
 let check_square_perm ~who p (a : Csc.t) =
@@ -102,18 +106,18 @@ let check_square_perm ~who p (a : Csc.t) =
 (* B = P A P^T with a gather map: entry [q] of B takes its value from
    [a.values.(map.(q))], so a steady-state caller can refresh B's values
    with one allocation-free gather when A's values change. *)
-let permute_pattern p (a : Csc.t) : Csc.t * int array
-    =
+let permute_pattern p (a : Csc.t) : Csc.t * int array =
   check_square_perm ~who:"Perm.permute_pattern" p a;
   let pinv = inverse p in
-  let coords = Array.make (Csc.nnz a) (0, 0, 0) in
-  let q = ref 0 in
-  Csc.iter a (fun i j _ ->
-      coords.(!q) <- (pinv.(i), pinv.(j), !q);
-      incr q);
-  let b, map = build_permuted ~n:a.Csc.ncols coords in
-  Array.iteri (fun k m -> b.Csc.values.(k) <- a.Csc.values.(m)) map;
-  (b, map)
+  let nnz = Csc.nnz a in
+  let rows = Array.make nnz 0 and cols = Array.make nnz 0 in
+  for j = 0 to a.Csc.ncols - 1 do
+    for q = a.Csc.colptr.(j) to a.Csc.colptr.(j + 1) - 1 do
+      rows.(q) <- pinv.(a.Csc.rowind.(q));
+      cols.(q) <- pinv.(j)
+    done
+  done;
+  build_permuted ~n:a.Csc.ncols ~rows ~cols a.Csc.values
 
 (* lower(P sym(A) P^T) from lower(A), with the same gather-map contract:
    each stored lower entry (i, j), i >= j, lands at
@@ -122,17 +126,19 @@ let permute_pattern p (a : Csc.t) : Csc.t * int array
 let permute_lower p (a_lower : Csc.t) : Csc.t * int array =
   check_square_perm ~who:"Perm.permute_lower" p a_lower;
   let pinv = inverse p in
-  let coords = Array.make (Csc.nnz a_lower) (0, 0, 0) in
-  let q = ref 0 in
-  Csc.iter a_lower (fun i j _ ->
+  let nnz = Csc.nnz a_lower in
+  let rows = Array.make nnz 0 and cols = Array.make nnz 0 in
+  for j = 0 to a_lower.Csc.ncols - 1 do
+    for q = a_lower.Csc.colptr.(j) to a_lower.Csc.colptr.(j + 1) - 1 do
+      let i = a_lower.Csc.rowind.(q) in
       if i < j then
         invalid_arg "Perm.permute_lower: input is not lower triangular";
       let r = pinv.(i) and c = pinv.(j) in
-      coords.(!q) <- ((max r c), (min r c), !q);
-      incr q);
-  let b, map = build_permuted ~n:a_lower.Csc.ncols coords in
-  Array.iteri (fun k m -> b.Csc.values.(k) <- a_lower.Csc.values.(m)) map;
-  (b, map)
+      rows.(q) <- (if r > c then r else c);
+      cols.(q) <- (if r > c then c else r)
+    done
+  done;
+  build_permuted ~n:a_lower.Csc.ncols ~rows ~cols a_lower.Csc.values
 
 let random rng n =
   let p = identity n in

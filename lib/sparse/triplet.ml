@@ -49,73 +49,55 @@ let add t i j v =
   t.vals.(t.len) <- v;
   t.len <- t.len + 1
 
-(* Counting-sort by column then a stable per-column sort by row, summing
-   duplicates. Produces the (colptr, rowind, values) arrays of a CSC matrix
-   with row indices strictly increasing within each column.
-
-   Segments at or below [insertion_threshold] use insertion sort (they are
-   short and often nearly sorted after assembly); longer segments — the
-   dense-ish columns clique_chain / block_tridiagonal produce at scale,
-   where insertion sort is quadratic per column — fall back to a stable
-   O(k log k) merge sort. Both paths are stable, so duplicate entries are
-   summed in insertion order either way and the resulting CSC arrays are
-   bitwise-identical whichever path ran (pinned by a qcheck test). *)
-let to_csc_arrays ?(insertion_threshold = 32) t =
-  let n = t.ncols in
-  let counts = Array.make (n + 1) 0 in
-  for k = 0 to t.len - 1 do
-    counts.(t.cols.(k)) <- counts.(t.cols.(k)) + 1
+(* The (colptr, rowind, values) arrays of a CSC matrix with row indices
+   strictly increasing within each column: two stable counting passes —
+   by row, then by column — sort the entries, and a compaction pass sums
+   duplicates. O(len + nrows + ncols) whatever the column lengths. Both
+   passes keep insertion order among equal keys, so duplicates of one
+   (row, col) reach the compaction in the order they were added and are
+   summed left to right. *)
+let to_csc_arrays t =
+  let len = t.len and n = t.ncols in
+  (* Pass 1: bucket by row. Only the column and value travel; the row of a
+     slot is implied by its bucket. *)
+  let rowptr = Array.make (t.nrows + 1) 0 in
+  for k = 0 to len - 1 do
+    rowptr.(t.rows.(k)) <- rowptr.(t.rows.(k)) + 1
   done;
-  let _total = Utils.cumsum counts in
-  let colptr = Array.copy counts in
-  let rowind = Array.make t.len 0 in
-  let values = Array.make t.len 0.0 in
-  let next = Array.make n 0 in
-  Array.blit colptr 0 next 0 n;
-  for k = 0 to t.len - 1 do
-    let j = t.cols.(k) in
-    let p = next.(j) in
-    rowind.(p) <- t.rows.(k);
-    values.(p) <- t.vals.(k);
-    next.(j) <- p + 1
+  let _ = Utils.cumsum rowptr in
+  let next = Array.sub rowptr 0 t.nrows in
+  let by_row_col = Array.make len 0 and by_row_val = Array.make len 0.0 in
+  for k = 0 to len - 1 do
+    let i = t.rows.(k) in
+    let q = next.(i) in
+    by_row_col.(q) <- t.cols.(k);
+    by_row_val.(q) <- t.vals.(k);
+    next.(i) <- q + 1
   done;
-  (* Merge-sort scratch, allocated once on the first long segment. *)
-  let scratch = ref None in
-  let get_scratch () =
-    match !scratch with
-    | Some s -> s
-    | None ->
-        let s = (Array.make t.len 0, Array.make t.len 0.0) in
-        scratch := Some s;
-        s
-  in
+  (* Pass 2: bucket by column, walking rows in ascending order. *)
+  let colptr = Array.make (n + 1) 0 in
+  for k = 0 to len - 1 do
+    colptr.(t.cols.(k)) <- colptr.(t.cols.(k)) + 1
+  done;
+  let _ = Utils.cumsum colptr in
+  let next = Array.sub colptr 0 n in
+  let rowind = Array.make len 0 and values = Array.make len 0.0 in
+  for i = 0 to t.nrows - 1 do
+    for q = rowptr.(i) to rowptr.(i + 1) - 1 do
+      let j = by_row_col.(q) in
+      let p = next.(j) in
+      rowind.(p) <- i;
+      values.(p) <- by_row_val.(q);
+      next.(j) <- p + 1
+    done
+  done;
+  (* Compact duplicates, summing their values; column starts only move
+     down, so colptr is rewritten in place. *)
+  let out = ref 0 and lo = ref 0 in
   for j = 0 to n - 1 do
-    let lo = colptr.(j) and hi = colptr.(j + 1) in
-    if hi - lo <= insertion_threshold then
-      for p = lo + 1 to hi - 1 do
-        let r = rowind.(p) and v = values.(p) in
-        let q = ref p in
-        while !q > lo && rowind.(!q - 1) > r do
-          rowind.(!q) <- rowind.(!q - 1);
-          values.(!q) <- values.(!q - 1);
-          decr q
-        done;
-        rowind.(!q) <- r;
-        values.(!q) <- v
-      done
-    else begin
-      let key_scratch, val_scratch = get_scratch () in
-      Utils.sort_int_float_pairs_stable rowind values ~key_scratch
-        ~val_scratch lo hi
-    end
-  done;
-  (* Compact duplicates, summing their values. *)
-  let out = ref 0 in
-  let new_colptr = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    new_colptr.(j) <- !out;
-    let lo = colptr.(j) and hi = colptr.(j + 1) in
-    let p = ref lo in
+    let hi = colptr.(j + 1) in
+    colptr.(j) <- !out;
+    let p = ref !lo in
     while !p < hi do
       let r = rowind.(!p) in
       let v = ref 0.0 in
@@ -126,8 +108,9 @@ let to_csc_arrays ?(insertion_threshold = 32) t =
       rowind.(!out) <- r;
       values.(!out) <- !v;
       incr out
-    done
+    done;
+    lo := hi
   done;
-  new_colptr.(n) <- !out;
-  if !out = t.len then (new_colptr, rowind, values)
-  else (new_colptr, Array.sub rowind 0 !out, Array.sub values 0 !out)
+  colptr.(n) <- !out;
+  if !out = len then (colptr, rowind, values)
+  else (colptr, Array.sub rowind 0 !out, Array.sub values 0 !out)

@@ -25,12 +25,8 @@ val add : t -> int -> int -> float -> unit
     the coordinates are out of range. Duplicates are allowed and summed at
     conversion time. *)
 
-val to_csc_arrays :
-  ?insertion_threshold:int -> t -> int array * int array * float array
+val to_csc_arrays : t -> int array * int array * float array
 (** [(colptr, rowind, values)] of the equivalent CSC matrix: entries sorted
-    by column then strictly by row, duplicates summed. Normally used via
-    {!Csc.of_triplet}. Column segments longer than [insertion_threshold]
-    (default 32) are sorted with a stable O(k log k) merge sort instead of
-    insertion sort; both paths produce bitwise-identical output (duplicates
-    are summed in insertion order either way), so the threshold is a pure
-    performance knob — exposed mainly so tests can force each path. *)
+    by column then strictly by row, duplicates summed left to right in
+    insertion order. Two stable counting passes (by row, then by column):
+    O(len + nrows + ncols). Normally used via {!Csc.of_triplet}. *)

@@ -12,9 +12,12 @@ let max_rel_diff a b =
   Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
   !d /. scale
 
-let array_is_sorted_strict a lo hi =
-  let rec go i = i >= hi - 1 || (a.(i) < a.(i + 1) && go (i + 1)) in
-  go lo
+let array_is_sorted_strict (a : int array) lo hi =
+  let i = ref lo in
+  while !i < hi - 1 && a.(!i) < a.(!i + 1) do
+    incr i
+  done;
+  !i >= hi - 1
 
 (* Exclusive prefix sum: turns per-bucket counts into offsets, in place,
    returning the total. counts has length n+1; counts.(n) receives total. *)
@@ -85,42 +88,6 @@ let sort_int_range (a : int array) lo hi =
     end
   in
   if hi - lo > 1 then qsort lo hi
-
-(* Stable ascending sort of keys.(lo..hi-1) carrying vals along; top-down
-   merge sort through caller-provided scratch (each at least [hi] long).
-   Stability matters to callers that sum duplicate keys in float
-   arithmetic (Triplet compaction): equal keys must keep insertion order
-   so both sort paths produce bitwise-identical sums. *)
-let sort_int_float_pairs_stable (keys : int array) (vals : float array)
-    ~(key_scratch : int array) ~(val_scratch : float array) lo hi =
-  let rec msort lo hi =
-    if hi - lo > 1 then begin
-      let mid = lo + ((hi - lo) / 2) in
-      msort lo mid;
-      msort mid hi;
-      let i = ref lo and j = ref mid and k = ref lo in
-      while !i < mid && !j < hi do
-        (* [<=] keeps the left run first on ties: stability. *)
-        if keys.(!i) <= keys.(!j) then begin
-          key_scratch.(!k) <- keys.(!i);
-          val_scratch.(!k) <- vals.(!i);
-          incr i
-        end
-        else begin
-          key_scratch.(!k) <- keys.(!j);
-          val_scratch.(!k) <- vals.(!j);
-          incr j
-        end;
-        incr k
-      done;
-      let rest = mid - !i in
-      Array.blit keys !i key_scratch !k rest;
-      Array.blit vals !i val_scratch !k rest;
-      Array.blit key_scratch lo keys lo (!k + rest - lo);
-      Array.blit val_scratch lo vals lo (!k + rest - lo)
-    end
-  in
-  msort lo hi
 
 let int_array_equal a b =
   Array.length a = Array.length b

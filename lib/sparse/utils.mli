@@ -24,21 +24,6 @@ val sort_int_range : int array -> int -> int -> unit
     stack): the sort behind {!Ereach} patterns and large workspace
     reorderings where [Array.sort compare] would box every comparison. *)
 
-val sort_int_float_pairs_stable :
-  int array ->
-  float array ->
-  key_scratch:int array ->
-  val_scratch:float array ->
-  int ->
-  int ->
-  unit
-(** [sort_int_float_pairs_stable keys vals ~key_scratch ~val_scratch lo hi]
-    sorts [keys.(lo..hi-1)] ascending, permuting [vals] identically.
-    Stable merge sort (equal keys keep their input order), so callers that
-    sum duplicate keys in float arithmetic get bitwise-identical results
-    whichever sort path produced the segment. Scratch arrays must be at
-    least [hi] long. *)
-
 val int_array_equal : int array -> int array -> bool
 (** Structural equality of int arrays. *)
 

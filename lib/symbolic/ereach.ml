@@ -15,28 +15,34 @@ type workspace = {
 
 let make_workspace n = { mark = Array.make n (-1); stack = Array.make n 0 }
 
-(* Pattern of row k of L, diagonal excluded, sorted ascending (which is a
-   valid dependence order for lower-triangular systems). In-place variant:
-   the result lives in [work.stack.(0 .. len-1)] and is valid only until
-   the next call on the same workspace — the zero-copy form the whole-matrix
-   analysis loop consumes (one monomorphic in-place sort, no per-row
-   allocation; the polymorphic [Array.sort compare] it replaces both
-   allocated and paid a closure call per comparison). *)
-let row_pattern_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
+(* Pattern of row k of L, diagonal excluded, in discovery order: each
+   nonzero of column k of [upper] climbs the etree until it reaches k or a
+   node already marked for row k. The result lives in
+   [work.stack.(0 .. len-1)] and is valid only until the next call on the
+   same workspace. Callers that only count entries (column counts) take it
+   as is. *)
+let row_reach_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
     : int array * int =
   let len = ref 0 in
-  Csc.iter_col upper k (fun i _ ->
-      let rec climb i =
-        if i < k && i >= 0 && work.mark.(i) <> k then begin
-          work.mark.(i) <- k;
-          work.stack.(!len) <- i;
-          incr len;
-          climb parent.(i)
-        end
-      in
-      climb i);
-  Utils.sort_int_range work.stack 0 !len;
+  for p = upper.Csc.colptr.(k) to upper.Csc.colptr.(k + 1) - 1 do
+    let i = ref upper.Csc.rowind.(p) in
+    while !i < k && !i >= 0 && work.mark.(!i) <> k do
+      work.mark.(!i) <- k;
+      work.stack.(!len) <- !i;
+      incr len;
+      i := parent.(!i)
+    done
+  done;
   (work.stack, !len)
+
+(* The same pattern sorted ascending (which is a valid dependence order for
+   lower-triangular systems): one monomorphic in-place sort, no per-row
+   allocation. *)
+let row_pattern_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
+    : int array * int =
+  let stack, len = row_reach_ip ~upper ~parent ~work k in
+  Utils.sort_int_range stack 0 len;
+  (stack, len)
 
 let row_pattern ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k :
     int array =

@@ -19,6 +19,12 @@ val row_pattern :
     lower-triangular solves). [upper] is the transpose of the stored lower
     part of A (column [k] holds the row indices [i <= k]). *)
 
+val row_reach_ip :
+  upper:Csc.t -> parent:int array -> work:workspace -> int -> int array * int
+(** The set of {!row_pattern_ip} in discovery order, unsorted: [(stack,
+    len)] with the same lifetime rules. For callers that only count
+    entries (the column counts of {!Fill_pattern.col_counts}). *)
+
 val row_pattern_ip :
   upper:Csc.t -> parent:int array -> work:workspace -> int -> int array * int
 (** Zero-copy variant of {!row_pattern}: returns [(stack, len)] where the

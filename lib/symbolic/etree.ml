@@ -5,28 +5,34 @@ open Sympiler_sparse
    column j is min{ i > j : L(i,j) <> 0 }. Input is the lower-triangular
    part of A in CSC form. *)
 
-(* parent.(j) = parent column, or -1 for roots. *)
-let compute (a_lower : Csc.t) : int array =
+(* parent.(j) = parent column, or -1 for roots, from [upper] = the
+   transpose of the stored lower part: column k of [upper] lists the
+   i <= k with A(k,i) <> 0 (the row pattern of the lower triangle).
+   Callers that already hold the transpose (the fill analysis) pass it
+   here instead of paying for a second one. *)
+let of_upper (upper : Csc.t) : int array =
   Sympiler_trace.Trace.with_span "symbolic.etree" @@ fun () ->
-  let n = a_lower.Csc.ncols in
-  (* Row patterns of the lower triangle = column patterns of its transpose:
-     column k of [upper] lists the i <= k with A(k,i) <> 0. *)
-  let upper = Csc.transpose a_lower in
+  let n = upper.Csc.ncols in
   let parent = Array.make n (-1) in
   let ancestor = Array.make n (-1) in
   for k = 0 to n - 1 do
-    Csc.iter_col upper k (fun i _ ->
-        (* Walk from i up the current forest to its root, compressing. *)
-        let rec climb i =
-          if i < k && i >= 0 then begin
-            let next = ancestor.(i) in
-            ancestor.(i) <- k;
-            if next = -1 then parent.(i) <- k else climb next
-          end
-        in
-        climb i)
+    for p = upper.Csc.colptr.(k) to upper.Csc.colptr.(k + 1) - 1 do
+      (* Walk from i up the current forest to its root, compressing. *)
+      let i = ref upper.Csc.rowind.(p) in
+      while !i < k && !i >= 0 do
+        let next = ancestor.(!i) in
+        ancestor.(!i) <- k;
+        if next = -1 then begin
+          parent.(!i) <- k;
+          i := -1
+        end
+        else i := next
+      done
+    done
   done;
   parent
+
+let compute (a_lower : Csc.t) : int array = of_upper (Csc.transpose a_lower)
 
 (* Naive O(n^2)-ish oracle: build the filled pattern column by column with
    explicit sets and read parents off it. Used only in tests. *)

@@ -10,6 +10,12 @@ val compute : Csc.t -> int array
     lower-triangular part of A. Liu's algorithm with path-compressed
     virtual ancestors, nearly O(|A|). *)
 
+val of_upper : Csc.t -> int array
+(** [of_upper upper]: the same parent array from the transpose of the
+    stored lower part (column [k] holds the row indices [i <= k] of
+    [A(k,i)]), for callers that already hold it — {!Fill_pattern} hands
+    its one transpose to both this and {!Ereach}. *)
+
 val compute_naive : Csc.t -> int array
 (** Test oracle: parents read off an explicit set-based symbolic
     factorization. Quadratic; small inputs only. *)

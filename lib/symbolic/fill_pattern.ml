@@ -27,6 +27,34 @@ let iter_row_pattern t k f = Bigstore.iter_segment t.row_store k f
 let row_patterns t = Bigstore.to_arrays t.row_store
 let row_store t = t.row_store
 
+(* The walk [analyze] and [col_counts] share: one transpose of lower(A)
+   feeds both the etree and the per-row ereach, which counts every entry
+   of L into its column and hands each row's pattern, in row order
+   (unsorted, in the workspace stack), to [row stack len]. *)
+let walk (a_lower : Csc.t) ~row : int array * int array =
+  let n = a_lower.Csc.ncols in
+  let upper = Csc.transpose a_lower in
+  let parent = Etree.of_upper upper in
+  let work = Ereach.make_workspace n in
+  let counts = Array.make n 1 in
+  Sympiler_trace.Trace.begin_span "symbolic.col_counts";
+  for k = 0 to n - 1 do
+    let stack, len = Ereach.row_reach_ip ~upper ~parent ~work k in
+    for q = 0 to len - 1 do
+      let j = stack.(q) in
+      counts.(j) <- counts.(j) + 1
+    done;
+    row stack len
+  done;
+  Sympiler_trace.Trace.end_span ();
+  (parent, counts)
+
+(* Etree and column counts alone: no row store, no pattern of L. The
+   cheap baseline for decisions that only need nnz(L) or the flop model
+   (the ordering stage's natural-order comparison, [Explain]). *)
+let col_counts (a_lower : Csc.t) : int array * int array =
+  walk a_lower ~row:(fun _ _ -> ())
+
 (* O(|L|) analysis from the lower-triangular part of A via [Ereach]. Timed
    under the "symbolic" profiling scope (reentrant, so facades may wrap a
    larger "symbolic" region around it). *)
@@ -34,29 +62,19 @@ let analyze (a_lower : Csc.t) : t =
   Sympiler_prof.Prof.time "symbolic" @@ fun () ->
   Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
   let n = a_lower.Csc.ncols in
-  let parent = Etree.compute a_lower in
-  let upper = Csc.transpose a_lower in
-  let work = Ereach.make_workspace n in
   let builder =
     Bigstore.Builder.create ~segments_hint:n
       ~capacity:(max 16 (4 * Csc.nnz a_lower))
       ()
   in
-  let counts = Array.make n 1 in
-  (* First pass: row patterns (packed as they are produced — the in-place
-     ereach writes into the workspace stack, the builder copies it out as
-     int32) and column counts. *)
-  Sympiler_trace.Trace.begin_span "symbolic.col_counts";
-  for k = 0 to n - 1 do
-    let stack, len = Ereach.row_pattern_ip ~upper ~parent ~work k in
-    Bigstore.Builder.append_segment builder stack len;
-    for q = 0 to len - 1 do
-      let j = stack.(q) in
-      counts.(j) <- counts.(j) + 1
-    done
-  done;
+  (* First pass: row patterns, sorted and packed as they are produced (the
+     builder copies the workspace stack out as int32), and column counts. *)
+  let parent, counts =
+    walk a_lower ~row:(fun stack len ->
+        Utils.sort_int_range stack 0 len;
+        Bigstore.Builder.append_segment builder stack len)
+  in
   let row_store = Bigstore.Builder.finish builder in
-  Sympiler_trace.Trace.end_span ();
   (* Second pass: scatter into column-major storage. Row indices within a
      column arrive in increasing k, hence sorted. *)
   let colptr = Array.make (n + 1) 0 in
@@ -64,13 +82,16 @@ let analyze (a_lower : Csc.t) : t =
   let nnz = Utils.cumsum colptr in
   let rowind = Array.make nnz 0 in
   let next = Array.sub colptr 0 n in
+  let row = ref 0 in
+  let put j =
+    rowind.(next.(j)) <- !row;
+    next.(j) <- next.(j) + 1
+  in
   for k = 0 to n - 1 do
+    row := k;
     (* Diagonal of column k. *)
-    rowind.(next.(k)) <- k;
-    next.(k) <- next.(k) + 1;
-    Bigstore.iter_segment row_store k (fun j ->
-        rowind.(next.(j)) <- k;
-        next.(j) <- next.(j) + 1)
+    put k;
+    Bigstore.iter_segment row_store k put
   done;
   let l_pattern =
     Csc.create ~nrows:n ~ncols:n ~colptr ~rowind
@@ -114,8 +135,10 @@ let nnz_l t = Csc.nnz t.l_pattern
    sum over columns of c*(c+2) with c = below-diagonal count (sqrt counted
    once, division c times, update c*(c+1)). Standard flop model
    sum (counts_j)^2 is used for GFLOP/s reporting, matching common practice. *)
-let flops t =
-  Array.fold_left (fun acc c -> acc +. (float_of_int c ** 2.0)) 0.0 t.counts
+let flops_of_counts (counts : int array) =
+  Array.fold_left (fun acc c -> acc +. (float_of_int c ** 2.0)) 0.0 counts
+
+let flops t = flops_of_counts t.counts
 
 (* Per-column summand of [flops]: the symbolic cost estimate the parallel
    runtime's cost-balanced partitions are built from (columns and

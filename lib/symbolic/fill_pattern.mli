@@ -23,6 +23,11 @@ val analyze : Csc.t -> t
 (** O(|L|) symbolic factorization of the lower-triangular part of A, via
     {!Etree} + {!Ereach}. *)
 
+val col_counts : Csc.t -> int array * int array
+(** [col_counts a_lower] is [(parent, counts)], equal to the [parent] and
+    [counts] of {!analyze}, from the same etree and ereach walk but with
+    no row store and no pattern of L. nnz(L) is the sum of [counts]. *)
+
 val row_ptr : t -> int array
 (** Segment offsets of the packed row patterns (length [n+1]; row [k]
     occupies packed positions [row_ptr.(k) .. row_ptr.(k+1)-1]). Shared
@@ -52,6 +57,10 @@ val flops : t -> float
 (** Flop count of the numeric factorization under the standard
     [sum_j counts.(j)^2] model, used as the GFLOP/s numerator in the
     benchmark figures. *)
+
+val flops_of_counts : int array -> float
+(** {!flops} from a column-count array, e.g. the counts of {!col_counts}
+    (bitwise equal to [flops] on the same counts). *)
 
 val col_flops : int array -> float array
 (** Per-column flop estimate from a column-count array ([counts.(j)^2],

@@ -252,6 +252,21 @@ EOF
   echo "explain --json $prob: ok"
 done
 
+echo "== repository benchmark smoke =="
+# perfbench/smoke.py runs every workload of BENCHMARK.json briefly, untraced
+# and traced (about 50 s): each request's off-clock backward-error check
+# must pass against the current assembly, ordering and symbolic code, every
+# declared metric must be present, and the traced layers must cover the
+# request wall-clock.
+if command -v python3 > /dev/null 2>&1; then
+  python3 perfbench/smoke.py || {
+    echo "FAIL: perfbench/smoke.py" >&2
+    exit 1
+  }
+else
+  echo "skipped: no python3 (perfbench smoke needs it)"
+fi
+
 if [ "${SYMPILER_LARGE:-0}" = "1" ]; then
   echo "== large tier (opt-in: SYMPILER_LARGE=1) =="
   # 10^6-row readiness: the large-smoke group factors a 10^5-row grid

@@ -387,6 +387,103 @@ let test_adjacency_csr_matches_lists () =
       ("grid2d", Generators.grid2d ~stencil:`Nine 7 6);
     ]
 
+(* ---- golden AMD fingerprints ---- *)
+
+(* The AMD permutation feeds every ordered preparation in [Suite] and
+   every committed benchmark figure, so its output is pinned exactly: an
+   FNV hash of the permutation and of the [Perm.permute_lower] gather map
+   on every Table 2 stand-in and on seeded draws of the generator families
+   the churn benchmark workload assembles (two draws each). A change to
+   AMD's containers must leave both hashes alone; a deliberate change to
+   the algorithm re-records them and says so. *)
+let golden_instances () : (string * Csc.t Lazy.t) list =
+  let suite =
+    List.map
+      (fun (p : Generators.problem) -> (p.Generators.name, p.Generators.matrix))
+      Generators.suite
+  in
+  let rng = Utils.Rng.create 2017 in
+  let ri lo hi = lo + Utils.Rng.int rng (hi - lo + 1) in
+  let draws =
+    List.concat_map
+      (fun _ ->
+        (* Sequential lets: the draw order is part of the fixture. *)
+        let nx = ri 30 45 in
+        let ny = ri 30 45 in
+        let mx = ri 30 45 in
+        let my = ri 30 45 in
+        let s = Utils.Rng.int rng 1_000_000 in
+        let n_rb = ri 1000 2000 in
+        let band = ri 15 30 in
+        let n_cc = ri 600 1000 in
+        let clique = ri 16 24 in
+        let overlap = ri 4 8 in
+        let nblocks = ri 30 50 in
+        let block = ri 10 16 in
+        [
+          ( Printf.sprintf "grid2d five %dx%d" nx ny,
+            lazy (Generators.grid2d ~stencil:`Five nx ny) );
+          ( Printf.sprintf "grid2d nine %dx%d" mx my,
+            lazy (Generators.grid2d ~stencil:`Nine mx my) );
+          ( Printf.sprintf "random_banded seed %d n %d band %d" s n_rb band,
+            lazy
+              (Generators.random_banded ~seed:s ~n:n_rb ~band ~density:0.08 ())
+          );
+          ( Printf.sprintf "clique_chain seed %d n %d clique %d overlap %d" s
+              n_cc clique overlap,
+            lazy (Generators.clique_chain ~seed:s ~n:n_cc ~clique ~overlap ()) );
+          ( Printf.sprintf "block_tridiagonal seed %d %dx%d" s nblocks block,
+            lazy (Generators.block_tridiagonal ~seed:s ~nblocks ~block ()) );
+        ])
+      [ 1; 2 ]
+  in
+  suite @ draws
+
+let fingerprint (a : Csc.t) : int * int =
+  let p = Ordering.amd a in
+  let _, map = Perm.permute_lower p (Csc.lower a) in
+  (Csc.hash_fold_int_array 0 p, Csc.hash_fold_int_array 0 map)
+
+let golden_fingerprints =
+  [
+    ("cbuckle", (0x168257d257a5e088, 0x382bfdd3452899b0));
+    ("Pres_Poisson", (0x282519c47e7c23ea, 0x2e0a6105dfb0fd79));
+    ("gyro", (0x2115b5bb47f6d292, 0xa876bb97f1766c3));
+    ("gyro_k", (0x1ad493948c396f3a, 0x2edf6076dd71bc85));
+    ("Dubcova2", (0x187039a0d830d660, 0x277421c4e44bb4a));
+    ("msc23052", (0x1408647b8e0adb7c, 0x10d79798125528f0));
+    ("thermomech_dM", (0x172c107187177d68, 0x3bb3217daf8b996f));
+    ("Dubcova3", (0x1fab77d0cca9c210, 0x1d43db611c18d057));
+    ("parabolic_fem", (0xaac242f68b3a100, 0x2868110fae7e418c));
+    ("ecology2", (0x154e085a4b29f31c, 0x1837f92e1429714a));
+    ("tmt_sym", (0x3bdd5a928276dd86, 0x166d56e05b10ed23));
+    ("grid2d five 33x34", (0x2814e21f6e909ee3, 0x3ca5a472b972836));
+    ("grid2d nine 33x41", (0x3febf4d22b8174a1, 0x2949da8d9a5f1079));
+    ("random_banded seed 85131 n 1040 band 18", (0xd6f971b4914ca86, 0x3b4bf09811132bc6));
+    ("clique_chain seed 85131 n 886 clique 18 overlap 6", (0xfacd9ca0dd0a0f5, 0x32b7cb25da50c919));
+    ("block_tridiagonal seed 85131 42x15", (0x20bb0337ba9929e3, 0x18fee1b2684e3661));
+    ("grid2d five 35x31", (0x1ac10d4101516a35, 0x3cdfd88fc08388bb));
+    ("grid2d nine 32x41", (0x2464ee63113a3d2c, 0x2379b72e6d665698));
+    ("random_banded seed 291117 n 1409 band 23", (0x34027464637793ef, 0x28c5c2fc1a8d74e));
+    ("clique_chain seed 291117 n 681 clique 19 overlap 4", (0x364f359e9d349d8b, 0x15838bb2e4cbd13b));
+    ("block_tridiagonal seed 291117 39x10", (0x2031538d16733031, 0x36423a19101dd785));
+  ]
+
+let test_amd_golden_fingerprints () =
+  List.iter
+    (fun (name, a) ->
+      let hp, hm = fingerprint (Lazy.force a) in
+      match List.assoc_opt name golden_fingerprints with
+      | None -> Alcotest.failf "%s: no golden fingerprint recorded" name
+      | Some (ep, em) ->
+          if hp <> ep then
+            Alcotest.failf "%s: AMD permutation hash 0x%x, expected 0x%x" name
+              hp ep;
+          if hm <> em then
+            Alcotest.failf "%s: permute_lower map hash 0x%x, expected 0x%x"
+              name hm em)
+    (golden_instances ())
+
 let suite =
   [
     ("orderings valid on adversarial graphs", `Quick, test_valid_perms);
@@ -410,4 +507,5 @@ let suite =
     ("cache keyed on ordering", `Quick, test_cache_keyed_on_ordering);
     ("`Given validation across families", `Quick, test_given_validation);
     ("degenerate sizes through ordered path", `Quick, test_degenerate_sizes);
+    ("amd golden fingerprints", `Quick, test_amd_golden_fingerprints);
   ]

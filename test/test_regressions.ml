@@ -232,42 +232,89 @@ let test_parallel_matches_reference () =
 
 (* ---- Scaling bugfix regressions (10^6-row readiness round) ---- *)
 
-(* Satellite 1: the insertion-sort and stable-merge paths of
-   [Triplet.to_csc_arrays] must produce bitwise-identical CSC arrays —
-   duplicates are summed in insertion order either way. Random triplet
-   soups with deliberate duplicate (i,j) pairs exercise the stability. *)
-let prop_triplet_sort_paths_identical =
-  Helpers.qtest "to_csc_arrays paths bitwise-identical"
+(* [Csc.of_triplet] against an independent list oracle, bit for bit:
+   stable sort of the soup by (col, row), then each run of equal (row, col)
+   summed left to right from 0.0 in insertion order. Soups are square or
+   rectangular, sometimes empty, sometimes every entry on one cell, and
+   their values mix magnitudes (and -0.0) so any reordering of a duplicate
+   sum shows in the bits. *)
+let oracle_of_triplet ~ncols entries =
+  let sorted =
+    List.stable_sort
+      (fun (i1, j1, _) (i2, j2, _) -> compare (j1, i1) (j2, i2))
+      entries
+  in
+  let rec group acc = function
+    | [] -> List.rev acc
+    | (i, j, v) :: rest -> (
+        match acc with
+        | (i', j', s) :: acc' when i' = i && j' = j ->
+            group ((i, j, s +. v) :: acc') rest
+        | _ -> group ((i, j, 0.0 +. v) :: acc) rest)
+  in
+  let merged = group [] sorted in
+  let colptr = Array.make (ncols + 1) 0 in
+  List.iter (fun (_, j, _) -> colptr.(j + 1) <- colptr.(j + 1) + 1) merged;
+  for j = 0 to ncols - 1 do
+    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+  done;
+  ( colptr,
+    Array.of_list (List.map (fun (i, _, _) -> i) merged),
+    Array.of_list (List.map (fun (_, _, v) -> v) merged) )
+
+let gen_triplet_soup =
+  QCheck.Gen.(
+    let* nrows = int_range 0 20 in
+    let* ncols =
+      frequency [ (2, return nrows); (1, int_range 0 20) ]
+    in
+    let* shape = int_range 0 3 in
+    let* k =
+      if nrows = 0 || ncols = 0 || shape = 0 then return 0 else int_range 1 200
+    in
+    let value =
+      frequency
+        [
+          (3, float_range (-10.0) 10.0);
+          (2, oneofl [ 1e16; -1e16; 1.0; -1.0; 0.1; 0.3; -0.0; 0.0 ]);
+        ]
+    in
+    let* entries =
+      if shape = 1 then
+        (* Every entry on one cell. *)
+        let* i = int_range 0 (max 0 (nrows - 1)) in
+        let* j = int_range 0 (max 0 (ncols - 1)) in
+        list_size (return k) (map (fun v -> (i, j, v)) value)
+      else
+        (* Entries crowded onto few cells when [shape] is 2, spread out
+           otherwise. *)
+        let rows = if shape = 2 then min nrows 3 else nrows in
+        let cols = if shape = 2 then min ncols 3 else ncols in
+        list_size (return k)
+          (let* i = int_range 0 (max 0 (rows - 1)) in
+           let* j = int_range 0 (max 0 (cols - 1)) in
+           map (fun v -> (i, j, v)) value)
+    in
+    return (nrows, ncols, entries))
+
+let prop_of_triplet_matches_oracle =
+  Helpers.qtest ~count:300 "of_triplet matches list oracle bitwise"
     (QCheck.make
-       ~print:(fun (n, entries) ->
-         Printf.sprintf "n=%d entries=%d" n (List.length entries))
-       QCheck.Gen.(
-         let* n = int_range 1 20 in
-         let* k = int_range 0 200 in
-         let* entries =
-           list_size (return k)
-             (let* i = int_range 0 (n - 1) in
-              let* j = int_range 0 (n - 1) in
-              let* v = float_range (-10.0) 10.0 in
-              return (i, j, v))
-         in
-         return (n, entries)))
-    (fun (n, entries) ->
-      let build () =
-        let tr = Triplet.create ~nrows:n ~ncols:n () in
-        List.iter (fun (i, j, v) -> Triplet.add tr i j v) entries;
-        tr
-      in
-      let p1, r1, v1 = Triplet.to_csc_arrays ~insertion_threshold:0 (build ()) in
-      let p2, r2, v2 =
-        Triplet.to_csc_arrays ~insertion_threshold:max_int (build ())
-      in
-      Utils.int_array_equal p1 p2
-      && Utils.int_array_equal r1 r2
-      && Array.length v1 = Array.length v2
+       ~print:(fun (nrows, ncols, entries) ->
+         Printf.sprintf "%dx%d entries=%d" nrows ncols (List.length entries))
+       gen_triplet_soup)
+    (fun (nrows, ncols, entries) ->
+      let tr = Triplet.create ~nrows ~ncols () in
+      List.iter (fun (i, j, v) -> Triplet.add tr i j v) entries;
+      let a = Csc.of_triplet tr in
+      let colptr, rowind, values = oracle_of_triplet ~ncols entries in
+      a.Csc.nrows = nrows && a.Csc.ncols = ncols
+      && Utils.int_array_equal a.Csc.colptr colptr
+      && Utils.int_array_equal a.Csc.rowind rowind
+      && Array.length a.Csc.values = Array.length values
       && Array.for_all2
-           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-           v1 v2)
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           a.Csc.values values)
 
 (* Satellite 4: dense materialization guards fail fast with
    [Invalid_argument] instead of letting the allocator die. *)
@@ -354,7 +401,7 @@ let suite =
     ( "parallel trisolve matches reference",
       `Quick,
       test_parallel_matches_reference );
-    prop_triplet_sort_paths_identical;
+    prop_of_triplet_matches_oracle;
     ("dense materialization guards", `Quick, test_dense_guards);
     ("etree depths on 10^6 path tree", `Quick, test_etree_depths_deep_path);
     ( "bigstore round-trip and builder growth",

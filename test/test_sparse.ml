@@ -83,6 +83,21 @@ let test_lower_upper_split () =
   Alcotest.(check bool) "symmetrize recovers A" true
     (Csc.equal (Csc.symmetrize_from_lower l) a)
 
+(* A full symmetric input stores each off-diagonal entry twice; mirroring
+   it would sum the twins (2.0 for both 1.0 entries below), so
+   symmetrize_from_lower rejects it like Perm.permute_lower. *)
+let test_symmetrize_rejects_full () =
+  let full = Csc.of_dense [| [| 4.; 1. |]; [| 1.; 3. |] |] in
+  Alcotest.check_raises "full symmetric input"
+    (Invalid_argument "Csc.symmetrize_from_lower: input is not lower triangular")
+    (fun () -> ignore (Csc.symmetrize_from_lower full : Csc.t));
+  let a = Generators.grid2d ~stencil:`Nine 5 4 in
+  (match Csc.symmetrize_from_lower a with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "grid2d full pattern accepted");
+  Alcotest.(check bool) "lower part round-trips" true
+    (Csc.equal (Csc.symmetrize_from_lower (Csc.lower full)) full)
+
 let prop_transpose_involution =
   Helpers.qtest "transpose (transpose A) = A" Helpers.arb_lower (fun l ->
       Csc.equal (Csc.transpose (Csc.transpose l)) l)
@@ -202,6 +217,7 @@ let suite =
     ("csc identity spmv", `Quick, test_csc_identity_spmv);
     ("csc validate rejects unsorted", `Quick, test_csc_validate_rejects);
     ("lower/upper split", `Quick, test_lower_upper_split);
+    ("symmetrize rejects full input", `Quick, test_symmetrize_rejects_full);
     prop_transpose_involution;
     prop_spmv_matches_dense;
     prop_transpose_map_consistent;

@@ -123,6 +123,33 @@ let prop_counts_consistent =
            (fun j c -> c = Csc.col_nnz fill.Fill_pattern.l_pattern j)
            fill.Fill_pattern.counts))
 
+(* The counts-only pass shares its walk with the full analysis and must
+   agree with it: same etree, same column counts, hence the same nnz(L)
+   and flop model. Structured SPD patterns, random lower patterns, and
+   random symmetric permutations of both. *)
+let prop_col_counts_match_analyze =
+  Helpers.qtest ~count:200 "col_counts = analyze parent and counts"
+    (QCheck.make
+       ~print:(fun l ->
+         Printf.sprintf "lower n=%d nnz=%d" l.Csc.ncols (Csc.nnz l))
+       QCheck.Gen.(
+         let* al = oneof [ map Csc.lower Helpers.gen_spd; Helpers.gen_lower ] in
+         let* seed = int_range 0 10000 in
+         let* permute = bool in
+         return
+           (if permute then
+              fst
+                (Perm.permute_lower
+                   (Perm.random (Utils.Rng.create seed) al.Csc.ncols)
+                   al)
+            else al)))
+    (fun al ->
+      let f = Fill_pattern.analyze al in
+      let parent, counts = Fill_pattern.col_counts al in
+      parent = f.Fill_pattern.parent
+      && counts = f.Fill_pattern.counts
+      && Fill_pattern.flops_of_counts counts = Fill_pattern.flops f)
+
 let prop_fill_contains_a =
   Helpers.qtest "L pattern contains lower(A)" Helpers.arb_spd (fun a ->
       let al = Csc.lower a in
@@ -240,6 +267,7 @@ let suite =
     prop_ereach_matches_naive;
     prop_fill_matches_children_union;
     prop_counts_consistent;
+    prop_col_counts_match_analyze;
     prop_fill_contains_a;
     ("fill flops positive", `Quick, test_fill_flops_positive);
     prop_supernodes_exact_valid;
