@@ -3,9 +3,9 @@ open Sympiler_prof
 
 (* Shared compile-time machinery of the facade and the pipeline layer:
    ordering resolution and the baked gather maps, symbolic-phase timing,
-   and the plan-lifecycle metrics. Everything here used to live inside
-   sympiler.ml; the pipeline compiles DAGs of facade stages, so the
-   machinery is factored out where both can reach it without a cycle. *)
+   the plan-lifecycle metrics, cache routing and the input check at the
+   plan boundary. The pipeline compiles DAGs of facade stages, so the
+   machinery lives where both can reach it without a cycle. *)
 
 module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
@@ -14,13 +14,6 @@ let native_mode : Options.engine -> Native_engine.mode option = function
   | `Ocaml -> None
   | `Native -> Some Native_engine.Vec
   | `Native_novec -> Some Native_engine.Novec
-
-(* The four §3.3 factor kernels share one native shape: [int]-returning C
-   from [Codegen_static] whose non-negative return is the failing pivot
-   index (re-raised per family), input values in b0, factor storage after. *)
-let static_native_exec mode ~family ~kname ~(pattern : Csc.t) ~sizes source =
-  Native_engine.load ~mode ~pattern_key:(Csc.pattern_hash pattern) ~family
-    ~kname ~nargs:(Array.length sizes) ~int_return:true ~sizes source
 
 (* Wall-clock timing for the [symbolic_seconds] report fields, also fed to
    the profiling layer's "symbolic" scope (reentrant, so the inspectors'
@@ -68,13 +61,34 @@ let execute_hist ~family ~op ~engine ~ordering =
         ("ordering", ordering);
       ]
 
-(* Fingerprint encoders, re-exported so the facade's include keeps the
-   historical spellings in scope. *)
-let fp_option = Options.fp_option
-let fp_threshold = Options.fp_threshold
-let fp_ordering = Options.fp_ordering
-let append_fp_ordering = Options.append_fp_ordering
 let ordering_name = Options.ordering_name
+
+(* ----------------------- Compile and execute routing ---------------------- *)
+
+(* Route a compile through a pattern-keyed cache when the caller passes one
+   or [opts.cache] asks for the family's [default]. [extra] is the family's
+   key beyond the pattern: exactly the options it consumes, so two records
+   differing only in a field the family ignores share one entry. *)
+let cached_compile ~span ~default ?cache ~(opts : Options.t) ~pattern ~extra
+    compile =
+  match (cache, opts.Options.cache) with
+  | None, false -> compile ()
+  | _ ->
+      let c = Option.value cache ~default in
+      Trace.with_span span @@ fun () ->
+      Plan_cache.find_or_compile c ~pattern ~extra compile
+
+(* A plan's steady-state entry point under the metrics switch: one clock
+   pair around [f] feeding the plan's latency histogram when metrics are
+   on, a plain call otherwise (no allocation either way). *)
+let observed (h : Metrics.histogram) f p x =
+  if Metrics.enabled () then begin
+    let t0 = Prof.now_seconds () in
+    let r = f p x in
+    Metrics.observe h (Prof.now_seconds () -. t0);
+    r
+  end
+  else f p x
 
 (* ----------------------- Fill-reducing orderings ----------------------- *)
 
@@ -113,11 +127,13 @@ let resolve_ordering ~who (o : Options.ordering) (sym : Csc.t lazy_t) (n : int)
         invalid_arg (who ^ ": `Given is not a valid permutation of [0, n)");
       Array.copy p
 
+let nnz_mismatch who =
+  invalid_arg (who ^ ": input nnz does not match the compiled pattern")
+
 (* Allocation-free gather of natural-order input values into the permuted
    scratch a plan owns. *)
 let gather_values ~who (map : int array) (src : float array) (dst : Csc.t) =
-  if Array.length src <> Array.length map then
-    invalid_arg (who ^ ": input nnz does not match the compiled pattern");
+  if Array.length src <> Array.length map then nnz_mismatch who;
   let dv = dst.Csc.values in
   for q = 0 to Array.length dv - 1 do
     dv.(q) <- src.(map.(q))
@@ -130,16 +146,26 @@ let ordering_scratch (ord : applied_ordering) (pattern : Csc.t) : Csc.t option =
   | None -> None
   | Some _ -> Some { pattern with Csc.values = Array.make (Csc.nnz pattern) 0.0 }
 
-(* One-shot (allocating) version of the same gather, for the [factor]
-   convenience entry points. *)
-let ordered_input ~who (ord : applied_ordering) (pattern : Csc.t) (a : Csc.t) :
-    Csc.t =
-  match ord.o_perm with
-  | None -> a
-  | Some _ ->
-      let s = { pattern with Csc.values = Array.make (Csc.nnz pattern) 0.0 } in
+(* Bring a caller's natural-order values into compiled order: ordered plans
+   gather into their [scratch], natural ones pass the input through. Either
+   way the value count is checked here, at the facade boundary, because the
+   kernels are built with -unsafe: a wrong-length input must raise, not be
+   read out of bounds. Allocation-free. *)
+let plan_input ~who (ord : applied_ordering) (scratch : Csc.t option)
+    (pattern : Csc.t) (a : Csc.t) : Csc.t =
+  match scratch with
+  | Some s ->
       gather_values ~who ord.o_map a.Csc.values s;
       s
+  | None ->
+      if Array.length a.Csc.values <> Csc.nnz pattern then nnz_mismatch who;
+      a
+
+(* One-shot (allocating) version of the same, for the [factor] convenience
+   entry points. *)
+let ordered_input ~who (ord : applied_ordering) (pattern : Csc.t) (a : Csc.t) :
+    Csc.t =
+  plan_input ~who ord (ordering_scratch ord pattern) pattern a
 
 (* Shared ordered-compile preamble for the symmetric families whose
    compiled pattern is lower(A): resolve P on the symmetrized graph and

@@ -1,53 +1,35 @@
 open Sympiler_sparse
 
 (* One compile-option record shared by every kernel family and by the
-   pipeline layer. The record replaces the per-family
-   compile/compile_ext/compile_cached/compile_cached_ext quartet: a family
-   consumes the fields it understands and ignores the rest (the documented
-   price of one uniform signature), so the same value can parameterize a
-   whole DAG of heterogeneous stages. *)
+   pipeline layer: a family consumes the fields it understands and ignores
+   the rest (the documented price of one uniform signature), so the same
+   value can parameterize a whole DAG of heterogeneous stages. *)
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 type engine = [ `Ocaml | `Native | `Native_novec ]
 
 type t = {
   fill : Sympiler_symbolic.Fill_pattern.t option;
-  max_width : int option;
   ordering : ordering;
   cache : bool;
   vs_block_threshold : float option;
   simplicial : bool;
-  specialized : bool;
-  vectorize : bool;
 }
 
 let default =
   {
     fill = None;
-    max_width = None;
     ordering = `Natural;
     cache = false;
     vs_block_threshold = None;
     simplicial = false;
-    specialized = true;
-    vectorize = true;
   }
 
 let cached = { default with cache = true }
 
-let make ?fill ?max_width ?(ordering = `Natural) ?(cache = false)
-    ?vs_block_threshold ?(simplicial = false) ?(specialized = true)
-    ?(vectorize = true) () =
-  {
-    fill;
-    max_width;
-    ordering;
-    cache;
-    vs_block_threshold;
-    simplicial;
-    specialized;
-    vectorize;
-  }
+let make ?fill ?(ordering = `Natural) ?(cache = false) ?vs_block_threshold
+    ?(simplicial = false) () =
+  { fill; ordering; cache; vs_block_threshold; simplicial }
 
 let ordering_name : ordering -> string = function
   | `Natural -> "natural"
@@ -56,37 +38,35 @@ let ordering_name : ordering -> string = function
   | `Min_degree -> "min-degree"
   | `Given _ -> "given"
 
-(* Optional-argument encoding for cache fingerprints: configurations must
-   map to distinct integers, including "not given" vs "given the default
-   value" (the callee's default could change). *)
-let fp_option = function None -> min_int | Some w -> w
+(* The threshold keys by its exact IEEE bits, split into two non-negative
+   32-bit halves (an OCaml int cannot hold all 64), and "not given" by a
+   negative half no bit pattern produces: two thresholds that could decide
+   VS-Block differently never share a cache entry. *)
+let fp_threshold : float option -> int array = function
+  | None -> [| -1; 0 |]
+  | Some x ->
+      let b = Int64.bits_of_float x in
+      [|
+        Int64.to_int (Int64.shift_right_logical b 32);
+        Int64.to_int (Int64.logand b 0xFFFF_FFFFL);
+      |]
 
-let fp_threshold = function
-  | None -> min_int
-  | Some x -> int_of_float (x *. 1024.0)
-
-(* The ordering request is part of every compilation key (a [`Given]
-   permutation fingerprints by content). *)
-let fp_ordering : ordering option -> int array = function
-  | None | Some `Natural -> [| 0 |]
-  | Some `Rcm -> [| 1 |]
-  | Some `Amd -> [| 2 |]
-  | Some `Min_degree -> [| 3 |]
-  | Some (`Given p) -> Array.append [| 4; Array.length p |] p
-
-let append_fp_ordering extra ord = Array.append extra (fp_ordering ord)
+(* A [`Given] permutation fingerprints by content. *)
+let fp_ordering : ordering -> int array = function
+  | `Natural -> [| 0 |]
+  | `Rcm -> [| 1 |]
+  | `Amd -> [| 2 |]
+  | `Min_degree -> [| 3 |]
+  | `Given p -> Array.append [| 4; Array.length p |] p
 
 (* [fill] is excluded: reusing a caller-provided analysis of the same
    pattern yields the same artifact, so it must hit the same cache entry.
    [cache] is excluded for the same reason — it selects where the handle
    lives, not what it is. *)
 let fingerprint (o : t) : int array =
-  append_fp_ordering
-    [|
-      fp_option o.max_width;
+  Array.concat
+    [
       fp_threshold o.vs_block_threshold;
-      (if o.simplicial then 1 else 0)
-      lor (if o.specialized then 2 else 0)
-      lor if o.vectorize then 4 else 0;
-    |]
-    (Some o.ordering)
+      [| Bool.to_int o.simplicial |];
+      fp_ordering o.ordering;
+    ]

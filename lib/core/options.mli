@@ -1,10 +1,10 @@
 open Sympiler_sparse
 
 (** Shared compile options: the one record every kernel family's [compile]
-    (and every {!Pipeline} stage) takes, replacing the pre-unification
-    [compile]/[compile_ext]/[compile_cached]/[compile_cached_ext] quartet.
-    Families consume the fields they understand and ignore the rest — the
-    documented price of one uniform signature. *)
+    (and every {!Pipeline} stage) takes. Families consume the fields they
+    understand and ignore the rest — the documented price of one uniform
+    signature — and key their compilation cache only on the fields they
+    consume. *)
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 (** Fill-reducing ordering request (see {!Sympiler.ordering} for the full
@@ -17,40 +17,28 @@ type t = {
   fill : Sympiler_symbolic.Fill_pattern.t option;
       (** reuse a caller-provided fill analysis of the same pattern
           (families without a fill analysis ignore it) *)
-  max_width : int option;
-      (** cap supernode width where supernodes exist *)
   ordering : ordering;  (** default [`Natural] *)
   cache : bool;
-      (** route the compile through the family's default
-          {!Plan_cache} (same effect as the retired [compile_cached]) *)
+      (** route the compile through the family's default {!Plan_cache} *)
   vs_block_threshold : float option;
       (** minimum average supernode width for VS-Block to pay off;
           [None] = the family's default (2.0 for Cholesky) *)
-  simplicial : bool;
-      (** force the simplicial Cholesky variant (was
-          [compile_ext ~variant:Simplicial]) *)
-  specialized : bool;
-      (** pattern-specialized codegen (Cholesky; default [true]) *)
-  vectorize : bool;
-      (** emit vectorize annotations in generated C (default [true]) *)
+  simplicial : bool;  (** force the simplicial Cholesky variant *)
 }
 
 val default : t
-(** No fill reuse, no width cap, natural ordering, uncached, family-default
-    thresholds, supernodal, specialized, vectorized. *)
+(** No fill reuse, natural ordering, uncached, family-default thresholds,
+    supernodal. *)
 
 val cached : t
 (** {!default} with [cache = true]. *)
 
 val make :
   ?fill:Sympiler_symbolic.Fill_pattern.t ->
-  ?max_width:int ->
   ?ordering:ordering ->
   ?cache:bool ->
   ?vs_block_threshold:float ->
   ?simplicial:bool ->
-  ?specialized:bool ->
-  ?vectorize:bool ->
   unit ->
   t
 
@@ -59,14 +47,16 @@ val ordering_name : ordering -> string
 
 (** {2 Cache fingerprints}
 
-    Encoders mapping option configurations to distinct integer arrays for
-    {!Plan_cache} keys ("not given" is distinct from "given the default"). *)
+    Encoders mapping option values to integer arrays for {!Plan_cache}
+    keys; distinct values that could compile differently never share an
+    encoding. *)
 
-val fp_option : int option -> int
-val fp_threshold : float option -> int
-val fp_ordering : ordering option -> int array
-val append_fp_ordering : int array -> ordering option -> int array
+val fp_threshold : float option -> int array
+(** The threshold's exact bits ("not given" is distinct from every given
+    value). *)
+
+val fp_ordering : ordering -> int array
 
 val fingerprint : t -> int array
-(** The record's cache key contribution. [fill] and [cache] are excluded:
-    neither changes the compiled artifact. *)
+(** The key of a compile that consumes every field ([fill] and [cache]
+    excluded: neither changes the compiled artifact). *)

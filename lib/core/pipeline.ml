@@ -103,7 +103,6 @@ type t = {
   chain_l : Csc.t option;  (* structural L the fused C emission runs on *)
   fhandle : fhandle option;
   fused_boundaries : int;  (* stage boundaries removed by merging *)
-  opts : Options.t;
   symbolic_seconds : float;
   decisions : Trace.decision list;
   n : int;
@@ -171,7 +170,7 @@ let compile_factor ~(opts : Options.t) ~analysis (family : family)
         if opts.simplicial then (false, Float.nan)
         else
           let sn =
-            Sympiler_symbolic.Supernodes.detect_etree ?max_width:opts.max_width
+            Sympiler_symbolic.Supernodes.detect_etree
               ~counts:fill.Sympiler_symbolic.Fill_pattern.counts
               ~parent:fill.Sympiler_symbolic.Fill_pattern.parent ()
           in
@@ -189,10 +188,7 @@ let compile_factor ~(opts : Options.t) ~analysis (family : family)
       in
       Trace.decision d_vs;
       if go_sup then
-        ( FChol_sup
-            (Cholesky_supernodal.Sympiler.compile ~fill
-               ?max_width:opts.max_width ~specialized:opts.specialized pattern),
-          [ d_vs ] )
+        (FChol_sup (Cholesky_supernodal.Sympiler.compile ~fill pattern), [ d_vs ])
       else (FChol_simp (Cholesky_ref.Decoupled.compile ~fill pattern), [ d_vs ])
   | `Ldlt -> (FLdlt (Ldlt.compile pattern), [])
   | `Lu -> (FLu (Lu.Sympiler.compile pattern), [])
@@ -318,7 +314,6 @@ let compile_raw ~(opts : Options.t) (d : dag) (a : Csc.t) : t =
     chain_l;
     fhandle;
     fused_boundaries;
-    opts;
     symbolic_seconds;
     decisions;
     n = pattern.Csc.ncols;
@@ -349,13 +344,9 @@ let fingerprint (d : dag) (opts : Options.t) : int array =
     (Options.fingerprint opts)
 
 let compile ?cache ?(opts = Options.default) (d : dag) (a : Csc.t) : t =
-  match (cache, opts.Options.cache) with
-  | None, false -> compile_raw ~opts d a
-  | _ ->
-      let c = Option.value cache ~default:default_cache in
-      Trace.with_span "compile_cached.pipeline" @@ fun () ->
-      Plan_cache.find_or_compile c ~pattern:a ~extra:(fingerprint d opts)
-        (fun () -> compile_raw ~opts d a)
+  Compile_common.cached_compile ~span:"compile_cached.pipeline"
+    ~default:default_cache ?cache ~opts ~pattern:a ~extra:(fingerprint d opts)
+    (fun () -> compile_raw ~opts d a)
 
 let cache_stats () = Plan_cache.stats default_cache
 let cache_clear () = Plan_cache.clear default_cache
@@ -569,14 +560,7 @@ let plan (t : t) : plan =
 let prepare (p : plan) (a : Csc.t) : Csc.t =
   let who = "Sympiler.Pipeline.execute_ip" in
   let src =
-    match p.scratch with
-    | None ->
-        if Array.length a.Csc.values <> Csc.nnz p.handle.pattern then
-          invalid_arg (who ^ ": input nnz does not match the compiled pattern");
-        a
-    | Some s ->
-        Compile_common.gather_values ~who p.handle.ord.o_map a.Csc.values s;
-        s
+    Compile_common.plan_input ~who p.handle.ord p.scratch p.handle.pattern a
   in
   (match p.lvals with
   | Some lv ->
@@ -784,8 +768,7 @@ let c_code (t : t) : string =
     else None
   in
   Sympiler_ir.Pretty_c.kernel_to_c
-    (Sympiler_ir.Fuse.chain ~vectorize:t.opts.Options.vectorize
-       ~kname:"pipeline_apply" ~level_ptr ~level_cols ?full l stages)
+    (Sympiler_ir.Fuse.chain ~kname:"pipeline_apply" ~level_ptr ~level_cols ?full l stages)
 
 (* ------------------------------- Reporting ------------------------------ *)
 

@@ -21,6 +21,7 @@ module Native = Sympiler_native.Native
 module Native_engine = Native_engine
 module Options = Options
 module Pipeline = Pipeline
+module Factor = Factor
 
 (* The execution engine and fill-reducing-ordering requests live in
    [Options] (the one shared compile-options record); the historical
@@ -30,32 +31,14 @@ type ordering = Options.ordering
 
 (* The compile-time machinery shared with the pipeline layer: ordering
    resolution and the baked gather maps, symbolic-phase timing, the
-   plan-lifecycle metrics, and the fingerprint encoders. *)
+   plan-lifecycle metrics, cache routing and the plan-boundary input
+   check. *)
 include Compile_common
 
 (* The uniform kernel lifecycle (see the interface for the contract); the
    per-family [module Check : KERNEL = ...] assertions live in the test
    suite so a drifting family breaks the build there, not here. *)
-module type KERNEL = sig
-  type pattern
-  type t
-  type plan
-  type input
-  type output
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-  val symbolic_seconds : t -> float
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  val execute_ip : plan -> input -> output
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Snapshot of the plan's [sympiler_execute_seconds] histogram (shared
-      across plans with the same family × op × engine × ordering). *)
-
-  val c_code : t -> string
-end
+module type KERNEL = Factor.KERNEL
 
 (* ------------- rank-update (updown) shared facade machinery ------------ *)
 
@@ -211,8 +194,8 @@ module Trisolve = struct
      caller keeps natural-order vectors throughout. Orderings must keep
      P L P^T lower triangular (a dependence-respecting relabeling, e.g. a
      [`Given] etree postorder); anything else raises [Invalid_argument]. *)
-  let compile_internal ?vs_block_threshold ?max_width
-      ?(ordering : ordering = `Natural) (l : Csc.t) (b : Vector.sparse) : t =
+  let compile_internal ?vs_block_threshold ~(ordering : ordering) (l : Csc.t)
+      (b : Vector.sparse) : t =
     if not (Csc.is_lower_triangular l) then
       invalid_arg "Sympiler.Trisolve.compile: L must be lower triangular";
     let t0 = Prof.now_seconds () in
@@ -253,7 +236,7 @@ module Trisolve = struct
     @@ fun () ->
     let compiled, symbolic_seconds =
       time_symbolic (fun () ->
-          Trisolve_sympiler.compile ?vs_block_threshold ?max_width l b)
+          Trisolve_sympiler.compile ?vs_block_threshold l b)
     in
     observe_compile ~family:"trisolve" ~ordering:ord.o_name
       (symbolic_seconds +. ord_seconds);
@@ -269,75 +252,58 @@ module Trisolve = struct
       ord_b_map;
     }
 
-  (* The unified KERNEL spelling: every compile option rides in the shared
-     [Options.t] record. Fields without a meaning for a solve ([fill] —
-     reach-sets are the inspection here; [simplicial]...) are accepted and
-     ignored — the documented price of one uniform signature. *)
-  let compile_opts (opts : Options.t) ((l, b) : pattern) : t =
-    compile_internal ?vs_block_threshold:opts.Options.vs_block_threshold
-      ?max_width:opts.Options.max_width ~ordering:opts.Options.ordering l b
-
   (* Compilation cache: keyed on L's structure plus the RHS pattern and
-     the option fingerprint — a hit returns the previously compiled
-     handle, physically equal, with no symbolic work. *)
+     the two options a solve consumes (the VS-Block threshold and the
+     ordering; [fill] and [simplicial] mean nothing here) — a hit returns
+     the previously compiled handle, physically equal, with no symbolic
+     work. *)
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
-  let cache_key (opts : Options.t) (b : Vector.sparse) =
-    let nb = Array.length b.Vector.indices in
-    let extra = Array.make (1 + nb) 0 in
-    extra.(0) <- b.Vector.n;
-    Array.blit b.Vector.indices 0 extra 1 nb;
-    Array.append extra (Options.fingerprint opts)
-
   let compile ?cache ?(opts = Options.default) ((l, b) : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_opts opts (l, b)
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.trisolve" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:l ~extra:(cache_key opts b)
-          (fun () -> compile_opts opts (l, b))
-
-  (* Pre-unification spellings, kept as thin aliases (deprecated in the
-     interface): everything they spelled as optional arguments is a field
-     of [Options.t] now. *)
-  let compile_ext ?vs_block_threshold ?max_width ?ordering (l : Csc.t)
-      (b : Vector.sparse) : t =
-    compile
-      ~opts:(Options.make ?vs_block_threshold ?max_width ?ordering ())
-      (l, b)
-
-  let compile_cached_ext ?cache ?vs_block_threshold ?max_width ?ordering
-      (l : Csc.t) (b : Vector.sparse) : t =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?vs_block_threshold ?max_width ?ordering ())
-      (l, b)
-
-  let compile_cached ?cache ?fill:_ ?max_width ?ordering ((l, b) : pattern) : t
-      =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?max_width ?ordering ())
-      (l, b)
+    let { Options.vs_block_threshold; ordering; _ } = opts in
+    cached_compile ~span:"compile_cached.trisolve" ~default:default_cache
+      ?cache ~opts ~pattern:l
+      ~extra:
+        (Array.concat
+           [
+             [| b.Vector.n |];
+             b.Vector.indices;
+             Options.fp_threshold vs_block_threshold;
+             Options.fp_ordering ordering;
+           ])
+      (fun () -> compile_internal ?vs_block_threshold ~ordering l b)
 
   let cache_stats () = Plan_cache.stats default_cache
   let cache_clear () = Plan_cache.clear default_cache
   let symbolic_seconds (t : t) = t.symbolic_seconds
+
+  (* The facade boundary's RHS check (the kernels are built with -unsafe):
+     a b whose dimension or entry counts differ from the compiled pattern,
+     or that indexes outside [0, n), is rejected before anything is read or
+     written. Allocation-free. *)
+  let check_rhs ~who (t : t) (b : Vector.sparse) =
+    let n = t.l.Csc.ncols and nb = Array.length t.b_pattern in
+    let idx = b.Vector.indices in
+    if
+      b.Vector.n <> n
+      || Array.length idx <> nb
+      || Array.length b.Vector.values <> nb
+    then invalid_arg (who ^ ": b does not match the compiled pattern");
+    for k = 0 to nb - 1 do
+      if idx.(k) < 0 || idx.(k) >= n then
+        invalid_arg (who ^ ": b index out of range")
+    done
 
   (* Numeric solve (no symbolic work): x such that L x = b. [b] must have
      the pattern given at compile time (values free to differ) — in natural
      order even on an ordered handle: b is permuted in and x permuted back
      out here. *)
   let solve (t : t) (b : Vector.sparse) : float array =
+    check_rhs ~who:"Sympiler.Trisolve.solve" t b;
     Prof.time "numeric" (fun () ->
         match t.ord.o_perm with
         | None -> Trisolve_sympiler.solve_full t.compiled b
         | Some p ->
-            if Array.length b.Vector.values <> Array.length t.ord_b_map then
-              invalid_arg
-                "Sympiler.Trisolve.solve: b does not match the compiled \
-                 pattern";
             let pb =
               {
                 Vector.n = b.Vector.n;
@@ -353,6 +319,8 @@ module Trisolve = struct
 
   (* In-place numeric solve: [x] holds b on entry, the solution on exit. *)
   let solve_ip (t : t) (x : float array) : unit =
+    if Array.length x <> t.l.Csc.ncols then
+      invalid_arg "Sympiler.Trisolve.solve_ip: x length does not match n";
     Prof.time "numeric" (fun () ->
         match t.ord.o_perm with
         | None -> Trisolve_sympiler.solve_full_ip t.compiled x
@@ -477,6 +445,7 @@ module Trisolve = struct
         | None -> Trisolve_sympiler.solve_ip p.p b)
 
   let execute_ip_raw (p : plan) (b : Vector.sparse) : float array =
+    check_rhs ~who:"Sympiler.Trisolve.execute_ip" p.handle b;
     Prof.start "numeric";
     let r =
       try
@@ -484,10 +453,6 @@ module Trisolve = struct
         | None, _ | _, None -> run_inner p b
         | Some pb, Some out ->
             let map = p.handle.ord_b_map in
-            if Array.length b.Vector.values <> Array.length map then
-              invalid_arg
-                "Sympiler.Trisolve.execute_ip: b does not match the \
-                 compiled pattern";
             for t = 0 to Array.length map - 1 do
               pb.Vector.values.(t) <- b.Vector.values.(map.(t))
             done;
@@ -509,16 +474,9 @@ module Trisolve = struct
     r
 
   let execute_ip (p : plan) (b : Vector.sparse) : float array =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      let r = execute_ip_raw p b in
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0);
-      r
-    end
-    else execute_ip_raw p b
+    observed p.m_exec execute_ip_raw p b
 
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-  let solve_plan = execute_ip
 
   (* Generated C source implementing the same specialized solve
      (VS-Block + VI-Prune + low-level transformations). *)
@@ -559,8 +517,8 @@ module Cholesky = struct
      average supernode width for VS-Block to pay off (paper §4.2) — below
      it compilation falls back to the simplicial variant automatically.
      [fill0] reuses a caller-provided fill analysis of the same pattern. *)
-  let compile_internal ?fill:fill0 ~variant ~specialized ~vs_block_threshold
-      ?max_width ?(ordering : ordering = `Natural) (a_natural : Csc.t) : t =
+  let compile_internal ?fill:fill0 ~variant ~vs_block_threshold
+      ~(ordering : ordering) (a_natural : Csc.t) : t =
     if not (Csc.is_lower_triangular a_natural) then
       invalid_arg "Sympiler.Cholesky.compile: pass lower(A)";
     let t0 = Prof.now_seconds () in
@@ -634,7 +592,7 @@ module Cholesky = struct
             | Simplicial -> (false, Float.nan (* forced: never measured *))
             | Supernodal ->
                 let sn =
-                  Sympiler_symbolic.Supernodes.detect_etree ?max_width
+                  Sympiler_symbolic.Supernodes.detect_etree
                     ~counts:fill.Sympiler_symbolic.Fill_pattern.counts
                     ~parent:fill.Sympiler_symbolic.Fill_pattern.parent ()
                 in
@@ -671,10 +629,7 @@ module Cholesky = struct
           Trace.decision d_vs;
           let decisions = [ d_vi; d_vs ] in
           if go_supernodal then
-            let c =
-              Cholesky_supernodal.Sympiler.compile ~fill ?max_width
-                ~specialized a_lower
-            in
+            let c = Cholesky_supernodal.Sympiler.compile ~fill a_lower in
             (Some c, None, flops, nnz_l, decisions)
           else
             let d = Cholesky_ref.Decoupled.compile ~fill a_lower in
@@ -696,57 +651,21 @@ module Cholesky = struct
       ord;
     }
 
-  (* The unified KERNEL spelling: the variant request, the VS-Block
-     threshold, the width cap and the ordering all ride in the shared
-     [Options.t] record. *)
-  let compile_opts (opts : Options.t) (a_lower : pattern) : t =
-    compile_internal ?fill:opts.Options.fill
-      ~variant:(if opts.Options.simplicial then Simplicial else Supernodal)
-      ~specialized:opts.Options.specialized
-      ~vs_block_threshold:
-        (Option.value opts.Options.vs_block_threshold ~default:2.0)
-      ?max_width:opts.Options.max_width ~ordering:opts.Options.ordering a_lower
-
   (* Compilation cache: keyed on lower(A)'s structure plus the option
-     fingerprint — a hit returns the previously compiled handle, physically
+     fingerprint (Cholesky consumes every option field that shapes the
+     artifact) — a hit returns the previously compiled handle, physically
      equal, skipping the symbolic phase entirely. *)
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
   let compile ?cache ?(opts = Options.default) (a_lower : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_opts opts a_lower
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.cholesky" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:a_lower
-          ~extra:(Options.fingerprint opts)
-          (fun () -> compile_opts opts a_lower)
-
-  (* Pre-unification spellings, kept as thin aliases (deprecated in the
-     interface). *)
-  let compile_ext ?(variant = Supernodal) ?specialized ?vs_block_threshold
-      ?fill ?max_width ?ordering (a_lower : Csc.t) : t =
-    compile
-      ~opts:
-        (Options.make ?fill ?max_width ?ordering ?vs_block_threshold
-           ~simplicial:(variant = Simplicial) ?specialized ())
-      a_lower
-
-  let compile_cached_ext ?cache ?(variant = Supernodal) ?specialized
-      ?vs_block_threshold ?max_width ?ordering (a_lower : Csc.t) : t =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:
-        (Options.make ?max_width ?ordering ?vs_block_threshold
-           ~simplicial:(variant = Simplicial) ?specialized ())
-      a_lower
-
-  let compile_cached ?cache ?fill ?max_width ?ordering (a_lower : pattern) : t
-      =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?fill ?max_width ?ordering ())
-      a_lower
+    cached_compile ~span:"compile_cached.cholesky" ~default:default_cache
+      ?cache ~opts ~pattern:a_lower ~extra:(Options.fingerprint opts)
+      (fun () ->
+        compile_internal ?fill:opts.Options.fill
+          ~variant:(if opts.Options.simplicial then Simplicial else Supernodal)
+          ~vs_block_threshold:
+            (Option.value opts.Options.vs_block_threshold ~default:2.0)
+          ~ordering:opts.Options.ordering a_lower)
 
   let cache_stats () = Plan_cache.stats default_cache
   let cache_clear () = Plan_cache.clear default_cache
@@ -897,7 +816,7 @@ module Cholesky = struct
      through the -1-extended map (callers keep passing the original
      natural pattern; the escalation's extra entries are structural
      zeros); ordered plans through the baked permutation map; natural
-     plans pass through. *)
+     plans pass through once the value count checks out. *)
   let gathered_input ~who (p : plan) (a_lower : Csc.t) : Csc.t =
     match (p.esc_map, p.scratch) with
     | Some em, Some s ->
@@ -905,10 +824,8 @@ module Cholesky = struct
           a_lower.Csc.values s;
         s
     | Some _, None -> assert false (* escalation always installs scratch *)
-    | None, Some s ->
-        gather_values ~who p.handle.ord.o_map a_lower.Csc.values s;
-        s
-    | None, None -> a_lower
+    | None, scratch ->
+        plan_input ~who p.handle.ord scratch p.handle.pattern a_lower
 
   let refactor_ip_raw (p : plan) (a_lower : Csc.t) : unit =
     Prof.start "numeric";
@@ -938,12 +855,7 @@ module Cholesky = struct
     Prof.stop "numeric"
 
   let refactor_ip (p : plan) (a_lower : Csc.t) : unit =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      refactor_ip_raw p a_lower;
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0)
-    end
-    else refactor_ip_raw p a_lower
+    observed p.m_exec refactor_ip_raw p a_lower
 
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
@@ -1118,6 +1030,8 @@ module Cholesky = struct
      ordered handle the permuted system (P A P^T)(P x) = P b is solved and
      x returned in natural order. *)
   let solve (t : t) (a_lower : Csc.t) (b : float array) : float array =
+    if Array.length b <> t.pattern.Csc.ncols then
+      invalid_arg "Sympiler.Cholesky.solve: b length does not match n";
     let l = factor t a_lower in
     match t.ord.o_perm with
     | None -> Cholesky_ref.solve_with_factor l b
@@ -1134,153 +1048,49 @@ module Cholesky = struct
         (Sympiler_ir.Pipeline.cholesky t.pattern).Sympiler_ir.Pipeline.c_code
 end
 
-(* The four §3.3 families below share one shape: a handle wrapping the
-   kernel's compiled value, a pattern-keyed default cache, plan-owned
-   numeric storage, and C emission from [Codegen_static]. Their executors
-   are sequential (no level schedule), so [?ndomains] — like [?fill] and
-   [?max_width] where the kernel has no use for them — is accepted for
-   KERNEL uniformity and ignored. *)
+(* The four §3.3 families: one [Factor.Make] instance each, around the
+   kernel it drives. LDL^T adds its rank-update pair on top. *)
 
 module Ldlt = struct
   module K = Sympiler_kernels.Ldlt
 
-  type pattern = Csc.t
+  module Family = struct
+    let name = "ldlt"
+    let lower = true
 
-  type t = {
-    compiled : K.compiled;
-    pattern : Csc.t;
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
+    type compiled = K.compiled
+    type kplan = K.plan
+    type output = K.factors
 
-  (* Rank-update state (GGMS C1), built lazily on the first [update_ip]. *)
-  type updown = {
-    lk : Rank_update.ldlt_plan;
-    up_pinv : int array; (* inverse permutation; [||] on natural plans *)
-    up_wi : int array;
-    up_wv : float array;
-  }
-
-  type plan = {
-    handle : t;
-    p : K.plan;
-    scratch : Csc.t option;
-    native : Native_engine.exec option;
-        (* b0 = Ax (lower values), b1 = Lx, b2 = D *)
-    m_exec : Metrics.histogram; (* per-call factorization latency *)
-    mutable ru : updown option; (* lazy rank-update state *)
-  }
-
-  type input = Csc.t
-  type output = K.factors
-
-  let compile_base ?(ordering : ordering = `Natural) (a_lower : pattern) : t =
-    if not (Csc.is_lower_triangular a_lower) then
-      invalid_arg "Sympiler.Ldlt.compile: pass lower(A)";
-    let t0 = Prof.now_seconds () in
-    let a_lower, ord =
-      ordered_lower ~who:"Sympiler.Ldlt.compile" ordering a_lower
-    in
-    let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span "compile.ldlt"
-      ~attrs:[ ("n", Trace.Int a_lower.Csc.ncols) ]
-    @@ fun () ->
-    let compiled, symbolic_seconds =
-      time_symbolic (fun () -> K.compile a_lower)
-    in
-    observe_compile ~family:"ldlt" ~ordering:ord.o_name
-      (symbolic_seconds +. ord_seconds);
-    {
-      compiled;
-      pattern = a_lower;
-      symbolic_seconds = symbolic_seconds +. ord_seconds;
-      ord;
+    (* Rank-update state (GGMS C1), built lazily on the first [update_ip]. *)
+    type updown = {
+      lk : Rank_update.ldlt_plan;
+      up_pinv : int array; (* inverse permutation; [||] on natural plans *)
+      up_wi : int array;
+      up_wv : float array;
     }
 
-  let default_cache : t Plan_cache.t = Plan_cache.create ()
+    let compile = K.compile
+    let make_plan = K.make_plan
+    let factor_ip = K.factor_ip
+    let view (p : kplan) = p.K.f
+    let factor = K.factor
+    let flops _ = Float.nan
 
-  let compile ?cache ?(opts = Options.default) (a_lower : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_base ~ordering:opts.Options.ordering a_lower
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.ldlt" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:a_lower
-          ~extra:(Options.fingerprint opts)
-          (fun () -> compile_base ~ordering:opts.Options.ordering a_lower)
+    (* b1 = Lx, b2 = D *)
+    let native_sizes (p : kplan) = [| Array.length p.K.lx; p.K.c.K.n |]
 
-  let compile_cached ?cache ?fill ?max_width ?ordering (a_lower : pattern) : t
-      =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?fill ?max_width ?ordering ())
-      a_lower
+    (* The plan's factor views alias [lx] / [d], so blitting the kernel
+       buffers back makes [p.f] the result either way. *)
+    let copy_out (e : Native_engine.exec) (p : kplan) =
+      Native_engine.blit_out e.Native_engine.b1 p.K.lx;
+      Native_engine.blit_out e.Native_engine.b2 p.K.f.K.d
 
-  let cache_stats () = Plan_cache.stats default_cache
-  let cache_clear () = Plan_cache.clear default_cache
-  let symbolic_seconds (t : t) = t.symbolic_seconds
+    let pivot rc = K.Zero_pivot rc
+    let c_code c _ = Codegen_static.ldlt c
+  end
 
-  let plan ?ndomains:_ ?(engine : engine = `Ocaml) (t : t) : plan =
-    let p = K.make_plan t.compiled in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode ->
-          static_native_exec mode ~family:"ldlt" ~kname:"ldlt_factor"
-            ~pattern:t.pattern
-            ~sizes:
-              [| Csc.nnz t.pattern; Array.length p.K.lx; t.pattern.Csc.ncols |]
-            (Codegen_static.ldlt t.compiled)
-    in
-    {
-      handle = t;
-      p;
-      scratch = ordering_scratch t.ord t.pattern;
-      native;
-      m_exec =
-        execute_hist ~family:"ldlt" ~op:"factor"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
-      ru = None;
-    }
-
-  let execute_ip_raw (p : plan) (a_lower : input) : output =
-    Prof.start "numeric";
-    (try
-       let a_lower =
-         match p.scratch with
-         | None -> a_lower
-         | Some s ->
-             gather_values ~who:"Sympiler.Ldlt.execute_ip" p.handle.ord.o_map
-               a_lower.Csc.values s;
-             s
-       in
-       match p.native with
-       | Some e ->
-           Native_engine.blit_in a_lower.Csc.values e.Native_engine.b0;
-           let rc = Native_engine.call e in
-           if rc >= 0 then raise (K.Zero_pivot rc);
-           (* The plan's factor views alias [lx] / [d], so blitting the
-              kernel buffers back makes [p.p.K.f] the result either way. *)
-           Native_engine.blit_out e.Native_engine.b1 p.p.K.lx;
-           Native_engine.blit_out e.Native_engine.b2 p.p.K.f.K.d
-       | None -> K.factor_ip p.p a_lower
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric";
-    p.p.K.f
-
-  let execute_ip (p : plan) (a_lower : input) : output =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      let r = execute_ip_raw p a_lower in
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0);
-      r
-    end
-    else execute_ip_raw p a_lower
-
-  let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-  let factor_ip = execute_ip
+  include Factor.Make (Family)
 
   let ru_state (p : plan) : updown =
     match p.ru with
@@ -1290,7 +1100,7 @@ module Ldlt = struct
           Prof.time "symbolic" (fun () ->
               let n = p.handle.pattern.Csc.ncols in
               {
-                lk = Rank_update.make_ldlt_plan p.p.K.f.K.l p.p.K.f.K.d;
+                Family.lk = Rank_update.make_ldlt_plan p.p.K.f.K.l p.p.K.f.K.d;
                 up_pinv =
                   (match p.handle.ord.o_perm with
                   | Some pm -> Perm.inverse pm
@@ -1332,413 +1142,93 @@ module Ldlt = struct
 
   let downdate_ip (p : plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
     updown_body p ~neg:true ~sigma w
-
-  let factor (t : t) (a_lower : Csc.t) : output =
-    Prof.time "numeric" (fun () ->
-        K.factor t.compiled
-          (ordered_input ~who:"Sympiler.Ldlt.factor" t.ord t.pattern a_lower))
-
-  let c_code (t : t) : string = Codegen_static.ldlt t.compiled
 end
 
-module Lu = struct
+module Lu = Factor.Make (struct
   module K = Sympiler_kernels.Lu
 
-  type pattern = Csc.t
+  let name = "lu"
+  let lower = false
 
-  type t = {
-    compiled : K.Sympiler.compiled;
-    pattern : Csc.t;
-    symbolic_seconds : float;
-    flops : float;
-    ord : applied_ordering;
-  }
-
-  type plan = {
-    handle : t;
-    p : K.Sympiler.plan;
-    scratch : Csc.t option;
-    native : Native_engine.exec option; (* b0 = Ax, b1 = Lx, b2 = Ux *)
-    m_exec : Metrics.histogram; (* per-call factorization latency *)
-  }
-
-  type input = Csc.t
+  type compiled = K.Sympiler.compiled
+  type kplan = K.Sympiler.plan
   type output = K.factors
+  type updown = unit
 
-  let compile_base ?(ordering : ordering = `Natural) (a : pattern) : t =
-    let t0 = Prof.now_seconds () in
-    let a, ord = ordered_square ~who:"Sympiler.Lu.compile" ordering a in
-    let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span "compile.lu" ~attrs:[ ("n", Trace.Int a.Csc.ncols) ]
-    @@ fun () ->
-    let compiled, symbolic_seconds =
-      time_symbolic (fun () -> K.Sympiler.compile a)
-    in
-    observe_compile ~family:"lu" ~ordering:ord.o_name
-      (symbolic_seconds +. ord_seconds);
-    {
-      compiled;
-      pattern = a;
-      symbolic_seconds = symbolic_seconds +. ord_seconds;
-      flops = compiled.K.Sympiler.flops;
-      ord;
-    }
+  let compile = K.Sympiler.compile
+  let make_plan = K.Sympiler.make_plan
+  let factor_ip = K.Sympiler.factor_ip
+  let view (p : kplan) = p.K.Sympiler.f
+  let factor = K.Sympiler.factor
+  let flops (c : compiled) = c.K.Sympiler.flops
 
-  let default_cache : t Plan_cache.t = Plan_cache.create ()
+  (* b1 = Lx, b2 = Ux *)
+  let native_sizes (p : kplan) =
+    [| Array.length p.K.Sympiler.lx; Array.length p.K.Sympiler.ux |]
 
-  let compile ?cache ?(opts = Options.default) (a : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_base ~ordering:opts.Options.ordering a
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.lu" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:a
-          ~extra:(Options.fingerprint opts)
-          (fun () -> compile_base ~ordering:opts.Options.ordering a)
+  let copy_out (e : Native_engine.exec) (p : kplan) =
+    Native_engine.blit_out e.Native_engine.b1 p.K.Sympiler.lx;
+    Native_engine.blit_out e.Native_engine.b2 p.K.Sympiler.ux
 
-  let compile_cached ?cache ?fill ?max_width ?ordering (a : pattern) : t =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?fill ?max_width ?ordering ())
-      a
+  let pivot rc = K.Zero_pivot rc
+  let c_code = Codegen_static.lu
+end)
 
-  let cache_stats () = Plan_cache.stats default_cache
-  let cache_clear () = Plan_cache.clear default_cache
-  let symbolic_seconds (t : t) = t.symbolic_seconds
-
-  let plan ?ndomains:_ ?(engine : engine = `Ocaml) (t : t) : plan =
-    let p = K.Sympiler.make_plan t.compiled in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode ->
-          static_native_exec mode ~family:"lu" ~kname:"lu_factor"
-            ~pattern:t.pattern
-            ~sizes:
-              [|
-                Csc.nnz t.pattern;
-                Array.length p.K.Sympiler.lx;
-                Array.length p.K.Sympiler.ux;
-              |]
-            (Codegen_static.lu t.compiled t.pattern)
-    in
-    {
-      handle = t;
-      p;
-      scratch = ordering_scratch t.ord t.pattern;
-      native;
-      m_exec =
-        execute_hist ~family:"lu" ~op:"factor"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
-    }
-
-  let execute_ip_raw (p : plan) (a : input) : output =
-    Prof.start "numeric";
-    (try
-       let a =
-         match p.scratch with
-         | None -> a
-         | Some s ->
-             gather_values ~who:"Sympiler.Lu.execute_ip" p.handle.ord.o_map
-               a.Csc.values s;
-             s
-       in
-       match p.native with
-       | Some e ->
-           Native_engine.blit_in a.Csc.values e.Native_engine.b0;
-           let rc = Native_engine.call e in
-           if rc >= 0 then raise (K.Zero_pivot rc);
-           Native_engine.blit_out e.Native_engine.b1 p.p.K.Sympiler.lx;
-           Native_engine.blit_out e.Native_engine.b2 p.p.K.Sympiler.ux
-       | None -> K.Sympiler.factor_ip p.p a
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric";
-    p.p.K.Sympiler.f
-
-  let execute_ip (p : plan) (a : input) : output =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      let r = execute_ip_raw p a in
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0);
-      r
-    end
-    else execute_ip_raw p a
-
-  let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-  let factor_ip = execute_ip
-
-  let factor (t : t) (a : Csc.t) : output =
-    Prof.time "numeric" (fun () ->
-        K.Sympiler.factor t.compiled
-          (ordered_input ~who:"Sympiler.Lu.factor" t.ord t.pattern a))
-
-  let c_code (t : t) : string = Codegen_static.lu t.compiled t.pattern
-end
-
-module Ic0 = struct
+module Ic0 = Factor.Make (struct
   module K = Sympiler_kernels.Ic0
 
-  type pattern = Csc.t
+  let name = "ic0"
+  let lower = true
 
-  type t = {
-    compiled : K.compiled;
-    pattern : Csc.t;
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
-
-  type plan = {
-    handle : t;
-    p : K.plan;
-    scratch : Csc.t option;
-    native : Native_engine.exec option; (* b0 = Ax (lower values), b1 = Lx *)
-    m_exec : Metrics.histogram; (* per-call factorization latency *)
-  }
-
-  type input = Csc.t
+  type compiled = K.compiled
+  type kplan = K.plan
   type output = Csc.t
+  type updown = unit
 
-  let compile_base ?(ordering : ordering = `Natural) (a_lower : pattern) : t =
-    if not (Csc.is_lower_triangular a_lower) then
-      invalid_arg "Sympiler.Ic0.compile: pass lower(A)";
-    let t0 = Prof.now_seconds () in
-    let a_lower, ord =
-      ordered_lower ~who:"Sympiler.Ic0.compile" ordering a_lower
-    in
-    let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span "compile.ic0"
-      ~attrs:[ ("n", Trace.Int a_lower.Csc.ncols) ]
-    @@ fun () ->
-    let compiled, symbolic_seconds =
-      time_symbolic (fun () -> K.compile a_lower)
-    in
-    observe_compile ~family:"ic0" ~ordering:ord.o_name
-      (symbolic_seconds +. ord_seconds);
-    {
-      compiled;
-      pattern = a_lower;
-      symbolic_seconds = symbolic_seconds +. ord_seconds;
-      ord;
-    }
+  let compile = K.compile
+  let make_plan = K.make_plan
+  let factor_ip = K.factor_ip
+  let view (p : kplan) = p.K.l
+  let factor = K.factor
+  let flops _ = Float.nan
 
-  let default_cache : t Plan_cache.t = Plan_cache.create ()
+  (* b1 = Lx *)
+  let native_sizes (p : kplan) = [| Array.length p.K.lx |]
 
-  let compile ?cache ?(opts = Options.default) (a_lower : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_base ~ordering:opts.Options.ordering a_lower
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.ic0" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:a_lower
-          ~extra:(Options.fingerprint opts)
-          (fun () -> compile_base ~ordering:opts.Options.ordering a_lower)
+  let copy_out (e : Native_engine.exec) (p : kplan) =
+    Native_engine.blit_out e.Native_engine.b1 p.K.lx
 
-  let compile_cached ?cache ?fill ?max_width ?ordering (a_lower : pattern) : t
-      =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?fill ?max_width ?ordering ())
-      a_lower
+  let pivot rc = K.Not_positive_definite rc
+  let c_code c _ = Codegen_static.ic0 c
+end)
 
-  let cache_stats () = Plan_cache.stats default_cache
-  let cache_clear () = Plan_cache.clear default_cache
-  let symbolic_seconds (t : t) = t.symbolic_seconds
-
-  let plan ?ndomains:_ ?(engine : engine = `Ocaml) (t : t) : plan =
-    let p = K.make_plan t.compiled in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode ->
-          static_native_exec mode ~family:"ic0" ~kname:"ic0_factor"
-            ~pattern:t.pattern
-            ~sizes:[| Csc.nnz t.pattern; Array.length p.K.lx |]
-            (Codegen_static.ic0 t.compiled)
-    in
-    {
-      handle = t;
-      p;
-      scratch = ordering_scratch t.ord t.pattern;
-      native;
-      m_exec =
-        execute_hist ~family:"ic0" ~op:"factor"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
-    }
-
-  let execute_ip_raw (p : plan) (a_lower : input) : output =
-    Prof.start "numeric";
-    (try
-       let a_lower =
-         match p.scratch with
-         | None -> a_lower
-         | Some s ->
-             gather_values ~who:"Sympiler.Ic0.execute_ip" p.handle.ord.o_map
-               a_lower.Csc.values s;
-             s
-       in
-       match p.native with
-       | Some e ->
-           Native_engine.blit_in a_lower.Csc.values e.Native_engine.b0;
-           let rc = Native_engine.call e in
-           if rc >= 0 then raise (K.Not_positive_definite rc);
-           Native_engine.blit_out e.Native_engine.b1 p.p.K.lx
-       | None -> K.factor_ip p.p a_lower
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric";
-    p.p.K.l
-
-  let execute_ip (p : plan) (a_lower : input) : output =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      let r = execute_ip_raw p a_lower in
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0);
-      r
-    end
-    else execute_ip_raw p a_lower
-
-  let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-  let factor_ip = execute_ip
-
-  let factor (t : t) (a_lower : Csc.t) : output =
-    Prof.time "numeric" (fun () ->
-        K.factor t.compiled
-          (ordered_input ~who:"Sympiler.Ic0.factor" t.ord t.pattern a_lower))
-
-  let c_code (t : t) : string = Codegen_static.ic0 t.compiled
-end
-
-module Ilu0 = struct
+module Ilu0 = Factor.Make (struct
   module K = Sympiler_kernels.Ilu0
 
-  type pattern = Csc.t
+  let name = "ilu0"
+  let lower = false
 
-  type t = {
-    compiled : K.compiled;
-    pattern : Csc.t;
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
-
-  type plan = {
-    handle : t;
-    p : K.plan;
-    scratch : Csc.t option;
-    native : Native_engine.exec option;
-        (* b0 = Ax (CSC values), b1 = factor values (CSR order) *)
-    m_exec : Metrics.histogram; (* per-call factorization latency *)
-  }
-
-  type input = Csc.t
+  type compiled = K.compiled
+  type kplan = K.plan
   type output = K.factors
+  type updown = unit
 
-  let compile_base ?(ordering : ordering = `Natural) (a : pattern) : t =
-    let t0 = Prof.now_seconds () in
-    let a, ord = ordered_square ~who:"Sympiler.Ilu0.compile" ordering a in
-    let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span "compile.ilu0" ~attrs:[ ("n", Trace.Int a.Csc.ncols) ]
-    @@ fun () ->
-    let compiled, symbolic_seconds =
-      time_symbolic (fun () -> K.compile a)
-    in
-    observe_compile ~family:"ilu0" ~ordering:ord.o_name
-      (symbolic_seconds +. ord_seconds);
-    {
-      compiled;
-      pattern = a;
-      symbolic_seconds = symbolic_seconds +. ord_seconds;
-      ord;
-    }
+  let compile = K.compile
+  let make_plan = K.make_plan
+  let factor_ip = K.factor_ip
+  let view (p : kplan) = p.K.f
+  let factor = K.factor
+  let flops _ = Float.nan
 
-  let default_cache : t Plan_cache.t = Plan_cache.create ()
+  (* b1 = factor values (CSR order) *)
+  let native_sizes (p : kplan) = [| Array.length p.K.f.K.values |]
 
-  let compile ?cache ?(opts = Options.default) (a : pattern) : t =
-    match (cache, opts.Options.cache) with
-    | None, false -> compile_base ~ordering:opts.Options.ordering a
-    | _ ->
-        let c = Option.value cache ~default:default_cache in
-        Trace.with_span "compile_cached.ilu0" @@ fun () ->
-        Plan_cache.find_or_compile c ~pattern:a
-          ~extra:(Options.fingerprint opts)
-          (fun () -> compile_base ~ordering:opts.Options.ordering a)
+  let copy_out (e : Native_engine.exec) (p : kplan) =
+    Native_engine.blit_out e.Native_engine.b1 p.K.f.K.values
 
-  let compile_cached ?cache ?fill ?max_width ?ordering (a : pattern) : t =
-    compile
-      ~cache:(Option.value cache ~default:default_cache)
-      ~opts:(Options.make ?fill ?max_width ?ordering ())
-      a
-
-  let cache_stats () = Plan_cache.stats default_cache
-  let cache_clear () = Plan_cache.clear default_cache
-  let symbolic_seconds (t : t) = t.symbolic_seconds
-
-  let plan ?ndomains:_ ?(engine : engine = `Ocaml) (t : t) : plan =
-    let p = K.make_plan t.compiled in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode ->
-          static_native_exec mode ~family:"ilu0" ~kname:"ilu0_factor"
-            ~pattern:t.pattern
-            ~sizes:[| Csc.nnz t.pattern; Array.length p.K.f.K.values |]
-            (Codegen_static.ilu0 t.compiled)
-    in
-    {
-      handle = t;
-      p;
-      scratch = ordering_scratch t.ord t.pattern;
-      native;
-      m_exec =
-        execute_hist ~family:"ilu0" ~op:"factor"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
-    }
-
-  let execute_ip_raw (p : plan) (a : input) : output =
-    Prof.start "numeric";
-    (try
-       let a =
-         match p.scratch with
-         | None -> a
-         | Some s ->
-             gather_values ~who:"Sympiler.Ilu0.execute_ip" p.handle.ord.o_map
-               a.Csc.values s;
-             s
-       in
-       match p.native with
-       | Some e ->
-           Native_engine.blit_in a.Csc.values e.Native_engine.b0;
-           let rc = Native_engine.call e in
-           if rc >= 0 then raise (K.Zero_pivot rc);
-           Native_engine.blit_out e.Native_engine.b1 p.p.K.f.K.values
-       | None -> K.factor_ip p.p a
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric";
-    p.p.K.f
-
-  let execute_ip (p : plan) (a : input) : output =
-    if Metrics.enabled () then begin
-      let t0 = Prof.now_seconds () in
-      let r = execute_ip_raw p a in
-      Metrics.observe p.m_exec (Prof.now_seconds () -. t0);
-      r
-    end
-    else execute_ip_raw p a
-
-  let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-  let factor_ip = execute_ip
-
-  let factor (t : t) (a : Csc.t) : output =
-    Prof.time "numeric" (fun () ->
-        K.factor t.compiled
-          (ordered_input ~who:"Sympiler.Ilu0.factor" t.ord t.pattern a))
-
-  let c_code (t : t) : string = Codegen_static.ilu0 t.compiled
-end
+  let pivot rc = K.Zero_pivot rc
+  let c_code c _ = Codegen_static.ilu0 c
+end)
 
 (* Symbolic "explain" reports: what the inspectors measured and what the
    transformations decided, for one compiled handle. Everything here is

@@ -26,17 +26,9 @@ module Plan_cache = Plan_cache
 
 module Options = Options
 (** The shared compile-option record: every family's [compile] (and
-    {!Pipeline.compile}) takes one [?opts:Options.t], replacing the
-    pre-unification [compile]/[compile_ext]/[compile_cached]/
-    [compile_cached_ext] quartet. Families consume the fields they
-    understand and ignore the rest.
-
-    Migration: [compile_cached ?max_width ?ordering p] becomes
-    [compile ~opts:(Options.make ?max_width ?ordering ~cache:true ()) p];
-    [Cholesky.compile_ext ~variant:Simplicial] becomes
-    [compile ~opts:(Options.make ~simplicial:true ()) p];
-    [Trisolve.compile_ext ~vs_block_threshold] becomes
-    [compile ~opts:(Options.make ~vs_block_threshold ()) (l, b)]. *)
+    {!Pipeline.compile}) takes one [?opts:Options.t]. Families consume the
+    fields they understand, ignore the rest, and key their compilation
+    cache only on what they consume. *)
 
 module Pipeline = Pipeline
 (** Solver-pipeline fusion: compile a whole DAG of kernel stages through
@@ -75,6 +67,15 @@ module Native_engine = Native_engine
 (** Facade-side glue for the native engine (uniform [sympiler_entry] ABI
     wrapper, vectorize-hint stripping, plan-owned argument buffers). *)
 
+module Factor = Factor
+(** The four §3.3 factor families as one functor: {!Factor.FAMILY} holds
+    what differs between them (the kernel's compile, plan, in-place and
+    one-shot factor and result view; lower(A) or square pattern; native
+    buffer sizes and copy-out; the pivot exception; the emitted C), and
+    {!Factor.Make} writes ordering, symbolic timing, cache routing, plans,
+    engine dispatch and metrics once. {!Ldlt}, {!Lu}, {!Ic0} and {!Ilu0}
+    are its instances. *)
+
 type engine = [ `Ocaml | `Native | `Native_novec ]
 (** Which executor a plan runs its numeric phase on.
 
@@ -102,7 +103,7 @@ type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
     input. [`Given p] supplies an explicit new->old permutation (validated
     with {!Sympiler_sparse.Perm.is_valid}; [Invalid_argument] otherwise). *)
 
-type applied_ordering = {
+type applied_ordering = Compile_common.applied_ordering = {
   o_perm : Perm.t option;  (** [None] = natural order (no gather) *)
   o_name : string;
       (** "natural", "rcm", "amd", "min-degree", or "given" *)
@@ -117,13 +118,13 @@ type applied_ordering = {
     - [compile] runs the symbolic phase for one sparsity [pattern]. Every
       knob rides in [?opts] (the shared {!Options.t}): [opts.fill] reuses
       a caller-provided fill analysis (families that do not consume one
-      ignore it — the cost of a uniform signature); [opts.max_width] caps
-      supernode width where supernodes exist; [opts.ordering] selects the
-      fill-reducing ordering applied before the analysis (see
+      ignore it — the cost of a uniform signature); [opts.ordering]
+      selects the fill-reducing ordering applied before the analysis (see
       {!type:ordering} — default [`Natural]). Passing [?cache] (or setting
       [opts.cache], which uses the family's module-wide default cache)
-      routes the compile through a pattern-keyed {!Plan_cache}; the option
-      fingerprint is part of the cache key.
+      routes the compile through a pattern-keyed {!Plan_cache}; the key
+      holds the options the family consumes and nothing else, so two
+      option records differing only in an ignored field share one entry.
     - [plan] allocates the numeric workspaces once; [?ndomains] requests
       the level-parallel executor on the persistent domain pool where one
       exists (Trisolve, supernodal Cholesky) and is ignored elsewhere;
@@ -133,44 +134,13 @@ type applied_ordering = {
     - [execute_ip] is the steady-state numeric phase: no symbolic work,
       zero allocation, results written into plan-owned storage (the
       returned [output] is a view valid until the next call on the same
-      plan). Bitwise-identical results for any [ndomains].
+      plan). Bitwise-identical results for any [ndomains]. An input that
+      does not match the compiled pattern's shape raises
+      [Invalid_argument] before anything is read, and the plan stays
+      usable.
     - [c_code] emits the specialized C executor with every inspection set
       baked in as static arrays. *)
-module type KERNEL = sig
-  type pattern
-  (** What the symbolic phase inspects (structure only). *)
-
-  type t
-  (** Compiled handle: inspection sets + chosen strategy. *)
-
-  type plan
-  (** Reusable numeric workspaces for compile-once / execute-many. *)
-
-  type input
-  (** Numeric input of one execution (values free to change per call). *)
-
-  type output
-  (** Result view over plan-owned storage. *)
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-
-  val symbolic_seconds : t -> float
-  (** One-time inspection + planning cost of this handle. *)
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  val execute_ip : plan -> input -> output
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Snapshot of the plan's per-call execution-latency histogram
-      ([sympiler_execute_seconds], shared across plans with the same
-      family × op × engine × ordering labels): exact count/sum/max,
-    bucket-resolution p50/p90/p99. All zeros until {!Metrics.enable}. *)
-
-  val c_code : t -> string
-end
+module type KERNEL = Factor.KERNEL
 
 (** Sparse triangular solve [L x = b] with a sparse right-hand side. *)
 module Trisolve : sig
@@ -206,40 +176,8 @@ module Trisolve : sig
       or when [l] is not lower triangular. [?cache] (or [opts.cache],
       which uses the module-wide default cache) routes the compile through
       a pattern-keyed {!Plan_cache}: a hit (same structure of [l], same
-      RHS pattern, same option fingerprint) returns the earlier handle
-      physically equal, with no symbolic work. *)
-
-  val compile_ext :
-    ?vs_block_threshold:float ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    Csc.t ->
-    Vector.sparse ->
-    t
-  [@@deprecated "use compile ~opts:(Options.make ?vs_block_threshold ())"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile}. *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val compile_cached_ext :
-    ?cache:t Plan_cache.t ->
-    ?vs_block_threshold:float ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    Csc.t ->
-    Vector.sparse ->
-    t
-  [@@deprecated "use compile ?cache ~opts:(Options.make ...)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile}. *)
+      RHS pattern, same [vs_block_threshold] and [ordering]) returns the
+      earlier handle physically equal, with no symbolic work. *)
 
   val cache_stats : unit -> Plan_cache.stats
   (** Hit/miss/length counters of the default cache. *)
@@ -250,11 +188,14 @@ module Trisolve : sig
 
   val solve : t -> Vector.sparse -> float array
   (** Numeric-only solve; [b] must have the compile-time pattern, in
-      natural order even on ordered handles (permutation handled inside). *)
+      natural order even on ordered handles (permutation handled inside).
+      Raises [Invalid_argument] when [b]'s dimension, index count or value
+      count differs from the compiled RHS pattern, or an index lies
+      outside [\[0, n)]. *)
 
   val solve_ip : t -> float array -> unit
   (** In-place: [x] holds b on entry, the solution on exit (both in
-      natural order). *)
+      natural order). Raises [Invalid_argument] unless [x] has length n. *)
 
   type plan = {
     handle : t;
@@ -291,11 +232,8 @@ module Trisolve : sig
 
   val execute_ip : plan -> Vector.sparse -> float array
   (** Solve into the plan's buffer (valid until the next call on the same
-      plan); zero allocation in steady state. *)
-
-  val solve_plan : plan -> Vector.sparse -> float array
-  [@@deprecated "use execute_ip"]
-  (** @deprecated Alias of {!execute_ip} (pre-unification name). *)
+      plan); zero allocation in steady state. Rejects a malformed [b] as
+      {!solve} does, leaving the plan usable. *)
 
   val plan_latency : plan -> Metrics.histogram_snapshot
   (** Per-call solve-latency distribution of this plan's metric series
@@ -339,53 +277,15 @@ module Cholesky : sig
       (§4.2), the simplicial (VI-Prune-only) code below it — as Sympiler
       does for matrices 3,4,5,7. Every knob rides in [?opts]:
       [opts.simplicial] forces the simplicial variant,
-      [opts.vs_block_threshold] moves the selection bar,
-      [opts.specialized] toggles pattern-specialized codegen, [opts.fill]
+      [opts.vs_block_threshold] moves the selection bar, [opts.fill]
       reuses a caller-provided fill analysis of the same (natural-order)
       pattern, [opts.ordering] runs the whole analysis on [P A P^T] (the
       numeric entry points keep taking natural-order values; the factor
       produced is that of the permuted matrix). [?cache] (or [opts.cache])
       routes the compile through a pattern-keyed {!Plan_cache}: a hit
-      (same structure, same option fingerprint) returns the earlier
+      (same structure, same {!Options.fingerprint}) returns the earlier
       handle physically equal, skipping the symbolic phase entirely.
       Raises [Invalid_argument] on non-lower-triangular input. *)
-
-  val compile_ext :
-    ?variant:variant ->
-    ?specialized:bool ->
-    ?vs_block_threshold:float ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    Csc.t ->
-    t
-  [@@deprecated
-    "use compile ~opts:(Options.make ~simplicial:... ?vs_block_threshold ())"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile}
-      ([~variant:Simplicial] maps to [Options.make ~simplicial:true]). *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val compile_cached_ext :
-    ?cache:t Plan_cache.t ->
-    ?variant:variant ->
-    ?specialized:bool ->
-    ?vs_block_threshold:float ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    Csc.t ->
-    t
-  [@@deprecated "use compile ?cache ~opts:(Options.make ...)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile}. *)
 
   val cache_stats : unit -> Plan_cache.stats
   (** Hit/miss/length counters of the default cache. *)
@@ -399,7 +299,8 @@ module Cholesky : sig
       (natural-order) pattern; on an ordered handle the result is the
       factor of [P A P^T] — exactly what compiling a pre-permuted matrix
       yields. Allocates a fresh factor per call; use a {!plan} for
-      allocation-free steady state. *)
+      allocation-free steady state. Raises [Invalid_argument] when the
+      value count differs from the compiled pattern's nnz. *)
 
   type updown
   (** Lazily-built rank-update state: the kernel plan (scatter workspace,
@@ -449,11 +350,9 @@ module Cholesky : sig
   val execute_ip : plan -> Csc.t -> Csc.t
   (** Numeric factorization into the plan's storage; returns the plan's
       factor view ({!plan_factor}), refreshed in place, valid until the
-      next call on the same plan. Zero allocation in steady state. *)
-
-  val refactor_ip : plan -> Csc.t -> unit
-  [@@deprecated "use execute_ip (or ignore its returned view)"]
-  (** @deprecated {!execute_ip} without the view (pre-unification name). *)
+      next call on the same plan. Zero allocation in steady state. Raises
+      [Invalid_argument] when the value count differs from the compiled
+      natural pattern's nnz (the plan stays usable). *)
 
   val plan_latency : plan -> Metrics.histogram_snapshot
   (** Per-call refactorization-latency distribution of this plan's metric
@@ -501,82 +400,37 @@ module Cholesky : sig
   val solve : t -> Csc.t -> float array -> float array
   (** [A x = b]: numeric factorization + two triangular solves. On an
       ordered handle the permuted system is solved and [x] returned in
-      natural order. *)
+      natural order. Rejects malformed input as {!factor} does, and a [b]
+      whose length is not n. *)
 
   val c_code : t -> string
   (** Specialized C: the supernodal driver with its baked-in schedule, or
       the fully specialized simplicial kernel from the AST pipeline. *)
 end
 
+(** The four §3.3 families below are {!Factor.Make} instances. Each
+    [compile] consumes only [opts.ordering] (and [opts.cache]); the other
+    fields are ignored for {!KERNEL} uniformity and stay out of the cache
+    key. [opts.ordering] compiles for [P A P^T] — on the symmetrized graph
+    for the lower(A) families, on [A + A^T] for the square ones — and the
+    numeric entry points keep taking natural-order values and return the
+    permuted system's factors. [?ndomains] is accepted and ignored
+    (sequential executors). [execute_ip] raises the family's pivot
+    exception on a pivot failure; the plan stays reusable. *)
+
 (** [A = L D L^T] factorization for symmetric indefinite but strongly
-    regular matrices (§3.3); pass lower(A). *)
+    regular matrices (§3.3); pass lower(A) (raises [Invalid_argument]
+    otherwise). Pivot failure: {!Sympiler_kernels.Ldlt.Zero_pivot}. *)
 module Ldlt : sig
-  type pattern = Csc.t
-
-  type t = {
-    compiled : Sympiler_kernels.Ldlt.compiled;
-    pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
-
   type updown
   (** Lazily-built rank-update state (GGMS C1 recurrence). *)
 
-  type plan = {
-    handle : t;
-    p : Sympiler_kernels.Ldlt.plan;
-    scratch : Csc.t option;
-        (** ordered plans gather natural-order input values in here *)
-    native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Ax, b1 = Lx, b2 = D) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-    mutable ru : updown option;  (** lazy rank-update state *)
-  }
-
-  type input = Csc.t
-  type output = Sympiler_kernels.Ldlt.factors
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  (** Only [opts.ordering] and [opts.cache] are consumed (the up-looking
-      kernel is column-wise; the other fields are ignored for {!KERNEL}
-      uniformity). [opts.ordering] compiles for [P A P^T]; numeric entry
-      points keep taking natural-order values and return the permuted
-      system's factors. Raises [Invalid_argument] when the input is not
-      lower triangular. *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-  val symbolic_seconds : t -> float
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** [?ndomains] accepted and ignored (sequential executor). [?engine]
-      selects the executor ({!type:engine}). *)
-
-  val execute_ip : plan -> input -> output
-  (** Factorize into the plan's storage; raises
-      {!Sympiler_kernels.Ldlt.Zero_pivot} on a zero pivot (the plan stays
-      reusable). *)
-
-  val factor_ip : plan -> input -> output
-  (** Alias of {!execute_ip}. *)
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Per-call factorization-latency distribution of this plan's metric
-      series (see {!KERNEL.plan_latency}). *)
+  include
+    Factor.S
+      with type compiled = Sympiler_kernels.Ldlt.compiled
+       and type kplan = Sympiler_kernels.Ldlt.plan
+       and type output = Sympiler_kernels.Ldlt.factors
+       and type updown := updown
 
   val update_ip : plan -> ?sigma:float -> Vector.sparse -> unit
   (** In-place rank-1 update of the plan's factors: [L D L^T] becomes
@@ -596,223 +450,39 @@ module Ldlt : sig
 
   val downdate_ip : plan -> ?sigma:float -> Vector.sparse -> unit
   (** [update_ip ~sigma:(-. sigma)]: [A - sigma w w^T]. *)
-
-  val factor : t -> Csc.t -> output
-  (** One-shot: fresh factors per call. *)
-
-  val c_code : t -> string
 end
 
 (** Sparse LU (left-looking Gilbert-Peierls, no pivoting) for matrices
-    that are numerically safe without pivoting (§3.3). *)
-module Lu : sig
-  type pattern = Csc.t
+    that are numerically safe without pivoting (§3.3); the only family
+    here with a flop model ([t.flops], from the reach-set simulation over
+    DG_L). Pivot failure: {!Sympiler_kernels.Lu.Zero_pivot}. *)
+module Lu :
+  Factor.S
+    with type compiled = Sympiler_kernels.Lu.Sympiler.compiled
+     and type kplan = Sympiler_kernels.Lu.Sympiler.plan
+     and type output = Sympiler_kernels.Lu.factors
+     and type updown = unit
 
-  type t = {
-    compiled : Sympiler_kernels.Lu.Sympiler.compiled;
-    pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
-    symbolic_seconds : float;
-    flops : float;
-    ord : applied_ordering;
-  }
+(** Incomplete Cholesky with zero fill, IC(0) (§3.3); pass lower(A). The
+    factor keeps exactly the input pattern, so an ordering changes the
+    incomplete factor's quality, not just its cost. Pivot failure:
+    {!Sympiler_kernels.Ic0.Not_positive_definite}. *)
+module Ic0 :
+  Factor.S
+    with type compiled = Sympiler_kernels.Ic0.compiled
+     and type kplan = Sympiler_kernels.Ic0.plan
+     and type output = Csc.t
+     and type updown = unit
 
-  type plan = {
-    handle : t;
-    p : Sympiler_kernels.Lu.Sympiler.plan;
-    scratch : Csc.t option;
-        (** ordered plans gather natural-order input values in here *)
-    native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Ax, b1 = Lx, b2 = Ux) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-  }
-
-  type input = Csc.t
-  type output = Sympiler_kernels.Lu.factors
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  (** Only [opts.ordering] and [opts.cache] are consumed (LU runs its own
-      reach-set simulation over DG_L; the other fields are ignored for
-      {!KERNEL} uniformity). [opts.ordering] compiles for the symmetrically
-      permuted [P A P^T] (the ordering graph is [A + A^T]); no-pivoting LU
-      must stay numerically safe under the relabeling, as usual for this
-      kernel. *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-  val symbolic_seconds : t -> float
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** [?ndomains] accepted and ignored (sequential executor). [?engine]
-      selects the executor ({!type:engine}). *)
-
-  val execute_ip : plan -> input -> output
-  (** Factorize into the plan's storage; raises
-      {!Sympiler_kernels.Lu.Zero_pivot} on a zero pivot (the plan stays
-      reusable). *)
-
-  val factor_ip : plan -> input -> output
-  (** Alias of {!execute_ip}. *)
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Per-call factorization-latency distribution of this plan's metric
-      series (see {!KERNEL.plan_latency}). *)
-
-  val factor : t -> Csc.t -> output
-  val c_code : t -> string
-end
-
-(** Incomplete Cholesky with zero fill, IC(0) (§3.3); pass lower(A). *)
-module Ic0 : sig
-  type pattern = Csc.t
-
-  type t = {
-    compiled : Sympiler_kernels.Ic0.compiled;
-    pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
-
-  type plan = {
-    handle : t;
-    p : Sympiler_kernels.Ic0.plan;
-    scratch : Csc.t option;
-        (** ordered plans gather natural-order input values in here *)
-    native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Ax, b1 = Lx) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-  }
-
-  type input = Csc.t
-  type output = Csc.t
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  (** Only [opts.ordering] and [opts.cache] are consumed (IC(0) keeps
-      exactly the input pattern — no fill analysis; the other fields are
-      ignored for {!KERNEL} uniformity). [opts.ordering] compiles for
-      [P A P^T]; note an incomplete factor's quality (not just its cost)
-      changes with the relabeling. Raises [Invalid_argument] when the
-      input is not lower triangular. *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-  val symbolic_seconds : t -> float
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** [?ndomains] accepted and ignored (sequential executor). [?engine]
-      selects the executor ({!type:engine}). *)
-
-  val execute_ip : plan -> input -> output
-  (** Factorize into the plan's storage; the returned factor view is
-      refreshed in place per call. Raises
-      {!Sympiler_kernels.Ic0.Not_positive_definite} on a non-positive
-      pivot (the plan stays reusable). *)
-
-  val factor_ip : plan -> input -> output
-  (** Alias of {!execute_ip}. *)
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Per-call factorization-latency distribution of this plan's metric
-      series (see {!KERNEL.plan_latency}). *)
-
-  val factor : t -> Csc.t -> output
-  val c_code : t -> string
-end
-
-(** Incomplete LU with zero fill, ILU(0), row-wise IKJ (§3.3 / §5). *)
-module Ilu0 : sig
-  type pattern = Csc.t
-
-  type t = {
-    compiled : Sympiler_kernels.Ilu0.compiled;
-    pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
-    symbolic_seconds : float;
-    ord : applied_ordering;
-  }
-
-  type plan = {
-    handle : t;
-    p : Sympiler_kernels.Ilu0.plan;
-    scratch : Csc.t option;
-        (** ordered plans gather natural-order input values in here *)
-    native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Ax in CSC order, b1 = factor
-            values in CSR order) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-  }
-
-  type input = Csc.t
-  type output = Sympiler_kernels.Ilu0.factors
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  (** Only [opts.ordering] and [opts.cache] are consumed (ILU(0) keeps
-      exactly A's pattern; the other fields are ignored for {!KERNEL}
-      uniformity). [opts.ordering] compiles for the symmetrically permuted
-      [P A P^T] (ordering graph [A + A^T]). Raises
-      {!Sympiler_kernels.Ilu0.Zero_pivot} when a structural diagonal entry
-      is missing. *)
-
-  val compile_cached :
-    ?cache:t Plan_cache.t ->
-    ?fill:Sympiler_symbolic.Fill_pattern.t ->
-    ?max_width:int ->
-    ?ordering:ordering ->
-    pattern ->
-    t
-  [@@deprecated "use compile ?cache (or opts.cache = true)"]
-  (** @deprecated Pre-unification spelling; thin alias of {!compile} with
-      caching forced on. *)
-
-  val cache_stats : unit -> Plan_cache.stats
-  val cache_clear : unit -> unit
-  val symbolic_seconds : t -> float
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** [?ndomains] accepted and ignored (sequential executor). [?engine]
-      selects the executor ({!type:engine}). *)
-
-  val execute_ip : plan -> input -> output
-  (** Factorize into the plan's storage; raises
-      {!Sympiler_kernels.Ilu0.Zero_pivot} on a zero pivot (the plan stays
-      reusable). *)
-
-  val factor_ip : plan -> input -> output
-  (** Alias of {!execute_ip}. *)
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Per-call factorization-latency distribution of this plan's metric
-      series (see {!KERNEL.plan_latency}). *)
-
-  val factor : t -> Csc.t -> output
-  val c_code : t -> string
-end
+(** Incomplete LU with zero fill, ILU(0), row-wise IKJ (§3.3 / §5). [compile]
+    raises {!Sympiler_kernels.Ilu0.Zero_pivot} when a structural diagonal
+    entry is missing; so does a pivot failure. *)
+module Ilu0 :
+  Factor.S
+    with type compiled = Sympiler_kernels.Ilu0.compiled
+     and type kplan = Sympiler_kernels.Ilu0.plan
+     and type output = Sympiler_kernels.Ilu0.factors
+     and type updown = unit
 
 (** Symbolic "explain" reports: what the inspectors measured and what the
     transformations decided, for one compiled handle. Diagnostic path —

@@ -49,12 +49,22 @@ let default_size () =
 
 let noop_task (_ : int) = ()
 
+(* The epoch word carries the dispatch's worker count in its low bits, so
+   one atomic load tells a worker both which dispatch it sees and whether
+   it takes part. A separate plain count could be read by a worker that
+   was idle in one dispatch and woke late, after the caller had already
+   written the next dispatch's count: it then ran the next task early and
+   again once released, and its extra barrier decrement let the caller
+   pass the barrier before every partition was done. *)
+let active_bits = 7 (* max_domains = 64 < 2^7 *)
+let epoch_nactive e = e land ((1 lsl active_bits) - 1)
+let next_epoch e nactive = (((e lsr active_bits) + 1) lsl active_bits) lor nactive
+
 type state = {
   mutable task : int -> unit; (* published by the epoch bump *)
-  mutable nactive : int; (* workers participating in the current epoch *)
   mutable failed : exn option; (* first worker exception of the epoch *)
   mutable stop : bool; (* at_exit shutdown flag *)
-  epoch : int Atomic.t; (* bumping it releases [task]/[nactive] *)
+  epoch : int Atomic.t; (* bumping it releases [task]; see [next_epoch] *)
   pending : int Atomic.t; (* workers still running the current epoch *)
   m : Mutex.t;
   cv_start : Condition.t; (* workers park here between epochs *)
@@ -67,7 +77,6 @@ type state = {
 let st =
   {
     task = noop_task;
-    nactive = 0;
     failed = None;
     stop = false;
     epoch = Atomic.make 0;
@@ -104,7 +113,7 @@ let worker_loop wid start_epoch =
     end;
     my_epoch := Atomic.get st.epoch;
     if st.stop then running := false
-    else if wid < st.nactive then begin
+    else if wid < epoch_nactive !my_epoch then begin
       (if Prof.enabled () then begin
          let t0 = Prof.now_seconds () in
          (try st.task wid with e -> if st.failed = None then st.failed <- Some e);
@@ -128,7 +137,7 @@ let shutdown () =
   if st.nworkers_spawned > 0 then begin
     st.stop <- true;
     Mutex.lock st.m;
-    Atomic.incr st.epoch;
+    Atomic.set st.epoch (next_epoch (Atomic.get st.epoch) 0);
     Condition.broadcast st.cv_start;
     Mutex.unlock st.m;
     List.iter Domain.join st.workers;
@@ -175,13 +184,12 @@ let run ~nworkers task =
     Sympiler_trace.Trace.begin_span "pool.run";
     let t_dispatch = if Metrics.enabled () then Prof.now_seconds () else 0.0 in
     st.task <- task;
-    st.nactive <- nw;
     st.failed <- None;
     Atomic.set st.pending (nw - 1);
     (* Publish under the mutex so a parked worker cannot miss the wakeup
        between its epoch re-check and its [Condition.wait]. *)
     Mutex.lock st.m;
-    Atomic.incr st.epoch;
+    Atomic.set st.epoch (next_epoch (Atomic.get st.epoch) nw);
     Condition.broadcast st.cv_start;
     Mutex.unlock st.m;
     let caller_failed =

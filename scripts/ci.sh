@@ -33,6 +33,13 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== dune runtest, kernels bounds-checked =="
+# The kernels build with -unsafe everywhere except the `checked` profile
+# (lib/kernels/dune): run the suite once there, in its own build dir, so
+# any out-of-bounds access a test reaches raises instead of reading or
+# writing past an array.
+dune runtest --profile checked --build-dir _build_checked
+
 echo "== test suite under forced domain counts =="
 # The parallel runtime must give bitwise-identical results however the
 # pool is sized; SYMPILER_NDOMAINS overrides every default sizing

@@ -19,4 +19,5 @@ let () =
       ("native", Test_native.suite);
       ("updown", Test_updown.suite);
       ("regressions", Test_regressions.suite);
+      ("facade", Test_facade.suite);
     ]

@@ -136,6 +136,22 @@ let test_pool_survives_exception () =
   Alcotest.(check int) "pool usable after the exception" 4
     (Array.fold_left ( + ) 0 a)
 
+(* Dispatches of alternating width leave some workers idle every other
+   epoch; an idle worker that wakes late must neither run the next task
+   early nor release the barrier before every active worker is done. *)
+let test_pool_alternating_widths () =
+  let counts = Array.make 4 0 in
+  let bad = ref 0 in
+  for it = 1 to 20_000 do
+    let nw = if it land 1 = 0 then 2 else 4 in
+    Array.fill counts 0 4 0;
+    Pool.run ~nworkers:nw (fun w -> counts.(w) <- counts.(w) + 1);
+    Array.iteri
+      (fun w c -> if c <> (if w < nw then 1 else 0) then incr bad)
+      counts
+  done;
+  Alcotest.(check int) "workers that ran other than exactly once" 0 !bad
+
 let test_pool_nworkers1_inline () =
   let s0 = Pool.spawned () in
   let r = ref 0 in
@@ -414,6 +430,8 @@ let suite =
       test_pool_survives_exception;
     Alcotest.test_case "pool: nworkers=1 stays inline" `Quick
       test_pool_nworkers1_inline;
+    Alcotest.test_case "pool: alternating widths run each worker once"
+      `Quick test_pool_alternating_widths;
     Alcotest.test_case "plan defaults agree with Pool.default_size" `Quick
       test_make_plan_defaults_agree;
     Alcotest.test_case "cholesky: bitwise across ndomains (suite)" `Quick
