@@ -1974,29 +1974,44 @@ let metrics_bench () =
 
 (* ---------------------------------------------------------------- *)
 (* Pipeline fusion: whole solver DAGs compiled through one shared
-   symbolic analysis. Gates the fused executor's contract on suite
-   problems: fused apply not slower than the staged baseline, zero
-   steady-state allocation, bitwise-identical results, and the shared
-   analysis ledger (every artifact computed at most once). Writes
-   BENCH_pipeline.json; scripts/ci.sh greps the verdicts. *)
+   symbolic analysis. Gates the fused executor's contract: fused apply not
+   slower than the staged baseline, zero steady-state allocation,
+   bitwise-identical results, and the shared analysis ledger (every
+   artifact computed at most once). The rows are Cholesky factor+solve on
+   suite problems, which keep the column sweeps, and IC(0) factor+solve on
+   natural 5-point grids, whose fused sweeps run level-ordered
+   ([level_scheduled]). Writes BENCH_pipeline.json; scripts/ci.sh greps
+   the verdicts. *)
 
 let pipeline_bench () =
   let module Pl = Sympiler.Pipeline in
   header "Pipeline fusion: fused vs staged solver DAGs";
   let pids = if quick then [ 1; 2; 5 ] else [ 1; 2; 5; 8; 9 ] in
-  Printf.printf "%-15s %9s %12s %12s %8s %6s %9s\n" "problem" "n" "fused"
-    "staged" "speedup" "alloc" "bitwise";
+  let cases =
+    List.map
+      (fun id ->
+        let d = prob id in
+        (d.p.Sympiler.Suite.name, "cholesky", `Cholesky, d.p.Sympiler.Suite.a_lower))
+      pids
+    @ List.map
+        (fun side ->
+          ( Printf.sprintf "grid5_%dx%d" side side,
+            "ic0",
+            `Ic0,
+            Csc.lower (Generators.grid2d ~stencil:`Five side side) ))
+        [ 40; 100 ]
+  in
+  Printf.printf "%-15s %-8s %7s %12s %12s %8s %6s %8s %6s\n" "problem" "family"
+    "n" "fused" "staged" "speedup" "alloc" "bitwise" "level";
   let rows = ref [] in
   let all_not_slower = ref true in
   let all_zero_alloc = ref true in
   let all_bitwise = ref true in
   let all_shared = ref true in
   List.iter
-    (fun id ->
-      let d = prob id in
-      let al = d.p.Sympiler.Suite.a_lower in
+    (fun (name, family_name, family, al) ->
       let n = al.Csc.ncols in
-      let t = Pl.compile (Pl.factor_solve `Cholesky) al in
+      let t = Pl.compile (Pl.factor_solve family) al in
       let p = Pl.plan t in
       Pl.factor_ip p al;
       let b = Array.init n (fun i -> sin (0.01 *. float_of_int i)) in
@@ -2016,6 +2031,12 @@ let pipeline_bench () =
       let shared =
         List.for_all (fun (_, v) -> v <= 1) (Pl.analysis_runs t)
       in
+      let level_scheduled =
+        List.exists
+          (fun (d : Sympiler.Trace.decision) ->
+            d.Sympiler.Trace.pass = "level-sweep" && d.Sympiler.Trace.fired)
+          (Pl.decisions t)
+      in
       let speedup = staged_s /. Float.max fused_s 1e-12 in
       (* 5% noise tolerance: fusion must never lose, modulo jitter *)
       let not_slower = fused_s <= staged_s *. 1.05 in
@@ -2023,13 +2044,14 @@ let pipeline_bench () =
       all_zero_alloc := !all_zero_alloc && words = 0;
       all_bitwise := !all_bitwise && bitwise;
       all_shared := !all_shared && shared;
-      Printf.printf "%-15s %9d %10.1fus %10.1fus %7.2fx %6d %9b\n"
-        d.p.Sympiler.Suite.name n (fused_s *. 1e6) (staged_s *. 1e6) speedup
-        words bitwise;
+      Printf.printf "%-15s %-8s %7d %10.1fus %10.1fus %7.2fx %6d %8b %6b\n" name
+        family_name n (fused_s *. 1e6) (staged_s *. 1e6) speedup words bitwise
+        level_scheduled;
       rows :=
         Prof.Json.Obj
           [
-            ("name", Prof.Json.Str d.p.Sympiler.Suite.name);
+            ("name", Prof.Json.Str name);
+            ("family", Prof.Json.Str family_name);
             ("n", Prof.Json.Int n);
             ("nnz", Prof.Json.Int (Csc.nnz al));
             ("fused_seconds", Prof.Json.Float fused_s);
@@ -2039,10 +2061,11 @@ let pipeline_bench () =
             ("bitwise", Prof.Json.Bool bitwise);
             ("analysis_shared", Prof.Json.Bool shared);
             ("fused_boundaries", Prof.Json.Int (Pl.fused_boundaries t));
+            ("level_scheduled", Prof.Json.Bool level_scheduled);
             ("symbolic_seconds", Prof.Json.Float (Pl.symbolic_seconds t));
           ]
         :: !rows)
-    pids;
+    cases;
   let verdict =
     !all_not_slower && !all_zero_alloc && !all_bitwise && !all_shared
   in
@@ -2067,8 +2090,9 @@ let pipeline_bench () =
   section_note
     "(the staged baseline runs the same stage bodies with per-stage\n\
     \ copy-in/copy-out - what N independently compiled plans would do;\n\
-    \ fusion removes the copies and the L/L^T boundary, so it must never\n\
-    \ lose. Full data written to BENCH_pipeline.json)\n"
+    \ fusion removes the copies and the L/L^T boundary, and on the\n\
+    \ level-scheduled rows also visits the sweeps in level order, so it\n\
+    \ must never lose. Full data written to BENCH_pipeline.json)\n"
 
 (* ---------------------------------------------------------------- *)
 (* Rank-1 update/downdate in the plan world (the §3.3 rank-update

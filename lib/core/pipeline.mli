@@ -20,11 +20,14 @@ module Metrics = Sympiler_metrics.Metrics
       by an L^T solve collapses into one merged pass, and the emitted C
       ({!c_code}) crosses the same boundaries.
 
-    Fusion never reorders floating-point arithmetic. The fused and the
-    staged executor run the same stage bodies in the same canonical order,
-    so {!execute_ip} and {!staged_execute_ip} return bitwise-identical
-    results — the fused path only removes copies, dispatch, and function
-    boundaries. *)
+    Fusion never reorders floating-point arithmetic. Operation order is
+    canonical per entry: every [x(i)] receives the same operations in the
+    same order on both executors, so {!execute_ip} and
+    {!staged_execute_ip} return bitwise-identical results. The fused path
+    removes copies, dispatch, and function boundaries; where L's structure
+    makes natural order a long dependence chain (the [level-sweep]
+    decision), it also visits the rows of its triangular sweeps in a
+    compile-time level order, which reorders only independent rows. *)
 
 type family = [ `Cholesky | `Ldlt | `Lu | `Ic0 | `Ilu0 ]
 
@@ -98,8 +101,12 @@ val fused_boundaries : t -> int
 (** Stage boundaries the fused executor removed by merging. *)
 
 val decisions : t -> Trace.decision list
-(** Transformation decisions taken at compile time (vs-block when the DAG
-    factors with Cholesky, pipeline-fuse always). *)
+(** Transformation decisions taken at compile time: vs-block when the DAG
+    factors with Cholesky; pipeline-fuse and level-sweep always. The
+    level-sweep decision fires when the fused sweeps run level-ordered:
+    its metric is the share of columns [j] with [L(j+1, j)] stored
+    (threshold 0.875, [nan] without a CSC L), and it also requires at most
+    [n/2] levels. *)
 
 val describe : t -> string
 (** Human-readable report: stages, family, sizes, ordering, fusion and

@@ -32,7 +32,14 @@ type compiled = {
 let compile (a_lower : Csc.t) : compiled =
   let n = a_lower.Csc.ncols in
   let row_ptr = Array.make (n + 1) 0 in
-  Csc.iter a_lower (fun i j _ -> if i > j then row_ptr.(i) <- row_ptr.(i) + 1);
+  (* A direct loop, not [Csc.iter]: its callback takes each value as a
+     boxed float, an allocation per entry on every compile. *)
+  for j = 0 to n - 1 do
+    for p = a_lower.Csc.colptr.(j) to a_lower.Csc.colptr.(j + 1) - 1 do
+      let i = a_lower.Csc.rowind.(p) in
+      if i > j then row_ptr.(i) <- row_ptr.(i) + 1
+    done
+  done;
   let _ = Utils.cumsum row_ptr in
   let nrow = row_ptr.(n) in
   let row_col = Array.make (max 1 nrow) 0 in

@@ -7,11 +7,20 @@ open Sympiler_sparse
     these back to back on the same array (or a merged variant, which also
     removes the function boundary).
 
-    Operation order is canonical (ascending columns forward, descending
-    backward — the natural-order schedules of {!Trisolve_ref}), so a fused
+    Operation order is canonical per entry: every [x(i)] receives the
+    operation sequence of the natural-order schedules of {!Trisolve_ref}
+    (its updates by ascending column, then the divide). The column sweeps
+    visit the entries in natural order; the scheduled sweeps
+    ({!lower_sched_ip} and friends) visit them in a compile-time
+    topological order, which only reorders independent entries. So a fused
     chain and a staged chain over the same factors produce
-    bitwise-identical results: fusion eliminates copies and dispatch, never
-    reorders floating-point arithmetic. *)
+    bitwise-identical results whichever sweep runs: fusion and scheduling
+    eliminate copies, dispatch and waiting, never reorder floating-point
+    arithmetic.
+
+    Every entry point checks its vector lengths in O(1) and raises
+    [Invalid_argument "Stages.<name>: ..."] on a mismatch (the kernels are
+    built without bounds checks). *)
 
 val lower_ip : Csc.t -> float array -> unit
 (** Forward substitution [L x = x], CSC lower-triangular, diagonal stored
@@ -23,6 +32,39 @@ val ltrans_ip : Csc.t -> float array -> unit
 val solve_pair_ip : Csc.t -> float array -> unit
 (** The merged pass: {!lower_ip} then {!ltrans_ip} in one kernel body —
     the stage boundary of a factor+solve pair fused away. *)
+
+(** {1 Scheduled sweeps} *)
+
+type schedule = {
+  order : int array;  (** a topological order of L's dependence graph *)
+  row_ptr : int array;
+      (** row [i]'s strictly-lower entries occupy
+          [\[row_ptr.(i), row_ptr.(i+1))] of the two arrays below *)
+  row_col : int array;  (** their columns, ascending within a row *)
+  row_pos : int array;  (** their positions in L's storage *)
+}
+(** A compile-time sweep schedule for one L pattern (diagonal stored first
+    per column). The forward sweep is a row gather visited in [order]; the
+    backward sweep is the column gather of {!ltrans_ip} visited in reverse
+    [order]. The row lists are structure only, so one schedule serves every
+    value set of the pattern. *)
+
+val schedule : order:int array -> Csc.t -> schedule
+(** [schedule ~order l]: [order] with the row lists of [l] built from its
+    structure (every entry of column [j] past its head updates its row).
+    The caller guarantees [order] is topological, e.g.
+    {!Sympiler_symbolic.Dep_graph.level_order}. *)
+
+val lower_sched_ip : Csc.t -> schedule -> float array -> unit
+(** {!lower_ip} as a row gather in schedule order; bitwise-identical. *)
+
+val ltrans_sched_ip : Csc.t -> schedule -> float array -> unit
+(** {!ltrans_ip} in reverse schedule order; bitwise-identical. *)
+
+val solve_pair_sched_ip : Csc.t -> schedule -> float array -> unit
+(** {!solve_pair_ip} over the schedule; bitwise-identical. *)
+
+(** {1 Other stage bodies} *)
 
 val upper_ip : Csc.t -> float array -> unit
 (** Backward substitution [U x = x], CSC upper-triangular, diagonal stored

@@ -85,3 +85,69 @@ let is_topological (l : Csc.t) (order : int array) : bool =
           if i <> j && pos.(i) >= 0 && pos.(i) <= pos.(j) then ok := false))
     order;
   !ok
+
+(* Share of the columns j < n-1 with an edge j -> j+1, i.e. L(j+1, j)
+   stored: how far natural order is one long dependence chain, where each
+   column waits for the previous one. Rows are sorted and the diagonal
+   comes first, so the edge, when present, is the column's second entry:
+   O(n), allocation-free. 0 when n < 2. *)
+let chain_share (l : Csc.t) : float =
+  let n = l.Csc.ncols in
+  let lp = l.Csc.colptr and li = l.Csc.rowind in
+  let linked = ref 0 in
+  for j = 0 to n - 2 do
+    let p = lp.(j) + 1 in
+    if p < lp.(j + 1) && li.(p) = j + 1 then incr linked
+  done;
+  if n < 2 then 0.0 else float_of_int !linked /. float_of_int (n - 1)
+
+(* Level order of DG_L taken window by window. The columns are cut into
+   runs of [window] consecutive columns; within a run, column j's level is
+   the longest path to it from the run's own columns (edges from earlier
+   runs are satisfied by then), and the run is listed by level, ascending
+   index within a level. Every edge therefore points to a later run or a
+   higher level: the result is a topological order. One pass per run
+   finalizes its levels, because all of j's predecessors have smaller
+   index. Returns [(level_ptr, order)]: level [l] (counted over all runs)
+   occupies [order.(level_ptr.(l)) .. order.(level_ptr.(l+1) - 1)]. Besides
+   the two results, only window-sized scratch is allocated. *)
+let level_order ~(window : int) (l : Csc.t) : int array * int array =
+  if window < 1 then invalid_arg "Dep_graph.level_order: window < 1";
+  let n = l.Csc.ncols in
+  let lp = l.Csc.colptr and li = l.Csc.rowind in
+  let order = Array.make n 0 in
+  let level = Array.make (min window n) 0 in
+  let runs = ref [] in
+  let base = ref 0 in
+  while !base < n do
+    let b = !base in
+    let hi = min n (b + window) in
+    Array.fill level 0 (hi - b) 0;
+    let depth = ref 0 in
+    for j = b to hi - 1 do
+      let lj = level.(j - b) in
+      if lj >= !depth then depth := lj + 1;
+      for p = lp.(j) + 1 to lp.(j + 1) - 1 do
+        let i = li.(p) in
+        if i < hi && level.(i - b) <= lj then level.(i - b) <- lj + 1
+      done
+    done;
+    (* Counting sort of the run by level: [start.(d)] is level d's first
+       slot, then its next one. *)
+    let start = Array.make (!depth + 1) 0 in
+    for j = b to hi - 1 do
+      let d = level.(j - b) + 1 in
+      start.(d) <- start.(d) + 1
+    done;
+    for d = 1 to !depth do
+      start.(d) <- start.(d) + start.(d - 1)
+    done;
+    runs := Array.init !depth (fun d -> b + start.(d)) :: !runs;
+    for j = b to hi - 1 do
+      let d = level.(j - b) in
+      order.(b + start.(d)) <- j;
+      start.(d) <- start.(d) + 1
+    done;
+    base := hi
+  done;
+  (Array.concat (List.rev ([| n |] :: !runs)), order)

@@ -54,43 +54,15 @@ let fill (t : t) : Fill_pattern.t =
       t.fill_runs <- t.fill_runs + 1;
       f
 
-(* Level schedule of the lower-triangular dependence graph: column [j] can
-   run once every column it reads from has run; one ascending pass
-   finalizes levels because all of [j]'s predecessors have smaller index.
-   Returned as (level_ptr, level_cols): level [l]'s columns occupy
-   [level_cols.(level_ptr.(l)) .. level_cols.(level_ptr.(l+1) - 1)],
-   ascending within each level. *)
+(* Level schedule of the lower-triangular dependence graph: the level
+   order of [Dep_graph.level_order] in one window spanning every column. *)
 let levels (t : t) : int array * int array =
   match t.levels_ with
   | Some ls -> ls
   | None ->
-      let l = t.pattern in
-      let n = l.Csc.ncols in
-      let lp = l.Csc.colptr and li = l.Csc.rowind in
-      let level = Array.make n 0 in
-      let nlevels = ref 0 in
-      for j = 0 to n - 1 do
-        let lj = level.(j) in
-        if lj >= !nlevels then nlevels := lj + 1;
-        for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-          let r = li.(p) in
-          if level.(r) < lj + 1 then level.(r) <- lj + 1
-        done
-      done;
-      let level_ptr = Array.make (!nlevels + 1) 0 in
-      for j = 0 to n - 1 do
-        level_ptr.(level.(j) + 1) <- level_ptr.(level.(j) + 1) + 1
-      done;
-      for l = 0 to !nlevels - 1 do
-        level_ptr.(l + 1) <- level_ptr.(l + 1) + level_ptr.(l)
-      done;
-      let cursor = Array.copy level_ptr in
-      let level_cols = Array.make n 0 in
-      for j = 0 to n - 1 do
-        level_cols.(cursor.(level.(j))) <- j;
-        cursor.(level.(j)) <- cursor.(level.(j)) + 1
-      done;
-      let ls = (level_ptr, level_cols) in
+      let ls =
+        Dep_graph.level_order ~window:(max 1 t.pattern.Csc.ncols) t.pattern
+      in
       t.levels_ <- Some ls;
       t.levels_runs <- t.levels_runs + 1;
       ls

@@ -7,6 +7,18 @@ let close ?(eps = 1e-8) a b = Utils.max_rel_diff a b < eps
 let check_close ?(eps = 1e-8) msg a b =
   Alcotest.(check bool) msg true (close ~eps a b)
 
+(* Bit-for-bit equality of float arrays: the lengths, then every element's
+   IEEE-754 bit pattern. Structural [=] is not bitwise: it equates 0.0 with
+   -0.0 and rejects two identical NaNs. *)
+let same_bits (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let bitwise msg (a : float array) (b : float array) =
+  Alcotest.(check bool) msg true (same_bits a b)
+
 (* The paper's Figure 1 example system (0-indexed): a 10x10 lower-triangular
    matrix whose dependence graph reproduces the reach-set of §2.2,
    Reach({1,6}) = {1,6,7,8,9,10} in the paper's 1-based numbering. *)

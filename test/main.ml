@@ -16,6 +16,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("ordering-stage", Test_ordering.suite);
       ("pipeline", Test_pipeline.suite);
+      ("sweeps", Test_sweeps.suite);
       ("native", Test_native.suite);
       ("updown", Test_updown.suite);
       ("regressions", Test_regressions.suite);

@@ -25,9 +25,6 @@ let _ = Check_lu.cache_stats
 let _ = Check_ic0.cache_stats
 let _ = Check_ilu0.cache_stats
 
-let bitwise msg (a : float array) (b : float array) =
-  Alcotest.(check bool) msg true (a = b)
-
 (* Per-call minor-heap delta over repeated calls after two warmups (the
    warmups also absorb the lazy pool spawn). *)
 let minor_words_per_call f =
@@ -178,7 +175,7 @@ let test_cholesky_determinism_suite () =
       let p = Cholesky_parallel.make_plan ~ndomains:nd c in
       for i = 1 to 2 do
         Cholesky_parallel.factor_ip p al;
-        bitwise
+        Helpers.bitwise
           (Printf.sprintf "suite cholesky ndomains=%d call=%d" nd i)
           l.Csc.values p.Cholesky_parallel.l.Csc.values
       done)
@@ -195,7 +192,7 @@ let test_trisolve_determinism_suite () =
     (fun nd ->
       let p = Trisolve_parallel.make_plan ~ndomains:nd c in
       for i = 1 to 2 do
-        bitwise
+        Helpers.bitwise
           (Printf.sprintf "suite trisolve ndomains=%d call=%d" nd i)
           reference
           (Trisolve_parallel.solve_ip p b)
@@ -212,7 +209,7 @@ let test_determinism_wide_level () =
   List.iter
     (fun nd ->
       let p = Trisolve_parallel.make_plan ~ndomains:nd c in
-      bitwise
+      Helpers.bitwise
         (Printf.sprintf "wide-level trisolve ndomains=%d" nd)
         reference
         (Trisolve_parallel.solve_ip p b))
@@ -239,7 +236,7 @@ let test_determinism_degenerate () =
   List.iter
     (fun nd ->
       let p = Trisolve_parallel.make_plan ~ndomains:nd dc in
-      bitwise
+      Helpers.bitwise
         (Printf.sprintf "diagonal trisolve ndomains=%d" nd)
         reference
         (Trisolve_parallel.solve_ip p b))
@@ -248,7 +245,8 @@ let test_determinism_degenerate () =
   let seq = Cholesky_parallel.factor dcc d in
   let dp = Cholesky_parallel.make_plan ~ndomains:4 dcc in
   Cholesky_parallel.factor_ip dp d;
-  bitwise "diagonal cholesky" seq.Csc.values dp.Cholesky_parallel.l.Csc.values
+  Helpers.bitwise "diagonal cholesky"
+    seq.Csc.values dp.Cholesky_parallel.l.Csc.values
 
 (* ---- pool lifecycle: allocation and counters ---- *)
 
@@ -299,10 +297,11 @@ let test_facade_cholesky_ndomains () =
   let fseq = Sympiler.Cholesky.execute_ip pseq al in
   let f1 = Sympiler.Cholesky.execute_ip p1 al in
   let f4 = Sympiler.Cholesky.execute_ip p4 al in
-  bitwise "facade sequential == ndomains:1" fseq.Csc.values f1.Csc.values;
-  bitwise "facade ndomains:1 == ndomains:4" f1.Csc.values f4.Csc.values;
+  Helpers.bitwise "facade sequential == ndomains:1"
+    fseq.Csc.values f1.Csc.values;
+  Helpers.bitwise "facade ndomains:1 == ndomains:4" f1.Csc.values f4.Csc.values;
   let f4' = Sympiler.Cholesky.execute_ip p4 al in
-  bitwise "facade parallel plan reuse" fseq.Csc.values f4'.Csc.values;
+  Helpers.bitwise "facade parallel plan reuse" fseq.Csc.values f4'.Csc.values;
   Alcotest.(check bool) "plan_factor view is the executed factor" true
     (Sympiler.Cholesky.plan_factor p4 == f4')
 
@@ -316,7 +315,8 @@ let test_facade_simplicial_ignores_ndomains () =
   let p = Sympiler.Cholesky.plan ~ndomains:4 h in
   let f = Sympiler.Cholesky.execute_ip p al in
   let fresh = Sympiler.Cholesky.factor h al in
-  bitwise "simplicial plan ignores ndomains" fresh.Csc.values f.Csc.values
+  Helpers.bitwise "simplicial plan ignores ndomains"
+    fresh.Csc.values f.Csc.values
 
 let test_facade_trisolve_ndomains () =
   let l = Generators.random_lower ~seed:51 ~n:300 ~density:0.03 () in
@@ -326,9 +326,9 @@ let test_facade_trisolve_ndomains () =
   let p4 = Sympiler.Trisolve.plan ~ndomains:4 t in
   let x1 = Array.copy (Sympiler.Trisolve.execute_ip p1 b) in
   let x4 = Sympiler.Trisolve.execute_ip p4 b in
-  bitwise "facade trisolve ndomains:1 == ndomains:4" x1 x4;
+  Helpers.bitwise "facade trisolve ndomains:1 == ndomains:4" x1 x4;
   let x4' = Sympiler.Trisolve.execute_ip p4 b in
-  bitwise "facade trisolve pool reuse" x1 x4';
+  Helpers.bitwise "facade trisolve pool reuse" x1 x4';
   let oracle = Helpers.oracle_lower_solve l (Vector.sparse_to_dense b) in
   Helpers.check_close "level-set facade solve is correct" oracle x4
 
@@ -340,8 +340,8 @@ let test_facade_ldlt () =
   let fresh = Sympiler.Ldlt.factor h al in
   let p = Sympiler.Ldlt.plan ~ndomains:4 h in
   let f = Sympiler.Ldlt.execute_ip p al in
-  bitwise "ldlt facade L" fresh.Ldlt.l.Csc.values f.Ldlt.l.Csc.values;
-  bitwise "ldlt facade D" fresh.Ldlt.d f.Ldlt.d;
+  Helpers.bitwise "ldlt facade L" fresh.Ldlt.l.Csc.values f.Ldlt.l.Csc.values;
+  Helpers.bitwise "ldlt facade D" fresh.Ldlt.d f.Ldlt.d;
   Alcotest.(check bool) "ldlt c_code" true
     (String.length (Sympiler.Ldlt.c_code h) > 200);
   let cache = Sympiler.Plan_cache.create () in
@@ -355,8 +355,8 @@ let test_facade_lu () =
   let fresh = Sympiler.Lu.factor h a in
   let p = Sympiler.Lu.plan h in
   let f = Sympiler.Lu.execute_ip p a in
-  bitwise "lu facade L" fresh.Lu.l.Csc.values f.Lu.l.Csc.values;
-  bitwise "lu facade U" fresh.Lu.u.Csc.values f.Lu.u.Csc.values;
+  Helpers.bitwise "lu facade L" fresh.Lu.l.Csc.values f.Lu.l.Csc.values;
+  Helpers.bitwise "lu facade U" fresh.Lu.u.Csc.values f.Lu.u.Csc.values;
   Alcotest.(check bool) "lu flops recorded" true (h.Sympiler.Lu.flops > 0.0);
   Alcotest.(check bool) "lu c_code" true
     (String.length (Sympiler.Lu.c_code h) > 200);
@@ -372,7 +372,7 @@ let test_facade_ic0 () =
   let fresh = Sympiler.Ic0.factor h al in
   let p = Sympiler.Ic0.plan h in
   let f = Sympiler.Ic0.execute_ip p al in
-  bitwise "ic0 facade values" fresh.Csc.values f.Csc.values;
+  Helpers.bitwise "ic0 facade values" fresh.Csc.values f.Csc.values;
   Alcotest.(check bool) "ic0 c_code" true
     (String.length (Sympiler.Ic0.c_code h) > 200);
   Alcotest.(check bool) "ic0 rejects non-lower" true
@@ -388,7 +388,7 @@ let test_facade_ilu0 () =
   let fresh = Sympiler.Ilu0.factor h a in
   let p = Sympiler.Ilu0.plan h in
   let f = Sympiler.Ilu0.execute_ip p a in
-  bitwise "ilu0 facade values" fresh.Ilu0.values f.Ilu0.values;
+  Helpers.bitwise "ilu0 facade values" fresh.Ilu0.values f.Ilu0.values;
   Alcotest.(check bool) "ilu0 c_code" true
     (String.length (Sympiler.Ilu0.c_code h) > 200)
 

@@ -9,9 +9,6 @@ module Pl = Sympiler.Pipeline
    share each analysis artifact across stages (ledger <= 1), and survive
    the degenerate DAGs (single stage, factor-only, 0x0, repeated stages). *)
 
-let bitwise msg (a : float array) (b : float array) =
-  Alcotest.(check bool) msg true (a = b)
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -90,10 +87,10 @@ let test_fused_staged_bitwise () =
       let b = rhs m.Csc.ncols in
       let xf = Array.copy (Pl.execute_ip p ~a:m b) in
       let xs = Pl.staged_execute_ip p ~a:m b in
-      bitwise (name ^ ": fused == staged") xf xs;
+      Helpers.bitwise (name ^ ": fused == staged") xf xs;
       (* apply-only path (no refactorization) agrees too *)
       let xf' = Array.copy (Pl.execute_ip p b) in
-      bitwise (name ^ ": apply-only fused == staged") xf'
+      Helpers.bitwise (name ^ ": apply-only fused == staged") xf'
         (Pl.staged_execute_ip p b))
     (family_cases ())
 
@@ -109,8 +106,8 @@ let test_factorless_chain () =
   let y = Array.copy b in
   Stages.lower_ip l y;
   Stages.ltrans_ip l y;
-  bitwise "factorless L/L^T == stage oracle" y x;
-  bitwise "factorless fused == staged" (Array.copy x)
+  Helpers.bitwise "factorless L/L^T == stage oracle" y x;
+  Helpers.bitwise "factorless fused == staged" (Array.copy x)
     (Pl.staged_execute_ip p b)
 
 let test_repeated_stages () =
@@ -126,8 +123,8 @@ let test_repeated_stages () =
     Stages.lower_ip l y;
     Stages.ltrans_ip l y
   done;
-  bitwise "repeated solves == oracle" y x;
-  bitwise "repeated solves fused == staged" x (Pl.staged_execute_ip p b)
+  Helpers.bitwise "repeated solves == oracle" y x;
+  Helpers.bitwise "repeated solves fused == staged" x (Pl.staged_execute_ip p b)
 
 (* ---- degenerate DAGs ---- *)
 
@@ -138,19 +135,20 @@ let test_single_stage () =
   let x = Pl.execute_ip (Pl.plan t) b in
   let y = Array.copy b in
   Stages.lower_ip l y;
-  bitwise "single Lower_solve == oracle" y x;
+  Helpers.bitwise "single Lower_solve == oracle" y x;
   let ts = Pl.compile (Pl.stage Pl.Spmv) l in
   let xs = Pl.execute_ip (Pl.plan ts) b in
   let ys = Array.make 10 0.0 in
   Stages.spmv_into l b ys;
-  bitwise "single Spmv == oracle" ys xs
+  Helpers.bitwise "single Spmv == oracle" ys xs
 
 let test_factor_only () =
   let al = spd_lower () in
   let t = Pl.compile (Pl.stage (Pl.Factor `Cholesky)) al in
   let p = Pl.plan t in
   let b = rhs al.Csc.ncols in
-  bitwise "factor-only DAG passes b through" b (Pl.execute_ip p ~a:al b);
+  Helpers.bitwise "factor-only DAG passes b through"
+    b (Pl.execute_ip p ~a:al b);
   raises_invalid "factor-only DAG has no fused C" (fun () -> Pl.c_code t)
 
 let empty_csc () =
@@ -195,17 +193,56 @@ let test_validation () =
   raises_invalid "LU chains have no fused C" (fun () ->
       Pl.c_code (Pl.compile (Pl.factor_solve `Lu) a))
 
+(* A call rejected for its [b] must leave the plan as it was: the next
+   apply-only call equals a fresh plan's, bit for bit. [~a] carries new
+   values, which must not reach the SpMV operand or a factorless chain's
+   L before [b] is checked. *)
+let test_rejected_call_leaves_plan () =
+  let al = spd_lower () in
+  let l = Generators.random_lower ~seed:21 ~n:90 ~density:0.1 () in
+  let scaled (m : Csc.t) =
+    { m with Csc.values = Array.map (fun v -> 2.0 *. v) m.Csc.values }
+  in
+  List.iter
+    (fun (name, dag, m) ->
+      let t = Pl.compile (Pl.of_stages dag) m in
+      let b = rhs m.Csc.ncols in
+      let p = Pl.plan t in
+      ignore (Pl.execute_ip p ~a:m b);
+      raises_invalid (name ^ ": short b rejected") (fun () ->
+          Pl.execute_ip p ~a:(scaled m) (rhs 3));
+      let fresh = Pl.plan t in
+      ignore (Pl.execute_ip fresh ~a:m b);
+      Helpers.bitwise
+        (name ^ ": next apply == fresh plan")
+        (Array.copy (Pl.execute_ip fresh b))
+        (Pl.execute_ip p b))
+    [
+      ("spmv+cholesky", [ Pl.Spmv; Pl.Factor `Cholesky; Pl.Solve ], al);
+      ("factorless", [ Pl.Lower_solve; Pl.Upper_solve ], l);
+    ]
+
 (* ---- zero allocation in the fused steady state ---- *)
 
+(* Cholesky keeps the column sweeps; IC(0) on a natural grid runs the
+   level-ordered ones. *)
 let test_zero_alloc () =
-  let al = spd_lower () in
-  let t = Pl.compile (Pl.factor_solve `Cholesky) al in
-  let p = Pl.plan t in
-  let b = rhs al.Csc.ncols in
-  Pl.factor_ip p al;
-  Alcotest.(check int)
-    "fused apply minor words/call" 0
-    (minor_words_per_call (fun () -> ignore (Pl.execute_ip p b)))
+  List.iter
+    (fun (name, family, al) ->
+      let t = Pl.compile (Pl.factor_solve family) al in
+      let p = Pl.plan t in
+      let b = rhs al.Csc.ncols in
+      Pl.factor_ip p al;
+      Alcotest.(check int)
+        (name ^ ": fused apply minor words/call")
+        0
+        (minor_words_per_call (fun () -> ignore (Pl.execute_ip p b))))
+    [
+      ("cholesky", `Cholesky, spd_lower ());
+      ( "ic0, natural grid",
+        `Ic0,
+        Csc.lower (Generators.grid2d ~stencil:`Five 40 40) );
+    ]
 
 (* ---- shared analysis and metadata ---- *)
 
@@ -352,7 +389,7 @@ let qcheck_factor_position =
         Array.copy (Pl.execute_ip p b)
       in
       let x0 = run 0 in
-      List.for_all (fun i -> run i = x0) [ 1; 2; 3 ])
+      List.for_all (fun i -> Helpers.same_bits (run i) x0) [ 1; 2; 3 ])
 
 let qcheck_fused_is_staged =
   Helpers.qtest ~count:40 "fused == staged (bitwise) on random SPD"
@@ -366,7 +403,7 @@ let qcheck_fused_is_staged =
              al)
       in
       let xf = Array.copy (Pl.execute_ip p ~a:al b) in
-      xf = Pl.staged_execute_ip p ~a:al b)
+      Helpers.same_bits xf (Pl.staged_execute_ip p ~a:al b))
 
 let suite =
   [
@@ -382,6 +419,8 @@ let suite =
     Alcotest.test_case "factor-only DAG" `Quick test_factor_only;
     Alcotest.test_case "0x0 pipelines" `Quick test_empty;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "rejected call leaves the plan unchanged" `Quick
+      test_rejected_call_leaves_plan;
     Alcotest.test_case "zero alloc: fused apply" `Quick test_zero_alloc;
     Alcotest.test_case "one shared analysis" `Quick test_analysis_shared;
     Alcotest.test_case "AMD-ordered pipeline" `Quick test_ordering_amd;

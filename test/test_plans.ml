@@ -9,9 +9,6 @@ open Sympiler_prof
    physically-equal handles on hits, skip the symbolic phase, and evict in
    LRU order. *)
 
-let bitwise msg (a : float array) (b : float array) =
-  Alcotest.(check bool) msg true (a = b)
-
 (* A mid-sized SPD fixture whose factor has both wide and narrow
    supernodes. *)
 let spd () = Generators.clique_chain ~seed:3 ~n:120 ~clique:10 ~overlap:3 ()
@@ -38,7 +35,7 @@ let test_supernodal_plan_bitwise () =
   let p = Cholesky_supernodal.Sympiler.make_plan c in
   for i = 1 to 3 do
     Cholesky_supernodal.Sympiler.factor_ip p al;
-    bitwise
+    Helpers.bitwise
       (Printf.sprintf "supernodal factor_ip #%d == fresh factor" i)
       fresh.Csc.values p.Cholesky_supernodal.Sympiler.l.Csc.values
   done
@@ -50,7 +47,7 @@ let test_simplicial_plan_bitwise () =
   let p = Cholesky_ref.Decoupled.make_plan c in
   for i = 1 to 3 do
     Cholesky_ref.Decoupled.factor_ip p al;
-    bitwise
+    Helpers.bitwise
       (Printf.sprintf "simplicial factor_ip #%d == fresh factor" i)
       fresh.Csc.values p.Cholesky_ref.Decoupled.l.Csc.values
   done
@@ -63,8 +60,9 @@ let test_ldlt_plan_bitwise () =
   for _ = 1 to 2 do
     Ldlt.factor_ip p al
   done;
-  bitwise "ldlt L values" fresh.Ldlt.l.Csc.values p.Ldlt.f.Ldlt.l.Csc.values;
-  bitwise "ldlt D values" fresh.Ldlt.d p.Ldlt.f.Ldlt.d
+  Helpers.bitwise "ldlt L values"
+    fresh.Ldlt.l.Csc.values p.Ldlt.f.Ldlt.l.Csc.values;
+  Helpers.bitwise "ldlt D values" fresh.Ldlt.d p.Ldlt.f.Ldlt.d
 
 let test_lu_plan_bitwise () =
   let a = spd () in
@@ -74,8 +72,10 @@ let test_lu_plan_bitwise () =
   for _ = 1 to 2 do
     Lu.Sympiler.factor_ip p a
   done;
-  bitwise "lu L values" fresh.Lu.l.Csc.values p.Lu.Sympiler.f.Lu.l.Csc.values;
-  bitwise "lu U values" fresh.Lu.u.Csc.values p.Lu.Sympiler.f.Lu.u.Csc.values
+  Helpers.bitwise "lu L values"
+    fresh.Lu.l.Csc.values p.Lu.Sympiler.f.Lu.l.Csc.values;
+  Helpers.bitwise "lu U values"
+    fresh.Lu.u.Csc.values p.Lu.Sympiler.f.Lu.u.Csc.values
 
 let test_ic0_plan_bitwise () =
   let al = spd_lower () in
@@ -85,7 +85,7 @@ let test_ic0_plan_bitwise () =
   for _ = 1 to 2 do
     Ic0.factor_ip p al
   done;
-  bitwise "ic0 values" fresh.Csc.values p.Ic0.l.Csc.values
+  Helpers.bitwise "ic0 values" fresh.Csc.values p.Ic0.l.Csc.values
 
 let test_ilu0_plan_bitwise () =
   let a = spd () in
@@ -95,7 +95,7 @@ let test_ilu0_plan_bitwise () =
   for _ = 1 to 2 do
     Ilu0.factor_ip p a
   done;
-  bitwise "ilu0 values" fresh.Ilu0.values p.Ilu0.f.Ilu0.values
+  Helpers.bitwise "ilu0 values" fresh.Ilu0.values p.Ilu0.f.Ilu0.values
 
 let test_trisolve_plan_bitwise () =
   let l = Generators.random_lower ~seed:21 ~n:90 ~density:0.1 () in
@@ -105,7 +105,8 @@ let test_trisolve_plan_bitwise () =
   let p = Trisolve_sympiler.make_plan c in
   for i = 1 to 3 do
     let x = Trisolve_sympiler.solve_ip p b in
-    bitwise (Printf.sprintf "trisolve solve_ip #%d == solve_full" i) fresh x
+    Helpers.bitwise (Printf.sprintf "trisolve solve_ip #%d == solve_full" i)
+      fresh x
   done
 
 let test_trisolve_parallel_plan_bitwise () =
@@ -114,11 +115,11 @@ let test_trisolve_parallel_plan_bitwise () =
   let b = Array.init 90 (fun i -> sin (float_of_int i)) in
   let fresh = Trisolve_parallel.solve c b in
   let seq = Trisolve_parallel.make_plan c in
-  bitwise "parallel-trisolve sequential plan" fresh
+  Helpers.bitwise "parallel-trisolve sequential plan" fresh
     (Trisolve_parallel.solve_ip seq b);
   let par = Trisolve_parallel.make_plan ~ndomains:3 c in
   for i = 1 to 2 do
-    bitwise
+    Helpers.bitwise
       (Printf.sprintf "parallel-trisolve 3-domain plan #%d" i)
       fresh
       (Trisolve_parallel.solve_ip par b)
@@ -131,7 +132,7 @@ let test_cholesky_parallel_plan_bitwise () =
   let p = Cholesky_parallel.make_plan ~ndomains:3 c in
   for i = 1 to 2 do
     Cholesky_parallel.factor_ip p al;
-    bitwise
+    Helpers.bitwise
       (Printf.sprintf "parallel-cholesky factor_ip #%d" i)
       fresh.Csc.values p.Cholesky_parallel.l.Csc.values
   done
@@ -145,7 +146,8 @@ let test_facade_plan_bitwise () =
   let p = Sympiler.Cholesky.plan h in
   let view = Sympiler.Cholesky.plan_factor p in
   ignore (Sympiler.Cholesky.execute_ip p al);
-  bitwise "facade execute_ip == factor" fresh.Csc.values view.Csc.values;
+  Helpers.bitwise "facade execute_ip == factor"
+    fresh.Csc.values view.Csc.values;
   Alcotest.(check bool)
     "plan_factor view is stable" true
     (view == Sympiler.Cholesky.plan_factor p)
@@ -160,7 +162,7 @@ let test_plan_reusable_after_failure () =
   (try Cholesky_ref.Decoupled.factor_ip p bad
    with Cholesky_ref.Not_positive_definite _ -> ());
   Cholesky_ref.Decoupled.factor_ip p al;
-  bitwise "simplicial plan recovers after Not_positive_definite"
+  Helpers.bitwise "simplicial plan recovers after Not_positive_definite"
     fresh.Csc.values p.Cholesky_ref.Decoupled.l.Csc.values
 
 (* ---- zero allocation in steady state ---- *)

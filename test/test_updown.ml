@@ -10,9 +10,6 @@ module SL = Sympiler.Ldlt
    factorization of A + sigma w w^T, path-table memoization counters,
    pattern escalation, and incremental refactorization. *)
 
-let bitwise msg (a : float array) (b : float array) =
-  Alcotest.(check bool) msg true (a = b)
-
 let minor_words_per_call f =
   f ();
   f ();
@@ -66,7 +63,8 @@ let test_malformed_w_rejected () =
          SC.update_ip p w;
          false
        with Invalid_argument _ -> true);
-    bitwise (msg ^ ": factor untouched") before (SC.plan_factor p).Csc.values
+    Helpers.bitwise (msg ^ ": factor untouched")
+      before (SC.plan_factor p).Csc.values
   in
   (* Permuted (unsorted) indices: this used to corrupt L silently — the
      old code read jmin off indices.(0) and walked the wrong path. *)
@@ -134,7 +132,8 @@ let test_downdate_rollback () =
        SC.downdate_ip p ~sigma:1e9 w;
        false
      with Rank_update.Not_positive_definite _ -> true);
-  bitwise "factor rolled back bitwise" before (SC.plan_factor p).Csc.values;
+  Helpers.bitwise "factor rolled back bitwise"
+    before (SC.plan_factor p).Csc.values;
   (* The plan stays fully usable: a sane downdate then a correct result. *)
   SC.downdate_ip p ~sigma:0.1 w;
   let a' = dense_updated a ~sigma:(-0.1) w in
@@ -340,7 +339,7 @@ let test_failed_escalation_preserves_plan () =
        false
      with _ -> true);
   Alcotest.(check bool) "no esc_map installed" true (p.SC.esc_map = None);
-  bitwise "factor untouched" before (SC.plan_factor p).Csc.values
+  Helpers.bitwise "factor untouched" before (SC.plan_factor p).Csc.values
 
 (* ---- incremental refactorization ---- *)
 
@@ -371,7 +370,7 @@ let test_refactor_cols_bitwise () =
   Alcotest.(check bool)
     (Printf.sprintf "local change recomputes few rows (%d < %d)" nrows n)
     true (nrows < n);
-  bitwise "incremental = full refactor (bitwise)"
+  Helpers.bitwise "incremental = full refactor (bitwise)"
     (SC.plan_factor p2).Csc.values (SC.plan_factor p1).Csc.values;
   (* Unchanged input: zero rows recomputed. *)
   Alcotest.(check int) "unchanged input recomputes nothing" 0
@@ -382,7 +381,7 @@ let test_refactor_cols_bitwise () =
   SC.update_ip p1 w;
   Alcotest.(check int) "post-update fallback recomputes all rows" n
     (SC.refactor_cols_ip p1 al2);
-  bitwise "post-fallback factor matches" (SC.plan_factor p2).Csc.values
+  Helpers.bitwise "post-fallback factor matches" (SC.plan_factor p2).Csc.values
     (SC.plan_factor p1).Csc.values
 
 let test_refactor_cols_supernodal_close () =
