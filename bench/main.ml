@@ -254,12 +254,12 @@ let fig7 () =
          matrices with small supernodes (3,4,5,7 there). *)
       let t_sym = Sympiler.Cholesky.compile al in
       let variant =
-        match t_sym.Sympiler.Cholesky.variant with
+        match Sympiler.Cholesky.variant t_sym with
         | Sympiler.Cholesky.Supernodal -> "supernodal"
         | Sympiler.Cholesky.Simplicial -> "simplicial"
       in
       let t_vsblk, t_full =
-        match t_sym.Sympiler.Cholesky.variant with
+        match Sympiler.Cholesky.variant t_sym with
         | Sympiler.Cholesky.Supernodal ->
             let cg =
               Cholesky_supernodal.Sympiler.compile ~specialized:false al
@@ -737,7 +737,7 @@ let steady () =
         let h' = Sympiler.Cholesky.compile ~cache:chol_cache al in
         assert (h' == h);
         let variant =
-          match h.Sympiler.Cholesky.variant with
+          match Sympiler.Cholesky.variant h with
           | Sympiler.Cholesky.Supernodal -> "supernodal"
           | Sympiler.Cholesky.Simplicial -> "simplicial"
         in
@@ -823,13 +823,11 @@ let steady () =
 
 (* ---------------------------------------------------------------- *)
 (* Native backend: race the OCaml executors against the same emitted C
-   compiled into a shared object (`Native), plus the ablation arm with
-   vectorize annotations stripped and -fno-tree-vectorize (`Native_novec).
-   For trisolve / Cholesky / LDLT on a suite subset: per-call steady time
-   under all three engines, the native plan's compile+dlopen latency and
-   cache origin, GC minor words per native call (must be 0), and a
-   reload experiment proving a steady-state .so-cache hit never re-invokes
-   the C compiler. Writes BENCH_native.json; when no C compiler is found
+   compiled into a shared object (`Native). For trisolve / Cholesky / LDLT
+   on a suite subset: per-call steady time under both engines, the native
+   plan's compile+dlopen latency and cache origin, GC minor words per
+   native call (must be 0), and a reload experiment proving a steady-state
+   .so-cache hit never re-invokes the C compiler. Writes BENCH_native.json; when no C compiler is found
    the section writes an explicit skipped marker instead. *)
 
 module Nat = Sympiler.Native
@@ -853,8 +851,8 @@ let native_bench () =
     write_bench "BENCH_native.json" doc
   end
   else begin
-    Printf.printf "%-3s %-15s %-9s | %10s %10s %10s | %8s %-8s %5s\n" "ID"
-      "Name" "kernel" "ocaml" "native" "novec" "plan" "origin" "words";
+    Printf.printf "%-3s %-15s %-9s | %10s %10s | %8s %-8s %5s\n" "ID" "Name"
+      "kernel" "ocaml" "native" "plan" "origin" "words";
     let gc_loops = if quick then 10 else 50 in
     let minor_words_per_call f =
       f ();
@@ -898,24 +896,20 @@ let native_bench () =
       run_n ();
       let native_s = measure run_n in
       let words = minor_words_per_call run_n in
-      let run_v, _ = mk `Native_novec in
-      run_v ();
-      let novec_s = measure run_v in
       all_zero := !all_zero && words = 0;
       let ok = native_s <= ocaml_s *. tol in
       (match family with
       | "trisolve" -> tri_ok := !tri_ok && ok
       | "cholesky" -> chol_ok := !chol_ok && ok
       | _ -> ());
-      Printf.printf "%-3d %-15s %-9s | %8.2fus %8.2fus %8.2fus | %7.2fs %-8s %5d\n"
-        id name family (ocaml_s *. 1e6) (native_s *. 1e6) (novec_s *. 1e6)
-        plan_s (origin_str e) words;
+      Printf.printf "%-3d %-15s %-9s | %8.2fus %8.2fus | %7.2fs %-8s %5d\n" id
+        name family (ocaml_s *. 1e6) (native_s *. 1e6) plan_s (origin_str e)
+        words;
       Prof.Json.Obj
         [
           ("family", Prof.Json.Str family);
           ("ocaml_steady_seconds", Prof.Json.Float ocaml_s);
           ("native_steady_seconds", Prof.Json.Float native_s);
-          ("novec_steady_seconds", Prof.Json.Float novec_s);
           ( "native_vs_ocaml_speedup",
             Prof.Json.Float (ocaml_s /. Float.max native_s 1e-12) );
           ("plan_seconds", Prof.Json.Float plan_s);
@@ -1037,8 +1031,8 @@ let native_bench () =
     in
     write_bench "BENCH_native.json" doc;
     section_note
-      "(ocaml/native/novec = per-call steady medians under the three\n\
-      \ engines; plan = `Native plan creation including any cc+dlopen;\n\
+      "(ocaml/native = per-call steady medians under the two engines;\n\
+      \ plan = `Native plan creation including any cc+dlopen;\n\
       \ origin = how the .so was served (compiled/disk/memory); words =\n\
       \ GC minor words per native call, 0 = allocation-free. Full data\n\
       \ written to BENCH_native.json)\n"
@@ -1679,12 +1673,16 @@ let large () =
               Gc.compact ())
             (fun () -> fill := Some (Fill_pattern.analyze al))
         in
-        let fill = Option.get !fill in
-        let store_bytes = Bigstore.memory_bytes (Fill_pattern.row_store fill) in
-        (* Compile shares the analysis just timed; its own cost (transpose
-           map, supernode detection, strategy selection) is what remains. *)
+        let store_bytes =
+          Bigstore.memory_bytes (Fill_pattern.row_store (Option.get !fill))
+        in
+        (* Drop the timed analysis before compiling, so peak RSS at 10^6
+           rows never holds two: the compile runs its own analysis, and
+           compile_seconds includes it. *)
+        fill := None;
+        Gc.compact ();
         let t0 = Prof.now_seconds () in
-        let h = Sympiler.Cholesky.compile ~opts:(Sympiler.Options.make ~fill ()) al in
+        let h = Sympiler.Cholesky.compile al in
         let compile_s = Prof.now_seconds () -. t0 in
         let plan = Sympiler.Cholesky.plan h in
         let factor_s =

@@ -152,7 +152,7 @@ let cholesky matrix problem ordering out profile trace metrics =
       al
   in
   Printf.eprintf "variant: %s, nnz(L)=%d, symbolic %.1f ms\n"
-    (match t.Sympiler.Cholesky.variant with
+    (match Sympiler.Cholesky.variant t with
     | Sympiler.Cholesky.Supernodal -> "supernodal"
     | Sympiler.Cholesky.Simplicial -> "simplicial")
     t.Sympiler.Cholesky.nnz_l
@@ -226,21 +226,20 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
   Printf.printf "ordering         : %s\n" (ordering_flag_name ordering);
   Printf.printf "nnz(L)           : %d\n" h.Sympiler.Cholesky.nnz_l;
   Printf.printf "variant          : %s\n"
-    (match h.Sympiler.Cholesky.variant with
+    (match Sympiler.Cholesky.variant h with
     | Sympiler.Cholesky.Supernodal -> "supernodal"
     | Sympiler.Cholesky.Simplicial -> "simplicial");
   Printf.printf "engine           : %s\n"
     (match (engine, p.Sympiler.Cholesky.native) with
     | `Ocaml, _ -> "ocaml"
-    | (`Native | `Native_novec), Some e ->
-        Printf.sprintf "%s (compiled C, %s in %.1f ms)"
-          (if engine = `Native then "native" else "native-novec")
+    | `Native, Some e ->
+        Printf.sprintf "native (compiled C, %s in %.1f ms)"
           (match e.Sympiler.Native_engine.nk.Sympiler.Native.origin with
           | Sympiler.Native.Compiled -> "cc+dlopen"
           | Sympiler.Native.Disk_cache -> "dlopen of cached .so"
           | Sympiler.Native.Memory_cache -> "in-process cache hit")
           (e.Sympiler.Native_engine.nk.Sympiler.Native.compile_seconds *. 1e3)
-    | (`Native | `Native_novec), None ->
+    | `Native, None ->
         "ocaml (native requested, but no C compiler - fell back)");
   Printf.printf "first call       : %.3f ms (compile + plan + factor)\n"
     (first *. 1e3);
@@ -655,19 +654,13 @@ let engine_arg =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("ocaml", `Ocaml);
-             ("native", `Native);
-             ("native-novec", `Native_novec);
-           ])
+        (enum [ ("ocaml", `Ocaml); ("native", `Native) ])
         `Ocaml
     & info [ "engine" ]
         ~doc:
-          "Numeric executor: $(b,ocaml) (default), $(b,native) (the emitted \
-           C compiled to a shared object and called in place), or \
-           $(b,native-novec) (native with vectorize annotations stripped). \
-           The native engines fall back to ocaml when no C compiler is \
+          "Numeric executor: $(b,ocaml) (default) or $(b,native) (the \
+           emitted C compiled to a shared object and called in place). \
+           The native engine falls back to ocaml when no C compiler is \
            found."
         ~docv:"ENGINE")
 

@@ -40,7 +40,7 @@ let () =
   Printf.printf "analysis+factorization: %.1f ms, nnz(L)=%d, variant %s\n"
     ((Unix.gettimeofday () -. t0) *. 1e3)
     chol.Sympiler.Cholesky.nnz_l
-    (match chol.Sympiler.Cholesky.variant with
+    (match Sympiler.Cholesky.variant chol with
     | Sympiler.Cholesky.Supernodal -> "supernodal"
     | Sympiler.Cholesky.Simplicial -> "simplicial");
 

@@ -20,7 +20,7 @@ let () =
   let chol = Sympiler.Cholesky.compile a_lower in
   Printf.printf "Cholesky compiled: %d nnz in L, %.0f flops, variant %s\n"
     chol.Sympiler.Cholesky.nnz_l chol.Sympiler.Cholesky.flops
-    (match chol.Sympiler.Cholesky.variant with
+    (match Sympiler.Cholesky.variant chol with
     | Sympiler.Cholesky.Supernodal -> "supernodal"
     | Sympiler.Cholesky.Simplicial -> "simplicial");
 

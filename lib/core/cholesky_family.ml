@@ -1,0 +1,177 @@
+open Sympiler_sparse
+open Sympiler_kernels
+open Sympiler_prof
+module Fill = Sympiler_symbolic.Fill_pattern
+module Supernodes = Sympiler_symbolic.Supernodes
+module Trace = Sympiler_trace.Trace
+
+(* Sparse Cholesky as a factor family: the inspector-guided strategy
+   decision (VI-Prune always, VS-Block by the paper's §4.2 threshold on the
+   supernode statistics of one fill analysis) and the three executors it
+   chooses between — supernodal, simplicial, and the level-parallel
+   supernodal one. [Sympiler.Cholesky] is the {!Factor.Make} instance over
+   this module, and [Pipeline] calls {!compile_fill} on its shared
+   analysis, so the decision is taken in one place. *)
+
+type variant = Supernodal | Simplicial
+
+type kernel =
+  | Sup of Cholesky_supernodal.Sympiler.compiled
+  | Simp of Cholesky_ref.Decoupled.compiled
+
+type compiled = {
+  kernel : kernel;
+  flops : float;
+  nnz_l : int;
+  decisions : Trace.decision list;
+}
+
+type kplan =
+  | PSup of Cholesky_supernodal.Sympiler.plan
+  | PSimp of Cholesky_ref.Decoupled.plan
+  | PPar of Cholesky_parallel.plan
+
+type output = Csc.t
+
+let name = "cholesky"
+let lower = true
+
+(* Minimum average supernode width for VS-Block to pay off. *)
+let default_threshold = 2.0
+
+let variant (c : compiled) =
+  match c.kernel with Sup _ -> Supernodal | Simp _ -> Simplicial
+
+(* The variant decision is taken on the cheap supernode statistics of
+   [fill] before any variant-specific planning is built. *)
+let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
+    compiled =
+  let n = a_lower.Csc.ncols in
+  let nnz_l = fill.Fill.l_pattern.Csc.colptr.(n) in
+  let threshold =
+    Option.value opts.Options.vs_block_threshold ~default:default_threshold
+  in
+  let go_supernodal, avg_width =
+    if opts.Options.simplicial then (false, Float.nan (* forced: never measured *))
+    else
+      let sn =
+        Supernodes.detect_etree ~counts:fill.Fill.counts ~parent:fill.Fill.parent
+          ()
+      in
+      let w = Supernodes.avg_width sn in
+      (w >= threshold, w)
+  in
+  (* VI-Prune always fires: the prune-sets are baked into both variants.
+     Its measured quantity is the fraction of the dense n*(n-1)/2
+     candidate updates the pattern removed. *)
+  let d_vi =
+    {
+      Trace.pass = "vi-prune";
+      fired = true;
+      metric = "pruned_iteration_ratio";
+      value =
+        (if n < 2 then 0.0
+         else
+           1.0
+           -. float_of_int (nnz_l - n)
+              /. (float_of_int n *. float_of_int (n - 1) /. 2.0));
+      threshold = 0.0;
+    }
+  in
+  let d_vs =
+    {
+      Trace.pass = "vs-block";
+      fired = go_supernodal;
+      metric = "avg_supernode_width";
+      value = avg_width;
+      threshold;
+    }
+  in
+  Trace.decision d_vi;
+  Trace.decision d_vs;
+  {
+    kernel =
+      (if go_supernodal then Sup (Cholesky_supernodal.Sympiler.compile ~fill a_lower)
+       else Simp (Cholesky_ref.Decoupled.compile ~fill a_lower));
+    flops = Fill.flops fill;
+    nnz_l;
+    decisions = [ d_vi; d_vs ];
+  }
+
+let compile (opts : Options.t) (a_lower : Csc.t) : compiled =
+  compile_fill ~opts (Fill.analyze a_lower) a_lower
+
+(* The two options the decision reads. *)
+let key (o : Options.t) =
+  Array.append
+    (Options.fp_threshold o.Options.vs_block_threshold)
+    [| Bool.to_int o.Options.simplicial |]
+
+(* [?ndomains] on a supernodal handle: levelize the already-compiled
+   supernode DAG (plan-time inspection, no re-analysis) and run levels on
+   the persistent domain pool, with the sequential executor's operation
+   sequence per target supernode — factors are bitwise-identical for any
+   domain count. The simplicial column code has no level schedule, so
+   [ndomains] is ignored there. *)
+let make_plan ?ndomains (c : compiled) : kplan =
+  match (c.kernel, ndomains) with
+  | Sup s, Some nd ->
+      PPar
+        (Prof.time "symbolic" (fun () ->
+             Cholesky_parallel.make_plan ~ndomains:nd
+               (Cholesky_parallel.levelize s)))
+  | Sup s, None -> PSup (Cholesky_supernodal.Sympiler.make_plan s)
+  | Simp s, _ -> PSimp (Cholesky_ref.Decoupled.make_plan s)
+
+let factor_ip (p : kplan) (a_lower : Csc.t) : unit =
+  match p with
+  | PSup p -> Cholesky_supernodal.Sympiler.factor_ip p a_lower
+  | PSimp p -> Cholesky_ref.Decoupled.factor_ip p a_lower
+  | PPar p -> Cholesky_parallel.factor_ip p a_lower
+
+let view : kplan -> Csc.t = function
+  | PSup p -> p.Cholesky_supernodal.Sympiler.l
+  | PSimp p -> p.Cholesky_ref.Decoupled.l
+  | PPar p -> p.Cholesky_parallel.l
+
+let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
+  match c.kernel with
+  | Sup s -> Cholesky_supernodal.Sympiler.factor s a_lower
+  | Simp s -> Cholesky_ref.Decoupled.factor s a_lower
+
+let flops (c : compiled) = c.flops
+let nnz_l (c : compiled) = c.nnz_l
+let decisions (c : compiled) = c.decisions
+
+(* b1 = Lx, plus b2 = f for the simplicial kernel (its accumulator
+   self-restores to zero after every column). Both emitted variants fully
+   rewrite Lx each call — the supernodal driver zeroes its panels, the
+   simplicial kernel assigns every entry from f — so only b0 needs
+   refreshing per call. The kernels return nothing. *)
+let native (c : compiled) (p : kplan) =
+  match c.kernel with
+  | Sup _ -> ("cholesky_supernodal", [| c.nnz_l |], false)
+  | Simp _ -> ("cholesky", [| c.nnz_l; (view p).Csc.ncols |], false)
+
+let copy_out (e : Native_engine.exec) (p : kplan) =
+  Native_engine.blit_out e.Native_engine.b1 (view p).Csc.values
+
+let pivot j = Cholesky_ref.Not_positive_definite j
+
+(* Rank updates (§3.3): the update plan borrows the plan's factor view, so
+   updates and refactors stay coherent without copying; every full
+   refactor refreshes the incremental-refactor diff baseline. *)
+type updown = Rank_update.plan
+
+let updown (p : kplan) (pattern : Csc.t) =
+  Rank_update.make_plan ~a_pattern:pattern (view p)
+
+let refactored (rk : updown) (a_lower : Csc.t) =
+  Rank_update.note_refactor rk a_lower.Csc.values
+
+(* The supernodal driver with its baked-in schedule, or the fully
+   specialized simplicial kernel from the AST pipeline. *)
+let c_code (c : compiled) (pattern : Csc.t) : string =
+  match c.kernel with
+  | Sup s -> Codegen_supernodal.to_c s pattern
+  | Simp _ -> (Sympiler_ir.Pipeline.cholesky pattern).Sympiler_ir.Pipeline.c_code

@@ -10,11 +10,6 @@ open Sympiler_prof
 module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
 
-let native_mode : Options.engine -> Native_engine.mode option = function
-  | `Ocaml -> None
-  | `Native -> Some Native_engine.Vec
-  | `Native_novec -> Some Native_engine.Novec
-
 (* Wall-clock timing for the [symbolic_seconds] report fields, also fed to
    the profiling layer's "symbolic" scope (reentrant, so the inspectors'
    own "symbolic" spans nest without double counting). The monotonic clock
@@ -43,12 +38,8 @@ let observe_compile ~family ~ordering seconds =
 
 (* The label reports the engine that will actually execute — a native
    request that degraded to the OCaml executor (no C compiler) says so. *)
-let engine_label (native : Native_engine.exec option) (engine : Options.engine)
-    =
-  match (native, engine) with
-  | Some _, `Native -> "native"
-  | Some _, `Native_novec -> "native-novec"
-  | _ -> "ocaml"
+let engine_label (native : Native_engine.exec option) =
+  if Option.is_some native then "native" else "ocaml"
 
 let execute_hist ~family ~op ~engine ~ordering =
   Metrics.histogram "sympiler_execute_seconds"
@@ -130,21 +121,27 @@ let resolve_ordering ~who (o : Options.ordering) (sym : Csc.t lazy_t) (n : int)
 let nnz_mismatch who =
   invalid_arg (who ^ ": input nnz does not match the compiled pattern")
 
-(* Allocation-free gather of natural-order input values into the permuted
-   scratch a plan owns. *)
-let gather_values ~who (map : int array) (src : float array) (dst : Csc.t) =
-  if Array.length src <> Array.length map then nnz_mismatch who;
+(* Allocation-free gather of [expect] natural-order input values into the
+   compiled-order scratch a plan owns. A [-1] map entry is a structural
+   zero: a Cholesky plan escalated by a rank update keeps taking the
+   original pattern, whose map misses the entries the update added. *)
+let gather_values ~who ~expect (map : int array) (src : float array)
+    (dst : Csc.t) =
+  if Array.length src <> expect then nnz_mismatch who;
   let dv = dst.Csc.values in
   for q = 0 to Array.length dv - 1 do
-    dv.(q) <- src.(map.(q))
+    let s = map.(q) in
+    dv.(q) <- (if s < 0 then 0.0 else src.(s))
   done
 
-(* The permuted-input scratch of an ordered plan: shares the compiled
-   pattern's structure arrays, owns its values. *)
+(* A compiled-order input scratch: shares the pattern's structure arrays,
+   owns its values. *)
+let values_scratch (pattern : Csc.t) : Csc.t =
+  { pattern with Csc.values = Array.make (Csc.nnz pattern) 0.0 }
+
+(* The permuted-input scratch of an ordered plan. *)
 let ordering_scratch (ord : applied_ordering) (pattern : Csc.t) : Csc.t option =
-  match ord.o_perm with
-  | None -> None
-  | Some _ -> Some { pattern with Csc.values = Array.make (Csc.nnz pattern) 0.0 }
+  Option.map (fun _ -> values_scratch pattern) ord.o_perm
 
 (* Bring a caller's natural-order values into compiled order: ordered plans
    gather into their [scratch], natural ones pass the input through. Either
@@ -155,7 +152,8 @@ let plan_input ~who (ord : applied_ordering) (scratch : Csc.t option)
     (pattern : Csc.t) (a : Csc.t) : Csc.t =
   match scratch with
   | Some s ->
-      gather_values ~who ord.o_map a.Csc.values s;
+      gather_values ~who ~expect:(Array.length ord.o_map) ord.o_map
+        a.Csc.values s;
       s
   | None ->
       if Array.length a.Csc.values <> Csc.nnz pattern then nnz_mismatch who;
@@ -197,3 +195,59 @@ let ordered_square ~who (ordering : Options.ordering) (a : Csc.t) :
       in
       let pa, map = Perm.permute_pattern p a in
       (pa, { o_perm = Some p; o_name = ordering_name o; o_map = map })
+
+(* ----------------------- Rank-update vector gather ---------------------- *)
+
+(* The plan-owned buffers a natural-order rank-update vector is carried
+   into compiled order through ([pinv] is the inverse permutation, [[||]]
+   on natural plans). *)
+type w_gather = { n : int; pinv : int array; wi : int array; wv : float array }
+
+let w_gather (ord : applied_ordering) (n : int) : w_gather =
+  {
+    n;
+    pinv = (match ord.o_perm with Some p -> Perm.inverse p | None -> [||]);
+    wi = Array.make (max 1 n) 0;
+    wv = Array.make (max 1 n) 0.0;
+  }
+
+(* Check [w] and gather it into [g]: map every index through [pinv],
+   tandem-insertion sort on ordered plans (update vectors are short —
+   typically the pattern of one factor column — so the quadratic sort
+   never shows), and require strictly increasing indices. The update
+   kernels are built with -unsafe, so everything is checked here, before
+   anything is written. Returns the entry count. Zero allocation. *)
+let gather_w ~who (g : w_gather) (w : Vector.sparse) : int =
+  let wi = w.Vector.indices and wv = w.Vector.values in
+  let len = Array.length wi in
+  let ordered = Array.length g.pinv > 0 in
+  if w.Vector.n <> g.n then invalid_arg (who ^ ": dimension mismatch");
+  if Array.length wv <> len then
+    invalid_arg (who ^ ": w values and indices differ in length");
+  if len > g.n then invalid_arg (who ^ ": w has more entries than n");
+  for k = 0 to len - 1 do
+    let i = wi.(k) in
+    if i < 0 || i >= g.n then invalid_arg (who ^ ": w index out of range");
+    g.wi.(k) <- (if ordered then g.pinv.(i) else i);
+    g.wv.(k) <- wv.(k)
+  done;
+  if ordered then
+    for k = 1 to len - 1 do
+      let ki = g.wi.(k) and kv = g.wv.(k) in
+      let t = ref (k - 1) in
+      while !t >= 0 && g.wi.(!t) > ki do
+        g.wi.(!t + 1) <- g.wi.(!t);
+        g.wv.(!t + 1) <- g.wv.(!t);
+        decr t
+      done;
+      g.wi.(!t + 1) <- ki;
+      g.wv.(!t + 1) <- kv
+    done;
+  for k = 1 to len - 1 do
+    if g.wi.(k - 1) >= g.wi.(k) then
+      invalid_arg
+        (who
+        ^ if ordered then ": w indices must be unique"
+          else ": w indices must be sorted and unique")
+  done;
+  len

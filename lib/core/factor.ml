@@ -2,10 +2,10 @@ open Sympiler_sparse
 open Sympiler_prof
 open Compile_common
 
-(* The four §3.3 factor families (LDL^T, LU, IC(0), ILU(0)) are one
-   pipeline — ordering, symbolic inspection, plan, engine — around
-   different kernels. [FAMILY] holds what differs; [Make] writes the rest
-   once and produces the family's {!KERNEL} module. *)
+(* The five factor families (Cholesky and the §3.3 LDL^T, LU, IC(0),
+   ILU(0)) are one pipeline — ordering, symbolic inspection, plan, engine —
+   around different kernels. [FAMILY] holds what differs; [Make] writes the
+   rest once and produces the family's {!KERNEL} module. *)
 
 (** The uniform kernel lifecycle every facade family implements (the
     contract is documented on {!Sympiler.KERNEL}). *)
@@ -48,9 +48,9 @@ end
     shared scaffold cannot derive. *)
 module type FAMILY = sig
   val name : string
-  (** ["ldlt"], ["lu"], ["ic0"] or ["ilu0"]: the stem of the family's span
-      names ([compile.<name>]), metric label, native kernel
-      ([<name>_factor]) and error messages ([Sympiler.<Name>.…]). *)
+  (** ["cholesky"], ["ldlt"], ["lu"], ["ic0"] or ["ilu0"]: the stem of the
+      family's span names ([compile.<name>]), metric label and error
+      messages ([Sympiler.<Name>.…]). *)
 
   val lower : bool
   (** [true]: the pattern is lower(A) (checked at compile time, ordered on
@@ -61,11 +61,18 @@ module type FAMILY = sig
   type output
 
   type updown
-  (** Family-owned lazy plan state (LDL^T's rank-update plan; [unit]
-      elsewhere). *)
+  (** Family-owned lazy rank-update state (the Cholesky and LDL^T update
+      plans; [unit] elsewhere). *)
 
-  val compile : Csc.t -> compiled
-  val make_plan : compiled -> kplan
+  val compile : Options.t -> Csc.t -> compiled
+  (** The symbolic phase on the compiled-order pattern. Reads no option
+      but those {!key} fingerprints (the ordering is applied before). *)
+
+  val key : Options.t -> int array
+  (** The options [compile] reads, as the family's slice of the cache
+      key ([[||]] when it reads none). *)
+
+  val make_plan : ?ndomains:int -> compiled -> kplan
   val factor_ip : kplan -> Csc.t -> unit
 
   val view : kplan -> output
@@ -76,9 +83,16 @@ module type FAMILY = sig
   val flops : compiled -> float
   (** Predicted flops of one factorization; [nan] without a model. *)
 
-  val native_sizes : kplan -> int array
-  (** Sizes of the native factor buffers b1, b2, … (b0 holds the input
-      values). *)
+  val nnz_l : compiled -> int
+  (** Stored entries of the factor (LU: of L and U; ILU(0): of L\U). *)
+
+  val decisions : compiled -> Trace.decision list
+  (** The transformation decisions [compile] took. *)
+
+  val native : compiled -> kplan -> string * int array * bool
+  (** The native kernel: its name, the sizes of its factor buffers b1, b2,
+      … (b0 holds the input values), and whether it returns a failing
+      pivot index (a non-negative [int]) rather than nothing. *)
 
   val copy_out : Native_engine.exec -> kplan -> unit
   (** Copy a native call's factor buffers into the plan's storage. *)
@@ -86,12 +100,27 @@ module type FAMILY = sig
   val pivot : int -> exn
   (** The exception for a pivot failure at the given index. *)
 
+  val updown : kplan -> Csc.t -> updown
+  (** Build the rank-update state over a plan and the compiled pattern. *)
+
+  val refactored : updown -> Csc.t -> unit
+  (** Told the compiled-order input of every full refactor. *)
+
   val c_code : compiled -> Csc.t -> string
   (** The emitted C, given the handle and its compiled pattern. *)
 end
 
+(** The rank-update slot of the families without one. *)
+module No_updown = struct
+  type updown = unit
+
+  let updown _ _ = ()
+  let refactored () _ = ()
+end
+
 (** The module [Make] produces: a {!KERNEL} with concrete handle and plan
-    records, plus the one-shot [factor]. *)
+    records, plus the one-shot [factor] and the hooks the rank-update
+    entry points of Cholesky and LDL^T are written on. *)
 module type S = sig
   type compiled
   type kplan
@@ -101,24 +130,36 @@ module type S = sig
   type t = {
     compiled : compiled;
     pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
+    natural_pattern : Csc.t;  (** the caller's pattern before ordering *)
     symbolic_seconds : float;
     flops : float;  (** the kernel's flop model; [nan] without one *)
+    nnz_l : int;  (** stored entries of the factor *)
+    decisions : Trace.decision list;
+        (** the transformation decisions the compile took *)
     ord : applied_ordering;
+    opts : Options.t;  (** the options the handle was compiled with *)
   }
 
   type plan = {
-    handle : t;
-    p : kplan;
-    scratch : Csc.t option;
+    mutable handle : t;
+    mutable p : kplan;
+    mutable scratch : Csc.t option;
         (** ordered plans gather natural-order input values in here *)
-    native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = input values, then the factor
-            buffers) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-    mutable ru : updown option;  (** lazy family-owned state *)
+    mutable native : Native_engine.exec option;
+        (** populated when [plan ~engine:`Native] loaded the compiled-C
+            executor (b0 = input values, then the factor buffers) *)
+    mutable m_exec : Metrics.histogram;
+        (** the plan's [sympiler_execute_seconds] latency series, labelled
+            with the engine that runs *)
+    mutable ru : (updown * w_gather) option;
+        (** lazy rank-update state and its update-vector gather *)
+    mutable esc_map : int array option;
+        (** after a Cholesky escalation: gather map from the original
+            natural input to the escalated pattern ([-1] = structural
+            zero) *)
   }
+  (** The fields are mutable solely for Cholesky's escalation, which swaps
+      in a plan built for the escalated pattern. *)
 
   include
     KERNEL
@@ -130,6 +171,15 @@ module type S = sig
 
   val factor : t -> Csc.t -> output
   (** One-shot: fresh factors per call. *)
+
+  val input : who:string -> plan -> Csc.t -> Csc.t
+  (** A caller's natural-order input in compiled order: the input itself
+      on natural plans, else the plan's [scratch] after the gather.
+      Raises [Invalid_argument] on a wrong value count. Zero
+      allocation. *)
+
+  val ru_state : plan -> updown * w_gather
+  (** The plan's rank-update state, built on first use. *)
 end
 
 module Make (F : FAMILY) :
@@ -148,18 +198,23 @@ module Make (F : FAMILY) :
   type t = {
     compiled : compiled;
     pattern : Csc.t;
+    natural_pattern : Csc.t;
     symbolic_seconds : float;
     flops : float;
+    nnz_l : int;
+    decisions : Trace.decision list;
     ord : applied_ordering;
+    opts : Options.t;
   }
 
   type plan = {
-    handle : t;
-    p : kplan;
-    scratch : Csc.t option;
-    native : Native_engine.exec option;
-    m_exec : Metrics.histogram;
-    mutable ru : updown option;
+    mutable handle : t;
+    mutable p : kplan;
+    mutable scratch : Csc.t option;
+    mutable native : Native_engine.exec option;
+    mutable m_exec : Metrics.histogram;
+    mutable ru : (updown * w_gather) option;
+    mutable esc_map : int array option;
   }
 
   (* Built once per family, so the hot path never concatenates. *)
@@ -170,50 +225,59 @@ module Make (F : FAMILY) :
   let span_compile = "compile." ^ F.name
   let span_cached = "compile_cached." ^ F.name
 
-  let compile_base (ordering : Options.ordering) (a : Csc.t) : t =
+  let compile_base (opts : Options.t) (a : Csc.t) : t =
     if F.lower && not (Csc.is_lower_triangular a) then
       invalid_arg (who_compile ^ ": pass lower(A)");
     let t0 = Prof.now_seconds () in
-    let a, ord =
+    let pattern, ord =
       (if F.lower then ordered_lower else ordered_square)
-        ~who:who_compile ordering a
+        ~who:who_compile opts.Options.ordering a
     in
     let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span span_compile ~attrs:[ ("n", Trace.Int a.Csc.ncols) ]
+    Trace.with_span span_compile ~attrs:[ ("n", Trace.Int pattern.Csc.ncols) ]
     @@ fun () ->
-    let compiled, symbolic_seconds = time_symbolic (fun () -> F.compile a) in
+    let compiled, symbolic_seconds =
+      time_symbolic (fun () -> F.compile opts pattern)
+    in
     let symbolic_seconds = symbolic_seconds +. ord_seconds in
     observe_compile ~family:F.name ~ordering:ord.o_name symbolic_seconds;
-    { compiled; pattern = a; symbolic_seconds; flops = F.flops compiled; ord }
+    {
+      compiled;
+      pattern;
+      natural_pattern = a;
+      symbolic_seconds;
+      flops = F.flops compiled;
+      nnz_l = F.nnz_l compiled;
+      decisions = F.decisions compiled;
+      ord;
+      opts;
+    }
 
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
-  (* The kernels read no option but the ordering, so that is the whole
-     cache key beyond the pattern. *)
+  (* The cache key beyond the pattern is exactly what the compile reads:
+     the family's options, then the ordering. *)
   let compile ?cache ?(opts = Options.default) (a : Csc.t) : t =
     cached_compile ~span:span_cached ~default:default_cache ?cache ~opts
       ~pattern:a
-      ~extra:(Options.fp_ordering opts.Options.ordering)
-      (fun () -> compile_base opts.Options.ordering a)
+      ~extra:(Array.append (F.key opts) (Options.fp_ordering opts.Options.ordering))
+      (fun () -> compile_base opts a)
 
   let cache_stats () = Plan_cache.stats default_cache
   let cache_clear () = Plan_cache.clear default_cache
   let symbolic_seconds (t : t) = t.symbolic_seconds
 
-  (* The executors are sequential (no level schedule), so [?ndomains] is
-     accepted for KERNEL uniformity and ignored. The native kernel is
-     [int]-returning C from [Codegen_static] whose non-negative return is
-     the failing pivot index. *)
-  let plan ?ndomains:_ ?(engine : Options.engine = `Ocaml) (t : t) : plan =
-    let p = F.make_plan t.compiled in
+  let plan ?ndomains ?(engine : Options.engine = `Ocaml) (t : t) : plan =
+    let p = F.make_plan ?ndomains t.compiled in
     let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode ->
-          let sizes = Array.append [| Csc.nnz t.pattern |] (F.native_sizes p) in
-          Native_engine.load ~mode ~pattern_key:(Csc.pattern_hash t.pattern)
-            ~family:F.name ~kname:(F.name ^ "_factor")
-            ~nargs:(Array.length sizes) ~int_return:true ~sizes
+      match engine with
+      | `Ocaml -> None
+      | `Native ->
+          let kname, sizes, int_return = F.native t.compiled p in
+          let sizes = Array.append [| Csc.nnz t.pattern |] sizes in
+          Native_engine.load ~pattern_key:(Csc.pattern_hash t.pattern)
+            ~family:F.name ~kname ~nargs:(Array.length sizes) ~int_return
+            ~sizes
             (F.c_code t.compiled t.pattern)
     in
     {
@@ -222,24 +286,33 @@ module Make (F : FAMILY) :
       scratch = ordering_scratch t.ord t.pattern;
       native;
       m_exec =
-        execute_hist ~family:F.name ~op:"factor"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
+        execute_hist ~family:F.name ~op:"factor" ~engine:(engine_label native)
+          ~ordering:t.ord.o_name;
       ru = None;
+      esc_map = None;
     }
 
+  let input ~who (p : plan) (a : Csc.t) : Csc.t =
+    match (p.esc_map, p.scratch) with
+    | Some em, Some s ->
+        gather_values ~who ~expect:(Csc.nnz p.handle.natural_pattern) em
+          a.Csc.values s;
+        s
+    | _ -> plan_input ~who p.handle.ord p.scratch p.handle.pattern a
+
+  (* A native kernel's non-negative return is the failing pivot index. *)
   let execute_ip_raw (p : plan) (a : Csc.t) : output =
     Prof.start "numeric";
     (try
-       let a =
-         plan_input ~who:who_execute p.handle.ord p.scratch p.handle.pattern a
-       in
-       match p.native with
+       let a = input ~who:who_execute p a in
+       (match p.native with
        | Some e ->
            Native_engine.blit_in a.Csc.values e.Native_engine.b0;
            let rc = Native_engine.call e in
            if rc >= 0 then raise (F.pivot rc);
            F.copy_out e p.p
-       | None -> F.factor_ip p.p a
+       | None -> F.factor_ip p.p a);
+       match p.ru with Some (st, _) -> F.refactored st a | None -> ()
      with e ->
        Prof.stop "numeric";
        raise e);
@@ -254,6 +327,18 @@ module Make (F : FAMILY) :
   let factor (t : t) (a : Csc.t) : output =
     Prof.time "numeric" (fun () ->
         F.factor t.compiled (ordered_input ~who:who_factor t.ord t.pattern a))
+
+  let ru_state (p : plan) =
+    match p.ru with
+    | Some r -> r
+    | None ->
+        let r =
+          Prof.time "symbolic" (fun () ->
+              ( F.updown p.p p.handle.pattern,
+                w_gather p.handle.ord p.handle.pattern.Csc.ncols ))
+        in
+        p.ru <- Some r;
+        r
 
   let c_code (t : t) : string = F.c_code t.compiled t.pattern
 end

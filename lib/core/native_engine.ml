@@ -1,11 +1,9 @@
-(* Facade-side glue for the native engine: uniform-ABI wrapper emission,
-   vectorize-hint stripping for the ablation arm, and the buffer-owning
-   [exec] record the family plans embed. *)
+(* Facade-side glue for the native engine: uniform-ABI wrapper emission
+   and the buffer-owning [exec] record the family plans embed. *)
 
 module Native = Sympiler_native.Native
 
 type buf = Native.buf
-type mode = Vec | Novec
 
 type exec = {
   nk : Native.kernel;
@@ -43,34 +41,6 @@ let wrapper ~kname ~nargs ~int_return =
        }\n"
       unused kname args
 
-(* The Novec arm must be semantically identical C, minus the permissions
-   we granted the vectorizer: drop the ivdep pragmas and the [restrict]
-   qualifiers (both are hints/contracts, not semantics, for our kernels). *)
-let replace_all ~sub ~by s =
-  let m = String.length sub in
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  while !i <= String.length s - m do
-    if String.sub s !i m = sub then begin
-      Buffer.add_string buf by;
-      i := !i + m
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.add_string buf (String.sub s !i (String.length s - !i));
-  Buffer.contents buf
-
-let strip_vector_hints source =
-  String.split_on_char '\n' source
-  |> List.filter (fun line ->
-         let t = String.trim line in
-         not (String.length t >= 7 && String.sub t 0 7 = "#pragma"))
-  |> List.map (replace_all ~sub:"restrict " ~by:"")
-  |> String.concat "\n"
-
 let make_buf n =
   let b =
     Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max 1 n)
@@ -78,14 +48,7 @@ let make_buf n =
   Bigarray.Array1.fill b 0.0;
   b
 
-let load ~mode ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
-  let source, cflags =
-    match mode with
-    | Vec -> (source, Native.default_cflags)
-    | Novec ->
-        ( strip_vector_hints source,
-          Native.default_cflags @ [ "-fno-tree-vectorize" ] )
-  in
+let load ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
   let src = source ^ wrapper ~kname ~nargs ~int_return in
   (* Family tag folded by value into the key: two families compiled for
      the same pattern must not share a cache slot even if their sources
@@ -97,7 +60,7 @@ let load ~mode ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
       family
     land max_int
   in
-  match Native.load ~cflags ~key ~entry:"sympiler_entry" src with
+  match Native.load ~key ~entry:"sympiler_entry" src with
   | None -> None
   | Some nk ->
       let slot i =

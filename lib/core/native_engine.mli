@@ -12,12 +12,6 @@ module Native = Sympiler_native.Native
 
 type buf = Native.buf
 
-type mode = Vec | Novec
-(** [Vec] compiles the emitted source as-is ([#pragma GCC ivdep] +
-    [restrict] + the default flags). [Novec] is the ablation arm of the
-    bench: vectorize hints stripped from the source and
-    [-fno-tree-vectorize] added, isolating what the annotations buy. *)
-
 type exec = {
   nk : Native.kernel;
   b0 : buf;
@@ -35,12 +29,7 @@ val wrapper : kname:string -> nargs:int -> int_return:bool -> string
     kernels' failing-pivot index) pass their code through; [void] kernels
     return -1 ("no failure"). *)
 
-val strip_vector_hints : string -> string
-(** Remove [#pragma GCC ivdep] lines and [restrict] qualifiers from an
-    emitted source (the [Novec] arm). *)
-
 val load :
-  mode:mode ->
   pattern_key:int ->
   family:string ->
   kname:string ->

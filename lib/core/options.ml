@@ -6,10 +6,9 @@ open Sympiler_sparse
    value can parameterize a whole DAG of heterogeneous stages. *)
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
-type engine = [ `Ocaml | `Native | `Native_novec ]
+type engine = [ `Ocaml | `Native ]
 
 type t = {
-  fill : Sympiler_symbolic.Fill_pattern.t option;
   ordering : ordering;
   cache : bool;
   vs_block_threshold : float option;
@@ -18,7 +17,6 @@ type t = {
 
 let default =
   {
-    fill = None;
     ordering = `Natural;
     cache = false;
     vs_block_threshold = None;
@@ -27,9 +25,9 @@ let default =
 
 let cached = { default with cache = true }
 
-let make ?fill ?(ordering = `Natural) ?(cache = false) ?vs_block_threshold
+let make ?(ordering = `Natural) ?(cache = false) ?vs_block_threshold
     ?(simplicial = false) () =
-  { fill; ordering; cache; vs_block_threshold; simplicial }
+  { ordering; cache; vs_block_threshold; simplicial }
 
 let ordering_name : ordering -> string = function
   | `Natural -> "natural"
@@ -59,10 +57,8 @@ let fp_ordering : ordering -> int array = function
   | `Min_degree -> [| 3 |]
   | `Given p -> Array.append [| 4; Array.length p |] p
 
-(* [fill] is excluded: reusing a caller-provided analysis of the same
-   pattern yields the same artifact, so it must hit the same cache entry.
-   [cache] is excluded for the same reason — it selects where the handle
-   lives, not what it is. *)
+(* [cache] is excluded: it selects where the handle lives, not what it
+   is. *)
 let fingerprint (o : t) : int array =
   Array.concat
     [

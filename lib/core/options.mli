@@ -10,13 +10,10 @@ type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 (** Fill-reducing ordering request (see {!Sympiler.ordering} for the full
     contract: computed once at compile time, baked into plans). *)
 
-type engine = [ `Ocaml | `Native | `Native_novec ]
+type engine = [ `Ocaml | `Native ]
 (** Plan execution engine (see {!Sympiler.engine}). *)
 
 type t = {
-  fill : Sympiler_symbolic.Fill_pattern.t option;
-      (** reuse a caller-provided fill analysis of the same pattern
-          (families without a fill analysis ignore it) *)
   ordering : ordering;  (** default [`Natural] *)
   cache : bool;
       (** route the compile through the family's default {!Plan_cache} *)
@@ -27,14 +24,12 @@ type t = {
 }
 
 val default : t
-(** No fill reuse, natural ordering, uncached, family-default thresholds,
-    supernodal. *)
+(** Natural ordering, uncached, family-default thresholds, supernodal. *)
 
 val cached : t
 (** {!default} with [cache = true]. *)
 
 val make :
-  ?fill:Sympiler_symbolic.Fill_pattern.t ->
   ?ordering:ordering ->
   ?cache:bool ->
   ?vs_block_threshold:float ->
@@ -58,5 +53,5 @@ val fp_threshold : float option -> int array
 val fp_ordering : ordering -> int array
 
 val fingerprint : t -> int array
-(** The key of a compile that consumes every field ([fill] and [cache]
-    excluded: neither changes the compiled artifact). *)
+(** The key of a compile that consumes every field ([cache] excluded: it
+    does not change the compiled artifact). *)

@@ -83,8 +83,7 @@ let expand (family : family option) (s : stage_spec) : vop list =
 (* ----------------------------- Compiled DAG ----------------------------- *)
 
 type fhandle =
-  | FChol_sup of Cholesky_supernodal.Sympiler.compiled
-  | FChol_simp of Cholesky_ref.Decoupled.compiled
+  | FChol of Cholesky_family.compiled
   | FLdlt of Ldlt.compiled
   | FLu of Lu.Sympiler.compiled
   | FIc0 of Ic0.compiled
@@ -165,39 +164,17 @@ let count_fusable ~(fbefore : int) (vops : vop array) : int =
   done;
   !c
 
+(* Cholesky's variant decision is the facade's own, fed from the one fill
+   pattern every stage shares. *)
 let compile_factor ~(opts : Options.t) ~analysis (family : family)
     (pattern : Csc.t) : fhandle * Trace.decision list =
   match family with
   | `Cholesky ->
-      (* The facade's variant decision, fed from the shared analysis: the
-         VS-Block threshold (paper §4.2) on the supernode statistics of the
-         one fill pattern every stage shares. *)
-      let fill = Shared_analysis.fill analysis in
-      let threshold = Option.value opts.vs_block_threshold ~default:2.0 in
-      let go_sup, avg_width =
-        if opts.simplicial then (false, Float.nan)
-        else
-          let sn =
-            Sympiler_symbolic.Supernodes.detect_etree
-              ~counts:fill.Sympiler_symbolic.Fill_pattern.counts
-              ~parent:fill.Sympiler_symbolic.Fill_pattern.parent ()
-          in
-          let w = Sympiler_symbolic.Supernodes.avg_width sn in
-          (w >= threshold, w)
+      let c =
+        Cholesky_family.compile_fill ~opts (Shared_analysis.fill analysis)
+          pattern
       in
-      let d_vs =
-        {
-          Trace.pass = "vs-block";
-          fired = go_sup;
-          metric = "avg_supernode_width";
-          value = avg_width;
-          threshold;
-        }
-      in
-      Trace.decision d_vs;
-      if go_sup then
-        (FChol_sup (Cholesky_supernodal.Sympiler.compile ~fill pattern), [ d_vs ])
-      else (FChol_simp (Cholesky_ref.Decoupled.compile ~fill pattern), [ d_vs ])
+      (FChol c, c.Cholesky_family.decisions)
   | `Ldlt -> (FLdlt (Ldlt.compile pattern), [])
   | `Lu -> (FLu (Lu.Sympiler.compile pattern), [])
   | `Ic0 -> (FIc0 (Ic0.compile pattern), [])
@@ -218,7 +195,7 @@ let chain_l_of ~analysis (fh : fhandle option) (pattern : Csc.t) :
       (* IC(0) keeps the input pattern: the shared analysis of the input
          *is* the chain analysis — its level schedule serves both. *)
       (Some pattern, analysis)
-  | Some (FChol_sup _ | FChol_simp _) ->
+  | Some (FChol _) ->
       let fill = Shared_analysis.fill analysis in
       let l = fill.Sympiler_symbolic.Fill_pattern.l_pattern in
       (Some l, Shared_analysis.create l)
@@ -431,8 +408,7 @@ let decisions (t : t) = t.decisions
 (* --------------------------------- Plans -------------------------------- *)
 
 type fplan =
-  | PChol_sup of Cholesky_supernodal.Sympiler.plan
-  | PChol_simp of Cholesky_ref.Decoupled.plan
+  | PChol of Cholesky_family.kplan
   | PLdlt of Ldlt.plan
   | PLu of Lu.Sympiler.plan
   | PIc0 of Ic0.plan
@@ -478,8 +454,7 @@ type plan = {
 }
 
 let make_fplan = function
-  | FChol_sup c -> PChol_sup (Cholesky_supernodal.Sympiler.make_plan c)
-  | FChol_simp c -> PChol_simp (Cholesky_ref.Decoupled.make_plan c)
+  | FChol c -> PChol (Cholesky_family.make_plan c)
   | FLdlt c -> PLdlt (Ldlt.make_plan c)
   | FLu c -> PLu (Lu.Sympiler.make_plan c)
   | FIc0 c -> PIc0 (Ic0.make_plan c)
@@ -490,8 +465,7 @@ let step_of_vop (fp : fplan option) (lvals : Csc.t option)
     (spmv_op : (Csc.t * int array) option) (v : vop) : step =
   let l_view () =
     match (fp, lvals) with
-    | Some (PChol_sup p), _ -> p.Cholesky_supernodal.Sympiler.l
-    | Some (PChol_simp p), _ -> p.Cholesky_ref.Decoupled.l
+    | Some (PChol p), _ -> Cholesky_family.view p
     | Some (PLdlt p), _ -> p.Ldlt.f.Ldlt.l
     | Some (PLu p), _ -> p.Lu.Sympiler.f.Lu.l
     | Some (PIc0 p), _ -> p.Ic0.l
@@ -671,8 +645,7 @@ let run_factor (p : plan) (a' : Csc.t) : unit =
   | Some fp ->
       let t0 = if Metrics.enabled () then Prof.now_seconds () else 0.0 in
       (match fp with
-      | PChol_sup sp -> Cholesky_supernodal.Sympiler.factor_ip sp a'
-      | PChol_simp sp -> Cholesky_ref.Decoupled.factor_ip sp a'
+      | PChol sp -> Cholesky_family.factor_ip sp a'
       | PLdlt sp -> Ldlt.factor_ip sp a'
       | PLu sp -> Lu.Sympiler.factor_ip sp a'
       | PIc0 sp -> Ic0.factor_ip sp a'

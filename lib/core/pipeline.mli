@@ -74,8 +74,9 @@ val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> dag -> Csc.t -> t
 (** Compile the DAG for one pattern: lower(A) for the symmetric families
     and factorless chains, square A for LU/ILU(0). Runs the symbolic
     analysis {e once} for the whole DAG. [?opts] is the shared
-    {!Options.t}; [opts.fill] is ignored (the pipeline owns its analysis)
-    and factorless chains support [`Natural] ordering only. Passing
+    {!Options.t}; factorless chains support [`Natural] ordering only. A
+    Cholesky stage takes the facade's own variant decision on the shared
+    fill analysis. Passing
     [?cache] (or [opts.cache = true], which uses the module's default
     cache) routes the compile through a {!Plan_cache} keyed on the pattern
     structure, the stage sequence and the options.
@@ -101,8 +102,9 @@ val fused_boundaries : t -> int
 (** Stage boundaries the fused executor removed by merging. *)
 
 val decisions : t -> Trace.decision list
-(** Transformation decisions taken at compile time: vs-block when the DAG
-    factors with Cholesky; pipeline-fuse and level-sweep always. The
+(** Transformation decisions taken at compile time: vi-prune and vs-block
+    when the DAG factors with Cholesky (the facade's decisions);
+    pipeline-fuse and level-sweep always. The
     level-sweep decision fires when the fused sweeps run level-ordered:
     its metric is the share of columns [j] with [L(j+1, j)] stored
     (threshold 0.875, [nan] without a CSC L), and it also requires at most

@@ -40,59 +40,12 @@ include Compile_common
    suite so a drifting family breaks the build there, not here. *)
 module type KERNEL = Factor.KERNEL
 
-(* ------------- rank-update (updown) shared facade machinery ------------ *)
-
-(* Gather a natural-order sparse update vector into an ordered plan's
-   compiled index space: map every index through [pinv], tandem-insertion
-   sort the plan-owned buffers (update vectors are short — typically the
-   pattern of one factor column — so the quadratic sort never shows), and
-   reject malformed input. Returns the entry count. Zero allocation. *)
-let permute_sorted_w ~who (pinv : int array) (wi_buf : int array)
-    (wv_buf : float array) (w : Vector.sparse) : int =
-  let wi = w.Vector.indices and wv = w.Vector.values in
-  let len = Array.length wi in
-  let n = Array.length pinv in
-  for k = 0 to len - 1 do
-    let i = wi.(k) in
-    if i < 0 || i >= n then invalid_arg (who ^ ": w index out of range");
-    wi_buf.(k) <- pinv.(i);
-    wv_buf.(k) <- wv.(k)
-  done;
-  for k = 1 to len - 1 do
-    let ki = wi_buf.(k) and kv = wv_buf.(k) in
-    let t = ref (k - 1) in
-    while !t >= 0 && wi_buf.(!t) > ki do
-      wi_buf.(!t + 1) <- wi_buf.(!t);
-      wv_buf.(!t + 1) <- wv_buf.(!t);
-      decr t
-    done;
-    wi_buf.(!t + 1) <- ki;
-    wv_buf.(!t + 1) <- kv
-  done;
-  for k = 1 to len - 1 do
-    if wi_buf.(k - 1) = wi_buf.(k) then
-      invalid_arg (who ^ ": w indices must be unique")
-  done;
-  len
-
-(* Allocation-free gather through a [-1]-extended map: escalated plans keep
-   accepting inputs with the original natural pattern, and the pattern
-   entries the escalation added that the input does not have are structural
-   zeros. *)
-let gather_esc ~who ~(expect : int) (map : int array) (src : float array)
-    (dst : Csc.t) : unit =
-  if Array.length src <> expect then
-    invalid_arg (who ^ ": input nnz does not match the compiled pattern");
-  let dv = dst.Csc.values in
-  for q = 0 to Array.length dv - 1 do
-    let s = map.(q) in
-    dv.(q) <- (if s < 0 then 0.0 else src.(s))
-  done
+(* --------------- Cholesky escalation facade machinery --------------- *)
 
 (* Extend an input gather map across a pattern growth: entry [q] of the new
-   pattern reads where the matching old-pattern entry read ([old_q]), or
+   pattern reads where the matching old-pattern entry read ([old_map]), or
    [-1] when the old pattern lacks it. Merge scan per column. *)
-let extend_input_map ~(old_pattern : Csc.t) ~(old_q : int -> int)
+let extend_input_map ~(old_pattern : Csc.t) ~(old_map : int array)
     (np : Csc.t) : int array =
   let map = Array.make (Csc.nnz np) (-1) in
   for j = 0 to np.Csc.ncols - 1 do
@@ -104,7 +57,7 @@ let extend_input_map ~(old_pattern : Csc.t) ~(old_q : int -> int)
         incr op
       done;
       if !op < ohi && old_pattern.Csc.rowind.(!op) = i then
-        map.(q) <- old_q !op
+        map.(q) <- old_map.(!op)
     done
   done;
   map
@@ -350,8 +303,7 @@ module Trisolve = struct
   (* The emitted C binds L's values as a runtime parameter, so the plan
      loads them into the Lx buffer once — same binding time as the OCaml
      executor, whose compiled plan captured [t.l]'s values at compile. *)
-  let native_exec (mode : Native_engine.mode) (t : t) :
-      Native_engine.exec option =
+  let native_exec (t : t) : Native_engine.exec option =
     let b =
       {
         Vector.n = t.l.Csc.ncols;
@@ -362,7 +314,7 @@ module Trisolve = struct
     let r = Sympiler_ir.Pipeline.trisolve t.l b in
     let nargs = List.length r.Sympiler_ir.Pipeline.kernel.Sympiler_ir.Ast.params in
     match
-      Native_engine.load ~mode ~pattern_key:(Csc.pattern_hash t.l)
+      Native_engine.load ~pattern_key:(Csc.pattern_hash t.l)
         ~family:"trisolve" ~kname:"trisolve" ~nargs ~int_return:false
         ~sizes:
           [| Csc.nnz t.l; t.l.Csc.ncols; r.Sympiler_ir.Pipeline.tmp_size |]
@@ -389,11 +341,7 @@ module Trisolve = struct
                  Trisolve_parallel.make_plan ~ndomains:nd
                    (Trisolve_parallel.compile t.l)))
     in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode -> native_exec mode t
-    in
+    let native = if engine = `Native then native_exec t else None in
     let ord_b, ord_x =
       match t.ord.o_perm with
       | None -> (None, None)
@@ -414,8 +362,8 @@ module Trisolve = struct
       ord_x;
       native;
       m_exec =
-        execute_hist ~family:"trisolve" ~op:"solve"
-          ~engine:(engine_label native engine) ~ordering:t.ord.o_name;
+        execute_hist ~family:"trisolve" ~op:"solve" ~engine:(engine_label native)
+          ~ordering:t.ord.o_name;
     }
 
   (* The inner executor dispatch shared by the natural and ordered paths.
@@ -491,505 +439,73 @@ module Trisolve = struct
     (Sympiler_ir.Pipeline.trisolve t.l b).Sympiler_ir.Pipeline.c_code
 end
 
+(* The five factor families: one [Factor.Make] instance each, around the
+   kernel it drives. Cholesky and LDL^T add their rank-update entry points
+   on top. *)
+
 module Cholesky = struct
-  type variant = Supernodal | Simplicial
+  include Factor.Make (Cholesky_family)
 
-  type t = {
-    variant : variant;
-    supernodal : Cholesky_supernodal.Sympiler.compiled option;
-    simplicial : Cholesky_ref.Decoupled.compiled option;
-    pattern : Csc.t; (* lower(A) pattern compiled against (permuted) *)
-    natural_pattern : Csc.t; (* caller's lower(A) before any ordering *)
-    symbolic_seconds : float;
-    flops : float;
-    nnz_l : int;
-    decisions : Trace.decision list;
-    ord : applied_ordering;
-  }
+  type variant = Cholesky_family.variant = Supernodal | Simplicial
 
-  type pattern = Csc.t
-  type input = Csc.t
-  type output = Csc.t
-
-  (* Compile Cholesky for the pattern of lower-triangular [a_lower]. The
-     supernodal variant (VS-Block + low-level) is the default; [Simplicial]
-     gives the column (VI-Prune-only) code. [vs_block_threshold]: minimum
-     average supernode width for VS-Block to pay off (paper §4.2) — below
-     it compilation falls back to the simplicial variant automatically.
-     [fill0] reuses a caller-provided fill analysis of the same pattern. *)
-  let compile_internal ?fill:fill0 ~variant ~vs_block_threshold
-      ~(ordering : ordering) (a_natural : Csc.t) : t =
-    if not (Csc.is_lower_triangular a_natural) then
-      invalid_arg "Sympiler.Cholesky.compile: pass lower(A)";
-    let t0 = Prof.now_seconds () in
-    (* The ordering stage: permute the pattern, run the fill analysis on
-       P A P^T, and record the predicted fill ratio ordered-vs-natural as a
-       traced decision. The natural-order nnz(L) comes from the counts-only
-       pass (a caller-provided [?fill] is the natural-order analysis, so it
-       seeds the comparison baseline, not the compile). *)
-    let a_lower, fill0, ord, ord_decisions =
-      match ordering with
-      | `Natural -> (a_natural, fill0, natural_ordering, [])
-      | o ->
-          let n = a_natural.Csc.ncols in
-          let p =
-            resolve_ordering ~who:"Sympiler.Cholesky.compile" o
-              (lazy (Csc.symmetrize_from_lower a_natural))
-              n
-          in
-          let pl, map = Perm.permute_lower p a_natural in
-          let nnz_nat =
-            match fill0 with
-            | Some f -> f.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
-            | None ->
-                let _, counts =
-                  Sympiler_symbolic.Fill_pattern.col_counts a_natural
-                in
-                Array.fold_left ( + ) 0 counts
-          in
-          let fill_perm = Sympiler_symbolic.Fill_pattern.analyze pl in
-          let nnz_perm =
-            fill_perm.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
-          in
-          let d =
-            {
-              Trace.pass = "ordering";
-              fired = true;
-              metric = "fill_ratio_vs_natural";
-              value =
-                (if nnz_nat = 0 then 1.0
-                 else float_of_int nnz_perm /. float_of_int nnz_nat);
-              threshold = 1.0;
-            }
-          in
-          Trace.decision d;
-          ( pl,
-            Some fill_perm,
-            { o_perm = Some p; o_name = ordering_name o; o_map = map },
-            [ d ] )
-    in
-    let ord_seconds = Prof.now_seconds () -. t0 in
-    Trace.with_span "compile.cholesky"
-      ~attrs:[ ("n", Trace.Int a_lower.Csc.ncols) ]
-    @@ fun () ->
-    let (sup, simp, flops, nnz_l, decisions), symbolic_seconds =
-      time_symbolic (fun () ->
-          (* One shared symbolic factorization; the variant decision (the
-             paper's VS-Block threshold) is taken on the cheap supernode
-             statistics before any variant-specific planning is built. *)
-          let fill =
-            match fill0 with
-            | Some f -> f
-            | None -> Sympiler_symbolic.Fill_pattern.analyze a_lower
-          in
-          let flops = Sympiler_symbolic.Fill_pattern.flops fill in
-          let n = a_lower.Csc.ncols in
-          let nnz_l =
-            fill.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr.(n)
-          in
-          let go_supernodal, avg_width =
-            match variant with
-            | Simplicial -> (false, Float.nan (* forced: never measured *))
-            | Supernodal ->
-                let sn =
-                  Sympiler_symbolic.Supernodes.detect_etree
-                    ~counts:fill.Sympiler_symbolic.Fill_pattern.counts
-                    ~parent:fill.Sympiler_symbolic.Fill_pattern.parent ()
-                in
-                let w = Sympiler_symbolic.Supernodes.avg_width sn in
-                (w >= vs_block_threshold, w)
-          in
-          let d_vs =
-            {
-              Trace.pass = "vs-block";
-              fired = go_supernodal;
-              metric = "avg_supernode_width";
-              value = avg_width;
-              threshold = vs_block_threshold;
-            }
-          in
-          (* VI-Prune always fires for Cholesky: the prune-sets are baked
-             into both variants. Its measured quantity is the fraction of
-             the dense n*(n-1)/2 candidate updates the pattern removed. *)
-          let d_vi =
-            {
-              Trace.pass = "vi-prune";
-              fired = true;
-              metric = "pruned_iteration_ratio";
-              value =
-                (if n < 2 then 0.0
-                 else
-                   1.0
-                   -. float_of_int (nnz_l - n)
-                      /. (float_of_int n *. float_of_int (n - 1) /. 2.0));
-              threshold = 0.0;
-            }
-          in
-          Trace.decision d_vi;
-          Trace.decision d_vs;
-          let decisions = [ d_vi; d_vs ] in
-          if go_supernodal then
-            let c = Cholesky_supernodal.Sympiler.compile ~fill a_lower in
-            (Some c, None, flops, nnz_l, decisions)
-          else
-            let d = Cholesky_ref.Decoupled.compile ~fill a_lower in
-            (None, Some d, flops, nnz_l, decisions))
-    in
-    let variant = if sup = None then Simplicial else variant in
-    observe_compile ~family:"cholesky" ~ordering:ord.o_name
-      (symbolic_seconds +. ord_seconds);
-    {
-      variant;
-      supernodal = sup;
-      simplicial = simp;
-      pattern = a_lower;
-      natural_pattern = a_natural;
-      symbolic_seconds = symbolic_seconds +. ord_seconds;
-      flops;
-      nnz_l;
-      decisions = ord_decisions @ decisions;
-      ord;
-    }
-
-  (* Compilation cache: keyed on lower(A)'s structure plus the option
-     fingerprint (Cholesky consumes every option field that shapes the
-     artifact) — a hit returns the previously compiled handle, physically
-     equal, skipping the symbolic phase entirely. *)
-  let default_cache : t Plan_cache.t = Plan_cache.create ()
-
-  let compile ?cache ?(opts = Options.default) (a_lower : pattern) : t =
-    cached_compile ~span:"compile_cached.cholesky" ~default:default_cache
-      ?cache ~opts ~pattern:a_lower ~extra:(Options.fingerprint opts)
-      (fun () ->
-        compile_internal ?fill:opts.Options.fill
-          ~variant:(if opts.Options.simplicial then Simplicial else Supernodal)
-          ~vs_block_threshold:
-            (Option.value opts.Options.vs_block_threshold ~default:2.0)
-          ~ordering:opts.Options.ordering a_lower)
-
-  let cache_stats () = Plan_cache.stats default_cache
-  let cache_clear () = Plan_cache.clear default_cache
-  let symbolic_seconds (t : t) = t.symbolic_seconds
-
-  (* Numeric factorization: A = L L^T for any [a_lower] sharing the compiled
-     (natural-order) pattern. On an ordered handle the result is the factor
-     of P A P^T — exactly what compiling the pre-permuted matrix yields. *)
-  let factor (t : t) (a_lower : Csc.t) : Csc.t =
-    Prof.time "numeric" @@ fun () ->
-    let a_lower =
-      ordered_input ~who:"Sympiler.Cholesky.factor" t.ord t.pattern a_lower
-    in
-    match (t.supernodal, t.simplicial) with
-    | Some c, _ -> Cholesky_supernodal.Sympiler.factor c a_lower
-    | None, Some d -> Cholesky_ref.Decoupled.factor d a_lower
-    | None, None -> assert false
-
-  (* Rank-update state, built lazily on the first [update_ip] /
-     [refactor_cols_ip] call: the kernel plan (scatter workspace, rollback
-     snapshot, memoized path table, incremental-refactor inspectors) plus
-     the ordered-gather buffers that carry a natural-order update vector
-     into compiled order without allocating. *)
-  type updown = {
-    rk : Rank_update.plan;
-    up_pinv : int array; (* inverse permutation; [||] on natural plans *)
-    up_wi : int array; (* permuted+sorted update indices *)
-    up_wv : float array; (* matching values *)
-  }
-
-  (* Plans: allocate the factor storage and numeric scratch once, then
-     refactorize repeatedly with zero steady-state allocation.
-     [Prof.start]/[stop] rather than [Prof.time] keeps even the profiled
-     path closure-free. The engine fields are mutable solely for the
-     escalation path of [update_ip], which recompiles the plan in place
-     when an update needs entries the factor pattern lacks. *)
-  type plan = {
-    mutable handle : t;
-    mutable sup : Cholesky_supernodal.Sympiler.plan option;
-    mutable simp : Cholesky_ref.Decoupled.plan option;
-    mutable par : Cholesky_parallel.plan option;
-    mutable scratch : Csc.t option;
-        (* ordered plans gather natural-order values in here *)
-    mutable native : Native_engine.exec option;
-        (* compiled-C executor: b0 = Ax, b1 = Lx, b2 = f (simplicial
-           accumulator; it self-restores to zero after every column) *)
-    m_exec : Metrics.histogram; (* per-call refactorization latency *)
-    mutable ru : updown option; (* lazy rank-update state *)
-    mutable esc_map : int array option;
-        (* after escalation: gather map from natural input nnz to the
-           escalated pattern, -1 = structural zero *)
-  }
-
-  (* Both emitted variants fully (re)write Lx each call — the supernodal
-     driver zeroes its panels, the simplicial kernel assigns every entry
-     from the self-restoring f — so only Ax needs refreshing per call. *)
-  let native_exec (mode : Native_engine.mode) (t : t) :
-      Native_engine.exec option =
-    let n = t.pattern.Csc.ncols in
-    let kname, source, fsize =
-      match t.supernodal with
-      | Some c -> ("cholesky_supernodal", Codegen_supernodal.to_c c t.pattern, 0)
-      | None ->
-          ( "cholesky",
-            (Sympiler_ir.Pipeline.cholesky t.pattern).Sympiler_ir.Pipeline
-            .c_code,
-            n )
-    in
-    let nargs = if fsize > 0 then 3 else 2 in
-    Native_engine.load ~mode ~pattern_key:(Csc.pattern_hash t.pattern)
-      ~family:"cholesky" ~kname ~nargs ~int_return:false
-      ~sizes:[| Csc.nnz t.pattern; t.nnz_l; fsize |]
-      source
-
-  (* [~ndomains] on a supernodal handle: levelize the already-compiled
-     supernode DAG (plan-time inspection, no re-analysis) and run levels
-     on the persistent domain pool. The parallel engine executes each
-     target supernode with the same operation sequence as the sequential
-     one, so factors are bitwise-identical for any domain count. The
-     simplicial column code has no level schedule — [ndomains] is
-     ignored there. *)
-  let plan ?ndomains ?(engine : engine = `Ocaml) (t : t) : plan =
-    let scratch = ordering_scratch t.ord t.pattern in
-    let native =
-      match native_mode engine with
-      | None -> None
-      | Some mode -> native_exec mode t
-    in
-    let m_exec =
-      execute_hist ~family:"cholesky" ~op:"factor"
-        ~engine:(engine_label native engine) ~ordering:t.ord.o_name
-    in
-    match (ndomains, t.supernodal) with
-    | Some nd, Some c ->
-        let lp =
-          Prof.time "symbolic" (fun () ->
-              Cholesky_parallel.make_plan ~ndomains:nd
-                (Cholesky_parallel.levelize c))
-        in
-        {
-          handle = t;
-          sup = None;
-          simp = None;
-          par = Some lp;
-          scratch;
-          native;
-          m_exec;
-          ru = None;
-          esc_map = None;
-        }
-    | _ -> (
-        match (t.supernodal, t.simplicial) with
-        | Some c, _ ->
-            {
-              handle = t;
-              sup = Some (Cholesky_supernodal.Sympiler.make_plan c);
-              simp = None;
-              par = None;
-              scratch;
-              native;
-              m_exec;
-              ru = None;
-              esc_map = None;
-            }
-        | None, Some d ->
-            {
-              handle = t;
-              sup = None;
-              simp = Some (Cholesky_ref.Decoupled.make_plan d);
-              par = None;
-              scratch;
-              native;
-              m_exec;
-              ru = None;
-              esc_map = None;
-            }
-        | None, None -> assert false)
-
-  (* The plan's factor view: refreshed in place by each [refactor_ip]. *)
-  let plan_factor (p : plan) : Csc.t =
-    match (p.sup, p.simp, p.par) with
-    | Some sp, _, _ -> sp.Cholesky_supernodal.Sympiler.l
-    | None, Some sp, _ -> sp.Cholesky_ref.Decoupled.l
-    | None, None, Some pp -> pp.Cholesky_parallel.l
-    | None, None, None -> assert false
-
-  (* Bring caller values into compiled order. Escalated plans gather
-     through the -1-extended map (callers keep passing the original
-     natural pattern; the escalation's extra entries are structural
-     zeros); ordered plans through the baked permutation map; natural
-     plans pass through once the value count checks out. *)
-  let gathered_input ~who (p : plan) (a_lower : Csc.t) : Csc.t =
-    match (p.esc_map, p.scratch) with
-    | Some em, Some s ->
-        gather_esc ~who ~expect:(Csc.nnz p.handle.natural_pattern) em
-          a_lower.Csc.values s;
-        s
-    | Some _, None -> assert false (* escalation always installs scratch *)
-    | None, scratch ->
-        plan_input ~who p.handle.ord scratch p.handle.pattern a_lower
-
-  let refactor_ip_raw (p : plan) (a_lower : Csc.t) : unit =
-    Prof.start "numeric";
-    (try
-       let a_lower =
-         gathered_input ~who:"Sympiler.Cholesky.execute_ip" p a_lower
-       in
-       (match p.native with
-        | Some e ->
-            Native_engine.blit_in a_lower.Csc.values e.Native_engine.b0;
-            ignore (Native_engine.call e : int);
-            Native_engine.blit_out e.Native_engine.b1
-              (plan_factor p).Csc.values
-        | None -> (
-            match (p.sup, p.simp, p.par) with
-            | Some sp, _, _ -> Cholesky_supernodal.Sympiler.factor_ip sp a_lower
-            | None, Some sp, _ -> Cholesky_ref.Decoupled.factor_ip sp a_lower
-            | None, None, Some pp -> Cholesky_parallel.factor_ip pp a_lower
-            | None, None, None -> assert false));
-       (* keep the incremental-refactor diff baseline fresh *)
-       match p.ru with
-       | Some st -> Rank_update.note_refactor st.rk a_lower.Csc.values
-       | None -> ()
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric"
-
-  let refactor_ip (p : plan) (a_lower : Csc.t) : unit =
-    observed p.m_exec refactor_ip_raw p a_lower
-
-  let plan_latency (p : plan) = Metrics.snapshot p.m_exec
-
-  let execute_ip (p : plan) (a_lower : Csc.t) : Csc.t =
-    refactor_ip p a_lower;
-    plan_factor p
-
-  (* ----------------------- rank update / downdate ----------------------- *)
-
-  (* Lazy updown state: built on the first [update_ip] /
-     [refactor_cols_ip]. The kernel plan borrows the plan's factor view,
-     so updates and refactors stay coherent without copying. *)
-  let ru_state (p : plan) : updown =
-    match p.ru with
-    | Some st -> st
-    | None ->
-        let st =
-          Prof.time "symbolic" (fun () ->
-              let n = p.handle.pattern.Csc.ncols in
-              {
-                rk =
-                  Rank_update.make_plan ~a_pattern:p.handle.pattern
-                    (plan_factor p);
-                up_pinv =
-                  (match p.handle.ord.o_perm with
-                  | Some pm -> Perm.inverse pm
-                  | None -> [||]);
-                up_wi = Array.make (max 1 n) 0;
-                up_wv = Array.make (max 1 n) 0.0;
-              })
-        in
-        p.ru <- Some st;
-        st
+  let variant (t : t) = Cholesky_family.variant t.compiled
+  let plan_factor (p : plan) : Csc.t = Cholesky_family.view p.p
 
   (* Escalation: the update needs entries the factor pattern lacks (the
      precondition is tight — a violation always means structural growth),
      so recompile in place. The plan's current matrix lower(L L^T) is
      recovered from the factor, the update's clique merged in, and the
-     result compiled through the default cache (a repeated escalation
-     pattern hits it). The new engine is built and factored BEFORE any
-     field swaps, so a failed escalation (e.g. a downdate that leaves the
-     matrix indefinite) leaves the plan exactly as it was. [wi]/[wv] are
-     sorted, compiled-order, [len] entries. *)
-  let escalate (p : plan) ~(neg : bool) ~(sigma : float) (wi : int array)
-      (wv : float array) (len : int) : unit =
-    Trace.with_span "updown.escalate"
-      ~attrs:[ ("len", Trace.Int len) ]
+     result compiled with the handle's own options (already in compiled
+     order, so naturally ordered) through the default cache, where a
+     repeated escalation pattern hits. The replacement is an OCaml plan,
+     built and factored BEFORE any field swaps, so a failed escalation
+     (e.g. a downdate that leaves the matrix indefinite) leaves the plan
+     exactly as it was. [wi]/[wv] are sorted, compiled-order, [len]
+     entries. *)
+  let escalate (p : plan) (rk : updown) ~(neg : bool) ~(sigma : float)
+      (wi : int array) (wv : float array) (len : int) : unit =
+    Trace.with_span "updown.escalate" ~attrs:[ ("len", Trace.Int len) ]
     @@ fun () ->
     let sigma = if neg then -.sigma else sigma in
-    let st = match p.ru with Some st -> st | None -> assert false in
-    let m = Rank_update.current_matrix st.rk in
-    let a_esc = clique_union m ~sigma wi wv len in
-    let t' = compile ~cache:default_cache a_esc in
-    let t_new =
-      {
-        t' with
-        ord = p.handle.ord;
-        natural_pattern = p.handle.natural_pattern;
-      }
+    let a_esc = clique_union (Rank_update.current_matrix rk) ~sigma wi wv len in
+    let h = p.handle in
+    let t' =
+      compile
+        ~opts:{ h.opts with Options.ordering = `Natural; cache = true }
+        a_esc
     in
-    let sup', simp' =
-      match (t'.supernodal, t'.simplicial) with
-      | Some c, _ -> (Some (Cholesky_supernodal.Sympiler.make_plan c), None)
-      | None, Some d -> (None, Some (Cholesky_ref.Decoupled.make_plan d))
-      | None, None -> assert false
+    let np = plan { t' with ord = h.ord; natural_pattern = h.natural_pattern } in
+    (* raises, plan untouched, if the updated matrix is not positive
+       definite *)
+    Cholesky_family.factor_ip np.p a_esc;
+    let old_map =
+      match (p.esc_map, h.ord.o_perm) with
+      | Some em, _ -> em
+      | None, Some _ -> h.ord.o_map
+      | None, None -> Array.init (Csc.nnz h.pattern) Fun.id
     in
-    (* Numeric phase on the escalated input; raises (plan untouched) if
-       the updated matrix is not positive definite. *)
-    (match (sup', simp') with
-    | Some sp, _ -> Cholesky_supernodal.Sympiler.factor_ip sp a_esc
-    | None, Some sp -> Cholesky_ref.Decoupled.factor_ip sp a_esc
-    | None, None -> assert false);
-    let old_q =
-      match p.esc_map with
-      | Some em -> fun q -> em.(q)
-      | None -> (
-          match p.handle.ord.o_perm with
-          | Some _ ->
-              let map = p.handle.ord.o_map in
-              fun q -> map.(q)
-          | None -> fun q -> q)
-    in
-    let em =
-      extend_input_map ~old_pattern:p.handle.pattern ~old_q t_new.pattern
-    in
-    p.handle <- t_new;
-    p.sup <- sup';
-    p.simp <- simp';
-    p.par <- None;
+    p.esc_map <- Some (extend_input_map ~old_pattern:h.pattern ~old_map t'.pattern);
+    p.scratch <- Some (values_scratch t'.pattern);
+    p.handle <- np.handle;
+    p.p <- np.p;
     p.native <- None;
-    p.scratch <-
-      Some
-        {
-          t_new.pattern with
-          Csc.values = Array.make (Csc.nnz t_new.pattern) 0.0;
-        };
-    p.esc_map <- Some em;
+    p.m_exec <- np.m_exec;
     p.ru <- None;
     if Prof.enabled () then begin
       let k = Prof.cell () in
       k.Prof.updown_escalations <- k.Prof.updown_escalations + 1
     end
 
-  (* In-place rank-1 update of the plan's factor: L L^T becomes
-     A + sigma w w^T. [w] is in natural order; ordered plans gather it
-     through the inverse permutation into plan-owned buffers (steady-state
-     calls allocate nothing). An update outside the factor pattern
-     escalates (recompiles the plan in place with the augmented pattern) —
-     after it, the plan still accepts inputs with the original natural
-     pattern. A rejected downdate rolls the factor back and re-raises
-     [Rank_update.Not_positive_definite]. *)
   (* [neg] carries the downdate direction as a flag so the sign flip never
      boxes a fresh float on the zero-alloc path. *)
   let updown_body (p : plan) ~(neg : bool) ~(sigma : float) (w : Vector.sparse)
       : unit =
-    let len = Array.length w.Vector.indices in
-    if len > 0 && sigma <> 0.0 then begin
-      let st = ru_state p in
-      match p.handle.ord.o_perm with
-      | None -> (
-          try Rank_update.update_vec st.rk ~neg ~sigma w
-          with Rank_update.Pattern_violation _ ->
-            escalate p ~neg ~sigma w.Vector.indices w.Vector.values len)
-      | Some _ ->
-          if w.Vector.n <> p.handle.pattern.Csc.ncols then
-            invalid_arg "Sympiler.Cholesky.update_ip: dimension mismatch";
-          let len =
-            permute_sorted_w ~who:"Sympiler.Cholesky.update_ip" st.up_pinv
-              st.up_wi st.up_wv w
-          in
-          (try
-             Rank_update.update_raw st.rk ~neg ~sigma st.up_wi st.up_wv len
-           with Rank_update.Pattern_violation _ ->
-             escalate p ~neg ~sigma st.up_wi st.up_wv len)
+    if Array.length w.Vector.indices > 0 && sigma <> 0.0 then begin
+      let rk, g = ru_state p in
+      let len = gather_w ~who:"Sympiler.Cholesky.update_ip" g w in
+      try Rank_update.update_raw rk ~neg ~sigma g.wi g.wv len
+      with Rank_update.Pattern_violation _ ->
+        escalate p rk ~neg ~sigma g.wi g.wv len
     end
 
   let update_ip (p : plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
@@ -1001,23 +517,21 @@ module Cholesky = struct
   (* Incremental refactorization: recompute only the factor rows whose
      values can change under the new input (changed input columns, closed
      over their etree paths). Needs a baseline from a prior full
-     [refactor_ip] that rank updates have not invalidated — otherwise it
+     [execute_ip] that rank updates have not invalidated — otherwise it
      transparently falls back to the full refactor. Returns the number of
      rows recomputed. *)
   let refactor_cols_ip (p : plan) (a_lower : Csc.t) : int =
-    let st = ru_state p in
-    if not (Rank_update.prev_valid st.rk) then begin
-      refactor_ip p a_lower;
+    let rk, _ = ru_state p in
+    if not (Rank_update.prev_valid rk) then begin
+      ignore (execute_ip p a_lower : Csc.t);
       p.handle.pattern.Csc.ncols
     end
     else begin
       Prof.start "numeric";
       let nrows =
         try
-          let a =
-            gathered_input ~who:"Sympiler.Cholesky.refactor_cols_ip" p a_lower
-          in
-          Rank_update.refactor_cols_ip st.rk a.Csc.values
+          let a = input ~who:"Sympiler.Cholesky.refactor_cols_ip" p a_lower in
+          Rank_update.refactor_cols_ip rk a.Csc.values
         with e ->
           Prof.stop "numeric";
           raise e
@@ -1038,23 +552,12 @@ module Cholesky = struct
     | Some p ->
         let pb = Perm.apply_vec p b in
         Perm.apply_inv_vec p (Cholesky_ref.solve_with_factor l pb)
-
-  (* Generated C source: the supernodal driver with baked-in schedule, or
-     the fully specialized simplicial kernel from the AST pipeline. *)
-  let c_code (t : t) : string =
-    match t.supernodal with
-    | Some c -> Codegen_supernodal.to_c c t.pattern
-    | None ->
-        (Sympiler_ir.Pipeline.cholesky t.pattern).Sympiler_ir.Pipeline.c_code
 end
-
-(* The four §3.3 families: one [Factor.Make] instance each, around the
-   kernel it drives. LDL^T adds its rank-update pair on top. *)
 
 module Ldlt = struct
   module K = Sympiler_kernels.Ldlt
 
-  module Family = struct
+  include Factor.Make (struct
     let name = "ldlt"
     let lower = true
 
@@ -1062,23 +565,22 @@ module Ldlt = struct
     type kplan = K.plan
     type output = K.factors
 
-    (* Rank-update state (GGMS C1), built lazily on the first [update_ip]. *)
-    type updown = {
-      lk : Rank_update.ldlt_plan;
-      up_pinv : int array; (* inverse permutation; [||] on natural plans *)
-      up_wi : int array;
-      up_wv : float array;
-    }
+    (* Rank-update state (GGMS C1): borrows the plan's factor views. *)
+    type updown = Rank_update.ldlt_plan
 
-    let compile = K.compile
-    let make_plan = K.make_plan
+    let compile _ = K.compile
+    let key _ = [||]
+    let make_plan ?ndomains:_ = K.make_plan
     let factor_ip = K.factor_ip
     let view (p : kplan) = p.K.f
     let factor = K.factor
     let flops _ = Float.nan
+    let nnz_l (c : compiled) = c.K.l_colptr.(c.K.n)
+    let decisions _ = []
 
     (* b1 = Lx, b2 = D *)
-    let native_sizes (p : kplan) = [| Array.length p.K.lx; p.K.c.K.n |]
+    let native _ (p : kplan) =
+      ("ldlt_factor", [| Array.length p.K.lx; p.K.c.K.n |], true)
 
     (* The plan's factor views alias [lx] / [d], so blitting the kernel
        buffers back makes [p.f] the result either way. *)
@@ -1087,30 +589,10 @@ module Ldlt = struct
       Native_engine.blit_out e.Native_engine.b2 p.K.f.K.d
 
     let pivot rc = K.Zero_pivot rc
+    let updown (p : kplan) _ = Rank_update.make_ldlt_plan p.K.f.K.l p.K.f.K.d
+    let refactored _ _ = ()
     let c_code c _ = Codegen_static.ldlt c
-  end
-
-  include Factor.Make (Family)
-
-  let ru_state (p : plan) : updown =
-    match p.ru with
-    | Some st -> st
-    | None ->
-        let st =
-          Prof.time "symbolic" (fun () ->
-              let n = p.handle.pattern.Csc.ncols in
-              {
-                Family.lk = Rank_update.make_ldlt_plan p.p.K.f.K.l p.p.K.f.K.d;
-                up_pinv =
-                  (match p.handle.ord.o_perm with
-                  | Some pm -> Perm.inverse pm
-                  | None -> [||]);
-                up_wi = Array.make (max 1 n) 0;
-                up_wv = Array.make (max 1 n) 0.0;
-              })
-        in
-        p.ru <- Some st;
-        st
+  end)
 
   (* In-place rank-1 update of the plan's factors (GGMS C1): L D L^T
      becomes A + sigma w w^T. [w] is natural-order; ordered plans gather
@@ -1122,19 +604,10 @@ module Ldlt = struct
      [Sympiler_kernels.Ldlt.Zero_pivot] with the factors rolled back. *)
   let updown_body (p : plan) ~(neg : bool) ~(sigma : float) (w : Vector.sparse)
       : unit =
-    let len = Array.length w.Vector.indices in
-    if len > 0 && sigma <> 0.0 then begin
-      let st = ru_state p in
-      match p.handle.ord.o_perm with
-      | None -> Rank_update.ldlt_update_vec st.lk ~neg ~sigma w
-      | Some _ ->
-          if w.Vector.n <> p.handle.pattern.Csc.ncols then
-            invalid_arg "Sympiler.Ldlt.update_ip: dimension mismatch";
-          let len =
-            permute_sorted_w ~who:"Sympiler.Ldlt.update_ip" st.up_pinv
-              st.up_wi st.up_wv w
-          in
-          Rank_update.ldlt_update_raw st.lk ~neg ~sigma st.up_wi st.up_wv len
+    if Array.length w.Vector.indices > 0 && sigma <> 0.0 then begin
+      let lk, g = ru_state p in
+      let len = gather_w ~who:"Sympiler.Ldlt.update_ip" g w in
+      Rank_update.ldlt_update_raw lk ~neg ~sigma g.wi g.wv len
     end
 
   let update_ip (p : plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
@@ -1153,18 +626,27 @@ module Lu = Factor.Make (struct
   type compiled = K.Sympiler.compiled
   type kplan = K.Sympiler.plan
   type output = K.factors
-  type updown = unit
 
-  let compile = K.Sympiler.compile
-  let make_plan = K.Sympiler.make_plan
+  include Factor.No_updown
+
+  let compile _ = K.Sympiler.compile
+  let key _ = [||]
+  let make_plan ?ndomains:_ = K.Sympiler.make_plan
   let factor_ip = K.Sympiler.factor_ip
   let view (p : kplan) = p.K.Sympiler.f
   let factor = K.Sympiler.factor
   let flops (c : compiled) = c.K.Sympiler.flops
 
+  let nnz_l (c : compiled) =
+    c.K.Sympiler.l_colptr.(c.K.Sympiler.n) + c.K.Sympiler.u_colptr.(c.K.Sympiler.n)
+
+  let decisions _ = []
+
   (* b1 = Lx, b2 = Ux *)
-  let native_sizes (p : kplan) =
-    [| Array.length p.K.Sympiler.lx; Array.length p.K.Sympiler.ux |]
+  let native _ (p : kplan) =
+    ( "lu_factor",
+      [| Array.length p.K.Sympiler.lx; Array.length p.K.Sympiler.ux |],
+      true )
 
   let copy_out (e : Native_engine.exec) (p : kplan) =
     Native_engine.blit_out e.Native_engine.b1 p.K.Sympiler.lx;
@@ -1183,17 +665,21 @@ module Ic0 = Factor.Make (struct
   type compiled = K.compiled
   type kplan = K.plan
   type output = Csc.t
-  type updown = unit
 
-  let compile = K.compile
-  let make_plan = K.make_plan
+  include Factor.No_updown
+
+  let compile _ = K.compile
+  let key _ = [||]
+  let make_plan ?ndomains:_ = K.make_plan
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.l
   let factor = K.factor
   let flops _ = Float.nan
+  let nnz_l (c : compiled) = c.K.colptr.(c.K.n)
+  let decisions _ = []
 
   (* b1 = Lx *)
-  let native_sizes (p : kplan) = [| Array.length p.K.lx |]
+  let native _ (p : kplan) = ("ic0_factor", [| Array.length p.K.lx |], true)
 
   let copy_out (e : Native_engine.exec) (p : kplan) =
     Native_engine.blit_out e.Native_engine.b1 p.K.lx
@@ -1211,17 +697,22 @@ module Ilu0 = Factor.Make (struct
   type compiled = K.compiled
   type kplan = K.plan
   type output = K.factors
-  type updown = unit
 
-  let compile = K.compile
-  let make_plan = K.make_plan
+  include Factor.No_updown
+
+  let compile _ = K.compile
+  let key _ = [||]
+  let make_plan ?ndomains:_ = K.make_plan
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.f
   let factor = K.factor
   let flops _ = Float.nan
+  let nnz_l (c : compiled) = c.K.rowptr.(c.K.n)
+  let decisions _ = []
 
   (* b1 = factor values (CSR order) *)
-  let native_sizes (p : kplan) = [| Array.length p.K.f.K.values |]
+  let native _ (p : kplan) =
+    ("ilu0_factor", [| Array.length p.K.f.K.values |], true)
 
   let copy_out (e : Native_engine.exec) (p : kplan) =
     Native_engine.blit_out e.Native_engine.b1 p.K.f.K.values
@@ -1336,16 +827,31 @@ module Explain = struct
     in
     (* Natural-order baseline columns: on an ordered handle, count the
        caller's pattern (etree and column counts only) to show what the
-       ordering bought; on a natural handle both columns coincide. *)
-    let nnz_l_natural, predicted_flops_natural =
+       ordering bought, and log that as the ordering's decision; on a
+       natural handle both columns coincide. *)
+    let nnz_l_natural, predicted_flops_natural, decisions =
       match t.Cholesky.ord.o_perm with
-      | None -> (t.Cholesky.nnz_l, t.Cholesky.flops)
+      | None -> (t.Cholesky.nnz_l, t.Cholesky.flops, t.Cholesky.decisions)
       | Some _ ->
           let _, counts =
             Sympiler_symbolic.Fill_pattern.col_counts t.Cholesky.natural_pattern
           in
-          ( Array.fold_left ( + ) 0 counts,
-            Sympiler_symbolic.Fill_pattern.flops_of_counts counts )
+          let nnz_nat = Array.fold_left ( + ) 0 counts in
+          let d =
+            {
+              Trace.pass = "ordering";
+              fired = true;
+              metric = "fill_ratio_vs_natural";
+              value =
+                (if nnz_nat = 0 then 1.0
+                 else float_of_int t.Cholesky.nnz_l /. float_of_int nnz_nat);
+              threshold = 1.0;
+            }
+          in
+          Trace.decision d;
+          ( nnz_nat,
+            Sympiler_symbolic.Fill_pattern.flops_of_counts counts,
+            d :: t.Cholesky.decisions )
     in
     {
       kernel = "cholesky";
@@ -1365,7 +871,7 @@ module Explain = struct
       avg_supernode_width = Sympiler_symbolic.Supernodes.avg_width sn;
       level_depth = depth;
       max_level_width = maxw;
-      decisions = t.Cholesky.decisions;
+      decisions;
       predicted_flops = t.Cholesky.flops;
       predicted_flops_natural;
       executed_flops = Prof.counters.Prof.flops;

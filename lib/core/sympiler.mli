@@ -65,18 +65,21 @@ module Native = Sympiler_native.Native
 
 module Native_engine = Native_engine
 (** Facade-side glue for the native engine (uniform [sympiler_entry] ABI
-    wrapper, vectorize-hint stripping, plan-owned argument buffers). *)
+    wrapper, plan-owned argument buffers). *)
 
 module Factor = Factor
-(** The four §3.3 factor families as one functor: {!Factor.FAMILY} holds
-    what differs between them (the kernel's compile, plan, in-place and
-    one-shot factor and result view; lower(A) or square pattern; native
-    buffer sizes and copy-out; the pivot exception; the emitted C), and
+(** The five factor families as one functor: {!Factor.FAMILY} holds what
+    differs between them (the kernel's options-aware compile and its slice
+    of the cache key, plan, in-place and one-shot factor and result view;
+    lower(A) or square pattern; flop model, factor size and decision log;
+    native kernel name, buffer sizes, return convention and copy-out; the
+    pivot exception; the rank-update state; the emitted C), and
     {!Factor.Make} writes ordering, symbolic timing, cache routing, plans,
-    engine dispatch and metrics once. {!Ldlt}, {!Lu}, {!Ic0} and {!Ilu0}
-    are its instances. *)
+    engine dispatch and metrics once. {!Cholesky}, {!Ldlt}, {!Lu}, {!Ic0}
+    and {!Ilu0} are its instances; {!Trisolve}, whose input is an RHS
+    pattern and whose output is dense, is written by hand. *)
 
-type engine = [ `Ocaml | `Native | `Native_novec ]
+type engine = [ `Ocaml | `Native ]
 (** Which executor a plan runs its numeric phase on.
 
     - [`Ocaml] (the default): the interpreted-by-OCaml executors, exactly
@@ -88,10 +91,7 @@ type engine = [ `Ocaml | `Native | `Native_novec ]
       and compiler identity, so steady state never re-invokes the
       compiler. When no C compiler is available the plan silently falls
       back to [`Ocaml] (one-time note on stderr; counted in
-      {!Native.stats}).
-    - [`Native_novec]: the ablation arm — the same C with the vectorize
-      annotations ([#pragma GCC ivdep], [restrict]) stripped and
-      auto-vectorization disabled, isolating what the annotations buy. *)
+      {!Native.stats}). *)
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 (** The fill-reducing ordering request of a compilation: ordering is a
@@ -116,11 +116,11 @@ type applied_ordering = Compile_common.applied_ordering = {
 (** The uniform kernel lifecycle every family implements.
 
     - [compile] runs the symbolic phase for one sparsity [pattern]. Every
-      knob rides in [?opts] (the shared {!Options.t}): [opts.fill] reuses
-      a caller-provided fill analysis (families that do not consume one
-      ignore it — the cost of a uniform signature); [opts.ordering]
-      selects the fill-reducing ordering applied before the analysis (see
-      {!type:ordering} — default [`Natural]). Passing [?cache] (or setting
+      knob rides in [?opts] (the shared {!Options.t}; families ignore the
+      fields they do not read — the cost of a uniform signature):
+      [opts.ordering] selects the fill-reducing ordering applied before
+      the analysis (see {!type:ordering} — default [`Natural]). Passing
+      [?cache] (or setting
       [opts.cache], which uses the family's module-wide default cache)
       routes the compile through a pattern-keyed {!Plan_cache}; the key
       holds the options the family consumes and nothing else, so two
@@ -166,7 +166,6 @@ module Trisolve : sig
   val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
   (** Symbolic inspection and inspector-guided planning for the patterns
       of [l] and [b]; numeric values are free to change afterwards.
-      [opts.fill] is ignored (the solve inspects reach-sets, not fill);
       [opts.vs_block_threshold] moves the VS-Block profitability bar.
       [opts.ordering] relabels the system to [P L P^T (P x) = P b] at
       compile time; the numeric entry points keep taking natural-order [b]
@@ -208,8 +207,8 @@ module Trisolve : sig
             refreshed per execute) *)
     ord_x : float array option;  (** ordered plans: natural-order output *)
     native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Lx, b1 = x, b2 = tmp) *)
+        (** populated when [plan ~engine:`Native] loaded the compiled-C
+            executor (b0 = Lx, b1 = x, b2 = tmp) *)
     m_exec : Metrics.histogram;
         (** the plan's [sympiler_execute_seconds] latency series *)
   }
@@ -244,119 +243,43 @@ module Trisolve : sig
       low-level transformations), from the {!Sympiler_ir.Pipeline}. *)
 end
 
-(** Sparse Cholesky factorization [A = L L^T]. *)
+(** Sparse Cholesky factorization [A = L L^T]: a {!Factor.Make} instance.
+
+    [compile] takes the variant decision on one fill analysis of
+    lower(A): the supernodal (VS-Block + low-level) variant when the
+    average supernode width reaches the paper's hand-tuned 2.0 threshold
+    (§4.2), the simplicial (VI-Prune-only) code below it — as Sympiler
+    does for matrices 3,4,5,7. [opts.simplicial] forces the simplicial
+    variant, [opts.vs_block_threshold] moves the bar; both are in the
+    cache key. [opts.ordering] runs the whole analysis on [P A P^T] (the
+    numeric entry points keep taking natural-order values; the factor
+    produced is that of the permuted matrix). The handle's [decisions]
+    log VI-Prune (pruned-iteration ratio vs the dense update count) and
+    VS-Block (fired/declined with the measured average supernode width;
+    [nan] when [Simplicial] was forced); the ordering's fill ratio is
+    reported by {!Explain.cholesky}. Raises [Invalid_argument] on
+    non-lower-triangular input.
+
+    [plan ~ndomains] on a supernodal handle runs the level-parallel
+    executor on the persistent domain pool (the supernode DAG is levelized
+    at plan time); factors are bitwise-identical across all [ndomains].
+    Simplicial handles ignore [ndomains]. On a non-positive pivot the
+    OCaml executors raise [Not_positive_definite] (the simplicial
+    kernel's {!Sympiler_kernels.Cholesky_ref} one, the supernodal
+    kernels' {!Sympiler_kernels.Dense_blas} one); the native kernels
+    return nothing and do not check the pivot. *)
 module Cholesky : sig
   type variant = Supernodal | Simplicial
-
-  type t = {
-    variant : variant;  (** what [compile] actually chose *)
-    supernodal : Cholesky_supernodal.Sympiler.compiled option;
-    simplicial : Cholesky_ref.Decoupled.compiled option;
-    pattern : Csc.t;  (** the pattern compiled against (permuted if
-                          ordered) *)
-    natural_pattern : Csc.t;  (** the caller's lower(A) before ordering *)
-    symbolic_seconds : float;
-    flops : float;
-    nnz_l : int;
-    decisions : Trace.decision list;
-        (** transformation decision log: the ordering stage (predicted
-            fill ratio ordered-vs-natural, ordered handles only), VI-Prune
-            (pruned-iteration ratio vs the dense update count), and
-            VS-Block (fired/declined with the measured average supernode
-            width vs [vs_block_threshold]; the width is [nan] when
-            [Simplicial] was forced) *)
-    ord : applied_ordering;
-  }
-
-  type pattern = Csc.t
-
-  val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
-  (** Compile for the pattern of lower-triangular [a_lower]. Default
-      strategy selection: the supernodal (VS-Block) variant when the
-      average supernode width reaches the paper's hand-tuned 2.0 threshold
-      (§4.2), the simplicial (VI-Prune-only) code below it — as Sympiler
-      does for matrices 3,4,5,7. Every knob rides in [?opts]:
-      [opts.simplicial] forces the simplicial variant,
-      [opts.vs_block_threshold] moves the selection bar, [opts.fill]
-      reuses a caller-provided fill analysis of the same (natural-order)
-      pattern, [opts.ordering] runs the whole analysis on [P A P^T] (the
-      numeric entry points keep taking natural-order values; the factor
-      produced is that of the permuted matrix). [?cache] (or [opts.cache])
-      routes the compile through a pattern-keyed {!Plan_cache}: a hit
-      (same structure, same {!Options.fingerprint}) returns the earlier
-      handle physically equal, skipping the symbolic phase entirely.
-      Raises [Invalid_argument] on non-lower-triangular input. *)
-
-  val cache_stats : unit -> Plan_cache.stats
-  (** Hit/miss/length counters of the default cache. *)
-
-  val cache_clear : unit -> unit
-
-  val symbolic_seconds : t -> float
-
-  val factor : t -> Csc.t -> Csc.t
-  (** Numeric-only factorization for any values sharing the compile-time
-      (natural-order) pattern; on an ordered handle the result is the
-      factor of [P A P^T] — exactly what compiling a pre-permuted matrix
-      yields. Allocates a fresh factor per call; use a {!plan} for
-      allocation-free steady state. Raises [Invalid_argument] when the
-      value count differs from the compiled pattern's nnz. *)
 
   type updown
   (** Lazily-built rank-update state: the kernel plan (scatter workspace,
       rollback snapshot, memoized etree-path table, incremental-refactor
-      inspectors) plus the ordered-gather buffers. *)
+      inspectors). *)
 
-  type plan = {
-    mutable handle : t;
-    mutable sup : Cholesky_supernodal.Sympiler.plan option;
-    mutable simp : Cholesky_ref.Decoupled.plan option;
-    mutable par : Cholesky_parallel.plan option;
-        (** populated when [plan ~ndomains] requested the level-parallel
-            executor (supernodal handles only) *)
-    mutable scratch : Csc.t option;
-        (** ordered plans gather natural-order input values in here *)
-    mutable native : Native_engine.exec option;
-        (** populated when [plan ~engine:`Native]/[`Native_novec] loaded
-            the compiled-C executor (b0 = Ax, b1 = Lx, b2 = simplicial
-            accumulator) *)
-    m_exec : Metrics.histogram;
-        (** the plan's [sympiler_execute_seconds] latency series *)
-    mutable ru : updown option;  (** lazy rank-update state *)
-    mutable esc_map : int array option;
-        (** after an {!update_ip} escalation: gather map from the original
-            natural input nnz to the escalated pattern ([-1] = structural
-            zero) *)
-  }
-  (** Reusable numeric workspaces (factor storage + scratch) for the
-      compile-once / execute-many regime; which side is populated follows
-      the handle's [variant] and the [ndomains] request. The engine fields
-      are mutable solely for {!update_ip}'s escalation path, which
-      recompiles the plan in place when an update needs entries the factor
-      pattern lacks. *)
+  include Factor.S with type output = Csc.t and type updown := updown
 
-  type input = Csc.t
-  type output = Csc.t
-
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** Without [ndomains]: the sequential executor of the handle's variant.
-      With [ndomains] on a supernodal handle: the level-parallel executor
-      on the persistent domain pool (the supernode DAG is levelized here,
-      at plan time); factors are bitwise-identical across all [ndomains].
-      [ndomains] is ignored for simplicial handles (column code has no
-      level schedule). [?engine] selects the executor ({!type:engine}); a
-      loaded native kernel takes precedence over [ndomains]. *)
-
-  val execute_ip : plan -> Csc.t -> Csc.t
-  (** Numeric factorization into the plan's storage; returns the plan's
-      factor view ({!plan_factor}), refreshed in place, valid until the
-      next call on the same plan. Zero allocation in steady state. Raises
-      [Invalid_argument] when the value count differs from the compiled
-      natural pattern's nnz (the plan stays usable). *)
-
-  val plan_latency : plan -> Metrics.histogram_snapshot
-  (** Per-call refactorization-latency distribution of this plan's metric
-      series (see {!KERNEL.plan_latency}). *)
+  val variant : t -> variant
+  (** What [compile] chose. *)
 
   val plan_factor : plan -> Csc.t
   (** The plan's factor view, refreshed in place by each {!execute_ip}
@@ -371,17 +294,19 @@ module Cholesky : sig
       nothing.
 
       An update outside the factor pattern {e escalates}: the plan is
-      recompiled in place over the augmented pattern
-      (lower(L L^T) + the update clique, through the default cache) and
-      factored — after it the plan still accepts inputs with the original
-      natural pattern ([esc_map] supplies the structural zeros), but
-      [ndomains]/[engine] requests are dropped back to the sequential
-      OCaml executor.
+      recompiled in place over the augmented pattern (lower(L L^T) + the
+      update clique) with the handle's own options, through the default
+      cache, and factored. After it the plan still accepts inputs with the
+      original natural pattern ([esc_map] supplies the structural zeros),
+      but [ndomains]/[engine] requests are dropped back to the sequential
+      OCaml executor, and {!plan_latency} follows it (the [engine="ocaml"]
+      series).
 
-      Raises [Invalid_argument] on malformed [w] (unsorted, duplicate or
-      out-of-range indices — previously silent corruption), and
-      [Rank_update.Not_positive_definite] on a rejected downdate, with
-      the factor rolled back to its pre-call values. *)
+      Raises [Invalid_argument] on malformed [w] (a dimension or value
+      count that does not match, unsorted, duplicate or out-of-range
+      indices) before anything is written, and
+      [Rank_update.Not_positive_definite] on a rejected downdate, with the
+      factor rolled back to its pre-call values. *)
 
   val downdate_ip : plan -> ?sigma:float -> Vector.sparse -> unit
   (** [update_ip ~sigma:(-. sigma)]: [A - sigma w w^T]. *)
@@ -402,13 +327,9 @@ module Cholesky : sig
       ordered handle the permuted system is solved and [x] returned in
       natural order. Rejects malformed input as {!factor} does, and a [b]
       whose length is not n. *)
-
-  val c_code : t -> string
-  (** Specialized C: the supernodal driver with its baked-in schedule, or
-      the fully specialized simplicial kernel from the AST pipeline. *)
 end
 
-(** The four §3.3 families below are {!Factor.Make} instances. Each
+(** The four §3.3 families below are {!Factor.Make} instances too. Each
     [compile] consumes only [opts.ordering] (and [opts.cache]); the other
     fields are ignored for {!KERNEL} uniformity and stay out of the cache
     key. [opts.ordering] compiles for [P A P^T] — on the symmetrized graph
@@ -446,7 +367,8 @@ module Ldlt : sig
       inputs the escalated matrix's signature is ambiguous, so the
       decision stays with the caller. Raises
       [Sympiler_kernels.Ldlt.Zero_pivot] on an exactly-zero updated pivot,
-      with the factors rolled back; [Invalid_argument] on malformed [w]. *)
+      with the factors rolled back; [Invalid_argument] on malformed [w]
+      (as for {!Cholesky.update_ip}), before anything is written. *)
 
   val downdate_ip : plan -> ?sigma:float -> Vector.sparse -> unit
   (** [update_ip ~sigma:(-. sigma)]: [A - sigma w w^T]. *)
@@ -508,7 +430,10 @@ module Explain : sig
     avg_supernode_width : float;
     level_depth : int;  (** level sets of L's dependence graph *)
     max_level_width : int;
-    decisions : Trace.decision list;  (** the handle's decision log *)
+    decisions : Trace.decision list;
+        (** the handle's decision log; on an ordered Cholesky handle led by
+            the ordering's [fill_ratio_vs_natural] ([nnz_l /
+            nnz_l_natural]) *)
     predicted_flops : float;  (** symbolic flop model of the handle *)
     predicted_flops_natural : float;
         (** the same model without the ordering *)

@@ -18,7 +18,7 @@ open Sympiler_symbolic
    L entry exists), so a violation always means structural growth and the
    caller must recompile — see the facade's escalation path.
 
-   Plans ([make_plan]/[update_ip]) own every workspace, so steady-state
+   Plans ([make_plan]/[update_raw]) own every workspace, so steady-state
    updates allocate nothing; the per-jmin etree path is memoized in an
    {!Etree.path_table}, so a repeated update's symbolic phase is a table
    read. A failed downdate rolls the path's values back before re-raising,
@@ -287,9 +287,9 @@ let clear_path (wx : float array) (path : int array) : unit =
     wx.(path.(t)) <- 0.0
   done
 
-(* Core entry point over raw (validated, sorted) index/value arrays — the
-   facade's ordered-gather path lands here without building a vector.
-   [neg] logically negates [sigma] (a downdate request): the magnitude
+(* The plans' update entry point, over raw index/value arrays the caller
+   has validated and sorted (the facade's update gather) — no vector is
+   built. [neg] logically negates [sigma] (a downdate request): the magnitude
    only feeds sqrt|sigma| and the direction is a bool, so the sign flip
    never materializes a fresh boxed float on the zero-alloc path. *)
 let update_raw (pl : plan) ~(neg : bool) ~(sigma : float) (wi : int array)
@@ -311,24 +311,6 @@ let update_raw (pl : plan) ~(neg : bool) ~(sigma : float) (wi : int array)
   clear_path pl.wx path;
   (* The factor no longer matches the last recorded input values. *)
   pl.prev_valid <- false
-
-(* Validated vector spelling with the explicit direction flag — the
-   facade's natural-order path (labelled args only: no option box). *)
-let update_vec (pl : plan) ~(neg : bool) ~(sigma : float) (w : Vector.sparse) :
-    unit =
-  let len = Array.length w.Vector.indices in
-  if len > 0 && sigma <> 0.0 then begin
-    if w.Vector.n <> pl.n then
-      invalid_arg "Rank_update.update_ip: dimension mismatch";
-    validate ~who:"Rank_update.update_ip" ~n:pl.n w.Vector.indices len;
-    update_raw pl ~neg ~sigma w.Vector.indices w.Vector.values len
-  end
-
-let update_ip (pl : plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
-  update_vec pl ~neg:false ~sigma w
-
-let downdate_ip (pl : plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
-  update_vec pl ~neg:true ~sigma w
 
 (* --------------------- incremental refactorization ---------------------- *)
 
@@ -611,20 +593,3 @@ let ldlt_update_raw (pl : ldlt_plan) ~(neg : bool) ~(sigma : float)
      clear_path pl.lwx path;
      raise e);
   clear_path pl.lwx path
-
-let ldlt_update_vec (pl : ldlt_plan) ~(neg : bool) ~(sigma : float)
-    (w : Vector.sparse) : unit =
-  let len = Array.length w.Vector.indices in
-  if len > 0 && sigma <> 0.0 then begin
-    if w.Vector.n <> pl.ln then
-      invalid_arg "Rank_update.ldlt_update_ip: dimension mismatch";
-    validate ~who:"Rank_update.ldlt_update_ip" ~n:pl.ln w.Vector.indices len;
-    ldlt_update_raw pl ~neg ~sigma w.Vector.indices w.Vector.values len
-  end
-
-let ldlt_update_ip (pl : ldlt_plan) ?(sigma = 1.0) (w : Vector.sparse) : unit =
-  ldlt_update_vec pl ~neg:false ~sigma w
-
-let ldlt_downdate_ip (pl : ldlt_plan) ?(sigma = 1.0) (w : Vector.sparse) : unit
-    =
-  ldlt_update_vec pl ~neg:true ~sigma w

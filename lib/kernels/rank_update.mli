@@ -15,10 +15,12 @@ open Sympiler_sparse
     the augmented pattern (the facade's escalation path does).
 
     Plans own every workspace and memoize the per-[jmin] etree path, so
-    steady-state [update_ip] calls allocate nothing; a failed downdate
-    rolls the touched values back before re-raising. All entry points
-    validate [w] (sorted, unique, in-range indices) and raise
-    [Invalid_argument] on malformed input instead of corrupting L. *)
+    steady-state [update_raw] calls allocate nothing; a failed downdate
+    rolls the touched values back before re-raising. The one-shot entry
+    points validate [w] (sorted, unique, in-range indices) and raise
+    [Invalid_argument] on malformed input instead of corrupting L; the
+    plan entry points take arrays their caller validated (the facade's
+    [update_ip] checks every update vector before it gets here). *)
 
 exception Not_positive_definite of int
 (** A downdate destroyed positive definiteness. Plan entry points (and the
@@ -64,26 +66,15 @@ val make_plan : a_pattern:Csc.t -> Csc.t -> plan
     etree from [l]'s pattern; all symbolic work beyond per-[jmin] paths
     happens here. *)
 
-val update_ip : plan -> ?sigma:float -> Vector.sparse -> unit
-(** In-place [A + sigma w w^T] (default [sigma = 1.]). Steady-state calls
-    (memoized path, no failure) allocate nothing. Raises
-    [Invalid_argument] on malformed [w], {!Pattern_violation} when the
-    precondition fails (factor untouched), {!Not_positive_definite} on a
-    rejected downdate (factor rolled back). *)
-
-val downdate_ip : plan -> ?sigma:float -> Vector.sparse -> unit
-(** [update_ip ~sigma:(-. sigma)]: in-place [A - sigma w w^T]. *)
-
-val update_vec : plan -> neg:bool -> sigma:float -> Vector.sparse -> unit
-(** Validated vector spelling with the downdate direction as an explicit
-    flag ([neg] logically negates [sigma]) — labelled args only, so hot
-    callers never build an option or box a negated float. *)
-
 val update_raw :
   plan -> neg:bool -> sigma:float -> int array -> float array -> int -> unit
-(** [update_raw pl ~neg ~sigma wi wv len]: the no-vector spelling over raw
-    index/value arrays (first [len] entries, already validated and
-    sorted) — the facade's ordered-gather path. *)
+(** [update_raw pl ~neg ~sigma wi wv len]: in-place [A + sigma w w^T]
+    ([neg] logically negates [sigma]) over the first [len] entries of raw
+    index/value arrays, already validated and sorted. Steady-state calls
+    (memoized path, no failure) allocate nothing. Raises
+    {!Pattern_violation} when the precondition fails (factor untouched),
+    {!Not_positive_definite} on a rejected downdate (factor rolled
+    back). *)
 
 val note_refactor : plan -> float array -> unit
 (** Record the input values (compiled order) the factor was just computed
@@ -119,18 +110,8 @@ type ldlt_plan
 val make_ldlt_plan : Csc.t -> float array -> ldlt_plan
 (** [make_ldlt_plan l d]: borrow the factor views of an LDL^T plan. *)
 
-val ldlt_update_ip : ldlt_plan -> ?sigma:float -> Vector.sparse -> unit
-(** In-place [A + sigma w w^T] on the LDL^T factors. Raises
-    [Ldlt.Zero_pivot] on an exactly-zero updated pivot (factors rolled
-    back), {!Pattern_violation} / [Invalid_argument] as for Cholesky. *)
-
-val ldlt_downdate_ip : ldlt_plan -> ?sigma:float -> Vector.sparse -> unit
-(** [ldlt_update_ip ~sigma:(-. sigma)]. *)
-
-val ldlt_update_vec :
-  ldlt_plan -> neg:bool -> sigma:float -> Vector.sparse -> unit
-(** Flag-direction vector spelling, as {!update_vec}. *)
-
 val ldlt_update_raw :
   ldlt_plan -> neg:bool -> sigma:float -> int array -> float array -> int -> unit
-(** Raw-array spelling, as {!update_raw}. *)
+(** In-place [A + sigma w w^T] on the LDL^T factors, over arrays as for
+    {!update_raw}. Raises [Ldlt.Zero_pivot] on an exactly-zero updated
+    pivot (factors rolled back), {!Pattern_violation} as for Cholesky. *)

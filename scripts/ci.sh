@@ -213,12 +213,14 @@ fi
 echo "perf_gate smoke: ok"
 
 echo "== ordered explain smoke =="
-# `explain --ordering amd --json` must report the selected ordering and
-# the natural-ordering baseline columns on two suite matrices.
+# `explain --ordering amd --json` must report the selected ordering, the
+# natural-ordering baseline columns, and the ordering's fill-ratio
+# decision (taken by Explain, not by the compile) on two suite matrices.
 for prob in Dubcova2 ecology2; do
   dune exec bin/sympiler_cli.exe -- explain --problem "$prob" \
     --ordering amd --json > "_build/explain_amd_$prob.json"
-  for key in '"ordering":"amd"' '"nnz_l_natural"' '"predicted_flops_natural"'; do
+  for key in '"ordering":"amd"' '"nnz_l_natural"' '"predicted_flops_natural"' \
+    '"pass":"ordering"'; do
     grep -q "$key" "_build/explain_amd_$prob.json" || {
       echo "FAIL: ordered explain JSON for $prob missing $key" >&2
       exit 1

@@ -72,14 +72,14 @@ let test_cholesky_threshold_fallback () =
       al
   in
   Alcotest.(check bool) "fell back to simplicial" true
-    (t.Sympiler.Cholesky.variant = Sympiler.Cholesky.Simplicial);
+    (Sympiler.Cholesky.variant t = Sympiler.Cholesky.Simplicial);
   let t2 =
     Sympiler.Cholesky.compile
       ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
       al
   in
   Alcotest.(check bool) "supernodal when threshold 0" true
-    (t2.Sympiler.Cholesky.variant = Sympiler.Cholesky.Supernodal)
+    (Sympiler.Cholesky.variant t2 = Sympiler.Cholesky.Supernodal)
 
 let test_cholesky_c_code_supernodal () =
   let al = Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:3 ~block:4 ()) in

@@ -6,7 +6,7 @@ open Sympiler_kernels
    malformed input raises [Invalid_argument] from the facade before any
    kernel reads it, and the plan then gives bit for bit what a fresh plan
    gives; the compilation cache keys on exactly the options a family
-   consumes. *)
+   consumes; the emitted C is pinned by golden digests. *)
 
 module S = Sympiler
 
@@ -108,7 +108,7 @@ let test_zero_alloc () =
           in
           if engine = `Ocaml then Alcotest.(check bool) msg true (w = 0.0)
           else Alcotest.(check bool) msg true (w < 1.0)))
-    factor_families
+    (factor_families @ cholesky_families)
 
 (* ------------------------- malformed input ------------------------- *)
 
@@ -243,14 +243,14 @@ let test_threshold_key_exact () =
   let c = S.Plan_cache.create () in
   let at_w = S.Cholesky.compile ~cache:c ~opts:(opts w) al in
   Alcotest.(check bool) "threshold w: supernodal" true
-    (at_w.S.Cholesky.variant = S.Cholesky.Supernodal);
+    (S.Cholesky.variant at_w = S.Cholesky.Supernodal);
   let above = w +. ldexp 1.0 (-13) in
   let cached = S.Cholesky.compile ~cache:c ~opts:(opts above) al in
   let uncached = S.Cholesky.compile ~opts:(opts above) al in
   Alcotest.(check bool) "threshold w + 2^-13: simplicial uncached" true
-    (uncached.S.Cholesky.variant = S.Cholesky.Simplicial);
+    (S.Cholesky.variant uncached = S.Cholesky.Simplicial);
   Alcotest.(check bool) "cached compile decides as the uncached one" true
-    (cached.S.Cholesky.variant = uncached.S.Cholesky.variant);
+    (S.Cholesky.variant cached = S.Cholesky.variant uncached);
   Alcotest.(check int) "two misses, no hit" 0 (S.Plan_cache.stats c).S.Plan_cache.hits
 
 (* Options a family never reads must not split its cache: the second
@@ -292,6 +292,144 @@ let test_ignored_options_share_entry () =
   Alcotest.(check bool) "trisolve ignores simplicial: same handle" true
     (h1 == h2)
 
+(* ------------------------- golden C digests ------------------------- *)
+
+(* [Digest.string] of [c_code] for every suite problem under eleven
+   variants, recorded before Cholesky moved onto [Factor.Make]: Cholesky
+   with default options, forced simplicial, AMD-ordered, and threshold
+   1e9; LDL^T, IC(0), LU and ILU(0); and three pipeline DAGs (Cholesky,
+   IC(0), SpMV then Cholesky). *)
+let golden_c_digests =
+  [
+    ( 1,
+      [ "da5a1df0375386c39da04b0c379de17c"; "9880d7ff55cd8c1fdecbf14b25d3ce9a";
+        "955b8aa8b8a34347c735995727dfc7f7"; "9880d7ff55cd8c1fdecbf14b25d3ce9a";
+        "6d380031595904418183ca4f0b36a3a7"; "90f9991d01b8a775e8eb1c66b89c653e";
+        "ece99f9c8dfd6c1deb5bb5fb614b7302"; "b706cc6ee133588376ec1a48aa7bbaa2";
+        "df32f2c2ca6429e975906193c6107382"; "df32f2c2ca6429e975906193c6107382";
+        "0517ee4dbad10757987e2b815d0f88af" ] );
+    ( 2,
+      [ "2727334cd24b904e6bde8b5967a0c5cd"; "2727334cd24b904e6bde8b5967a0c5cd";
+        "3f19a8da6d9841b088d0f655930c35a0"; "2727334cd24b904e6bde8b5967a0c5cd";
+        "3541a8fc04bf58bd9b6d0fec7701b8ad"; "b1ab2fbbf8eb37a3c37bc114483ba873";
+        "01fc10a066f3a6e4027350e8c32dbaa6"; "6c96c7ffe373c4f064589bacd1fe9f39";
+        "d6aa9f5199f813bb35029e5acf9e856d"; "d8986aa784d121338bf35eeb0e6a60f2";
+        "d31f661690f3ea509e373e00e349bd98" ] );
+    ( 3,
+      [ "54bd55077f774223d144090e3ac890eb"; "54bd55077f774223d144090e3ac890eb";
+        "332588783fc04d9794a0bdcdcdb78787"; "54bd55077f774223d144090e3ac890eb";
+        "1a3537101f38ccd60ce87fad3ab34e59"; "07f0d3a78b551444e8766c0123b311ae";
+        "fd2cfa9ab89c5b589721bcce3bb15c35"; "b5d73e5fc81a088585c2236ca361fc55";
+        "d056a0952cb92253f216b8ebf7a2019b"; "4b94e11286715e042fe04afe84539470";
+        "3de852df889e3b731c25a2796f7af386" ] );
+    ( 4,
+      [ "3b4aa6dcc1f98ec48ea10a80b8416e30"; "3b4aa6dcc1f98ec48ea10a80b8416e30";
+        "893c75372dc950678ba973599ee503dd"; "3b4aa6dcc1f98ec48ea10a80b8416e30";
+        "985c792975d6cf9c1240a9259589689a"; "6fbb57431df88956ade6ca9b5128cd59";
+        "33f70c4679d552626184eb448912ad8f"; "97cf96ad45b9d1d4cac27388ae261d34";
+        "fdabf6f9f4ff9ffd92feddbe167436e3"; "ba72a295fa06a0530015945a80f07f4d";
+        "ca20cbb8203222c0c2b491279c7e5e45" ] );
+    ( 5,
+      [ "0cbfc4eef1cf72106937f15fa7082296"; "0cbfc4eef1cf72106937f15fa7082296";
+        "301b8203a8af82585580520e4851e2ec"; "0cbfc4eef1cf72106937f15fa7082296";
+        "7b26290935cc3d8c5f5aa67dd8c7c5dc"; "a0e68930e931bfc8a76d6f26c7b8e275";
+        "96b804fce60630457387882060f71ceb"; "535d5d4e03d97fc0420e65e89de5c6f3";
+        "19a20d659caff4ab065166bd714ba05c"; "5ec1e5f8f514c76fe16a7beec597badc";
+        "a3473bf8a915d678beaf4f3a6175c67a" ] );
+    ( 6,
+      [ "bde02b17a10ae5f7c910493198e5ad48"; "192bf55ab1f7139f515d799615641a13";
+        "ad16472054d3b5ebfa6661da91275c92"; "192bf55ab1f7139f515d799615641a13";
+        "6e17c3adba2e21fd48b469e79d235980"; "cc90b336e7d4139d6219d49e3db4caff";
+        "da23d55ec8ceb030e496f6b3be833ffa"; "bacda828a896f9440d725d67ae17912a";
+        "11812574765eaf4df7b8da65c5286b81"; "11812574765eaf4df7b8da65c5286b81";
+        "7b2121b40689dd70fd084a710b854f9e" ] );
+    ( 7,
+      [ "54c59bebcf2cbb1c5cef48e86a1c0d35"; "54c59bebcf2cbb1c5cef48e86a1c0d35";
+        "08f54c53c58905a4a9b9f423aacf2123"; "54c59bebcf2cbb1c5cef48e86a1c0d35";
+        "46d7b0a3d75340414b1c1d96c37d0dea"; "051dbfd891e4210f413bf6ddc8a2bc83";
+        "5929b47c338cc9d5067722966c67bb84"; "7cd2b0e91da4bb13a51b04c9402b7e28";
+        "84b4daa241f6e2e0dd2d32313e2c9143"; "08adf98c747c032f755a0646202cf360";
+        "239df54f199987358cc637fdadcf828a" ] );
+    ( 8,
+      [ "d01f837872ca3555ef7d45bfc1241687"; "d01f837872ca3555ef7d45bfc1241687";
+        "60ea1210b0b2e467d6697b09560b6c98"; "d01f837872ca3555ef7d45bfc1241687";
+        "e7f1b9836933fe0e65a969f8a493fa27"; "9131581e216bdb513114c36e569f7cdf";
+        "0469da9537644485e92057e62c29f2be"; "befa8c3b98243edf22b6ac180df6e46f";
+        "d56294d2b8dca5b9cfb8f68b98a8ed2f"; "f1f5e2bbdfc942f2d5dc282705511729";
+        "2e0d156f693bd13c050a421144447eae" ] );
+    ( 9,
+      [ "5c14c97fb3dd9fc9ddb2305d1bee45b3"; "5c14c97fb3dd9fc9ddb2305d1bee45b3";
+        "5ea86a9a808b5fdeed5957e22d77d119"; "5c14c97fb3dd9fc9ddb2305d1bee45b3";
+        "76874e9f26543d06cbcce8b7de60a619"; "414249b3057acb708a07dd8fa039f4c7";
+        "a006f47541a382fd9e9d891c6ff7b2f2"; "4c6646acb5281c71b4451f0091b72620";
+        "7eff85f72abd0f0effa62f0a0962110e"; "606767d1ad4f6b6587c3cf923cdfbad2";
+        "040a89934207f018e7a3dc5ba0b4d78a" ] );
+    ( 10,
+      [ "cd312a81f2791d7edd49edf1a2c378e5"; "cd312a81f2791d7edd49edf1a2c378e5";
+        "4d00956d45869600b95a43a724a6be33"; "cd312a81f2791d7edd49edf1a2c378e5";
+        "e95237c5e77846c09e31ce0b5a43a318"; "bf1f2b941bc8324938b032a243cc6877";
+        "c686a0f18de6f0a233c26b320fa3524c"; "71d8da517f89ff494893fb8af7ecfa17";
+        "b43d7d0642c30a89d5c0b9f5d0a3cc57"; "52bc824fdcdc6eefcb8a6efb9bd0bf1a";
+        "62a86938831b361f02ec41ed942622c7" ] );
+    ( 11,
+      [ "2f8bbc29a879e11e8a1885490d6da6f4"; "2f8bbc29a879e11e8a1885490d6da6f4";
+        "a35f6419fd8069d4ca3d490590a272d3"; "2f8bbc29a879e11e8a1885490d6da6f4";
+        "3f32ab352e4d55bec42d224e582e26bb"; "401fb459d6a01c16b917cc8b6e31fb18";
+        "3582f304255085739c71b5390177617c"; "b5f16ca111e06c60b4ead98c1c6ea7ce";
+        "ddaa54ebf4ceac3f78826d6667456612"; "a1cd156f6ade8c167dac40a9cacfffac";
+        "4b23f3adfe66001ddad189be8f5331a8" ] );
+  ]
+
+let golden_variants (p : S.Suite.prepared) =
+  let al = p.S.Suite.a_lower and a = p.S.Suite.a_full in
+  let chol opts () = S.Cholesky.c_code (S.Cholesky.compile ~opts al) in
+  let pl dag x () =
+    S.Pipeline.c_code (S.Pipeline.compile (S.Pipeline.of_stages dag) x)
+  in
+  [
+    ("cholesky", chol S.Options.default);
+    ("cholesky simplicial", chol (S.Options.make ~simplicial:true ()));
+    ("cholesky amd", chol (S.Options.make ~ordering:`Amd ()));
+    ("cholesky threshold 1e9", chol (S.Options.make ~vs_block_threshold:1e9 ()));
+    ("ldlt", fun () -> S.Ldlt.c_code (S.Ldlt.compile al));
+    ("ic0", fun () -> S.Ic0.c_code (S.Ic0.compile al));
+    ("lu", fun () -> S.Lu.c_code (S.Lu.compile a));
+    ("ilu0", fun () -> S.Ilu0.c_code (S.Ilu0.compile a));
+    ("pipeline cholesky", pl [ S.Pipeline.Factor `Cholesky; S.Pipeline.Solve ] al);
+    ("pipeline ic0", pl [ S.Pipeline.Factor `Ic0; S.Pipeline.Solve ] al);
+    ( "pipeline spmv+cholesky",
+      pl [ S.Pipeline.Spmv; S.Pipeline.Factor `Cholesky; S.Pipeline.Solve ] al );
+  ]
+
+(* The facade and the pipeline take one VS-Block decision: same fired
+   flag and same measured width, bit for bit. *)
+let test_golden_c_digests () =
+  List.iter
+    (fun (id, digests) ->
+      let p = S.Suite.problem id in
+      List.iter2
+        (fun (variant, emit) want ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s c_code digest" p.S.Suite.name variant)
+            want
+            (Digest.to_hex (Digest.string (emit ()))))
+        (golden_variants p) digests;
+      let vs ds = List.find (fun d -> d.S.Trace.pass = "vs-block") ds in
+      let f = vs (S.Cholesky.compile p.S.Suite.a_lower).S.Cholesky.decisions in
+      let pl =
+        vs
+          (S.Pipeline.decisions
+             (S.Pipeline.compile (S.Pipeline.factor_solve `Cholesky)
+                p.S.Suite.a_lower))
+      in
+      Alcotest.(check bool)
+        (p.S.Suite.name ^ ": facade and pipeline decide VS-Block alike")
+        true
+        (f.S.Trace.fired = pl.S.Trace.fired
+        && Int64.bits_of_float f.S.Trace.value
+           = Int64.bits_of_float pl.S.Trace.value))
+    golden_c_digests
+
 let suite =
   [
     ("factor families zero allocation", `Slow, test_zero_alloc);
@@ -300,4 +438,5 @@ let suite =
     ("malformed trisolve rhs rejected", `Slow, test_malformed_trisolve_rhs);
     ("threshold cache key is exact", `Quick, test_threshold_key_exact);
     ("ignored options share a cache entry", `Quick, test_ignored_options_share_entry);
+    ("golden c_code digests, one VS-Block decision", `Slow, test_golden_c_digests);
   ]

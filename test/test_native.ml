@@ -4,9 +4,8 @@ open Sympiler_kernels
 (* The native backend: every family's emitted C compiled to a .so and
    raced against the OCaml executor, plus the cache/fallback machinery.
 
-   Differential law: a plan with [~engine:`Native] (or [`Native_novec])
-   must produce the same values as the default OCaml plan of the same
-   handle — bitwise in practice (the C follows the same operation order
+   Differential law: a plan with [~engine:`Native] must produce the same
+   values as the default OCaml plan of the same handle — bitwise in practice (the C follows the same operation order
    and is compiled with -ffp-contract=off), checked at 1e-15 relative to
    allow a stray last-bit difference without hiding real divergence. *)
 
@@ -224,32 +223,6 @@ let qcheck_ldlt_native =
       Utils.max_rel_diff fo.Ldlt.l.Csc.values fn.Ldlt.l.Csc.values <= 1e-15
       && Utils.max_rel_diff fo.Ldlt.d fn.Ldlt.d <= 1e-15)
 
-(* --------------------- novec arm and hint stripping --------------------- *)
-
-let test_strip_vector_hints () =
-  let al = Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:3 ~block:4 ()) in
-  let src = Sympiler.Ldlt.c_code (Sympiler.Ldlt.compile al) in
-  Alcotest.(check bool) "emitted C has restrict" true (contains src "restrict");
-  Alcotest.(check bool) "emitted C has ivdep" true
-    (contains src "#pragma GCC ivdep");
-  let stripped = NE.strip_vector_hints src in
-  Alcotest.(check bool) "stripped has no restrict" false
-    (contains stripped "restrict");
-  Alcotest.(check bool) "stripped has no pragma" false
-    (contains stripped "#pragma")
-
-let test_novec_native () =
-  require_native ();
-  let a = Generators.clique_chain ~seed:3 ~n:60 ~clique:8 ~overlap:2 () in
-  let al = Csc.lower a in
-  let t = Sympiler.Cholesky.compile al in
-  let lo = Sympiler.Cholesky.execute_ip (Sympiler.Cholesky.plan t) al in
-  let pn = Sympiler.Cholesky.plan ~engine:`Native_novec t in
-  Alcotest.(check bool) "novec loaded" true
-    (pn.Sympiler.Cholesky.native <> None);
-  let ln = Sympiler.Cholesky.execute_ip pn al in
-  check_vals "novec cholesky" lo.Csc.values ln.Csc.values
-
 (* ----------------------- failure-path semantics ----------------------- *)
 
 let test_native_zero_pivot () =
@@ -388,8 +361,6 @@ let suite =
     ("ilu0 native = ocaml", `Slow, test_ilu0_native);
     qcheck_cholesky_native;
     qcheck_ldlt_native;
-    ("strip vector hints", `Quick, test_strip_vector_hints);
-    ("novec native = ocaml", `Slow, test_novec_native);
     ("native zero pivot", `Slow, test_native_zero_pivot);
     ("so cache accounting", `Slow, test_so_cache);
     ("native zero allocation", `Slow, test_native_zero_alloc);

@@ -5,8 +5,9 @@ open Helpers
 (* Tests for the structured-tracing layer: span nesting and ordering,
    attribute escaping in the Chrome exporter, ring-buffer wraparound,
    zero allocation when disabled, the cache-hit attribute, the
-   transformation decision log, and the explain reports (including the
-   0x0 edge case). *)
+   transformation decision log, one symbolic analysis per ordered compile,
+   and the explain reports (including the ordering's decision and the 0x0
+   edge case). *)
 
 let with_trace ?capacity f =
   Trace.enable ?capacity ();
@@ -197,6 +198,46 @@ let test_decision_log () =
   Alcotest.(check int) "trisolve has two decisions" 2
     (List.length t.Sympiler.Trisolve.decisions)
 
+(* An ordered compile runs one elimination tree and one column-count pass:
+   the natural-order baseline is Explain's business, not the compile's. *)
+let test_ordered_compile_one_analysis () =
+  let al = Csc.lower (Generators.grid2d 30 30) in
+  with_trace @@ fun () ->
+  ignore
+    (Sympiler.Cholesky.compile
+       ~opts:(Sympiler.Options.make ~ordering:`Amd ())
+       al
+      : Sympiler.Cholesky.t);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " spans") 1
+        (List.length
+           (List.filter (fun s -> s.Trace.name = name) (Trace.spans ()))))
+    [ "symbolic.etree"; "symbolic.col_counts" ]
+
+let test_explain_ordering_decision () =
+  let al = Csc.lower (Generators.grid2d 12 12) in
+  let h =
+    Sympiler.Cholesky.compile ~opts:(Sympiler.Options.make ~ordering:`Amd ()) al
+  in
+  Alcotest.(check bool) "the handle logs no ordering decision" false
+    (List.exists
+       (fun d -> d.Trace.pass = "ordering")
+       h.Sympiler.Cholesky.decisions);
+  let r = Sympiler.explain h in
+  match r.Sympiler.Explain.decisions with
+  | d :: rest ->
+      Alcotest.(check string) "explain leads with the ordering" "ordering"
+        d.Trace.pass;
+      Alcotest.(check bool) "fired" true d.Trace.fired;
+      Alcotest.(check (float 0.0)) "value = nnz_l / nnz_l_natural"
+        (float_of_int r.Sympiler.Explain.nnz_l
+        /. float_of_int r.Sympiler.Explain.nnz_l_natural)
+        d.Trace.value;
+      Alcotest.(check bool) "then the handle's decisions" true
+        (rest = h.Sympiler.Cholesky.decisions)
+  | [] -> Alcotest.fail "no decisions"
+
 let test_steady_spans () =
   let al = Csc.lower (small_spd ()) in
   let h = Sympiler.Cholesky.compile al in
@@ -338,6 +379,8 @@ let suite =
     ("disabled mode allocates nothing", `Quick, test_disabled_zero_alloc);
     ("cache hit/miss attribute", `Quick, test_cache_hit_attr);
     ("transformation decision log", `Quick, test_decision_log);
+    ("ordered compile: one analysis", `Quick, test_ordered_compile_one_analysis);
+    ("explain: ordering decision", `Quick, test_explain_ordering_decision);
     ("steady-state factor spans", `Quick, test_steady_spans);
     ("folded exporter", `Quick, test_folded);
     ("explain cholesky", `Quick, test_explain_cholesky);

@@ -8,7 +8,9 @@ module SL = Sympiler.Ldlt
    corruption regression), failed-downdate rollback, zero-allocation steady
    state, the update/downdate inverse law, agreement with from-scratch
    factorization of A + sigma w w^T, path-table memoization counters,
-   pattern escalation, and incremental refactorization. *)
+   pattern escalation (which keeps the handle's options and moves the
+   latency series to the engine that runs), and incremental
+   refactorization. *)
 
 let minor_words_per_call f =
   f ();
@@ -341,6 +343,119 @@ let test_failed_escalation_preserves_plan () =
   Alcotest.(check bool) "no esc_map installed" true (p.SC.esc_map = None);
   Helpers.bitwise "factor untouched" before (SC.plan_factor p).Csc.values
 
+(* Two wide-clique blocks: supernodal by default, and an update coupling
+   column 0 with column 64 lies outside the factor pattern. *)
+let two_cliques () =
+  let b = Generators.clique_chain ~n:64 ~clique:16 ~overlap:4 () in
+  Helpers.block_diag [ b; b ]
+
+let coupling_w n =
+  { Vector.n; indices = [| 0; 64 |]; values = [| 1.0; -1.0 |] }
+
+(* The escalated plan is compiled with the handle's own options: a plan
+   that chose (or was forced to) the simplicial variant keeps it. *)
+let test_escalation_keeps_options () =
+  let a = two_cliques () in
+  let al = Csc.lower a in
+  let n = a.Csc.ncols in
+  let escalated opts =
+    let p = SC.plan (SC.compile ~opts al) in
+    ignore (SC.execute_ip p al : Csc.t);
+    SC.update_ip p ~sigma:0.5 (coupling_w n);
+    Alcotest.(check bool) "escalated" true (p.SC.esc_map <> None);
+    Alcotest.(check bool) "escalated factor correct" true
+      (llt_residual (SC.plan_factor p) (dense_updated a ~sigma:0.5 (coupling_w n))
+      < 1e-8);
+    SC.variant p.SC.handle
+  in
+  Alcotest.(check bool) "default options stay supernodal" true
+    (escalated Sympiler.Options.default = SC.Supernodal);
+  Alcotest.(check bool) "forced simplicial stays simplicial" true
+    (escalated (Sympiler.Options.make ~simplicial:true ()) = SC.Simplicial);
+  Alcotest.(check bool) "threshold 1e9 stays simplicial" true
+    (escalated (Sympiler.Options.make ~vs_block_threshold:1e9 ()) = SC.Simplicial)
+
+(* Escalation drops a native plan to the OCaml executor; its latency
+   series follows, so the native series stops counting. *)
+let test_escalation_latency_series () =
+  if not (Sympiler.Native.available ()) then Alcotest.skip ();
+  let module M = Sympiler.Metrics in
+  M.enable ();
+  M.reset ();
+  Fun.protect ~finally:(fun () ->
+      M.disable ();
+      M.reset ())
+  @@ fun () ->
+  let a = two_cliques () in
+  let al = Csc.lower a in
+  let p = SC.plan ~engine:`Native (SC.compile al) in
+  Alcotest.(check bool) "native plan" true (p.SC.native <> None);
+  let native_series = p.SC.m_exec in
+  for _ = 1 to 3 do
+    ignore (SC.execute_ip p al : Csc.t)
+  done;
+  SC.update_ip p ~sigma:0.5 (coupling_w a.Csc.ncols);
+  Alcotest.(check bool) "escalated to OCaml" true
+    (p.SC.esc_map <> None && p.SC.native = None);
+  for _ = 1 to 5 do
+    ignore (SC.execute_ip p al : Csc.t)
+  done;
+  Alcotest.(check int) "native series stopped at 3" 3
+    (M.snapshot native_series).M.count;
+  Alcotest.(check int) "plan_latency counts the 5 later calls" 5
+    (SC.plan_latency p).M.count
+
+(* An update vector whose value count differs from its index count is
+   rejected by the facade ("Sympiler." message) before anything is
+   written, on natural and ordered plans of both updatable families. *)
+let test_w_length_mismatch () =
+  let a = spd () in
+  let al = Csc.lower a in
+  let n = a.Csc.ncols in
+  let cases =
+    [
+      ("short", { Vector.n; indices = [| 2; 5; 9 |]; values = [| 0.1; 0.2 |] });
+      ( "long",
+        { Vector.n; indices = [| 2; 5 |]; values = [| 0.1; 0.2; 0.3 |] } );
+    ]
+  in
+  let families =
+    [
+      ( "cholesky",
+        fun opts ->
+          let p = SC.plan (SC.compile ~opts al) in
+          ignore (SC.execute_ip p al : Csc.t);
+          ( (fun w -> SC.update_ip p w),
+            fun () -> Array.copy (SC.plan_factor p).Csc.values ) );
+      ( "ldlt",
+        fun opts ->
+          let p = SL.plan (SL.compile ~opts al) in
+          let f = SL.execute_ip p al in
+          ( (fun w -> SL.update_ip p w),
+            fun () -> Array.append f.Ldlt.l.Csc.values f.Ldlt.d ) );
+    ]
+  in
+  List.iter
+    (fun (fam, make) ->
+      List.iter
+        (fun (on, ordering) ->
+          List.iter
+            (fun (kind, w) ->
+              let msg = Printf.sprintf "%s %s %s values" fam on kind in
+              let update, values = make (Sympiler.Options.make ~ordering ()) in
+              let before = values () in
+              (match update w with
+              | () -> Alcotest.failf "%s: accepted" msg
+              | exception Invalid_argument m
+                when String.starts_with ~prefix:"Sympiler." m ->
+                  ()
+              | exception e ->
+                  Alcotest.failf "%s: raised %s" msg (Printexc.to_string e));
+              Helpers.bitwise (msg ^ ": factor untouched") before (values ()))
+            cases)
+        [ ("natural", `Natural); ("amd", `Amd) ])
+    families
+
 (* ---- incremental refactorization ---- *)
 
 (* Copy [al] with every entry of input column [c] scaled. *)
@@ -482,6 +597,11 @@ let suite =
     ( "failed escalation preserves plan",
       `Quick,
       test_failed_escalation_preserves_plan );
+    ("escalation keeps the handle's options", `Quick, test_escalation_keeps_options);
+    ( "escalation moves the latency series to OCaml",
+      `Slow,
+      test_escalation_latency_series );
+    ("update w length mismatch rejected", `Quick, test_w_length_mismatch);
     ("incremental refactor bitwise (simplicial)", `Quick, test_refactor_cols_bitwise);
     ( "incremental refactor close (supernodal)",
       `Quick,
