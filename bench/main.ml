@@ -36,8 +36,8 @@ open Sympiler_prof
    gates the
    tracing-disabled overhead of the steady path at 2% and writes
    BENCH_trace.json. The `phases` section additionally writes BENCH_phases.json:
-   per-problem symbolic/numeric phase timings, kernel counters, and the
-   amortization ratio, via the sympiler_prof observability layer. The
+   per-problem symbolic/numeric phase timings, kernel counters (read from
+   the metrics registry), and the amortization ratio. The
    `steady` section writes BENCH_steady.json: first-call vs steady-state
    plan execution time, GC minor words per steady call, and the
    compilation-cache hit rate. The `parallel` section writes
@@ -48,6 +48,8 @@ open Sympiler_prof
    matrices, the AMD-vs-greedy tolerance and mesh-improvement verdicts,
    AMD's asymptotic cost against the greedy oracle on growing grids, and
    the ordered facade path's zero-allocation + bitwise-identity gates. *)
+
+module Met = Sympiler_metrics.Metrics
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let use_bechamel = Array.exists (( = ) "--bechamel") Sys.argv
@@ -66,8 +68,8 @@ let min_window = if quick then 0.05 else 0.2
 let reps_outer = if quick then 3 else 5
 
 (* Median-of-[reps_outer]; each measurement averages enough inner
-   repetitions to occupy [min_window] seconds. Timed on the profiling
-   layer's monotonic clock (immune to NTP slews). *)
+   repetitions to occupy [min_window] seconds. Timed on the monotonic
+   clock (immune to NTP slews). *)
 let measure (f : unit -> unit) : float =
   let t0 = Prof.now_seconds () in
   f ();
@@ -601,6 +603,46 @@ Level-set trisolve schedules (wavefront parallelism):
 
 let phase_ids = [ 2; 6; 9 ]
 
+(* The work counters of one measured window, read from the metrics
+   registry under BENCH_phases.json's counter keys. *)
+let phase_counters () =
+  let open Prof.Json in
+  let v m = Int (Met.counter_value m) in
+  let named ?labels name = Met.counter_value (Met.counter ?labels name) in
+  let gauge name = Int (int_of_float (Met.gauge_value (Met.gauge name))) in
+  let loads source =
+    named ~labels:[ ("source", source) ] "sympiler_native_loads"
+  in
+  let sn = Met.counter_value Met.supernodes in
+  let sn_cols = Met.counter_value Met.supernode_cols in
+  Obj
+    [
+      ("flops", v Met.flops);
+      ("nnz_touched", v Met.nnz_touched);
+      ("iters_pruned", v Met.iters_pruned);
+      ("supernodes", Int sn);
+      ("supernode_cols", Int sn_cols);
+      ( "avg_supernode_width",
+        Float
+          (if sn = 0 then 0.0 else float_of_int sn_cols /. float_of_int sn) );
+      ("levels", v Met.levels);
+      ( "max_level_width",
+        Int (int_of_float (Met.gauge_value Met.max_level_width)) );
+      ("cache_hits", Int (named "sympiler_plan_cache_hits"));
+      ("cache_misses", Int (named "sympiler_plan_cache_misses"));
+      ("orderings", v Met.orderings);
+      ("pool_runs", Int (named "sympiler_pool_runs"));
+      ("pool_tasks", Int (named "sympiler_pool_tasks"));
+      ("pool_max_workers", gauge "sympiler_pool_max_workers");
+      ("pool_imbalance_pct", gauge "sympiler_pool_imbalance_pct");
+      ("native_compiles", Int (named "sympiler_native_compiles"));
+      ("native_so_hits", Int (loads "memory" + loads "disk"));
+      ("native_fallbacks", Int (named "sympiler_native_fallbacks"));
+      ("updown_path_hits", v Met.updown_path_hits);
+      ("updown_path_misses", v Met.updown_path_misses);
+      ("updown_escalations", v Met.updown_escalations);
+    ]
+
 let phases () =
   header "Phase breakdown: symbolic vs numeric (writes BENCH_phases.json)";
   Printf.printf "%-3s %-15s %-9s | %10s %10s %9s | %s\n" "ID" "Name" "kernel"
@@ -624,37 +666,38 @@ let phases () =
               ("counters", counters);
             ]
         in
-        (* Triangular solve: fresh compile under the profiler, one counted
-           numeric solve, then an unprofiled median for the timing. *)
+        (* Triangular solve: fresh compile with metrics on, one counted
+           numeric solve, then an uncounted median for the timing. *)
         let l = d.l_factor and b = d.rhs in
         let x = Vector.sparse_to_dense b in
         let load () =
           Array.iteri (fun i _ -> x.(i) <- 0.0) x;
           Array.iteri (fun k i -> x.(i) <- b.Vector.values.(k)) b.Vector.indices
         in
-        Prof.reset ();
-        Prof.enable ();
-        let c = Prof.time "symbolic" (fun () -> Trisolve_sympiler.compile l b) in
-        let tri_sym = Prof.scope_seconds "symbolic" in
+        Met.reset ();
+        Met.enable ();
+        let t0 = Prof.now_seconds () in
+        let c = Trisolve_sympiler.compile l b in
+        let tri_sym = Prof.now_seconds () -. t0 in
         load ();
-        Prof.time "numeric" (fun () -> Trisolve_sympiler.solve_full_ip c x);
-        let tri_counters = Prof.counters_json () in
-        Prof.disable ();
+        Trisolve_sympiler.solve_full_ip c x;
+        let tri_counters = phase_counters () in
+        Met.disable ();
         let tri_num =
           measure (fun () ->
               load ();
               Trisolve_sympiler.solve_full_ip c x)
         in
         let tri = report "trisolve" tri_sym tri_num tri_counters in
-        (* Cholesky: the facade times its own "symbolic"/"numeric" scopes. *)
+        (* Cholesky: the facade times its own symbolic phase. *)
         let al = d.p.Sympiler.Suite.a_lower in
-        Prof.reset ();
-        Prof.enable ();
+        Met.reset ();
+        Met.enable ();
         let t = Sympiler.Cholesky.compile al in
-        let chol_sym = Prof.scope_seconds "symbolic" in
+        let chol_sym = Sympiler.Cholesky.symbolic_seconds t in
         ignore (Sympiler.Cholesky.factor t al);
-        let chol_counters = Prof.counters_json () in
-        Prof.disable ();
+        let chol_counters = phase_counters () in
+        Met.disable ();
         let chol_num =
           measure (fun () -> ignore (Sympiler.Cholesky.factor t al))
         in
@@ -681,7 +724,7 @@ let phases () =
   write_bench "BENCH_phases.json" doc;
   section_note
     "(amortize = symbolic time / one numeric execution: how many numeric\n\
-    \ runs repay the inspection; counters are per one profiled execution.\n\
+    \ runs repay the inspection; counters are per one counted execution.\n\
     \ Full data written to BENCH_phases.json)\n"
 
 (* ---------------------------------------------------------------- *)
@@ -1232,14 +1275,14 @@ let parallel_bench () =
     done;
     int_of_float ((Gc.minor_words () -. w0) /. float_of_int gc_loops)
   in
+  (* The imbalance of [f]'s last dispatch (0 = none measured). *)
+  let m_imbalance = Met.gauge "sympiler_pool_imbalance_pct" in
   let imbalance_of f =
-    Prof.reset ();
-    Prof.enable ();
+    Met.enable ();
+    Met.set m_imbalance 0.0;
     f ();
-    Prof.disable ();
-    let v = Prof.counters.Prof.pool_imbalance_pct in
-    Prof.reset ();
-    v
+    Met.disable ();
+    int_of_float (Met.gauge_value m_imbalance)
   in
   let all_zero = ref true
   and all_bitwise = ref true
@@ -1773,11 +1816,9 @@ let large () =
    (b) histogram percentiles land within one log-linear bucket of a
    sorted-array oracle over a skewed synthetic sample, with the exact-sum
    and exact-max invariants holding bit-for-bit; (c) 4 domains hammering
-   one counter lose no increments (the sharded cells are the Prof-race
-   fix's load-bearing claim); (d) the enabled hot path allocates zero GC
+   one counter lose no increments (the sharded cells keep every count
+   exact across domains); (d) the enabled hot path allocates zero GC
    minor words, and the exposition passes the OpenMetrics linter. *)
-
-module Met = Sympiler_metrics.Metrics
 
 let metrics_bench () =
   header "Metrics: registry overhead + fidelity (writes BENCH_metrics.json)";

@@ -48,16 +48,18 @@ let load ~matrix ~problem =
         .Sympiler.Suite.a_full
   | None, None -> failwith "pass --matrix FILE or --problem NAME"
 
-(* With --profile, run [f] under the observability layer and print the
-   phase/counter table to stderr (stdout stays clean for emitted C). *)
+(* With --profile, run [f] with the metrics switch on and print the
+   registry's table to stderr (stdout stays clean for emitted C): the work
+   counters, and per histogram the call count and the summed seconds that
+   say where the time went. --trace FILE gives the per-pass breakdown. *)
 let with_profile profile f =
   if not profile then f ()
   else begin
-    Sympiler_prof.Prof.reset ();
-    Sympiler_prof.Prof.enable ();
+    let was_on = Sympiler.Metrics.enabled () in
+    Sympiler.Metrics.enable ();
     let r = f () in
-    Sympiler_prof.Prof.disable ();
-    Printf.eprintf "%s" (Sympiler_prof.Prof.table ());
+    if not was_on then Sympiler.Metrics.disable ();
+    prerr_string (Sympiler.Metrics.to_table ());
     r
   end
 
@@ -267,16 +269,22 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
 
 (* Symbolic "explain" report for one compiled handle: fill, etree,
    histograms, level sets, the transformation decision log, and predicted
-   vs executed flops (one numeric execution runs under profiling so the
-   executed counter is populated). *)
+   vs executed flops (one numeric execution of the explained kernel runs
+   with metrics on; its flops are the counter's increase over that run
+   alone, so the factorization that yields a trisolve's L is not charged to
+   the solve, and the registry keeps the whole run for --metrics). *)
 let explain matrix problem kernel ordering rhs_fill json trace metrics =
   with_metrics metrics @@ fun () ->
   with_trace trace @@ fun () ->
   let a = load ~matrix ~problem in
-  let was_on = Sympiler_prof.Prof.enabled () in
-  Sympiler_prof.Prof.reset ();
-  Sympiler_prof.Prof.enable ();
-  let report =
+  let was_on = Sympiler.Metrics.enabled () in
+  Sympiler.Metrics.enable ();
+  let counted run =
+    let f0 = Sympiler.Metrics.(counter_value flops) in
+    run ();
+    Sympiler.Metrics.(counter_value flops) - f0
+  in
+  let report, executed_flops =
     match kernel with
     | `Cholesky ->
         let al = Csc.lower a in
@@ -286,16 +294,20 @@ let explain matrix problem kernel ordering rhs_fill json trace metrics =
               (Sympiler.Options.make ~ordering:(ordering_of_flag ordering) ())
             al
         in
-        (* Populate the executed-flops counter; a numeric breakdown (e.g.
-           indefinite values) still leaves the symbolic report valid. *)
-        (try ignore (Sympiler.Cholesky.factor t al)
-         with
-        | Sympiler_kernels.Dense_blas.Not_positive_definite _
-        | Sympiler_kernels.Cholesky_ref.Not_positive_definite _ ->
-            Printf.eprintf
-              "note: numeric factorization failed (not PD); executed flops \
-               are partial\n");
-        Sympiler.Explain.cholesky t
+        (* A numeric breakdown (e.g. indefinite values) still leaves the
+           symbolic report valid. *)
+        let executed =
+          counted (fun () ->
+              try ignore (Sympiler.Cholesky.factor t al)
+              with
+              | Sympiler_kernels.Dense_blas.Not_positive_definite _
+              | Sympiler_kernels.Cholesky_ref.Not_positive_definite _
+              ->
+                Printf.eprintf
+                  "note: numeric factorization failed (not PD); executed \
+                   flops are partial\n")
+        in
+        (Sympiler.Explain.cholesky t, executed)
     | `Trisolve ->
         (* A generic fill-reducing ordering would break L's triangularity,
            so for the solve the ordering is applied to A before the factor
@@ -313,10 +325,13 @@ let explain matrix problem kernel ordering rhs_fill json trace metrics =
           Generators.sparse_rhs ~seed:1 ~n:l.Csc.ncols ~fill:rhs_fill ()
         in
         let t = Sympiler.Trisolve.compile (l, b) in
-        ignore (Sympiler.Trisolve.solve t b);
-        Sympiler.Explain.trisolve t
+        let executed =
+          counted (fun () -> ignore (Sympiler.Trisolve.solve t b))
+        in
+        (Sympiler.Explain.trisolve t, executed)
   in
-  if not was_on then Sympiler_prof.Prof.disable ();
+  if not was_on then Sympiler.Metrics.disable ();
+  let report = { report with Sympiler.Explain.executed_flops } in
   if json then print_endline (Sympiler.Explain.to_json report)
   else print_string (Sympiler.Explain.to_table report);
   0
@@ -460,8 +475,7 @@ let updown matrix problem ordering repeat sigma col profile trace metrics =
      not per call, keeping the timed loop allocation-free. *)
   let update = C.update_ip p ~sigma in
   let downdate = C.downdate_ip p ~sigma in
-  (* warm the path table, then time the canceling pair stream (profiling
-     untouched: counter bumps would show up in the allocation figure) *)
+  (* warm the path table, then time the canceling pair stream *)
   update w;
   downdate w;
   let v0 = Array.copy l.Csc.values in
@@ -493,22 +507,22 @@ let updown matrix problem ordering repeat sigma col profile trace metrics =
     done;
     (now () -. t0) /. float_of_int reps
   in
-  (* a short profiled stream exposes the per-jmin path memoization: the
-     path was computed once during warmup, so every profiled pair hits *)
-  let was_on = Sympiler_prof.Prof.enabled () in
-  Sympiler_prof.Prof.enable ();
-  let c = Sympiler_prof.Prof.counters in
-  let h0 = c.Sympiler_prof.Prof.updown_path_hits
-  and m0 = c.Sympiler_prof.Prof.updown_path_misses
-  and e0 = c.Sympiler_prof.Prof.updown_escalations in
+  (* a short counted stream exposes the per-jmin path memoization: the
+     path was computed once during warmup, so every counted pair hits *)
+  let module M = Sympiler.Metrics in
+  let was_on = M.enabled () in
+  M.enable ();
+  let h0 = M.counter_value M.updown_path_hits
+  and m0 = M.counter_value M.updown_path_misses
+  and e0 = M.counter_value M.updown_escalations in
   for _ = 1 to 10 do
     update w;
     downdate w
   done;
-  let path_hits = c.Sympiler_prof.Prof.updown_path_hits - h0
-  and path_misses = c.Sympiler_prof.Prof.updown_path_misses - m0
-  and escalations = c.Sympiler_prof.Prof.updown_escalations - e0 in
-  if not was_on then Sympiler_prof.Prof.disable ();
+  let path_hits = M.counter_value M.updown_path_hits - h0
+  and path_misses = M.counter_value M.updown_path_misses - m0
+  and escalations = M.counter_value M.updown_escalations - e0 in
+  if not was_on then M.disable ();
   (* rollback contract: a downdate violent enough to destroy positive
      definiteness must raise and leave the factor bitwise intact *)
   let before = Array.copy l.Csc.values in
@@ -547,7 +561,7 @@ let updown matrix problem ordering repeat sigma col profile trace metrics =
     (if words = 0 then " (allocation-free)" else "");
   Printf.printf "drift (%d pairs) : %.2e (relative)\n" reps drift;
   Printf.printf
-    "path table       : %d hits / %d misses, %d escalations (10 profiled \
+    "path table       : %d hits / %d misses, %d escalations (10 counted \
      pairs)\n"
     path_hits path_misses escalations;
   Printf.printf "rollback intact  : %b (rejected downdate left L bitwise)\n"
@@ -632,7 +646,10 @@ let profile_arg =
   Arg.(
     value & flag
     & info [ "profile" ]
-        ~doc:"Print phase timings and kernel counters to stderr")
+        ~doc:
+          "Count with metrics on and print the metrics table (work \
+           counters, per-histogram call counts and summed seconds) to \
+           stderr")
 
 let repeat_arg =
   Arg.(

@@ -1,6 +1,5 @@
 open Sympiler_sparse
 open Sympiler_kernels
-open Sympiler_prof
 module Fill = Sympiler_symbolic.Fill_pattern
 module Supernodes = Sympiler_symbolic.Supernodes
 module Trace = Sympiler_trace.Trace
@@ -117,9 +116,8 @@ let make_plan ?ndomains (c : compiled) : kplan =
   match (c.kernel, ndomains) with
   | Sup s, Some nd ->
       PPar
-        (Prof.time "symbolic" (fun () ->
-             Cholesky_parallel.make_plan ~ndomains:nd
-               (Cholesky_parallel.levelize s)))
+        (Cholesky_parallel.make_plan ~ndomains:nd
+           (Cholesky_parallel.levelize s))
   | Sup s, None -> PSup (Cholesky_supernodal.Sympiler.make_plan s)
   | Simp s, _ -> PSimp (Cholesky_ref.Decoupled.make_plan s)
 

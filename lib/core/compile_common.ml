@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Prof = Sympiler_prof.Prof
 
 (* Shared compile-time machinery of the facade and the pipeline layer:
    ordering resolution and the baked gather maps, symbolic-phase timing,
@@ -10,13 +10,11 @@ open Sympiler_prof
 module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
 
-(* Wall-clock timing for the [symbolic_seconds] report fields, also fed to
-   the profiling layer's "symbolic" scope (reentrant, so the inspectors'
-   own "symbolic" spans nest without double counting). The monotonic clock
-   keeps the report immune to NTP slews. *)
+(* Wall-clock timing for the [symbolic_seconds] report fields. The
+   monotonic clock keeps the report immune to NTP slews. *)
 let time_symbolic f =
   let t0 = Prof.now_seconds () in
-  let r = Prof.time "symbolic" f in
+  let r = f () in
   (r, Prof.now_seconds () -. t0)
 
 (* ------------------------ Plan-lifecycle metrics ------------------------ *)
@@ -69,14 +67,15 @@ let cached_compile ~span ~default ?cache ~(opts : Options.t) ~pattern ~extra
       Trace.with_span span @@ fun () ->
       Plan_cache.find_or_compile c ~pattern ~extra compile
 
-(* A plan's steady-state entry point under the metrics switch: one clock
-   pair around [f] feeding the plan's latency histogram when metrics are
-   on, a plain call otherwise (no allocation either way). *)
+(* A plan's steady-state entry point under the metrics switch: one
+   integer-nanosecond clock pair around [f] feeding the plan's latency
+   histogram when metrics are on, a plain call otherwise (no allocation
+   either way). *)
 let observed (h : Metrics.histogram) f p x =
   if Metrics.enabled () then begin
-    let t0 = Prof.now_seconds () in
+    let t0 = Prof.now_ns () in
     let r = f p x in
-    Metrics.observe h (Prof.now_seconds () -. t0);
+    Metrics.observe_ns h (Prof.now_ns () - t0);
     r
   end
   else f p x

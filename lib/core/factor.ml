@@ -1,5 +1,4 @@
 open Sympiler_sparse
-open Sympiler_prof
 open Compile_common
 
 (* The five factor families (Cholesky and the §3.3 LDL^T, LU, IC(0),
@@ -302,21 +301,15 @@ module Make (F : FAMILY) :
 
   (* A native kernel's non-negative return is the failing pivot index. *)
   let execute_ip_raw (p : plan) (a : Csc.t) : output =
-    Prof.start "numeric";
-    (try
-       let a = input ~who:who_execute p a in
-       (match p.native with
-       | Some e ->
-           Native_engine.blit_in a.Csc.values e.Native_engine.b0;
-           let rc = Native_engine.call e in
-           if rc >= 0 then raise (F.pivot rc);
-           F.copy_out e p.p
-       | None -> F.factor_ip p.p a);
-       match p.ru with Some (st, _) -> F.refactored st a | None -> ()
-     with e ->
-       Prof.stop "numeric";
-       raise e);
-    Prof.stop "numeric";
+    let a = input ~who:who_execute p a in
+    (match p.native with
+    | Some e ->
+        Native_engine.blit_in a.Csc.values e.Native_engine.b0;
+        let rc = Native_engine.call e in
+        if rc >= 0 then raise (F.pivot rc);
+        F.copy_out e p.p
+    | None -> F.factor_ip p.p a);
+    (match p.ru with Some (st, _) -> F.refactored st a | None -> ());
     F.view p.p
 
   let execute_ip (p : plan) (a : Csc.t) : output =
@@ -325,17 +318,15 @@ module Make (F : FAMILY) :
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
   let factor (t : t) (a : Csc.t) : output =
-    Prof.time "numeric" (fun () ->
-        F.factor t.compiled (ordered_input ~who:who_factor t.ord t.pattern a))
+    F.factor t.compiled (ordered_input ~who:who_factor t.ord t.pattern a)
 
   let ru_state (p : plan) =
     match p.ru with
     | Some r -> r
     | None ->
         let r =
-          Prof.time "symbolic" (fun () ->
-              ( F.updown p.p p.handle.pattern,
-                w_gather p.handle.ord p.handle.pattern.Csc.ncols ))
+          ( F.updown p.p p.handle.pattern,
+            w_gather p.handle.ord p.handle.pattern.Csc.ncols )
         in
         p.ru <- Some r;
         r

@@ -1,6 +1,6 @@
 open Sympiler_sparse
 open Sympiler_kernels
-open Sympiler_prof
+module Prof = Sympiler_prof.Prof
 module Shared_analysis = Sympiler_symbolic.Shared_analysis
 module Dep_graph = Sympiler_symbolic.Dep_graph
 module Trace = Sympiler_trace.Trace
@@ -643,7 +643,7 @@ let run_factor (p : plan) (a' : Csc.t) : unit =
   match p.fplan with
   | None -> ()
   | Some fp ->
-      let t0 = if Metrics.enabled () then Prof.now_seconds () else 0.0 in
+      let t0 = if Metrics.enabled () then Prof.now_ns () else 0 in
       (match fp with
       | PChol sp -> Cholesky_family.factor_ip sp a'
       | PLdlt sp -> Ldlt.factor_ip sp a'
@@ -651,7 +651,7 @@ let run_factor (p : plan) (a' : Csc.t) : unit =
       | PIc0 sp -> Ic0.factor_ip sp a'
       | PIlu0 sp -> Ilu0.factor_ip sp a');
       if Metrics.enabled () then
-        Metrics.observe p.m_factor (Prof.now_seconds () -. t0)
+        Metrics.observe_ns p.m_factor (Prof.now_ns () - t0)
 
 let buf (p : plan) = if p.cur = 0 then p.x else p.y
 
@@ -689,7 +689,7 @@ let run_staged (p : plan) (src : Csc.t option) : unit =
   p.cur <- 0;
   let n = p.handle.n in
   for i = 0 to Array.length p.staged - 1 do
-    let t0 = if Metrics.enabled () then Prof.now_seconds () else 0.0 in
+    let t0 = if Metrics.enabled () then Prof.now_ns () else 0 in
     (match p.staged.(i) with
     | SFactor -> ( match src with Some a' -> run_factor p a' | None -> ())
     | SSpmv op ->
@@ -711,7 +711,7 @@ let run_staged (p : plan) (src : Csc.t option) : unit =
             assert false);
         Array.blit p.sx 0 p.x 0 n);
     if Metrics.enabled () then
-      Metrics.observe p.m_stages.(i) (Prof.now_seconds () -. t0)
+      Metrics.observe_ns p.m_stages.(i) (Prof.now_ns () - t0)
   done
 
 let load_b (p : plan) (b : float array) : unit =
@@ -740,57 +740,40 @@ let execute_raw run (p : plan) (a : Csc.t option) (b : float array) :
      plan as it was. *)
   if Array.length b <> p.handle.n then
     invalid_arg "Sympiler.Pipeline.execute_ip: b has the wrong length";
-  Prof.start "numeric";
-  let r =
-    try
-      (* [prepare] refreshes everything value-like; the factor step still
-         needs the permuted input, which is the scratch when ordered *)
-      (match a with
-      | None ->
-          load_b p b;
-          run p None
-      | Some a0 ->
-          let src = prepare p a0 in
-          load_b p b;
-          run p (Some src));
-      store_out p
-    with e ->
-      Prof.stop "numeric";
-      raise e
-  in
-  Prof.stop "numeric";
-  r
+  (* [prepare] refreshes everything value-like; the factor step still
+     needs the permuted input, which is the scratch when ordered *)
+  (match a with
+  | None ->
+      load_b p b;
+      run p None
+  | Some a0 ->
+      let src = prepare p a0 in
+      load_b p b;
+      run p (Some src));
+  store_out p
 
 (* No closures here: the steady-state apply path must not allocate. *)
 let execute_ip (p : plan) ?a (b : float array) : float array =
   if Metrics.enabled () then begin
-    let t0 = Prof.now_seconds () in
+    let t0 = Prof.now_ns () in
     let r = execute_raw run_fused p a b in
-    Metrics.observe p.m_fused (Prof.now_seconds () -. t0);
+    Metrics.observe_ns p.m_fused (Prof.now_ns () - t0);
     r
   end
   else execute_raw run_fused p a b
 
 let staged_execute_ip (p : plan) ?a (b : float array) : float array =
   if Metrics.enabled () then begin
-    let t0 = Prof.now_seconds () in
+    let t0 = Prof.now_ns () in
     let r = execute_raw run_staged p a b in
-    Metrics.observe p.m_staged (Prof.now_seconds () -. t0);
+    Metrics.observe_ns p.m_staged (Prof.now_ns () - t0);
     r
   end
   else execute_raw run_staged p a b
 
 (* Refactor only: refresh values and run the factor stage, leaving the
    vector chain alone (the [factor_ip] of the unified kernel API). *)
-let factor_ip (p : plan) (a : Csc.t) : unit =
-  Prof.start "numeric";
-  (try
-     let src = prepare p a in
-     run_factor p src
-   with e ->
-     Prof.stop "numeric";
-     raise e);
-  Prof.stop "numeric"
+let factor_ip (p : plan) (a : Csc.t) : unit = run_factor p (prepare p a)
 
 let plan_latency (p : plan) = Metrics.snapshot p.m_fused
 

@@ -1,5 +1,4 @@
 open Sympiler_sparse
-open Sympiler_prof
 module Metrics = Sympiler_metrics.Metrics
 
 (* Serving metrics: all caches share one labeled family, since per-cache
@@ -98,9 +97,6 @@ let find_or_compile t ~pattern ?(extra = [||]) compile =
       e.last_use <- t.tick;
       t.hits <- t.hits + 1;
       Metrics.inc m_hits 1;
-      (if Prof.enabled () then
-         let c = Prof.cell () in
-         c.Prof.cache_hits <- c.Prof.cache_hits + 1);
       (* Tag the caller's enclosing span (e.g. "compile_cached.cholesky")
          so traces show which compilations were free. *)
       Sympiler_trace.Trace.set_attr "cache" (Sympiler_trace.Trace.Str "hit");
@@ -108,9 +104,6 @@ let find_or_compile t ~pattern ?(extra = [||]) compile =
   | None ->
       t.misses <- t.misses + 1;
       Metrics.inc m_misses 1;
-      (if Prof.enabled () then
-         let c = Prof.cell () in
-         c.Prof.cache_misses <- c.Prof.cache_misses + 1);
       Sympiler_trace.Trace.set_attr "cache" (Sympiler_trace.Trace.Str "miss");
       let value = compile () in
       if List.length t.entries >= t.capacity then evict_lru t;

@@ -21,9 +21,9 @@ val find_or_compile : 'a t -> pattern:Csc.t -> ?extra:int array -> (unit -> 'a) 
 (** [find_or_compile t ~pattern ~extra compile] returns the cached handle
     (physically equal to what an earlier call produced) when [pattern]'s
     structure and [extra] match an entry; otherwise runs [compile ()],
-    caches the result, and returns it. Hits and misses bump both the
-    cache's own {!stats} and the global profiling counters
-    ([cache_hits] / [cache_misses]) when profiling is enabled. *)
+    caches the result, and returns it. Hits and misses bump the cache's
+    own {!stats} (always) and the [sympiler_plan_cache_hits] /
+    [sympiler_plan_cache_misses] series (while metrics are on). *)
 
 val stats : 'a t -> stats
 val length : 'a t -> int

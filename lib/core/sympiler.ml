@@ -1,6 +1,5 @@
 open Sympiler_sparse
 open Sympiler_kernels
-open Sympiler_prof
 
 (* Public facade: Sympiler as the paper presents it. Each kernel family's
    [compile] runs all symbolic analysis and code generation once for a
@@ -253,39 +252,35 @@ module Trisolve = struct
      out here. *)
   let solve (t : t) (b : Vector.sparse) : float array =
     check_rhs ~who:"Sympiler.Trisolve.solve" t b;
-    Prof.time "numeric" (fun () ->
-        match t.ord.o_perm with
-        | None -> Trisolve_sympiler.solve_full t.compiled b
-        | Some p ->
-            let pb =
-              {
-                Vector.n = b.Vector.n;
-                indices = t.b_pattern;
-                values =
-                  Array.map (fun m -> b.Vector.values.(m)) t.ord_b_map;
-              }
-            in
-            let xp = Trisolve_sympiler.solve_full t.compiled pb in
-            let out = Array.make (Array.length xp) 0.0 in
-            Array.iteri (fun k v -> out.(p.(k)) <- v) xp;
-            out)
+    match t.ord.o_perm with
+    | None -> Trisolve_sympiler.solve_full t.compiled b
+    | Some p ->
+        let pb =
+          {
+            Vector.n = b.Vector.n;
+            indices = t.b_pattern;
+            values = Array.map (fun m -> b.Vector.values.(m)) t.ord_b_map;
+          }
+        in
+        let xp = Trisolve_sympiler.solve_full t.compiled pb in
+        let out = Array.make (Array.length xp) 0.0 in
+        Array.iteri (fun k v -> out.(p.(k)) <- v) xp;
+        out
 
   (* In-place numeric solve: [x] holds b on entry, the solution on exit. *)
   let solve_ip (t : t) (x : float array) : unit =
     if Array.length x <> t.l.Csc.ncols then
       invalid_arg "Sympiler.Trisolve.solve_ip: x length does not match n";
-    Prof.time "numeric" (fun () ->
-        match t.ord.o_perm with
-        | None -> Trisolve_sympiler.solve_full_ip t.compiled x
-        | Some p ->
-            let px = Perm.apply_vec p x in
-            Trisolve_sympiler.solve_full_ip t.compiled px;
-            let xn = Perm.apply_inv_vec p px in
-            Array.blit xn 0 x 0 (Array.length x))
+    match t.ord.o_perm with
+    | None -> Trisolve_sympiler.solve_full_ip t.compiled x
+    | Some p ->
+        let px = Perm.apply_vec p x in
+        Trisolve_sympiler.solve_full_ip t.compiled px;
+        let xn = Perm.apply_inv_vec p px in
+        Array.blit xn 0 x 0 (Array.length x)
 
   (* Plans: allocate the numeric workspaces once, then solve repeatedly
-     with zero steady-state allocation. [Prof.start]/[stop] rather than
-     [Prof.time] keeps even the profiled path closure-free. *)
+     with zero steady-state allocation. *)
   type plan = {
     handle : t;
     p : Trisolve_sympiler.plan;
@@ -337,9 +332,8 @@ module Trisolve = struct
       | None -> None
       | Some nd ->
           Some
-            (Prof.time "symbolic" (fun () ->
-                 Trisolve_parallel.make_plan ~ndomains:nd
-                   (Trisolve_parallel.compile t.l)))
+            (Trisolve_parallel.make_plan ~ndomains:nd
+               (Trisolve_parallel.compile t.l))
     in
     let native = if engine = `Native then native_exec t else None in
     let ord_b, ord_x =
@@ -394,32 +388,21 @@ module Trisolve = struct
 
   let execute_ip_raw (p : plan) (b : Vector.sparse) : float array =
     check_rhs ~who:"Sympiler.Trisolve.execute_ip" p.handle b;
-    Prof.start "numeric";
-    let r =
-      try
-        match (p.ord_b, p.ord_x) with
-        | None, _ | _, None -> run_inner p b
-        | Some pb, Some out ->
-            let map = p.handle.ord_b_map in
-            for t = 0 to Array.length map - 1 do
-              pb.Vector.values.(t) <- b.Vector.values.(map.(t))
-            done;
-            let xp = run_inner p pb in
-            let perm =
-              match p.handle.ord.o_perm with
-              | Some q -> q
-              | None -> assert false
-            in
-            for k = 0 to Array.length out - 1 do
-              out.(perm.(k)) <- xp.(k)
-            done;
-            out
-      with e ->
-        Prof.stop "numeric";
-        raise e
-    in
-    Prof.stop "numeric";
-    r
+    match (p.ord_b, p.ord_x) with
+    | None, _ | _, None -> run_inner p b
+    | Some pb, Some out ->
+        let map = p.handle.ord_b_map in
+        for t = 0 to Array.length map - 1 do
+          pb.Vector.values.(t) <- b.Vector.values.(map.(t))
+        done;
+        let xp = run_inner p pb in
+        let perm =
+          match p.handle.ord.o_perm with Some q -> q | None -> assert false
+        in
+        for k = 0 to Array.length out - 1 do
+          out.(perm.(k)) <- xp.(k)
+        done;
+        out
 
   let execute_ip (p : plan) (b : Vector.sparse) : float array =
     observed p.m_exec execute_ip_raw p b
@@ -491,10 +474,7 @@ module Cholesky = struct
     p.native <- None;
     p.m_exec <- np.m_exec;
     p.ru <- None;
-    if Prof.enabled () then begin
-      let k = Prof.cell () in
-      k.Prof.updown_escalations <- k.Prof.updown_escalations + 1
-    end
+    Metrics.inc Metrics.updown_escalations 1
 
   (* [neg] carries the downdate direction as a flag so the sign flip never
      boxes a fresh float on the zero-alloc path. *)
@@ -526,19 +506,9 @@ module Cholesky = struct
       ignore (execute_ip p a_lower : Csc.t);
       p.handle.pattern.Csc.ncols
     end
-    else begin
-      Prof.start "numeric";
-      let nrows =
-        try
-          let a = input ~who:"Sympiler.Cholesky.refactor_cols_ip" p a_lower in
-          Rank_update.refactor_cols_ip rk a.Csc.values
-        with e ->
-          Prof.stop "numeric";
-          raise e
-      in
-      Prof.stop "numeric";
-      nrows
-    end
+    else
+      let a = input ~who:"Sympiler.Cholesky.refactor_cols_ip" p a_lower in
+      Rank_update.refactor_cols_ip rk a.Csc.values
 
   (* Solve A x = b: numeric factorization + two triangular solves. On an
      ordered handle the permuted system (P A P^T)(P x) = P b is solved and
@@ -674,7 +644,7 @@ module Ic0 = Factor.Make (struct
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.l
   let factor = K.factor
-  let flops _ = Float.nan
+  let flops (c : compiled) = float_of_int c.K.flops
   let nnz_l (c : compiled) = c.K.colptr.(c.K.n)
   let decisions _ = []
 
@@ -706,7 +676,7 @@ module Ilu0 = Factor.Make (struct
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.f
   let factor = K.factor
-  let flops _ = Float.nan
+  let flops (c : compiled) = float_of_int c.K.flops
   let nnz_l (c : compiled) = c.K.rowptr.(c.K.n)
   let decisions _ = []
 
@@ -744,7 +714,7 @@ module Explain = struct
     decisions : Trace.decision list;
     predicted_flops : float; (* symbolic flop model of the handle *)
     predicted_flops_natural : float; (* same model without the ordering *)
-    executed_flops : int; (* Prof.counters snapshot; 0 when profiling off *)
+    executed_flops : int; (* the flop counter's value; see sympiler.mli *)
     symbolic_seconds : float;
   }
 
@@ -874,7 +844,7 @@ module Explain = struct
       decisions;
       predicted_flops = t.Cholesky.flops;
       predicted_flops_natural;
-      executed_flops = Prof.counters.Prof.flops;
+      executed_flops = Metrics.counter_value Metrics.flops;
       symbolic_seconds = t.Cholesky.symbolic_seconds;
     }
 
@@ -909,7 +879,7 @@ module Explain = struct
       decisions = t.Trisolve.decisions;
       predicted_flops = t.Trisolve.flops;
       predicted_flops_natural = t.Trisolve.flops;
-      executed_flops = Prof.counters.Prof.flops;
+      executed_flops = Metrics.counter_value Metrics.flops;
       symbolic_seconds = t.Trisolve.symbolic_seconds;
     }
 

@@ -42,14 +42,14 @@ module Trace = Sympiler_trace.Trace
     with [Trace.to_chrome_json] / [Trace.to_folded]. *)
 
 module Metrics = Sympiler_metrics.Metrics
-(** Serving-grade metrics (re-exported): a domain-safe labeled registry of
-    counters, gauges, and latency histograms, populated by the plan
-    lifecycle ([sympiler_compile_seconds], [sympiler_execute_seconds]),
-    the plan cache, the native engine, and the domain pool. Enable with
+(** Serving-grade metrics (re-exported): the library's one store of
+    counters, gauges, and latency histograms, populated by the kernels'
+    work counters ({!Metrics.flops}, …), the plan lifecycle
+    ([sympiler_compile_seconds], [sympiler_execute_seconds]), the plan
+    cache, the native engine, and the domain pool. Enable with
     [Metrics.enable ()] or [SYMPILER_METRICS=1]; export with
-    [Metrics.to_openmetrics] / [to_json] / [to_table]. See DESIGN.md for
-    the prof (phase timers) / trace (spans) / metrics (distributions)
-    division of labor. *)
+    [Metrics.to_openmetrics] / [to_json] / [to_table]. See DESIGN.md
+    "Instrumentation" for the metrics (counts) / trace (spans) split. *)
 
 module Runtime = Sympiler_runtime
 (** The persistent domain-pool parallel runtime ({!Runtime.Pool}) behind
@@ -438,8 +438,10 @@ module Explain : sig
     predicted_flops_natural : float;
         (** the same model without the ordering *)
     executed_flops : int;
-        (** current {!Sympiler_prof.Prof.counters} flops snapshot — run the
-            numeric phase under profiling before reading; 0 otherwise *)
+        (** the [sympiler_flops] counter ({!Metrics.flops}) when the report
+            is built: it counts every kernel run while metrics were on. To
+            report one execution, read the counter before it and subtract,
+            as [sympiler_cli explain] does. *)
     symbolic_seconds : float;
   }
 

@@ -1,28 +1,20 @@
 open Sympiler_sparse
 open Sympiler_symbolic
-open Sympiler_prof
 
 (* The Sympiler phase pipeline of Figure 2: symbolic inspection, lowering,
    inspector-guided transformations, low-level transformations, code
    generation. Produces both the transformed kernel AST (executable through
    [Interp]) and the final C source.
 
-   Every pass reports its time to the profiling layer: inspector runs under
-   the "symbolic" scope, AST work under "codegen" plus a per-pass
-   "codegen:<pass>" sub-scope — so `sympiler_cli --profile` and the phases
-   bench can attribute compile time to individual passes. Each pass also
-   opens a trace span of the same name, and the transformation passes
-   record decision events (fired/declined plus the measured quantity that
-   drove the choice) for `sympiler explain` and trace exports. *)
+   Every pass opens a trace span: inspector runs "symbolic.inspect", AST
+   work a "codegen:<pass>" span per pass — so `sympiler_cli --trace`
+   attributes compile time to individual passes. The transformation passes
+   also record decision events (fired/declined plus the measured quantity
+   that drove the choice) for `sympiler explain` and trace exports. *)
 
 module Trace = Sympiler_trace.Trace
 
-let pass name f =
-  Prof.time "codegen" (fun () ->
-      Prof.time name (fun () -> Trace.with_span name f))
-
-let inspect f =
-  Prof.time "symbolic" (fun () -> Trace.with_span "symbolic.inspect" f)
+let inspect f = Trace.with_span "symbolic.inspect" f
 
 (* Pruned-iteration ratio of a VI-Prune set over an n-iteration loop:
    fraction of iterations the transformation removed. *)
@@ -42,7 +34,9 @@ type result = {
 let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
     ?(peel_threshold = 2) ?max_width (l : Csc.t) (b : Vector.sparse) : result =
   Trace.with_span "pipeline.trisolve" @@ fun () ->
-  let kernel = pass "codegen:lower" (fun () -> Build.lower_trisolve l) in
+  let kernel =
+    Trace.with_span "codegen:lower" (fun () -> Build.lower_trisolve l)
+  in
   let inspectors = ref [] in
   let kernel, tmp_size, prune_set, peel =
     if vs_block then begin
@@ -62,7 +56,8 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
           threshold = 0.0;
         };
       let kernel =
-        pass "codegen:vs-block" (fun () -> Vs_block.apply_trisolve l sn kernel)
+        Trace.with_span "codegen:vs-block" (fun () ->
+            Vs_block.apply_trisolve l sn kernel)
       in
       (* Prune set over blocks: supernodes hit by the reach-set. *)
       let insp2 = Inspector.trisolve_vi_prune l b in
@@ -133,18 +128,20 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
   in
   let kernel =
     if vi_prune then
-      pass "codegen:vi-prune" (fun () ->
+      Trace.with_span "codegen:vi-prune" (fun () ->
           Vi_prune.apply ~set_name:"pruneSet" ~peel ~vectorize:low_level
             prune_set kernel)
     else kernel
   in
   let kernel =
-    if low_level then pass "codegen:low-level" (fun () -> Lowlevel.apply kernel)
+    if low_level then
+      Trace.with_span "codegen:low-level" (fun () -> Lowlevel.apply kernel)
     else kernel
   in
   {
     kernel;
-    c_code = pass "codegen:emit" (fun () -> Pretty_c.kernel_to_c kernel);
+    c_code =
+      Trace.with_span "codegen:emit" (fun () -> Pretty_c.kernel_to_c kernel);
     inspectors = List.rev !inspectors;
     tmp_size;
   }
@@ -168,14 +165,18 @@ let cholesky ?(low_level = true) (a_lower : Csc.t) : result =
       value = pruned_ratio ~n:dense_updates (Fill_pattern.nnz_l fill - n);
       threshold = 0.0;
     };
-  let kernel = pass "codegen:lower" (fun () -> Build.lower_cholesky a_lower) in
   let kernel =
-    if low_level then pass "codegen:low-level" (fun () -> Lowlevel.apply kernel)
+    Trace.with_span "codegen:lower" (fun () -> Build.lower_cholesky a_lower)
+  in
+  let kernel =
+    if low_level then
+      Trace.with_span "codegen:low-level" (fun () -> Lowlevel.apply kernel)
     else kernel
   in
   {
     kernel;
-    c_code = pass "codegen:emit" (fun () -> Pretty_c.kernel_to_c kernel);
+    c_code =
+      Trace.with_span "codegen:emit" (fun () -> Pretty_c.kernel_to_c kernel);
     inspectors = [ Inspector.describe insp ];
     tmp_size = 0;
   }

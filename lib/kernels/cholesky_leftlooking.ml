@@ -1,6 +1,6 @@
 open Sympiler_sparse
 open Sympiler_symbolic
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Left-looking column Cholesky — the paper's Figure 4 pseudo-code as a
    native decoupled executor. Column j is built by gathering A(:,j) into a
@@ -89,11 +89,8 @@ let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
       f.(i) <- 0.0
     done
   done;
-  if Prof.enabled () then begin
-    let k = Prof.cell () in
-    k.Prof.flops <- k.Prof.flops + int_of_float c.flops;
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + lp.(n)
-  end;
+  Metrics.inc Metrics.flops (int_of_float c.flops);
+  Metrics.inc Metrics.nnz_touched lp.(n);
   Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy lp) ~rowind:(Array.copy li)
     ~values:lx
 

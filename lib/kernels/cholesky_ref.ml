@@ -1,5 +1,6 @@
 open Sympiler_sparse
 open Sympiler_symbolic
+module Metrics = Sympiler_metrics.Metrics
 
 (* Non-supernodal (simplicial) sparse Cholesky, A = L L^T, A given by its
    lower-triangular part in CSC form.
@@ -207,13 +208,8 @@ module Decoupled = struct
       lx.(lp.(k)) <- sqrt !d;
       nzcount.(k) <- 1
     done;
-    if Sympiler_prof.Prof.enabled () then begin
-      let k = Sympiler_prof.Prof.cell () in
-      k.Sympiler_prof.Prof.flops <-
-        k.Sympiler_prof.Prof.flops + int_of_float c.flops;
-      k.Sympiler_prof.Prof.nnz_touched <-
-        k.Sympiler_prof.Prof.nnz_touched + lp.(n)
-    end
+    Metrics.inc Metrics.flops (int_of_float c.flops);
+    Metrics.inc Metrics.nnz_touched lp.(n)
 
   (* Spanned entry point: single-bool no-op when tracing is off; the [try]
      keeps the span stack balanced across [Not_positive_definite]. *)

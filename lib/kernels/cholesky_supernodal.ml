@@ -1,6 +1,6 @@
 open Sympiler_sparse
 open Sympiler_symbolic
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Supernodal left-looking Cholesky. One engine serves two roles:
 
@@ -261,11 +261,8 @@ let max_update_buf an =
   !m * !maxw
 
 let record_factor an =
-  if Prof.enabled () then begin
-    let k = Prof.cell () in
-    k.Prof.flops <- k.Prof.flops + int_of_float an.flops;
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + an.nnz_l
-  end
+  Metrics.inc Metrics.flops (int_of_float an.flops);
+  Metrics.inc Metrics.nnz_touched an.nnz_l
 
 let finish an lx =
   record_factor an;

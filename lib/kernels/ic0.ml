@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Incomplete Cholesky with zero fill, IC(0): the factor keeps exactly the
    pattern of lower(A). One of the §3.3 methods whose symbolic needs (the
@@ -27,6 +27,7 @@ type compiled = {
   row_ptr : int array;
   row_col : int array;
   row_pos : int array;
+  flops : int;
 }
 
 let compile (a_lower : Csc.t) : compiled =
@@ -56,13 +57,26 @@ let compile (a_lower : Csc.t) : compiled =
       end
     done
   done;
+  (* Structure-driven operation count: updates attempted per prune-set
+     column plus the sqrt/divide pass. The IC(0) dropping rule makes the
+     executed count value-dependent; this is its pattern bound, so it is
+     counted once here and credited per factorization. *)
+  let colptr = a_lower.Csc.colptr in
+  let flops = ref 0 in
+  for j = 0 to n - 1 do
+    for q = row_ptr.(j) to row_ptr.(j + 1) - 1 do
+      flops := !flops + (2 * (colptr.(row_col.(q) + 1) - row_pos.(q)))
+    done;
+    flops := !flops + (colptr.(j + 1) - colptr.(j))
+  done;
   {
     n;
-    colptr = a_lower.Csc.colptr;
+    colptr;
     rowind = a_lower.Csc.rowind;
     row_ptr;
     row_col;
     row_pos;
+    flops = !flops;
   }
 
 (* A plan owns the factor values, the dense position map, and a CSC view
@@ -124,21 +138,8 @@ let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
       pos.(li.(p)) <- -1
     done
   done;
-  if Prof.enabled () then begin
-    (* Structure-driven operation count: updates attempted per prune-set
-       column plus the sqrt/divide pass (the IC(0) dropping rule makes the
-       exact executed count value-dependent; this is its pattern bound). *)
-    let k = Prof.cell () in
-    let fl = ref 0 in
-    for j = 0 to n - 1 do
-      for q = c.row_ptr.(j) to c.row_ptr.(j + 1) - 1 do
-        fl := !fl + (2 * (lp.(c.row_col.(q) + 1) - c.row_pos.(q)))
-      done;
-      fl := !fl + (lp.(j + 1) - lp.(j))
-    done;
-    k.Prof.flops <- k.Prof.flops + !fl;
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + lp.(n)
-  end
+  Metrics.inc Metrics.flops c.flops;
+  Metrics.inc Metrics.nnz_touched lp.(n)
 
 (* Spanned entry point: single-bool no-op when tracing is off; the [try]
    keeps the span stack balanced across [Not_positive_definite]. *)

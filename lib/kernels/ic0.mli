@@ -16,6 +16,10 @@ type compiled = {
           [\[row_ptr.(j), row_ptr.(j+1))] *)
   row_col : int array;  (** columns [r < j] with [A(j,r) <> 0] *)
   row_pos : int array;  (** storage position of each such entry *)
+  flops : int;
+      (** pattern bound on one factorization's operations (updates
+          attempted plus the sqrt/divide pass), credited to
+          [Metrics.flops] per {!factor_ip} *)
 }
 
 val compile : Csc.t -> compiled

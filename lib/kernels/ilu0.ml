@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Incomplete LU with zero fill, ILU(0): the factors keep exactly the
    pattern of A (L strictly below the diagonal with implicit unit diagonal,
@@ -22,6 +22,7 @@ type compiled = {
   colind : int array; (* sorted ascending within each row *)
   diag : int array; (* diag.(i) = index into colind/values of entry (i,i) *)
   csc_map : int array; (* values gather map from the CSC input *)
+  flops : int; (* pattern bound on one factorization's operations *)
 }
 
 let compile (a : Csc.t) : compiled =
@@ -35,7 +36,16 @@ let compile (a : Csc.t) : compiled =
     done;
     if diag.(i) < 0 then raise (Zero_pivot i)
   done;
-  { n; rowptr; colind; diag; csc_map }
+  (* Pattern bound, as for IC(0): per row, each eliminating k < i costs a
+     divide plus up to 2*|U(k, k+1:)| update ops. *)
+  let flops = ref 0 in
+  for i = 0 to n - 1 do
+    for p = rowptr.(i) to rowptr.(i + 1) - 1 do
+      let k = colind.(p) in
+      if k < i then flops := !flops + 1 + (2 * (rowptr.(k + 1) - diag.(k) - 1))
+    done
+  done;
+  { n; rowptr; colind; diag; csc_map; flops = !flops }
 
 (* Numeric ILU(0). Returns the combined factor in CSR storage: entries of
    row i with column < i are L(i,:) (unit diagonal implicit), the rest is
@@ -96,21 +106,8 @@ let factor_ip_body (p : plan) (a : Csc.t) : unit =
       pos.(c.colind.(p)) <- -1
     done
   done;
-  if Prof.enabled () then begin
-    (* Pattern bound, as for IC(0): per row, each eliminating k < i costs a
-       divide plus up to 2*|U(k, k+1:)| update ops. *)
-    let k = Prof.cell () in
-    let fl = ref 0 in
-    for i = 0 to c.n - 1 do
-      for p = c.rowptr.(i) to c.rowptr.(i + 1) - 1 do
-        let kk = c.colind.(p) in
-        if kk < i then
-          fl := !fl + 1 + (2 * (c.rowptr.(kk + 1) - c.diag.(kk) - 1))
-      done
-    done;
-    k.Prof.flops <- k.Prof.flops + !fl;
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + c.rowptr.(c.n)
-  end
+  Metrics.inc Metrics.flops c.flops;
+  Metrics.inc Metrics.nnz_touched c.rowptr.(c.n)
 
 (* Spanned entry point: single-bool no-op when tracing is off; the [try]
    keeps the span stack balanced across [Zero_pivot]. *)

@@ -14,6 +14,10 @@ type compiled = {
   colind : int array;  (** column indices, ascending within each row *)
   diag : int array;  (** position of each diagonal entry *)
   csc_map : int array;  (** value gather map from the CSC input *)
+  flops : int;
+      (** pattern bound on one factorization's operations (a divide plus
+          the row updates per eliminating entry), credited to
+          [Metrics.flops] per {!factor_ip} *)
 }
 
 type factors = {

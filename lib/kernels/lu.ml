@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Sparse LU factorization, left-looking Gilbert-Peierls, without pivoting
    (static pattern — the §3.3 extension enabled by Sympiler's dependency-
@@ -149,12 +149,8 @@ module Sympiler = struct
         x.(i) <- 0.0
       done
     done;
-    if Prof.enabled () then begin
-      let k = Prof.cell () in
-      k.Prof.flops <- k.Prof.flops + int_of_float c.flops;
-      k.Prof.nnz_touched <-
-        k.Prof.nnz_touched + c.l_colptr.(n) + c.u_colptr.(n)
-    end
+    Metrics.inc Metrics.flops (int_of_float c.flops);
+    Metrics.inc Metrics.nnz_touched (c.l_colptr.(n) + c.u_colptr.(n))
 
   (* Spanned entry point: single-bool no-op when tracing is off; the [try]
      keeps the span stack balanced across [Zero_pivot]. *)

@@ -25,7 +25,7 @@ open Sympiler_symbolic
    so the plan stays reusable like the other families' pivot-failure
    paths. *)
 
-module Prof = Sympiler_prof.Prof
+module Metrics = Sympiler_metrics.Metrics
 
 exception Not_positive_definite of int
 exception Pattern_violation of int
@@ -245,18 +245,16 @@ let make_plan ~(a_pattern : Csc.t) (l : Csc.t) : plan =
     rows = Array.make (max 1 n) 0;
   }
 
-(* Memoized path lookup, feeding the profiling counters (a hit is the
-   steady state: the whole symbolic phase of the update collapsed into one
-   array read). *)
+(* Memoized path lookup, feeding the path counters (a hit is the steady
+   state: the whole symbolic phase of the update collapsed into one array
+   read). *)
 let plan_path (tbl : Etree.path_table) (jmin : int) : int array =
   let m0 = tbl.Etree.pt_misses in
   let path = Etree.path tbl jmin in
-  if Prof.enabled () then begin
-    let k = Prof.cell () in
-    if tbl.Etree.pt_misses > m0 then
-      k.Prof.updown_path_misses <- k.Prof.updown_path_misses + 1
-    else k.Prof.updown_path_hits <- k.Prof.updown_path_hits + 1
-  end;
+  Metrics.inc
+    (if tbl.Etree.pt_misses > m0 then Metrics.updown_path_misses
+     else Metrics.updown_path_hits)
+    1;
   path
 
 let snapshot_path (pl : plan) (path : int array) : unit =

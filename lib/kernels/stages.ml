@@ -27,7 +27,7 @@ let[@inline] check ok who = if not ok then invalid_arg who
 (* Forward substitution L x = x for CSC lower-triangular L with the
    diagonal stored first in each column (unit diagonals may be stored
    explicitly; dividing by 1.0 is exact). Same loop as
-   [Trisolve_ref.naive_ip], without the profiling epilogue, except that
+   [Trisolve_ref.naive_ip], without the counting epilogue, except that
    each update is written [x(i) - x(j) * L(i,j)], x first, here and in the
    row gather below. When both factors of a product are NaN, operand order
    decides which payload survives, and ocamlopt swaps a product's operands

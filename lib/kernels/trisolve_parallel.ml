@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 open Sympiler_runtime
 
 (* Level-set (wavefront) parallel sparse triangular solve on the persistent
@@ -144,14 +144,13 @@ let compile (l : Csc.t) : compiled =
       done
     done
   done;
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
-    c.Prof.levels <- c.Prof.levels + nlevels;
+  if Metrics.enabled () then begin
+    Metrics.inc Metrics.levels nlevels;
     let maxw = ref 0 in
     for lv = 0 to nlevels - 1 do
       maxw := max !maxw (level_ptr.(lv + 1) - level_ptr.(lv))
     done;
-    c.Prof.max_level_width <- max c.Prof.max_level_width !maxw
+    Metrics.set Metrics.max_level_width (float_of_int !maxw)
   end;
   {
     l;
@@ -180,13 +179,10 @@ let solve_level_sequential (c : compiled) (x : float array) ~lo ~hi =
 
 (* The dense-RHS solve visits every column: 2*nnz - n flops. *)
 let record_solve (c : compiled) =
-  if Prof.enabled () then begin
-    let k = Prof.cell () in
-    let n = c.l.Csc.ncols in
-    let nnz = c.l.Csc.colptr.(n) in
-    k.Prof.flops <- k.Prof.flops + ((2 * nnz) - n);
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + nnz
-  end
+  let n = c.l.Csc.ncols in
+  let nnz = c.l.Csc.colptr.(n) in
+  Metrics.inc Metrics.flops ((2 * nnz) - n);
+  Metrics.inc Metrics.nnz_touched nnz
 
 (* Sequential reference over the level schedule (validates the schedule
    itself). *)

@@ -1,5 +1,5 @@
 open Sympiler_sparse
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* The four sparse triangular solve variants of the paper's Figure 1, for
    L x = b with L lower-triangular in CSC form. All in-place versions take
@@ -7,8 +7,8 @@ open Sympiler_prof
    wrappers copy.
 
    Counter recording happens after the solve loops (closed-form counts) or
-   in a dedicated counted loop, always behind [Prof.enabled], so the hot
-   paths are untouched when profiling is off. *)
+   in a dedicated counted loop, always behind [Metrics.enabled], so the
+   hot paths are untouched when metrics are off. *)
 
 (* Figure 1b: naive forward substitution — visits every column. *)
 let naive_ip (l : Csc.t) (x : float array) =
@@ -21,17 +21,13 @@ let naive_ip (l : Csc.t) (x : float array) =
       x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
     done
   done;
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
-    let nnz = lp.(n) in
-    c.Prof.flops <- c.Prof.flops + ((2 * nnz) - n);
-    c.Prof.nnz_touched <- c.Prof.nnz_touched + nnz
-  end
+  Metrics.inc Metrics.flops ((2 * lp.(n)) - n);
+  Metrics.inc Metrics.nnz_touched lp.(n)
 
 (* Figure 1c: library implementation (Eigen's sparse triangular solve) —
    skips columns whose solution entry is zero, but still scans all n
    columns and tests each. The exact work depends on runtime values, so the
-   profiled variant is a separate counted loop. *)
+   variant run while metrics are on is a separate counted loop. *)
 let library_ip_counted (l : Csc.t) (x : float array) =
   let n = l.Csc.ncols in
   let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
@@ -48,12 +44,11 @@ let library_ip_counted (l : Csc.t) (x : float array) =
       nnz := !nnz + cn
     end
   done;
-  let c = Prof.cell () in
-  c.Prof.flops <- c.Prof.flops + !flops;
-  c.Prof.nnz_touched <- c.Prof.nnz_touched + !nnz
+  Metrics.inc Metrics.flops !flops;
+  Metrics.inc Metrics.nnz_touched !nnz
 
 let library_ip (l : Csc.t) (x : float array) =
-  if Prof.enabled () then library_ip_counted l x
+  if Metrics.enabled () then library_ip_counted l x
   else begin
     let n = l.Csc.ncols in
     let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
@@ -80,12 +75,11 @@ let decoupled_ip (l : Csc.t) (reach : int array) (x : float array) =
       x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
     done
   done;
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
+  if Metrics.enabled () then begin
     let nnz = ref 0 in
     Array.iter (fun j -> nnz := !nnz + (lp.(j + 1) - lp.(j))) reach;
-    c.Prof.flops <- c.Prof.flops + ((2 * !nnz) - Array.length reach);
-    c.Prof.nnz_touched <- c.Prof.nnz_touched + !nnz
+    Metrics.inc Metrics.flops ((2 * !nnz) - Array.length reach);
+    Metrics.inc Metrics.nnz_touched !nnz
   end
 
 (* Solve L^T x = b using the CSC storage of L (columns of L are rows of

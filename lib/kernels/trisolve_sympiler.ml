@@ -1,6 +1,6 @@
 open Sympiler_sparse
 open Sympiler_symbolic
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* Sympiler's triangular-solve executors (the code of Figure 1e): all
    symbolic information — reach-set, supernodes, the supernode sequence the
@@ -96,12 +96,8 @@ let compile ?(vs_block_threshold = 1.6) ?(waste_threshold = 0.1) ?max_width
        the genuine below-block heights, never a negative artifact. *)
     max_below := max !max_below (max 0 (Csc.col_nnz l c0 - w))
   done;
-  if Prof.enabled () then begin
-    (* VI-Prune inspection removed the columns outside the reach-set. *)
-    let c = Prof.cell () in
-    c.Prof.iters_pruned <-
-      c.Prof.iters_pruned + (l.Csc.ncols - Array.length reach)
-  end;
+  (* VI-Prune inspection removed the columns outside the reach-set. *)
+  Metrics.inc Metrics.iters_pruned (l.Csc.ncols - Array.length reach);
   (* Decision log: what the inspectors measured and which way each
      transformation went — recorded on the handle for explain reports and
      into the trace as instant events. *)
@@ -197,14 +193,11 @@ let process_supernode_specialized c x s =
    recorded flop count is [c.flops] (what every Figure 6 variant is
    normalized by) and nnz touched follows from flops = sum(2*nnz_j - 1)
    over the reach-set. Recording is a few integer adds per *solve*, not per
-   iteration, and only when profiling is enabled. *)
+   iteration, and only while metrics are on. *)
 let record_solve c =
-  if Prof.enabled () then begin
-    let k = Prof.cell () in
-    let fl = int_of_float c.flops in
-    k.Prof.flops <- k.Prof.flops + fl;
-    k.Prof.nnz_touched <- k.Prof.nnz_touched + ((fl + Array.length c.reach) / 2)
-  end
+  let fl = int_of_float c.flops in
+  Metrics.inc Metrics.flops fl;
+  Metrics.inc Metrics.nnz_touched ((fl + Array.length c.reach) / 2)
 
 (* VS-Block only: every supernode, generic kernels. Plain [for] loops
    everywhere below: an [Array.iter] over a partial application would

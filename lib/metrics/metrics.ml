@@ -1,6 +1,7 @@
-(* Serving-grade metrics registry. See metrics.mli for the layer contract
-   (prof = phase timers, trace = spans, metrics = labeled aggregates and
-   latency distributions).
+(* Serving-grade metrics registry: the library's one store of counters,
+   gauges and latency histograms. See metrics.mli for the layer contract
+   and DESIGN.md "Instrumentation" for the spine (Prof = switch + clock,
+   Metrics = every count, Trace = every span).
 
    Concurrency design: every hot-path instrument is an array of
    [int Atomic.t] cells indexed by [Domain.self () land shard_mask], so
@@ -21,17 +22,12 @@
    (integer fetch-and-add); max is exact (CAS loop); percentiles are exact
    to one bucket. *)
 
-module Json = Sympiler_prof.Prof.Json
+module Prof = Sympiler_prof.Prof
+module Json = Prof.Json
 
-let on = ref false
-let enabled () = !on
-let enable () = on := true
-let disable () = on := false
-
-let () =
-  match Sys.getenv_opt "SYMPILER_METRICS" with
-  | Some ("1" | "true" | "on") -> on := true
-  | Some _ | None -> ()
+let enabled = Prof.enabled
+let enable = Prof.enable
+let disable = Prof.disable
 
 (* ------------------------------ Sharding ------------------------------ *)
 
@@ -240,19 +236,59 @@ let histogram ?(help = "") ?(labels = []) name =
                (match m with MCounter _ -> "counter" | _ -> "gauge")))
     name help labels
 
+(* ----------------------------- Work series ---------------------------- *)
+
+(* The library's work counts, registered once here so every layer
+   (orderings, symbolic analysis, kernels, the facade) bumps one handle. *)
+let flops =
+  counter "sympiler_flops" ~help:"Useful floating-point operations executed by kernels"
+
+let nnz_touched =
+  counter "sympiler_nnz_touched" ~help:"Matrix nonzeros read or written by kernels"
+
+let iters_pruned =
+  counter "sympiler_iters_pruned" ~help:"Loop iterations removed by VI-Prune"
+
+let supernodes =
+  counter "sympiler_supernodes" ~help:"Supernodes produced by VS-Block detection"
+
+let supernode_cols =
+  counter "sympiler_supernode_cols" ~help:"Columns covered by detected supernodes"
+
+let levels = counter "sympiler_levels" ~help:"Level sets built by level-set schedules"
+
+let max_level_width =
+  gauge "sympiler_max_level_width"
+    ~help:"Widest level set of the last level schedule built"
+
+let orderings = counter "sympiler_orderings" ~help:"Fill-reducing orderings computed"
+
+let updown_path_hits =
+  counter "sympiler_updown_path_hits"
+    ~help:"Rank-update etree paths served from the memoized table"
+
+let updown_path_misses =
+  counter "sympiler_updown_path_misses"
+    ~help:"Rank-update etree paths computed (first use of a jmin)"
+
+let updown_escalations =
+  counter "sympiler_updown_escalations"
+    ~help:"Rank updates that outgrew the factor pattern and recompiled"
+
 (* ----------------------------- Hot paths ------------------------------ *)
 
 let inc c n =
-  if !on then ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) n)
+  if Prof.enabled () then
+    ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) n)
 
-let set g v = if !on then Atomic.set g.g_value v
+let set g v = if Prof.enabled () then Atomic.set g.g_value v
 
 let rec store_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then store_max a v
 
 let observe_ns h v =
-  if !on && v >= 0 then begin
+  if Prof.enabled () && v >= 0 then begin
     let s = h.h_shards.(shard_index ()) in
     ignore (Atomic.fetch_and_add s.hs_buckets.(bucket_of_ns v) 1);
     ignore (Atomic.fetch_and_add s.hs_sum_ns v);
@@ -260,7 +296,7 @@ let observe_ns h v =
   end
 
 let observe h seconds =
-  if !on && seconds >= 0.0 && seconds < 1e18 then
+  if Prof.enabled () && seconds >= 0.0 && seconds < 1e18 then
     observe_ns h (int_of_float ((seconds *. 1e9) +. 0.5))
 
 (* ------------------------------- Reading ------------------------------- *)
@@ -364,19 +400,20 @@ let vm_hwm_kb () =
         scan ())
   with Sys_error _ -> None
 
+(* Process gauges are part of every snapshot, switch or not: written
+   directly, past [set]'s guard. *)
 let sample_process () =
-  let was = !on in
-  on := true (* process gauges are part of every snapshot, enabled or not *);
+  let sample name help v = Atomic.set (gauge name ~help).g_value v in
   let g = Gc.quick_stat () in
-  set (gauge "process_gc_minor_words" ~help:"Minor heap words allocated") g.Gc.minor_words;
-  set (gauge "process_gc_major_words" ~help:"Major heap words allocated") g.Gc.major_words;
-  set
-    (gauge "process_gc_compactions" ~help:"Heap compactions run")
+  sample "process_gc_minor_words" "Minor heap words allocated" g.Gc.minor_words;
+  sample "process_gc_major_words" "Major heap words allocated" g.Gc.major_words;
+  sample "process_gc_compactions" "Heap compactions run"
     (float_of_int g.Gc.compactions);
-  (match vm_hwm_kb () with
-  | Some kb -> set (gauge "process_vm_hwm_kb" ~help:"Peak resident set size (VmHWM)") (float_of_int kb)
-  | None -> ());
-  on := was
+  match vm_hwm_kb () with
+  | Some kb ->
+      sample "process_vm_hwm_kb" "Peak resident set size (VmHWM)"
+        (float_of_int kb)
+  | None -> ()
 
 (* ------------------------------ Exporters ------------------------------ *)
 
@@ -544,8 +581,9 @@ let to_table () =
         | MHistogram h ->
             let s = snapshot h in
             ( name,
-              Printf.sprintf "count=%d p50=%s p99=%s max=%s" s.count
-                (fmt_float s.p50) (fmt_float s.p99) (fmt_float s.max) ))
+              Printf.sprintf "count=%d sum=%s p50=%s p99=%s max=%s" s.count
+                (fmt_float s.sum) (fmt_float s.p50) (fmt_float s.p99)
+                (fmt_float s.max) ))
       (sorted_metrics ())
   in
   let w = List.fold_left (fun acc (n, _) -> max acc (String.length n)) (String.length "metric") rows in

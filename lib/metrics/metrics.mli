@@ -1,29 +1,27 @@
-(** Serving-grade metrics: a domain-safe labeled registry of counters,
-    gauges, and latency histograms, with OpenMetrics / JSON / table
-    exporters.
+(** Serving-grade metrics: the library's one store of counters, gauges
+    and latency histograms — a domain-safe labeled registry with
+    OpenMetrics / JSON / table exporters.
 
-    Division of labor across the three observability layers:
-    - {b prof} answers "where did this process spend its time" — reentrant
-      phase timers and kernel work counters, one global snapshot.
-    - {b trace} answers "what happened, in order" — per-call spans in a
-      ring buffer, exported to Chrome/folded formats.
-    - {b metrics} (this module) answers "how is the system behaving over
-      many calls" — monotonic aggregates and latency {e distributions}
-      (p50/p99), labeled by dimension, cheap enough to leave on in a
-      serving process and exposable in the standard Prometheus /
-      OpenMetrics text format.
+    The instrumentation spine (DESIGN.md "Instrumentation"):
+    - {b metrics} (this module) holds every count: work counters
+      ({!flops}, {!levels}, …), plan-cache, native and pool series, and
+      the latency {e distributions} (p50/p99, exact sum) of compiles and
+      numeric calls, labeled by dimension. Each event counts once, here.
+    - {b trace} holds every span: what happened, in order, and how long
+      each phase took.
+    - {b prof} holds the switch and the clock they share.
 
-    Contracts, matching prof/trace:
-    - Disabled (the default) costs a single boolean load per recording
-      site and allocates nothing.
-    - Enabled hot paths ({!inc}, {!observe}) are one atomic fetch-and-add
-      on a per-domain sharded cell plus integer arithmetic — no
-      allocation, no locks. Cells are aggregated at read time.
+    Contracts:
+    - {!enabled}/{!enable}/{!disable} are {!Sympiler_prof.Prof}'s switch:
+      one flag for every series of the library. [SYMPILER_METRICS=1] in
+      the environment turns it on at program start.
+    - Off (the default) costs a single boolean load per recording site
+      and allocates nothing.
+    - On, the hot paths ({!inc}, {!observe_ns}) are one atomic
+      fetch-and-add on a per-domain sharded cell plus integer arithmetic —
+      no allocation, no locks. Cells are aggregated at read time.
     - Registration ({!counter} / {!gauge} / {!histogram}) takes a lock and
-      allocates; do it once at plan/startup time and keep the handle.
-
-    [SYMPILER_METRICS=1] in the environment enables collection at program
-    start. *)
+      allocates; do it once at plan/startup time and keep the handle. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -58,6 +56,46 @@ val histogram :
     saturating at ~2.3 h. Count, sum, and max are exact; percentiles are
     exact to one bucket. *)
 
+(** {1 Work series}
+
+    Registered at module init; the kernels, the symbolic stages and the
+    facade bump them while {!enabled}. Gauges hold the last value set. *)
+
+val flops : counter
+(** [sympiler_flops]: useful floating-point operations executed. *)
+
+val nnz_touched : counter
+(** [sympiler_nnz_touched]: matrix nonzeros read or written by kernels. *)
+
+val iters_pruned : counter
+(** [sympiler_iters_pruned]: loop iterations removed by VI-Prune. *)
+
+val supernodes : counter
+(** [sympiler_supernodes]: supernodes produced by VS-Block detection. *)
+
+val supernode_cols : counter
+(** [sympiler_supernode_cols]: columns those supernodes cover. *)
+
+val levels : counter
+(** [sympiler_levels]: level sets built by level-set schedules. *)
+
+val max_level_width : gauge
+(** [sympiler_max_level_width]: widest level of the last schedule. *)
+
+val orderings : counter
+(** [sympiler_orderings]: fill-reducing orderings computed. *)
+
+val updown_path_hits : counter
+(** [sympiler_updown_path_hits]: rank-update etree paths served from the
+    memoized per-jmin table. *)
+
+val updown_path_misses : counter
+(** [sympiler_updown_path_misses]: rank-update etree paths computed. *)
+
+val updown_escalations : counter
+(** [sympiler_updown_escalations]: rank updates that outgrew the factor
+    pattern and recompiled it. *)
+
 (** {1 Recording (hot paths)} *)
 
 val inc : counter -> int -> unit
@@ -75,7 +113,9 @@ val observe : histogram -> float -> unit
     Negative and non-finite values are dropped. *)
 
 val observe_ns : histogram -> int -> unit
-(** Same, with the value already in integer nanoseconds. *)
+(** Same, with the value already in integer nanoseconds: the form a
+    timing pair of {!Sympiler_prof.Prof.now_ns} reads feeds without
+    boxing a float. *)
 
 (** {1 Reading} *)
 
@@ -136,7 +176,8 @@ val to_json : unit -> Sympiler_prof.Prof.Json.t
 
 val to_table : unit -> string
 (** Aligned human-readable table: one row per counter/gauge, and
-    count/p50/p99/max columns per histogram. *)
+    count/sum/p50/p99/max columns per histogram (the sums say where the
+    time went). *)
 
 (** {1 OpenMetrics conformance lint} (used by tests, bench, and CI)
 

@@ -89,29 +89,12 @@ let m_fallbacks =
   Metrics.counter "sympiler_native_fallbacks"
     ~help:"Native requests that fell back to the OCaml executor"
 
-let note_so_hit () =
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
-    c.Prof.native_so_hits <- c.Prof.native_so_hits + 1
-  end
-
-let note_compile () =
-  Metrics.inc m_compiles 1;
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
-    c.Prof.native_compiles <- c.Prof.native_compiles + 1
-  end
-
 (* The fallback counter always bumps (it is how tests observe the engine
    declining), but the human-facing note prints once per process: a run
    on a compiler-less machine should say so, not repeat it per plan. *)
 let note_fallback reason =
   incr n_fallbacks;
   Metrics.inc m_fallbacks 1;
-  (if Prof.enabled () then begin
-     let c = Prof.cell () in
-     c.Prof.native_fallbacks <- c.Prof.native_fallbacks + 1
-   end);
   Trace.instant ~attrs:[ ("reason", Trace.Str reason) ] "native.fallback";
   if not !fallback_noted then begin
     fallback_noted := true;
@@ -281,7 +264,6 @@ let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
     let fn = resolve so_path entry in
     let dt = Prof.now_seconds () -. t0 in
     incr n_disk_hits;
-    note_so_hit ();
     Metrics.inc m_loads_disk 1;
     Ok { fn; so_path; origin = Disk_cache; compile_seconds = dt }
   end
@@ -307,7 +289,7 @@ let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
         let fn = resolve so_path entry in
         let dt = Prof.now_seconds () -. t0 in
         incr n_compiles;
-        note_compile ();
+        Metrics.inc m_compiles 1;
         Metrics.observe m_cc_seconds dt;
         Ok { fn; so_path; origin = Compiled; compile_seconds = dt }
   end
@@ -326,7 +308,6 @@ let load ?(cflags = default_cflags) ~key ~entry source =
           match Hashtbl.find_opt memory_cache hexkey with
           | Some k ->
               incr n_memory_hits;
-              note_so_hit ();
               Metrics.inc m_loads_memory 1;
               Some k
           | None -> (

@@ -1,248 +1,28 @@
-(* Observability layer: monotonic phase timers with named scopes, lightweight
-   kernel counters, and JSON / table emitters.
+(* The instrumentation switch, the monotonic clock, and a JSON builder:
+   the base the other two observability layers stand on ([Metrics] keeps
+   every counter and histogram, [Trace] every span; see DESIGN.md
+   "Instrumentation").
 
-   Design constraints (see DESIGN.md "Profiling layer"):
-   - Disabled is the default, and disabled must be free on kernel hot paths:
-     every recording site is guarded by [enabled ()], a single load of a
-     mutable bool, and the counters are mutable int fields bumped in place,
-     so no allocation happens whether profiling is on or off.
-   - Timers use the raw monotonic clock (CLOCK_MONOTONIC via the bechamel
-     stub, an [@@noalloc] external returning an unboxed int64), so scope
-     accounting survives NTP adjustments and never allocates either.
-   - Scopes are reentrant: nested [start]/[stop] of the same name count the
-     outermost span once, which lets a facade time "symbolic" around an
-     inspector that also times "symbolic" internally. *)
+   - One switch. [Metrics] reads and sets this flag, so turning either on
+     turns on every counter, gauge and latency histogram of the library.
+     [SYMPILER_METRICS=1] in the environment sets it at program start.
+     Trace's span ring keeps a switch of its own.
+   - One clock. [now_ns] is CLOCK_MONOTONIC through the bechamel stub, an
+     [@@noalloc] external returning an unboxed int64, so a timing pair in
+     integer nanoseconds allocates nothing; [now_seconds] is the same
+     clock as a float for callers that report seconds. *)
 
-let on = ref false
+let on =
+  ref
+    (match Sys.getenv_opt "SYMPILER_METRICS" with
+    | Some ("1" | "true" | "on") -> true
+    | Some _ | None -> false)
+
 let enabled () = !on
 let enable () = on := true
 let disable () = on := false
-
-(* ------------------------------ Counters ------------------------------ *)
-
-type counters = {
-  mutable flops : int;  (** useful floating-point operations executed *)
-  mutable nnz_touched : int;  (** matrix nonzeros read/written by kernels *)
-  mutable iters_pruned : int;  (** loop iterations removed by VI-Prune *)
-  mutable supernodes : int;  (** supernodes produced by VS-Block detection *)
-  mutable supernode_cols : int;  (** columns covered by those supernodes *)
-  mutable levels : int;  (** level sets built by trisolve_parallel *)
-  mutable max_level_width : int;  (** widest level set seen *)
-  mutable cache_hits : int;  (** compilation-cache lookups served *)
-  mutable cache_misses : int;  (** compilation-cache lookups that compiled *)
-  mutable orderings : int;  (** fill-reducing orderings computed *)
-  mutable pool_runs : int;  (** parallel dispatches through the domain pool *)
-  mutable pool_tasks : int;  (** worker tasks executed across those runs *)
-  mutable pool_max_workers : int;  (** widest dispatch seen *)
-  mutable pool_imbalance_pct : int;
-      (** worst per-dispatch imbalance, max/mean worker time as an integer
-          percentage (100 = perfectly balanced; 0 = never measured) *)
-  mutable native_compiles : int;
-      (** generated-C kernels compiled to .so by the native engine *)
-  mutable native_so_hits : int;
-      (** native loads served from the memory/disk .so cache *)
-  mutable native_fallbacks : int;
-      (** native requests that fell back to the OCaml executor *)
-  mutable updown_path_hits : int;
-      (** rank-update etree paths served from the memoized table *)
-  mutable updown_path_misses : int;
-      (** rank-update etree paths computed (first use of a jmin) *)
-  mutable updown_escalations : int;
-      (** rank updates that outgrew the factor pattern and recompiled *)
-}
-
-let fresh_counters () =
-  {
-    flops = 0;
-    nnz_touched = 0;
-    iters_pruned = 0;
-    supernodes = 0;
-    supernode_cols = 0;
-    levels = 0;
-    max_level_width = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    orderings = 0;
-    pool_runs = 0;
-    pool_tasks = 0;
-    pool_max_workers = 0;
-    pool_imbalance_pct = 0;
-    native_compiles = 0;
-    native_so_hits = 0;
-    native_fallbacks = 0;
-    updown_path_hits = 0;
-    updown_path_misses = 0;
-    updown_escalations = 0;
-  }
-
-let counters = fresh_counters ()
-
-(* Per-domain counter cells. The global [counters] record is the main
-   domain's cell; every other domain (pool workers) lazily gets a private
-   cell on first use, registered here so {!merge_cells} can fold it back
-   into the global record at a quiescent point — the pool calls it right
-   after its completion barrier, when all workers are parked. Worker-side
-   bumps through {!cell} therefore never race the main domain, and totals
-   are exact instead of lossy (plain [mutable int] read-modify-write from
-   several domains drops updates). *)
-
-let zero_counters (c : counters) =
-  c.flops <- 0;
-  c.nnz_touched <- 0;
-  c.iters_pruned <- 0;
-  c.supernodes <- 0;
-  c.supernode_cols <- 0;
-  c.levels <- 0;
-  c.max_level_width <- 0;
-  c.cache_hits <- 0;
-  c.cache_misses <- 0;
-  c.orderings <- 0;
-  c.pool_runs <- 0;
-  c.pool_tasks <- 0;
-  c.pool_max_workers <- 0;
-  c.pool_imbalance_pct <- 0;
-  c.native_compiles <- 0;
-  c.native_so_hits <- 0;
-  c.native_fallbacks <- 0;
-  c.updown_path_hits <- 0;
-  c.updown_path_misses <- 0;
-  c.updown_escalations <- 0
-
-let cells_lock = Mutex.create ()
-let worker_cells : counters list ref = ref []
-
-let cell_key : counters Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = fresh_counters () in
-      Mutex.lock cells_lock;
-      worker_cells := c :: !worker_cells;
-      Mutex.unlock cells_lock;
-      c)
-
-(* Pin the main domain's cell to the global record, so main-domain bumps
-   through [cell ()] are indistinguishable from direct field updates. *)
-let () = Domain.DLS.set cell_key counters
-
-let cell () = Domain.DLS.get cell_key
-
-let merge_cells () =
-  Mutex.lock cells_lock;
-  List.iter
-    (fun (c : counters) ->
-      counters.flops <- counters.flops + c.flops;
-      counters.nnz_touched <- counters.nnz_touched + c.nnz_touched;
-      counters.iters_pruned <- counters.iters_pruned + c.iters_pruned;
-      counters.supernodes <- counters.supernodes + c.supernodes;
-      counters.supernode_cols <- counters.supernode_cols + c.supernode_cols;
-      counters.levels <- counters.levels + c.levels;
-      counters.max_level_width <- max counters.max_level_width c.max_level_width;
-      counters.cache_hits <- counters.cache_hits + c.cache_hits;
-      counters.cache_misses <- counters.cache_misses + c.cache_misses;
-      counters.orderings <- counters.orderings + c.orderings;
-      counters.pool_runs <- counters.pool_runs + c.pool_runs;
-      counters.pool_tasks <- counters.pool_tasks + c.pool_tasks;
-      counters.pool_max_workers <- max counters.pool_max_workers c.pool_max_workers;
-      counters.pool_imbalance_pct <-
-        max counters.pool_imbalance_pct c.pool_imbalance_pct;
-      counters.native_compiles <- counters.native_compiles + c.native_compiles;
-      counters.native_so_hits <- counters.native_so_hits + c.native_so_hits;
-      counters.native_fallbacks <- counters.native_fallbacks + c.native_fallbacks;
-      counters.updown_path_hits <- counters.updown_path_hits + c.updown_path_hits;
-      counters.updown_path_misses <-
-        counters.updown_path_misses + c.updown_path_misses;
-      counters.updown_escalations <-
-        counters.updown_escalations + c.updown_escalations;
-      zero_counters c)
-    !worker_cells;
-  Mutex.unlock cells_lock
-
-let avg_supernode_width () =
-  if counters.supernodes = 0 then 0.0
-  else float_of_int counters.supernode_cols /. float_of_int counters.supernodes
-
-(* ------------------------------- Timers ------------------------------- *)
-
-type scope = {
-  mutable total_ns : int64;
-  mutable entries : int;
-  mutable depth : int;
-  mutable started : int64;
-}
-
-let scopes_tbl : (string, scope) Hashtbl.t = Hashtbl.create 16
-
-let find name =
-  match Hashtbl.find_opt scopes_tbl name with
-  | Some s -> s
-  | None ->
-      let s = { total_ns = 0L; entries = 0; depth = 0; started = 0L } in
-      Hashtbl.add scopes_tbl name s;
-      s
-
-let now_ns () = Monotonic_clock.now ()
-
-(* Monotonic wall-clock for callers that time spans themselves (the bench
-   harness, the facade's [symbolic_seconds]): immune to NTP slews, unlike
-   [Unix.gettimeofday]. *)
-let now_seconds () = Int64.to_float (now_ns ()) /. 1e9
-
-let start name =
-  if !on then begin
-    let s = find name in
-    s.depth <- s.depth + 1;
-    if s.depth = 1 then s.started <- now_ns ()
-  end
-
-let stop name =
-  if !on then begin
-    let s = find name in
-    if s.depth > 0 then begin
-      s.depth <- s.depth - 1;
-      if s.depth = 0 then begin
-        s.total_ns <- Int64.add s.total_ns (Int64.sub (now_ns ()) s.started);
-        s.entries <- s.entries + 1
-      end
-    end
-  end
-
-let time name f =
-  if !on then begin
-    start name;
-    Fun.protect ~finally:(fun () -> stop name) f
-  end
-  else f ()
-
-let seconds_of_ns ns = Int64.to_float ns /. 1e9
-
-(* Accumulated time including the in-flight (still-open) outermost span, so
-   a snapshot taken mid-phase — the CLI printing a table while a solve is
-   running under the same scope — does not under-report elapsed time. *)
-let live_total_ns s =
-  if s.depth > 0 then Int64.add s.total_ns (Int64.sub (now_ns ()) s.started)
-  else s.total_ns
-
-let scope_seconds name =
-  match Hashtbl.find_opt scopes_tbl name with
-  | None -> 0.0
-  | Some s -> seconds_of_ns (live_total_ns s)
-
-let scope_entries name =
-  match Hashtbl.find_opt scopes_tbl name with None -> 0 | Some s -> s.entries
-
-let scopes () =
-  Hashtbl.fold
-    (fun name s acc -> (name, seconds_of_ns (live_total_ns s), s.entries) :: acc)
-    scopes_tbl []
-  |> List.sort compare
-
-let reset () =
-  zero_counters counters;
-  Mutex.lock cells_lock;
-  List.iter zero_counters !worker_cells;
-  Mutex.unlock cells_lock;
-  Hashtbl.reset scopes_tbl
-
-(* ------------------------------ Emitters ------------------------------ *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now_seconds () = float_of_int (now_ns ()) /. 1e9
 
 module Json = struct
   type t =
@@ -482,98 +262,3 @@ module Json = struct
     | v -> Ok v
     | exception Parse_error msg -> Error msg
 end
-
-let counters_json () =
-  Json.Obj
-    [
-      ("flops", Json.Int counters.flops);
-      ("nnz_touched", Json.Int counters.nnz_touched);
-      ("iters_pruned", Json.Int counters.iters_pruned);
-      ("supernodes", Json.Int counters.supernodes);
-      ("supernode_cols", Json.Int counters.supernode_cols);
-      ("avg_supernode_width", Json.Float (avg_supernode_width ()));
-      ("levels", Json.Int counters.levels);
-      ("max_level_width", Json.Int counters.max_level_width);
-      ("cache_hits", Json.Int counters.cache_hits);
-      ("cache_misses", Json.Int counters.cache_misses);
-      ("orderings", Json.Int counters.orderings);
-      ("pool_runs", Json.Int counters.pool_runs);
-      ("pool_tasks", Json.Int counters.pool_tasks);
-      ("pool_max_workers", Json.Int counters.pool_max_workers);
-      ("pool_imbalance_pct", Json.Int counters.pool_imbalance_pct);
-      ("native_compiles", Json.Int counters.native_compiles);
-      ("native_so_hits", Json.Int counters.native_so_hits);
-      ("native_fallbacks", Json.Int counters.native_fallbacks);
-      ("updown_path_hits", Json.Int counters.updown_path_hits);
-      ("updown_path_misses", Json.Int counters.updown_path_misses);
-      ("updown_escalations", Json.Int counters.updown_escalations);
-    ]
-
-let phases_json () =
-  Json.Obj
-    (List.map
-       (fun (name, secs, entries) ->
-         ( name,
-           Json.Obj [ ("seconds", Json.Float secs); ("entries", Json.Int entries) ]
-         ))
-       (scopes ()))
-
-let to_json () =
-  Json.to_string
-    (Json.Obj
-       [
-         ("enabled", Json.Bool !on);
-         ("phases", phases_json ());
-         ("counters", counters_json ());
-       ])
-
-let table () =
-  let phases = scopes () in
-  let counter_rows =
-    [
-      ("flops", string_of_int counters.flops);
-      ("nnz_touched", string_of_int counters.nnz_touched);
-      ("iters_pruned", string_of_int counters.iters_pruned);
-      ("supernodes", string_of_int counters.supernodes);
-      ("avg_supernode_width", Printf.sprintf "%.2f" (avg_supernode_width ()));
-      ("levels", string_of_int counters.levels);
-      ("max_level_width", string_of_int counters.max_level_width);
-      ("cache_hits", string_of_int counters.cache_hits);
-      ("cache_misses", string_of_int counters.cache_misses);
-      ("orderings", string_of_int counters.orderings);
-      ("pool_runs", string_of_int counters.pool_runs);
-      ("pool_tasks", string_of_int counters.pool_tasks);
-      ("pool_max_workers", string_of_int counters.pool_max_workers);
-      ("pool_imbalance_pct", string_of_int counters.pool_imbalance_pct);
-      ("native_compiles", string_of_int counters.native_compiles);
-      ("native_so_hits", string_of_int counters.native_so_hits);
-      ("native_fallbacks", string_of_int counters.native_fallbacks);
-      ("updown_path_hits", string_of_int counters.updown_path_hits);
-      ("updown_path_misses", string_of_int counters.updown_path_misses);
-      ("updown_escalations", string_of_int counters.updown_escalations);
-    ]
-  in
-  (* Name-column width follows the longest name present, so long scopes
-     like "symbolic.supernode_detection" stay aligned with the rest. *)
-  let w =
-    List.fold_left (fun acc (name, _, _) -> max acc (String.length name)) 0
-      phases
-  in
-  let w =
-    List.fold_left (fun acc (name, _) -> max acc (String.length name)) w
-      counter_rows
-  in
-  let w = max w (String.length "counter") in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "%-*s %11s %11s\n" w "phase" "seconds" "entries");
-  List.iter
-    (fun (name, secs, entries) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s %11.6f %11d\n" w name secs entries))
-    phases;
-  Buffer.add_string buf (Printf.sprintf "%-*s %11s\n" w "counter" "value");
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "%-*s %11s\n" w name v))
-    counter_rows;
-  Buffer.contents buf

@@ -1,117 +1,33 @@
-(** Observability layer: monotonic phase timers with named scopes
-    ([symbolic], [numeric], [codegen], [ordering], plus per-pass
-    sub-scopes), lightweight kernel counters, and JSON / table emitters.
+(** The instrumentation switch, the monotonic clock, and a JSON builder.
 
-    Profiling is off by default. Every recording site in the kernels is
-    guarded by {!enabled}, a single boolean load, and counters are mutable
-    int fields bumped in place — so the disabled path performs no
-    allocation and no clock reads on kernel hot paths. *)
+    The library keeps one instrumentation spine (DESIGN.md
+    "Instrumentation"): {!Sympiler_metrics.Metrics} holds every counter,
+    gauge and latency histogram, {!Sympiler_trace.Trace} every span. This
+    module is what both stand on.
+
+    - {b One switch.} {!enabled} is the flag [Metrics.enabled] reads and
+      [Metrics.enable]/[disable] set: the two spellings are one switch.
+      Off is the default; [SYMPILER_METRICS=1] in the environment turns it
+      on at program start. Every recording site is guarded by it, a single
+      boolean load, so the disabled path does no work and allocates
+      nothing. Trace's span ring has a separate switch
+      ({!Sympiler_trace.Trace.enable}).
+    - {b One clock.} {!now_ns} reads CLOCK_MONOTONIC without allocating,
+      so a timing pair in integer nanoseconds fed to
+      [Metrics.observe_ns] keeps the enabled hot path allocation-free. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-val reset : unit -> unit
-(** Zero all counters and forget all scopes (does not change {!enabled}). *)
-
-(** {1 Counters}
-
-    A single global accumulator. Kernels add to it only when {!enabled};
-    callers that want per-region values [reset] before and snapshot after.
-    [supernodes]/[supernode_cols] accumulate per VS-Block detection;
-    [levels] accumulates per level-set construction while
-    [max_level_width] takes the maximum over them. *)
-
-type counters = {
-  mutable flops : int;  (** useful floating-point operations executed *)
-  mutable nnz_touched : int;  (** matrix nonzeros read/written by kernels *)
-  mutable iters_pruned : int;  (** loop iterations removed by VI-Prune *)
-  mutable supernodes : int;  (** supernodes produced by VS-Block detection *)
-  mutable supernode_cols : int;  (** columns covered by those supernodes *)
-  mutable levels : int;  (** level sets built by trisolve_parallel *)
-  mutable max_level_width : int;  (** widest level set seen *)
-  mutable cache_hits : int;  (** compilation-cache lookups served *)
-  mutable cache_misses : int;  (** compilation-cache lookups that compiled *)
-  mutable orderings : int;
-      (** fill-reducing orderings computed (RCM / min-degree / AMD runs) *)
-  mutable pool_runs : int;
-      (** parallel dispatches through {!Sympiler_runtime.Pool} *)
-  mutable pool_tasks : int;  (** worker tasks executed across those runs *)
-  mutable pool_max_workers : int;  (** widest dispatch seen *)
-  mutable pool_imbalance_pct : int;
-      (** worst per-dispatch level imbalance, max/mean worker time as an
-          integer percentage (100 = perfectly balanced; 0 = not measured) *)
-  mutable native_compiles : int;
-      (** generated-C kernels compiled to a shared object by the native
-          engine (cache misses that ran the C compiler) *)
-  mutable native_so_hits : int;
-      (** native-engine loads served from the in-memory or on-disk .so
-          cache without re-invoking the compiler *)
-  mutable native_fallbacks : int;
-      (** native-engine requests that fell back to the OCaml executor
-          (no C compiler, compile failure, or dlopen failure) *)
-  mutable updown_path_hits : int;
-      (** rank-update etree paths served from the memoized per-jmin table *)
-  mutable updown_path_misses : int;
-      (** rank-update etree paths computed fresh (first use of a jmin) *)
-  mutable updown_escalations : int;
-      (** rank updates whose pattern outgrew the factor and forced a
-          recompile of the augmented pattern (facade escalation path) *)
-}
-
-val counters : counters
-val avg_supernode_width : unit -> float
-
-val cell : unit -> counters
-(** The calling domain's counter cell. On the main domain this {e is} the
-    global {!counters} record; on any other domain (pool workers) it is a
-    private per-domain cell, so bumps through [cell ()] never race across
-    domains. Worker cells are folded back into {!counters} by
-    {!merge_cells}. Kernel recording sites must bump through [cell ()],
-    never through {!counters} directly, because plain [mutable int]
-    read-modify-write from several domains silently drops updates. *)
-
-val merge_cells : unit -> unit
-(** Fold every worker-domain cell into the global {!counters} record and
-    zero the cells. Sum for accumulating fields; [max] for
-    [max_level_width], [pool_max_workers], and [pool_imbalance_pct].
-    Called by {!Sympiler_runtime.Pool.run} after its completion barrier,
-    when all workers are parked — so totals observed from the main domain
-    are exact. Safe to call from the main domain at any quiescent point. *)
-
-(** {1 Phase timers}
-
-    Named scopes over the monotonic clock. Scopes are reentrant: nested
-    [start]/[stop] of the same name count the outermost span once. All
-    timer operations are no-ops while disabled. *)
+val now_ns : unit -> int
+(** The monotonic clock in integer nanoseconds (immune to NTP
+    adjustments). Never allocates. *)
 
 val now_seconds : unit -> float
-(** The raw monotonic clock in seconds — the timing source for callers
-    that measure spans themselves (bench harness, facade
-    [symbolic_seconds]); immune to NTP adjustments. Always available,
-    whether or not profiling is enabled. *)
-
-val start : string -> unit
-val stop : string -> unit
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f] inside scope [name] (exception-safe); when
-    profiling is disabled it is just [f ()]. *)
-
-val scope_seconds : string -> float
-(** Accumulated seconds in scope [name], including the elapsed time of a
-    still-open (in-flight) outermost span — a live snapshot taken
-    mid-phase reports everything elapsed so far. *)
-
-val scope_entries : string -> int
-(** Completed entries of scope [name] (an in-flight span is not counted
-    until it closes). *)
-
-val scopes : unit -> (string * float * int) list
-(** All scopes as [(name, total seconds, entries)], sorted by name;
-    seconds include in-flight spans like {!scope_seconds}. *)
-
-(** {1 Emitters} *)
+(** The same clock in seconds, for callers that report seconds (bench
+    harness, [symbolic_seconds]). Always available, whatever the
+    switch. *)
 
 (** Minimal JSON document builder (no external dependency), used by the
     bench harness to assemble [BENCH_*.json] files. *)
@@ -132,13 +48,3 @@ module Json : sig
       parse as [Int], others as [Float]). Used by the perf-regression
       gate to read committed [BENCH_*.json] baselines. *)
 end
-
-val counters_json : unit -> Json.t
-val phases_json : unit -> Json.t
-
-val to_json : unit -> string
-(** Full snapshot: [{"enabled":…,"phases":…,"counters":…}]. *)
-
-val table : unit -> string
-(** Human-readable phase/counter table; the name column is sized to the
-    longest scope/counter name present. *)

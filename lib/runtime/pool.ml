@@ -1,10 +1,10 @@
-open Sympiler_prof
+module Prof = Sympiler_prof.Prof
 module Metrics = Sympiler_metrics.Metrics
 
 let max_domains = 64
 
 (* Serving metrics for the pool: dispatch latency distribution, tasks
-   executed, and the imbalance of the most recent measured dispatch.
+   executed, and the width and imbalance of the most recent dispatch.
    Registered once at module init; recording is a no-op until
    [Metrics.enable]. *)
 let m_dispatch =
@@ -16,6 +16,10 @@ let m_runs =
 
 let m_tasks =
   Metrics.counter "sympiler_pool_tasks" ~help:"Worker tasks executed across dispatches"
+
+let m_max_workers =
+  Metrics.gauge "sympiler_pool_max_workers"
+    ~help:"Worker count of the last dispatch"
 
 let m_imbalance =
   Metrics.gauge "sympiler_pool_imbalance_pct"
@@ -69,7 +73,7 @@ type state = {
   m : Mutex.t;
   cv_start : Condition.t; (* workers park here between epochs *)
   cv_done : Condition.t; (* the caller parks here at the barrier *)
-  wtimes : float array; (* per-worker task seconds (profiling only) *)
+  wtimes : int array; (* per-worker task nanoseconds (metrics on only) *)
   mutable workers : unit Domain.t list; (* spawned so far, join at exit *)
   mutable nworkers_spawned : int;
 }
@@ -84,7 +88,7 @@ let st =
     m = Mutex.create ();
     cv_start = Condition.create ();
     cv_done = Condition.create ();
-    wtimes = Array.make max_domains 0.0;
+    wtimes = Array.make max_domains 0;
     workers = [];
     nworkers_spawned = 0;
   }
@@ -114,10 +118,10 @@ let worker_loop wid start_epoch =
     my_epoch := Atomic.get st.epoch;
     if st.stop then running := false
     else if wid < epoch_nactive !my_epoch then begin
-      (if Prof.enabled () then begin
-         let t0 = Prof.now_seconds () in
+      (if Metrics.enabled () then begin
+         let t0 = Prof.now_ns () in
          (try st.task wid with e -> if st.failed = None then st.failed <- Some e);
-         st.wtimes.(wid) <- Prof.now_seconds () -. t0
+         st.wtimes.(wid) <- Prof.now_ns () - t0
        end
        else
          try st.task wid with e -> if st.failed = None then st.failed <- Some e);
@@ -155,26 +159,22 @@ let ensure nworkers =
     st.nworkers_spawned <- nworkers - 1
   end
 
-(* Imbalance of the dispatch just finished: max/mean worker seconds, as an
-   integer percentage (100 = perfectly balanced). *)
-let record_dispatch nworkers =
-  let k = Prof.counters in
-  k.Prof.pool_runs <- k.Prof.pool_runs + 1;
-  k.Prof.pool_tasks <- k.Prof.pool_tasks + nworkers;
-  if nworkers > k.Prof.pool_max_workers then
-    k.Prof.pool_max_workers <- nworkers;
-  let sum = ref 0.0 and mx = ref 0.0 in
+(* The dispatch just finished, once every worker is parked: its latency,
+   width, and imbalance — max/mean worker time as an integer percentage
+   (100 = perfectly balanced). *)
+let record_dispatch nworkers t_dispatch =
+  Metrics.observe_ns m_dispatch (Prof.now_ns () - t_dispatch);
+  Metrics.inc m_runs 1;
+  Metrics.inc m_tasks nworkers;
+  Metrics.set m_max_workers (float_of_int nworkers);
+  let sum = ref 0 and mx = ref 0 in
   for w = 0 to nworkers - 1 do
-    sum := !sum +. st.wtimes.(w);
+    sum := !sum + st.wtimes.(w);
     if st.wtimes.(w) > !mx then mx := st.wtimes.(w)
   done;
-  if !sum > 0.0 then begin
-    let pct =
-      int_of_float (100.0 *. !mx *. float_of_int nworkers /. !sum +. 0.5)
-    in
-    if pct > k.Prof.pool_imbalance_pct then k.Prof.pool_imbalance_pct <- pct;
-    Metrics.set m_imbalance (float_of_int pct)
-  end
+  if !sum > 0 then
+    Metrics.set m_imbalance
+      (float_of_int (((100 * !mx * nworkers) + (!sum / 2)) / !sum))
 
 let run ~nworkers task =
   let nw = if nworkers > max_domains then max_domains else nworkers in
@@ -182,7 +182,7 @@ let run ~nworkers task =
   else begin
     ensure nw;
     Sympiler_trace.Trace.begin_span "pool.run";
-    let t_dispatch = if Metrics.enabled () then Prof.now_seconds () else 0.0 in
+    let t_dispatch = if Metrics.enabled () then Prof.now_ns () else 0 in
     st.task <- task;
     st.failed <- None;
     Atomic.set st.pending (nw - 1);
@@ -193,10 +193,10 @@ let run ~nworkers task =
     Condition.broadcast st.cv_start;
     Mutex.unlock st.m;
     let caller_failed =
-      if Prof.enabled () then begin
-        let t0 = Prof.now_seconds () in
+      if Metrics.enabled () then begin
+        let t0 = Prof.now_ns () in
         let r = try task 0; None with e -> Some e in
-        st.wtimes.(0) <- Prof.now_seconds () -. t0;
+        st.wtimes.(0) <- Prof.now_ns () - t0;
         r
       end
       else try task 0; None with e -> Some e
@@ -215,17 +215,7 @@ let run ~nworkers task =
       Mutex.unlock st.m
     end;
     st.task <- noop_task (* do not root the plan between dispatches *);
-    (* All workers are parked past the barrier: the quiescent point where
-       worker-domain Prof cells can be folded into the global record. *)
-    if Prof.enabled () then begin
-      record_dispatch nw;
-      Prof.merge_cells ()
-    end;
-    if Metrics.enabled () then begin
-      Metrics.observe m_dispatch (Prof.now_seconds () -. t_dispatch);
-      Metrics.inc m_runs 1;
-      Metrics.inc m_tasks nw
-    end;
+    if Metrics.enabled () then record_dispatch nw t_dispatch;
     Sympiler_trace.Trace.end_span ();
     match caller_failed with
     | Some e -> raise e

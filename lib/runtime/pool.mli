@@ -48,7 +48,9 @@ val run : nworkers:int -> (int -> unit) -> unit
     If any task raises, the first captured exception is re-raised on the
     caller after the barrier; the pool itself survives and remains usable.
 
-    When {!Sympiler_prof.Prof} is enabled, each dispatch records the
-    pool counter set (runs, tasks, max workers, per-dispatch imbalance =
-    max/mean worker time); a ["pool.run"] trace span brackets the dispatch
-    when tracing is on. *)
+    While metrics are on, each dispatch records its latency
+    ([sympiler_pool_dispatch_seconds]), [sympiler_pool_runs] and
+    [sympiler_pool_tasks], and sets the [sympiler_pool_max_workers] and
+    [sympiler_pool_imbalance_pct] gauges (max/mean worker time, 100 =
+    balanced) to its own width and imbalance; a ["pool.run"] trace span
+    brackets the dispatch when tracing is on. *)

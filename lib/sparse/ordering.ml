@@ -5,13 +5,6 @@
    of the compile pipeline. All are usable through
    [Perm.symmetric_permute]. Input is the full symmetric matrix. *)
 
-let bump_counter () =
-  let open Sympiler_prof in
-  if Prof.enabled () then begin
-    let c = Prof.cell () in
-    c.Prof.orderings <- c.Prof.orderings + 1
-  end
-
 (* CSR adjacency (excluding self loops) of the symmetric pattern: vertex
    [v]'s neighbors are [ind.(ptr.(v) .. ptr.(v+1)-1)], ascending. Since the
    input is symmetric, each column IS a neighbor list, and CSC's
@@ -57,8 +50,7 @@ let adjacency (a : Csc.t) =
    multi-component problems. Returns a permutation in the [Perm] new->old
    convention. *)
 let rcm (a : Csc.t) : Perm.t =
-  Sympiler_prof.Prof.time "ordering" @@ fun () ->
-  bump_counter ();
+  Sympiler_metrics.Metrics.(inc orderings 1);
   let n = a.Csc.ncols in
   let aptr, aind = adjacency_csr a in
   let degree = Array.init n (fun v -> aptr.(v + 1) - aptr.(v)) in
@@ -188,8 +180,7 @@ module Iset = Set.Make (Int)
    the worst case (no quotient-graph machinery); kept as the exact-degree
    test oracle that [amd] is measured against. *)
 let min_degree (a : Csc.t) : Perm.t =
-  Sympiler_prof.Prof.time "ordering" @@ fun () ->
-  bump_counter ();
+  Sympiler_metrics.Metrics.(inc orderings 1);
   let n = a.Csc.ncols in
   let adj = Array.map Iset.of_list (adjacency a) in
   let eliminated = Array.make n false in
@@ -238,8 +229,7 @@ let imin (a : int) b = if a < b then a else b
 let imax (a : int) b = if a > b then a else b
 
 let amd (a : Csc.t) : Perm.t =
-  Sympiler_prof.Prof.time "ordering" @@ fun () ->
-  bump_counter ();
+  Sympiler_metrics.Metrics.(inc orderings 1);
   let n = a.Csc.ncols in
   if n = 0 then [||]
   else begin

@@ -10,7 +10,6 @@ open Sympiler_sparse
    that depends on it, so a forward solve may process the set left to right.
    O(|b| + number of edges traversed). *)
 let reach (l : Csc.t) (beta : int array) : int array =
-  Sympiler_prof.Prof.time "symbolic" @@ fun () ->
   let n = l.Csc.ncols in
   let marked = Array.make n false in
   let out = Array.make n 0 in

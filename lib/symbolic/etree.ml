@@ -97,8 +97,8 @@ let path_to_root (parent : int array) (j : int) : int array =
    [j] itself, so the empty array is a free "unset" sentinel). Steady-state
    lookups are a single array read: the symbolic phase of a repeated rank
    update collapses to a table hit, which is what lets the numeric update
-   run allocation-free. [hits]/[misses] let callers feed the profiling
-   layer without the table depending on it. *)
+   run allocation-free. [hits]/[misses] let callers feed the path
+   counters without the table depending on the metrics layer. *)
 type path_table = {
   pt_parent : int array;
   pt_paths : int array array;

@@ -55,11 +55,9 @@ let walk (a_lower : Csc.t) ~row : int array * int array =
 let col_counts (a_lower : Csc.t) : int array * int array =
   walk a_lower ~row:(fun _ _ -> ())
 
-(* O(|L|) analysis from the lower-triangular part of A via [Ereach]. Timed
-   under the "symbolic" profiling scope (reentrant, so facades may wrap a
-   larger "symbolic" region around it). *)
+(* O(|L|) analysis from the lower-triangular part of A via [Ereach],
+   timed by its "symbolic.fill" span. *)
 let analyze (a_lower : Csc.t) : t =
-  Sympiler_prof.Prof.time "symbolic" @@ fun () ->
   Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
   let n = a_lower.Csc.ncols in
   let builder =

@@ -54,14 +54,10 @@ let detect ?(max_width = max_int) ~mergeable n =
     end
   done;
   let t = of_boundaries ~n (List.rev !starts) in
-  if Sympiler_prof.Prof.enabled () then begin
-    (* VS-Block statistics: one block-set detection's supernode count and
-       covered columns (avg width = cols / supernodes in the aggregate). *)
-    let c = Sympiler_prof.Prof.cell () in
-    c.Sympiler_prof.Prof.supernodes <-
-      c.Sympiler_prof.Prof.supernodes + nsuper t;
-    c.Sympiler_prof.Prof.supernode_cols <- c.Sympiler_prof.Prof.supernode_cols + n
-  end;
+  (* VS-Block statistics: one block-set detection's supernode count and
+     covered columns (avg width = cols / supernodes in the aggregate). *)
+  Sympiler_metrics.Metrics.(inc supernodes (nsuper t));
+  Sympiler_metrics.Metrics.(inc supernode_cols n);
   if Sympiler_trace.Trace.enabled () then begin
     Sympiler_trace.Trace.set_attr "supernodes"
       (Sympiler_trace.Trace.Int (nsuper t));

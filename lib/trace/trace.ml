@@ -1,5 +1,6 @@
-(* Structured trace spans over the monotonic clock. Two constraints shape
-   the implementation (see DESIGN.md "Tracing and explain"):
+(* Structured trace spans over the monotonic clock: the phase timer of the
+   instrumentation spine (see DESIGN.md "Instrumentation"). Two constraints
+   shape the implementation:
 
    - Disabled must be free on kernel hot paths: every entry point is guarded
      by a single load of [on], and the disabled branches neither allocate
@@ -11,12 +12,13 @@
      in place, and when the ring is full each new span overwrites the
      oldest (counted by [dropped_spans]) rather than growing.
 
-   Timestamps are monotonic nanoseconds stored as native ints (63 bits
-   spans ~146 years), which keeps slot writes box-free. Spans land in the
-   ring at *completion*, so parents appear after their children; exporters
-   that need begin-order sort by [start_ns]. *)
+   Timestamps are [Prof.now_ns] monotonic nanoseconds stored as native
+   ints (63 bits spans ~146 years), which keeps slot writes box-free.
+   Spans land in the ring at *completion*, so parents appear after their
+   children; exporters that need begin-order sort by [start_ns]. *)
 
-module Json = Sympiler_prof.Prof.Json
+module Prof = Sympiler_prof.Prof
+module Json = Prof.Json
 
 type attr = Bool of bool | Int of int | Float of float | Str of string
 
@@ -60,8 +62,6 @@ let stk_names = ref (Array.make 64 "")
 let stk_starts = ref (Array.make 64 0)
 let stk_attrs : (string * attr) list array ref = ref (Array.make 64 [])
 let depth = ref 0
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let reset () =
   head := 0;
@@ -116,7 +116,7 @@ let begin_span name =
     if !depth >= Array.length !stk_names then grow_stack ();
     !stk_names.(!depth) <- name;
     !stk_attrs.(!depth) <- [];
-    !stk_starts.(!depth) <- now_ns ();
+    !stk_starts.(!depth) <- Prof.now_ns ();
     incr depth
   end
 
@@ -125,7 +125,8 @@ let end_span () =
     decr depth;
     let d = !depth in
     let t0 = !stk_starts.(d) in
-    record !stk_names.(d) t0 (now_ns () - t0) d Span (List.rev !stk_attrs.(d))
+    record !stk_names.(d) t0 (Prof.now_ns () - t0) d Span
+      (List.rev !stk_attrs.(d))
   end
 
 let set_attr key v =
@@ -143,7 +144,7 @@ let with_span ?attrs name f =
   end
 
 let instant ?(attrs = []) name =
-  if !on then record name (now_ns ()) 0 !depth Instant attrs
+  if !on then record name (Prof.now_ns ()) 0 !depth Instant attrs
 
 (* ---------------------------- Decision log ---------------------------- *)
 

@@ -3,13 +3,20 @@
     Chrome trace-event JSON (Perfetto / [chrome://tracing]) or folded-stacks
     text (flamegraph input).
 
-    Tracing is off by default and, like {!Sympiler_prof.Prof}, the disabled
-    path is a single boolean load: {!begin_span}, {!end_span}, {!set_attr}
-    and {!instant} allocate nothing and read no clock while disabled, so
-    span sites may sit on allocation-free steady-state kernel paths.
-    {!with_span} is likewise a plain [f ()] when disabled (callers on hot
-    paths should still prefer {!begin_span}/{!end_span}, which need no
-    closure at the call site).
+    Spans are the phase timer of the instrumentation spine (DESIGN.md
+    "Instrumentation"): [symbolic.*], [ordering], [compile.<family>], the
+    [codegen:<pass>] IR passes and the [factor_ip.<kernel>] /
+    [solve_ip.<kernel>] numeric calls each open one. Counts live in
+    {!Sympiler_metrics.Metrics}; both read {!Sympiler_prof.Prof}'s clock.
+
+    The span ring has its own switch, separate from the metrics switch, so
+    a process may record spans without counting or count without spans.
+    Off is the default, and the disabled path is a single boolean load:
+    {!begin_span}, {!end_span}, {!set_attr} and {!instant} allocate nothing
+    and read no clock while disabled, so span sites may sit on
+    allocation-free steady-state kernel paths. {!with_span} is likewise a
+    plain [f ()] when disabled (callers on hot paths should still prefer
+    {!begin_span}/{!end_span}, which need no closure at the call site).
 
     When enabled, completed spans are written oldest-first into a ring of
     {!enable}'s [capacity]; once full, each new span overwrites the oldest

@@ -232,12 +232,16 @@ done
 echo "== explain report gate =="
 # `sympiler explain --json` must emit parseable JSON with the report's
 # key fields on representative suite matrices (one supernodal-leaning,
-# one simplicial-leaning).
+# one simplicial-leaning), for both kernels. The executed flops must equal
+# the predicted ones: they count the explained kernel's own execution,
+# not the factorization that produces a trisolve's L.
 for prob in msc23052 ecology2; do
-  dune exec bin/sympiler_cli.exe -- explain --problem "$prob" --json \
-    > "_build/explain_$prob.json"
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "_build/explain_$prob.json" << 'EOF'
+  for kernel in cholesky trisolve; do
+    out="_build/explain_${kernel}_$prob.json"
+    dune exec bin/sympiler_cli.exe -- explain --problem "$prob" \
+      --kernel "$kernel" --json > "$out"
+    if command -v python3 > /dev/null 2>&1; then
+      python3 - "$out" "$kernel" << 'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -246,20 +250,47 @@ keys = ["kernel", "n", "nnz_l", "fill_ratio", "etree_height",
         "decisions", "predicted_flops", "executed_flops"]
 missing = [k for k in keys if k not in r]
 assert not missing, f"explain JSON missing keys: {missing}"
-assert r["kernel"] == "cholesky"
+assert r["kernel"] == sys.argv[2]
 assert isinstance(r["decisions"], list) and len(r["decisions"]) >= 2
+assert r["executed_flops"] == r["predicted_flops"], \
+    f"executed_flops {r['executed_flops']} != predicted_flops {r['predicted_flops']}"
 EOF
-  else
-    # Fallback without python3: key-presence grep only.
-    for key in kernel fill_ratio etree_height decisions executed_flops; do
-      grep -q "\"$key\"" "_build/explain_$prob.json" || {
-        echo "FAIL: explain JSON for $prob missing \"$key\"" >&2
+    else
+      # Fallback without python3: key presence, and the two flop fields
+      # compared as printed.
+      for key in kernel fill_ratio etree_height decisions executed_flops; do
+        grep -q "\"$key\"" "$out" || {
+          echo "FAIL: explain JSON for $kernel $prob missing \"$key\"" >&2
+          exit 1
+        }
+      done
+      pred=$(sed -n 's/.*"predicted_flops":\([^,]*\),.*/\1/p' "$out")
+      exec_=$(sed -n 's/.*"executed_flops":\([^,]*\),.*/\1/p' "$out")
+      [ "$pred" = "$exec_" ] || {
+        echo "FAIL: explain $kernel $prob executed_flops $exec_ != predicted_flops $pred" >&2
         exit 1
       }
-    done
-  fi
-  echo "explain --json $prob: ok"
+    fi
+    echo "explain --kernel $kernel --json $prob: ok"
+  done
 done
+
+echo "== --profile smoke =="
+# --profile turns the metrics switch on and prints the registry's table
+# to stderr: the flop counter must be non-zero and the plan's
+# sympiler_execute_seconds series must be there.
+dune exec bin/sympiler_cli.exe -- steady --problem cbuckle --repeat 5 \
+  --profile 2> _build/profile_cbuckle.txt > /dev/null
+grep -Eq '^sympiler_flops +[1-9][0-9]*$' _build/profile_cbuckle.txt || {
+  echo "FAIL: --profile table has no non-zero sympiler_flops row" >&2
+  exit 1
+}
+grep -Eq '^sympiler_execute_seconds\{engine="ocaml",family="cholesky",op="factor",ordering="natural"\} +count=[1-9]' \
+  _build/profile_cbuckle.txt || {
+  echo "FAIL: --profile table has no sympiler_execute_seconds series for the plan" >&2
+  exit 1
+}
+echo "steady --profile: ok"
 
 echo "== repository benchmark smoke =="
 # perfbench/smoke.py runs every workload of BENCHMARK.json briefly, untraced

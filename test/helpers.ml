@@ -209,3 +209,32 @@ let with_temp_dir f =
     end
   in
   Fun.protect ~finally:cleanup (fun () -> f dir)
+
+(* ---- instrumentation helpers ---- *)
+
+module Metrics = Sympiler_metrics.Metrics
+
+(* Run [f] with the metrics switch on, restoring its previous state. *)
+let with_metrics f =
+  let was_on = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Metrics.disable ()) f
+
+(* How much [f] adds to counter [c] (the registry is process-wide and
+   never reset by the tests). *)
+let counted (c : Metrics.counter) f =
+  let c0 = Metrics.counter_value c in
+  f ();
+  Metrics.counter_value c - c0
+
+(* Run [f label] with the metrics switch off, then on, restoring it: the
+   zero-allocation contracts hold either way. *)
+let switch_off_and_on f =
+  let was_on = Metrics.enabled () in
+  Fun.protect ~finally:(fun () ->
+      if was_on then Metrics.enable () else Metrics.disable ())
+  @@ fun () ->
+  Metrics.disable ();
+  f "metrics off";
+  Metrics.enable ();
+  f "metrics on"

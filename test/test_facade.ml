@@ -95,20 +95,33 @@ let minor_words_per_call (f : unit -> unit) =
 (* ------------------------- zero allocation ------------------------- *)
 
 (* Native plans keep the suite's [< 1.0] convention (a native request that
-   fell back to OCaml has no kernel to call, and the OCaml rows pin 0). *)
+   fell back to OCaml has no kernel to call, and the OCaml rows pin 0).
+   Every row runs with the metrics switch off and on. *)
+let check_zero_alloc name engine f =
+  Helpers.switch_off_and_on @@ fun switch ->
+  let w = minor_words_per_call f in
+  let msg =
+    Printf.sprintf "%s, %s: %.2f minor words/execute_ip" name switch w
+  in
+  if engine = `Ocaml then Alcotest.(check bool) msg true (w = 0.0)
+  else Alcotest.(check bool) msg true (w < 1.0)
+
 let test_zero_alloc () =
   List.iter
     (fun fam ->
       combos (fun label engine ordering ->
           let exec, _, _ = fam.build engine ordering in
-          let w = minor_words_per_call (fun () -> exec fam.input) in
-          let msg =
-            Printf.sprintf "%s %s: %.2f minor words/execute_ip" fam.name label
-              w
-          in
-          if engine = `Ocaml then Alcotest.(check bool) msg true (w = 0.0)
-          else Alcotest.(check bool) msg true (w < 1.0)))
-    (factor_families @ cholesky_families)
+          check_zero_alloc (fam.name ^ " " ^ label) engine (fun () ->
+              exec fam.input)))
+    (factor_families @ cholesky_families);
+  let b = Generators.sparse_rhs ~seed:5 ~n:spd_lower.Csc.ncols ~fill:0.1 () in
+  let t = S.Trisolve.compile (spd_lower, b) in
+  List.iter
+    (fun (en, engine) ->
+      let p = S.Trisolve.plan ~engine t in
+      check_zero_alloc ("trisolve " ^ en ^ "/natural") engine (fun () ->
+          ignore (S.Trisolve.execute_ip p b : float array)))
+    engines
 
 (* ------------------------- malformed input ------------------------- *)
 

@@ -3,16 +3,10 @@ open Sympiler_metrics
 
 (* Tests for the serving-grade metrics layer: registry identity rules,
    histogram fidelity against a sorted-array oracle, domain-safety of the
-   sharded cells, the disabled-path allocation contract, OpenMetrics
-   conformance, and the Prof per-worker merge that rides on the same
-   sharding idea. *)
+   sharded cells (directly and through the domain pool), the allocation
+   contracts, and OpenMetrics conformance. *)
 
-let with_metrics f =
-  let was_on = Metrics.enabled () in
-  Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_on then Metrics.disable ())
-    f
+let with_metrics = Helpers.with_metrics
 
 (* Registered names must be unique per test run: the registry is global
    and registrations survive reset. *)
@@ -146,25 +140,19 @@ let test_counter_stress_exact_across_domains () =
     (ndom * (perdom * (perdom + 1) / 2))
     (int_of_float ((snap.Metrics.sum *. 1e9) +. 0.5))
 
-(* The Prof data-race fix rides the same idea: kernel bump sites write a
-   per-domain cell merged at the pool barrier. Drive a counter through
-   Pool.run on 4 workers and demand the exact total. *)
-let test_prof_merge_exact_through_pool () =
-  Prof.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:(fun () ->
-      Prof.disable ();
-      Prof.reset ())
-  @@ fun () ->
+(* Kernel counting sites run on pool workers too: drive the shared flop
+   counter through Pool.run on 4 workers and demand the exact total, with
+   no merge step at the barrier. *)
+let test_inc_exact_through_pool () =
+  with_metrics @@ fun () ->
   let perworker = 10_000 in
+  let f0 = Metrics.counter_value Metrics.flops in
   Sympiler_runtime.Pool.run ~nworkers:4 (fun _rank ->
-      let k = Prof.cell () in
       for _ = 1 to perworker do
-        k.Prof.flops <- k.Prof.flops + 1
+        Metrics.inc Metrics.flops 1
       done);
-  (* Pool.run merges worker cells at its barrier; totals must be exact. *)
-  Alcotest.(check int) "all worker bumps merged" (4 * perworker)
-    Prof.counters.Prof.flops
+  Alcotest.(check int) "every worker increment counted" (4 * perworker)
+    (Metrics.counter_value Metrics.flops - f0)
 
 (* ---- allocation contracts ---- *)
 
@@ -357,8 +345,8 @@ let suite =
       test_observe_seconds_rounds_to_ns;
     Alcotest.test_case "4-domain counter stress is exact" `Quick
       test_counter_stress_exact_across_domains;
-    Alcotest.test_case "Prof merge exact through pool" `Quick
-      test_prof_merge_exact_through_pool;
+    Alcotest.test_case "inc exact through pool" `Quick
+      test_inc_exact_through_pool;
     Alcotest.test_case "disabled path allocates nothing" `Quick
       test_disabled_path_allocates_nothing;
     Alcotest.test_case "enabled path allocates nothing" `Quick

@@ -1,7 +1,7 @@
 open Sympiler_sparse
 open Sympiler_kernels
 open Sympiler_runtime
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 
 (* The persistent domain-pool runtime and the unified kernel facade:
    bitwise determinism across domain counts and repeated pool reuse,
@@ -266,21 +266,44 @@ let test_zero_alloc_parallel_cholesky () =
   Alcotest.(check int) "parallel factor_ip minor words/call" 0
     (minor_words_per_call (fun () -> Cholesky_parallel.factor_ip p al))
 
-let test_pool_prof_counters () =
+(* The pool's series, registered by Pool at module init; looking a series
+   up by name returns the same handle. *)
+let pool_runs = Metrics.counter "sympiler_pool_runs"
+let pool_tasks = Metrics.counter "sympiler_pool_tasks"
+let pool_max_workers = Metrics.gauge "sympiler_pool_max_workers"
+let pool_imbalance = Metrics.gauge "sympiler_pool_imbalance_pct"
+
+let test_pool_metrics_counters () =
   let d = Csc.map_values (Csc.identity 100) (fun _ -> 2.0) in
   let p = Trisolve_parallel.make_plan ~ndomains:2 (Trisolve_parallel.compile d) in
   let b = Array.make 100 1.0 in
-  Prof.reset ();
-  Prof.enable ();
-  ignore (Trisolve_parallel.solve_ip p b);
-  Prof.disable ();
-  Alcotest.(check bool) "pool_runs >= 1" true (Prof.counters.Prof.pool_runs >= 1);
+  Helpers.with_metrics @@ fun () ->
+  let t0 = Metrics.counter_value pool_tasks in
+  let runs =
+    Helpers.counted pool_runs (fun () ->
+        ignore (Trisolve_parallel.solve_ip p b))
+  in
+  Alcotest.(check bool) "pool_runs >= 1" true (runs >= 1);
   Alcotest.(check bool) "pool_tasks >= pool_runs" true
-    (Prof.counters.Prof.pool_tasks >= Prof.counters.Prof.pool_runs);
-  Alcotest.(check int) "pool_max_workers" 2 Prof.counters.Prof.pool_max_workers;
+    (Metrics.counter_value pool_tasks - t0 >= runs);
+  Alcotest.(check (float 0.0)) "pool_max_workers" 2.0
+    (Metrics.gauge_value pool_max_workers);
   Alcotest.(check bool) "imbalance recorded" true
-    (Prof.counters.Prof.pool_imbalance_pct >= 100);
-  Prof.reset ()
+    (Metrics.gauge_value pool_imbalance >= 100.0)
+
+(* The imbalance gauge needs only the metrics switch: a two-domain
+   facade solve with nothing else turned on sets it. *)
+let test_imbalance_with_metrics_only () =
+  let l = Csc.map_values (Csc.identity 100) (fun _ -> 2.0) in
+  let b = Generators.sparse_rhs ~seed:4 ~n:100 ~fill:0.5 () in
+  let p =
+    Sympiler.Trisolve.plan ~ndomains:2 (Sympiler.Trisolve.compile (l, b))
+  in
+  Helpers.with_metrics @@ fun () ->
+  Metrics.set pool_imbalance 0.0;
+  ignore (Sympiler.Trisolve.execute_ip p b);
+  Alcotest.(check bool) "imbalance gauge >= 100" true
+    (Metrics.gauge_value pool_imbalance >= 100.0)
 
 (* ---- the unified facade ---- *)
 
@@ -446,7 +469,10 @@ let suite =
       test_zero_alloc_parallel_trisolve;
     Alcotest.test_case "zero allocation: parallel cholesky" `Quick
       test_zero_alloc_parallel_cholesky;
-    Alcotest.test_case "pool counters in Prof" `Quick test_pool_prof_counters;
+    Alcotest.test_case "pool counters in Metrics" `Quick
+      test_pool_metrics_counters;
+    Alcotest.test_case "imbalance, metrics only" `Quick
+      test_imbalance_with_metrics_only;
     Alcotest.test_case "facade: cholesky ?ndomains" `Quick
       test_facade_cholesky_ndomains;
     Alcotest.test_case "facade: simplicial ignores ?ndomains" `Quick

@@ -225,24 +225,42 @@ let test_rejected_call_leaves_plan () =
 (* ---- zero allocation in the fused steady state ---- *)
 
 (* Cholesky keeps the column sweeps; IC(0) on a natural grid runs the
-   level-ordered ones. *)
+   level-ordered ones; the staged baseline times each of its three stages.
+   Every row runs with the metrics switch off and on. *)
 let test_zero_alloc () =
+  let row name apply =
+    Helpers.switch_off_and_on @@ fun switch ->
+    Alcotest.(check int)
+      (Printf.sprintf "%s, %s: minor words/call" name switch)
+      0
+      (minor_words_per_call apply)
+  in
   List.iter
     (fun (name, family, al) ->
       let t = Pl.compile (Pl.factor_solve family) al in
       let p = Pl.plan t in
       let b = rhs al.Csc.ncols in
       Pl.factor_ip p al;
-      Alcotest.(check int)
-        (name ^ ": fused apply minor words/call")
-        0
-        (minor_words_per_call (fun () -> ignore (Pl.execute_ip p b))))
+      row (name ^ " fused apply") (fun () -> ignore (Pl.execute_ip p b)))
     [
       ("cholesky", `Cholesky, spd_lower ());
       ( "ic0, natural grid",
         `Ic0,
         Csc.lower (Generators.grid2d ~stencil:`Five 40 40) );
-    ]
+    ];
+  (* AMD-ordered, so its stage series are not the natural-order ones the
+     latency test counts. *)
+  let al = spd_lower () in
+  let p =
+    Pl.plan
+      (Pl.compile
+         ~opts:(Sympiler.Options.make ~ordering:`Amd ())
+         (Pl.of_stages [ Pl.Factor `Cholesky; Pl.Lower_solve; Pl.Upper_solve ])
+         al)
+  in
+  let b = rhs al.Csc.ncols in
+  Pl.factor_ip p al;
+  row "cholesky staged apply" (fun () -> ignore (Pl.staged_execute_ip p b))
 
 (* ---- shared analysis and metadata ---- *)
 

@@ -1,6 +1,7 @@
 open Sympiler_sparse
 open Sympiler_kernels
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
+module Trace = Sympiler_trace.Trace
 
 (* Plans (reusable numeric workspaces) and the pattern-keyed compilation
    cache: repeated in-place execution must be bitwise-identical to the
@@ -197,8 +198,10 @@ let test_zero_alloc_facade () =
   let al = spd_lower () in
   let h = Sympiler.Cholesky.compile al in
   let p = Sympiler.Cholesky.plan h in
+  Helpers.switch_off_and_on @@ fun switch ->
   Alcotest.(check int)
-    "facade execute_ip minor words/call" 0
+    ("facade execute_ip minor words/call, " ^ switch)
+    0
     (minor_words_per_call (fun () -> ignore (Sympiler.Cholesky.execute_ip p al)))
 
 (* ---- compilation cache ---- *)
@@ -223,25 +226,35 @@ let test_cache_hit_physical_equality () =
   Alcotest.(check int) "misses" 2 st.Sympiler.Plan_cache.misses;
   Alcotest.(check int) "length" 2 st.Sympiler.Plan_cache.length
 
+(* The symbolic phase of a Cholesky compile runs inside its
+   "compile.cholesky" span: a miss records one, a hit none. *)
 let test_cache_hit_skips_symbolic () =
   let cache = Sympiler.Plan_cache.create () in
   let al = spd_lower () in
-  Prof.reset ();
-  Prof.enable ();
+  let compile_spans () =
+    List.length
+      (List.filter
+         (fun s -> s.Trace.name = "compile.cholesky")
+         (Trace.spans ()))
+  in
+  let hits = Metrics.counter "sympiler_plan_cache_hits" in
+  Trace.reset ();
+  Trace.enable ();
+  Helpers.with_metrics @@ fun () ->
   let h1 = Sympiler.Cholesky.compile ~cache al in
-  let entries_after_miss = Prof.scope_entries "symbolic" in
-  let hits_before = Prof.counters.Prof.cache_hits in
-  let h2 = Sympiler.Cholesky.compile ~cache al in
-  let entries_after_hit = Prof.scope_entries "symbolic" in
-  let hits_after = Prof.counters.Prof.cache_hits in
-  Prof.disable ();
-  Prof.reset ();
-  Alcotest.(check bool) "same handle" true (h1 == h2);
-  Alcotest.(check bool) "miss ran the symbolic phase" true
-    (entries_after_miss > 0);
-  Alcotest.(check int) "hit did not touch the symbolic timer"
-    entries_after_miss entries_after_hit;
-  Alcotest.(check bool) "hit counter bumped" true (hits_after > hits_before)
+  let spans_after_miss = compile_spans () in
+  let hit_count =
+    Helpers.counted hits (fun () ->
+        Alcotest.(check bool) "same handle" true
+          (h1 == Sympiler.Cholesky.compile ~cache al))
+  in
+  let spans_after_hit = compile_spans () in
+  Trace.disable ();
+  Trace.reset ();
+  Alcotest.(check int) "miss ran the symbolic phase once" 1 spans_after_miss;
+  Alcotest.(check int) "hit ran no symbolic phase" spans_after_miss
+    spans_after_hit;
+  Alcotest.(check int) "hit counted once" 1 hit_count
 
 let test_cache_lru_eviction () =
   let cache = Sympiler.Plan_cache.create ~capacity:2 () in

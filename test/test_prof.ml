@@ -2,119 +2,206 @@ open Sympiler_sparse
 open Sympiler_kernels
 open Sympiler_prof
 open Helpers
+module Trace = Sympiler_trace.Trace
 
-(* Tests for the observability layer: scope timers (reentrancy, reset),
-   kernel counters (recorded when enabled, untouched when disabled), and
-   the JSON/table emitters. *)
-
-let with_prof f =
-  Prof.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:(fun () ->
-      Prof.disable ();
-      Prof.reset ())
-    f
+(* Tests for the instrumentation spine: the one switch Prof and Metrics
+   share, the work counters the kernels bump into Metrics (recorded while
+   the switch is on, untouched while it is off), phase time as latency
+   histogram sums and trace spans, and the JSON/table emitters. *)
 
 let fig1_rhs () =
   { Vector.n = 10; indices = figure1_beta; values = [| 1.0; 1.0 |] }
 
-(* ---- timers ---- *)
+let spd_lower () =
+  Csc.lower (Generators.clique_chain ~seed:3 ~n:120 ~clique:10 ~overlap:3 ())
 
-let test_timer_accumulates () =
-  with_prof @@ fun () ->
-  let spin () =
-    let s = ref 0.0 in
-    for i = 1 to 100_000 do
-      s := !s +. float_of_int i
-    done;
-    ignore (Sys.opaque_identity !s)
+let value = Metrics.counter_value
+
+(* ---- the switch ---- *)
+
+let test_one_switch () =
+  let was_on = Prof.enabled () in
+  let agree what =
+    Alcotest.(check bool) what (Prof.enabled ()) (Metrics.enabled ())
   in
-  Prof.time "work" spin;
-  Prof.time "work" spin;
-  Alcotest.(check int) "entries" 2 (Prof.scope_entries "work");
-  Alcotest.(check bool) "positive time" true (Prof.scope_seconds "work" > 0.0);
-  Alcotest.(check int) "unknown scope entries" 0 (Prof.scope_entries "nope");
-  Alcotest.(check (float 0.0)) "unknown scope time" 0.0
-    (Prof.scope_seconds "nope")
-
-let test_timer_reentrant () =
-  with_prof @@ fun () ->
-  (* The facade wraps inspectors that open the same scope; the outermost
-     span must be counted exactly once. *)
-  Prof.time "symbolic" (fun () ->
-      Prof.time "symbolic" (fun () -> Prof.time "symbolic" ignore));
-  Alcotest.(check int) "outermost counted once" 1
-    (Prof.scope_entries "symbolic");
-  let outer = Prof.scope_seconds "symbolic" in
-  Alcotest.(check bool) "no double counting" true (outer >= 0.0 && outer < 1.0)
-
-let test_timer_exception_safe () =
-  with_prof @@ fun () ->
-  (try Prof.time "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check int) "scope closed" 1 (Prof.scope_entries "boom");
-  (* A balanced stop must be possible again — depth went back to zero. *)
-  Prof.time "boom" ignore;
-  Alcotest.(check int) "still counting" 2 (Prof.scope_entries "boom")
-
-let test_disabled_is_passthrough () =
-  Prof.reset ();
+  Prof.enable ();
+  agree "after Prof.enable";
+  Metrics.disable ();
+  agree "after Metrics.disable";
+  Alcotest.(check bool) "Metrics.disable turned Prof off" false
+    (Prof.enabled ());
+  Metrics.enable ();
+  agree "after Metrics.enable";
   Prof.disable ();
-  Alcotest.(check int) "time returns result" 3 (Prof.time "off" (fun () -> 3));
-  Alcotest.(check int) "no scope recorded" 0 (Prof.scope_entries "off");
-  Alcotest.(check (list (triple string (float 0.0) int))) "no scopes" []
-    (Prof.scopes ())
+  agree "after Prof.disable";
+  Alcotest.(check bool) "Prof.disable turned Metrics off" false
+    (Metrics.enabled ());
+  if was_on then Prof.enable ()
+
+(* ---- phase time: histogram sums and spans ---- *)
+
+(* Time accumulates in the latency histograms: two steady calls add two
+   observations and grow the plan's execute series' exact sum. *)
+let test_timer_accumulates () =
+  let al = spd_lower () in
+  let p = Sympiler.Cholesky.plan (Sympiler.Cholesky.compile al) in
+  with_metrics @@ fun () ->
+  let before = Sympiler.Cholesky.plan_latency p in
+  ignore (Sympiler.Cholesky.execute_ip p al : Csc.t);
+  ignore (Sympiler.Cholesky.execute_ip p al : Csc.t);
+  let after = Sympiler.Cholesky.plan_latency p in
+  Alcotest.(check int) "two calls recorded" 2
+    (after.Metrics.count - before.Metrics.count);
+  Alcotest.(check bool) "sum grew" true (after.Metrics.sum > before.Metrics.sum)
+
+(* A compile nests several symbolic stages, each in its own span, but
+   observes the compile histogram once. *)
+let test_timer_reentrant () =
+  let al = spd_lower () in
+  let h =
+    Metrics.histogram "sympiler_compile_seconds"
+      ~labels:[ ("family", "cholesky"); ("ordering", "amd") ]
+  in
+  let opts = Sympiler.Options.make ~ordering:`Amd () in
+  with_metrics @@ fun () ->
+  Trace.reset ();
+  Trace.enable ();
+  let c0 = (Metrics.snapshot h).Metrics.count in
+  ignore (Sympiler.Cholesky.compile ~opts al : Sympiler.Cholesky.t);
+  let c1 = (Metrics.snapshot h).Metrics.count in
+  let spans = Trace.spans () in
+  Trace.disable ();
+  Trace.reset ();
+  let named p = List.length (List.filter (fun s -> p s.Trace.name) spans) in
+  Alcotest.(check int) "one observation per compile" 1 (c1 - c0);
+  Alcotest.(check int) "one compile span" 1
+    (named (( = ) "compile.cholesky"));
+  Alcotest.(check bool) "nested symbolic spans" true
+    (named (String.starts_with ~prefix:"symbolic.") >= 2)
+
+(* A numeric call that raises mid-kernel, switch and tracing on, leaves the
+   span stack balanced and the plan reusable. *)
+let test_timer_exception_safe () =
+  let al = spd_lower () in
+  let bad = Csc.map_values al (fun v -> -.v) in
+  let p = Sympiler.Ic0.plan (Sympiler.Ic0.compile al) in
+  with_metrics @@ fun () ->
+  Trace.reset ();
+  Trace.enable ();
+  let raised =
+    try
+      ignore (Sympiler.Ic0.execute_ip p bad : Csc.t);
+      false
+    with Ic0.Not_positive_definite _ -> true
+  in
+  ignore (Sympiler.Ic0.execute_ip p al : Csc.t);
+  let spans =
+    List.filter (fun s -> s.Trace.name = "factor_ip.ic0") (Trace.spans ())
+  in
+  Trace.disable ();
+  Trace.reset ();
+  Alcotest.(check bool) "pivot failure raised" true raised;
+  Alcotest.(check int) "both calls' spans closed" 2 (List.length spans);
+  Alcotest.(check bool) "the retry's span is a root" true
+    (List.for_all (fun s -> s.Trace.depth = 0) spans)
+
+(* Off, a steady call records nothing and returns what it returns on. *)
+let test_disabled_is_passthrough () =
+  let al = spd_lower () in
+  let p = Sympiler.Cholesky.plan (Sympiler.Cholesky.compile al) in
+  Metrics.disable ();
+  let c0 = (Sympiler.Cholesky.plan_latency p).Metrics.count in
+  let f0 = value Metrics.flops in
+  let off = Array.copy (Sympiler.Cholesky.execute_ip p al).Csc.values in
+  Alcotest.(check int) "no latency recorded" c0
+    (Sympiler.Cholesky.plan_latency p).Metrics.count;
+  Alcotest.(check int) "no flops counted" f0 (value Metrics.flops);
+  let on =
+    with_metrics (fun () ->
+        Array.copy (Sympiler.Cholesky.execute_ip p al).Csc.values)
+  in
+  bitwise "same factor with the switch on" off on
 
 (* ---- counters from real kernels ---- *)
 
 let test_trisolve_counters () =
   let l = figure1_l in
   let b = fig1_rhs () in
-  with_prof @@ fun () ->
+  with_metrics @@ fun () ->
+  let pruned0 = value Metrics.iters_pruned in
+  let sn0 = value Metrics.supernodes in
   let c = Trisolve_sympiler.compile l b in
   Alcotest.(check int) "iters pruned = n - |reach|"
     (l.Csc.ncols - Array.length c.Trisolve_sympiler.reach)
-    Prof.counters.Prof.iters_pruned;
+    (value Metrics.iters_pruned - pruned0);
   Alcotest.(check bool) "supernodes detected" true
-    (Prof.counters.Prof.supernodes > 0);
-  let flops0 = Prof.counters.Prof.flops in
+    (value Metrics.supernodes > sn0);
   let x = Vector.sparse_to_dense b in
-  Trisolve_sympiler.solve_full_ip c x;
-  Alcotest.(check bool) "solve adds flops" true
-    (Prof.counters.Prof.flops > flops0);
-  Alcotest.(check bool) "nnz touched" true (Prof.counters.Prof.nnz_touched > 0)
+  let nnz0 = value Metrics.nnz_touched in
+  Alcotest.(check int) "solve adds its flops"
+    (int_of_float c.Trisolve_sympiler.flops)
+    (counted Metrics.flops (fun () -> Trisolve_sympiler.solve_full_ip c x));
+  Alcotest.(check bool) "nnz touched" true (value Metrics.nnz_touched > nnz0)
 
 let test_levels_counter () =
-  with_prof @@ fun () ->
+  with_metrics @@ fun () ->
+  let levels0 = value Metrics.levels in
   let c = Trisolve_parallel.compile figure1_l in
   Alcotest.(check int) "levels" c.Trisolve_parallel.nlevels
-    Prof.counters.Prof.levels;
+    (value Metrics.levels - levels0);
   Alcotest.(check bool) "max level width" true
-    (Prof.counters.Prof.max_level_width >= 1)
+    (Metrics.gauge_value Metrics.max_level_width >= 1.0)
 
 let test_counters_untouched_when_disabled () =
-  Prof.reset ();
-  Prof.disable ();
+  Metrics.disable ();
+  let series =
+    [
+      ("flops", Metrics.flops);
+      ("nnz", Metrics.nnz_touched);
+      ("pruned", Metrics.iters_pruned);
+      ("supernodes", Metrics.supernodes);
+      ("levels", Metrics.levels);
+    ]
+  in
+  let before = List.map (fun (_, c) -> value c) series in
   let l = figure1_l in
   let b = fig1_rhs () in
   let c = Trisolve_sympiler.compile l b in
   let x = Vector.sparse_to_dense b in
   Trisolve_sympiler.solve_full_ip c x;
   ignore (Trisolve_parallel.compile l);
-  let k = Prof.counters in
-  Alcotest.(check int) "flops" 0 k.Prof.flops;
-  Alcotest.(check int) "nnz" 0 k.Prof.nnz_touched;
-  Alcotest.(check int) "pruned" 0 k.Prof.iters_pruned;
-  Alcotest.(check int) "supernodes" 0 k.Prof.supernodes;
-  Alcotest.(check int) "levels" 0 k.Prof.levels
+  List.iter2
+    (fun (name, c) v0 -> Alcotest.(check int) name v0 (value c))
+    series before
+
+(* IC(0) and ILU(0) count a pattern bound fixed at compile time: one
+   factorization adds exactly the handle's flops. *)
+let test_incomplete_flops () =
+  let al = spd_lower () in
+  let a = Csc.add al (Csc.transpose (Csc.strict_lower al)) in
+  let check name flops exec =
+    Alcotest.(check bool) (name ^ " flops known") true (Float.is_finite flops);
+    Alcotest.(check int) (name ^ ": one factor adds the handle's flops")
+      (int_of_float flops) (counted Metrics.flops exec)
+  in
+  let t = Sympiler.Ic0.compile al in
+  let p = Sympiler.Ic0.plan t in
+  with_metrics @@ fun () ->
+  check "ic0" t.Sympiler.Ic0.flops (fun () ->
+      ignore (Sympiler.Ic0.execute_ip p al : Csc.t));
+  let t = Sympiler.Ilu0.compile a in
+  let p = Sympiler.Ilu0.plan t in
+  check "ilu0" t.Sympiler.Ilu0.flops (fun () ->
+      ignore (Sympiler.Ilu0.execute_ip p a : Ilu0.factors))
 
 let test_reset () =
-  with_prof @@ fun () ->
-  Prof.time "s" ignore;
-  Prof.counters.Prof.flops <- 7;
-  Prof.reset ();
-  Alcotest.(check int) "scopes gone" 0 (Prof.scope_entries "s");
-  Alcotest.(check int) "counters zeroed" 0 Prof.counters.Prof.flops;
-  Alcotest.(check bool) "still enabled" true (Prof.enabled ())
+  with_metrics @@ fun () ->
+  Metrics.inc Metrics.flops 7;
+  Metrics.reset ();
+  Alcotest.(check int) "counters zeroed" 0 (value Metrics.flops);
+  Alcotest.(check bool) "still enabled" true (Prof.enabled ());
+  Metrics.inc Metrics.flops 3;
+  Alcotest.(check int) "handles survive reset" 3 (value Metrics.flops)
 
 (* ---- emitters ---- *)
 
@@ -129,74 +216,58 @@ let test_json_emitter () =
     (to_string (Obj [ ("a\"b\n", List [ Null; Bool true; Int (-3); Str "x" ]) ]));
   Alcotest.(check string) "non-finite floats are null" {|[null,null,0.5]|}
     (to_string (List [ Float nan; Float infinity; Float 0.5 ]));
-  with_prof @@ fun () ->
-  Prof.time "phase1" ignore;
-  Prof.counters.Prof.flops <- 12;
-  let s = Prof.to_json () in
+  with_metrics @@ fun () ->
+  Metrics.inc Metrics.flops 12;
+  let s = to_string (Metrics.to_json ()) in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("json has " ^ needle) true
-        (is_infix needle s))
-    [ {|"phases"|}; {|"phase1"|}; {|"counters"|}; {|"flops":12|} ]
+      Alcotest.(check bool) ("json has " ^ needle) true (is_infix needle s))
+    [
+      {|"counters"|};
+      {|"histograms"|};
+      {|"name":"sympiler_flops"|};
+      Printf.sprintf {|"value":%d|} (value Metrics.flops);
+    ]
 
 let test_table_emitter () =
-  with_prof @@ fun () ->
-  Prof.time "numeric" ignore;
-  Prof.counters.Prof.flops <- 99;
-  let t = Prof.table () in
+  let al = spd_lower () in
+  let p = Sympiler.Cholesky.plan (Sympiler.Cholesky.compile al) in
+  with_metrics @@ fun () ->
+  ignore (Sympiler.Cholesky.execute_ip p al : Csc.t);
+  let t = Metrics.to_table () in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("table has " ^ needle) true
-        (is_infix needle t))
-    [ "numeric"; "flops"; "99" ]
-
-let test_inflight_scope () =
-  with_prof @@ fun () ->
-  Prof.start "live";
-  let spin = ref 0.0 in
-  for i = 1 to 100_000 do
-    spin := !spin +. float_of_int i
-  done;
-  ignore (Sys.opaque_identity !spin);
-  (* A snapshot taken mid-phase must see the elapsed time of the open
-     span, while entries stay at zero until it closes. *)
-  Alcotest.(check bool) "in-flight time visible" true
-    (Prof.scope_seconds "live" > 0.0);
-  Alcotest.(check int) "not yet a completed entry" 0
-    (Prof.scope_entries "live");
-  (match List.find_opt (fun (n, _, _) -> n = "live") (Prof.scopes ()) with
-  | None -> Alcotest.fail "scopes () omits the in-flight scope"
-  | Some (_, secs, entries) ->
-      Alcotest.(check bool) "scopes () includes live time" true (secs > 0.0);
-      Alcotest.(check int) "scopes () entries" 0 entries);
-  Prof.stop "live";
-  Alcotest.(check int) "entry counted after stop" 1
-    (Prof.scope_entries "live")
+      Alcotest.(check bool) ("table has " ^ needle) true (is_infix needle t))
+    [
+      "sympiler_flops";
+      string_of_int (value Metrics.flops);
+      "sympiler_execute_seconds{";
+      "sum=";
+    ]
 
 let test_table_alignment () =
-  with_prof @@ fun () ->
-  Prof.time "s" ignore;
-  Prof.time "a-very-long-inspection-phase-name-indeed" ignore;
-  let t = Prof.table () in
-  (* Every phase row is padded to the widest name: the seconds column
-     starts at the same offset on each line, so all phase rows have the
-     same length regardless of name width. *)
-  let phase_rows =
-    String.split_on_char '\n' t
-    |> List.filter (fun l ->
-           is_infix "a-very-long-inspection-phase-name-indeed" l
-           || (String.length l > 0 && String.sub l 0 2 = "s "))
+  let long = "test_prof_a_very_long_counter_name_for_alignment" in
+  let short = "test_prof_s" in
+  Metrics.counter long |> ignore;
+  Metrics.counter short |> ignore;
+  let t = Metrics.to_table () in
+  (* Every row pads the name to the widest one: the value column starts at
+     the same offset on both rows whatever the name width. *)
+  let value_offset name =
+    match
+      List.find_opt
+        (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+        (String.split_on_char '\n' t)
+    with
+    | None -> Alcotest.failf "no table row for %s" name
+    | Some row -> String.length row - String.length "0"
   in
-  (match phase_rows with
-  | [ r1; r2 ] ->
-      Alcotest.(check int) "aligned rows have equal length"
-        (String.length r1) (String.length r2)
-  | l ->
-      Alcotest.fail
-        (Printf.sprintf "expected 2 phase rows, got %d" (List.length l)))
+  Alcotest.(check int) "aligned value column" (value_offset long)
+    (value_offset short)
 
 let suite =
   [
+    ("one shared switch", `Quick, test_one_switch);
     ("timer accumulates", `Quick, test_timer_accumulates);
     ("timer reentrant", `Quick, test_timer_reentrant);
     ("timer exception-safe", `Quick, test_timer_exception_safe);
@@ -206,9 +277,9 @@ let suite =
     ( "counters untouched when disabled",
       `Quick,
       test_counters_untouched_when_disabled );
+    ("IC0/ILU0 flops per factor", `Quick, test_incomplete_flops);
     ("reset", `Quick, test_reset);
     ("json emitter", `Quick, test_json_emitter);
     ("table emitter", `Quick, test_table_emitter);
-    ("in-flight scope visible", `Quick, test_inflight_scope);
     ("table columns aligned", `Quick, test_table_alignment);
   ]

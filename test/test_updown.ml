@@ -1,6 +1,6 @@
 open Sympiler_sparse
 open Sympiler_kernels
-open Sympiler_prof
+module Metrics = Sympiler_metrics.Metrics
 module SC = Sympiler.Cholesky
 module SL = Sympiler.Ldlt
 
@@ -257,36 +257,31 @@ let test_ordered_update_correct () =
 (* ---- path-table memoization counters ---- *)
 
 let test_path_memoization_counters () =
-  Prof.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:(fun () ->
-      Prof.disable ();
-      Prof.reset ())
-  @@ fun () ->
+  Helpers.with_metrics @@ fun () ->
   let a = spd () in
   let al = Csc.lower a in
   let t = SC.compile al in
   let p = SC.plan t in
   ignore (SC.execute_ip p al : Csc.t);
   let w = legal_w p ~j:4 ~scale:0.2 in
-  SC.update_ip p ~sigma:0.5 w;
-  SC.update_ip p ~sigma:0.5 w;
-  SC.downdate_ip p ~sigma:1.0 w;
-  let k = Prof.counters in
+  let h0 = Metrics.counter_value Metrics.updown_path_hits
+  and m0 = Metrics.counter_value Metrics.updown_path_misses in
+  let escalations =
+    Helpers.counted Metrics.updown_escalations (fun () ->
+        SC.update_ip p ~sigma:0.5 w;
+        SC.update_ip p ~sigma:0.5 w;
+        SC.downdate_ip p ~sigma:1.0 w)
+  in
   Alcotest.(check int) "one path miss (first lookup)" 1
-    k.Prof.updown_path_misses;
-  Alcotest.(check int) "two path hits (memoized)" 2 k.Prof.updown_path_hits;
-  Alcotest.(check int) "no escalations" 0 k.Prof.updown_escalations
+    (Metrics.counter_value Metrics.updown_path_misses - m0);
+  Alcotest.(check int) "two path hits (memoized)" 2
+    (Metrics.counter_value Metrics.updown_path_hits - h0);
+  Alcotest.(check int) "no escalations" 0 escalations
 
 (* ---- escalation: out-of-pattern update recompiles the plan ---- *)
 
 let test_escalation () =
-  Prof.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:(fun () ->
-      Prof.disable ();
-      Prof.reset ())
-  @@ fun () ->
+  Helpers.with_metrics @@ fun () ->
   (* Two disconnected grids: an update coupling them can never be inside
      the factor pattern, so it must escalate. *)
   let b = Generators.grid2d ~stencil:`Five 3 3 in
@@ -299,11 +294,13 @@ let test_escalation () =
   let w =
     { Vector.n = n; indices = [| 0; 9 |]; values = [| 1.0; -1.0 |] }
   in
-  SC.update_ip p ~sigma:0.5 w;
+  let escalations =
+    Helpers.counted Metrics.updown_escalations (fun () ->
+        SC.update_ip p ~sigma:0.5 w)
+  in
   Alcotest.(check bool) "escalated (esc_map installed)" true
     (p.SC.esc_map <> None);
-  Alcotest.(check int) "escalation counter" 1
-    Prof.counters.Prof.updown_escalations;
+  Alcotest.(check int) "escalation counter" 1 escalations;
   let a' = dense_updated a ~sigma:0.5 w in
   Alcotest.(check bool) "escalated factor correct" true
     (llt_residual (SC.plan_factor p) a' < 1e-8);
