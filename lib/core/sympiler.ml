@@ -766,19 +766,21 @@ module Explain = struct
     if Array.length parent = 0 then 0
     else 1 + Array.fold_left max 0 (Sympiler_symbolic.Etree.depths parent)
 
-  (* Level-set statistics of a lower-triangular pattern. *)
+  (* Level-set depth and widest level of a lower-triangular pattern, read
+     from the global level order: no schedule is built, so nothing is
+     counted as one. *)
   let level_stats (l : Csc.t) : int * int =
     if l.Csc.ncols = 0 then (0, 0)
     else begin
-      let c = Trisolve_parallel.compile l in
+      let level_ptr, _ =
+        Sympiler_symbolic.Dep_graph.level_order ~window:l.Csc.ncols l
+      in
+      let nlevels = Array.length level_ptr - 1 in
       let maxw = ref 0 in
-      for lv = 0 to c.Trisolve_parallel.nlevels - 1 do
-        maxw :=
-          max !maxw
-            (c.Trisolve_parallel.level_ptr.(lv + 1)
-            - c.Trisolve_parallel.level_ptr.(lv))
+      for lv = 0 to nlevels - 1 do
+        maxw := max !maxw (level_ptr.(lv + 1) - level_ptr.(lv))
       done;
-      (c.Trisolve_parallel.nlevels, !maxw)
+      (nlevels, !maxw)
     end
 
   let cholesky (t : Cholesky.t) : report =

@@ -47,33 +47,19 @@ type compiled = {
   lentry_pos : int array; (* position of L(i,j) in l.values *)
 }
 
-(* Levelize the full matrix (dense-RHS case): level.(j) =
-   1 + max over incoming edges (i.e. over k with L(j,k) <> 0, k < j), then
-   build the per-level row-gather structure (three O(nnz) sweeps, all at
-   compile time). *)
+(* The global level sets of the full matrix (dense-RHS case) are
+   [Dep_graph.level_order] in one window spanning every column: level.(j)
+   = 1 + max over incoming edges, ascending j inside a level. An empty
+   matrix keeps one empty level. Then build the per-level row-gather
+   structure (three O(nnz) sweeps, all at compile time). *)
 let compile (l : Csc.t) : compiled =
   let n = l.Csc.ncols in
   let lp = l.Csc.colptr and li = l.Csc.rowind in
-  let level = Array.make n 0 in
-  for j = 0 to n - 1 do
-    (* edges j -> i for below-diagonal entries: i depends on j *)
-    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-      let i = li.(p) in
-      if level.(i) < level.(j) + 1 then level.(i) <- level.(j) + 1
-    done
-  done;
-  let nlevels = 1 + Array.fold_left max 0 level in
-  let counts = Array.make (nlevels + 1) 0 in
-  Array.iter (fun lv -> counts.(lv) <- counts.(lv) + 1) level;
-  let _ = Utils.cumsum counts in
-  let level_ptr = Array.copy counts in
-  let next = Array.sub counts 0 nlevels in
-  let level_cols = Array.make n 0 in
-  for j = 0 to n - 1 do
-    (* ascending j within each level: deterministic and cache-friendly *)
-    level_cols.(next.(level.(j))) <- j;
-    next.(level.(j)) <- next.(level.(j)) + 1
-  done;
+  let level_ptr, level_cols =
+    if n = 0 then ([| 0; 0 |], [||])
+    else Sympiler_symbolic.Dep_graph.level_order ~window:n l
+  in
+  let nlevels = Array.length level_ptr - 1 in
   (* Row-gather structure. Sweep 1: count distinct rows per level. *)
   let stamp = Array.make n (-1) in
   let lrow_ptr = Array.make (nlevels + 1) 0 in

@@ -29,8 +29,10 @@ type compiled = {
 }
 
 val compile : Csc.t -> compiled
-(** Levelization ([level j = 1 + max] over dependencies) plus the
-    per-level row-gather structure — inspection sets computed once. *)
+(** The global level sets
+    ({!Sympiler_symbolic.Dep_graph.level_order} in one window; one empty
+    level when [n = 0]) plus the per-level row-gather structure —
+    inspection sets computed once. *)
 
 val solve_ip_sequential : compiled -> float array -> unit
 (** Sequential execution of the level schedule (validates the schedule). *)

@@ -89,8 +89,8 @@ module Json = struct
 
   (* Recursive-descent parser for the subset of JSON the emitter above
      produces (which is all of JSON minus exotic number forms). Added for
-     the perf-regression gate, which must read committed BENCH_*.json
-     baselines back. *)
+     the perf-regression gate, which reads perfbench result lines and
+     BENCHMARK.json. *)
 
   exception Parse_error of string
 

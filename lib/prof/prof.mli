@@ -30,7 +30,7 @@ val now_seconds : unit -> float
     switch. *)
 
 (** Minimal JSON document builder (no external dependency), used by the
-    bench harness to assemble [BENCH_*.json] files. *)
+    metrics and trace exporters, the CLI and the bench harness. *)
 module Json : sig
   type t =
     | Null
@@ -46,5 +46,5 @@ module Json : sig
   val of_string : string -> (t, string) result
   (** Parse a JSON document (the full language; numbers without [.]/[e]
       parse as [Int], others as [Float]). Used by the perf-regression
-      gate to read committed [BENCH_*.json] baselines. *)
+      gate to read perfbench result lines and BENCHMARK.json. *)
 end

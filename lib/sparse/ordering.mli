@@ -34,8 +34,8 @@ val amd : Csc.t -> Perm.t
     supervariables, mass elimination, element absorption, and the
     external-degree approximation with iteration-stamped workspaces. Near
     linear-time in practice and the default fill-reducing ordering of the
-    compile pipeline; fill quality tracks {!min_degree} closely (the bench
-    [--only ordering] section checks the tolerance). *)
+    compile pipeline; fill quality tracks {!min_degree} closely (the
+    ordering tests check the tolerance on the suite). *)
 
 val bandwidth : Csc.t -> int
 (** Maximum [|i - j|] over stored entries. *)

@@ -179,6 +179,34 @@ let arb_lower_with_rhs =
 let qtest ?(count = 100) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 
+(* The global level sets of a lower-triangular pattern, written out
+   independently of the library: level(i) = 1 + max level over the columns
+   i depends on, ascending column inside a level, one empty level when
+   n = 0. Returns (level_ptr, columns by level). *)
+let levelize (l : Csc.t) =
+  let n = l.Csc.ncols in
+  let level = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for p = l.Csc.colptr.(j) + 1 to l.Csc.colptr.(j + 1) - 1 do
+      let i = l.Csc.rowind.(p) in
+      level.(i) <- max level.(i) (level.(j) + 1)
+    done
+  done;
+  let nlevels = 1 + Array.fold_left max 0 level in
+  let level_ptr = Array.make (nlevels + 1) 0 in
+  Array.iter (fun lv -> level_ptr.(lv + 1) <- level_ptr.(lv + 1) + 1) level;
+  for lv = 0 to nlevels - 1 do
+    level_ptr.(lv + 1) <- level_ptr.(lv + 1) + level_ptr.(lv)
+  done;
+  let next = Array.sub level_ptr 0 nlevels in
+  let cols = Array.make n 0 in
+  Array.iteri
+    (fun j lv ->
+      cols.(next.(lv)) <- j;
+      next.(lv) <- next.(lv) + 1)
+    level;
+  (level_ptr, cols)
+
 (* ---- process / filesystem helpers ---- *)
 
 (* Skip visibly (alcotest reports "SKIP") when [cmd] is not on PATH, so a

@@ -104,11 +104,15 @@ let test_ilu0_matches_lu_on_pattern () =
 
 (* ---- level-set parallel trisolve ---- *)
 
+(* The level schedule respects every dependence and is exactly the global
+   levelization. *)
 let prop_levels_valid =
-  Helpers.qtest "level schedule respects all dependences" Helpers.arb_lower
-    (fun l ->
+  Helpers.qtest ~count:200 "level schedule respects all dependences"
+    Helpers.arb_lower (fun l ->
       let c = Trisolve_parallel.compile l in
-      Trisolve_parallel.valid_schedule c)
+      Trisolve_parallel.valid_schedule c
+      && (c.Trisolve_parallel.level_ptr, c.Trisolve_parallel.level_cols)
+         = Helpers.levelize l)
 
 let prop_parallel_matches_sequential =
   Helpers.qtest ~count:30 "parallel trisolve = sequential" Helpers.arb_lower

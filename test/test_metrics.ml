@@ -53,6 +53,45 @@ let test_bad_names_rejected () =
 
 (* The histogram's percentile must land in (or one bucket off) the bucket
    of the sorted-array nearest-rank quantile, and count/sum/max are exact. *)
+let percentiles_track_oracle samples =
+  let h = Metrics.histogram (fresh "fidelity") in
+  with_metrics (fun () -> List.iter (Metrics.observe_ns h) samples);
+  let snap = Metrics.snapshot h in
+  let sorted = Array.of_list samples in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let oracle q =
+    sorted.(min (n - 1)
+              (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
+  in
+  let close q est =
+    let est_ns = int_of_float ((est *. 1e9) +. 0.5) in
+    abs (Metrics.bucket_of_ns est_ns - Metrics.bucket_of_ns (oracle q)) <= 1
+  in
+  snap.Metrics.count = n
+  && int_of_float ((snap.Metrics.sum *. 1e9) +. 0.5)
+     = List.fold_left ( + ) 0 samples
+  && int_of_float ((snap.Metrics.max *. 1e9) +. 0.5)
+     = Array.fold_left max 0 sorted
+  && close 0.50 snap.Metrics.p50
+  && close 0.90 snap.Metrics.p90
+  && close 0.99 snap.Metrics.p99
+
+(* 20,000 latencies from about 100 ns to about 100 ms with a long right
+   tail: a decade first, then jitter inside it (a fixed LCG stream). *)
+let test_percentiles_skewed_stream () =
+  let state = ref 0x2545F4914F6CDD1D in
+  let next () =
+    state := ((!state * 25214903917) + 11) land ((1 lsl 48) - 1);
+    !state lsr 17
+  in
+  let samples =
+    List.init 20_000 (fun _ ->
+        let base = 1 lsl (next () mod 20) in
+        100 + (base * 50) + (next () mod ((base * 10) + 1)))
+  in
+  Alcotest.(check bool) "20k skewed samples track the oracle" true
+    (percentiles_track_oracle samples)
 let prop_percentiles_vs_oracle =
   Helpers.qtest ~count:60 "histogram percentiles track sorted-array oracle"
     (QCheck.make
@@ -66,31 +105,7 @@ let prop_percentiles_vs_oracle =
            return ((1 lsl e) + m)
          in
          list_size (int_range 1 400) sample))
-    (fun samples ->
-      let h = Metrics.histogram (fresh "fidelity") in
-      with_metrics (fun () -> List.iter (Metrics.observe_ns h) samples);
-      let snap = Metrics.snapshot h in
-      let sorted = Array.of_list samples in
-      Array.sort compare sorted;
-      let n = Array.length sorted in
-      let oracle q =
-        sorted.(min (n - 1)
-                  (max 0
-                     (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
-      in
-      let close q est =
-        let est_ns = int_of_float ((est *. 1e9) +. 0.5) in
-        abs (Metrics.bucket_of_ns est_ns - Metrics.bucket_of_ns (oracle q))
-        <= 1
-      in
-      snap.Metrics.count = n
-      && int_of_float ((snap.Metrics.sum *. 1e9) +. 0.5)
-         = List.fold_left ( + ) 0 samples
-      && int_of_float ((snap.Metrics.max *. 1e9) +. 0.5)
-         = Array.fold_left max 0 sorted
-      && close 0.50 snap.Metrics.p50
-      && close 0.90 snap.Metrics.p90
-      && close 0.99 snap.Metrics.p99)
+    percentiles_track_oracle
 
 let prop_bucket_geometry =
   Helpers.qtest ~count:200 "bucket_of_ns is monotone and brackets its value"
@@ -120,7 +135,7 @@ let test_observe_seconds_rounds_to_ns () =
 let test_counter_stress_exact_across_domains () =
   let c = Metrics.counter (fresh "stress") in
   let h = Metrics.histogram (fresh "stress_h") in
-  let perdom = 50_000 and ndom = 4 in
+  let perdom = 200_000 and ndom = 4 in
   with_metrics @@ fun () ->
   let worker () =
     for i = 1 to perdom do
@@ -343,6 +358,8 @@ let suite =
     prop_bucket_geometry;
     Alcotest.test_case "observe drops negatives and NaN" `Quick
       test_observe_seconds_rounds_to_ns;
+    Alcotest.test_case "histogram percentiles: 20k skewed samples" `Quick
+      test_percentiles_skewed_stream;
     Alcotest.test_case "4-domain counter stress is exact" `Quick
       test_counter_stress_exact_across_domains;
     Alcotest.test_case "inc exact through pool" `Quick

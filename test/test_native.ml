@@ -323,7 +323,36 @@ let test_native_zero_alloc () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "ldlt native allocates nothing (%.2f w/call)" w)
-    true (w < 1.0)
+    true (w < 1.0);
+  (* Suite problems 1 and 5: trisolve (factor and paper RHS), Cholesky and
+     LDL^T through native plans. *)
+  List.iter
+    (fun id ->
+      let sp = Sympiler.Suite.problem id in
+      let al = sp.Sympiler.Suite.a_lower in
+      let check what native f =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s native loaded" sp.Sympiler.Suite.name what)
+          true native;
+        let w = minor_words_per_call f in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s native allocates nothing (%.2f w/call)"
+             sp.Sympiler.Suite.name what w)
+          true (w < 1.0)
+      in
+      let tc = Sympiler.Cholesky.compile al in
+      let pc = Sympiler.Cholesky.plan ~engine:`Native tc in
+      check "cholesky" (pc.Sympiler.Cholesky.native <> None) (fun () ->
+          ignore (Sympiler.Cholesky.execute_ip pc al : Csc.t));
+      let b = Sympiler.Suite.rhs_for sp in
+      let tt = Sympiler.Trisolve.compile (Sympiler.Cholesky.factor tc al, b) in
+      let pt = Sympiler.Trisolve.plan ~engine:`Native tt in
+      check "trisolve" (pt.Sympiler.Trisolve.native <> None) (fun () ->
+          ignore (Sympiler.Trisolve.execute_ip pt b : float array));
+      let pl = Sympiler.Ldlt.plan ~engine:`Native (Sympiler.Ldlt.compile al) in
+      check "ldlt" (pl.Sympiler.Ldlt.native <> None) (fun () ->
+          ignore (Sympiler.Ldlt.execute_ip pl al : Ldlt.factors)))
+    [ 1; 5 ]
 
 (* ------------------------------ fallback ------------------------------ *)
 

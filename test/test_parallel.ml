@@ -46,6 +46,24 @@ let fixture =
      let l = Cholesky_supernodal.Sympiler.factor c.Cholesky_parallel.sym al in
      (al, c, l))
 
+(* Suite problems 2, 6 and 9 the same way: the larger inputs the
+   determinism and allocation laws also run on. *)
+let suite_fixtures =
+  lazy
+    (List.map
+       (fun id ->
+         let sp = Sympiler.Suite.problem id in
+         let al = sp.Sympiler.Suite.a_lower in
+         let c = Cholesky_parallel.compile al in
+         let l = Cholesky_supernodal.Sympiler.factor c.Cholesky_parallel.sym al in
+         (sp.Sympiler.Suite.name, al, c, l))
+       [ 2; 6; 9 ])
+
+(* Problem 1's fixture, then problems 2, 6 and 9, as (name, al, c, l). *)
+let all_fixtures () =
+  let al, c, l = Lazy.force fixture in
+  ("cbuckle", al, c, l) :: Lazy.force suite_fixtures
+
 (* A two-level lower pattern whose first level is wide enough (128 >= 64)
    to exercise the pool's phase-B dispatch with real update work: columns
    [0, n/2) carry the diagonal plus one subdiagonal entry at row j + n/2. *)
@@ -169,35 +187,42 @@ let test_make_plan_defaults_agree () =
 (* ---- determinism across domain counts and pool reuse ---- *)
 
 let test_cholesky_determinism_suite () =
-  let al, c, l = Lazy.force fixture in
   List.iter
-    (fun nd ->
-      let p = Cholesky_parallel.make_plan ~ndomains:nd c in
-      for i = 1 to 2 do
-        Cholesky_parallel.factor_ip p al;
-        Helpers.bitwise
-          (Printf.sprintf "suite cholesky ndomains=%d call=%d" nd i)
-          l.Csc.values p.Cholesky_parallel.l.Csc.values
-      done)
-    [ 1; 2; 4 ]
+    (fun (name, al, c, l) ->
+      List.iter
+        (fun nd ->
+          let p = Cholesky_parallel.make_plan ~ndomains:nd c in
+          for i = 1 to 2 do
+            Cholesky_parallel.factor_ip p al;
+            Helpers.bitwise
+              (Printf.sprintf "%s cholesky ndomains=%d call=%d" name nd i)
+              l.Csc.values p.Cholesky_parallel.l.Csc.values
+          done)
+        [ 1; 2; 4 ])
+    (all_fixtures ())
 
 let test_trisolve_determinism_suite () =
-  let _, _, l = Lazy.force fixture in
-  let c = Trisolve_parallel.compile l in
-  let n = l.Csc.ncols in
-  let b = Array.init n (fun i -> cos (float_of_int i)) in
-  let reference = Array.copy b in
-  Trisolve_parallel.solve_ip_sequential c reference;
   List.iter
-    (fun nd ->
-      let p = Trisolve_parallel.make_plan ~ndomains:nd c in
-      for i = 1 to 2 do
-        Helpers.bitwise
-          (Printf.sprintf "suite trisolve ndomains=%d call=%d" nd i)
-          reference
-          (Trisolve_parallel.solve_ip p b)
-      done)
-    [ 1; 2; 4 ]
+    (fun (name, _, _, l) ->
+      let c = Trisolve_parallel.compile l in
+      Alcotest.(check bool) (name ^ ": level sets = global levelization") true
+        ((c.Trisolve_parallel.level_ptr, c.Trisolve_parallel.level_cols)
+        = Helpers.levelize l);
+      let n = l.Csc.ncols in
+      let b = Array.init n (fun i -> cos (float_of_int i)) in
+      let reference = Array.copy b in
+      Trisolve_parallel.solve_ip_sequential c reference;
+      List.iter
+        (fun nd ->
+          let p = Trisolve_parallel.make_plan ~ndomains:nd c in
+          for i = 1 to 2 do
+            Helpers.bitwise
+              (Printf.sprintf "%s trisolve ndomains=%d call=%d" name nd i)
+              reference
+              (Trisolve_parallel.solve_ip p b)
+          done)
+        [ 1; 2; 4 ])
+    (all_fixtures ())
 
 let test_determinism_wide_level () =
   (* Wide first level: the pool's phase-B path actually runs. *)
@@ -219,6 +244,8 @@ let test_determinism_degenerate () =
   (* 0x0 *)
   let e = Csc.zero ~nrows:0 ~ncols:0 in
   let tc = Trisolve_parallel.compile e in
+  Alcotest.(check (array int)) "0x0: one empty level" [| 0; 0 |]
+    tc.Trisolve_parallel.level_ptr;
   let tp = Trisolve_parallel.make_plan ~ndomains:4 tc in
   Alcotest.(check int) "0x0 solve" 0
     (Array.length (Trisolve_parallel.solve_ip tp [||]));
@@ -250,21 +277,30 @@ let test_determinism_degenerate () =
 
 (* ---- pool lifecycle: allocation and counters ---- *)
 
+(* On a wide two-level pattern, then on the factors of suite problems 2,
+   6 and 9. *)
 let test_zero_alloc_parallel_trisolve () =
-  let l = wide_lower 256 in
-  let p = Trisolve_parallel.make_plan ~ndomains:4 (Trisolve_parallel.compile l) in
-  let b = Array.init 256 (fun i -> float_of_int i) in
-  Alcotest.(check int) "parallel solve_ip minor words/call" 0
-    (minor_words_per_call (fun () -> ignore (Trisolve_parallel.solve_ip p b)))
+  let check name l =
+    let n = l.Csc.ncols in
+    let p = Trisolve_parallel.make_plan ~ndomains:4 (Trisolve_parallel.compile l) in
+    let b = Array.init n (fun i -> float_of_int i) in
+    Alcotest.(check int) (name ^ ": parallel solve_ip minor words/call") 0
+      (minor_words_per_call (fun () -> ignore (Trisolve_parallel.solve_ip p b)))
+  in
+  check "wide" (wide_lower 256);
+  List.iter (fun (name, _, _, l) -> check name l) (Lazy.force suite_fixtures)
 
 let test_zero_alloc_parallel_cholesky () =
   (* Threshold 0 forces the supernodal path on the grid, whose etree has
      many leaves: levels wider than the inline cutoff, so the pool runs. *)
+  let check name al c =
+    let p = Cholesky_parallel.make_plan ~ndomains:4 c in
+    Alcotest.(check int) (name ^ ": parallel factor_ip minor words/call") 0
+      (minor_words_per_call (fun () -> Cholesky_parallel.factor_ip p al))
+  in
   let al = Csc.lower (Generators.grid2d ~stencil:`Five 12 12) in
-  let c = Cholesky_parallel.compile al in
-  let p = Cholesky_parallel.make_plan ~ndomains:4 c in
-  Alcotest.(check int) "parallel factor_ip minor words/call" 0
-    (minor_words_per_call (fun () -> Cholesky_parallel.factor_ip p al))
+  check "grid" al (Cholesky_parallel.compile al);
+  List.iter (fun (name, al, c, _) -> check name al c) (Lazy.force suite_fixtures)
 
 (* The pool's series, registered by Pool at module init; looking a series
    up by name returns the same handle. *)

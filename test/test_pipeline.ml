@@ -66,6 +66,22 @@ let test_matches_facade () =
   let x' = Sympiler.Cholesky.solve h al b in
   Helpers.check_close ~eps:1e-8 "pipeline == facade solve" x' x
 
+(* The factor+solve DAGs the fusion laws also run on: Cholesky on suite
+   problems 1, 2 and 5 (column sweeps) and IC(0) on natural 5-point grids
+   of side 40 and 100 (level-ordered sweeps). *)
+let factor_solve_cases () =
+  List.map
+    (fun id ->
+      let sp = Sympiler.Suite.problem id in
+      (sp.Sympiler.Suite.name, `Cholesky, sp.Sympiler.Suite.a_lower))
+    [ 1; 2; 5 ]
+  @ List.map
+      (fun side ->
+        ( Printf.sprintf "ic0 grid %dx%d" side side,
+          `Ic0,
+          Csc.lower (Generators.grid2d ~stencil:`Five side side) ))
+      [ 40; 100 ]
+
 (* ---- fused vs staged: bitwise identity across every family ---- *)
 
 let family_cases () =
@@ -92,7 +108,10 @@ let test_fused_staged_bitwise () =
       let xf' = Array.copy (Pl.execute_ip p b) in
       Helpers.bitwise (name ^ ": apply-only fused == staged") xf'
         (Pl.staged_execute_ip p b))
-    (family_cases ())
+    (family_cases ()
+    @ List.map
+        (fun (name, family, al) -> (name, Pl.factor_solve family, al))
+        (factor_solve_cases ()))
 
 (* ---- factorless chains ---- *)
 
@@ -242,12 +261,7 @@ let test_zero_alloc () =
       let b = rhs al.Csc.ncols in
       Pl.factor_ip p al;
       row (name ^ " fused apply") (fun () -> ignore (Pl.execute_ip p b)))
-    [
-      ("cholesky", `Cholesky, spd_lower ());
-      ( "ic0, natural grid",
-        `Ic0,
-        Csc.lower (Generators.grid2d ~stencil:`Five 40 40) );
-    ];
+    (("cholesky", `Cholesky, spd_lower ()) :: factor_solve_cases ());
   (* AMD-ordered, so its stage series are not the natural-order ones the
      latency test counts. *)
   let al = spd_lower () in
@@ -297,7 +311,19 @@ let test_analysis_shared () =
   let d = Pl.describe t in
   Alcotest.(check bool) "describe mentions the stages" true
     (contains_sub d "factor:cholesky"
-    && contains_sub d "pipeline")
+    && contains_sub d "pipeline");
+  List.iter
+    (fun (name, family, al) ->
+      let t = Pl.compile (Pl.factor_solve family) al in
+      let p = Pl.plan t in
+      ignore (Pl.execute_ip p ~a:al (rhs al.Csc.ncols));
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: analysis artifact %s ran <= once (%d)" name k v)
+            true (v <= 1))
+        (Pl.analysis_runs t))
+    (factor_solve_cases ())
 
 (* ---- ordering ---- *)
 

@@ -194,15 +194,36 @@ let test_zero_alloc_trisolve () =
     "trisolve solve_ip minor words/call" 0
     (minor_words_per_call (fun () -> ignore (Trisolve_sympiler.solve_ip p b)))
 
+(* On the fixture and on all eleven suite problems: the Cholesky plan,
+   and on the suite also the Trisolve plan against the factor and the
+   paper's sparse RHS, with the switch off and on. *)
 let test_zero_alloc_facade () =
-  let al = spd_lower () in
-  let h = Sympiler.Cholesky.compile al in
-  let p = Sympiler.Cholesky.plan h in
-  Helpers.switch_off_and_on @@ fun switch ->
-  Alcotest.(check int)
-    ("facade execute_ip minor words/call, " ^ switch)
-    0
-    (minor_words_per_call (fun () -> ignore (Sympiler.Cholesky.execute_ip p al)))
+  let check name f =
+    Helpers.switch_off_and_on @@ fun switch ->
+    Alcotest.(check int)
+      (Printf.sprintf "%s execute_ip minor words/call, %s" name switch)
+      0 (minor_words_per_call f)
+  in
+  let cholesky name al =
+    let h = Sympiler.Cholesky.compile al in
+    let p = Sympiler.Cholesky.plan h in
+    check (name ^ " cholesky") (fun () ->
+        ignore (Sympiler.Cholesky.execute_ip p al));
+    h
+  in
+  ignore (cholesky "fixture" (spd_lower ()) : Sympiler.Cholesky.t);
+  List.iter
+    (fun (sp : Sympiler.Suite.prepared) ->
+      let name = sp.Sympiler.Suite.name and al = sp.Sympiler.Suite.a_lower in
+      let h = cholesky name al in
+      let b = Sympiler.Suite.rhs_for sp in
+      let tp =
+        Sympiler.Trisolve.plan
+          (Sympiler.Trisolve.compile (Sympiler.Cholesky.factor h al, b))
+      in
+      check (name ^ " trisolve") (fun () ->
+          ignore (Sympiler.Trisolve.execute_ip tp b : float array)))
+    (Sympiler.Suite.all ())
 
 (* ---- compilation cache ---- *)
 
@@ -224,7 +245,22 @@ let test_cache_hit_physical_equality () =
   let st = Sympiler.Plan_cache.stats cache in
   Alcotest.(check int) "hits" 1 st.Sympiler.Plan_cache.hits;
   Alcotest.(check int) "misses" 2 st.Sympiler.Plan_cache.misses;
-  Alcotest.(check int) "length" 2 st.Sympiler.Plan_cache.length
+  Alcotest.(check int) "length" 2 st.Sympiler.Plan_cache.length;
+  (* Every suite problem: recompiling the same structure returns the same
+     Cholesky handle, and the same Trisolve handle for the same (L, b). *)
+  let chol_cache = Sympiler.Plan_cache.create () in
+  let tri_cache = Sympiler.Plan_cache.create () in
+  List.iter
+    (fun (sp : Sympiler.Suite.prepared) ->
+      let name = sp.Sympiler.Suite.name and al = sp.Sympiler.Suite.a_lower in
+      let h = Sympiler.Cholesky.compile ~cache:chol_cache al in
+      Alcotest.(check bool) (name ^ ": cholesky hit is the same handle") true
+        (h == Sympiler.Cholesky.compile ~cache:chol_cache al);
+      let lb = (Sympiler.Cholesky.factor h al, Sympiler.Suite.rhs_for sp) in
+      let th = Sympiler.Trisolve.compile ~cache:tri_cache lb in
+      Alcotest.(check bool) (name ^ ": trisolve hit is the same handle") true
+        (th == Sympiler.Trisolve.compile ~cache:tri_cache lb))
+    (Sympiler.Suite.all ())
 
 (* The symbolic phase of a Cholesky compile runs inside its
    "compile.cholesky" span: a miss records one, a hit none. *)

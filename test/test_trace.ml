@@ -238,21 +238,36 @@ let test_explain_ordering_decision () =
         (rest = h.Sympiler.Cholesky.decisions)
   | [] -> Alcotest.fail "no decisions"
 
+(* On a small grid and on suite problems 2 and 6; both exporters render
+   the steady calls' spans. *)
 let test_steady_spans () =
-  let al = Csc.lower (small_spd ()) in
-  let h = Sympiler.Cholesky.compile al in
-  let p = Sympiler.Cholesky.plan h in
-  ignore (Sympiler.Cholesky.execute_ip p al);
-  with_trace @@ fun () ->
-  ignore (Sympiler.Cholesky.execute_ip p al);
-  ignore (Sympiler.Cholesky.execute_ip p al);
-  let factor_spans =
-    List.filter
-      (fun s -> is_infix "factor_ip." s.Trace.name)
-      (Trace.spans ())
-  in
-  Alcotest.(check int) "one span per refactor call" 2
-    (List.length factor_spans)
+  List.iter
+    (fun (name, al) ->
+      let h = Sympiler.Cholesky.compile al in
+      let p = Sympiler.Cholesky.plan h in
+      ignore (Sympiler.Cholesky.execute_ip p al);
+      with_trace @@ fun () ->
+      ignore (Sympiler.Cholesky.execute_ip p al);
+      ignore (Sympiler.Cholesky.execute_ip p al);
+      let factor_spans =
+        List.filter
+          (fun s -> is_infix "factor_ip." s.Trace.name)
+          (Trace.spans ())
+      in
+      Alcotest.(check int) (name ^ ": one span per refactor call") 2
+        (List.length factor_spans);
+      let chrome = Trace.to_chrome_json () in
+      Alcotest.(check bool) (name ^ ": chrome JSON") true
+        (chrome.[0] = '{' && is_infix "traceEvents" chrome
+        && is_infix "factor_ip." chrome);
+      Alcotest.(check bool) (name ^ ": folded") true
+        (is_infix "factor_ip." (Trace.to_folded ())))
+    (("grid 8x8", Csc.lower (small_spd ()))
+    :: List.map
+         (fun id ->
+           let sp = Sympiler.Suite.problem id in
+           (sp.Sympiler.Suite.name, sp.Sympiler.Suite.a_lower))
+         [ 2; 6 ])
 
 (* ---- folded exporter ---- *)
 
@@ -357,6 +372,55 @@ let test_explain_empty () =
     tr.Sympiler.Explain.level_depth;
   ignore (Sympiler.Explain.to_json tr)
 
+(* Explain reads level statistics from the level order and builds no
+   level-set schedule, so the schedule series stay where they were. *)
+let test_explain_counts_no_schedule () =
+  with_metrics @@ fun () ->
+  let h = Sympiler.Cholesky.compile (Csc.lower (small_spd ())) in
+  let b = { Vector.n = 10; indices = figure1_beta; values = [| 1.0; 1.0 |] } in
+  let th = Sympiler.Trisolve.compile (figure1_l, b) in
+  Metrics.set Metrics.max_level_width (-1.0);
+  let levels =
+    counted Metrics.levels (fun () ->
+        ignore (Sympiler.Explain.cholesky h : Sympiler.Explain.report);
+        ignore (Sympiler.Explain.trisolve th : Sympiler.Explain.report))
+  in
+  Alcotest.(check int) "sympiler_levels unchanged" 0 levels;
+  Alcotest.(check (float 0.0))
+    "sympiler_max_level_width unchanged" (-1.0)
+    (Metrics.gauge_value Metrics.max_level_width)
+
+(* Depth and widest level of the global levelization. *)
+let level_oracle (l : Csc.t) =
+  let level_ptr, _ = Helpers.levelize l in
+  let depth = Array.length level_ptr - 1 in
+  let width lv = level_ptr.(lv + 1) - level_ptr.(lv) in
+  (depth, Array.fold_left max 0 (Array.init depth width))
+
+(* On every suite problem the explain reports' level depth and widest
+   level are the global levelization's, for the factor's pattern
+   (cholesky) and for the solved factor (trisolve). *)
+let test_explain_levels_suite () =
+  List.iter
+    (fun (p : Sympiler.Suite.prepared) ->
+      let al = p.Sympiler.Suite.a_lower in
+      let h = Sympiler.Cholesky.compile al in
+      let check what (r : Sympiler.Explain.report) l =
+        let depth, width = level_oracle l in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s %s: level depth, max width" p.Sympiler.Suite.name
+             what)
+          (depth, width)
+          (r.Sympiler.Explain.level_depth, r.Sympiler.Explain.max_level_width)
+      in
+      let fill = Sympiler_symbolic.Fill_pattern.analyze al in
+      check "cholesky" (Sympiler.Explain.cholesky h)
+        fill.Sympiler_symbolic.Fill_pattern.l_pattern;
+      let l = Sympiler.Cholesky.factor h al in
+      let th = Sympiler.Trisolve.compile (l, Sympiler.Suite.rhs_for p) in
+      check "trisolve" (Sympiler.Explain.trisolve th) l)
+    (Sympiler.Suite.all ())
+
 (* Tracing the empty-pattern compile must also be well-formed. *)
 let test_trace_empty () =
   with_trace @@ fun () ->
@@ -386,5 +450,7 @@ let suite =
     ("explain cholesky", `Quick, test_explain_cholesky);
     ("explain trisolve", `Quick, test_explain_trisolve);
     ("explain empty matrix", `Quick, test_explain_empty);
+    ("explain counts no level schedule", `Quick, test_explain_counts_no_schedule);
+    ("explain level stats on the suite", `Quick, test_explain_levels_suite);
     ("trace empty matrix", `Quick, test_trace_empty);
   ]

@@ -50,6 +50,22 @@ let spd () = Generators.clique_chain ~seed:3 ~n:80 ~clique:8 ~overlap:2 ()
 let legal_w (p : SC.plan) ~j ~scale =
   Rank_update.vector_like (SC.plan_factor p) ~j ~scale
 
+(* Suite problems 1, 2 and 5 (lower(A)), the larger inputs the steady
+   update laws also run on. *)
+let suite_lowers () =
+  List.map
+    (fun id ->
+      let p = Sympiler.Suite.problem id in
+      (p.Sympiler.Suite.name, p.Sympiler.Suite.a_lower))
+    [ 1; 2; 5 ]
+
+(* A factored natural plan on [al] and a legal update vector at column
+   n/3. *)
+let factored_with_w (al : Csc.t) ~scale =
+  let p = SC.plan (SC.compile al) in
+  ignore (SC.execute_ip p al : Csc.t);
+  (p, legal_w p ~j:(al.Csc.ncols / 3) ~scale)
+
 (* ---- validation: the silent-corruption regression ---- *)
 
 let test_malformed_w_rejected () =
@@ -140,7 +156,19 @@ let test_downdate_rollback () =
   SC.downdate_ip p ~sigma:0.1 w;
   let a' = dense_updated a ~sigma:(-0.1) w in
   Alcotest.(check bool) "post-rollback downdate correct" true
-    (llt_residual (SC.plan_factor p) a' < 1e-7)
+    (llt_residual (SC.plan_factor p) a' < 1e-7);
+  List.iter
+    (fun (name, al) ->
+      let p, w = factored_with_w al ~scale:0.2 in
+      let before = Array.copy (SC.plan_factor p).Csc.values in
+      Alcotest.(check bool) (name ^ ": downdate past PD raises") true
+        (try
+           SC.downdate_ip p ~sigma:1e9 w;
+           false
+         with Rank_update.Not_positive_definite _ -> true);
+      Helpers.bitwise (name ^ ": factor rolled back bitwise") before
+        (SC.plan_factor p).Csc.values)
+    (suite_lowers ())
 
 (* ---- update then equal downdate recovers the factor ---- *)
 
@@ -166,6 +194,31 @@ let prop_update_downdate_roundtrip =
         v0;
       !worst <= 1e-12 *. scale)
 
+(* A long canceling stream stays put: 200 update/downdate pairs move no
+   factor entry by more than 1e-10 of the largest, on suite problems. *)
+let test_canceling_stream_drift () =
+  List.iter
+    (fun (name, al) ->
+      let p, w = factored_with_w al ~scale:0.2 in
+      let l = SC.plan_factor p in
+      let v0 = Array.copy l.Csc.values in
+      for _ = 1 to 200 do
+        SC.update_ip p ~sigma:0.5 w;
+        SC.downdate_ip p ~sigma:0.5 w
+      done;
+      let scale =
+        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1.0 v0
+      in
+      let drift = ref 0.0 in
+      Array.iteri
+        (fun i v ->
+          drift := Float.max !drift (Float.abs (v -. l.Csc.values.(i)) /. scale))
+        v0;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: drift %.2e after 200 pairs <= 1e-10" name !drift)
+        true (!drift <= 1e-10))
+    (suite_lowers ())
+
 (* ---- steady-state updates allocate nothing ---- *)
 
 let test_zero_alloc_updates () =
@@ -175,12 +228,18 @@ let test_zero_alloc_updates () =
   let p = SC.plan t in
   ignore (SC.execute_ip p al : Csc.t);
   let w = legal_w p ~j:7 ~scale:0.2 in
-  let words =
+  let pair_words p w =
     minor_words_per_call (fun () ->
         SC.update_ip p ~sigma:0.5 w;
         SC.downdate_ip p ~sigma:0.5 w)
   in
-  Alcotest.(check int) "minor words per update+downdate pair" 0 words
+  Alcotest.(check int) "minor words per update+downdate pair" 0
+    (pair_words p w);
+  List.iter
+    (fun (name, al) ->
+      let p, w = factored_with_w al ~scale:0.2 in
+      Alcotest.(check int) (name ^ ": minor words per pair") 0 (pair_words p w))
+    (suite_lowers ())
 
 let test_zero_alloc_updates_ordered () =
   let a = spd () in
@@ -494,7 +553,26 @@ let test_refactor_cols_bitwise () =
   Alcotest.(check int) "post-update fallback recomputes all rows" n
     (SC.refactor_cols_ip p1 al2);
   Helpers.bitwise "post-fallback factor matches" (SC.plan_factor p2).Csc.values
-    (SC.plan_factor p1).Csc.values
+    (SC.plan_factor p1).Csc.values;
+  (* On suite problems: a one-diagonal bump at column n/2 (it can only
+     add definiteness), incremental vs full, bitwise. *)
+  List.iter
+    (fun (name, al) ->
+      let t = SC.compile ~opts:(Sympiler.Options.make ~simplicial:true ()) al in
+      let p1 = SC.plan t and p2 = SC.plan t in
+      ignore (SC.execute_ip p1 al : Csc.t);
+      ignore (SC.refactor_cols_ip p1 al : int);
+      let c = al.Csc.ncols / 2 in
+      let values = Array.copy al.Csc.values in
+      for q = al.Csc.colptr.(c) to al.Csc.colptr.(c + 1) - 1 do
+        if al.Csc.rowind.(q) = c then values.(q) <- values.(q) *. 1.5
+      done;
+      let al2 = { al with Csc.values } in
+      ignore (SC.refactor_cols_ip p1 al2 : int);
+      ignore (SC.execute_ip p2 al2 : Csc.t);
+      Helpers.bitwise (name ^ ": incremental = full refactor (bitwise)")
+        (SC.plan_factor p2).Csc.values (SC.plan_factor p1).Csc.values)
+    (suite_lowers ())
 
 let test_refactor_cols_supernodal_close () =
   (* Supernodal plans recompute rows with the up-looking kernel: values
@@ -586,6 +664,7 @@ let suite =
     ("update matches fresh factorization", `Quick, test_update_matches_fresh);
     ("failed downdate rolls back", `Quick, test_downdate_rollback);
     prop_update_downdate_roundtrip;
+    ("200 canceling pairs drift <= 1e-10 (suite)", `Quick, test_canceling_stream_drift);
     ("zero-alloc steady updates", `Quick, test_zero_alloc_updates);
     ("zero-alloc steady updates (ordered)", `Quick, test_zero_alloc_updates_ordered);
     ("ordered plan update", `Quick, test_ordered_update_correct);

@@ -1,158 +1,161 @@
-(* Perf-regression gate over the committed BENCH_*.json baselines.
+(* Performance-regression gate over repository-benchmark results.
 
-     perf_gate check BASELINE CURRENT [--tolerance T]
+     perf_gate check BASE CUR
      perf_gate inflate FILE FACTOR OUT
 
-   `check` walks the two documents in parallel and fails (exit 1) on:
-     - a schema_version mismatch (baselines from another schema are not
-       comparable; regenerate instead of comparing);
-     - any boolean that was true in the baseline and is false now —
-       verdicts and per-gate flags must never flip off;
-     - any latency field (name ending in `_seconds` or `_ns`, or named
-       `overhead_fraction`) whose current value exceeds the baseline by
-       more than the relative tolerance T (default 0.25, i.e. +25%);
-     - any allocation field (name containing `words`) that grew beyond
-       the baseline plus a small absolute slack;
-     - a baseline field or list element missing from the current file.
-   Fields that are faster/smaller than the baseline, provenance strings
-   (git_commit, generated_utc), and non-perf data never fail the gate.
+   BASE, CUR and FILE hold perfbench result lines, one per run (seed): the
+   last stdout line of `perfbench/run.py`. Run from the repository root,
+   where BENCHMARK.json declares the end-to-end metrics, each with the
+   direction that is better and a relative bound.
 
-   `inflate` multiplies every latency field by FACTOR and writes the
-   result — a synthetic regression for exercising the gate itself (the
-   ci.sh smoke checks that `check base inflated` exits non-zero). *)
+   `check` fails (exit 1) when, for any end-to-end metric, CUR's median
+   over its lines is worse than BASE's by more than the metric's bound, in
+   its better direction; or when CUR fails a larger share of its requests
+   (failed / attempted over all lines) than BASE. A metric missing from a
+   line, or an unreadable file, exits 2.
+
+   `inflate` writes FILE with every timing made FACTOR times worse:
+   values in s or ms are multiplied by FACTOR, values in 1/s divided by it.
+   It is a synthetic regression for testing the gate itself. *)
 
 module Json = Sympiler_prof.Prof.Json
 
-let tolerance = ref 0.25
-let failures : string list ref = ref []
-let fail path msg = failures := Printf.sprintf "%s: %s" path msg :: !failures
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("perf_gate: " ^ msg);
+      exit 2)
+    fmt
 
-let is_latency_field name =
-  let ends_with suf =
-    let nl = String.length name and sl = String.length suf in
-    nl >= sl && String.sub name (nl - sl) sl = suf
+let parse file s =
+  match Json.of_string s with Ok d -> d | Error e -> die "%s: %s" file e
+
+let field file k = function
+  | Json.Obj fs -> (
+      match List.assoc_opt k fs with
+      | Some v -> v
+      | None -> die "%s: no field %S" file k)
+  | _ -> die "%s: expected an object holding %S" file k
+
+let number file = function
+  | Json.Int i -> float_of_int i
+  | Json.Float f -> f
+  | _ -> die "%s: expected a number" file
+
+let read_lines file =
+  In_channel.with_open_text file In_channel.input_lines
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map (parse file)
+
+(* BENCHMARK.json's end-to-end metrics: (name, lower is better, bound). *)
+let end_to_end () =
+  let spec =
+    parse "BENCHMARK.json"
+      (In_channel.with_open_text "BENCHMARK.json" In_channel.input_all)
   in
-  ends_with "_seconds" || ends_with "_ns" || name = "overhead_fraction"
+  match field "BENCHMARK.json" "end_to_end" spec with
+  | Json.List ms ->
+      List.map
+        (fun m ->
+          let str k =
+            match field "BENCHMARK.json" k m with
+            | Json.Str s -> s
+            | _ -> die "BENCHMARK.json: %S is not a string" k
+          in
+          ( str "name",
+            str "better" = "lower",
+            number "BENCHMARK.json" (field "BENCHMARK.json" "bound" m) ))
+        ms
+  | _ -> die "BENCHMARK.json: end_to_end is not a list"
 
-let contains_words name =
-  let n = String.length name in
-  let rec go i =
-    i + 5 <= n && (String.sub name i 5 = "words" || go (i + 1))
+let median = function
+  | [] -> nan
+  | l ->
+      let a = Array.of_list l in
+      Array.sort compare a;
+      let n = Array.length a in
+      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let metric file name line =
+  number file (field file "value" (field file name (field file "metrics" line)))
+
+let fail_share file lines =
+  let sum k =
+    List.fold_left (fun acc l -> acc +. number file (field file k l)) 0.0 lines
   in
-  go 0
+  sum "failed" /. Float.max 1.0 (sum "attempted")
 
-let number = function
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
+let check base_file cur_file =
+  let base = read_lines base_file and cur = read_lines cur_file in
+  if base = [] || cur = [] then die "no result lines";
+  let failures = ref [] in
+  List.iter
+    (fun (name, lower_better, bound) ->
+      let b = median (List.map (metric base_file name) base) in
+      let c = median (List.map (metric cur_file name) cur) in
+      let worse =
+        if lower_better then c > b *. (1.0 +. bound)
+        else c < b *. (1.0 -. bound)
+      in
+      Printf.printf "  %-12s base %12.5g  cur %12.5g  bound %4.0f%%  %s\n" name
+        b c (bound *. 100.0)
+        (if worse then "WORSE" else "ok");
+      if worse then failures := name :: !failures)
+    (end_to_end ());
+  let fb = fail_share base_file base and fc = fail_share cur_file cur in
+  Printf.printf "  %-12s base %12.5g  cur %12.5g\n" "fail_share" fb fc;
+  if fc > fb then failures := "fail_share" :: !failures;
+  if !failures = [] then
+    Printf.printf "perf_gate: %s vs %s: ok\n" base_file cur_file
+  else begin
+    Printf.printf "%!";
+    Printf.eprintf "perf_gate: %s vs %s: worse: %s\n" base_file cur_file
+      (String.concat ", " (List.rev !failures));
+    exit 1
+  end
 
-(* Allocation counts are exact in principle but a few words of noise show
-   up when a measurement loop straddles GC bookkeeping; allow that much. *)
-let words_slack = 16.0
+(* A timing metric made [factor] times worse; other units unchanged. *)
+let inflate_metric file factor (name, m) =
+  let unit = field file "unit" m in
+  let scale =
+    match unit with
+    | Json.Str ("s" | "ms") -> factor
+    | Json.Str "1/s" -> 1.0 /. factor
+    | _ -> 1.0
+  in
+  let value = scale *. number file (field file "value" m) in
+  (name, Json.Obj [ ("value", Json.Float value); ("unit", unit) ])
 
-let rec check path (base : Json.t) (cur : Json.t) =
-  match (base, cur) with
-  | Json.Obj bs, Json.Obj cs ->
-      List.iter
-        (fun (k, bv) ->
-          let p = if path = "" then k else path ^ "." ^ k in
-          match List.assoc_opt k cs with
-          | None -> fail p "present in baseline, missing in current"
-          | Some cv -> check_field p k bv cv)
-        bs
-  | Json.List bs, Json.List cs ->
-      if List.length bs <> List.length cs then
-        fail path
-          (Printf.sprintf "list length changed: %d -> %d" (List.length bs)
-             (List.length cs))
-      else
-        List.iteri
-          (fun i (bv, cv) -> check (Printf.sprintf "%s[%d]" path i) bv cv)
-          (List.combine bs cs)
-  | Json.Bool true, Json.Bool false -> fail path "verdict flipped true -> false"
-  | _ -> ()
-
-and check_field path key bv cv =
-  match (bv, cv) with
-  | Json.Int b, Json.Int c when key = "schema_version" ->
-      if b <> c then
-        fail path (Printf.sprintf "schema_version mismatch: %d vs %d" b c)
-  | _ when is_latency_field key -> (
-      match (number bv, number cv) with
-      | Some b, Some c ->
-          if b > 0.0 && c > b *. (1.0 +. !tolerance) then
-            fail path
-              (Printf.sprintf "regressed %.3e -> %.3e (+%.1f%%, tolerance %.0f%%)"
-                 b c
-                 ((c /. b -. 1.0) *. 100.0)
-                 (!tolerance *. 100.0))
-      | _ -> check path bv cv)
-  | _ when contains_words key -> (
-      match (number bv, number cv) with
-      | Some b, Some c ->
-          if c > b +. words_slack then
-            fail path (Printf.sprintf "allocation grew %.0f -> %.0f words" b c)
-      | _ -> check path bv cv)
-  | _ -> check path bv cv
-
-let read_doc file =
-  let s = In_channel.with_open_text file In_channel.input_all in
-  match Json.of_string s with
-  | Ok d -> d
-  | Error e ->
-      Printf.eprintf "perf_gate: %s: parse error: %s\n" file e;
-      exit 2
-
-let rec inflate factor = function
-  | Json.Obj fields ->
+let inflate_line file factor = function
+  | Json.Obj fs ->
       Json.Obj
         (List.map
-           (fun (k, v) ->
-             match (is_latency_field k, number v) with
-             | true, Some f -> (k, Json.Float (f *. factor))
-             | _ -> (k, inflate factor v))
-           fields)
-  | Json.List l -> Json.List (List.map (inflate factor) l)
-  | other -> other
+           (function
+             | "metrics", Json.Obj ms ->
+                 ("metrics", Json.Obj (List.map (inflate_metric file factor) ms))
+             | kv -> kv)
+           fs)
+  | _ -> die "%s: a result line is not an object" file
 
 let usage () =
   prerr_endline
-    "usage: perf_gate check BASELINE CURRENT [--tolerance T]\n\
-    \       perf_gate inflate FILE FACTOR OUT";
+    "usage: perf_gate check BASE CUR\n       perf_gate inflate FILE FACTOR OUT";
   exit 2
 
 let () =
-  let argv = Sys.argv in
-  if Array.length argv < 2 then usage ();
-  match argv.(1) with
-  | "check" ->
-      if Array.length argv < 4 then usage ();
-      let rest = Array.sub argv 4 (Array.length argv - 4) in
-      Array.iteri
-        (fun i a ->
-          if a = "--tolerance" then
-            if i + 1 < Array.length rest then
-              tolerance := float_of_string rest.(i + 1)
-            else usage ())
-        rest;
-      let base = read_doc argv.(2) and cur = read_doc argv.(3) in
-      check "" base cur;
-      if !failures = [] then
-        Printf.printf "perf_gate: %s vs %s: ok (tolerance %.0f%%)\n" argv.(2)
-          argv.(3)
-          (!tolerance *. 100.0)
-      else begin
-        Printf.eprintf "perf_gate: %s vs %s: %d regression(s):\n" argv.(2)
-          argv.(3)
-          (List.length !failures);
-        List.iter (Printf.eprintf "  %s\n") (List.rev !failures);
-        exit 1
-      end
-  | "inflate" ->
-      if Array.length argv < 5 then usage ();
-      let doc = read_doc argv.(2) in
-      let factor = float_of_string argv.(3) in
-      Out_channel.with_open_text argv.(4) (fun oc ->
-          Out_channel.output_string oc (Json.to_string (inflate factor doc));
-          Out_channel.output_char oc '\n')
+  match Array.to_list Sys.argv with
+  | [ _; "check"; base; cur ] -> check base cur
+  | [ _; "inflate"; file; factor; out ] ->
+      let factor =
+        match float_of_string_opt factor with
+        | Some f when f > 0.0 -> f
+        | _ -> usage ()
+      in
+      let lines = List.map (inflate_line file factor) (read_lines file) in
+      Out_channel.with_open_text out (fun oc ->
+          List.iter
+            (fun l ->
+              Out_channel.output_string oc (Json.to_string l);
+              Out_channel.output_char oc '\n')
+            lines)
   | _ -> usage ()
