@@ -141,18 +141,21 @@ let flops (c : compiled) = c.flops
 let nnz_l (c : compiled) = c.nnz_l
 let decisions (c : compiled) = c.decisions
 
-(* b1 = Lx, plus b2 = f for the simplicial kernel (its accumulator
-   self-restores to zero after every column). Both emitted variants fully
-   rewrite Lx each call — the supernodal driver zeroes its panels, the
-   simplicial kernel assigns every entry from f — so only b0 needs
-   refreshing per call. The kernels return nothing. *)
-let native (c : compiled) (p : kplan) =
+(* The supernodal kernel, or the left-looking simplicial kernel of the IR
+   pipeline over the compiled handle's own pattern arrays: its prune-sets
+   are the row patterns the up-looking OCaml executor iterates. *)
+let native (c : compiled) (pattern : Csc.t) (omap : int array option) =
   match c.kernel with
-  | Sup _ -> ("cholesky_supernodal", [| c.nnz_l |], false)
-  | Simp _ -> ("cholesky", [| c.nnz_l; (view p).Csc.ncols |], false)
+  | Sup s -> Codegen_supernodal.shaped s pattern omap
+  | Simp s ->
+      let module P = Sympiler_ir.Pipeline in
+      let module D = Cholesky_ref.Decoupled in
+      P.cholesky_shaped
+        (P.cholesky_kernel ~ordered:(omap <> None) ())
+        ?amap:omap pattern ~lp:s.D.l_colptr ~li:s.D.l_rowind
+        ~row_ptr:s.D.rp_ptr ~row_set:s.D.rp_ind
 
-let copy_out (e : Native_engine.exec) (p : kplan) =
-  Native_engine.blit_out e.Native_engine.b1 (view p).Csc.values
+let outputs (p : kplan) = [| (view p).Csc.values |]
 
 let pivot j = Cholesky_ref.Not_positive_definite j
 
@@ -166,10 +169,3 @@ let updown (p : kplan) (pattern : Csc.t) =
 
 let refactored (rk : updown) (a_lower : Csc.t) =
   Rank_update.note_refactor rk a_lower.Csc.values
-
-(* The supernodal driver with its baked-in schedule, or the fully
-   specialized simplicial kernel from the AST pipeline. *)
-let c_code (c : compiled) (pattern : Csc.t) : string =
-  match c.kernel with
-  | Sup s -> Codegen_supernodal.to_c s pattern
-  | Simp _ -> (Sympiler_ir.Pipeline.cholesky pattern).Sympiler_ir.Pipeline.c_code

@@ -36,7 +36,7 @@ let observe_compile ~family ~ordering seconds =
 
 (* The label reports the engine that will actually execute — a native
    request that degraded to the OCaml executor (no C compiler) says so. *)
-let engine_label (native : Native_engine.exec option) =
+let engine_label (native : _ option) =
   if Option.is_some native then "native" else "ocaml"
 
 let execute_hist ~family ~op ~engine ~ordering =
@@ -141,6 +141,14 @@ let values_scratch (pattern : Csc.t) : Csc.t =
 (* The permuted-input scratch of an ordered plan. *)
 let ordering_scratch (ord : applied_ordering) (pattern : Csc.t) : Csc.t option =
   Option.map (fun _ -> values_scratch pattern) ord.o_perm
+
+(* How many values a caller's input carries: the natural pattern's count
+   (the gather map's length) on ordered plans, the compiled pattern's on
+   natural ones. *)
+let input_nnz (ord : applied_ordering) (pattern : Csc.t) =
+  match ord.o_perm with
+  | None -> Csc.nnz pattern
+  | Some _ -> Array.length ord.o_map
 
 (* Bring a caller's natural-order values into compiled order: ordered plans
    gather into their [scratch], natural ones pass the input through. Either

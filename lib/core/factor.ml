@@ -88,13 +88,16 @@ module type FAMILY = sig
   val decisions : compiled -> Trace.decision list
   (** The transformation decisions [compile] took. *)
 
-  val native : compiled -> kplan -> string * int array * bool
-  (** The native kernel: its name, the sizes of its factor buffers b1, b2,
-      … (b0 holds the input values), and whether it returns a failing
-      pivot index (a non-negative [int]) rather than nothing. *)
+  val native :
+    compiled -> Csc.t -> int array option -> Sympiler_ir.Pretty_c.shaped
+  (** The native kernel bound to a handle: the kernel of its shape and
+      the handle's pattern arrays, given the compiled pattern and, on an
+      ordered handle, the ordering's gather map (the kernel then takes
+      natural-order input). Its factor arrays are {!outputs}. *)
 
-  val copy_out : Native_engine.exec -> kplan -> unit
-  (** Copy a native call's factor buffers into the plan's storage. *)
+  val outputs : kplan -> float array array
+  (** The plan's factor arrays, which the native kernel writes in
+      place. *)
 
   val pivot : int -> exn
   (** The exception for a pivot failure at the given index. *)
@@ -104,9 +107,6 @@ module type FAMILY = sig
 
   val refactored : updown -> Csc.t -> unit
   (** Told the compiled-order input of every full refactor. *)
-
-  val c_code : compiled -> Csc.t -> string
-  (** The emitted C, given the handle and its compiled pattern. *)
 end
 
 (** The rank-update slot of the families without one. *)
@@ -146,7 +146,7 @@ module type S = sig
         (** ordered plans gather natural-order input values in here *)
     mutable native : Native_engine.exec option;
         (** populated when [plan ~engine:`Native] loaded the compiled-C
-            executor (b0 = input values, then the factor buffers) *)
+            executor (it writes the factor arrays of [p] in place) *)
     mutable m_exec : Metrics.histogram;
         (** the plan's [sympiler_execute_seconds] latency series, labelled
             with the engine that runs *)
@@ -266,18 +266,27 @@ module Make (F : FAMILY) :
   let cache_clear () = Plan_cache.clear default_cache
   let symbolic_seconds (t : t) = t.symbolic_seconds
 
+  (* The ordering's gather map of an ordered handle. An ordered handle
+     that a rank update escalated has a compiled pattern the map does not
+     cover; it has no native kernel. *)
+  let gather_map (t : t) =
+    match t.ord.o_perm with
+    | None -> None
+    | Some _ ->
+        if Array.length t.ord.o_map <> Csc.nnz t.pattern then
+          invalid_arg
+            (who ^ ": an escalated ordered handle has no native kernel");
+        Some t.ord.o_map
+
   let plan ?ndomains ?(engine : Options.engine = `Ocaml) (t : t) : plan =
     let p = F.make_plan ?ndomains t.compiled in
     let native =
       match engine with
       | `Ocaml -> None
       | `Native ->
-          let kname, sizes, int_return = F.native t.compiled p in
-          let sizes = Array.append [| Csc.nnz t.pattern |] sizes in
-          Native_engine.load ~pattern_key:(Csc.pattern_hash t.pattern)
-            ~family:F.name ~kname ~nargs:(Array.length sizes) ~int_return
-            ~sizes
-            (F.c_code t.compiled t.pattern)
+          Native_engine.load
+            (F.native t.compiled t.pattern (gather_map t))
+            ~inputs:(input_nnz t.ord t.pattern) ~outputs:(F.outputs p)
     in
     {
       handle = t;
@@ -299,17 +308,26 @@ module Make (F : FAMILY) :
         s
     | _ -> plan_input ~who p.handle.ord p.scratch p.handle.pattern a
 
-  (* A native kernel's non-negative return is the failing pivot index. *)
+  (* A native kernel reads the caller's values where they are, through
+     the ordering's map on an ordered plan; its non-negative return is
+     the failing pivot index. Only rank-update state needs the input in
+     compiled order. *)
   let execute_ip_raw (p : plan) (a : Csc.t) : output =
-    let a = input ~who:who_execute p a in
     (match p.native with
     | Some e ->
-        Native_engine.blit_in a.Csc.values e.Native_engine.b0;
+        let h = p.handle in
+        if Array.length a.Csc.values <> input_nnz h.ord h.pattern then
+          nnz_mismatch who_execute;
+        e.Native_engine.x <- a.Csc.values;
         let rc = Native_engine.call e in
         if rc >= 0 then raise (F.pivot rc);
-        F.copy_out e p.p
-    | None -> F.factor_ip p.p a);
-    (match p.ru with Some (st, _) -> F.refactored st a | None -> ());
+        (match p.ru with
+        | Some (st, _) -> F.refactored st (input ~who:who_execute p a)
+        | None -> ())
+    | None -> (
+        let a = input ~who:who_execute p a in
+        F.factor_ip p.p a;
+        match p.ru with Some (st, _) -> F.refactored st a | None -> ()));
     F.view p.p
 
   let execute_ip (p : plan) (a : Csc.t) : output =
@@ -331,5 +349,7 @@ module Make (F : FAMILY) :
         p.ru <- Some r;
         r
 
-  let c_code (t : t) : string = F.c_code t.compiled t.pattern
+  let c_code (t : t) : string =
+    Sympiler_ir.Pretty_c.artifact
+      (F.native t.compiled t.pattern (gather_map t))
 end

@@ -1,93 +1,110 @@
-(* Facade-side glue for the native engine: uniform-ABI wrapper emission
-   and the buffer-owning [exec] record the family plans embed. *)
+(* Facade-side glue for the native engine: the uniform entry appended to a
+   factor kernel's shape text, the int32 copies of a handle's pattern
+   arrays, and the [exec] record a plan embeds. *)
 
 module Native = Sympiler_native.Native
-
-type buf = Native.buf
+module Pretty_c = Sympiler_ir.Pretty_c
 
 type exec = {
   nk : Native.kernel;
-  b0 : buf;
-  b1 : buf;
-  b2 : buf;
-  b3 : buf;
+  n : int;
+  mutable x : float array;
+  f : float array array;
+  ix : Native.ints array;
 }
 
-(* The generated kernels take [const double *restrict] / [double *restrict]
-   parameters; the wrapper's plain [double *] arguments convert implicitly,
-   so one fixed trampoline signature covers every family. *)
-let wrapper ~kname ~nargs ~int_return =
-  let args =
-    String.concat ", " (List.init nargs (fun i -> Printf.sprintf "b%d" i))
-  in
-  let unused =
-    List.filteri (fun i _ -> i >= nargs) [ "b0"; "b1"; "b2"; "b3" ]
-    |> List.map (fun b -> Printf.sprintf "  (void)%s;\n" b)
-    |> String.concat ""
-  in
-  if int_return then
-    Printf.sprintf
-      "\n\
-       int sympiler_entry(double *b0, double *b1, double *b2, double *b3) {\n\
-       %s  return %s(%s);\n\
-       }\n"
-      unused kname args
-  else
-    Printf.sprintf
-      "\n\
-       int sympiler_entry(double *b0, double *b1, double *b2, double *b3) {\n\
-       %s  %s(%s);\n\
-       return -1;\n\
-       }\n"
-      unused kname args
+let int32_min = Int32.to_int Int32.min_int
+let int32_max = Int32.to_int Int32.max_int
 
-let make_buf n =
+let ints (a : int array) : Native.ints =
   let b =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max 1 n)
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a)
   in
-  Bigarray.Array1.fill b 0.0;
+  Array.iteri
+    (fun i v ->
+      if v < int32_min || v > int32_max then
+        invalid_arg "Native_engine: pattern index does not fit in a C int";
+      Bigarray.Array1.unsafe_set b i (Int32.of_int v))
+    a;
   b
 
-let load ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
-  let src = source ^ wrapper ~kname ~nargs ~int_return in
-  (* Family tag folded by value into the key: two families compiled for
-     the same pattern must not share a cache slot even if their sources
-     ever collided. FNV over the tag keeps the key run-stable. *)
-  let key =
-    String.fold_left
-      (fun h c -> (h * 31) + Char.code c)
-      (pattern_key land max_int)
-      family
-    land max_int
+(* The entry [Native.run] calls: unpack the argument arrays into the
+   kernel's parameters. The kernel text plus this entry depend on the
+   shape alone, so every pattern of a shape shares one object. *)
+let entry_name = "sympiler_kernel"
+
+let wrapper ~kname ~nix ~nf =
+  let args prefix k = List.init k (Printf.sprintf "%s[%d]" prefix) in
+  Printf.sprintf
+    "\n\
+     int %s(int n, double *x, double *const *f, int *const *ix) {\n\
+    \  return %s(%s);\n\
+     }\n"
+    entry_name kname
+    (String.concat ", " (("n" :: args "ix" nix) @ ("x" :: args "f" nf)))
+
+(* [Native.run] hands float arrays to C as they are, which needs the
+   runtime's flat float arrays: an OCaml configured without them boxes
+   every element, and such a plan runs the OCaml executor. *)
+let flat_float_arrays = Obj.tag (Obj.repr [| 0.0 |]) = Obj.double_array_tag
+
+let load (s : Pretty_c.shaped) ~(inputs : int) ~(outputs : float array array)
+    : exec option =
+  if not flat_float_arrays then None
+  else
+    let ix =
+      Array.of_list
+        (List.map (fun (_, a) -> ints a) s.data
+        @ List.map (fun len -> ints (Array.make len 0)) s.iwork)
+    in
+    let f =
+      Array.append outputs
+        (Array.of_list (List.map (fun len -> Array.make len 0.0) s.fwork))
+    in
+    let src =
+      s.text
+      ^ wrapper ~kname:s.kname ~nix:(Array.length ix) ~nf:(Array.length f)
+    in
+    match Native.load ~entry:entry_name src with
+    | None -> None
+    | Some nk -> Some { nk; n = s.n; x = Array.make inputs 0.0; f; ix }
+
+let call e = Native.run e.nk e.n e.x e.f e.ix
+
+(* ---------------- the four-buffer trampoline (trisolve) ---------------- *)
+
+type buf = Native.buf
+type buffers = { bk : Native.kernel; bufs : buf array }
+
+(* [sympiler_entry] forwarding the first [nargs] buffers to a void
+   kernel. *)
+let buffers_wrapper ~kname ~nargs =
+  let b i = Printf.sprintf "b%d" i in
+  let unused =
+    List.init (4 - nargs) (fun i ->
+        Printf.sprintf "  (void)%s;\n" (b (nargs + i)))
   in
-  match Native.load ~key ~entry:"sympiler_entry" src with
-  | None -> None
-  | Some nk ->
-      let slot i =
-        if i < Array.length sizes && sizes.(i) > 0 then make_buf sizes.(i)
-        else Native.dummy
-      in
-      Some { nk; b0 = slot 0; b1 = slot 1; b2 = slot 2; b3 = slot 3 }
+  Printf.sprintf
+    "\n\
+     int sympiler_entry(double *b0, double *b1, double *b2, double *b3) {\n\
+     %s  %s(%s);\n\
+     return -1;\n\
+     }\n"
+    (String.concat "" unused) kname
+    (String.concat ", " (List.init nargs b))
 
-let call e = Native.call e.nk e.b0 e.b1 e.b2 e.b3
+let load_buffers ~kname (bufs : buf array) source =
+  let nargs = Array.length bufs in
+  if nargs > 4 then
+    invalid_arg "Native_engine.load_buffers: more than four buffers";
+  let pad i = if i < nargs then bufs.(i) else Native.dummy in
+  Option.map
+    (fun bk -> { bk; bufs = Array.init 4 pad })
+    (Native.load ~entry:"sympiler_entry"
+       (source ^ buffers_wrapper ~kname ~nargs))
 
-(* One length check up front, then unsafe element ops: the loops stay
-   allocation-free and can never run past either side's storage. *)
-let blit_in (src : float array) (dst : buf) =
-  if Array.length src > Bigarray.Array1.dim dst then
-    invalid_arg "Native_engine.blit_in: source longer than buffer";
-  for i = 0 to Array.length src - 1 do
-    Bigarray.Array1.unsafe_set dst i (Array.unsafe_get src i)
-  done
-
-let blit_out (src : buf) (dst : float array) =
-  if Array.length dst > Bigarray.Array1.dim src then
-    invalid_arg "Native_engine.blit_out: destination longer than buffer";
-  for i = 0 to Array.length dst - 1 do
-    Array.unsafe_set dst i (Bigarray.Array1.unsafe_get src i)
-  done
-
-let fill0 (b : buf) = Bigarray.Array1.fill b 0.0
+let call_buffers e =
+  Native.call e.bk e.bufs.(0) e.bufs.(1) e.bufs.(2) e.bufs.(3)
 
 (* Bounds-checked on purpose: [scatter] writes caller-controlled sparse
    indices, and an out-of-range index must raise like the OCaml executor

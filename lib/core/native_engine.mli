@@ -1,72 +1,73 @@
-(** Facade-side glue for the native kernel engine: wraps an emitted C
-    translation unit behind the uniform [sympiler_entry] ABI, compiles and
-    loads it through {!Sympiler_native.Native}, and owns the Bigarray
-    buffers the trampoline passes to the kernel.
+(** Facade-side glue for the native kernel engine.
 
-    The per-family wiring (which buffer slot is which kernel argument, how
-    a non-negative return code maps back to the family's pivot exception)
-    stays in the facade; this module only knows "a kernel of up to four
-    [double *] arguments". *)
+    A factor family's native kernel is a {!Sympiler_ir.Pretty_c.shaped}:
+    C text that is one per kernel {e shape} (family × variant × whether it
+    reads natural-order input through the ordering's gather map), bound to
+    one handle's pattern arrays. This module appends the uniform
+    [sympiler_kernel] entry to the text, compiles and loads it through
+    {!Sympiler_native.Native} (the cache keys on the text, so every
+    pattern of a shape shares one object), and owns what a plan passes to
+    it: the handle's pattern arrays as int32 Bigarrays and the plan's
+    workspaces, built by {!load}. The input values and the plan's factor
+    arrays are passed as they are, with no copy.
+
+    The triangular solve's code text depends on its pattern; it keeps the
+    four-buffer [sympiler_entry] trampoline ({!load_buffers}). *)
 
 module Native = Sympiler_native.Native
 
-type buf = Native.buf
-
 type exec = {
   nk : Native.kernel;
-  b0 : buf;
-  b1 : buf;
-  b2 : buf;
-  b3 : buf;
+  n : int;  (** the kernel's size argument *)
+  mutable x : float array;
+      (** the input values of the latest call (zeros before the first) *)
+  f : float array array;
+      (** the plan's factor arrays, then the plan's float workspaces *)
+  ix : Native.ints array;
+      (** the handle's pattern arrays, then the plan's int workspaces *)
 }
-(** A loaded kernel plus its plan-owned argument buffers (unused slots
-    alias {!Native.dummy}). *)
-
-val wrapper : kname:string -> nargs:int -> int_return:bool -> string
-(** The uniform entry point appended to an emitted translation unit:
-    [int sympiler_entry(double *b0, …, double *b3)] forwarding the first
-    [nargs] buffers to [kname]. Kernels returning [int] (the §3.3 factor
-    kernels' failing-pivot index) pass their code through; [void] kernels
-    return -1 ("no failure"). *)
+(** A loaded kernel and the operands of a plan's calls. *)
 
 val load :
-  pattern_key:int ->
-  family:string ->
-  kname:string ->
-  nargs:int ->
-  int_return:bool ->
-  sizes:int array ->
-  string ->
+  Sympiler_ir.Pretty_c.shaped ->
+  inputs:int ->
+  outputs:float array array ->
   exec option
-(** Wrap [source], compile/load it keyed by [pattern_key] + [family] (the
-    source text, flags, and compiler identity are folded in by
-    {!Native.load}), and allocate one zeroed buffer per entry of [sizes]
-    (at most 4; missing or zero entries get the shared dummy). [None]
-    means the native engine is unavailable — callers fall back to the
-    OCaml executor. *)
+(** Compile/load the kernel's shape, copy its pattern arrays to int32
+    Bigarrays and allocate the plan's workspaces; [outputs] are the plan's
+    factor arrays (written in place by every call), [inputs] the number
+    of input values. [None] means the native engine is unavailable (no C
+    compiler, a failed compile, or an OCaml runtime without flat float
+    arrays) — callers fall back to the OCaml executor. Raises
+    [Invalid_argument] when a pattern entry does not fit in a C [int]. *)
 
 val call : exec -> int
-(** Run the kernel on its buffers; returns the kernel's code (-1 = ok,
-    [>= 0] = failing pivot index). Allocation-free. *)
+(** Run the kernel on [x] and the plan's arrays; returns its code (-1 =
+    ok, [>= 0] = failing pivot index). Allocation-free. *)
 
-val blit_in : float array -> buf -> unit
-(** Copy an OCaml float array into a buffer (lengths must match the
-    buffer's size prefix; allocation-free). *)
+(** {2 The four-buffer trampoline} *)
 
-val blit_out : buf -> float array -> unit
-(** Copy a buffer back into an OCaml float array. *)
+type buf = Native.buf
 
-val fill0 : buf -> unit
-(** Zero a buffer (allocation-free). *)
+type buffers = {
+  bk : Native.kernel;
+  bufs : buf array;  (** four slots; unused ones alias {!Native.dummy} *)
+}
+
+val load_buffers : kname:string -> buf array -> string -> buffers option
+(** [load_buffers ~kname bufs source]: [source] compiled with a
+    [sympiler_entry] that passes the first [Array.length bufs] (at most 4)
+    buffers to the void kernel [kname]. *)
+
+val call_buffers : buffers -> int
+(** Run the kernel on its buffers. Allocation-free. *)
 
 val scatter : buf -> int array -> float array -> unit
 (** [scatter b idx v] writes [v.(t)] at [b.{idx.(t)}] for every [t]
     (sparse scatter; bounds-checked on the indices; allocation-free). *)
 
 val fill0_at : buf -> int array -> unit
-(** Zero the listed positions only (bounds-checked; allocation-free).
-    The sparse counterpart of {!fill0} for kernels whose touched set is
-    known symbolically, e.g. a trisolve's reach-set. *)
+(** Zero the listed positions only (bounds-checked; allocation-free). *)
 
 val gather : buf -> int array -> float array -> unit
 (** [gather b idx dst] copies [b.{i}] to [dst.(i)] for every [i] in

@@ -289,16 +289,18 @@ module Trisolve = struct
         (* permuted-b scratch of an ordered plan: fixed (permuted) indices,
            values refreshed by each execute *)
     ord_x : float array option; (* natural-order output buffer *)
-    native : Native_engine.exec option;
-        (* compiled-C executor: b0 = Lx (filled at plan time), b1 = x,
-           b2 = tmp when VS-Block added one *)
+    native : Native_engine.buffers option;
+        (* compiled-C executor: buffers Lx (filled at plan time), x, and
+           tmp when VS-Block added one *)
     m_exec : Metrics.histogram; (* per-call solve latency *)
   }
 
   (* The emitted C binds L's values as a runtime parameter, so the plan
      loads them into the Lx buffer once — same binding time as the OCaml
-     executor, whose compiled plan captured [t.l]'s values at compile. *)
-  let native_exec (t : t) : Native_engine.exec option =
+     executor, whose compiled plan captured [t.l]'s values at compile.
+     The code text itself depends on L's pattern (peeling), so it is
+     compiled per pattern. *)
+  let native_exec (t : t) : Native_engine.buffers option =
     let b =
       {
         Vector.n = t.l.Csc.ncols;
@@ -308,17 +310,21 @@ module Trisolve = struct
     in
     let r = Sympiler_ir.Pipeline.trisolve t.l b in
     let nargs = List.length r.Sympiler_ir.Pipeline.kernel.Sympiler_ir.Ast.params in
-    match
-      Native_engine.load ~pattern_key:(Csc.pattern_hash t.l)
-        ~family:"trisolve" ~kname:"trisolve" ~nargs ~int_return:false
-        ~sizes:
-          [| Csc.nnz t.l; t.l.Csc.ncols; r.Sympiler_ir.Pipeline.tmp_size |]
-        r.Sympiler_ir.Pipeline.c_code
-    with
-    | None -> None
-    | Some e ->
-        Native_engine.blit_in t.l.Csc.values e.Native_engine.b0;
-        Some e
+    let f64 = Bigarray.float64 and c = Bigarray.c_layout in
+    let zeros n =
+      let z = Bigarray.Array1.create f64 c (max 1 n) in
+      Bigarray.Array1.fill z 0.0;
+      z
+    in
+    let bufs =
+      [|
+        Bigarray.Array1.of_array f64 c t.l.Csc.values;
+        zeros t.l.Csc.ncols;
+        zeros r.Sympiler_ir.Pipeline.tmp_size;
+      |]
+    in
+    Native_engine.load_buffers ~kname:"trisolve" (Array.sub bufs 0 nargs)
+      r.Sympiler_ir.Pipeline.c_code
 
   (* [~ndomains] switches the plan to the level-set executor on the
      persistent domain pool; the levelization (one more inspection set) is
@@ -373,11 +379,11 @@ module Trisolve = struct
            copying out only reach entries is sound — and keeps the native
            per-call cost O(|reach|), below the OCaml executor's O(n)
            scatter reset. *)
-        let xb = e.Native_engine.b1 in
+        let xb = e.Native_engine.bufs.(1) in
         let reach = p.handle.reach in
         Native_engine.fill0_at xb reach;
         Native_engine.scatter xb b.Vector.indices b.Vector.values;
-        ignore (Native_engine.call e : int);
+        ignore (Native_engine.call_buffers e : int);
         let x = p.p.Trisolve_sympiler.x in
         Native_engine.gather xb reach x;
         x
@@ -548,20 +554,11 @@ module Ldlt = struct
     let nnz_l (c : compiled) = c.K.l_colptr.(c.K.n)
     let decisions _ = []
 
-    (* b1 = Lx, b2 = D *)
-    let native _ (p : kplan) =
-      ("ldlt_factor", [| Array.length p.K.lx; p.K.c.K.n |], true)
-
-    (* The plan's factor views alias [lx] / [d], so blitting the kernel
-       buffers back makes [p.f] the result either way. *)
-    let copy_out (e : Native_engine.exec) (p : kplan) =
-      Native_engine.blit_out e.Native_engine.b1 p.K.lx;
-      Native_engine.blit_out e.Native_engine.b2 p.K.f.K.d
-
+    let native c _ omap = Codegen_static.ldlt c omap
+    let outputs (p : kplan) = [| p.K.lx; p.K.f.K.d |]
     let pivot rc = K.Zero_pivot rc
     let updown (p : kplan) _ = Rank_update.make_ldlt_plan p.K.f.K.l p.K.f.K.d
     let refactored _ _ = ()
-    let c_code c _ = Codegen_static.ldlt c
   end)
 
   (* In-place rank-1 update of the plan's factors (GGMS C1): L D L^T
@@ -612,18 +609,9 @@ module Lu = Factor.Make (struct
 
   let decisions _ = []
 
-  (* b1 = Lx, b2 = Ux *)
-  let native _ (p : kplan) =
-    ( "lu_factor",
-      [| Array.length p.K.Sympiler.lx; Array.length p.K.Sympiler.ux |],
-      true )
-
-  let copy_out (e : Native_engine.exec) (p : kplan) =
-    Native_engine.blit_out e.Native_engine.b1 p.K.Sympiler.lx;
-    Native_engine.blit_out e.Native_engine.b2 p.K.Sympiler.ux
-
+  let native = Codegen_static.lu
+  let outputs (p : kplan) = [| p.K.Sympiler.lx; p.K.Sympiler.ux |]
   let pivot rc = K.Zero_pivot rc
-  let c_code = Codegen_static.lu
 end)
 
 module Ic0 = Factor.Make (struct
@@ -648,14 +636,9 @@ module Ic0 = Factor.Make (struct
   let nnz_l (c : compiled) = c.K.colptr.(c.K.n)
   let decisions _ = []
 
-  (* b1 = Lx *)
-  let native _ (p : kplan) = ("ic0_factor", [| Array.length p.K.lx |], true)
-
-  let copy_out (e : Native_engine.exec) (p : kplan) =
-    Native_engine.blit_out e.Native_engine.b1 p.K.lx
-
+  let native c _ omap = Codegen_static.ic0 c omap
+  let outputs (p : kplan) = [| p.K.lx |]
   let pivot rc = K.Not_positive_definite rc
-  let c_code c _ = Codegen_static.ic0 c
 end)
 
 module Ilu0 = Factor.Make (struct
@@ -680,15 +663,9 @@ module Ilu0 = Factor.Make (struct
   let nnz_l (c : compiled) = c.K.rowptr.(c.K.n)
   let decisions _ = []
 
-  (* b1 = factor values (CSR order) *)
-  let native _ (p : kplan) =
-    ("ilu0_factor", [| Array.length p.K.f.K.values |], true)
-
-  let copy_out (e : Native_engine.exec) (p : kplan) =
-    Native_engine.blit_out e.Native_engine.b1 p.K.f.K.values
-
+  let native c _ omap = Codegen_static.ilu0 c omap
+  let outputs (p : kplan) = [| p.K.f.K.values |]
   let pivot rc = K.Zero_pivot rc
-  let c_code c _ = Codegen_static.ilu0 c
 end)
 
 (* Symbolic "explain" reports: what the inspectors measured and what the

@@ -64,16 +64,18 @@ module Native = Sympiler_native.Native
     overrides. *)
 
 module Native_engine = Native_engine
-(** Facade-side glue for the native engine (uniform [sympiler_entry] ABI
-    wrapper, plan-owned argument buffers). *)
+(** Facade-side glue for the native engine: the uniform entry of the
+    factor kernels (one per kernel shape, the pattern passed as int32
+    arguments and the values without copies), and the four-buffer
+    trampoline of the triangular solve. *)
 
 module Factor = Factor
 (** The five factor families as one functor: {!Factor.FAMILY} holds what
     differs between them (the kernel's options-aware compile and its slice
     of the cache key, plan, in-place and one-shot factor and result view;
     lower(A) or square pattern; flop model, factor size and decision log;
-    native kernel name, buffer sizes, return convention and copy-out; the
-    pivot exception; the rank-update state; the emitted C), and
+    native kernel bound to a handle and the factor arrays it writes; the
+    pivot exception; the rank-update state), and
     {!Factor.Make} writes ordering, symbolic timing, cache routing, plans,
     engine dispatch and metrics once. {!Cholesky}, {!Ldlt}, {!Lu}, {!Ic0}
     and {!Ilu0} are its instances; {!Trisolve}, whose input is an RHS
@@ -84,14 +86,17 @@ type engine = [ `Ocaml | `Native ]
 
     - [`Ocaml] (the default): the interpreted-by-OCaml executors, exactly
       as before.
-    - [`Native]: the family's emitted C — the same code [c_code] returns —
-      compiled with the system C compiler at plan time, loaded via
-      [dlopen], and dispatched through a fixed no-allocation trampoline.
-      Compiled objects are cached on disk keyed by pattern, source, flags,
-      and compiler identity, so steady state never re-invokes the
-      compiler. When no C compiler is available the plan silently falls
-      back to [`Ocaml] (one-time note on stderr; counted in
-      {!Native.stats}). *)
+    - [`Native]: the family's emitted C — the same kernel [c_code]
+      prints — compiled with the system C compiler and loaded via
+      [dlopen]. A factor kernel's text is one per kernel shape (family ×
+      variant × whether it reads natural-order input through the
+      ordering's gather map): the pattern is passed as arguments and the
+      values with no copy, so every pattern of a shape shares one
+      compiled object. Compiled objects are cached on disk keyed by
+      source, flags, and compiler identity, so steady state never
+      re-invokes the compiler. When no C compiler is available the plan
+      silently falls back to [`Ocaml] (one-time note on stderr; counted
+      in {!Native.stats}). *)
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 (** The fill-reducing ordering request of a compilation: ordering is a
@@ -138,8 +143,11 @@ type applied_ordering = Compile_common.applied_ordering = {
       does not match the compiled pattern's shape raises
       [Invalid_argument] before anything is read, and the plan stays
       usable.
-    - [c_code] emits the specialized C executor with every inspection set
-      baked in as static arrays. *)
+    - [c_code] emits the specialized C executor as one self-contained
+      file with every inspection set as static arrays. A factor family's
+      file is the native engine's kernel text, then the handle's data,
+      then an entry with the family's historical name and signature; on
+      an ordered handle it takes natural-order input. *)
 module type KERNEL = Factor.KERNEL
 
 (** Sparse triangular solve [L x = b] with a sparse right-hand side. *)
@@ -206,9 +214,9 @@ module Trisolve : sig
         (** ordered plans: the permuted-b scratch (fixed indices, values
             refreshed per execute) *)
     ord_x : float array option;  (** ordered plans: natural-order output *)
-    native : Native_engine.exec option;
+    native : Native_engine.buffers option;
         (** populated when [plan ~engine:`Native] loaded the compiled-C
-            executor (b0 = Lx, b1 = x, b2 = tmp) *)
+            executor (buffers Lx, x, and tmp when VS-Block added one) *)
     m_exec : Metrics.histogram;
         (** the plan's [sympiler_execute_seconds] latency series *)
   }
@@ -267,7 +275,10 @@ end
     OCaml executors raise [Not_positive_definite] (the simplicial
     kernel's {!Sympiler_kernels.Cholesky_ref} one, the supernodal
     kernels' {!Sympiler_kernels.Dense_blas} one); the native kernels
-    return nothing and do not check the pivot. *)
+    report the same column and the plan raises the
+    {!Sympiler_kernels.Cholesky_ref} one (the native simplicial kernel
+    checks the diagonal after the factorization, so a NaN pivot counts
+    as well). The plan stays reusable. *)
 module Cholesky : sig
   type variant = Supernodal | Simplicial
 

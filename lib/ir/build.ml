@@ -1,9 +1,10 @@
 open Sympiler_sparse
 
 (* Lowering: turn a numerical method plus a specific sparsity structure into
-   the initial annotated AST of Figure 2a. The matrix pattern (colptr /
-   rowind) is compile-time data and is baked into the kernel as constant
-   arrays; only numeric values (Lx, x, ...) remain runtime parameters. *)
+   the initial annotated AST of Figure 2a. The triangular solve bakes the
+   matrix pattern (colptr / rowind) into the kernel as constant arrays, so
+   only numeric values (Lx, x) remain runtime parameters; Cholesky takes
+   its pattern as parameters, so its kernel is one per shape. *)
 
 open Ast
 
@@ -44,15 +45,18 @@ let lower_trisolve (l : Csc.t) : kernel =
 (* Left-looking sparse Cholesky (the pseudo-code of Figure 4) with VI-Prune
    already applied, as in the paper's Cholesky baseline: the update loop
    iterates over the precomputed prune-set (row patterns of L) instead of
-   all columns, and every symbolic quantity — L's pattern, the position
-   rowPos of L(j,r) inside column r — is baked in as constant data.
+   all columns. Every symbolic quantity — L's pattern, the position rowPos
+   of L(j,r) inside column r — is precomputed ([cholesky_data]) and passed
+   in, with n, as parameters: the lowered code is the same for every
+   pattern, so one compiled kernel serves them all.
 
-   Runtime parameters: Ax (values of lower(A)), Lx (output), f (zeroed
-   workspace of size n).
+   Parameters: n, the pattern arrays, [amap] when [ordered] (the kernel
+   then reads its natural-order input through it), Ax (values of
+   lower(A)), Lx (output), f (zeroed workspace of size n).
 
      for j in 0..n:
        for p in Ap[j] .. Ap[j+1]:              -- f = A(:,j)
-         f[Ai[p]] = Ax[p]
+         f[Ai[p]] = Ax[p]                      -- Ax[amap[p]] if ordered
        for ridx in rowPtr[j] .. rowPtr[j+1]:   -- update (pruned)
          for p in rowPos[ridx] .. Lp[rowSet[ridx]+1]:
            f[Li[p]] -= Lx[p] * Lx[rowPos[ridx]]
@@ -62,35 +66,20 @@ let lower_trisolve (l : Csc.t) : kernel =
          Lx[p] = f[Li[p]] / Lx[Lp[j]]
          f[Li[p]] = 0
 *)
-let lower_cholesky (a_lower : Csc.t) : kernel =
-  let fill = Sympiler_symbolic.Fill_pattern.analyze a_lower in
-  let n = fill.Sympiler_symbolic.Fill_pattern.n in
-  let lp = fill.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr in
-  let li = fill.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.rowind in
-  (* Flatten the prune-sets and compute rowPos.(ridx): the position of entry
-     L(j, rowSet.(ridx)) in column rowSet.(ridx)'s storage. The packed store
-     already carries the offsets. *)
-  let row_ptr =
-    Array.copy (Sympiler_symbolic.Fill_pattern.row_ptr fill)
+let cholesky_pattern_params =
+  [ "Ap"; "Ai"; "Lp"; "Li"; "rowPtr"; "rowSet"; "rowPos" ]
+
+let lower_cholesky ~ordered : kernel =
+  let ax =
+    if ordered then Load ("Ax", Idx ("amap", var "p")) else Load ("Ax", var "p")
   in
-  let row_set = Array.make (max 1 row_ptr.(n)) 0 in
-  let row_pos = Array.make (max 1 row_ptr.(n)) 0 in
-  let fillcount = Array.make n 0 in
-  for j = 0 to n - 1 do
-    let t = ref 0 in
-    Sympiler_symbolic.Fill_pattern.iter_row_pattern fill j (fun r ->
-        fillcount.(r) <- fillcount.(r) + 1;
-        row_set.(row_ptr.(j) + !t) <- r;
-        row_pos.(row_ptr.(j) + !t) <- lp.(r) + fillcount.(r);
-        incr t)
-  done;
   let body =
     [
-      for_ ~annots:[ Vs_block_site ] "j" (int_ 0) (int_ n)
+      for_ ~annots:[ Vs_block_site ] "j" (int_ 0) (var "n")
         [
           Comment "gather f = A(:,j)";
           for_ "p" (Idx ("Ap", var "j")) (Idx ("Ap", var "j" +: int_ 1))
-            [ Assign (Arr ("f", Idx ("Ai", var "p")), Load ("Ax", var "p")) ];
+            [ Assign (Arr ("f", Idx ("Ai", var "p")), ax) ];
           Comment "update phase over the prune-set (VI-Pruned)";
           for_ ~annots:[ Pruned ] "ridx" (Idx ("rowPtr", var "j"))
             (Idx ("rowPtr", var "j" +: int_ 1))
@@ -122,17 +111,31 @@ let lower_cholesky (a_lower : Csc.t) : kernel =
     ]
   in
   {
-    kname = "cholesky";
-    params = [ ("Ax", Float_array); ("Lx", Float_array); ("f", Float_array) ];
-    consts =
-      [
-        ("Ap", a_lower.Csc.colptr);
-        ("Ai", a_lower.Csc.rowind);
-        ("Lp", lp);
-        ("Li", li);
-        ("rowPtr", row_ptr);
-        ("rowSet", row_set);
-        ("rowPos", row_pos);
-      ];
+    kname = "cholesky_kernel";
+    params =
+      (("n", Int) :: List.map (fun a -> (a, Int_array)) cholesky_pattern_params)
+      @ (if ordered then [ ("amap", Int_array) ] else [])
+      @ [ ("Ax", Float_array); ("Lx", Float_array); ("f", Float_array) ];
+    consts = [];
     body;
   }
+
+(* The pattern arrays of [lower_cholesky], in parameter order, from L's
+   pattern and its packed row patterns (row [j]'s columns ascending at
+   [row_set.(row_ptr.(j)) ..]). rowPos of entry (j, r) counts the rows
+   of column r's pattern seen so far: rows are visited ascending, so it
+   is the entry's position in column r. *)
+let cholesky_data (a_lower : Csc.t) ~(lp : int array) ~(li : int array)
+    ~(row_ptr : int array) ~(row_set : int array) : (string * int array) list =
+  let n = a_lower.Csc.ncols in
+  let row_pos = Array.make row_ptr.(n) 0 in
+  let fillcount = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for t = row_ptr.(j) to row_ptr.(j + 1) - 1 do
+      let r = row_set.(t) in
+      fillcount.(r) <- fillcount.(r) + 1;
+      row_pos.(t) <- lp.(r) + fillcount.(r)
+    done
+  done;
+  List.combine cholesky_pattern_params
+    [ a_lower.Csc.colptr; a_lower.Csc.rowind; lp; li; row_ptr; row_set; row_pos ]

@@ -146,15 +146,78 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
     tmp_size;
   }
 
-(* Cholesky: the lowered code is already VI-Pruned (prune-sets baked in by
-   [Build.lower_cholesky], matching the paper's Figure 7 baseline); the
-   low-level stage applies scalar replacement and distribution. *)
-let cholesky ?(low_level = true) (a_lower : Csc.t) : result =
+(* Cholesky: the lowered code is already VI-Pruned (prune-sets precomputed
+   by [Build.cholesky_data], matching the paper's Figure 7 baseline); the
+   low-level stage applies scalar replacement and distribution. The kernel
+   takes its pattern as arguments, so its text is one per shape: natural,
+   or [ordered] (reading its input through the ordering's gather map). *)
+let cholesky_kernel ?(low_level = true) ~ordered () : Ast.kernel =
+  let kernel =
+    Trace.with_span "codegen:lower" (fun () -> Build.lower_cholesky ~ordered)
+  in
+  if low_level then
+    Trace.with_span "codegen:low-level" (fun () -> Lowlevel.apply kernel)
+  else kernel
+
+(* The one builder from a pattern to its Cholesky kernel: [k] bound to
+   the arrays [Build.cholesky_data] derives from lower(A), L's pattern and
+   L's packed row patterns, plus [amap] for an ordered kernel. The text is
+   the kernel, then a checked form of it that reports the first column
+   whose diagonal is not positive: where the OCaml executors raise
+   [Not_positive_definite] (a NaN diagonal counts too). Both leave [f]
+   zeroed. The artifact's entry keeps the kernel's historical name and
+   void signature. *)
+let cholesky_shaped (k : Ast.kernel) ?amap (a_lower : Csc.t) ~lp ~li ~row_ptr
+    ~row_set : Pretty_c.shaped =
+  if List.mem_assoc "amap" k.Ast.params <> Option.is_some amap then
+    invalid_arg "Pipeline.cholesky_shaped: amap does not match the kernel";
+  let n = a_lower.Csc.ncols in
+  let data =
+    Build.cholesky_data a_lower ~lp ~li ~row_ptr ~row_set
+    @ Option.fold ~none:[] ~some:(fun m -> [ ("amap", m) ]) amap
+  in
+  let text =
+    Printf.sprintf
+      "#include <math.h>\n\n\
+       /* %s: left-looking simplicial Cholesky (VI-Pruned), generated by\n\
+      \   Sympiler for one kernel shape; the sparsity pattern is passed as\n\
+      \   arguments. */\n\
+       %s\n\
+       /* The kernel, then the first column whose diagonal is not positive,\n\
+      \   or -1. */\n\
+       int cholesky_checked(%s) {\n\
+      \  %s(%s);\n\
+      \  for (int j = 0; j < n; j++)\n\
+      \    if (!(Lx[Lp[j]] > 0.0)) return j;\n\
+      \  return -1;\n\
+       }\n"
+      k.Ast.kname (Pretty_c.function_to_c k) (Pretty_c.params_to_c k)
+      k.Ast.kname
+      (String.concat ", " (List.map fst k.Ast.params))
+  in
+  let entry =
+    Pretty_c.entry
+      ~signature:
+        "void cholesky(double *restrict Ax, double *restrict Lx, double \
+         *restrict f)"
+      ~ret:false ~kname:k.Ast.kname ~n ~data [ "Ax"; "Lx"; "f" ]
+  in
+  {
+    Pretty_c.kname = "cholesky_checked";
+    text;
+    n;
+    data;
+    iwork = [];
+    fwork = [ n ];
+    entry;
+  }
+
+let cholesky ?low_level (a_lower : Csc.t) : result =
   Trace.with_span "pipeline.cholesky" @@ fun () ->
   let fill = Fill_pattern.analyze a_lower in
   let insp = Inspector.cholesky_vi_prune fill in
-  (* The baked-in prune-sets iterate nnz(L) - n row entries instead of the
-     dense n*(n-1)/2 candidate updates of the unpruned loop nest. *)
+  (* The prune-sets iterate nnz(L) - n row entries instead of the dense
+     n*(n-1)/2 candidate updates of the unpruned loop nest. *)
   let n = fill.Fill_pattern.n in
   let dense_updates = n * (n - 1) / 2 in
   Trace.decision
@@ -165,18 +228,17 @@ let cholesky ?(low_level = true) (a_lower : Csc.t) : result =
       value = pruned_ratio ~n:dense_updates (Fill_pattern.nnz_l fill - n);
       threshold = 0.0;
     };
-  let kernel =
-    Trace.with_span "codegen:lower" (fun () -> Build.lower_cholesky a_lower)
-  in
-  let kernel =
-    if low_level then
-      Trace.with_span "codegen:low-level" (fun () -> Lowlevel.apply kernel)
-    else kernel
+  let kernel = cholesky_kernel ?low_level ~ordered:false () in
+  let l = fill.Fill_pattern.l_pattern in
+  let shaped =
+    cholesky_shaped kernel a_lower ~lp:l.Csc.colptr ~li:l.Csc.rowind
+      ~row_ptr:(Fill_pattern.row_ptr fill)
+      ~row_set:(Bigstore.flatten (Fill_pattern.row_store fill))
   in
   {
     kernel;
     c_code =
-      Trace.with_span "codegen:emit" (fun () -> Pretty_c.kernel_to_c kernel);
+      Trace.with_span "codegen:emit" (fun () -> Pretty_c.artifact shaped);
     inspectors = [ Inspector.describe insp ];
     tmp_size = 0;
   }
@@ -197,15 +259,18 @@ let run_trisolve (r : result) (l : Csc.t) (b : Vector.sparse) : float array =
   Interp.run_kernel r.kernel args;
   x
 
-let run_cholesky (r : result) (a_lower : Csc.t) ~(nnz_l : int) : float array =
-  let n = a_lower.Csc.ncols in
-  let lx = Array.make nnz_l 0.0 in
+let run_cholesky (k : Ast.kernel) (s : Pretty_c.shaped) (ax : float array) :
+    float array =
+  let n = s.Pretty_c.n in
+  let lx = Array.make (List.assoc "Lp" s.Pretty_c.data).(n) 0.0 in
   let args =
     [
-      ("Ax", Interp.VFloatArr a_lower.Csc.values);
+      ("n", Interp.VInt n);
+      ("Ax", Interp.VFloatArr ax);
       ("Lx", Interp.VFloatArr lx);
       ("f", Interp.VFloatArr (Array.make n 0.0));
     ]
+    @ List.map (fun (name, a) -> (name, Interp.VIntArr a)) s.Pretty_c.data
   in
-  Interp.run_kernel r.kernel args;
+  Interp.run_kernel k args;
   lx

@@ -3,7 +3,10 @@ open Ast
 (* C code generation: the final lowering stage. Compile-time constant
    arrays (matrix pattern, inspection sets) are emitted as static data, so
    the generated file is self-contained, specialized to one sparsity
-   structure, and its function manipulates numeric values only. *)
+   structure, and its function manipulates numeric values only. A kernel
+   that takes its pattern as [Int_array] parameters instead is one text
+   per kernel shape; [artifact] binds such a kernel to one pattern's data
+   for a self-contained file. *)
 
 let binop_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
@@ -102,11 +105,16 @@ let rec stmt buf lvl s =
 let ty_str = function
   | Int -> "int"
   | Float -> "double"
-  | Int_array -> "int *"
+  | Int_array -> "const int *"
   | Float_array -> "double *"
 
+(* The one literal-array emitter. An empty array becomes one zero entry:
+   C has no zero-length arrays. *)
 let const_array buf (name, arr) =
-  Buffer.add_string buf (Printf.sprintf "static const int %s[%d] = {" name (Array.length arr));
+  let len = Array.length arr in
+  Buffer.add_string buf
+    (Printf.sprintf "static const int %s[%d] = {" name (max 1 len));
+  if len = 0 then Buffer.add_string buf "\n  0";
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_string buf ",";
@@ -115,26 +123,20 @@ let const_array buf (name, arr) =
     arr;
   Buffer.add_string buf "\n};\n"
 
-(* Emit the kernel as a self-contained C translation unit. *)
-let kernel_to_c (k : kernel) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "#include <math.h>\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "/* %s: generated by Sympiler for a fixed sparsity structure. */\n"
-       k.kname);
-  List.iter (const_array buf) k.consts;
-  Buffer.add_char buf '\n';
-  (* Pointer parameters are [restrict]: the executor never aliases two
-     buffers of one kernel, and telling the C compiler so is what lets
-     -O3 vectorize the annotated loops. *)
+(* Pointer parameters are [restrict]: the executor never aliases two
+   buffers of one kernel, and telling the C compiler so is what lets -O3
+   vectorize the annotated loops. *)
+let params_to_c (k : kernel) =
   let param_str (n, t) =
     match t with
-    | Int_array | Float_array ->
-        Printf.sprintf "%srestrict %s" (ty_str t) n
-    | Int | Float -> Printf.sprintf "%s%s" (ty_str t) n
+    | Int_array | Float_array -> Printf.sprintf "%srestrict %s" (ty_str t) n
+    | Int | Float -> Printf.sprintf "%s %s" (ty_str t) n
   in
-  let params = String.concat ", " (List.map param_str k.params) in
-  Buffer.add_string buf (Printf.sprintf "void %s(%s) {\n" k.kname params);
+  String.concat ", " (List.map param_str k.params)
+
+let function_to_c (k : kernel) : string =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Printf.sprintf "void %s(%s) {\n" k.kname (params_to_c k));
   let scalars = List.rev (List.fold_left collect_scalars [] k.body) in
   let ints = List.filter_map (fun (x, f) -> if f then None else Some x) scalars in
   let floats = List.filter_map (fun (x, f) -> if f then Some x else None) scalars in
@@ -145,4 +147,52 @@ let kernel_to_c (k : kernel) : string =
       (Printf.sprintf "  double %s;\n" (String.concat ", " floats));
   List.iter (stmt buf 1) k.body;
   Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+(* Emit the kernel as a self-contained C translation unit. *)
+let kernel_to_c (k : kernel) : string =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "#include <math.h>\n\n";
+  Buffer.add_string buf
+    (Printf.sprintf "/* %s: generated by Sympiler for a fixed sparsity structure. */\n"
+       k.kname);
+  List.iter (const_array buf) k.consts;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (function_to_c k);
+  Buffer.contents buf
+
+type shaped = {
+  kname : string;
+  text : string;
+  n : int;
+  data : (string * int array) list;
+  iwork : int list;
+  fwork : int list;
+  entry : string;
+}
+
+let entry ~signature ?(statics = []) ~ret ~kname ~n ~data args =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (signature ^ " {\n");
+  List.iter
+    (fun (ty, name, len) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  static %s %s[%d];\n" ty name (max 1 len)))
+    statics;
+  Buffer.add_string buf
+    (Printf.sprintf "  %s%s(%d, %s);\n}\n"
+       (if ret then "return " else "")
+       kname n
+       (String.concat ", " (List.map fst data @ args)));
+  Buffer.contents buf
+
+let artifact (s : shaped) : string =
+  let buf = Buffer.create (String.length s.text + 4096) in
+  Buffer.add_string buf s.text;
+  Buffer.add_string buf
+    "\n/* The data of one sparsity pattern, and an entry that runs the kernel\n\
+    \   on it. */\n";
+  List.iter (const_array buf) s.data;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf s.entry;
   Buffer.contents buf

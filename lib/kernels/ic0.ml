@@ -32,6 +32,12 @@ type compiled = {
 
 let compile (a_lower : Csc.t) : compiled =
   let n = a_lower.Csc.ncols in
+  (* The executors read column j's pivot at its first stored entry: an
+     empty column has none, and reading one would run past the factor. *)
+  for j = 0 to n - 1 do
+    if a_lower.Csc.colptr.(j) = a_lower.Csc.colptr.(j + 1) then
+      raise (Not_positive_definite j)
+  done;
   let row_ptr = Array.make (n + 1) 0 in
   (* A direct loop, not [Csc.iter]: its callback takes each value as a
      boxed float, an allocation per entry on every compile. *)

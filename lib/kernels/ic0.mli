@@ -24,7 +24,8 @@ type compiled = {
 
 val compile : Csc.t -> compiled
 (** Precompute row lists and positions from the lower part of A, making the
-    numeric phase decoupled. *)
+    numeric phase decoupled. Column [j]'s pivot is its first stored entry;
+    raises [Not_positive_definite j] when column [j] stores none. *)
 
 val factor : compiled -> Csc.t -> Csc.t
 (** Numeric IC(0); the input's values may change as long as the pattern

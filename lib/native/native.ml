@@ -5,9 +5,11 @@
  * physical record (the handle-identity tests rely on this). Tier 2 is an
  * on-disk directory of shared objects named by the key, so a fresh
  * process (or [clear_memory_cache]) pays only dlopen + dlsym, never the
- * compiler. The key folds the caller's pattern/options fingerprint with
- * the source text, entry name, cflags, and compiler identity, so any
- * input that could change the machine code changes the file name.
+ * compiler. The key folds the source text, entry name, cflags, and
+ * compiler identity (and an optional caller salt), so any input that
+ * could change the machine code changes the file name — and a factor
+ * kernel, whose text is one per shape, is shared by every pattern of
+ * that shape.
  *
  * Shared objects are never dlclosed: a [kernel] stays callable for the
  * life of the process even after [clear_memory_cache], and leaking a
@@ -19,6 +21,7 @@ module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type origin = Compiled | Disk_cache | Memory_cache
 
@@ -43,8 +46,23 @@ external call_fn : nativeint -> buf -> buf -> buf -> buf -> int
   = "sympiler_native_call"
 [@@noalloc]
 
+external run_fn :
+  nativeint -> int -> float array -> float array array -> ints array -> int
+  = "sympiler_native_run"
+[@@noalloc]
+
 let dummy : buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1
 let call k b0 b1 b2 b3 = call_fn k.fn b0 b1 b2 b3
+
+(* The stub collects the pointers on its stack: these are its bounds
+   (SYMPILER_MAX_F, SYMPILER_MAX_IX in native_stubs.c). *)
+let max_f = 8
+let max_ix = 16
+
+let run k n x f ix =
+  if Array.length f > max_f || Array.length ix > max_ix then
+    invalid_arg "Native.run: too many argument arrays";
+  run_fn k.fn n x f ix
 
 (* ---------------------------- Bookkeeping ----------------------------- *)
 
@@ -196,7 +214,7 @@ let cache_dir () =
   mkdir_p dir;
   dir
 
-(* FNV-1a over strings, folded into the caller's fingerprint. Stable
+(* FNV-1a over strings, folded into the caller's salt. Stable
    across runs (unlike Hashtbl.hash's implementation freedom guarantees
    we don't want to rely on for on-disk names). *)
 let fnv1a_fold h s =
@@ -211,8 +229,8 @@ let fnv1a_fold h s =
 let default_cflags =
   [ "-O3"; "-march=native"; "-ffp-contract=off"; "-fPIC"; "-shared" ]
 
-let cache_key ~key ~entry ~cflags ~ccid source =
-  let h = fnv1a_fold (key land max_int) source in
+let cache_key ~salt ~entry ~cflags ~ccid source =
+  let h = fnv1a_fold (salt land max_int) source in
   let h = fnv1a_fold h entry in
   let h = List.fold_left fnv1a_fold h cflags in
   fnv1a_fold h ccid
@@ -233,6 +251,8 @@ let resolve so_path entry =
   let handle = dlopen_so so_path in
   dlsym_fn handle entry
 
+let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
+
 let run_compile ~cc_path ~cflags ~src_path ~out_path =
   let log_path = out_path ^ ".log" in
   let cmd flags =
@@ -247,14 +267,9 @@ let run_compile ~cc_path ~cflags ~src_path ~out_path =
       Sys.command (cmd (List.filter (fun f -> f <> "-march=native") cflags))
     else rc
   in
-  if rc = 0 then begin
-    (try Sys.remove log_path with Sys_error _ -> ());
-    Ok ()
-  end
-  else
-    Error
-      (Printf.sprintf "cc exited %d (%s)" rc
-         (first_line_of_file log_path))
+  let first = if rc = 0 then "" else first_line_of_file log_path in
+  remove_quiet log_path;
+  if rc = 0 then Ok () else Error (Printf.sprintf "cc exited %d (%s)" rc first)
 
 let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
   let dir = cache_dir () in
@@ -268,33 +283,36 @@ let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
     Ok { fn; so_path; origin = Disk_cache; compile_seconds = dt }
   end
   else begin
-    let src_path = Filename.concat dir (hexkey ^ ".c") in
-    (* Compile to a process-unique temp name and rename into place, so
-       concurrent processes racing on the same key never dlopen a
-       half-written object. rename is atomic within the directory. *)
-    let tmp_out =
-      Filename.concat dir
-        (Printf.sprintf ".%s.%d.tmp.so" hexkey (Stdlib.abs (Hashtbl.hash dir)))
+    (* Source and object go to temp names unique to this compile, and the
+       object is renamed into place: processes compiling the same key at
+       once never truncate each other's source or dlopen a half-written
+       object. rename is atomic within the directory. *)
+    let tmp prefix suffix =
+      Filename.temp_file ~temp_dir:dir ("." ^ hexkey ^ prefix) suffix
     in
+    let src_path = tmp "." ".c" in
+    let tmp_out = tmp ".tmp." ".so" in
     let t0 = Prof.now_seconds () in
-    Out_channel.with_open_text src_path (fun oc ->
-        Out_channel.output_string oc source);
-    match run_compile ~cc_path ~cflags ~src_path ~out_path:tmp_out with
-    | Error _ as e ->
-        (try Sys.remove tmp_out with Sys_error _ -> ());
-        e
-    | Ok () ->
-        (try Sys.rename tmp_out so_path
-         with Sys_error _ -> (try Sys.remove tmp_out with Sys_error _ -> ()));
-        let fn = resolve so_path entry in
-        let dt = Prof.now_seconds () -. t0 in
-        incr n_compiles;
-        Metrics.inc m_compiles 1;
-        Metrics.observe m_cc_seconds dt;
-        Ok { fn; so_path; origin = Compiled; compile_seconds = dt }
+    Fun.protect
+      ~finally:(fun () ->
+        remove_quiet src_path;
+        remove_quiet tmp_out)
+      (fun () ->
+        Out_channel.with_open_text src_path (fun oc ->
+            Out_channel.output_string oc source);
+        match run_compile ~cc_path ~cflags ~src_path ~out_path:tmp_out with
+        | Error _ as e -> e
+        | Ok () ->
+            Sys.rename tmp_out so_path;
+            let fn = resolve so_path entry in
+            let dt = Prof.now_seconds () -. t0 in
+            incr n_compiles;
+            Metrics.inc m_compiles 1;
+            Metrics.observe m_cc_seconds dt;
+            Ok { fn; so_path; origin = Compiled; compile_seconds = dt })
   end
 
-let load ?(cflags = default_cflags) ~key ~entry source =
+let load ?(cflags = default_cflags) ?(key = 0) ~entry source =
   match cc () with
   | None ->
       with_lock (fun () -> note_fallback "no C compiler found");
@@ -302,7 +320,8 @@ let load ?(cflags = default_cflags) ~key ~entry source =
   | Some cc_path ->
       let ccid = compiler_identity cc_path in
       let hexkey =
-        Printf.sprintf "%016x" (cache_key ~key ~entry ~cflags ~ccid source)
+        Printf.sprintf "%016x"
+          (cache_key ~salt:key ~entry ~cflags ~ccid source)
       in
       with_lock (fun () ->
           match Hashtbl.find_opt memory_cache hexkey with
@@ -313,7 +332,7 @@ let load ?(cflags = default_cflags) ~key ~entry source =
           | None -> (
               match
                 try compile_and_load ~cc_path ~cflags ~entry ~hexkey source
-                with Failure msg -> Error msg
+                with Failure msg | Sys_error msg -> Error msg
               with
               | Ok k ->
                   Hashtbl.replace memory_cache hexkey k;

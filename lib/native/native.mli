@@ -1,22 +1,32 @@
 (** The native kernel engine: compile Sympiler-emitted C into a shared
-    object, resolve its uniform entry point through [dlopen]/[dlsym], and
-    cache compiled objects on disk so a steady-state cache hit never
-    re-invokes the C compiler.
+    object, resolve its entry point through [dlopen]/[dlsym], and cache
+    compiled objects on disk so a steady-state cache hit never re-invokes
+    the C compiler.
 
     This module is deliberately family-agnostic: it knows nothing about
-    trisolve or Cholesky, only about "a C translation unit exporting
+    trisolve or Cholesky, only about "a C translation unit exporting one
+    entry point, compiled with the configured flags", and two calling
+    conventions for that entry:
 
-    {[ int sympiler_entry(double *b0, double *b1, double *b2, double *b3); ]}
+    {[
+      int sympiler_entry(double *b0, double *b1, double *b2, double *b3);
+      int sympiler_kernel(int n, double *x, double *const *f, int *const *ix);
+    ]}
 
-    compiled with the configured flags". The per-family glue (which
-    emitted source, which buffer goes in which slot, how a non-negative
-    return maps to a pivot exception) lives in the facade's
-    [Native_engine]. *)
+    The first ({!call}) takes four Bigarray buffers; the second ({!run})
+    takes OCaml float arrays and int32 Bigarrays without copying them.
+    The per-family glue (which emitted source, which array goes in which
+    slot, how a non-negative return maps to a pivot exception) lives in
+    the facade's [Native_engine]. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The only data type that crosses the FFI: a C-layout float64 Bigarray.
-    Its payload lives outside the OCaml heap, so the stub can hand the raw
-    pointer to the kernel without pinning. *)
+(** A C-layout float64 Bigarray, the argument type of {!call}. Its payload
+    lives outside the OCaml heap, so the stub can hand the raw pointer to
+    the kernel without pinning. *)
+
+type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A C-layout int32 Bigarray: the pattern arrays and int workspaces of
+    {!run}, read by the kernel as [int *]. *)
 
 type origin =
   | Compiled  (** the C compiler ran for this load *)
@@ -66,24 +76,34 @@ val default_cflags : string list
     OCaml executors. *)
 
 val load :
-  ?cflags:string list -> key:int -> entry:string -> string -> kernel option
-(** [load ~key ~entry source] returns the entry point of [source] compiled
-    as a shared object, or [None] when no C compiler is available or the
+  ?cflags:string list -> ?key:int -> entry:string -> string -> kernel option
+(** [load ~entry source] returns the entry point of [source] compiled as a
+    shared object, or [None] when no C compiler is available or the
     compile/load failed (each such fallback bumps a counter and emits a
     one-time note; callers are expected to fall back to the OCaml
     executor).
 
-    The cache key folds [key] (the caller's pattern/options fingerprint,
-    e.g. a {!Sympiler_sparse.Csc.pattern_hash}) with a content hash of
-    [source], [entry], [cflags], and {!compiler_identity} — so any change
-    to the emitted code, the flags, or the toolchain compiles a fresh
-    object, while an identical configuration is served from cache:
-    first from the in-process table (no dlopen), then from the on-disk
-    [.so] (no compile). *)
+    The cache key is a content hash of [source], [entry], [cflags] and
+    {!compiler_identity}, folded into [key] (a caller salt, default 0) —
+    so any change to the emitted code, the flags, or the toolchain
+    compiles a fresh object, while an identical source is served from
+    cache whoever asks: first from the in-process table (no dlopen), then
+    from the on-disk [.so] (no compile). A compile writes the source and
+    the object under names unique to it, then renames the object into
+    place, so processes compiling one key at once do not interfere. *)
 
 val call : kernel -> buf -> buf -> buf -> buf -> int
-(** Invoke the kernel on the raw data of four buffers (pass {!dummy} for
-    unused slots). Allocation-free. *)
+(** Invoke a [sympiler_entry] kernel on the raw data of four buffers (pass
+    {!dummy} for unused slots). Allocation-free. *)
+
+val run : kernel -> int -> float array -> float array array -> ints array -> int
+(** [run k n x f ix] invokes a [sympiler_kernel] entry on the payloads of
+    [x], of each array of [f] (at most 8) and of each Bigarray of [ix] (at
+    most 16; [Invalid_argument] otherwise). Float arrays are flat, so the
+    kernel reads and writes them in place: nothing is copied, and the
+    call allocates nothing, so no GC moves them while it runs. The kernel
+    must stay within the arrays' lengths, and the runtime must have flat
+    float arrays (the default configuration; the caller checks). *)
 
 val dummy : buf
 (** A shared 1-element buffer for unused trampoline slots. *)

@@ -231,6 +231,54 @@ grep -Eq '^sympiler_execute_seconds\{engine="ocaml",family="cholesky",op="factor
 }
 echo "steady --profile: ok"
 
+echo "== native shape smoke =="
+# A factor kernel's C is one text per kernel shape, so patterns of one
+# shape share one compiled object. gyro and thermomech_dM are both
+# simplicial, naturally ordered Cholesky: with one fresh native cache the
+# first run compiles and the second only dlopens. Then four processes
+# compile that shape at once into another fresh cache: each must run
+# native, and the directory must end with one object and no temp files.
+if [ "$have_cc" = "1" ]; then
+  cli=_build/default/bin/sympiler_cli.exe
+  smoke=$(mktemp -d _build/native-smoke.XXXXXX)
+  mkdir "$smoke/seq" "$smoke/conc"
+  for step in "gyro:cc+dlopen" "thermomech_dM:dlopen of cached .so"; do
+    prob=${step%%:*}
+    want=${step#*:}
+    SYMPILER_NATIVE_CACHE="$smoke/seq" "$cli" steady --problem "$prob" \
+      --engine native --repeat 1 > "$smoke/$prob.txt"
+    grep -q "^engine *: native (compiled C, $want in" "$smoke/$prob.txt" || {
+      echo "FAIL: steady --engine native on $prob did not report $want" >&2
+      cat "$smoke/$prob.txt" >&2
+      exit 1
+    }
+    echo "steady --engine native $prob: $want"
+  done
+  for k in 1 2 3 4; do
+    SYMPILER_NATIVE_CACHE="$smoke/conc" "$cli" steady --problem gyro \
+      --engine native --repeat 1 > "$smoke/conc-$k.txt" &
+  done
+  wait
+  for k in 1 2 3 4; do
+    grep -q '^engine *: native (compiled C' "$smoke/conc-$k.txt" || {
+      echo "FAIL: concurrent steady --engine native run $k fell back" >&2
+      cat "$smoke/conc-$k.txt" >&2
+      exit 1
+    }
+  done
+  left=$(ls -A "$smoke/conc")
+  if [ "$(echo "$left" | wc -l)" != "1" ] \
+    || ! echo "$left" | grep -Eqx '[0-9a-f]{16}\.so'; then
+    echo "FAIL: the concurrent cache should hold one .so and nothing else:" >&2
+    echo "$left" >&2
+    exit 1
+  fi
+  echo "4 concurrent compiles of one shape: one object, no temp files"
+  rm -rf "$smoke"
+else
+  echo "skipped: no cc (native shape smoke)"
+fi
+
 echo "== repository benchmark smoke =="
 # perfbench/smoke.py runs every workload of BENCHMARK.json briefly, untraced
 # and traced (about 50 s): each request's off-clock backward-error check

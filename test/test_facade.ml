@@ -308,87 +308,89 @@ let test_ignored_options_share_entry () =
 (* ------------------------- golden C digests ------------------------- *)
 
 (* [Digest.string] of [c_code] for every suite problem under eleven
-   variants, recorded before Cholesky moved onto [Factor.Make]: Cholesky
-   with default options, forced simplicial, AMD-ordered, and threshold
-   1e9; LDL^T, IC(0), LU and ILU(0); and three pipeline DAGs (Cholesky,
-   IC(0), SpMV then Cholesky). *)
+   variants: Cholesky with default options, forced simplicial,
+   AMD-ordered, and threshold 1e9; LDL^T, IC(0), LU and ILU(0); and three
+   pipeline DAGs (Cholesky, IC(0), SpMV then Cholesky). The eight factor
+   variants were re-recorded when their C became a kernel per shape
+   followed by the handle's data; the pipeline digests are unchanged
+   since Cholesky moved onto [Factor.Make]. *)
 let golden_c_digests =
   [
     ( 1,
-      [ "da5a1df0375386c39da04b0c379de17c"; "9880d7ff55cd8c1fdecbf14b25d3ce9a";
-        "955b8aa8b8a34347c735995727dfc7f7"; "9880d7ff55cd8c1fdecbf14b25d3ce9a";
-        "6d380031595904418183ca4f0b36a3a7"; "90f9991d01b8a775e8eb1c66b89c653e";
-        "ece99f9c8dfd6c1deb5bb5fb614b7302"; "b706cc6ee133588376ec1a48aa7bbaa2";
+      [ "cb005ab04881ba98366bfca833ed050e"; "b363345ecb9d805231025946758c1db3";
+        "1f97194d198b45e01655479362d57196"; "b363345ecb9d805231025946758c1db3";
+        "a65b4d9e732b37cf6f1a02ee1120e829"; "020a2a8d6541bb8883c61a09816696e9";
+        "de156338d23eb40f954e1844a237cfb1"; "9a2088294ada8de63904b1589dfd9378";
         "df32f2c2ca6429e975906193c6107382"; "df32f2c2ca6429e975906193c6107382";
         "0517ee4dbad10757987e2b815d0f88af" ] );
     ( 2,
-      [ "2727334cd24b904e6bde8b5967a0c5cd"; "2727334cd24b904e6bde8b5967a0c5cd";
-        "3f19a8da6d9841b088d0f655930c35a0"; "2727334cd24b904e6bde8b5967a0c5cd";
-        "3541a8fc04bf58bd9b6d0fec7701b8ad"; "b1ab2fbbf8eb37a3c37bc114483ba873";
-        "01fc10a066f3a6e4027350e8c32dbaa6"; "6c96c7ffe373c4f064589bacd1fe9f39";
+      [ "f60e9d1a66af79a84c644b8361dc7a2a"; "f60e9d1a66af79a84c644b8361dc7a2a";
+        "8422376f63d98a81600db3ce8b16aab7"; "f60e9d1a66af79a84c644b8361dc7a2a";
+        "0dcd47bf395dabd33df3d410bdfbe15d"; "27926d163a5daa522ddb3e6dd0beb82f";
+        "bc761876c41461d67c4261c74942fbc5"; "1ab867f6bca67ab3962e3e71b5445e63";
         "d6aa9f5199f813bb35029e5acf9e856d"; "d8986aa784d121338bf35eeb0e6a60f2";
         "d31f661690f3ea509e373e00e349bd98" ] );
     ( 3,
-      [ "54bd55077f774223d144090e3ac890eb"; "54bd55077f774223d144090e3ac890eb";
-        "332588783fc04d9794a0bdcdcdb78787"; "54bd55077f774223d144090e3ac890eb";
-        "1a3537101f38ccd60ce87fad3ab34e59"; "07f0d3a78b551444e8766c0123b311ae";
-        "fd2cfa9ab89c5b589721bcce3bb15c35"; "b5d73e5fc81a088585c2236ca361fc55";
+      [ "d0feceaedbb5efd2715e7e8c5e0aef72"; "d0feceaedbb5efd2715e7e8c5e0aef72";
+        "99e16097fd5c8476e9683abf0a9566cf"; "d0feceaedbb5efd2715e7e8c5e0aef72";
+        "892d5daa484909deb028f79a622e242d"; "916cbc177335ee39233dff397539acee";
+        "950f162968bd9314dbeb3863bdca219a"; "1fb6d9f5de0e4f75b2c6a76d55ead434";
         "d056a0952cb92253f216b8ebf7a2019b"; "4b94e11286715e042fe04afe84539470";
         "3de852df889e3b731c25a2796f7af386" ] );
     ( 4,
-      [ "3b4aa6dcc1f98ec48ea10a80b8416e30"; "3b4aa6dcc1f98ec48ea10a80b8416e30";
-        "893c75372dc950678ba973599ee503dd"; "3b4aa6dcc1f98ec48ea10a80b8416e30";
-        "985c792975d6cf9c1240a9259589689a"; "6fbb57431df88956ade6ca9b5128cd59";
-        "33f70c4679d552626184eb448912ad8f"; "97cf96ad45b9d1d4cac27388ae261d34";
+      [ "48f18407d3abe311defaffb18e2e083c"; "48f18407d3abe311defaffb18e2e083c";
+        "52a2eed308180ef76c246465934fc835"; "48f18407d3abe311defaffb18e2e083c";
+        "de300ee5b802a711c46496d05c37c0b2"; "0e16f90e7eb928208599f5225ebdf29d";
+        "b87fb3b95f3639c6413586f8d3e9fca6"; "2a3fa76ba1fddf55e43f9dc82427c6b9";
         "fdabf6f9f4ff9ffd92feddbe167436e3"; "ba72a295fa06a0530015945a80f07f4d";
         "ca20cbb8203222c0c2b491279c7e5e45" ] );
     ( 5,
-      [ "0cbfc4eef1cf72106937f15fa7082296"; "0cbfc4eef1cf72106937f15fa7082296";
-        "301b8203a8af82585580520e4851e2ec"; "0cbfc4eef1cf72106937f15fa7082296";
-        "7b26290935cc3d8c5f5aa67dd8c7c5dc"; "a0e68930e931bfc8a76d6f26c7b8e275";
-        "96b804fce60630457387882060f71ceb"; "535d5d4e03d97fc0420e65e89de5c6f3";
+      [ "c7a3fb93582c2e240829500be9f74fdc"; "c7a3fb93582c2e240829500be9f74fdc";
+        "f7688fc629e750f837c54cf41079fec5"; "c7a3fb93582c2e240829500be9f74fdc";
+        "ac5dc924a1b0ef6c6619d03db8779159"; "70127ed6f3e29567ff493e4818452235";
+        "f7f645460fd43be7ddf615f15f5b963e"; "060c131bc0a875540f3e570064c62bca";
         "19a20d659caff4ab065166bd714ba05c"; "5ec1e5f8f514c76fe16a7beec597badc";
         "a3473bf8a915d678beaf4f3a6175c67a" ] );
     ( 6,
-      [ "bde02b17a10ae5f7c910493198e5ad48"; "192bf55ab1f7139f515d799615641a13";
-        "ad16472054d3b5ebfa6661da91275c92"; "192bf55ab1f7139f515d799615641a13";
-        "6e17c3adba2e21fd48b469e79d235980"; "cc90b336e7d4139d6219d49e3db4caff";
-        "da23d55ec8ceb030e496f6b3be833ffa"; "bacda828a896f9440d725d67ae17912a";
+      [ "a40e0da9c890a5811c2f965ec7acb51f"; "096d4226037ae8eab90f5802b693d406";
+        "7d0eaf15128c534ef81116b0a157b7e8"; "096d4226037ae8eab90f5802b693d406";
+        "5a86a5c4a1fe49f15b5a9f6823a43468"; "8ef893712e97bc476ce2d236bd2ee468";
+        "c32b0e83d25d52dd873f1d719fb485d9"; "a44996cb332f2303213938a0abaa922e";
         "11812574765eaf4df7b8da65c5286b81"; "11812574765eaf4df7b8da65c5286b81";
         "7b2121b40689dd70fd084a710b854f9e" ] );
     ( 7,
-      [ "54c59bebcf2cbb1c5cef48e86a1c0d35"; "54c59bebcf2cbb1c5cef48e86a1c0d35";
-        "08f54c53c58905a4a9b9f423aacf2123"; "54c59bebcf2cbb1c5cef48e86a1c0d35";
-        "46d7b0a3d75340414b1c1d96c37d0dea"; "051dbfd891e4210f413bf6ddc8a2bc83";
-        "5929b47c338cc9d5067722966c67bb84"; "7cd2b0e91da4bb13a51b04c9402b7e28";
+      [ "7945a15a38f4a333c678b89fa269e2ff"; "7945a15a38f4a333c678b89fa269e2ff";
+        "d82474c9bdb821c611961ea90865a280"; "7945a15a38f4a333c678b89fa269e2ff";
+        "c10183c85c8e8299f0d69e99d000ed24"; "ba9f7c60ae2e44c8d337b62b954d4cb4";
+        "97365ab053eff173297d05a5e2c9653a"; "073557a5dcbb5218a734e618129515ab";
         "84b4daa241f6e2e0dd2d32313e2c9143"; "08adf98c747c032f755a0646202cf360";
         "239df54f199987358cc637fdadcf828a" ] );
     ( 8,
-      [ "d01f837872ca3555ef7d45bfc1241687"; "d01f837872ca3555ef7d45bfc1241687";
-        "60ea1210b0b2e467d6697b09560b6c98"; "d01f837872ca3555ef7d45bfc1241687";
-        "e7f1b9836933fe0e65a969f8a493fa27"; "9131581e216bdb513114c36e569f7cdf";
-        "0469da9537644485e92057e62c29f2be"; "befa8c3b98243edf22b6ac180df6e46f";
+      [ "a89da224086be6230fbd41e5f61353b1"; "a89da224086be6230fbd41e5f61353b1";
+        "68172ed733a1a1568a7c64b87937d873"; "a89da224086be6230fbd41e5f61353b1";
+        "63c7e3ea18f7357787f13e9c3b3641f5"; "c56b26bf30a1ca0d560dff31edfd9428";
+        "49e152e7d3ad5a8db18b72fdc560419c"; "c301b8405e004abc8e4b63a22c52e011";
         "d56294d2b8dca5b9cfb8f68b98a8ed2f"; "f1f5e2bbdfc942f2d5dc282705511729";
         "2e0d156f693bd13c050a421144447eae" ] );
     ( 9,
-      [ "5c14c97fb3dd9fc9ddb2305d1bee45b3"; "5c14c97fb3dd9fc9ddb2305d1bee45b3";
-        "5ea86a9a808b5fdeed5957e22d77d119"; "5c14c97fb3dd9fc9ddb2305d1bee45b3";
-        "76874e9f26543d06cbcce8b7de60a619"; "414249b3057acb708a07dd8fa039f4c7";
-        "a006f47541a382fd9e9d891c6ff7b2f2"; "4c6646acb5281c71b4451f0091b72620";
+      [ "20825f3a46e7733f2ea4b71eeedf3e11"; "20825f3a46e7733f2ea4b71eeedf3e11";
+        "58e9aa2076326564b4c11888dee6bf77"; "20825f3a46e7733f2ea4b71eeedf3e11";
+        "9eba0657831af640b2f5a696fd63a8b6"; "f78257735833f079566ffd9575a662c9";
+        "43921f0f0a9fc09314186f13bb8a2184"; "7e235af10e4674a4d9ffa35ba4e7c28d";
         "7eff85f72abd0f0effa62f0a0962110e"; "606767d1ad4f6b6587c3cf923cdfbad2";
         "040a89934207f018e7a3dc5ba0b4d78a" ] );
     ( 10,
-      [ "cd312a81f2791d7edd49edf1a2c378e5"; "cd312a81f2791d7edd49edf1a2c378e5";
-        "4d00956d45869600b95a43a724a6be33"; "cd312a81f2791d7edd49edf1a2c378e5";
-        "e95237c5e77846c09e31ce0b5a43a318"; "bf1f2b941bc8324938b032a243cc6877";
-        "c686a0f18de6f0a233c26b320fa3524c"; "71d8da517f89ff494893fb8af7ecfa17";
+      [ "1a7e856b676b8df910af585216c8d2a7"; "1a7e856b676b8df910af585216c8d2a7";
+        "63e2fc25bccc5038341a22dd15425243"; "1a7e856b676b8df910af585216c8d2a7";
+        "176ce7d3f48a7b0ab7d95c2c709f871f"; "faf8bc48647bec9eb9ca803ca0ea76aa";
+        "27fb7c7eb0f8f7136fe0f2597a715ddc"; "29c43aac5a5f105f5801388410e019d8";
         "b43d7d0642c30a89d5c0b9f5d0a3cc57"; "52bc824fdcdc6eefcb8a6efb9bd0bf1a";
         "62a86938831b361f02ec41ed942622c7" ] );
     ( 11,
-      [ "2f8bbc29a879e11e8a1885490d6da6f4"; "2f8bbc29a879e11e8a1885490d6da6f4";
-        "a35f6419fd8069d4ca3d490590a272d3"; "2f8bbc29a879e11e8a1885490d6da6f4";
-        "3f32ab352e4d55bec42d224e582e26bb"; "401fb459d6a01c16b917cc8b6e31fb18";
-        "3582f304255085739c71b5390177617c"; "b5f16ca111e06c60b4ead98c1c6ea7ce";
+      [ "f4374c9101fd27102e2ea24913bb7fc4"; "f4374c9101fd27102e2ea24913bb7fc4";
+        "10eddfd40185ada24dfcbb0170647763"; "f4374c9101fd27102e2ea24913bb7fc4";
+        "e1b76c4bfe2aa6704b76ce21ac2af3a3"; "def08f905d267acbce950d730ad2ea2a";
+        "9ba99d583b862279f97627f3c185e533"; "50df62dc2f58be9623a3ff959c4274bf";
         "ddaa54ebf4ceac3f78826d6667456612"; "a1cd156f6ade8c167dac40a9cacfffac";
         "4b23f3adfe66001ddad189be8f5331a8" ] );
   ]

@@ -121,25 +121,41 @@ let prop_pipeline_preserves_semantics =
           (true, true, true);
         ])
 
+(* Both kernel shapes through the interpreter, bound by the builder the
+   facade uses: the ordered kernel reads its input through [amap], here a
+   reversal of the value positions. *)
 let test_cholesky_pipeline_matches_oracle () =
+  let module F = Sympiler_symbolic.Fill_pattern in
   let a = Generators.grid2d ~stencil:`Nine 5 5 in
   let al = Csc.lower a in
-  let fill = Sympiler_symbolic.Fill_pattern.analyze al in
-  let lpat = fill.Sympiler_symbolic.Fill_pattern.l_pattern in
+  let fill = F.analyze al in
+  let lpat = fill.F.l_pattern in
   let oracle = Helpers.oracle_cholesky a in
+  let nnz = Csc.nnz al in
+  let amap = Array.init nnz (fun p -> nnz - 1 - p) in
+  let natural = Array.make nnz 0.0 in
+  Array.iteri (fun p q -> natural.(q) <- al.Csc.values.(p)) amap;
   List.iter
-    (fun ll ->
-      let r = Pipeline.cholesky ~low_level:ll al in
-      let lx = Pipeline.run_cholesky r al ~nnz_l:(Csc.nnz lpat) in
+    (fun (ll, ordered) ->
+      let k = Pipeline.cholesky_kernel ~low_level:ll ~ordered () in
+      let s =
+        Pipeline.cholesky_shaped k
+          ?amap:(if ordered then Some amap else None)
+          al ~lp:lpat.Csc.colptr ~li:lpat.Csc.rowind ~row_ptr:(F.row_ptr fill)
+          ~row_set:(Bigstore.flatten (F.row_store fill))
+      in
+      let lx =
+        Pipeline.run_cholesky k s (if ordered then natural else al.Csc.values)
+      in
       let l =
         Csc.create ~nrows:al.Csc.ncols ~ncols:al.Csc.ncols
           ~colptr:lpat.Csc.colptr ~rowind:lpat.Csc.rowind ~values:lx
       in
       Alcotest.(check bool)
-        (Printf.sprintf "cholesky AST low_level=%b" ll)
+        (Printf.sprintf "cholesky AST low_level=%b ordered=%b" ll ordered)
         true
         (Dense.max_abs_diff oracle (Dense.of_csc l) < 1e-7))
-    [ false; true ]
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 (* ---- individual passes ---- *)
 

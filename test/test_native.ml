@@ -35,6 +35,64 @@ let diff_zoo () =
       List.mem name [ "grid5_8x8"; "clique"; "blocktri"; "dense-ish"; "tiny" ])
     (Helpers.spd_zoo ())
 
+(* Every factor family, Cholesky once per variant (forced), behind one
+   record: [build ordering engine a] compiles [a]'s pattern and makes one
+   plan. [square] families take A, the others lower(A). *)
+type plan = {
+  exec : Csc.t -> unit;  (** [execute_ip], result discarded *)
+  values : Csc.t -> float array;  (** [execute_ip], factor values copied *)
+  native : NE.exec option;
+}
+
+type family = {
+  fname : string;
+  square : bool;
+  build : Sympiler.ordering -> Sympiler.engine -> Csc.t -> plan;
+  c_code : Sympiler.ordering -> Csc.t -> string;
+}
+
+let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
+    fname
+    (module F : Sympiler.Factor.S with type output = o)
+    (vals : o -> float array) =
+  let compile ordering a =
+    F.compile ~opts:{ base with Sympiler.Options.ordering } a
+  in
+  {
+    fname;
+    square;
+    build =
+      (fun ordering engine a ->
+        let p = F.plan ~engine (compile ordering a) in
+        {
+          exec = (fun i -> ignore (F.execute_ip p i : o));
+          values = (fun i -> Array.copy (vals (F.execute_ip p i)));
+          native = p.F.native;
+        });
+    c_code = (fun ordering a -> F.c_code (compile ordering a));
+  }
+
+let families =
+  [
+    family "cholesky supernodal"
+      ~base:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
+      (module Sympiler.Cholesky)
+      (fun l -> l.Csc.values);
+    family "cholesky simplicial"
+      ~base:(Sympiler.Options.make ~simplicial:true ())
+      (module Sympiler.Cholesky)
+      (fun l -> l.Csc.values);
+    family "ldlt" (module Sympiler.Ldlt) (fun f ->
+        Array.append f.Ldlt.l.Csc.values f.Ldlt.d);
+    family ~square:true "lu" (module Sympiler.Lu) (fun f ->
+        Array.append f.Lu.l.Csc.values f.Lu.u.Csc.values);
+    family "ic0" (module Sympiler.Ic0) (fun l -> l.Csc.values);
+    family ~square:true "ilu0" (module Sympiler.Ilu0) (fun f -> f.Ilu0.values);
+  ]
+
+let input fam a = if fam.square then a else Csc.lower a
+let find name = List.find (fun f -> f.fname = name) families
+
 (* ---------------- per-family differential checks ---------------- *)
 
 let test_trisolve_native () =
@@ -246,7 +304,206 @@ let test_native_zero_pivot () =
     fn.Ldlt.l.Csc.values;
   check_vals "reusable after zero pivot (D)" fo.Ldlt.d fn.Ldlt.d
 
+(* An ordered plan's kernel reads the caller's natural-order values
+   through the ordering's gather map (or the map composed into its own):
+   no OCaml gather, same factors. *)
+let test_native_ordered () =
+  require_native ();
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun (name, a) ->
+          let a = input fam a in
+          let po = fam.build `Amd `Ocaml a in
+          let pn = fam.build `Amd `Native a in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: native loaded" fam.fname name)
+            true (pn.native <> None);
+          check_vals
+            (Printf.sprintf "%s %s amd" fam.fname name)
+            (po.values a) (pn.values a))
+        (diff_zoo ()))
+    families
+
+(* n = 0 and n = 1 (a stored diagonal of either sign or zero, or none):
+   the native plan gives the OCaml plan's factor, or its compile or plan
+   raises the OCaml one's exception. *)
+let test_native_degenerate () =
+  require_native ();
+  let one colptr rowind values =
+    Csc.create ~nrows:1 ~ncols:1 ~colptr ~rowind ~values
+  in
+  let cases =
+    [
+      ( "n=0",
+        Csc.create ~nrows:0 ~ncols:0 ~colptr:[| 0 |] ~rowind:[||] ~values:[||]
+      );
+      ("n=1", one [| 0; 1 |] [| 0 |] [| 4.0 |]);
+      ("n=1 negative", one [| 0; 1 |] [| 0 |] [| -1.0 |]);
+      ("n=1 zero", one [| 0; 1 |] [| 0 |] [| 0.0 |]);
+      ("n=1 no entries", one [| 0; 0 |] [||] [||]);
+    ]
+  in
+  (* The OCaml supernodal executor raises the dense panel kernel's
+     exception, every native Cholesky plan the simplicial one. *)
+  let error = function
+    | Dense_blas.Not_positive_definite j ->
+        Error (Printexc.to_string (Cholesky_ref.Not_positive_definite j))
+    | e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun (cname, a) ->
+          let msg = Printf.sprintf "%s %s" fam.fname cname in
+          let outcome engine =
+            match fam.build `Natural engine a with
+            | exception e -> error e
+            | p -> (
+                if engine = `Native then
+                  Alcotest.(check bool) (msg ^ ": native loaded") true
+                    (p.native <> None);
+                match p.values a with
+                | v -> Ok (Array.map Int64.bits_of_float v)
+                | exception e -> error e)
+          in
+          Alcotest.(check bool)
+            (msg ^ ": native = ocaml")
+            true
+            (outcome `Native = outcome `Ocaml))
+        cases)
+    families
+
+(* Both native Cholesky kernels report a non-positive pivot where the
+   OCaml executors raise, and the plan then factors as a fresh one. *)
+let test_native_cholesky_pivot () =
+  require_native ();
+  let al = (Sympiler.Suite.problem 1).Sympiler.Suite.a_lower in
+  let n = al.Csc.ncols in
+  let values = Array.copy al.Csc.values in
+  (* lower(A), rows sorted: the diagonal leads its column *)
+  let d = al.Csc.colptr.(n - 1) in
+  values.(d) <- -.values.(d);
+  let bad = { al with Csc.values } in
+  List.iter
+    (fun name ->
+      let fam = find name in
+      let p = fam.build `Natural `Native al in
+      Alcotest.(check bool) (name ^ ": native loaded") true (p.native <> None);
+      let col =
+        match p.exec bad with
+        | () -> -1
+        | exception Cholesky_ref.Not_positive_definite j -> j
+      in
+      Alcotest.(check int) (name ^ ": raises at the last column") (n - 1) col;
+      Alcotest.(check bool)
+        (name ^ ": then factors as a fresh plan, bitwise")
+        true
+        (Helpers.same_bits (p.values al)
+           ((fam.build `Natural `Native al).values al)))
+    [ "cholesky supernodal"; "cholesky simplicial" ]
+
+(* The artifact runs the same kernel: each family's [c_code], compiled
+   standalone with the engine's optimization flags, factors the input to
+   the native plan's arrays bit for bit. The entry takes the input, then
+   the first [k] of the plan's factor and workspace arrays. *)
+let test_artifact_bitwise () =
+  require_native ();
+  let cc = Option.get (N.cc ()) in
+  let a = Generators.clique_chain ~seed:3 ~n:60 ~clique:8 ~overlap:2 () in
+  Helpers.with_temp_dir (fun dir ->
+      List.iteri
+        (fun case (name, ordering, entry, k) ->
+          let fam = find name in
+          let a = input fam a in
+          let p = fam.build ordering `Native a in
+          p.exec a;
+          let f = (Option.get p.native).NE.f in
+          let buf = Buffer.create 65536 in
+          Buffer.add_string buf (fam.c_code ordering a);
+          let arr name (v : float array) =
+            Printf.bprintf buf "static double %s[%d] = {%s};\n" name
+              (max 1 (Array.length v))
+              (String.concat ","
+                 (Array.to_list (Array.map (Printf.sprintf "%h") v)))
+          in
+          Buffer.add_string buf "\n#include <stdio.h>\n";
+          arr "ax" a.Csc.values;
+          let outs = List.init k (fun i -> Printf.sprintf "o%d" i) in
+          List.iteri
+            (fun i o -> arr o (Array.make (Array.length f.(i)) 0.0))
+            outs;
+          Printf.bprintf buf "int main(void) {\n  %s(ax, %s);\n" entry
+            (String.concat ", " outs);
+          List.iteri
+            (fun i o ->
+              Printf.bprintf buf
+                "  for (int i = 0; i < %d; i++) printf(\"%%a\\n\", %s[i]);\n"
+                (Array.length f.(i)) o)
+            outs;
+          Buffer.add_string buf "  return 0;\n}\n";
+          let src = Filename.concat dir (Printf.sprintf "a%d.c" case) in
+          let exe = Filename.concat dir (Printf.sprintf "a%d" case) in
+          Out_channel.with_open_text src (fun oc ->
+              Out_channel.output_string oc (Buffer.contents buf));
+          let rc =
+            Sys.command
+              (Printf.sprintf
+                 "%s -O3 -march=native -ffp-contract=off -o %s %s -lm"
+                 (Filename.quote cc) (Filename.quote exe) (Filename.quote src))
+          in
+          Alcotest.(check int) (name ^ ": artifact compiles") 0 rc;
+          let ic = Unix.open_process_in (Filename.quote exe) in
+          let got =
+            List.init k (fun i ->
+                Array.init (Array.length f.(i)) (fun _ ->
+                    float_of_string (input_line ic)))
+          in
+          ignore (Unix.close_process_in ic);
+          List.iteri
+            (fun i g ->
+              Helpers.bitwise
+                (Printf.sprintf "%s artifact array %d = native plan's" name i)
+                f.(i) g)
+            got)
+        [
+          ("cholesky supernodal", `Natural, "cholesky_supernodal", 1);
+          ("cholesky simplicial", `Amd, "cholesky", 2);
+          ("ldlt", `Amd, "ldlt_factor", 2);
+          ("lu", `Natural, "lu_factor", 2);
+          ("ic0", `Amd, "ic0_factor", 1);
+          ("ilu0", `Amd, "ilu0_factor", 1);
+        ])
+
 (* --------------------------- cache accounting --------------------------- *)
+
+(* Patterns of one shape share one object; the ordered variant is a shape
+   of its own. *)
+let test_shape_sharing () =
+  require_native ();
+  Helpers.with_temp_dir (fun dir ->
+      Unix.putenv "SYMPILER_NATIVE_CACHE" dir;
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "SYMPILER_NATIVE_CACHE" "")
+        (fun () ->
+          N.clear_memory_cache ();
+          N.reset_stats ();
+          let simp = find "cholesky simplicial" in
+          let grid k = Csc.lower (Generators.grid2d ~stencil:`Five k k) in
+          let p1 = simp.build `Natural `Native (grid 5) in
+          let p2 = simp.build `Natural `Native (grid 6) in
+          let s = N.stats () in
+          Alcotest.(check int) "two natural patterns: one compile" 1
+            s.N.compiles;
+          Alcotest.(check int) "the second is a memory hit" 1 s.N.memory_hits;
+          (match (p1.native, p2.native) with
+          | Some e1, Some e2 ->
+              Alcotest.(check bool) "one kernel" true (e1.NE.nk == e2.NE.nk)
+          | _ -> Alcotest.fail "native exec missing");
+          ignore (simp.build `Amd `Native (grid 5) : plan);
+          Alcotest.(check int) "natural and ordered: two compiles" 2
+            (N.stats ()).N.compiles))
+
 
 let test_so_cache () =
   require_native ();
@@ -352,7 +609,61 @@ let test_native_zero_alloc () =
       let pl = Sympiler.Ldlt.plan ~engine:`Native (Sympiler.Ldlt.compile al) in
       check "ldlt" (pl.Sympiler.Ldlt.native <> None) (fun () ->
           ignore (Sympiler.Ldlt.execute_ip pl al : Ldlt.factors)))
-    [ 1; 5 ]
+    [ 1; 5 ];
+  (* the families that read their input in place, and an ordered plan *)
+  let a = Generators.grid2d ~stencil:`Five 8 8 in
+  List.iter
+    (fun (name, ordering) ->
+      let fam = find name in
+      let a = input fam a in
+      let p = fam.build ordering `Native a in
+      Alcotest.(check bool) (name ^ " native loaded") true (p.native <> None);
+      let w = minor_words_per_call (fun () -> p.exec a) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s native allocates nothing (%.2f w/call)" name w)
+        true (w < 1.0))
+    [
+      ("lu", `Natural);
+      ("ic0", `Natural);
+      ("ilu0", `Natural);
+      ("cholesky simplicial", `Amd);
+      ("cholesky supernodal", `Amd);
+    ]
+
+(* An ordered handle that a rank update escalated has a compiled pattern
+   its ordering's map does not cover, and every native plan of it is
+   refused — also after a natural native plan of the escalated pattern
+   itself (the handle the escalation compiles through the default cache,
+   and copies). *)
+let test_escalated_ordered_refused () =
+  let module C = Sympiler.Cholesky in
+  let b = Generators.grid2d ~stencil:`Five 3 3 in
+  let a = Helpers.block_diag [ b; b ] in
+  let al = Csc.lower a in
+  let opts =
+    { Sympiler.Options.default with Sympiler.Options.ordering = `Amd }
+  in
+  let w =
+    { Vector.n = a.Csc.ncols; indices = [| 0; 9 |]; values = [| 1.0; -1.0 |] }
+  in
+  let escalated () =
+    let p = C.plan (C.compile ~opts al) in
+    ignore (C.execute_ip p al : Csc.t);
+    C.update_ip p ~sigma:0.5 w;
+    Alcotest.(check bool) "escalated" true (p.C.esc_map <> None);
+    p.C.handle
+  in
+  let natural =
+    C.compile
+      ~opts:{ opts with Sympiler.Options.ordering = `Natural; cache = true }
+      (escalated ()).C.pattern
+  in
+  let pn = C.plan ~engine:`Native natural in
+  ignore (C.execute_ip pn natural.C.pattern : Csc.t);
+  Alcotest.(check bool) "native plan of the escalated handle refused" true
+    (match C.plan ~engine:`Native (escalated ()) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* ------------------------------ fallback ------------------------------ *)
 
@@ -390,8 +701,14 @@ let suite =
     ("ilu0 native = ocaml", `Slow, test_ilu0_native);
     qcheck_cholesky_native;
     qcheck_ldlt_native;
+    ("native = ocaml, AMD-ordered", `Slow, test_native_ordered);
+    ("native degenerate sizes", `Slow, test_native_degenerate);
     ("native zero pivot", `Slow, test_native_zero_pivot);
+    ("native cholesky pivot", `Slow, test_native_cholesky_pivot);
+    ("artifact = native plan, bitwise", `Slow, test_artifact_bitwise);
     ("so cache accounting", `Slow, test_so_cache);
+    ("one object per kernel shape", `Slow, test_shape_sharing);
     ("native zero allocation", `Slow, test_native_zero_alloc);
+    ("escalated ordered handle refused", `Slow, test_escalated_ordered_refused);
     ("fallback without cc", `Quick, test_fallback_no_cc);
   ]
