@@ -210,11 +210,7 @@ let fig7 () =
          VS-Block threshold, as the paper's Sympiler skips VS-Block for
          matrices with small supernodes (3,4,5,7 there). *)
       let t_sym = Sympiler.Cholesky.compile al in
-      let variant =
-        match Sympiler.Cholesky.variant t_sym with
-        | Sympiler.Cholesky.Supernodal -> "supernodal"
-        | Sympiler.Cholesky.Simplicial -> "simplicial"
-      in
+      let variant = Sympiler.Cholesky.(variant_name (variant t_sym)) in
       let t_vsblk, t_full =
         match Sympiler.Cholesky.variant t_sym with
         | Sympiler.Cholesky.Supernodal ->
@@ -938,7 +934,8 @@ let spawn_factor_ip (p : CP.plan) al =
     let lo = c.CP.level_ptr.(lv) and hi = c.CP.level_ptr.(lv + 1) in
     if p.CP.ndomains <= 1 || hi - lo < 8 then
       for t = lo to hi - 1 do
-        CP.process_target c al p.CP.lx p.CP.relpos.(0) c.CP.level_sn.(t)
+        CP.process_target c al p.CP.lx p.CP.relpos.(0) p.CP.wbuf.(0)
+          c.CP.level_sn.(t)
       done
     else begin
       p.CP.lv <- lv;

@@ -153,10 +153,9 @@ let cholesky matrix problem ordering out profile trace metrics =
       ~opts:(Sympiler.Options.make ~ordering:(ordering_of_flag ordering) ())
       al
   in
-  Printf.eprintf "variant: %s, nnz(L)=%d, symbolic %.1f ms\n"
-    (match Sympiler.Cholesky.variant t with
-    | Sympiler.Cholesky.Supernodal -> "supernodal"
-    | Sympiler.Cholesky.Simplicial -> "simplicial")
+  Printf.eprintf "variant: %s (C kernel: %s), nnz(L)=%d, symbolic %.1f ms\n"
+    Sympiler.Cholesky.(variant_name (variant t))
+    Sympiler.Cholesky.(variant_name (native_variant t))
     t.Sympiler.Cholesky.nnz_l
     (t.Sympiler.Cholesky.symbolic_seconds *. 1e3);
   output out (Sympiler.Cholesky.c_code t);
@@ -227,10 +226,9 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
   Printf.printf "n                : %d\n" a.Csc.ncols;
   Printf.printf "ordering         : %s\n" (ordering_flag_name ordering);
   Printf.printf "nnz(L)           : %d\n" h.Sympiler.Cholesky.nnz_l;
-  Printf.printf "variant          : %s\n"
-    (match Sympiler.Cholesky.variant h with
-    | Sympiler.Cholesky.Supernodal -> "supernodal"
-    | Sympiler.Cholesky.Simplicial -> "simplicial");
+  Printf.printf "variant          : %s (native kernel: %s)\n"
+    Sympiler.Cholesky.(variant_name (variant h))
+    Sympiler.Cholesky.(variant_name (native_variant h));
   Printf.printf "engine           : %s\n"
     (match (engine, p.Sympiler.Cholesky.native) with
     | `Ocaml, _ -> "ocaml"

@@ -10,7 +10,13 @@ module Trace = Sympiler_trace.Trace
    chooses between — supernodal, simplicial, and the level-parallel
    supernodal one. [Sympiler.Cholesky] is the {!Factor.Make} instance over
    this module, and [Pipeline] calls {!compile_fill} on its shared
-   analysis, so the decision is taken in one place. *)
+   analysis, so the decision is taken in one place.
+
+   VS-Block is decided per executor. The handle's decision picks the OCaml
+   executor. The emitted C runs dense loops that the OCaml ones do not, so
+   a native plan of a simplicial handle runs the supernodal kernel when
+   the work sits in wide supernodes ({!native_upgrade}), unless the caller
+   pinned the variant. *)
 
 type variant = Supernodal | Simplicial
 
@@ -20,6 +26,9 @@ type kernel =
 
 type compiled = {
   kernel : kernel;
+  pinned : bool;
+      (* the caller fixed the variant ([simplicial], or an explicit
+         threshold): native plans follow it too *)
   flops : float;
   nnz_l : int;
   decisions : Trace.decision list;
@@ -35,8 +44,14 @@ type output = Csc.t
 let name = "cholesky"
 let lower = true
 
-(* Minimum average supernode width for VS-Block to pay off. *)
+(* Minimum average supernode width for VS-Block to pay off in the OCaml
+   executors. *)
 let default_threshold = 2.0
+
+(* Minimum flop-weighted supernode width (Supernodes.flop_weighted_width)
+   for the emitted supernodal C to beat the emitted simplicial C: the
+   crossover measured in EXPERIMENTS.md (A1). *)
+let native_width = 6.0
 
 let variant (c : compiled) =
   match c.kernel with Sup _ -> Supernodal | Simp _ -> Simplicial
@@ -92,6 +107,8 @@ let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
     kernel =
       (if go_supernodal then Sup (Cholesky_supernodal.Sympiler.compile ~fill a_lower)
        else Simp (Cholesky_ref.Decoupled.compile ~fill a_lower));
+    pinned =
+      opts.Options.simplicial || Option.is_some opts.Options.vs_block_threshold;
     flops = Fill.flops fill;
     nnz_l;
     decisions = [ d_vi; d_vs ];
@@ -141,13 +158,41 @@ let flops (c : compiled) = c.flops
 let nnz_l (c : compiled) = c.nnz_l
 let decisions (c : compiled) = c.decisions
 
+(* The supernodal analysis of an unpinned simplicial handle's own L
+   pattern when its flop-weighted width reaches [native_width]: built at
+   native plan time from the column pattern, with no second fill
+   analysis. *)
+let native_upgrade (c : compiled) : Cholesky_supernodal.analysis option =
+  match c.kernel with
+  | Simp s when not c.pinned ->
+      let module D = Cholesky_ref.Decoupled in
+      let an =
+        Cholesky_supernodal.of_pattern ~l_colptr:s.D.l_colptr
+          ~l_rowind:s.D.l_rowind
+      in
+      if Cholesky_supernodal.flop_weighted_width an >= native_width then Some an
+      else None
+  | _ -> None
+
+(* The kernel a native plan of the handle runs. *)
+let native_variant (c : compiled) =
+  match c.kernel with
+  | Sup _ -> Supernodal
+  | Simp _ -> if native_upgrade c = None then Simplicial else Supernodal
+
 (* The supernodal kernel, or the left-looking simplicial kernel of the IR
    pipeline over the compiled handle's own pattern arrays: its prune-sets
-   are the row patterns the up-looking OCaml executor iterates. *)
+   are the row patterns the up-looking OCaml executor iterates. Both write
+   the same CSC arrays, so an upgraded simplicial plan's factor is the
+   OCaml plan's [lx]. *)
 let native (c : compiled) (pattern : Csc.t) (omap : int array option) =
-  match c.kernel with
-  | Sup s -> Codegen_supernodal.shaped s pattern omap
-  | Simp s ->
+  match (c.kernel, native_upgrade c) with
+  | Sup s, _ -> Codegen_supernodal.shaped s pattern omap
+  | Simp _, Some an ->
+      Codegen_supernodal.shaped
+        (Cholesky_supernodal.Sympiler.of_analysis an)
+        pattern omap
+  | Simp s, None ->
       let module P = Sympiler_ir.Pipeline in
       let module D = Cholesky_ref.Decoupled in
       P.cholesky_shaped

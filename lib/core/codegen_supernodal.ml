@@ -10,29 +10,52 @@ module Pretty_c = Sympiler_ir.Pretty_c
    inspection set — supernode boundaries, the update schedule, L's
    pattern — is an argument, so the text is one per kernel shape
    (natural, or reading natural-order input through the ordering's gather
-   map [amap]); numeric inputs (Ax) and outputs (Lx) are the only values
-   it touches. *)
+   map [amap]); numeric inputs (Ax), outputs (Lx) and the update buffer
+   (W) are the only values it touches. Each descendant update forms the
+   sums of [Cholesky_supernodal.apply_update_generic] in the same order, a
+   column of W at a time, and scatters each entry once; each panel column
+   is factored as contiguous axpys in the order of
+   [Dense_blas.panel_factor_fused]. So the factor equals the OCaml
+   executor's bit for bit. *)
 
 let text ~ordered =
   Printf.sprintf
     {|#include <math.h>
 
+/* The three dense loops of the supernodal kernel, out of line: cc then
+   vectorizes each loop once, which keeps the kernel's compile time down. */
+__attribute__((noinline)) static void sn_axpy(int n, double a,
+  const double *restrict x, double *restrict y) {
+  for (int i = 0; i < n; i++) y[i] += x[i] * a;
+}
+
+__attribute__((noinline)) static void sn_axpy_sub(int n, double a,
+  const double *restrict x, double *restrict y) {
+  for (int i = 0; i < n; i++) y[i] -= x[i] * a;
+}
+
+__attribute__((noinline)) static void sn_div(int n, double d,
+  double *restrict y) {
+  for (int i = 0; i < n; i++) y[i] /= d;
+}
+
 /* cholesky_supernodal_kernel: generated by Sympiler for one kernel shape;
    the supernode partition, the update schedule and the pattern of L are
    passed as arguments. Ax: values of lower(A)%s; Lx: output factor values
-   (size Lp[n]); relpos: workspace of size n. Returns -1 on success, j
-   when the pivot at column j is not positive. */
+   (size Lp[n]); relpos: workspace of size n; W: workspace of the largest
+   updM. Returns -1 on success, j when the pivot at column j is not
+   positive. */
 int cholesky_supernodal_kernel(int nsuper, const int *restrict Ap,
   const int *restrict Ai, const int *restrict Lp, const int *restrict Li,
   const int *restrict snPtr, const int *restrict snBelow,
   const int *restrict schedPtr, const int *restrict updD,
   const int *restrict updFirst, const int *restrict updT,
   const int *restrict updM,%s int *restrict relpos,
-  const double *restrict Ax, double *restrict Lx) {
+  const double *restrict Ax, double *restrict Lx, double *restrict W) {
   for (int s = 0; s < nsuper; s++) {
-    int c0 = snPtr[s], c1 = snPtr[s + 1], w = c1 - c0, nb = snBelow[s];
+    int c0 = snPtr[s], c1 = snPtr[s + 1], nb = snBelow[s];
     /* panel row offsets and initialization from A */
-    for (int idx = 0; idx < w + nb; idx++) relpos[Li[Lp[c0] + idx]] = idx;
+    for (int idx = 0; idx < c1 - c0 + nb; idx++) relpos[Li[Lp[c0] + idx]] = idx;
     for (int j = c0; j < c1; j++) {
       for (int p = Lp[j]; p < Lp[j + 1]; p++) Lx[p] = 0.0;
       for (int p = Ap[j]; p < Ap[j + 1]; p++) {
@@ -40,51 +63,38 @@ int cholesky_supernodal_kernel(int nsuper, const int *restrict Ap,
         if (i >= j) Lx[Lp[j] + relpos[i] - (j - c0)] = %s;
       }
     }
-    /* descendant updates (the schedule computed at compile time) */
+    /* descendant updates (the schedule computed at compile time): column
+       tt of W = L(rows, d) L(row tt, d)^T summed over d's columns in
+       order, then scatter-subtracted into the target once */
     for (int q = schedPtr[s]; q < schedPtr[s + 1]; q++) {
       int d = updD[q], first = updFirst[q], t = updT[q], m = updM[q];
       int d0 = snPtr[d], d1 = snPtr[d + 1];
-      int rows = Lp[d0] + (d1 - d0) + first;
+      const int *rows = Li + Lp[d0] + (d1 - d0) + first;
       for (int tt = 0; tt < t; tt++) {
-        int k = Li[rows + tt];
-        int col = Lp[k] - (k - c0);
+        for (int mm = tt; mm < m; mm++) W[mm] = 0.0;
         for (int j = d0; j < d1; j++) {
-          int base = Lp[j] + (d1 - j) + first;
-          double ltop = Lx[base + tt];
-          if (ltop != 0.0) {
-            #pragma GCC ivdep
-            for (int mm = tt; mm < m; mm++)
-              Lx[col + relpos[Li[rows + mm]]] -= Lx[base + mm] * ltop;
-          }
+          const double *lj = Lx + Lp[j] + (d1 - j) + first;
+          double ltop = lj[tt];
+          if (ltop != 0.0) sn_axpy(m - tt, ltop, lj + tt, W + tt);
         }
+        int k = rows[tt];
+        double *col = Lx + Lp[k] - (k - c0);
+        for (int mm = tt; mm < m; mm++) col[relpos[rows[mm]]] -= W[mm];
       }
     }
-    /* dense panel factorization: potrf on the diagonal block, trsm below */
+    /* dense panel factorization, left-looking by column: potrf on the
+       diagonal block and trsm below it in one contiguous pass */
     for (int j = c0; j < c1; j++) {
-      int base = Lp[j];
-      double dd = Lx[base];
+      double *lj = Lx + Lp[j];
+      int len = c1 - j + nb;
       for (int k = c0; k < j; k++) {
-        double v = Lx[Lp[k] + (j - k)];
-        dd -= v * v;
+        const double *lk = Lx + Lp[k] + (j - k);
+        if (lk[0] != 0.0) sn_axpy_sub(len, lk[0], lk, lj);
       }
-      if (dd <= 0.0) return j;
-      double djj = sqrt(dd);
-      Lx[base] = djj;
-      for (int i = j + 1; i < c1; i++) {
-        double sum = Lx[base + i - j];
-        for (int k = c0; k < j; k++)
-          sum -= Lx[Lp[k] + (i - k)] * Lx[Lp[k] + (j - k)];
-        Lx[base + i - j] = sum / djj;
-      }
-      int bj = Lp[j] + (c1 - j);
-      for (int k = c0; k < j; k++) {
-        double lkj = Lx[Lp[k] + (j - k)];
-        int bk = Lp[k] + (c1 - k);
-        #pragma GCC ivdep
-        for (int tt2 = 0; tt2 < nb; tt2++) Lx[bj + tt2] -= Lx[bk + tt2] * lkj;
-      }
-      #pragma GCC ivdep
-      for (int tt2 = 0; tt2 < nb; tt2++) Lx[bj + tt2] /= djj;
+      if (lj[0] <= 0.0) return j;
+      double djj = sqrt(lj[0]);
+      lj[0] = djj;
+      sn_div(len - 1, djj, lj + 1);
     }
   }
   return -1;
@@ -99,8 +109,15 @@ let shaped (c : Cholesky_supernodal.Sympiler.compiled) (a_lower : Csc.t)
   let an = c.Cholesky_supernodal.Sympiler.an in
   let sn = an.Cholesky_supernodal.sn in
   let nsuper = Sympiler_symbolic.Supernodes.nsuper sn in
-  (* Flatten the update schedule. *)
+  (* Flatten the update schedule; W holds one column of the tallest
+     update. *)
   let sched = c.Cholesky_supernodal.Sympiler.schedule in
+  let wlen =
+    Array.fold_left
+      (Array.fold_left (fun acc (u : Cholesky_supernodal.update) ->
+           max acc u.Cholesky_supernodal.m))
+      1 sched
+  in
   let sched_ptr = Array.make (nsuper + 1) 0 in
   for s = 0 to nsuper - 1 do
     sched_ptr.(s + 1) <- sched_ptr.(s) + Array.length sched.(s)
@@ -143,15 +160,15 @@ let shaped (c : Cholesky_supernodal.Sympiler.compiled) (a_lower : Csc.t)
     n = nsuper;
     data;
     iwork = [ n ];
-    fwork = [];
+    fwork = [ wlen ];
     entry =
       Pretty_c.entry
         ~signature:
           "void cholesky_supernodal(const double *restrict Ax, double \
            *restrict Lx)"
-        ~statics:[ ("int", "relpos", n) ]
+        ~statics:[ ("int", "relpos", n); ("double", "W", wlen) ]
         ~ret:false ~kname:"cholesky_supernodal_kernel" ~n:nsuper ~data
-        [ "relpos"; "Ax"; "Lx" ];
+        [ "relpos"; "Ax"; "Lx"; "W" ];
   }
 
 let to_c c a_lower = Pretty_c.artifact (shaped c a_lower None)

@@ -93,7 +93,8 @@ type applied_ordering = {
   o_name : string;  (* "natural" | "rcm" | "amd" | "min-degree" | "given" *)
   o_map : int array;
       (* gather map: permuted entry [q] reads the natural input's
-         [values.(o_map.(q))]; [||] when natural *)
+         [values.(o_map.(q))], or a structural zero where it is [-1] (an
+         escalated Cholesky handle); [||] when natural *)
 }
 
 let natural_ordering = { o_perm = None; o_name = "natural"; o_map = [||] }
@@ -142,35 +143,27 @@ let values_scratch (pattern : Csc.t) : Csc.t =
 let ordering_scratch (ord : applied_ordering) (pattern : Csc.t) : Csc.t option =
   Option.map (fun _ -> values_scratch pattern) ord.o_perm
 
-(* How many values a caller's input carries: the natural pattern's count
-   (the gather map's length) on ordered plans, the compiled pattern's on
-   natural ones. *)
-let input_nnz (ord : applied_ordering) (pattern : Csc.t) =
-  match ord.o_perm with
-  | None -> Csc.nnz pattern
-  | Some _ -> Array.length ord.o_map
-
 (* Bring a caller's natural-order values into compiled order: ordered plans
    gather into their [scratch], natural ones pass the input through. Either
-   way the value count is checked here, at the facade boundary, because the
-   kernels are built with -unsafe: a wrong-length input must raise, not be
-   read out of bounds. Allocation-free. *)
+   way the value count is checked here against the caller's pattern
+   [natural], at the facade boundary, because the kernels are built with
+   -unsafe: a wrong-length input must raise, not be read out of bounds.
+   Allocation-free. *)
 let plan_input ~who (ord : applied_ordering) (scratch : Csc.t option)
-    (pattern : Csc.t) (a : Csc.t) : Csc.t =
+    (natural : Csc.t) (a : Csc.t) : Csc.t =
   match scratch with
   | Some s ->
-      gather_values ~who ~expect:(Array.length ord.o_map) ord.o_map
-        a.Csc.values s;
+      gather_values ~who ~expect:(Csc.nnz natural) ord.o_map a.Csc.values s;
       s
   | None ->
-      if Array.length a.Csc.values <> Csc.nnz pattern then nnz_mismatch who;
+      if Array.length a.Csc.values <> Csc.nnz natural then nnz_mismatch who;
       a
 
 (* One-shot (allocating) version of the same, for the [factor] convenience
-   entry points. *)
-let ordered_input ~who (ord : applied_ordering) (pattern : Csc.t) (a : Csc.t) :
-    Csc.t =
-  plan_input ~who ord (ordering_scratch ord pattern) pattern a
+   entry points: [pattern] is the compiled one. *)
+let ordered_input ~who (ord : applied_ordering) ~(pattern : Csc.t)
+    ~(natural : Csc.t) (a : Csc.t) : Csc.t =
+  plan_input ~who ord (ordering_scratch ord pattern) natural a
 
 (* Shared ordered-compile preamble for the symmetric families whose
    compiled pattern is lower(A): resolve P on the symmetrized graph and

@@ -152,10 +152,6 @@ module type S = sig
             with the engine that runs *)
     mutable ru : (updown * w_gather) option;
         (** lazy rank-update state and its update-vector gather *)
-    mutable esc_map : int array option;
-        (** after a Cholesky escalation: gather map from the original
-            natural input to the escalated pattern ([-1] = structural
-            zero) *)
   }
   (** The fields are mutable solely for Cholesky's escalation, which swaps
       in a plan built for the escalated pattern. *)
@@ -213,7 +209,6 @@ module Make (F : FAMILY) :
     mutable native : Native_engine.exec option;
     mutable m_exec : Metrics.histogram;
     mutable ru : (updown * w_gather) option;
-    mutable esc_map : int array option;
   }
 
   (* Built once per family, so the hot path never concatenates. *)
@@ -266,16 +261,15 @@ module Make (F : FAMILY) :
   let cache_clear () = Plan_cache.clear default_cache
   let symbolic_seconds (t : t) = t.symbolic_seconds
 
-  (* The ordering's gather map of an ordered handle. An ordered handle
-     that a rank update escalated has a compiled pattern the map does not
-     cover; it has no native kernel. *)
+  (* The ordering's gather map of an ordered handle. The map of a handle a
+     rank update escalated has [-1] entries (structural zeros of the
+     caller's pattern), which no native kernel reads. *)
   let gather_map (t : t) =
     match t.ord.o_perm with
     | None -> None
     | Some _ ->
-        if Array.length t.ord.o_map <> Csc.nnz t.pattern then
-          invalid_arg
-            (who ^ ": an escalated ordered handle has no native kernel");
+        if Array.exists (fun s -> s < 0) t.ord.o_map then
+          invalid_arg (who ^ ": an escalated handle has no native kernel");
         Some t.ord.o_map
 
   let plan ?ndomains ?(engine : Options.engine = `Ocaml) (t : t) : plan =
@@ -286,7 +280,7 @@ module Make (F : FAMILY) :
       | `Native ->
           Native_engine.load
             (F.native t.compiled t.pattern (gather_map t))
-            ~inputs:(input_nnz t.ord t.pattern) ~outputs:(F.outputs p)
+            ~inputs:(Csc.nnz t.natural_pattern) ~outputs:(F.outputs p)
     in
     {
       handle = t;
@@ -297,16 +291,10 @@ module Make (F : FAMILY) :
         execute_hist ~family:F.name ~op:"factor" ~engine:(engine_label native)
           ~ordering:t.ord.o_name;
       ru = None;
-      esc_map = None;
     }
 
   let input ~who (p : plan) (a : Csc.t) : Csc.t =
-    match (p.esc_map, p.scratch) with
-    | Some em, Some s ->
-        gather_values ~who ~expect:(Csc.nnz p.handle.natural_pattern) em
-          a.Csc.values s;
-        s
-    | _ -> plan_input ~who p.handle.ord p.scratch p.handle.pattern a
+    plan_input ~who p.handle.ord p.scratch p.handle.natural_pattern a
 
   (* A native kernel reads the caller's values where they are, through
      the ordering's map on an ordered plan; its non-negative return is
@@ -316,7 +304,7 @@ module Make (F : FAMILY) :
     (match p.native with
     | Some e ->
         let h = p.handle in
-        if Array.length a.Csc.values <> input_nnz h.ord h.pattern then
+        if Array.length a.Csc.values <> Csc.nnz h.natural_pattern then
           nnz_mismatch who_execute;
         e.Native_engine.x <- a.Csc.values;
         let rc = Native_engine.call e in
@@ -336,7 +324,9 @@ module Make (F : FAMILY) :
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
   let factor (t : t) (a : Csc.t) : output =
-    F.factor t.compiled (ordered_input ~who:who_factor t.ord t.pattern a)
+    F.factor t.compiled
+      (ordered_input ~who:who_factor t.ord ~pattern:t.pattern
+         ~natural:t.natural_pattern a)
 
   let ru_state (p : plan) =
     match p.ru with

@@ -624,7 +624,8 @@ let plan (t : t) : plan =
 let prepare (p : plan) (a : Csc.t) : Csc.t =
   let who = "Sympiler.Pipeline.execute_ip" in
   let src =
-    Compile_common.plan_input ~who p.handle.ord p.scratch p.handle.pattern a
+    Compile_common.plan_input ~who p.handle.ord p.scratch
+      p.handle.natural_pattern a
   in
   (match p.lvals with
   | Some lv ->

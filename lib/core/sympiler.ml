@@ -438,6 +438,11 @@ module Cholesky = struct
   type variant = Cholesky_family.variant = Supernodal | Simplicial
 
   let variant (t : t) = Cholesky_family.variant t.compiled
+  let native_variant (t : t) = Cholesky_family.native_variant t.compiled
+
+  let variant_name = function
+    | Supernodal -> "supernodal"
+    | Simplicial -> "simplicial"
   let plan_factor (p : plan) : Csc.t = Cholesky_family.view p.p
 
   (* Escalation: the update needs entries the factor pattern lacks (the
@@ -446,11 +451,14 @@ module Cholesky = struct
      recovered from the factor, the update's clique merged in, and the
      result compiled with the handle's own options (already in compiled
      order, so naturally ordered) through the default cache, where a
-     repeated escalation pattern hits. The replacement is an OCaml plan,
-     built and factored BEFORE any field swaps, so a failed escalation
-     (e.g. a downdate that leaves the matrix indefinite) leaves the plan
-     exactly as it was. [wi]/[wv] are sorted, compiled-order, [len]
-     entries. *)
+     repeated escalation pattern hits. The new handle keeps the caller's
+     natural pattern and ordering and carries its own input map: the old
+     map extended over the grown pattern, [-1] at the entries the caller
+     never passes (structural zeros), so every plan of it gathers the
+     caller's input. The replacement is an OCaml plan, built and factored
+     BEFORE any field swaps, so a failed escalation (e.g. a downdate that
+     leaves the matrix indefinite) leaves the plan exactly as it was.
+     [wi]/[wv] are sorted, compiled-order, [len] entries. *)
   let escalate (p : plan) (rk : updown) ~(neg : bool) ~(sigma : float)
       (wi : int array) (wv : float array) (len : int) : unit =
     Trace.with_span "updown.escalate" ~attrs:[ ("len", Trace.Int len) ]
@@ -463,18 +471,24 @@ module Cholesky = struct
         ~opts:{ h.opts with Options.ordering = `Natural; cache = true }
         a_esc
     in
-    let np = plan { t' with ord = h.ord; natural_pattern = h.natural_pattern } in
+    let n = h.pattern.Csc.ncols in
+    let perm, old_map =
+      match h.ord.o_perm with
+      | Some q -> (q, h.ord.o_map)
+      | None -> (Perm.identity n, Array.init (Csc.nnz h.pattern) Fun.id)
+    in
+    let ord =
+      {
+        h.ord with
+        o_perm = Some perm;
+        o_map = extend_input_map ~old_pattern:h.pattern ~old_map t'.pattern;
+      }
+    in
+    let np = plan { t' with ord; natural_pattern = h.natural_pattern } in
     (* raises, plan untouched, if the updated matrix is not positive
        definite *)
     Cholesky_family.factor_ip np.p a_esc;
-    let old_map =
-      match (p.esc_map, h.ord.o_perm) with
-      | Some em, _ -> em
-      | None, Some _ -> h.ord.o_map
-      | None, None -> Array.init (Csc.nnz h.pattern) Fun.id
-    in
-    p.esc_map <- Some (extend_input_map ~old_pattern:h.pattern ~old_map t'.pattern);
-    p.scratch <- Some (values_scratch t'.pattern);
+    p.scratch <- np.scratch;
     p.handle <- np.handle;
     p.p <- np.p;
     p.native <- None;
@@ -686,6 +700,8 @@ module Explain = struct
     col_count_hist : histogram;
     supernode_width_hist : histogram;
     avg_supernode_width : float;
+    flop_weighted_width : float; (* what the native VS-Block rule reads *)
+    native_kernel : string; (* "supernodal" | "simplicial" *)
     level_depth : int; (* level sets of L's dependence graph *)
     max_level_width : int;
     decisions : Trace.decision list;
@@ -818,6 +834,10 @@ module Explain = struct
       supernode_width_hist =
         histogram (Sympiler_symbolic.Supernodes.widths sn);
       avg_supernode_width = Sympiler_symbolic.Supernodes.avg_width sn;
+      flop_weighted_width =
+        Sympiler_symbolic.Supernodes.flop_weighted_width sn
+          ~counts:fill.Sympiler_symbolic.Fill_pattern.counts;
+      native_kernel = Cholesky.variant_name (Cholesky.native_variant t);
       level_depth = depth;
       max_level_width = maxw;
       decisions;
@@ -853,6 +873,16 @@ module Explain = struct
       supernode_width_hist =
         histogram (Sympiler_symbolic.Supernodes.widths sn);
       avg_supernode_width = Sympiler_symbolic.Supernodes.avg_width sn;
+      flop_weighted_width =
+        Sympiler_symbolic.Supernodes.flop_weighted_width sn ~counts;
+      native_kernel =
+        (if
+           List.exists
+             (fun (d : Trace.decision) ->
+               d.Trace.pass = "vs-block" && d.Trace.fired)
+             t.Trisolve.decisions
+         then "supernodal"
+         else "simplicial");
       level_depth = depth;
       max_level_width = maxw;
       decisions = t.Trisolve.decisions;
@@ -892,6 +922,8 @@ module Explain = struct
            ("col_count_hist", hist_json r.col_count_hist);
            ("supernode_width_hist", hist_json r.supernode_width_hist);
            ("avg_supernode_width", Json.Float r.avg_supernode_width);
+           ("flop_weighted_width", Json.Float r.flop_weighted_width);
+           ("native_kernel", Json.Str r.native_kernel);
            ("level_depth", Json.Int r.level_depth);
            ("max_level_width", Json.Int r.max_level_width);
            ("decisions", Json.List (List.map decision_json r.decisions));
@@ -935,6 +967,8 @@ module Explain = struct
       @ hist_rows "sn width " r.supernode_width_hist
       @ [
           ("avg supernode width", Printf.sprintf "%.3f" r.avg_supernode_width);
+          ("flop-weighted width", Printf.sprintf "%.3f" r.flop_weighted_width);
+          ("native kernel", r.native_kernel);
           ("level depth", string_of_int r.level_depth);
           ("max level width", string_of_int r.max_level_width);
         ]

@@ -114,7 +114,8 @@ type applied_ordering = Compile_common.applied_ordering = {
       (** "natural", "rcm", "amd", "min-degree", or "given" *)
   o_map : int array;
       (** gather map: permuted-pattern entry [q] reads the natural input's
-          [values.(o_map.(q))]; [[||]] when natural *)
+          [values.(o_map.(q))], or a structural zero where it is [-1] (a
+          handle a rank update escalated); [[||]] when natural *)
 }
 (** What an ordered compilation recorded into its handle. *)
 
@@ -290,7 +291,21 @@ module Cholesky : sig
   include Factor.S with type output = Csc.t and type updown := updown
 
   val variant : t -> variant
-  (** What [compile] chose. *)
+  (** What [compile] chose: the kernel of the handle's OCaml plans. *)
+
+  val native_variant : t -> variant
+  (** The kernel of the handle's native plans. A simplicial handle's
+      native plan runs the supernodal C kernel when the handle's
+      flop-weighted supernode width
+      ({!Sympiler_symbolic.Supernodes.flop_weighted_width}) reaches the
+      measured C crossover, 6, and the caller pinned no variant
+      ([opts.simplicial] or an explicit [opts.vs_block_threshold]); its
+      factor is then the one an OCaml plan compiled with
+      [vs_block_threshold = 0.] gives, bit for bit. Otherwise it is
+      {!variant}. *)
+
+  val variant_name : variant -> string
+  (** ["supernodal"] or ["simplicial"]. *)
 
   val plan_factor : plan -> Csc.t
   (** The plan's factor view, refreshed in place by each {!execute_ip}
@@ -307,11 +322,16 @@ module Cholesky : sig
       An update outside the factor pattern {e escalates}: the plan is
       recompiled in place over the augmented pattern (lower(L L^T) + the
       update clique) with the handle's own options, through the default
-      cache, and factored. After it the plan still accepts inputs with the
-      original natural pattern ([esc_map] supplies the structural zeros),
-      but [ndomains]/[engine] requests are dropped back to the sequential
-      OCaml executor, and {!plan_latency} follows it (the [engine="ocaml"]
-      series).
+      cache, and factored. The plan's [handle] becomes the escalated one:
+      it keeps the caller's natural pattern and ordering name, and its
+      [ord] carries its own input map over the grown pattern ([-1] at the
+      structural zeros the caller never passes; on a natural handle the
+      permutation becomes the identity), so the plan, and any fresh plan
+      of that handle, still take inputs with the original natural
+      pattern. [ndomains]/[engine] requests are dropped back to the
+      sequential OCaml executor, {!plan_latency} follows it (the
+      [engine="ocaml"] series), and a native plan or [c_code] of the
+      escalated handle raises [Invalid_argument].
 
       Raises [Invalid_argument] on malformed [w] (a dimension or value
       count that does not match, unsorted, duplicate or out-of-range
@@ -439,6 +459,14 @@ module Explain : sig
     col_count_hist : histogram;  (** nnz per column of L *)
     supernode_width_hist : histogram;
     avg_supernode_width : float;
+    flop_weighted_width : float;
+        (** supernode width averaged over the flop model
+            ({!Sympiler_symbolic.Supernodes.flop_weighted_width}): what
+            the native engine's VS-Block rule reads *)
+    native_kernel : string;
+        (** the kernel a native plan of the handle runs: "supernodal" or
+            "simplicial" (Cholesky: {!Cholesky.native_variant}; a
+            triangular solve follows its own VS-Block decision) *)
     level_depth : int;  (** level sets of L's dependence graph *)
     max_level_width : int;
     decisions : Trace.decision list;

@@ -75,31 +75,32 @@ let compile ?fill ?max_width (a_lower : Csc.t) : compiled =
 
 (* Process one target supernode (panel init, scheduled updates, panel
    factorization) with the specialized kernels and a caller-provided
-   relpos scratch (one per domain). *)
+   relpos scratch and update buffer (one of each per domain). *)
 let process_target (c : compiled) (a_lower : Csc.t) (lx : float array)
-    (relpos : int array) s =
+    (relpos : int array) (wbuf : float array) s =
   let an = c.sym.Cholesky_supernodal.Sympiler.an in
   Cholesky_supernodal.init_panel_from_a an a_lower lx relpos s;
   let ups = c.sym.Cholesky_supernodal.Sympiler.schedule.(s) in
   for i = 0 to Array.length ups - 1 do
-    Cholesky_supernodal.apply_update_fused an lx relpos ~s ups.(i)
+    Cholesky_supernodal.apply_update_generic an lx relpos ~s ups.(i) wbuf
   done;
   Cholesky_supernodal.factor_panel_specialized an lx s
 
 (* Levels narrower than this run inline: a pool dispatch cannot pay off. *)
 let par_min_width = 8
 
-(* A plan owns the factor values, one relpos scratch per domain, the
-   cost-balanced per-level partitions, and a preallocated worker closure,
-   so repeated [factor_ip] calls allocate nothing — parallel or not (the
-   pool's steady state is allocation-free too). The [lv]/[a_lower] fields
-   are the dispatch arguments the closure reads; [part] and [task] are
-   exposed so the bench harness can drive the same chunks through a
-   spawn-per-call baseline. *)
+(* A plan owns the factor values, one relpos scratch and one update
+   buffer per domain, the cost-balanced per-level partitions, and a
+   preallocated worker closure, so repeated [factor_ip] calls allocate
+   nothing — parallel or not (the pool's steady state is allocation-free
+   too). The [lv]/[a_lower] fields are the dispatch arguments the closure
+   reads; [part] and [task] are exposed so the bench harness can drive the
+   same chunks through a spawn-per-call baseline. *)
 type plan = {
   c : compiled;
   lx : float array; (* values of L, plan-owned *)
   relpos : int array array; (* per-domain row-offset scratch *)
+  wbuf : float array array; (* per-domain update buffer *)
   l : Csc.t; (* factor view over [lx] *)
   ndomains : int;
   part : int array array; (* per level: ndomains+1 chunk boundaries *)
@@ -134,12 +135,17 @@ let make_plan ?ndomains (c : compiled) : plan =
         (* Shift the in-level boundaries to absolute level_sn indices. *)
         Array.map (fun t -> lo + t) b)
   in
+  let wlen =
+    Cholesky_supernodal.max_update_size
+      c.sym.Cholesky_supernodal.Sympiler.schedule
+  in
   let rec p =
     {
       c;
       lx;
       relpos =
         Array.init nd (fun _ -> Array.make an.Cholesky_supernodal.n 0);
+      wbuf = Array.init nd (fun _ -> Array.make wlen 0.0);
       l;
       ndomains = nd;
       part;
@@ -149,7 +155,7 @@ let make_plan ?ndomains (c : compiled) : plan =
         (fun w ->
           let b = p.part.(p.lv) in
           for t = b.(w) to b.(w + 1) - 1 do
-            process_target p.c p.a_lower p.lx p.relpos.(w)
+            process_target p.c p.a_lower p.lx p.relpos.(w) p.wbuf.(w)
               p.c.level_sn.(t)
           done);
     }
@@ -163,7 +169,8 @@ let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
     let lo = c.level_ptr.(lv) and hi = c.level_ptr.(lv + 1) in
     if p.ndomains <= 1 || hi - lo < par_min_width then
       for t = lo to hi - 1 do
-        process_target c a_lower p.lx p.relpos.(0) c.level_sn.(t)
+        process_target c a_lower p.lx p.relpos.(0) p.wbuf.(0)
+          c.level_sn.(t)
       done
     else begin
       p.lv <- lv;

@@ -45,6 +45,7 @@ type plan = {
   c : compiled;
   lx : float array;  (** values of L, plan-owned *)
   relpos : int array array;  (** per-domain row-offset scratch *)
+  wbuf : float array array;  (** per-domain update buffer *)
   l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
   ndomains : int;
   part : int array array;
@@ -69,9 +70,12 @@ val factor_ip : plan -> Csc.t -> unit
     steady state, sequential or parallel (the pool barrier allocates
     nothing either). *)
 
-val process_target : compiled -> Csc.t -> float array -> int array -> int -> unit
-(** One target supernode's panel init + scheduled updates + factorization
-    (the unit of level-parallel work); exposed for the bench baseline. *)
+val process_target :
+  compiled -> Csc.t -> float array -> int array -> float array -> int -> unit
+(** [process_target c a_lower lx relpos wbuf s]: one target supernode's
+    panel init + scheduled updates + factorization (the unit of
+    level-parallel work), with one domain's row-offset scratch and update
+    buffer; exposed for the bench baseline. *)
 
 val valid_schedule : compiled -> bool
 (** Every update dependency crosses levels forward (test helper). *)

@@ -14,9 +14,11 @@ module Metrics = Sympiler_metrics.Metrics
 
    - [Sympiler]: the VS-Block executor. The update schedule, row offsets and
      gather maps are all baked in at compile time; the numeric phase applies
-     updates with fused scatter loops, and the low-level variant dispatches
-     width-1 supernodes to a peeled scalar path (the specialized small
-     kernels of §4.2).
+     each update as one dense product into a work buffer scattered once
+     (the order the emitted C follows, so the two engines agree bit for
+     bit), and the low-level variant factors each panel with the merged
+     contiguous kernel and peels width-1 supernodes to a scalar path (the
+     specialized small kernels of §4.2).
 
    L is stored in plain CSC whose column patterns come from symbolic
    factorization; within a supernode the patterns nest, so each panel is a
@@ -39,41 +41,56 @@ type analysis = {
 (* One descendant update: supernode [d] contributes to the current target
    starting at index [first] of d's below-block; the first [t] of its
    remaining [m] rows land in the target's diagonal block. *)
-type update = {
-  d : int;
-  first : int;
-  t : int;
-  m : int;
-  coff : int;
-      (* compile-time contiguity: >= 0 when the m rows map to consecutive
-         panel offsets of the target starting at coff; -1 otherwise *)
-}
+type update = { d : int; first : int; t : int; m : int }
+
+(* The panel geometry of supernodes [sn] over the column pattern of L. *)
+let of_supernodes ~sn ~parent ~counts ~l_colptr ~l_rowind : analysis =
+  let n = Array.length counts in
+  let nb =
+    Array.init (Supernodes.nsuper sn) (fun s ->
+        counts.(sn.Supernodes.sn_ptr.(s)) - Supernodes.width sn s)
+  in
+  {
+    n;
+    sn;
+    l_colptr;
+    l_rowind;
+    parent;
+    nb;
+    flops = Fill_pattern.flops_of_counts counts;
+    nnz_l = l_colptr.(n);
+  }
 
 let analyze ?fill ?max_width (a_lower : Csc.t) : analysis =
   let fill =
     match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
   in
-  let sn =
-    Supernodes.detect_etree ?max_width ~counts:fill.Fill_pattern.counts
-      ~parent:fill.Fill_pattern.parent ()
-  in
+  let counts = fill.Fill_pattern.counts and parent = fill.Fill_pattern.parent in
   let l = fill.Fill_pattern.l_pattern in
-  let nsuper = Supernodes.nsuper sn in
-  let nb =
-    Array.init nsuper (fun s ->
-        let c0 = sn.Supernodes.sn_ptr.(s) in
-        Csc.col_nnz l c0 - Supernodes.width sn s)
+  of_supernodes
+    ~sn:(Supernodes.detect_etree ?max_width ~counts ~parent ())
+    ~parent ~counts ~l_colptr:l.Csc.colptr ~l_rowind:l.Csc.rowind
+
+(* The analysis of a factor pattern alone (a simplicial handle's L, rows
+   ascending with the diagonal first): the column counts are the column
+   lengths and the etree parent of column j is its first below-diagonal
+   row, so no fill analysis runs again. *)
+let of_pattern ~(l_colptr : int array) ~(l_rowind : int array) : analysis =
+  let n = Array.length l_colptr - 1 in
+  let counts = Array.init n (fun j -> l_colptr.(j + 1) - l_colptr.(j)) in
+  let parent =
+    Array.init n (fun j ->
+        if counts.(j) > 1 then l_rowind.(l_colptr.(j) + 1) else -1)
   in
-  {
-    n = fill.Fill_pattern.n;
-    sn;
-    l_colptr = l.Csc.colptr;
-    l_rowind = l.Csc.rowind;
-    parent = fill.Fill_pattern.parent;
-    nb;
-    flops = Fill_pattern.flops fill;
-    nnz_l = Csc.nnz l;
-  }
+  of_supernodes
+    ~sn:(Supernodes.detect_etree ~counts ~parent ())
+    ~parent ~counts ~l_colptr ~l_rowind
+
+(* Supernode width averaged over the flop model rather than over
+   supernodes: what VS-Block's dense loops see. *)
+let flop_weighted_width (an : analysis) =
+  Supernodes.flop_weighted_width an.sn
+    ~counts:(Array.init an.n (fun j -> an.l_colptr.(j + 1) - an.l_colptr.(j)))
 
 (* Index into l_rowind where supernode s's below-block row list begins. *)
 let below_rows_start an s =
@@ -81,14 +98,11 @@ let below_rows_start an s =
   an.l_colptr.(c0) + (an.sn.Supernodes.sn_ptr.(s + 1) - c0)
 
 (* Precompute the full update schedule: for each descendant d, split its
-   below-block rows into runs by target supernode, and detect at compile
-   time whether each update's rows occupy consecutive offsets of the target
-   panel (enabling the fully contiguous specialized kernel). *)
-let compute_schedule (an : analysis) : update list array =
+   below-block rows into runs by target supernode. Each target's updates
+   come in ascending descendant order. *)
+let compute_schedule (an : analysis) : update array array =
   let nsuper = Supernodes.nsuper an.sn in
   let schedule = Array.make nsuper [] in
-  (* Pass 1: split each descendant's below-block rows into runs by target
-     supernode. *)
   for d = 0 to nsuper - 1 do
     let start = below_rows_start an d in
     let nb = an.nb.(d) in
@@ -101,34 +115,17 @@ let compute_schedule (an : analysis) : update list array =
         incr t
       done;
       schedule.(s) <-
-        { d; first = !first; t = !t; m = nb - !first; coff = -1 }
-        :: schedule.(s);
+        { d; first = !first; t = !t; m = nb - !first } :: schedule.(s);
       first := !first + !t
     done
   done;
-  (* Pass 2: per target supernode, compute panel offsets of its rows and
-     mark updates whose rows occupy consecutive offsets. *)
-  let panel_off = Array.make an.n 0 in
-  let schedule = Array.map List.rev schedule in
-  Array.mapi
-    (fun s ups ->
-      let c0 = an.sn.Supernodes.sn_ptr.(s) in
-      let len = Supernodes.width an.sn s + an.nb.(s) in
-      for idx = 0 to len - 1 do
-        panel_off.(an.l_rowind.(an.l_colptr.(c0) + idx)) <- idx
-      done;
-      List.map
-        (fun u ->
-          let start = below_rows_start an u.d + u.first in
-          let off0 = panel_off.(an.l_rowind.(start)) in
-          let contig = ref true in
-          for mm = 1 to u.m - 1 do
-            if panel_off.(an.l_rowind.(start + mm)) <> off0 + mm then
-              contig := false
-          done;
-          { u with coff = (if !contig then off0 else -1) })
-        ups)
-    schedule
+  Array.map (fun ups -> Array.of_list (List.rev ups)) schedule
+
+(* The work buffer a schedule's largest update needs ([m * t] entries). *)
+let max_update_size (schedule : update array array) =
+  Array.fold_left
+    (Array.fold_left (fun acc u -> max acc (u.m * u.t)))
+    1 schedule
 
 (* ---------------- Shared numeric building blocks ---------------- *)
 
@@ -151,8 +148,11 @@ let init_panel_from_a an (a_lower : Csc.t) (lx : float array)
     done
   done
 
-(* Generic update application (CHOLMOD-style): GEMM into a work buffer,
-   then assemble/scatter into the target panel. *)
+(* The update of every executor (CHOLMOD-style): one dense product into a
+   work buffer, W(mm, tt) = sum over the columns j of d, ascending, of
+   Ld(first+mm, j) * Ld(first+tt, j) (a zero Ld(first+tt, j) skipped), then
+   one scatter-subtract of W into the target panel. The emitted C forms
+   the same sums in the same order. *)
 let apply_update_generic an (lx : float array) (relpos : int array) ~s u
     (wbuf : float array) =
   let d0 = an.sn.Supernodes.sn_ptr.(u.d)
@@ -186,44 +186,6 @@ let apply_update_generic an (lx : float array) (relpos : int array) ~s u
     done
   done
 
-(* Fused update application (Sympiler-style specialized kernel): accumulate
-   straight into the target panel, no intermediate buffer. When the
-   compile-time schedule proved the target offsets contiguous ([coff] >= 0)
-   the inner loop is a pure contiguous AXPY with no index indirection. *)
-let apply_update_fused an (lx : float array) (relpos : int array) ~s u =
-  let d0 = an.sn.Supernodes.sn_ptr.(u.d)
-  and d1 = an.sn.Supernodes.sn_ptr.(u.d + 1) in
-  let c0 = an.sn.Supernodes.sn_ptr.(s) in
-  let lp = an.l_colptr in
-  let rows = below_rows_start an u.d + u.first in
-  if u.coff >= 0 then
-    for tt = 0 to u.t - 1 do
-      let k = an.l_rowind.(rows + tt) in
-      let dst = lp.(k) - (k - c0) + u.coff in
-      for j = d0 to d1 - 1 do
-        let base = lp.(j) + (d1 - j) + u.first in
-        let ltop = lx.(base + tt) in
-        if ltop <> 0.0 then
-          for mm = tt to u.m - 1 do
-            lx.(dst + mm) <- lx.(dst + mm) -. (lx.(base + mm) *. ltop)
-          done
-      done
-    done
-  else
-    for tt = 0 to u.t - 1 do
-      let k = an.l_rowind.(rows + tt) in
-      let col = lp.(k) - (k - c0) in
-      for j = d0 to d1 - 1 do
-        let base = lp.(j) + (d1 - j) + u.first in
-        let ltop = lx.(base + tt) in
-        if ltop <> 0.0 then
-          for mm = tt to u.m - 1 do
-            let r = an.l_rowind.(rows + mm) in
-            lx.(col + relpos.(r)) <- lx.(col + relpos.(r)) -. (lx.(base + mm) *. ltop)
-          done
-      done
-    done
-
 let factor_panel_generic an (lx : float array) s =
   let c0 = an.sn.Supernodes.sn_ptr.(s)
   and c1 = an.sn.Supernodes.sn_ptr.(s + 1) in
@@ -246,19 +208,17 @@ let factor_panel_specialized an (lx : float array) s =
   if c1 - c0 = 1 then Dense_blas.potrf_w1 an.l_colptr lx ~c0 ~nb:an.nb.(s)
   else Dense_blas.panel_factor_fused an.l_colptr lx ~c0 ~c1 ~nb:an.nb.(s)
 
+(* A work buffer for any update: m is at most a below-block height, t at
+   most a supernode width (the baseline discovers its updates at numeric
+   time, so it cannot size by the schedule). *)
 let max_update_buf an =
-  let m = ref 1 in
   let nsuper = Supernodes.nsuper an.sn in
-  for s = 0 to nsuper - 1 do
-    let w = Supernodes.width an.sn s in
-    ignore w;
-    m := max !m an.nb.(s)
-  done;
+  let maxnb = Array.fold_left max 1 an.nb in
   let maxw = ref 1 in
   for s = 0 to nsuper - 1 do
     maxw := max !maxw (Supernodes.width an.sn s)
   done;
-  !m * !maxw
+  maxnb * !maxw
 
 let record_factor an =
   Metrics.inc Metrics.flops (int_of_float an.flops);
@@ -311,7 +271,7 @@ module Cholmod = struct
           incr t
         done;
         apply_update_generic an lx relpos ~s
-          { d = !d; first; t = !t; m = an.nb.(!d) - first; coff = -1 }
+          { d = !d; first; t = !t; m = an.nb.(!d) - first }
           wbuf;
         pos.(!d) <- first + !t;
         if pos.(!d) < an.nb.(!d) then file !d pos.(!d);
@@ -333,16 +293,17 @@ module Sympiler = struct
     specialized : bool; (* apply low-level transformations *)
   }
 
+  let of_analysis ?(specialized = true) (an : analysis) : compiled =
+    { an; schedule = compute_schedule an; specialized }
+
   (* "Compile time": symbolic analysis + full update schedule. *)
-  let compile ?fill ?max_width ?(specialized = true) (a_lower : Csc.t) :
-      compiled =
-    let an = analyze ?fill ?max_width a_lower in
-    let schedule = Array.map Array.of_list (compute_schedule an) in
-    { an; schedule; specialized }
+  let compile ?fill ?max_width ?specialized (a_lower : Csc.t) : compiled =
+    of_analysis ?specialized (analyze ?fill ?max_width a_lower)
 
   (* A plan owns every numeric workspace the factorization needs — the
-     factor's values array, the row-offset scratch, and (generic variant
-     only) the GEMM update buffer — plus a CSC view [l] of the factor whose
+     factor's values array, the row-offset scratch and the update buffer,
+     sized by the schedule's largest update — plus a CSC view [l] of the
+     factor whose
      values array IS the plan's [lx]. Creating the plan pays all
      allocation once; [factor_ip] then runs with zero allocation in steady
      state, which is what amortizes inspection across the paper's
@@ -352,7 +313,7 @@ module Sympiler = struct
     c : compiled;
     lx : float array; (* values of L, plan-owned *)
     relpos : int array; (* panel row-offset scratch *)
-    wbuf : float array; (* GEMM buffer (generic variant only) *)
+    wbuf : float array; (* update buffer *)
     l : Csc.t; (* factor view over [lx]; refreshed in place by factor_ip *)
   }
 
@@ -360,9 +321,7 @@ module Sympiler = struct
     let an = c.an in
     let lx = Array.make an.nnz_l 0.0 in
     let relpos = Array.make an.n 0 in
-    let wbuf =
-      if c.specialized then [||] else Array.make (max_update_buf an) 0.0
-    in
+    let wbuf = Array.make (max_update_size c.schedule) 0.0 in
     let l =
       Csc.create ~nrows:an.n ~ncols:an.n ~colptr:(Array.copy an.l_colptr)
         ~rowind:(Array.copy an.l_rowind) ~values:lx
@@ -381,18 +340,11 @@ module Sympiler = struct
     for s = 0 to nsuper - 1 do
       init_panel_from_a an a_lower lx relpos s;
       let ups = c.schedule.(s) in
-      if c.specialized then begin
-        for i = 0 to Array.length ups - 1 do
-          apply_update_fused an lx relpos ~s ups.(i)
-        done;
-        factor_panel_specialized an lx s
-      end
-      else begin
-        for i = 0 to Array.length ups - 1 do
-          apply_update_generic an lx relpos ~s ups.(i) wbuf
-        done;
-        factor_panel_generic an lx s
-      end
+      for i = 0 to Array.length ups - 1 do
+        apply_update_generic an lx relpos ~s ups.(i) wbuf
+      done;
+      if c.specialized then factor_panel_specialized an lx s
+      else factor_panel_generic an lx s
     done;
     record_factor an
 

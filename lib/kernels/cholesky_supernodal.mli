@@ -19,19 +19,31 @@ type analysis = {
 
 (** One descendant update: supernode [d] contributes to the current target
     starting at index [first] of its below-block; the first [t] of its
-    remaining [m] rows land in the target's diagonal block. [coff >= 0]
-    records compile-time-proven contiguity of the target offsets. *)
-type update = { d : int; first : int; t : int; m : int; coff : int }
+    remaining [m] rows land in the target's diagonal block. *)
+type update = { d : int; first : int; t : int; m : int }
 
 val analyze : ?fill:Fill_pattern.t -> ?max_width:int -> Csc.t -> analysis
 (** Symbolic analysis: fill pattern, supernodes, panel geometry. *)
 
+val of_pattern : l_colptr:int array -> l_rowind:int array -> analysis
+(** The analysis of a factor's column pattern alone (rows ascending, the
+    diagonal first, as {!Fill_pattern} builds it): counts are the column
+    lengths and each column's etree parent is its first below-diagonal
+    row. The arrays are shared, not copied. *)
+
+val flop_weighted_width : analysis -> float
+(** {!Supernodes.flop_weighted_width} of the analysis' supernodes. *)
+
 val below_rows_start : analysis -> int -> int
 (** Index into [l_rowind] of a supernode's below-block row list. *)
 
-val compute_schedule : analysis -> update list array
-(** The full compile-time update schedule, per target supernode, with
-    per-update contiguity detection. *)
+val compute_schedule : analysis -> update array array
+(** The full compile-time update schedule: per target supernode, its
+    updates in ascending descendant order. *)
+
+val max_update_size : update array array -> int
+(** The largest [m * t] of a schedule (at least 1): the work buffer
+    {!apply_update_generic} needs for it. *)
 
 (** {2 Numeric building blocks} (shared with {!Cholesky_parallel}) *)
 
@@ -42,12 +54,9 @@ val init_panel_from_a :
 
 val apply_update_generic :
   analysis -> float array -> int array -> s:int -> update -> float array -> unit
-(** CHOLMOD-style update: GEMM into the work buffer, then scatter. *)
-
-val apply_update_fused :
-  analysis -> float array -> int array -> s:int -> update -> unit
-(** Sympiler-style update: fused accumulation straight into the target
-    panel; pure contiguous AXPY when the schedule proved [coff >= 0]. *)
+(** The update of every executor: one dense product into the work buffer
+    ([m * t] entries), then one scatter-subtract into the target panel.
+    The emitted supernodal C forms the same sums in the same order. *)
 
 val factor_panel_generic : analysis -> float array -> int -> unit
 (** Jagged potrf + trsm (generic loops). *)
@@ -69,15 +78,19 @@ module Cholmod : sig
   val factor : t -> Csc.t -> Csc.t
 end
 
-(** Sympiler's VS-Block executor: the schedule, row offsets and contiguity
-    flags are baked in at compile time; the specialized variant fuses
-    updates into the target panel and peels width-1 supernodes. *)
+(** Sympiler's VS-Block executor: the schedule and row offsets are baked in
+    at compile time; every update goes through the work buffer, and the
+    specialized variant factors panels with the merged contiguous kernel
+    and peels width-1 supernodes. *)
 module Sympiler : sig
   type compiled = {
     an : analysis;
     schedule : update array array;
     specialized : bool;  (** apply the low-level transformations *)
   }
+
+  val of_analysis : ?specialized:bool -> analysis -> compiled
+  (** The update schedule over an existing analysis. *)
 
   val compile :
     ?fill:Fill_pattern.t ->
@@ -98,7 +111,7 @@ module Sympiler : sig
     c : compiled;
     lx : float array;  (** values of L, plan-owned *)
     relpos : int array;  (** panel row-offset scratch *)
-    wbuf : float array;  (** GEMM buffer (generic variant only) *)
+    wbuf : float array;  (** update buffer ({!max_update_size}) *)
     l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
   }
 

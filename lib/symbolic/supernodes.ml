@@ -90,6 +90,23 @@ let avg_width t =
   let n = t.sn_ptr.(nsuper t) in
   if nsuper t = 0 then 0.0 else float_of_int n /. float_of_int (nsuper t)
 
+(* sum_s w_s f_s / sum_s f_s with f_s = sum over the columns j of s of
+   counts.(j)^2, the flop model of [Fill_pattern.flops]: the width the
+   average flop runs at, where [avg_width] is the width of the average
+   supernode. *)
+let flop_weighted_width t ~(counts : int array) =
+  let num = ref 0.0 and den = ref 0.0 in
+  for s = 0 to nsuper t - 1 do
+    let f = ref 0.0 in
+    for j = t.sn_ptr.(s) to t.sn_ptr.(s + 1) - 1 do
+      let c = float_of_int counts.(j) in
+      f := !f +. (c *. c)
+    done;
+    num := !num +. (float_of_int (width t s) *. !f);
+    den := !den +. !f
+  done;
+  if !den = 0.0 then 0.0 else !num /. !den
+
 (* Structural check used by tests: partition is contiguous, covers [0, n),
    and every supernode's columns share their below-block pattern. *)
 let validate_against (l : Csc.t) t =

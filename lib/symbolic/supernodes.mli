@@ -42,6 +42,11 @@ val detect_etree :
 val widths : t -> int array
 val avg_width : t -> float
 
+val flop_weighted_width : t -> counts:int array -> float
+(** [sum_s w_s f_s / sum_s f_s], where [w_s] is supernode [s]'s width and
+    [f_s] the sum of [counts.(j)^2] over its columns (the flop model of
+    {!Fill_pattern.flops}); [0.] when there are no flops. *)
+
 val validate_against : Csc.t -> t -> bool
 (** Structural check used by tests: contiguous cover of [\[0, n)] whose
     blocks all satisfy {!mergeable_exact}. *)

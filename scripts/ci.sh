@@ -153,13 +153,14 @@ fi
 
 echo "== ordered explain smoke =="
 # `explain --ordering amd --json` must report the selected ordering, the
-# natural-ordering baseline columns, and the ordering's fill-ratio
-# decision (taken by Explain, not by the compile) on two suite matrices.
+# natural-ordering baseline columns, the ordering's fill-ratio decision
+# (taken by Explain, not by the compile), and the flop-weighted supernode
+# width the native kernel choice reads, on two suite matrices.
 for prob in Dubcova2 ecology2; do
   dune exec bin/sympiler_cli.exe -- explain --problem "$prob" \
     --ordering amd --json > "_build/explain_amd_$prob.json"
   for key in '"ordering":"amd"' '"nnz_l_natural"' '"predicted_flops_natural"' \
-    '"pass":"ordering"'; do
+    '"pass":"ordering"' '"flop_weighted_width"' '"native_kernel":"supernodal"'; do
     grep -q "$key" "_build/explain_amd_$prob.json" || {
       echo "FAIL: ordered explain JSON for $prob missing $key" >&2
       exit 1
@@ -233,16 +234,19 @@ echo "steady --profile: ok"
 
 echo "== native shape smoke =="
 # A factor kernel's C is one text per kernel shape, so patterns of one
-# shape share one compiled object. gyro and thermomech_dM are both
-# simplicial, naturally ordered Cholesky: with one fresh native cache the
-# first run compiles and the second only dlopens. Then four processes
-# compile that shape at once into another fresh cache: each must run
-# native, and the directory must end with one object and no temp files.
+# shape share one compiled object. parabolic_fem is a simplicial handle
+# whose flop-weighted supernode width upgrades its native plan to the
+# supernodal kernel, and cbuckle is a supernodal handle, both naturally
+# ordered: with one fresh native cache the first run compiles and the
+# second only dlopens, which proves the upgraded plan runs the supernodal
+# shape. Then four processes compile one shape at once into another
+# fresh cache: each must run native, and the directory must end with one
+# object and no temp files.
 if [ "$have_cc" = "1" ]; then
   cli=_build/default/bin/sympiler_cli.exe
   smoke=$(mktemp -d _build/native-smoke.XXXXXX)
   mkdir "$smoke/seq" "$smoke/conc"
-  for step in "gyro:cc+dlopen" "thermomech_dM:dlopen of cached .so"; do
+  for step in "parabolic_fem:cc+dlopen" "cbuckle:dlopen of cached .so"; do
     prob=${step%%:*}
     want=${step#*:}
     SYMPILER_NATIVE_CACHE="$smoke/seq" "$cli" steady --problem "$prob" \

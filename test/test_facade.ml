@@ -313,47 +313,51 @@ let test_ignored_options_share_entry () =
    pipeline DAGs (Cholesky, IC(0), SpMV then Cholesky). The eight factor
    variants were re-recorded when their C became a kernel per shape
    followed by the handle's data; the pipeline digests are unchanged
-   since Cholesky moved onto [Factor.Make]. *)
+   since Cholesky moved onto [Factor.Make]. The default and AMD Cholesky
+   digests of every handle whose native kernel is the supernodal one
+   were re-recorded when that kernel took the buffered update and
+   simplicial handles with wide supernodes began to run it; the forced
+   simplicial and threshold-1e9 variants pin the simplicial kernel. *)
 let golden_c_digests =
   [
     ( 1,
-      [ "cb005ab04881ba98366bfca833ed050e"; "b363345ecb9d805231025946758c1db3";
-        "1f97194d198b45e01655479362d57196"; "b363345ecb9d805231025946758c1db3";
+      [ "7dd12cb6762b21562225373974139307"; "b363345ecb9d805231025946758c1db3";
+        "24e1db117d17602f0b5b42dc4d9ac718"; "b363345ecb9d805231025946758c1db3";
         "a65b4d9e732b37cf6f1a02ee1120e829"; "020a2a8d6541bb8883c61a09816696e9";
         "de156338d23eb40f954e1844a237cfb1"; "9a2088294ada8de63904b1589dfd9378";
         "df32f2c2ca6429e975906193c6107382"; "df32f2c2ca6429e975906193c6107382";
         "0517ee4dbad10757987e2b815d0f88af" ] );
     ( 2,
-      [ "f60e9d1a66af79a84c644b8361dc7a2a"; "f60e9d1a66af79a84c644b8361dc7a2a";
-        "8422376f63d98a81600db3ce8b16aab7"; "f60e9d1a66af79a84c644b8361dc7a2a";
+      [ "185304dd124cb42d125ffc5f3e4f0f7a"; "f60e9d1a66af79a84c644b8361dc7a2a";
+        "184af03f143dc93cd0413ca202b345a3"; "f60e9d1a66af79a84c644b8361dc7a2a";
         "0dcd47bf395dabd33df3d410bdfbe15d"; "27926d163a5daa522ddb3e6dd0beb82f";
         "bc761876c41461d67c4261c74942fbc5"; "1ab867f6bca67ab3962e3e71b5445e63";
         "d6aa9f5199f813bb35029e5acf9e856d"; "d8986aa784d121338bf35eeb0e6a60f2";
         "d31f661690f3ea509e373e00e349bd98" ] );
     ( 3,
       [ "d0feceaedbb5efd2715e7e8c5e0aef72"; "d0feceaedbb5efd2715e7e8c5e0aef72";
-        "99e16097fd5c8476e9683abf0a9566cf"; "d0feceaedbb5efd2715e7e8c5e0aef72";
+        "b43d6c442346af9a7c45af857bd8ef35"; "d0feceaedbb5efd2715e7e8c5e0aef72";
         "892d5daa484909deb028f79a622e242d"; "916cbc177335ee39233dff397539acee";
         "950f162968bd9314dbeb3863bdca219a"; "1fb6d9f5de0e4f75b2c6a76d55ead434";
         "d056a0952cb92253f216b8ebf7a2019b"; "4b94e11286715e042fe04afe84539470";
         "3de852df889e3b731c25a2796f7af386" ] );
     ( 4,
       [ "48f18407d3abe311defaffb18e2e083c"; "48f18407d3abe311defaffb18e2e083c";
-        "52a2eed308180ef76c246465934fc835"; "48f18407d3abe311defaffb18e2e083c";
+        "5637671de0614be52861655a3c860212"; "48f18407d3abe311defaffb18e2e083c";
         "de300ee5b802a711c46496d05c37c0b2"; "0e16f90e7eb928208599f5225ebdf29d";
         "b87fb3b95f3639c6413586f8d3e9fca6"; "2a3fa76ba1fddf55e43f9dc82427c6b9";
         "fdabf6f9f4ff9ffd92feddbe167436e3"; "ba72a295fa06a0530015945a80f07f4d";
         "ca20cbb8203222c0c2b491279c7e5e45" ] );
     ( 5,
-      [ "c7a3fb93582c2e240829500be9f74fdc"; "c7a3fb93582c2e240829500be9f74fdc";
-        "f7688fc629e750f837c54cf41079fec5"; "c7a3fb93582c2e240829500be9f74fdc";
+      [ "c09856d59a892c890a44d1ddcb38c3c4"; "c7a3fb93582c2e240829500be9f74fdc";
+        "bb3258ed535ce24ba93b022405341e33"; "c7a3fb93582c2e240829500be9f74fdc";
         "ac5dc924a1b0ef6c6619d03db8779159"; "70127ed6f3e29567ff493e4818452235";
         "f7f645460fd43be7ddf615f15f5b963e"; "060c131bc0a875540f3e570064c62bca";
         "19a20d659caff4ab065166bd714ba05c"; "5ec1e5f8f514c76fe16a7beec597badc";
         "a3473bf8a915d678beaf4f3a6175c67a" ] );
     ( 6,
-      [ "a40e0da9c890a5811c2f965ec7acb51f"; "096d4226037ae8eab90f5802b693d406";
-        "7d0eaf15128c534ef81116b0a157b7e8"; "096d4226037ae8eab90f5802b693d406";
+      [ "922455c7c8561803aaf5823bd86a4bf5"; "096d4226037ae8eab90f5802b693d406";
+        "b03dacb101e7afaa390220d3aeae56be"; "096d4226037ae8eab90f5802b693d406";
         "5a86a5c4a1fe49f15b5a9f6823a43468"; "8ef893712e97bc476ce2d236bd2ee468";
         "c32b0e83d25d52dd873f1d719fb485d9"; "a44996cb332f2303213938a0abaa922e";
         "11812574765eaf4df7b8da65c5286b81"; "11812574765eaf4df7b8da65c5286b81";
@@ -366,29 +370,29 @@ let golden_c_digests =
         "84b4daa241f6e2e0dd2d32313e2c9143"; "08adf98c747c032f755a0646202cf360";
         "239df54f199987358cc637fdadcf828a" ] );
     ( 8,
-      [ "a89da224086be6230fbd41e5f61353b1"; "a89da224086be6230fbd41e5f61353b1";
-        "68172ed733a1a1568a7c64b87937d873"; "a89da224086be6230fbd41e5f61353b1";
+      [ "0870a93973cc5f120af1f2b66e71f678"; "a89da224086be6230fbd41e5f61353b1";
+        "d5cc25b847bc05558c0fe4eff1ada517"; "a89da224086be6230fbd41e5f61353b1";
         "63c7e3ea18f7357787f13e9c3b3641f5"; "c56b26bf30a1ca0d560dff31edfd9428";
         "49e152e7d3ad5a8db18b72fdc560419c"; "c301b8405e004abc8e4b63a22c52e011";
         "d56294d2b8dca5b9cfb8f68b98a8ed2f"; "f1f5e2bbdfc942f2d5dc282705511729";
         "2e0d156f693bd13c050a421144447eae" ] );
     ( 9,
-      [ "20825f3a46e7733f2ea4b71eeedf3e11"; "20825f3a46e7733f2ea4b71eeedf3e11";
-        "58e9aa2076326564b4c11888dee6bf77"; "20825f3a46e7733f2ea4b71eeedf3e11";
+      [ "6e6a1399b5aab72cc89fec847b88446e"; "20825f3a46e7733f2ea4b71eeedf3e11";
+        "650ef05b54ed906ee07b7bb4067535a3"; "20825f3a46e7733f2ea4b71eeedf3e11";
         "9eba0657831af640b2f5a696fd63a8b6"; "f78257735833f079566ffd9575a662c9";
         "43921f0f0a9fc09314186f13bb8a2184"; "7e235af10e4674a4d9ffa35ba4e7c28d";
         "7eff85f72abd0f0effa62f0a0962110e"; "606767d1ad4f6b6587c3cf923cdfbad2";
         "040a89934207f018e7a3dc5ba0b4d78a" ] );
     ( 10,
-      [ "1a7e856b676b8df910af585216c8d2a7"; "1a7e856b676b8df910af585216c8d2a7";
-        "63e2fc25bccc5038341a22dd15425243"; "1a7e856b676b8df910af585216c8d2a7";
+      [ "2e41e32db1ed8c119ae3a671a4ae57c0"; "1a7e856b676b8df910af585216c8d2a7";
+        "095e57cf9cbf283906ebc8851b764612"; "1a7e856b676b8df910af585216c8d2a7";
         "176ce7d3f48a7b0ab7d95c2c709f871f"; "faf8bc48647bec9eb9ca803ca0ea76aa";
         "27fb7c7eb0f8f7136fe0f2597a715ddc"; "29c43aac5a5f105f5801388410e019d8";
         "b43d7d0642c30a89d5c0b9f5d0a3cc57"; "52bc824fdcdc6eefcb8a6efb9bd0bf1a";
         "62a86938831b361f02ec41ed942622c7" ] );
     ( 11,
-      [ "f4374c9101fd27102e2ea24913bb7fc4"; "f4374c9101fd27102e2ea24913bb7fc4";
-        "10eddfd40185ada24dfcbb0170647763"; "f4374c9101fd27102e2ea24913bb7fc4";
+      [ "3f7086ce1fadebfa00f44c5b3d52b125"; "f4374c9101fd27102e2ea24913bb7fc4";
+        "193de6361cb2664948b8edb095aa2188"; "f4374c9101fd27102e2ea24913bb7fc4";
         "e1b76c4bfe2aa6704b76ce21ac2af3a3"; "def08f905d267acbce950d730ad2ea2a";
         "9ba99d583b862279f97627f3c185e533"; "50df62dc2f58be9623a3ff959c4274bf";
         "ddaa54ebf4ceac3f78826d6667456612"; "a1cd156f6ade8c167dac40a9cacfffac";

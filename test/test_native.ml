@@ -159,14 +159,32 @@ let test_trisolve_native_ordered () =
     (Array.copy (Sympiler.Trisolve.execute_ip po b))
     (Sympiler.Trisolve.execute_ip pn b)
 
+(* The handle whose OCaml plan a native Cholesky plan of [t] agrees with:
+   [t] itself, or, when the native plan of a simplicial handle runs the
+   supernodal kernel, the same pattern compiled with threshold 0, whose
+   OCaml executor the C follows operation for operation (so the law is
+   then bitwise). *)
+let cholesky_oracle (t : Sympiler.Cholesky.t) =
+  let module C = Sympiler.Cholesky in
+  if C.native_variant t = C.variant t then t
+  else
+    C.compile
+      ~opts:
+        { t.C.opts with Sympiler.Options.vs_block_threshold = Some 0.0 }
+      t.C.natural_pattern
+
+let upgraded (t : Sympiler.Cholesky.t) =
+  Sympiler.Cholesky.(native_variant t <> variant t)
+
 let cholesky_diff name t al =
-  let po = Sympiler.Cholesky.plan t in
+  let po = Sympiler.Cholesky.plan (cholesky_oracle t) in
   let pn = Sympiler.Cholesky.plan ~engine:`Native t in
   Alcotest.(check bool) (name ^ ": native loaded") true
     (pn.Sympiler.Cholesky.native <> None);
   let lo = Sympiler.Cholesky.execute_ip po al in
   let ln = Sympiler.Cholesky.execute_ip pn al in
-  check_vals name lo.Csc.values ln.Csc.values
+  if upgraded t then Helpers.bitwise name lo.Csc.values ln.Csc.values
+  else check_vals name lo.Csc.values ln.Csc.values
 
 let test_cholesky_native () =
   require_native ();
@@ -258,14 +276,17 @@ let qcheck_cholesky_native =
       let al = Csc.lower a in
       let t = Sympiler.Cholesky.compile al in
       let lo =
-        Sympiler.Cholesky.execute_ip (Sympiler.Cholesky.plan t) al
+        Sympiler.Cholesky.execute_ip
+          (Sympiler.Cholesky.plan (cholesky_oracle t))
+          al
       in
       let ln =
         Sympiler.Cholesky.execute_ip
           (Sympiler.Cholesky.plan ~engine:`Native t)
           al
       in
-      Utils.max_rel_diff lo.Csc.values ln.Csc.values <= 1e-15)
+      if upgraded t then Helpers.same_bits lo.Csc.values ln.Csc.values
+      else Utils.max_rel_diff lo.Csc.values ln.Csc.values <= 1e-15)
 
 let qcheck_ldlt_native =
   Helpers.qtest ~count:12 "ldlt native = ocaml (random SPD)" Helpers.arb_spd
@@ -475,6 +496,219 @@ let test_artifact_bitwise () =
           ("ilu0", `Amd, "ilu0_factor", 1);
         ])
 
+(* ------------ VS-Block per executor: upgraded native plans ------------ *)
+
+module C = Sympiler.Cholesky
+
+let chol_opts ?simplicial ?vs_block_threshold ordering =
+  Sympiler.Options.make ?simplicial ?vs_block_threshold ~ordering ()
+
+(* Simplicial handles whose native plans run the supernodal kernel: an
+   AMD-ordered grid (flop-weighted width 9.0) and a suite mesh problem,
+   natural and ordered. *)
+let upgraded_cases () =
+  let dub = (Sympiler.Suite.problem 5).Sympiler.Suite.a_lower in
+  [
+    ("grid2d 24 amd", Csc.lower (Generators.grid2d 24 24), `Amd);
+    ("Dubcova2", dub, `Natural);
+    ("Dubcova2 amd", dub, `Amd);
+  ]
+
+(* The caller's values in the handle's compiled order. *)
+let compiled_input (t : C.t) (al : Csc.t) =
+  match t.C.ord.Sympiler.o_perm with
+  | None -> al
+  | Some _ ->
+      {
+        t.C.pattern with
+        Csc.values =
+          Array.map (fun q -> al.Csc.values.(q)) t.C.ord.Sympiler.o_map;
+      }
+
+(* ||A x - b|| / (||A|| ||x|| + ||b||) (infinity norms) for the solve
+   with factor [l] of the symmetric matrix whose lower part is [a]. *)
+let backward_error (a : Csc.t) (l : Csc.t) =
+  let n = a.Csc.ncols in
+  let b = Array.init n (fun i -> 1.0 +. (0.1 *. float_of_int (i mod 7))) in
+  let x = Cholesky_ref.solve_with_factor l b in
+  let r = Array.map (fun v -> -.v) b in
+  let rowsum = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    for p = a.Csc.colptr.(j) to a.Csc.colptr.(j + 1) - 1 do
+      let i = a.Csc.rowind.(p) and v = a.Csc.values.(p) in
+      r.(i) <- r.(i) +. (v *. x.(j));
+      rowsum.(i) <- rowsum.(i) +. Float.abs v;
+      if i <> j then begin
+        r.(j) <- r.(j) +. (v *. x.(i));
+        rowsum.(j) <- rowsum.(j) +. Float.abs v
+      end
+    done
+  done;
+  let norm v = Array.fold_left (fun m e -> Float.max m (Float.abs e)) 0.0 v in
+  norm r /. ((norm rowsum *. norm x) +. norm b)
+
+(* An upgraded native plan gives, bit for bit, the factor of the OCaml
+   plan of the same pattern compiled with threshold 0; the handle's own
+   (simplicial) OCaml plan is a different algorithm, so against it both
+   factors pass the scaled backward-error bound. *)
+let test_upgraded_bitwise () =
+  require_native ();
+  List.iter
+    (fun (name, al, ordering) ->
+      let t = C.compile ~opts:(chol_opts ordering) al in
+      Alcotest.(check bool) (name ^ ": simplicial handle") true
+        (C.variant t = C.Simplicial);
+      Alcotest.(check bool) (name ^ ": supernodal native kernel") true
+        (C.native_variant t = C.Supernodal);
+      let pn = C.plan ~engine:`Native t in
+      Alcotest.(check bool) (name ^ ": native loaded") true
+        (pn.C.native <> None);
+      let p0 =
+        C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 ordering) al)
+      in
+      let ln = Array.copy (C.execute_ip pn al).Csc.values in
+      Helpers.bitwise
+        (name ^ ": native = OCaml plan with threshold 0")
+        (C.execute_ip p0 al).Csc.values ln;
+      let lo = C.execute_ip (C.plan t) al in
+      let a = compiled_input t al in
+      let bound = 10.0 *. float_of_int al.Csc.ncols *. epsilon_float in
+      List.iter
+        (fun (which, l) ->
+          let e = backward_error a l in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s backward error %.3g <= %.3g" name which e
+               bound)
+            true (e <= bound))
+        [ ("native", C.plan_factor pn); ("own OCaml plan", lo) ];
+      Alcotest.(check bool) (name ^ ": c_code is the supernodal artifact") true
+        (contains (C.c_code t) "cholesky_supernodal_kernel"))
+    (upgraded_cases ())
+
+(* A pinned variant binds the native plan too. *)
+let test_pinned_keep_simplicial () =
+  require_native ();
+  let al = Csc.lower (Generators.grid2d 24 24) in
+  List.iter
+    (fun (name, opts) ->
+      let t = C.compile ~opts al in
+      Alcotest.(check bool) (name ^ ": simplicial native kernel") true
+        (C.native_variant t = C.Simplicial);
+      Alcotest.(check bool) (name ^ ": c_code is the simplicial artifact") false
+        (contains (C.c_code t) "cholesky_supernodal_kernel");
+      let pn = C.plan ~engine:`Native t in
+      Alcotest.(check bool) (name ^ ": native loaded") true
+        (pn.C.native <> None);
+      check_vals name
+        (Array.copy (C.execute_ip (C.plan t) al).Csc.values)
+        (C.execute_ip pn al).Csc.values)
+    [
+      ("simplicial = true", chol_opts ~simplicial:true `Amd);
+      ("threshold 1e9", chol_opts ~vs_block_threshold:1e9 `Amd);
+    ]
+
+(* Both sides of the constant: AMD-ordered grids whose flop-weighted
+   widths are 5.55 (36 x 18) and 6.32 (21 x 21). *)
+let test_upgrade_threshold () =
+  List.iter
+    (fun (name, al, below) ->
+      let t = C.compile ~opts:(chol_opts `Amd) al in
+      let r = Sympiler.Explain.cholesky t in
+      let fw = r.Sympiler.Explain.flop_weighted_width in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: flop-weighted width %.2f %s 6" name fw
+           (if below then "<" else ">="))
+        below (fw < 6.0);
+      Alcotest.(check bool) (name ^ ": simplicial handle") true
+        (C.variant t = C.Simplicial);
+      let want = if below then "simplicial" else "supernodal" in
+      Alcotest.(check string) (name ^ ": native kernel") want
+        r.Sympiler.Explain.native_kernel;
+      Alcotest.(check bool) (name ^ ": native_variant agrees") true
+        (C.native_variant t = if below then C.Simplicial else C.Supernodal))
+    [
+      ("grid2d 36x18", Csc.lower (Generators.grid2d 36 18), true);
+      ("grid2d 21x21", Csc.lower (Generators.grid2d 21 21), false);
+    ]
+
+(* A negated diagonal: the upgraded plan raises at the column the OCaml
+   supernodal plan reports, then refactors the original input bit for
+   bit. *)
+let test_upgraded_pivot () =
+  require_native ();
+  let al = Csc.lower (Generators.grid2d 24 24) in
+  let t = C.compile ~opts:(chol_opts `Amd) al in
+  Alcotest.(check bool) "upgraded" true (upgraded t);
+  let pn = C.plan ~engine:`Native t in
+  Alcotest.(check bool) "native loaded" true (pn.C.native <> None);
+  let p0 =
+    C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 `Amd) al)
+  in
+  let values = Array.copy al.Csc.values in
+  (* lower(A), rows sorted: the diagonal leads its column *)
+  let d = al.Csc.colptr.(300) in
+  values.(d) <- -.values.(d);
+  let bad = { al with Csc.values } in
+  let ocaml_col =
+    match C.execute_ip p0 bad with
+    | _ -> -1
+    | exception Dense_blas.Not_positive_definite j -> j
+  in
+  let native_col =
+    match C.execute_ip pn bad with
+    | _ -> -1
+    | exception Cholesky_ref.Not_positive_definite j -> j
+  in
+  Alcotest.(check bool) "the OCaml supernodal plan fails" true (ocaml_col >= 0);
+  Alcotest.(check int) "native raises at the same column" ocaml_col native_col;
+  Helpers.bitwise "then refactors the original input"
+    (Array.copy (C.execute_ip p0 al).Csc.values)
+    (C.execute_ip pn al).Csc.values
+
+(* Rank updates and [plan_factor] work on an upgraded plan: the kernels
+   share the factor arrays, so an update of the native factor equals one
+   of the OCaml supernodal factor. *)
+let test_upgraded_update () =
+  require_native ();
+  let al = Csc.lower (Generators.grid2d 24 24) in
+  let t = C.compile ~opts:(chol_opts `Amd) al in
+  Alcotest.(check bool) "upgraded" true (upgraded t);
+  let pn = C.plan ~engine:`Native t in
+  let p0 =
+    C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 `Amd) al)
+  in
+  ignore (C.execute_ip pn al : Csc.t);
+  ignore (C.execute_ip p0 al : Csc.t);
+  Helpers.bitwise "plan_factor" (C.plan_factor p0).Csc.values
+    (C.plan_factor pn).Csc.values;
+  (* a natural-order w inside the pattern: a factor column's rows mapped
+     back through the permutation *)
+  let perm = Option.get t.C.ord.Sympiler.o_perm in
+  let l = C.plan_factor pn in
+  let j = l.Csc.ncols / 3 in
+  let lo = l.Csc.colptr.(j) and hi = l.Csc.colptr.(j + 1) in
+  let pairs =
+    Array.init (hi - lo) (fun k ->
+        (perm.(l.Csc.rowind.(lo + k)), 0.2 *. l.Csc.values.(lo + k)))
+  in
+  Array.sort compare pairs;
+  let w =
+    {
+      Vector.n = l.Csc.ncols;
+      indices = Array.map fst pairs;
+      values = Array.map snd pairs;
+    }
+  in
+  C.update_ip pn ~sigma:0.5 w;
+  C.update_ip p0 ~sigma:0.5 w;
+  Alcotest.(check bool) "no escalation" true (pn.C.handle == t);
+  Helpers.bitwise "update_ip" (C.plan_factor p0).Csc.values
+    (C.plan_factor pn).Csc.values;
+  C.downdate_ip pn ~sigma:0.5 w;
+  C.downdate_ip p0 ~sigma:0.5 w;
+  Helpers.bitwise "downdate_ip" (C.plan_factor p0).Csc.values
+    (C.plan_factor pn).Csc.values
+
 (* --------------------------- cache accounting --------------------------- *)
 
 (* Patterns of one shape share one object; the ordered variant is a shape
@@ -628,7 +862,17 @@ let test_native_zero_alloc () =
       ("ilu0", `Natural);
       ("cholesky simplicial", `Amd);
       ("cholesky supernodal", `Amd);
-    ]
+    ];
+  (* a simplicial handle whose native plan runs the supernodal kernel *)
+  let al = Csc.lower (Generators.grid2d 24 24) in
+  let t = C.compile ~opts:(chol_opts `Amd) al in
+  let p = C.plan ~engine:`Native t in
+  Alcotest.(check bool) "upgraded cholesky native loaded" true
+    (upgraded t && p.C.native <> None);
+  let w = minor_words_per_call (fun () -> ignore (C.execute_ip p al : Csc.t)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "upgraded cholesky native allocates nothing (%.2f w/call)" w)
+    true (w < 1.0)
 
 (* An ordered handle that a rank update escalated has a compiled pattern
    its ordering's map does not cover, and every native plan of it is
@@ -647,10 +891,11 @@ let test_escalated_ordered_refused () =
     { Vector.n = a.Csc.ncols; indices = [| 0; 9 |]; values = [| 1.0; -1.0 |] }
   in
   let escalated () =
-    let p = C.plan (C.compile ~opts al) in
+    let t = C.compile ~opts al in
+    let p = C.plan t in
     ignore (C.execute_ip p al : Csc.t);
     C.update_ip p ~sigma:0.5 w;
-    Alcotest.(check bool) "escalated" true (p.C.esc_map <> None);
+    Alcotest.(check bool) "escalated" true (p.C.handle != t);
     p.C.handle
   in
   let natural =
@@ -705,6 +950,11 @@ let suite =
     ("native degenerate sizes", `Slow, test_native_degenerate);
     ("native zero pivot", `Slow, test_native_zero_pivot);
     ("native cholesky pivot", `Slow, test_native_cholesky_pivot);
+    ("upgraded native = threshold-0 ocaml, bitwise", `Slow, test_upgraded_bitwise);
+    ("pinned handles keep the simplicial kernel", `Slow, test_pinned_keep_simplicial);
+    ("native kernel on both sides of the width rule", `Quick, test_upgrade_threshold);
+    ("upgraded native pivot", `Slow, test_upgraded_pivot);
+    ("upgraded native rank updates", `Slow, test_upgraded_update);
     ("artifact = native plan, bitwise", `Slow, test_artifact_bitwise);
     ("so cache accounting", `Slow, test_so_cache);
     ("one object per kernel shape", `Slow, test_shape_sharing);

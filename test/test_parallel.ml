@@ -361,6 +361,12 @@ let test_facade_cholesky_ndomains () =
   Helpers.bitwise "facade ndomains:1 == ndomains:4" f1.Csc.values f4.Csc.values;
   let f4' = Sympiler.Cholesky.execute_ip p4 al in
   Helpers.bitwise "facade parallel plan reuse" fseq.Csc.values f4'.Csc.values;
+  (* the emitted C forms each update's buffer in the executors' order *)
+  if Sympiler.Native.available () then
+    Helpers.bitwise "facade ndomains:4 == native"
+      f4'.Csc.values
+      (Sympiler.Cholesky.execute_ip (Sympiler.Cholesky.plan ~engine:`Native h) al)
+        .Csc.values;
   Alcotest.(check bool) "plan_factor view is the executed factor" true
     (Sympiler.Cholesky.plan_factor p4 == f4')
 

@@ -269,7 +269,7 @@ let test_zero_alloc_updates_ordered () =
   in
   SC.update_ip p ~sigma:0.5 w;
   Alcotest.(check bool) "no escalation for in-pattern ordered w" true
-    (p.SC.esc_map = None);
+    (p.SC.handle == t);
   let words =
     minor_words_per_call (fun () ->
         SC.update_ip p ~sigma:0.5 w;
@@ -357,8 +357,7 @@ let test_escalation () =
     Helpers.counted Metrics.updown_escalations (fun () ->
         SC.update_ip p ~sigma:0.5 w)
   in
-  Alcotest.(check bool) "escalated (esc_map installed)" true
-    (p.SC.esc_map <> None);
+  Alcotest.(check bool) "escalated (handle swapped)" true (p.SC.handle != t);
   Alcotest.(check int) "escalation counter" 1 escalations;
   let a' = dense_updated a ~sigma:0.5 w in
   Alcotest.(check bool) "escalated factor correct" true
@@ -396,7 +395,7 @@ let test_failed_escalation_preserves_plan () =
        SC.downdate_ip p ~sigma:1e9 w;
        false
      with _ -> true);
-  Alcotest.(check bool) "no esc_map installed" true (p.SC.esc_map = None);
+  Alcotest.(check bool) "handle kept" true (p.SC.handle == t);
   Helpers.bitwise "factor untouched" before (SC.plan_factor p).Csc.values
 
 (* Two wide-clique blocks: supernodal by default, and an update coupling
@@ -415,10 +414,11 @@ let test_escalation_keeps_options () =
   let al = Csc.lower a in
   let n = a.Csc.ncols in
   let escalated opts =
-    let p = SC.plan (SC.compile ~opts al) in
+    let t = SC.compile ~opts al in
+    let p = SC.plan t in
     ignore (SC.execute_ip p al : Csc.t);
     SC.update_ip p ~sigma:0.5 (coupling_w n);
-    Alcotest.(check bool) "escalated" true (p.SC.esc_map <> None);
+    Alcotest.(check bool) "escalated" true (p.SC.handle != t);
     Alcotest.(check bool) "escalated factor correct" true
       (llt_residual (SC.plan_factor p) (dense_updated a ~sigma:0.5 (coupling_w n))
       < 1e-8);
@@ -430,6 +430,37 @@ let test_escalation_keeps_options () =
     (escalated (Sympiler.Options.make ~simplicial:true ()) = SC.Simplicial);
   Alcotest.(check bool) "threshold 1e9 stays simplicial" true
     (escalated (Sympiler.Options.make ~vs_block_threshold:1e9 ()) = SC.Simplicial)
+
+(* The escalated handle carries its own input map: a fresh plan of it
+   takes the caller's original natural pattern and factors it like the
+   escalated plan, bit for bit, natural and AMD-ordered alike. *)
+let test_escalated_handle_replans () =
+  let a = Generators.grid2d ~stencil:`Five 6 6 in
+  let al = Csc.lower a in
+  let n = a.Csc.ncols in
+  let w = { Vector.n; indices = [| 0; n - 1 |]; values = [| 1.0; -1.0 |] } in
+  List.iter
+    (fun (name, ordering) ->
+      let t = SC.compile ~opts:(Sympiler.Options.make ~ordering ()) al in
+      let p = SC.plan t in
+      ignore (SC.execute_ip p al : Csc.t);
+      SC.update_ip p ~sigma:0.5 w;
+      Alcotest.(check bool) (name ^ ": escalated") true (p.SC.handle != t);
+      let fresh = SC.plan p.SC.handle in
+      Helpers.bitwise
+        (name ^ ": a fresh plan of the escalated handle factors like it")
+        (Array.copy (SC.execute_ip p al).Csc.values)
+        (SC.execute_ip fresh al).Csc.values;
+      let a0 = Array.init n (fun i -> Array.init n (fun j -> Csc.get a i j)) in
+      let l = SC.plan_factor fresh in
+      let pa0 =
+        match p.SC.handle.SC.ord.Sympiler.o_perm with
+        | None -> a0
+        | Some q -> Array.init n (fun i -> Array.init n (fun k -> a0.(q.(i)).(q.(k))))
+      in
+      Alcotest.(check bool) (name ^ ": and the factor is right") true
+        (llt_residual l pa0 < 1e-8))
+    [ ("natural", `Natural); ("amd", `Amd) ]
 
 (* Escalation drops a native plan to the OCaml executor; its latency
    series follows, so the native series stops counting. *)
@@ -444,7 +475,8 @@ let test_escalation_latency_series () =
   @@ fun () ->
   let a = two_cliques () in
   let al = Csc.lower a in
-  let p = SC.plan ~engine:`Native (SC.compile al) in
+  let t = SC.compile al in
+  let p = SC.plan ~engine:`Native t in
   Alcotest.(check bool) "native plan" true (p.SC.native <> None);
   let native_series = p.SC.m_exec in
   for _ = 1 to 3 do
@@ -452,7 +484,7 @@ let test_escalation_latency_series () =
   done;
   SC.update_ip p ~sigma:0.5 (coupling_w a.Csc.ncols);
   Alcotest.(check bool) "escalated to OCaml" true
-    (p.SC.esc_map <> None && p.SC.native = None);
+    (p.SC.handle != t && p.SC.native = None);
   for _ = 1 to 5 do
     ignore (SC.execute_ip p al : Csc.t)
   done;
@@ -674,6 +706,7 @@ let suite =
       `Quick,
       test_failed_escalation_preserves_plan );
     ("escalation keeps the handle's options", `Quick, test_escalation_keeps_options);
+    ("escalated handle plans again", `Quick, test_escalated_handle_replans);
     ( "escalation moves the latency series to OCaml",
       `Slow,
       test_escalation_latency_series );
