@@ -637,8 +637,12 @@ let large () =
               Gc.compact ())
             (fun () -> fill := Some (Fill_pattern.analyze al))
         in
+        (* Bytes of the analysis' int row lists (row_ptr and row_ind). *)
         let store_bytes =
-          Bigstore.memory_bytes (Fill_pattern.row_store (Option.get !fill))
+          let f = Option.get !fill in
+          8
+          * (Array.length f.Fill_pattern.row_ptr
+            + Array.length f.Fill_pattern.row_ind)
         in
         (* Drop the timed analysis before compiling, so peak RSS at 10^6
            rows never holds two: the compile runs its own analysis, and

@@ -128,9 +128,8 @@ let analyze matrix problem ordering profile trace metrics =
   Printf.printf "ordering         : %s\n" (ordering_flag_name ordering);
   Printf.printf "nnz(A)           : %d\n" (Csc.nnz a);
   Printf.printf "nnz(L)           : %d (fill ratio %.2f)\n"
-    (Csc.nnz fill.Fill_pattern.l_pattern)
-    (float_of_int (Csc.nnz fill.Fill_pattern.l_pattern)
-    /. float_of_int (Csc.nnz al));
+    (Fill_pattern.nnz_l fill)
+    (float_of_int (Fill_pattern.nnz_l fill) /. float_of_int (Csc.nnz al));
   Printf.printf "factor flops     : %.3e\n" (Fill_pattern.flops fill);
   Printf.printf "supernodes       : %d (avg width %.2f, max %d)\n"
     (Supernodes.nsuper sn) (Supernodes.avg_width sn)
@@ -297,10 +296,7 @@ let explain matrix problem kernel ordering rhs_fill json trace metrics =
         let executed =
           counted (fun () ->
               try ignore (Sympiler.Cholesky.factor t al)
-              with
-              | Sympiler_kernels.Dense_blas.Not_positive_definite _
-              | Sympiler_kernels.Cholesky_ref.Not_positive_definite _
-              ->
+              with Sympiler_kernels.Dense_blas.Not_positive_definite _ ->
                 Printf.eprintf
                   "note: numeric factorization failed (not PD); executed \
                    flops are partial\n")

@@ -61,7 +61,7 @@ let variant (c : compiled) =
 let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
     compiled =
   let n = a_lower.Csc.ncols in
-  let nnz_l = fill.Fill.l_pattern.Csc.colptr.(n) in
+  let nnz_l = Fill.nnz_l fill in
   let threshold =
     Option.value opts.Options.vs_block_threshold ~default:default_threshold
   in
@@ -165,10 +165,10 @@ let decisions (c : compiled) = c.decisions
 let native_upgrade (c : compiled) : Cholesky_supernodal.analysis option =
   match c.kernel with
   | Simp s when not c.pinned ->
-      let module D = Cholesky_ref.Decoupled in
+      let f = s.Cholesky_ref.Decoupled.up.Cholesky_ref.fill in
       let an =
-        Cholesky_supernodal.of_pattern ~l_colptr:s.D.l_colptr
-          ~l_rowind:s.D.l_rowind
+        Cholesky_supernodal.of_pattern ~l_colptr:f.Fill.l_colptr
+          ~l_rowind:f.Fill.l_rowind
       in
       if Cholesky_supernodal.flop_weighted_width an >= native_width then Some an
       else None
@@ -194,11 +194,11 @@ let native (c : compiled) (pattern : Csc.t) (omap : int array option) =
         pattern omap
   | Simp s, None ->
       let module P = Sympiler_ir.Pipeline in
-      let module D = Cholesky_ref.Decoupled in
+      let f = s.Cholesky_ref.Decoupled.up.Cholesky_ref.fill in
       P.cholesky_shaped
         (P.cholesky_kernel ~ordered:(omap <> None) ())
-        ?amap:omap pattern ~lp:s.D.l_colptr ~li:s.D.l_rowind
-        ~row_ptr:s.D.rp_ptr ~row_set:s.D.rp_ind
+        ?amap:omap pattern ~lp:f.Fill.l_colptr ~li:f.Fill.l_rowind
+        ~row_ptr:f.Fill.row_ptr ~row_set:f.Fill.row_ind
 
 let outputs (p : kplan) = [| (view p).Csc.values |]
 

@@ -74,16 +74,18 @@ int ldlt_kernel(int n, const int *restrict lp, const int *restrict li,
 |}
 
 let ldlt (c : Ldlt.compiled) (omap : int array option) : Pretty_c.shaped =
-  let n = c.Ldlt.n in
+  let module F = Sympiler_symbolic.Fill_pattern in
+  let f = c.Ldlt.fill in
+  let n = f.F.n in
   let data =
     [
-      ("lp", c.Ldlt.l_colptr);
-      ("li", c.Ldlt.l_rowind);
+      ("lp", f.F.l_colptr);
+      ("li", f.F.l_rowind);
       ("up", c.Ldlt.up_colptr);
       ("ui", c.Ldlt.up_rowind);
       ("umap", compose omap c.Ldlt.up_map);
-      ("rp_ptr", c.Ldlt.rp_ptr);
-      ("rp_ind", c.Ldlt.rp_ind);
+      ("rp_ptr", f.F.row_ptr);
+      ("rp_ind", f.F.row_ind);
     ]
   in
   {

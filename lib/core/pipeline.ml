@@ -185,9 +185,9 @@ let compile_factor ~(opts : Options.t) ~analysis (family : family)
    families, whose chains have no CSC L). *)
 let chain_l_of ~analysis (fh : fhandle option) (pattern : Csc.t) :
     Csc.t option * Shared_analysis.t =
-  let n = pattern.Csc.ncols in
-  let view colptr rowind =
-    { Csc.nrows = n; ncols = n; colptr; rowind; values = [||] }
+  let filled fill =
+    let l = Sympiler_symbolic.Fill_pattern.l_view fill in
+    (Some l, Shared_analysis.create l)
   in
   match fh with
   | None -> (Some pattern, analysis)
@@ -195,13 +195,8 @@ let chain_l_of ~analysis (fh : fhandle option) (pattern : Csc.t) :
       (* IC(0) keeps the input pattern: the shared analysis of the input
          *is* the chain analysis — its level schedule serves both. *)
       (Some pattern, analysis)
-  | Some (FChol _) ->
-      let fill = Shared_analysis.fill analysis in
-      let l = fill.Sympiler_symbolic.Fill_pattern.l_pattern in
-      (Some l, Shared_analysis.create l)
-  | Some (FLdlt c) ->
-      let l = view c.Ldlt.l_colptr c.Ldlt.l_rowind in
-      (Some l, Shared_analysis.create l)
+  | Some (FChol _) -> filled (Shared_analysis.fill analysis)
+  | Some (FLdlt c) -> filled c.Ldlt.fill
   | Some (FLu _ | FIlu0 _) -> (None, analysis)
 
 (* Level-ordered sweeps. A preconditioner's triangular solves run

@@ -531,8 +531,9 @@ module Cholesky = struct
       Rank_update.refactor_cols_ip rk a.Csc.values
 
   (* Solve A x = b: numeric factorization + two triangular solves. On an
-     ordered handle the permuted system (P A P^T)(P x) = P b is solved and
-     x returned in natural order. *)
+     ordered handle the permuted system (P A P^T)(P x) = P b is solved in
+     the gathered vector and x scattered back to natural order: two
+     n-vectors, one on a natural handle. *)
   let solve (t : t) (a_lower : Csc.t) (b : float array) : float array =
     if Array.length b <> t.pattern.Csc.ncols then
       invalid_arg "Sympiler.Cholesky.solve: b length does not match n";
@@ -540,8 +541,9 @@ module Cholesky = struct
     match t.ord.o_perm with
     | None -> Cholesky_ref.solve_with_factor l b
     | Some p ->
-        let pb = Perm.apply_vec p b in
-        Perm.apply_inv_vec p (Cholesky_ref.solve_with_factor l pb)
+        let x = Perm.apply_vec p b in
+        Cholesky_ref.solve_ip l x;
+        Perm.apply_inv_vec p x
 end
 
 module Ldlt = struct
@@ -565,7 +567,7 @@ module Ldlt = struct
     let view (p : kplan) = p.K.f
     let factor = K.factor
     let flops _ = Float.nan
-    let nnz_l (c : compiled) = c.K.l_colptr.(c.K.n)
+    let nnz_l (c : compiled) = Sympiler_symbolic.Fill_pattern.nnz_l c.K.fill
     let decisions _ = []
 
     let native c _ omap = Codegen_static.ldlt c omap
@@ -788,7 +790,7 @@ module Explain = struct
         ~parent:fill.Sympiler_symbolic.Fill_pattern.parent ()
     in
     let depth, maxw =
-      level_stats fill.Sympiler_symbolic.Fill_pattern.l_pattern
+      level_stats (Sympiler_symbolic.Fill_pattern.l_view fill)
     in
     (* Natural-order baseline columns: on an ordered handle, count the
        caller's pattern (etree and column counts only) to show what the

@@ -140,7 +140,10 @@ type applied_ordering = Compile_common.applied_ordering = {
     - [execute_ip] is the steady-state numeric phase: no symbolic work,
       zero allocation, results written into plan-owned storage (the
       returned [output] is a view valid until the next call on the same
-      plan). Bitwise-identical results for any [ndomains]. An input that
+      plan). A factor view's values are the plan's own; its [colptr] and
+      [rowind] are the handle's own pattern arrays, shared by every plan
+      of the handle and not copied, so treat them as read-only.
+      Bitwise-identical results for any [ndomains]. An input that
       does not match the compiled pattern's shape raises
       [Invalid_argument] before anything is read, and the plan stays
       usable.
@@ -272,14 +275,15 @@ end
     [plan ~ndomains] on a supernodal handle runs the level-parallel
     executor on the persistent domain pool (the supernode DAG is levelized
     at plan time); factors are bitwise-identical across all [ndomains].
-    Simplicial handles ignore [ndomains]. On a non-positive pivot the
-    OCaml executors raise [Not_positive_definite] (the simplicial
-    kernel's {!Sympiler_kernels.Cholesky_ref} one, the supernodal
-    kernels' {!Sympiler_kernels.Dense_blas} one); the native kernels
-    report the same column and the plan raises the
-    {!Sympiler_kernels.Cholesky_ref} one (the native simplicial kernel
-    checks the diagonal after the factorization, so a NaN pivot counts
-    as well). The plan stays reusable. *)
+    Simplicial handles ignore [ndomains]. On a non-positive pivot every
+    plan, OCaml or native, simplicial or supernodal, raises
+    {!Sympiler_kernels.Dense_blas.Not_positive_definite} at the same
+    column (the native simplicial kernel checks the diagonal after the
+    factorization, so a NaN pivot counts as well). It is the one
+    exception of Cholesky, IC(0) and rejected downdates: the kernels'
+    [Cholesky_ref], [Cholesky_leftlooking], [Ic0] and [Rank_update]
+    spellings name it too, so one handler catches them all. The plan
+    stays reusable. *)
 module Cholesky : sig
   type variant = Supernodal | Simplicial
 
@@ -336,8 +340,9 @@ module Cholesky : sig
       Raises [Invalid_argument] on malformed [w] (a dimension or value
       count that does not match, unsorted, duplicate or out-of-range
       indices) before anything is written, and
-      [Rank_update.Not_positive_definite] on a rejected downdate, with the
-      factor rolled back to its pre-call values. *)
+      [Not_positive_definite] (the one of {!Sympiler_kernels.Dense_blas})
+      on a rejected downdate, with the factor rolled back to its pre-call
+      values. *)
 
   val downdate_ip : plan -> ?sigma:float -> Vector.sparse -> unit
   (** [update_ip ~sigma:(-. sigma)]: [A - sigma w w^T]. *)
@@ -354,10 +359,12 @@ module Cholesky : sig
       plans agreement is to rounding (different operation order). *)
 
   val solve : t -> Csc.t -> float array -> float array
-  (** [A x = b]: numeric factorization + two triangular solves. On an
-      ordered handle the permuted system is solved and [x] returned in
-      natural order. Rejects malformed input as {!factor} does, and a [b]
-      whose length is not n. *)
+  (** [A x = b]: numeric factorization + the two triangular sweeps of
+      {!Sympiler_kernels.Stages.solve_pair_ip} (both counted in the
+      metrics) in one work vector. On an ordered handle [b] is gathered
+      into compiled order, the permuted system solved in place, and [x]
+      scattered back to natural order. Rejects malformed input as
+      {!factor} does, and a [b] whose length is not n. *)
 end
 
 (** The four §3.3 families below are {!Factor.Make} instances too. Each
@@ -419,7 +426,8 @@ module Lu :
 (** Incomplete Cholesky with zero fill, IC(0) (§3.3); pass lower(A). The
     factor keeps exactly the input pattern, so an ordering changes the
     incomplete factor's quality, not just its cost. Pivot failure:
-    {!Sympiler_kernels.Ic0.Not_positive_definite}. *)
+    {!Sympiler_kernels.Dense_blas.Not_positive_definite}, the one
+    exception of {!Cholesky} (its [Ic0] spelling names it too). *)
 module Ic0 :
   Factor.S
     with type compiled = Sympiler_kernels.Ic0.compiled

@@ -229,11 +229,10 @@ let cholesky ?low_level (a_lower : Csc.t) : result =
       threshold = 0.0;
     };
   let kernel = cholesky_kernel ?low_level ~ordered:false () in
-  let l = fill.Fill_pattern.l_pattern in
   let shaped =
-    cholesky_shaped kernel a_lower ~lp:l.Csc.colptr ~li:l.Csc.rowind
-      ~row_ptr:(Fill_pattern.row_ptr fill)
-      ~row_set:(Bigstore.flatten (Fill_pattern.row_store fill))
+    cholesky_shaped kernel a_lower ~lp:fill.Fill_pattern.l_colptr
+      ~li:fill.Fill_pattern.l_rowind ~row_ptr:fill.Fill_pattern.row_ptr
+      ~row_set:fill.Fill_pattern.row_ind
   in
   {
     kernel;

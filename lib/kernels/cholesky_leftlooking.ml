@@ -15,43 +15,40 @@ module Metrics = Sympiler_metrics.Metrics
    AST; here it runs at native speed and serves as an independent executor
    cross-checked against the AST interpreter and the up-looking variant. *)
 
-exception Not_positive_definite of int
+exception Not_positive_definite = Dense_blas.Not_positive_definite
 
 type compiled = {
   n : int;
   l_colptr : int array;
   l_rowind : int array;
-  row_ptr : int array; (* flattened prune-sets *)
+  row_ptr : int array; (* the analysis' row lists: the prune-sets *)
   row_set : int array; (* columns r in the prune-set of each j *)
   row_pos : int array; (* position of L(j, r) within column r *)
   flops : float;
 }
 
+(* The analysis' arrays are read in place; only [row_pos] is built here. *)
 let compile ?fill (a_lower : Csc.t) : compiled =
   let fill =
     match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
   in
   let n = fill.Fill_pattern.n in
-  let lp = fill.Fill_pattern.l_pattern.Csc.colptr in
-  (* Flatten the packed prune-set store once at compile time: the numeric
-     phase then reads plain int arrays only. *)
-  let row_ptr = Array.copy (Fill_pattern.row_ptr fill) in
-  let total = row_ptr.(n) in
-  let row_set = Array.make (max 1 total) 0 in
-  let row_pos = Array.make (max 1 total) 0 in
+  let lp = fill.Fill_pattern.l_colptr in
+  let row_ptr = fill.Fill_pattern.row_ptr
+  and row_set = fill.Fill_pattern.row_ind in
+  let row_pos = Array.make (Array.length row_set) 0 in
   let fillcount = Array.make n 0 in
   for j = 0 to n - 1 do
-    let t = ref 0 in
-    Fill_pattern.iter_row_pattern fill j (fun r ->
-        fillcount.(r) <- fillcount.(r) + 1;
-        row_set.(row_ptr.(j) + !t) <- r;
-        row_pos.(row_ptr.(j) + !t) <- lp.(r) + fillcount.(r);
-        incr t)
+    for q = row_ptr.(j) to row_ptr.(j + 1) - 1 do
+      let r = row_set.(q) in
+      fillcount.(r) <- fillcount.(r) + 1;
+      row_pos.(q) <- lp.(r) + fillcount.(r)
+    done
   done;
   {
     n;
     l_colptr = lp;
-    l_rowind = fill.Fill_pattern.l_pattern.Csc.rowind;
+    l_rowind = fill.Fill_pattern.l_rowind;
     row_ptr;
     row_set;
     row_pos;
@@ -91,7 +88,6 @@ let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
   done;
   Metrics.inc Metrics.flops (int_of_float c.flops);
   Metrics.inc Metrics.nnz_touched lp.(n);
-  Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy lp) ~rowind:(Array.copy li)
-    ~values:lx
+  Csc.create ~nrows:n ~ncols:n ~colptr:lp ~rowind:li ~values:lx
 
 let factorize (a_lower : Csc.t) : Csc.t = factor (compile a_lower) a_lower

@@ -10,6 +10,7 @@ open Sympiler_symbolic
     executor and the AST pipeline that lowers the same algorithm. *)
 
 exception Not_positive_definite of int
+(** The same exception as {!Dense_blas.Not_positive_definite}. *)
 
 type compiled = {
   n : int;

@@ -118,12 +118,7 @@ let make_plan ?ndomains (c : compiled) : plan =
   in
   let an = c.sym.Cholesky_supernodal.Sympiler.an in
   let lx = Array.make an.Cholesky_supernodal.nnz_l 0.0 in
-  let l =
-    Csc.create ~nrows:an.Cholesky_supernodal.n ~ncols:an.Cholesky_supernodal.n
-      ~colptr:(Array.copy an.Cholesky_supernodal.l_colptr)
-      ~rowind:(Array.copy an.Cholesky_supernodal.l_rowind)
-      ~values:lx
-  in
+  let l = Cholesky_supernodal.factor_view an lx in
   let part =
     Array.init c.nlevels (fun lv ->
         let lo = c.level_ptr.(lv) in

@@ -46,7 +46,9 @@ type plan = {
   lx : float array;  (** values of L, plan-owned *)
   relpos : int array array;  (** per-domain row-offset scratch *)
   wbuf : float array array;  (** per-domain update buffer *)
-  l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
+  l : Csc.t;
+      (** factor view sharing [lx] and the analysis' column pattern;
+          refreshed by {!factor_ip} *)
   ndomains : int;
   part : int array array;
       (** per level: [ndomains + 1] cost-balanced boundaries into

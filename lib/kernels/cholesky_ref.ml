@@ -16,7 +16,7 @@ module Metrics = Sympiler_metrics.Metrics
      transpose gather map are all precomputed, so the numeric phase touches
      numbers only. *)
 
-exception Not_positive_definite of int
+exception Not_positive_definite = Dense_blas.Not_positive_definite
 
 (* ------------------------- Eigen-like baseline ------------------------- *)
 
@@ -110,41 +110,39 @@ end
 
 (* -------------------- Decoupled (Sympiler) variant --------------------- *)
 
+(* The inspection sets of an up-looking factorization, shared by the
+   decoupled Cholesky below and LDL^T: one fill analysis, whose row lists
+   are the prune-sets and whose column pattern is L's storage, and the
+   transpose gather map of lower(A). Built once, read in place. *)
+type up_looking = {
+  fill : Fill_pattern.t;
+  up_colptr : int array;
+  up_rowind : int array;
+  up_map : int array; (* gather map into a_lower.values *)
+}
+
+let up_looking ?fill (a_lower : Csc.t) : up_looking =
+  let fill =
+    match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
+  in
+  let up_colptr, up_rowind, up_map = Csc.transpose_map a_lower in
+  { fill; up_colptr; up_rowind; up_map }
+
+(* A factor view over plan-owned values and the analysis' own column
+   pattern (no kernel writes a pattern array, so none is copied). *)
+let l_over (fill : Fill_pattern.t) (lx : float array) : Csc.t =
+  Csc.create ~nrows:fill.Fill_pattern.n ~ncols:fill.Fill_pattern.n
+    ~colptr:fill.Fill_pattern.l_colptr ~rowind:fill.Fill_pattern.l_rowind
+    ~values:lx
+
 module Decoupled = struct
-  type compiled = {
-    n : int;
-    rp_ptr : int array; (* prune-set offsets, length n+1 *)
-    rp_ind : int array; (* packed prune-sets, ascending per row *)
-    l_colptr : int array;
-    l_rowind : int array; (* full precomputed pattern of L *)
-    up_colptr : int array;
-    up_rowind : int array;
-    up_map : int array; (* gather map into a_lower.values *)
-    flops : float;
-  }
+  type compiled = { up : up_looking; flops : float }
 
   (* "Compile time": full symbolic factorization + transpose gather map.
-     [fill] lets callers share an already-computed symbolic analysis. The
-     packed prune-set store is flattened into plain int arrays here, once,
-     so the numeric phase reads them allocation-free (int32 Bigarray reads
-     box without flambda). *)
+     [fill] lets callers share an already-computed symbolic analysis. *)
   let compile ?fill (a_lower : Csc.t) : compiled =
-    let fill =
-      match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
-    in
-    let up_colptr, up_rowind, up_map = Csc.transpose_map a_lower in
-    let store = Fill_pattern.row_store fill in
-    {
-      n = fill.Fill_pattern.n;
-      rp_ptr = Bigstore.ptr store;
-      rp_ind = Bigstore.flatten store;
-      l_colptr = fill.Fill_pattern.l_pattern.Csc.colptr;
-      l_rowind = fill.Fill_pattern.l_pattern.Csc.rowind;
-      up_colptr;
-      up_rowind;
-      up_map;
-      flops = Fill_pattern.flops fill;
-    }
+    let up = up_looking ?fill a_lower in
+    { up; flops = Fill_pattern.flops up.fill }
 
   (* A plan owns the factor values, the per-column fill cursors, and the
      sparse accumulator, plus a CSC view [l] over those values; repeated
@@ -158,24 +156,24 @@ module Decoupled = struct
   }
 
   let make_plan (c : compiled) : plan =
-    let n = c.n in
-    let lx = Array.make c.l_colptr.(n) 0.0 in
-    let l =
-      Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy c.l_colptr)
-        ~rowind:(Array.copy c.l_rowind) ~values:lx
-    in
-    { c; lx; nzcount = Array.make n 0; x = Array.make n 0.0; l }
+    let f = c.up.fill in
+    let n = f.Fill_pattern.n in
+    let lx = Array.make (Fill_pattern.nnz_l f) 0.0 in
+    { c; lx; nzcount = Array.make n 0; x = Array.make n 0.0; l = l_over f lx }
 
   (* Numeric phase: identical arithmetic to [Eigen.factor] but with zero
      symbolic work — no transpose, no etree traversals, no pattern stacks:
      the reach function and matrix transpose are gone from the numeric
      code, exactly as §4.2 describes. *)
   let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
-    let c = p.c in
-    let n = c.n in
+    let up = p.c.up in
+    let f = up.fill in
+    let n = f.Fill_pattern.n in
     let av = a_lower.Csc.values in
-    let lp = c.l_colptr in
-    let li = c.l_rowind in
+    let lp = f.Fill_pattern.l_colptr in
+    let li = f.Fill_pattern.l_rowind in
+    let rp = f.Fill_pattern.row_ptr and ri = f.Fill_pattern.row_ind in
+    let uc = up.up_colptr and ur = up.up_rowind and um = up.up_map in
     let lx = p.lx in
     let nzcount = p.nzcount in
     let x = p.x in
@@ -187,13 +185,13 @@ module Decoupled = struct
     for k = 0 to n - 1 do
       (* Gather column k of the upper triangle through the precomputed map. *)
       let d = ref 0.0 in
-      for p = c.up_colptr.(k) to c.up_colptr.(k + 1) - 1 do
-        let i = c.up_rowind.(p) in
-        if i = k then d := av.(c.up_map.(p))
-        else if i < k then x.(i) <- av.(c.up_map.(p))
+      for p = uc.(k) to uc.(k + 1) - 1 do
+        let i = ur.(p) in
+        if i = k then d := av.(um.(p))
+        else if i < k then x.(i) <- av.(um.(p))
       done;
-      for t = c.rp_ptr.(k) to c.rp_ptr.(k + 1) - 1 do
-        let j = c.rp_ind.(t) in
+      for t = rp.(k) to rp.(k + 1) - 1 do
+        let j = ri.(t) in
         let lkj = x.(j) /. lx.(lp.(j)) in
         x.(j) <- 0.0;
         for p = lp.(j) + 1 to lp.(j) + nzcount.(j) - 1 do
@@ -208,7 +206,7 @@ module Decoupled = struct
       lx.(lp.(k)) <- sqrt !d;
       nzcount.(k) <- 1
     done;
-    Metrics.inc Metrics.flops (int_of_float c.flops);
+    Metrics.inc Metrics.flops (int_of_float p.c.flops);
     Metrics.inc Metrics.nnz_touched lp.(n)
 
   (* Spanned entry point: single-bool no-op when tracing is off; the [try]
@@ -232,9 +230,16 @@ end
 let factor_simple (a_lower : Csc.t) : Csc.t =
   Eigen.factor (Eigen.analyze a_lower) a_lower
 
-(* Solve A x = b given the factor L (forward then backward substitution). *)
+(* A x = b in place given the factor L: the forward and backward sweeps
+   of [Stages], which give [Trisolve_ref]'s (the timed Figure 1
+   baselines) bitwise on finite data, counted as both sweeps' work. *)
+let solve_ip (l : Csc.t) (x : float array) : unit =
+  Stages.solve_pair_ip l x;
+  let n = l.Csc.ncols and nnz = l.Csc.colptr.(l.Csc.ncols) in
+  Metrics.inc Metrics.flops (2 * ((2 * nnz) - n));
+  Metrics.inc Metrics.nnz_touched (2 * nnz)
+
 let solve_with_factor (l : Csc.t) (b : float array) : float array =
   let x = Array.copy b in
-  Trisolve_ref.naive_ip l x;
-  Trisolve_ref.transpose_ip l x;
+  solve_ip l x;
   x

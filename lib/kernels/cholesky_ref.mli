@@ -7,7 +7,8 @@ open Sympiler_symbolic
     symbolic work, and the fully decoupled Sympiler form. *)
 
 exception Not_positive_definite of int
-(** Raised at the offending column. *)
+(** Raised at the offending column; the same exception as
+    {!Dense_blas.Not_positive_definite}. *)
 
 (** Eigen-style baseline: the symbolic phase ("analyzePattern") computes
     only the elimination tree and column counts; the numeric phase, like
@@ -24,21 +25,31 @@ module Eigen : sig
       up-traversals. *)
 end
 
+(** The inspection sets of an up-looking factorization, shared by
+    {!Decoupled} and {!Ldlt}: one fill analysis (its row lists are the
+    prune-sets, its column pattern is L's storage) and the transpose
+    gather map of lower(A). Every array is read in place. *)
+type up_looking = {
+  fill : Fill_pattern.t;
+  up_colptr : int array;  (** structure of the transpose of lower(A) *)
+  up_rowind : int array;
+  up_map : int array;
+      (** entry [q] of the transpose reads [values.(up_map.(q))] *)
+}
+
+val up_looking : ?fill:Fill_pattern.t -> Csc.t -> up_looking
+(** The sets of lower(A); pass [fill] to share an already-computed
+    analysis. *)
+
+val l_over : Fill_pattern.t -> float array -> Csc.t
+(** [l_over fill lx]: the factor view over values [lx] and the analysis'
+    own column pattern (shared, not copied: read-only). *)
+
 (** Decoupled Sympiler variant (the Cholesky VI-Prune baseline of
     Figure 7): prune-sets, the full pattern of L, and a transpose gather
     map are precomputed, so the numeric phase touches numbers only. *)
 module Decoupled : sig
-  type compiled = {
-    n : int;
-    rp_ptr : int array;  (** prune-set offsets, length [n+1] *)
-    rp_ind : int array;  (** packed prune-sets, ascending per row *)
-    l_colptr : int array;
-    l_rowind : int array;
-    up_colptr : int array;
-    up_rowind : int array;
-    up_map : int array;
-    flops : float;
-  }
+  type compiled = { up : up_looking; flops : float }
 
   val compile : ?fill:Fill_pattern.t -> Csc.t -> compiled
   (** Compile-time symbolic factorization; pass [fill] to share an
@@ -56,7 +67,9 @@ module Decoupled : sig
     lx : float array;  (** values of L, plan-owned *)
     nzcount : int array;  (** per-column fill cursor *)
     x : float array;  (** sparse accumulator *)
-    l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
+    l : Csc.t;
+        (** factor view sharing [lx] and the analysis' column pattern;
+            refreshed by {!factor_ip} *)
   }
 
   val make_plan : compiled -> plan
@@ -69,5 +82,10 @@ end
 val factor_simple : Csc.t -> Csc.t
 (** One-shot convenience: [Eigen.analyze] + [Eigen.factor]. *)
 
+val solve_ip : Csc.t -> float array -> unit
+(** [solve_ip l x] overwrites [x] with the solution of [A x = x] given the
+    factor L: {!Stages.solve_pair_ip}, then both sweeps' flops,
+    [2 (2 nnz(L) - n)], and entries, [2 nnz(L)], added to the metrics. *)
+
 val solve_with_factor : Csc.t -> float array -> float array
-(** [A x = b] given the factor L: forward then backward substitution. *)
+(** [A x = b] given the factor L: a copy of [b] and {!solve_ip}. *)

@@ -66,10 +66,10 @@ let analyze ?fill ?max_width (a_lower : Csc.t) : analysis =
     match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
   in
   let counts = fill.Fill_pattern.counts and parent = fill.Fill_pattern.parent in
-  let l = fill.Fill_pattern.l_pattern in
   of_supernodes
     ~sn:(Supernodes.detect_etree ?max_width ~counts ~parent ())
-    ~parent ~counts ~l_colptr:l.Csc.colptr ~l_rowind:l.Csc.rowind
+    ~parent ~counts ~l_colptr:fill.Fill_pattern.l_colptr
+    ~l_rowind:fill.Fill_pattern.l_rowind
 
 (* The analysis of a factor pattern alone (a simplicial handle's L, rows
    ascending with the diagonal first): the column counts are the column
@@ -224,6 +224,14 @@ let record_factor an =
   Metrics.inc Metrics.flops (int_of_float an.flops);
   Metrics.inc Metrics.nnz_touched an.nnz_l
 
+(* The factor view a plan hands out: its values and the analysis' own
+   column pattern, which no kernel writes. *)
+let factor_view an lx =
+  Csc.create ~nrows:an.n ~ncols:an.n ~colptr:an.l_colptr ~rowind:an.l_rowind
+    ~values:lx
+
+(* The CHOLMOD baseline's result owns a copy of the pattern, as the
+   library's does. *)
 let finish an lx =
   record_factor an;
   Csc.create ~nrows:an.n ~ncols:an.n ~colptr:(Array.copy an.l_colptr)
@@ -322,11 +330,7 @@ module Sympiler = struct
     let lx = Array.make an.nnz_l 0.0 in
     let relpos = Array.make an.n 0 in
     let wbuf = Array.make (max_update_size c.schedule) 0.0 in
-    let l =
-      Csc.create ~nrows:an.n ~ncols:an.n ~colptr:(Array.copy an.l_colptr)
-        ~rowind:(Array.copy an.l_rowind) ~values:lx
-    in
-    { c; lx; relpos; wbuf; l }
+    { c; lx; relpos; wbuf; l = factor_view an lx }
 
   (* Numeric phase: no transpose, no list maintenance — just arithmetic
      driven by the baked-in schedule, writing into the plan's storage. *)
@@ -360,7 +364,7 @@ module Sympiler = struct
     Sympiler_trace.Trace.end_span ()
 
   (* One-shot allocating wrapper: a fresh plan per call keeps the original
-     value semantics (every factor owns its arrays). *)
+     value semantics (every factor owns its values). *)
   let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
     let p = make_plan c in
     factor_ip p a_lower;

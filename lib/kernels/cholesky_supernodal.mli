@@ -58,6 +58,10 @@ val apply_update_generic :
     ([m * t] entries), then one scatter-subtract into the target panel.
     The emitted supernodal C forms the same sums in the same order. *)
 
+val factor_view : analysis -> float array -> Csc.t
+(** [factor_view an lx]: the factor over values [lx] and [an]'s own
+    column pattern (shared, not copied: read-only). *)
+
 val factor_panel_generic : analysis -> float array -> int -> unit
 (** Jagged potrf + trsm (generic loops). *)
 
@@ -112,7 +116,9 @@ module Sympiler : sig
     lx : float array;  (** values of L, plan-owned *)
     relpos : int array;  (** panel row-offset scratch *)
     wbuf : float array;  (** update buffer ({!max_update_size}) *)
-    l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
+    l : Csc.t;
+        (** factor view sharing [lx] and the analysis' column pattern;
+            refreshed by {!factor_ip} *)
   }
 
   val make_plan : compiled -> plan

@@ -85,6 +85,8 @@ let below_gemv_specialized colptr lx ~c0 ~c1 ~nb x tmp =
 (* ---- In-place dense Cholesky of a supernode's diagonal block stored in
    jagged CSC (column j starts at its diagonal). ---- *)
 
+(* The one non-positive-pivot exception: Cholesky_ref,
+   Cholesky_leftlooking, Ic0 and Rank_update rebind it. *)
 exception Not_positive_definite of int
 
 (* Factor the (c1-c0)^2 diagonal block; returns unit, mutating lx. *)

@@ -13,6 +13,10 @@
     [colptr.(j) + (c1 - j) + t]. *)
 
 exception Not_positive_definite of int
+(** A non-positive pivot at the given column: the one exception of every
+    Cholesky kernel, IC(0) and a rejected downdate ({!Cholesky_ref},
+    {!Cholesky_leftlooking}, {!Ic0} and {!Rank_update} rebind it), so one
+    handler catches them all. *)
 
 val diag_solve_generic :
   int array -> float array -> c0:int -> c1:int -> float array -> unit

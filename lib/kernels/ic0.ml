@@ -11,7 +11,7 @@ module Metrics = Sympiler_metrics.Metrics
    are dropped. On a matrix whose exact factor has no fill (e.g. a
    tridiagonal matrix) IC(0) equals the exact factor. *)
 
-exception Not_positive_definite of int
+exception Not_positive_definite = Dense_blas.Not_positive_definite
 
 (* Positions of L(j, r): for the update pass we need, per column j, the
    list of columns r < j with A(j, r) <> 0 — i.e. the row pattern of
@@ -86,7 +86,8 @@ let compile (a_lower : Csc.t) : compiled =
   }
 
 (* A plan owns the factor values, the dense position map, and a CSC view
-   [l] over those values; repeated [factor_ip] calls allocate nothing. *)
+   [l] over those values and the compiled pattern's own arrays (no kernel
+   writes them); repeated [factor_ip] calls allocate nothing. *)
 type plan = {
   c : compiled;
   lx : float array; (* values of L, plan-owned *)
@@ -98,8 +99,7 @@ let make_plan (c : compiled) : plan =
   let n = c.n in
   let lx = Array.make c.colptr.(n) 0.0 in
   let l =
-    Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy c.colptr)
-      ~rowind:(Array.copy c.rowind) ~values:lx
+    Csc.create ~nrows:n ~ncols:n ~colptr:c.colptr ~rowind:c.rowind ~values:lx
   in
   { c; lx; pos = Array.make n (-1); l }
 

@@ -6,6 +6,7 @@ open Sympiler_sparse
     matrix whose exact factor has no fill, IC(0) equals the exact factor. *)
 
 exception Not_positive_definite of int
+(** The same exception as {!Dense_blas.Not_positive_definite}. *)
 
 type compiled = {
   n : int;
@@ -38,7 +39,9 @@ type plan = {
   c : compiled;
   lx : float array;  (** values of L, plan-owned *)
   pos : int array;  (** dense row→position scratch *)
-  l : Csc.t;  (** factor view sharing [lx]; refreshed by {!factor_ip} *)
+  l : Csc.t;
+      (** factor view sharing [lx] and the compiled pattern's arrays;
+          refreshed by {!factor_ip} *)
 }
 
 val make_plan : compiled -> plan

@@ -11,12 +11,10 @@ open Sympiler_symbolic
 
 exception Zero_pivot of int
 
-type compiled = {
-  n : int;
-  rp_ptr : int array; (* prune-set offsets, length n+1 *)
-  rp_ind : int array; (* packed prune-sets (ascending per row) *)
-  l_colptr : int array;
-  l_rowind : int array;
+(* The symbolic phase is Cholesky's: the same up-looking inspection sets,
+   built by the same function. *)
+type compiled = Cholesky_ref.up_looking = {
+  fill : Fill_pattern.t;
   up_colptr : int array;
   up_rowind : int array;
   up_map : int array; (* transpose gather map, computed symbolically *)
@@ -27,24 +25,7 @@ type factors = {
   d : float array;
 }
 
-(* Symbolic phase: identical inspection sets to Cholesky's. The packed
-   prune-set store is flattened into plain int arrays here, once, so the
-   numeric phase reads them allocation-free (int32 Bigarray reads box
-   without flambda). *)
-let compile (a_lower : Csc.t) : compiled =
-  let fill = Fill_pattern.analyze a_lower in
-  let up_colptr, up_rowind, up_map = Csc.transpose_map a_lower in
-  let store = Fill_pattern.row_store fill in
-  {
-    n = fill.Fill_pattern.n;
-    rp_ptr = Bigstore.ptr store;
-    rp_ind = Bigstore.flatten store;
-    l_colptr = fill.Fill_pattern.l_pattern.Csc.colptr;
-    l_rowind = fill.Fill_pattern.l_pattern.Csc.rowind;
-    up_colptr;
-    up_rowind;
-    up_map;
-  }
+let compile (a_lower : Csc.t) : compiled = Cholesky_ref.up_looking a_lower
 
 (* A plan owns the factor storage (shared with the [factors] view) and the
    numeric scratch, so repeated [factor_ip] calls allocate nothing. *)
@@ -57,23 +38,28 @@ type plan = {
 }
 
 let make_plan (c : compiled) : plan =
-  let n = c.n in
-  let lx = Array.make c.l_colptr.(n) 0.0 in
-  let d = Array.make n 0.0 in
-  let l =
-    Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy c.l_colptr)
-      ~rowind:(Array.copy c.l_rowind) ~values:lx
-  in
-  { c; lx; nzcount = Array.make n 0; y = Array.make n 0.0; f = { l; d } }
+  let n = c.fill.Fill_pattern.n in
+  let lx = Array.make (Fill_pattern.nnz_l c.fill) 0.0 in
+  let l = Cholesky_ref.l_over c.fill lx in
+  {
+    c;
+    lx;
+    nzcount = Array.make n 0;
+    y = Array.make n 0.0;
+    f = { l; d = Array.make n 0.0 };
+  }
 
 (* Numeric phase: up-looking, no symbolic work. Row k solves
    L(0:k-1,0:k-1) D y = A(0:k-1,k) along the precomputed pattern. *)
 let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
   let c = p.c in
-  let n = c.n in
+  let f = c.fill in
+  let n = f.Fill_pattern.n in
   let av = a_lower.Csc.values in
-  let lp = c.l_colptr in
-  let li = c.l_rowind in
+  let lp = f.Fill_pattern.l_colptr in
+  let li = f.Fill_pattern.l_rowind in
+  let rp = f.Fill_pattern.row_ptr and ri = f.Fill_pattern.row_ind in
+  let uc = c.up_colptr and ur = c.up_rowind and um = c.up_map in
   let lx = p.lx in
   let d = p.f.d in
   let nzcount = p.nzcount in
@@ -85,13 +71,13 @@ let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
   Array.fill y 0 n 0.0;
   for k = 0 to n - 1 do
     let dk = ref 0.0 in
-    for p = c.up_colptr.(k) to c.up_colptr.(k + 1) - 1 do
-      let i = c.up_rowind.(p) in
-      if i = k then dk := av.(c.up_map.(p))
-      else if i < k then y.(i) <- av.(c.up_map.(p))
+    for p = uc.(k) to uc.(k + 1) - 1 do
+      let i = ur.(p) in
+      if i = k then dk := av.(um.(p))
+      else if i < k then y.(i) <- av.(um.(p))
     done;
-    for t = c.rp_ptr.(k) to c.rp_ptr.(k + 1) - 1 do
-      let j = c.rp_ind.(t) in
+    for t = rp.(k) to rp.(k + 1) - 1 do
+      let j = ri.(t) in
       let yj = y.(j) in
       y.(j) <- 0.0;
       let lkj = yj /. d.(j) in

@@ -9,16 +9,13 @@ open Sympiler_sparse
 
 exception Zero_pivot of int
 
-type compiled = {
-  n : int;
-  rp_ptr : int array;  (** prune-set offsets, length [n+1] *)
-  rp_ind : int array;  (** packed prune-sets, ascending per row *)
-  l_colptr : int array;
-  l_rowind : int array;
+type compiled = Cholesky_ref.up_looking = {
+  fill : Sympiler_symbolic.Fill_pattern.t;
   up_colptr : int array;
   up_rowind : int array;
   up_map : int array;
 }
+(** Cholesky's up-looking inspection sets ({!Cholesky_ref.up_looking}). *)
 
 type factors = {
   l : Csc.t;  (** unit lower triangular, unit diagonal stored *)

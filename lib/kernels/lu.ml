@@ -92,7 +92,7 @@ module Sympiler = struct
     lx : float array; (* values of L, plan-owned *)
     ux : float array; (* values of U, plan-owned *)
     x : float array; (* dense scatter column (all-zero between calls) *)
-    f : factors; (* factor views over [lx] / [ux] *)
+    f : factors; (* factor views over [lx] / [ux] and the compiled patterns *)
   }
 
   let make_plan (c : compiled) : plan =
@@ -100,12 +100,12 @@ module Sympiler = struct
     let lx = Array.make c.l_colptr.(n) 0.0 in
     let ux = Array.make c.u_colptr.(n) 0.0 in
     let l =
-      Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy c.l_colptr)
-        ~rowind:(Array.copy c.l_rowind) ~values:lx
+      Csc.create ~nrows:n ~ncols:n ~colptr:c.l_colptr ~rowind:c.l_rowind
+        ~values:lx
     in
     let u =
-      Csc.create ~nrows:n ~ncols:n ~colptr:(Array.copy c.u_colptr)
-        ~rowind:(Array.copy c.u_rowind) ~values:ux
+      Csc.create ~nrows:n ~ncols:n ~colptr:c.u_colptr ~rowind:c.u_rowind
+        ~values:ux
     in
     { c; lx; ux; x = Array.make n 0.0; f = { l; u } }
 

@@ -40,7 +40,9 @@ module Sympiler : sig
     lx : float array;  (** values of L, plan-owned *)
     ux : float array;  (** values of U, plan-owned *)
     x : float array;  (** dense scatter column *)
-    f : factors;  (** factor views over the plan's storage *)
+    f : factors;
+        (** factor views over the plan's storage and the compiled
+            patterns *)
   }
 
   val make_plan : compiled -> plan

@@ -38,13 +38,12 @@ let compile (a : Csc.t) : compiled =
   let ones = Csc.map_values a (fun _ -> 1.0) in
   let ata = Csc.multiply (Csc.transpose ones) ones in
   let fill = Fill_pattern.analyze (Csc.lower ata) in
-  let lpat = fill.Fill_pattern.l_pattern in
   let a_rowptr, a_colind, a_map = Csc.transpose_map a in
   {
     m = a.Csc.nrows;
     n = a.Csc.ncols;
-    rt_colptr = lpat.Csc.colptr;
-    rt_rowind = lpat.Csc.rowind;
+    rt_colptr = fill.Fill_pattern.l_colptr;
+    rt_rowind = fill.Fill_pattern.l_rowind;
     a_rowptr;
     a_colind;
     a_map;

@@ -27,7 +27,7 @@ open Sympiler_symbolic
 
 module Metrics = Sympiler_metrics.Metrics
 
-exception Not_positive_definite of int
+exception Not_positive_definite = Dense_blas.Not_positive_definite
 exception Pattern_violation of int
 
 (* ------------------------------ validation ------------------------------ *)

@@ -24,7 +24,8 @@ open Sympiler_sparse
 
 exception Not_positive_definite of int
 (** A downdate destroyed positive definiteness. Plan entry points (and the
-    one-shot {!apply}) roll the factor back before re-raising. *)
+    one-shot {!apply}) roll the factor back before re-raising. The same
+    exception as {!Dense_blas.Not_positive_definite}. *)
 
 exception Pattern_violation of int
 (** [w] has a nonzero outside the allowed pattern (offending row given). *)

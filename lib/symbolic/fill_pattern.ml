@@ -5,32 +5,29 @@ open Sympiler_sparse
    allocated once and no dynamic index arrays remain in the numeric phase —
    the property Sympiler's code generation relies on. *)
 
-(* Result of symbolic analysis for A = L L^T. The per-row prune-sets live
-   packed in an int32 [Bigstore] rather than a boxed [int array array]:
-   at 10^6 rows a jagged representation roughly doubles the memory of the
-   symbolic result (8-byte entries plus a header and pointer per row).
-   Kernels that need allocation-free numeric reads flatten the store into
-   plain int arrays at compile time (Bigstore.ptr / Bigstore.flatten). *)
+(* Result of symbolic analysis for A = L L^T: L's structure as the plain
+   int arrays its kernels read in place, built once. The row lists are the
+   per-column prune-sets of the Cholesky VI-Prune transformation; the
+   column pattern sizes and indexes L's storage. No float array: the
+   pattern-only consumers that take a [Csc.t] get the values-free view of
+   [l_view]. *)
 type t = {
   n : int;
   parent : int array; (* elimination tree *)
-  l_pattern : Csc.t; (* pattern of L, unit values; rows sorted ascending *)
   counts : int array; (* counts.(j) = nnz(L(:,j)) including the diagonal *)
-  row_store : Bigstore.t;
-      (* segment k = columns j < k with L(k,j) <> 0, ascending — the
-         per-column prune-sets of the Cholesky VI-Prune transformation *)
+  l_colptr : int array; (* column pattern of L, length n+1 *)
+  l_rowind : int array; (* rows ascending per column, diagonal first *)
+  row_ptr : int array; (* row k's list is row_ind.(row_ptr.(k) .. ) *)
+  row_ind : int array;
+      (* columns j < k with L(k,j) <> 0, ascending: the strictly-lower
+         rows of L (the transpose of the column pattern without its
+         diagonal) *)
 }
-
-let row_ptr t = Bigstore.ptr t.row_store
-let row_pattern t k = Bigstore.segment t.row_store k
-let iter_row_pattern t k f = Bigstore.iter_segment t.row_store k f
-let row_patterns t = Bigstore.to_arrays t.row_store
-let row_store t = t.row_store
 
 (* The walk [analyze] and [col_counts] share: one transpose of lower(A)
    feeds both the etree and the per-row ereach, which counts every entry
    of L into its column and hands each row's pattern, in row order
-   (unsorted, in the workspace stack), to [row stack len]. *)
+   (unsorted, in the workspace stack), to [row k stack len]. *)
 let walk (a_lower : Csc.t) ~row : int array * int array =
   let n = a_lower.Csc.ncols in
   let upper = Csc.transpose a_lower in
@@ -44,62 +41,86 @@ let walk (a_lower : Csc.t) ~row : int array * int array =
       let j = stack.(q) in
       counts.(j) <- counts.(j) + 1
     done;
-    row stack len
+    row k stack len
   done;
   Sympiler_trace.Trace.end_span ();
   (parent, counts)
 
-(* Etree and column counts alone: no row store, no pattern of L. The
+(* Etree and column counts alone: no row lists, no pattern of L. The
    cheap baseline for decisions that only need nnz(L) or the flop model
    (the ordering stage's natural-order comparison, [Explain]). *)
 let col_counts (a_lower : Csc.t) : int array * int array =
-  walk a_lower ~row:(fun _ _ -> ())
+  walk a_lower ~row:(fun _ _ _ -> ())
 
 (* O(|L|) analysis from the lower-triangular part of A via [Ereach],
    timed by its "symbolic.fill" span. *)
 let analyze (a_lower : Csc.t) : t =
   Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
   let n = a_lower.Csc.ncols in
-  let builder =
-    Bigstore.Builder.create ~segments_hint:n
-      ~capacity:(max 16 (4 * Csc.nnz a_lower))
-      ()
-  in
-  (* First pass: row patterns, sorted and packed as they are produced (the
-     builder copies the workspace stack out as int32), and column counts. *)
+  (* First pass: each row's pattern, sorted, appended to a buffer that
+     grows by doubling (nnz(L) is known only once the walk ends), and the
+     column counts. The buffer packs an entry in 4 bytes (a column index
+     is below n < 2^31) and is decoded once into the exact-size row
+     lists, after which it is garbage: packing halves that garbage and
+     the walk's memory traffic. *)
+  let buf = ref (Bytes.create (4 * max 16 (4 * Csc.nnz a_lower))) in
+  let row_ptr = Array.make (n + 1) 0 in
   let parent, counts =
-    walk a_lower ~row:(fun stack len ->
+    walk a_lower ~row:(fun k stack len ->
         Utils.sort_int_range stack 0 len;
-        Bigstore.Builder.append_segment builder stack len)
+        let top = row_ptr.(k) in
+        let cap = Bytes.length !buf in
+        if 4 * (top + len) > cap then begin
+          let grown = Bytes.create (max (4 * (top + len)) (2 * cap)) in
+          Bytes.blit !buf 0 grown 0 (4 * top);
+          buf := grown
+        end;
+        let b = !buf in
+        for i = 0 to len - 1 do
+          Bytes.set_int32_ne b (4 * (top + i)) (Int32.of_int stack.(i))
+        done;
+        row_ptr.(k + 1) <- top + len)
   in
-  let row_store = Bigstore.Builder.finish builder in
-  (* Second pass: scatter into column-major storage. Row indices within a
-     column arrive in increasing k, hence sorted. *)
-  let colptr = Array.make (n + 1) 0 in
-  Array.blit counts 0 colptr 0 n;
-  let nnz = Utils.cumsum colptr in
-  let rowind = Array.make nnz 0 in
-  let next = Array.sub colptr 0 n in
-  let row = ref 0 in
-  let put j =
-    rowind.(next.(j)) <- !row;
-    next.(j) <- next.(j) + 1
-  in
-  for k = 0 to n - 1 do
-    row := k;
-    (* Diagonal of column k. *)
-    put k;
-    Bigstore.iter_segment row_store k put
+  let b = !buf in
+  let row_ind = Array.make row_ptr.(n) 0 in
+  for q = 0 to row_ptr.(n) - 1 do
+    row_ind.(q) <- Int32.to_int (Bytes.get_int32_ne b (4 * q))
   done;
-  let l_pattern =
-    Csc.create ~nrows:n ~ncols:n ~colptr ~rowind
-      ~values:(Array.make nnz 1.0)
-  in
+  (* Second pass: scatter into column-major storage. Column j receives
+     its diagonal at row j and then rows k > j in increasing k, hence
+     sorted with the diagonal first. *)
+  let l_colptr = Array.make (n + 1) 0 in
+  Array.blit counts 0 l_colptr 0 n;
+  let nnz = Utils.cumsum l_colptr in
+  let l_rowind = Array.make nnz 0 in
+  let next = Array.sub l_colptr 0 n in
+  for k = 0 to n - 1 do
+    l_rowind.(next.(k)) <- k;
+    next.(k) <- next.(k) + 1;
+    for q = row_ptr.(k) to row_ptr.(k + 1) - 1 do
+      let j = row_ind.(q) in
+      l_rowind.(next.(j)) <- k;
+      next.(j) <- next.(j) + 1
+    done
+  done;
   if Sympiler_trace.Trace.enabled () then begin
     Sympiler_trace.Trace.set_attr "n" (Sympiler_trace.Trace.Int n);
     Sympiler_trace.Trace.set_attr "nnz_l" (Sympiler_trace.Trace.Int nnz)
   end;
-  { n; parent; l_pattern; counts; row_store }
+  { n; parent; counts; l_colptr; l_rowind; row_ptr; row_ind }
+
+(* The column pattern as a [Csc.t] for the pattern-only consumers
+   ([Dep_graph], [Stages.schedule], [Supernodes]): it shares the two
+   arrays and carries no values ([values = [||]], so it is no input to
+   anything that reads them). *)
+let l_view (t : t) : Csc.t =
+  {
+    Csc.nrows = t.n;
+    ncols = t.n;
+    colptr = t.l_colptr;
+    rowind = t.l_rowind;
+    values = [||];
+  }
 
 (* Independent oracle implementing the paper's equation (1):
    Lj = Aj ∪ {j} ∪ (∪_{j = T(s)} Ls \ {s}). Exponentially simpler and
@@ -127,7 +148,7 @@ let pattern_by_children (a_lower : Csc.t) : Csc.t =
   Array.iteri (fun j set -> S.iter (fun i -> Triplet.add tr i j 1.0) set) cols;
   Csc.of_triplet tr
 
-let nnz_l t = Csc.nnz t.l_pattern
+let nnz_l t = t.l_colptr.(t.n)
 
 (* Number of floating point operations of the numeric factorization:
    sum over columns of c*(c+2) with c = below-diagonal count (sqrt counted

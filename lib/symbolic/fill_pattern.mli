@@ -5,18 +5,24 @@ open Sympiler_sparse
     everything the numeric phase needs so that no dynamic index arrays
     remain, the property Sympiler's code generation relies on (§3.2). *)
 
-(** Result of analyzing [A = L L^T]. The per-row prune-sets are packed in
-    an int32 {!Bigstore} (segment [k] = row [k]'s pattern) — half the
-    memory of a jagged [int array array] at large n. *)
+(** Result of analyzing [A = L L^T]: L's structure as plain int arrays,
+    built once by one etree and ereach walk, which every consumer reads in
+    place (kernels, code generators and plans keep references to them, so
+    treat every array as read-only). It holds no float array. *)
 type t = {
   n : int;
   parent : int array;  (** elimination tree *)
-  l_pattern : Csc.t;
-      (** pattern of L (unit values), rows sorted ascending per column *)
   counts : int array;  (** [counts.(j)] = nnz(L(:,j)), diagonal included *)
-  row_store : Bigstore.t;
-      (** segment [k] = columns [j < k] with [L(k,j) <> 0], ascending — the
-          per-column prune-sets of Cholesky's VI-Prune *)
+  l_colptr : int array;  (** column pattern of L: pointers, length [n+1] *)
+  l_rowind : int array;
+      (** rows of column [j] at [l_rowind.(l_colptr.(j)) ..
+          l_rowind.(l_colptr.(j+1)-1)], ascending, diagonal first *)
+  row_ptr : int array;  (** row-list pointers, length [n+1] *)
+  row_ind : int array;
+      (** row [k]'s list at [row_ind.(row_ptr.(k)) .. row_ind.(row_ptr.(k+1)-1)]:
+          the columns [j < k] with [L(k,j) <> 0], ascending — the
+          per-column prune-sets of Cholesky's VI-Prune (the transpose of
+          the column pattern without its diagonal) *)
 }
 
 val analyze : Csc.t -> t
@@ -26,24 +32,13 @@ val analyze : Csc.t -> t
 val col_counts : Csc.t -> int array * int array
 (** [col_counts a_lower] is [(parent, counts)], equal to the [parent] and
     [counts] of {!analyze}, from the same etree and ereach walk but with
-    no row store and no pattern of L. nnz(L) is the sum of [counts]. *)
+    no row lists and no pattern of L. nnz(L) is the sum of [counts]. *)
 
-val row_ptr : t -> int array
-(** Segment offsets of the packed row patterns (length [n+1]; row [k]
-    occupies packed positions [row_ptr.(k) .. row_ptr.(k+1)-1]). Shared
-    with the store — treat as read-only. *)
-
-val row_pattern : t -> int -> int array
-(** Allocating copy of row [k]'s pattern. *)
-
-val iter_row_pattern : t -> int -> (int -> unit) -> unit
-(** Apply a function to each column of row [k]'s pattern, ascending. *)
-
-val row_patterns : t -> int array array
-(** Allocating jagged copy of all row patterns (inspection sets, tests). *)
-
-val row_store : t -> Bigstore.t
-(** The packed store itself (for kernels that flatten it at compile time). *)
+val l_view : t -> Csc.t
+(** The column pattern as a [Csc.t] that shares [l_colptr] and [l_rowind]
+    and has no values ([values = [||]]): for the pattern-only consumers
+    that take a matrix ({!Dep_graph}, {!Supernodes}, the sweep schedules).
+    Not a valid input to anything that reads values. *)
 
 val pattern_by_children : Csc.t -> Csc.t
 (** Independent oracle implementing the paper's equation (1):

@@ -20,7 +20,8 @@ type inspection_strategy =
 
 type inspection_set =
   | Prune_set of int array (* e.g. the reach-set, topologically ordered *)
-  | Prune_sets of int array array (* per-column prune sets (row patterns) *)
+  | Prune_sets of int array * int array
+      (* per-column prune sets (row patterns) as (pointers, packed lists) *)
   | Block_set of Supernodes.t (* supernode boundaries *)
 
 type t = {
@@ -72,7 +73,9 @@ let cholesky_vi_prune (fill : Fill_pattern.t) : t =
     graph = Elimination_tree;
     strategy = Single_node_up_traversal;
     description = "Cholesky row patterns (prune sets)";
-    run = (fun () -> Prune_sets (Fill_pattern.row_patterns fill));
+    run =
+      (fun () ->
+        Prune_sets (fill.Fill_pattern.row_ptr, fill.Fill_pattern.row_ind));
   }
 
 (* VS-Block inspector: supernodes from etree + column counts. *)

@@ -19,7 +19,9 @@ type inspection_strategy =
 
 type inspection_set =
   | Prune_set of int array  (** e.g. the reach-set, topologically ordered *)
-  | Prune_sets of int array array  (** per-column prune sets (row patterns) *)
+  | Prune_sets of int array * int array
+      (** per-column prune sets (row patterns) as [(ptr, ind)]: set [k] is
+          [ind.(ptr.(k)) .. ind.(ptr.(k+1)-1)], shared with the analysis *)
   | Block_set of Supernodes.t  (** supernode boundaries *)
 
 type t = {

@@ -298,23 +298,21 @@ else
   echo "skipped: no python3 (perfbench smoke needs it)"
 fi
 
-if [ "${SYMPILER_LARGE:-0}" = "1" ]; then
-  echo "== large tier (opt-in: SYMPILER_LARGE=1) =="
-  # 10^6-row readiness: the large-smoke group factors a 10^5-row grid
-  # through the facade (zero steady-state allocation, pool-vs-sequential
-  # bitwise identity), then the large bench ladder (10^4/10^5/10^6-row
-  # grids) measures wall-clock scaling exponents and fails if symbolic
-  # analysis is no longer near-linear. Takes ~a minute and ~2 GB of RAM,
-  # so it never runs in the default tier.
-  dune build @large-smoke
-  dune exec bench/main.exe -- --only large
-  for verdict in symbolic_near_linear numeric_near_linear; do
-    grep -q "\"$verdict\":true" _build/bench/large.json || {
-      echo "FAIL: $verdict is not true in _build/bench/large.json" >&2
-      exit 1
-    }
-  done
-fi
+echo "== large tier =="
+# 10^6-row readiness: the large-smoke group factors a 10^5-row grid
+# through the facade (zero steady-state allocation, pool-vs-sequential
+# bitwise identity), then the large bench ladder (10^4/10^5/10^6-row
+# grids) measures wall-clock scaling exponents and fails if symbolic
+# analysis or the numeric factorization is no longer near-linear. The two
+# steps take seconds; the bench process peaks near 1.4 GB of RAM.
+dune build @large-smoke
+dune exec bench/main.exe -- --only large
+for verdict in symbolic_near_linear numeric_near_linear; do
+  grep -q "\"$verdict\":true" _build/bench/large.json || {
+    echo "FAIL: $verdict is not true in _build/bench/large.json" >&2
+    exit 1
+  }
+done
 
 if [ "$in_git" = "1" ]; then
   echo "== work tree unchanged =="

@@ -1,7 +1,7 @@
 (* Large-scale smoke test: a 10^5-row elongated 3D grid driven through the
    facade end to end. Deliberately NOT part of the default `dune runtest`
    (it forces a ~10^5-row factorization, seconds of work); run it with
-   `dune build @large-smoke` or via scripts/ci.sh under SYMPILER_LARGE=1.
+   `dune build @large-smoke`, as every scripts/ci.sh run does.
 
    Checks: symbolic + numeric success at scale, a small residual, zero
    steady-state allocation of the plan path (the same Gc protocol the

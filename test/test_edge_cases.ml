@@ -113,9 +113,9 @@ let test_fill_pattern_diagonal () =
   Alcotest.(check int) "no fill" 4 (Fill_pattern.nnz_l f);
   Alcotest.(check (array int)) "no parents" [| -1; -1; -1; -1 |]
     f.Fill_pattern.parent;
-  Array.iter
-    (fun r -> Alcotest.(check int) "empty rows" 0 (Array.length r))
-    (Fill_pattern.row_patterns f)
+  Alcotest.(check (array int)) "empty rows" [| 0; 0; 0; 0; 0 |]
+    f.Fill_pattern.row_ptr;
+  Alcotest.(check int) "no row entries" 0 (Array.length f.Fill_pattern.row_ind)
 
 let test_reach_duplicate_beta () =
   let l = Helpers.figure1_l in

@@ -126,9 +126,7 @@ let test_min_degree_reduces_fill () =
   let p = Ordering.min_degree a in
   Alcotest.(check bool) "md perm valid" true (Perm.is_valid p);
   let fill_of m =
-    Csc.nnz
-      (Sympiler_symbolic.Fill_pattern.analyze (Csc.lower m))
-        .Sympiler_symbolic.Fill_pattern.l_pattern
+    Sympiler_symbolic.Fill_pattern.(nnz_l (analyze (Csc.lower m)))
   in
   let before = fill_of a in
   let after = fill_of (Perm.symmetric_permute p a) in

@@ -129,7 +129,6 @@ let test_cholesky_pipeline_matches_oracle () =
   let a = Generators.grid2d ~stencil:`Nine 5 5 in
   let al = Csc.lower a in
   let fill = F.analyze al in
-  let lpat = fill.F.l_pattern in
   let oracle = Helpers.oracle_cholesky a in
   let nnz = Csc.nnz al in
   let amap = Array.init nnz (fun p -> nnz - 1 - p) in
@@ -141,15 +140,15 @@ let test_cholesky_pipeline_matches_oracle () =
       let s =
         Pipeline.cholesky_shaped k
           ?amap:(if ordered then Some amap else None)
-          al ~lp:lpat.Csc.colptr ~li:lpat.Csc.rowind ~row_ptr:(F.row_ptr fill)
-          ~row_set:(Bigstore.flatten (F.row_store fill))
+          al ~lp:fill.F.l_colptr ~li:fill.F.l_rowind ~row_ptr:fill.F.row_ptr
+          ~row_set:fill.F.row_ind
       in
       let lx =
         Pipeline.run_cholesky k s (if ordered then natural else al.Csc.values)
       in
       let l =
         Csc.create ~nrows:al.Csc.ncols ~ncols:al.Csc.ncols
-          ~colptr:lpat.Csc.colptr ~rowind:lpat.Csc.rowind ~values:lx
+          ~colptr:fill.F.l_colptr ~rowind:fill.F.l_rowind ~values:lx
       in
       Alcotest.(check bool)
         (Printf.sprintf "cholesky AST low_level=%b ordered=%b" ll ordered)

@@ -245,7 +245,7 @@ let test_lu_pattern_matches_cholesky () =
   let c = Lu.Sympiler.compile a in
   let fill = Fill_pattern.analyze (Csc.lower a) in
   Alcotest.(check (array int)) "L colptr matches symbolic Cholesky"
-    fill.Fill_pattern.l_pattern.Csc.colptr c.Lu.Sympiler.l_colptr
+    fill.Fill_pattern.l_colptr c.Lu.Sympiler.l_colptr
 
 (* ---- IC(0) ---- *)
 

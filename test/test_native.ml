@@ -365,13 +365,7 @@ let test_native_degenerate () =
       ("n=1 no entries", one [| 0; 0 |] [||] [||]);
     ]
   in
-  (* The OCaml supernodal executor raises the dense panel kernel's
-     exception, every native Cholesky plan the simplicial one. *)
-  let error = function
-    | Dense_blas.Not_positive_definite j ->
-        Error (Printexc.to_string (Cholesky_ref.Not_positive_definite j))
-    | e -> Error (Printexc.to_string e)
-  in
+  let error e = Error (Printexc.to_string e) in
   List.iter
     (fun fam ->
       List.iter
@@ -395,8 +389,11 @@ let test_native_degenerate () =
         cases)
     families
 
-(* Both native Cholesky kernels report a non-positive pivot where the
-   OCaml executors raise, and the plan then factors as a fresh one. *)
+(* One [Not_positive_definite] for every Cholesky plan: on cbuckle with
+   its last diagonal entry negated, the OCaml supernodal, OCaml simplicial
+   and both native plans raise it at the same column, one handler catches
+   them all, and each plan then factors as a fresh one. The kernels'
+   other spellings name the same exception. *)
 let test_native_cholesky_pivot () =
   require_native ();
   let al = (Sympiler.Suite.problem 1).Sympiler.Suite.a_lower in
@@ -407,22 +404,43 @@ let test_native_cholesky_pivot () =
   values.(d) <- -.values.(d);
   let bad = { al with Csc.values } in
   List.iter
-    (fun name ->
+    (fun (name, engine) ->
       let fam = find name in
-      let p = fam.build `Natural `Native al in
-      Alcotest.(check bool) (name ^ ": native loaded") true (p.native <> None);
+      let what =
+        name ^ if engine = `Native then " native" else " ocaml"
+      in
+      let p = fam.build `Natural engine al in
+      Alcotest.(check bool) (what ^ ": native loaded") (engine = `Native)
+        (p.native <> None);
       let col =
         match p.exec bad with
         | () -> -1
-        | exception Cholesky_ref.Not_positive_definite j -> j
+        | exception Dense_blas.Not_positive_definite j -> j
       in
-      Alcotest.(check int) (name ^ ": raises at the last column") (n - 1) col;
+      Alcotest.(check int) (what ^ ": raises at the last column") (n - 1) col;
       Alcotest.(check bool)
-        (name ^ ": then factors as a fresh plan, bitwise")
+        (what ^ ": then factors as a fresh plan, bitwise")
         true
         (Helpers.same_bits (p.values al)
-           ((fam.build `Natural `Native al).values al)))
-    [ "cholesky supernodal"; "cholesky simplicial" ]
+           ((fam.build `Natural engine al).values al)))
+    [
+      ("cholesky supernodal", `Ocaml);
+      ("cholesky simplicial", `Ocaml);
+      ("cholesky supernodal", `Native);
+      ("cholesky simplicial", `Native);
+    ];
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (Printexc.to_string e ^ ": one exception") true
+        (match raise e with
+        | () -> false
+        | exception Dense_blas.Not_positive_definite 7 -> true))
+    [
+      Cholesky_ref.Not_positive_definite 7;
+      Cholesky_leftlooking.Not_positive_definite 7;
+      Ic0.Not_positive_definite 7;
+      Rank_update.Not_positive_definite 7;
+    ]
 
 (* The artifact runs the same kernel: each family's [c_code], compiled
    standalone with the engine's optimization flags, factors the input to
@@ -657,7 +675,7 @@ let test_upgraded_pivot () =
   let native_col =
     match C.execute_ip pn bad with
     | _ -> -1
-    | exception Cholesky_ref.Not_positive_definite j -> j
+    | exception Dense_blas.Not_positive_definite j -> j
   in
   Alcotest.(check bool) "the OCaml supernodal plan fails" true (ocaml_col >= 0);
   Alcotest.(check int) "native raises at the same column" ocaml_col native_col;

@@ -20,8 +20,7 @@ let orderings =
   ]
 
 let nnz_l (a : Csc.t) : int =
-  let f = Fill_pattern.analyze (Csc.lower a) in
-  f.Fill_pattern.l_pattern.Csc.colptr.(a.Csc.ncols)
+  Fill_pattern.nnz_l (Fill_pattern.analyze (Csc.lower a))
 
 (* ---- permutation validity on adversarial graph shapes ---- *)
 

@@ -194,6 +194,40 @@ let test_incomplete_flops () =
   check "ilu0" t.Sympiler.Ilu0.flops (fun () ->
       ignore (Sympiler.Ilu0.execute_ip p a : Ilu0.factors))
 
+(* One [Cholesky.solve] adds the factorization's flops and both sweeps',
+   2 (2 nnz(L) - n), on natural and ordered, simplicial and supernodal
+   handles, and gives the Figure 1 baseline sweeps' solution bitwise. *)
+let test_cholesky_solve_flops () =
+  let module C = Sympiler.Cholesky in
+  let al = spd_lower () in
+  let n = al.Csc.ncols in
+  let b = Array.init n (fun i -> float_of_int ((i mod 7) + 1)) in
+  with_metrics @@ fun () ->
+  List.iter
+    (fun (name, opts) ->
+      let t = C.compile ~opts al in
+      let x = ref [||] in
+      Alcotest.(check int)
+        (name ^ ": the factor's and both sweeps' flops")
+        (int_of_float t.C.flops + (2 * ((2 * t.C.nnz_l) - n)))
+        (counted Metrics.flops (fun () -> x := C.solve t al b));
+      let l = C.factor t al in
+      let perm = t.C.ord.Sympiler.o_perm in
+      let y =
+        match perm with Some p -> Perm.apply_vec p b | None -> Array.copy b
+      in
+      Trisolve_ref.naive_ip l y;
+      Trisolve_ref.transpose_ip l y;
+      let y = match perm with Some p -> Perm.apply_inv_vec p y | None -> y in
+      bitwise (name ^ ": the baseline sweeps' solution") y !x)
+    [
+      ("natural", Sympiler.Options.default);
+      ( "amd simplicial",
+        Sympiler.Options.make ~ordering:`Amd ~simplicial:true () );
+      ( "amd supernodal",
+        Sympiler.Options.make ~ordering:`Amd ~vs_block_threshold:0.0 () );
+    ]
+
 let test_reset () =
   with_metrics @@ fun () ->
   Metrics.inc Metrics.flops 7;
@@ -278,6 +312,7 @@ let suite =
       `Quick,
       test_counters_untouched_when_disabled );
     ("IC0/ILU0 flops per factor", `Quick, test_incomplete_flops);
+    ("Cholesky.solve counts both sweeps", `Quick, test_cholesky_solve_flops);
     ("reset", `Quick, test_reset);
     ("json emitter", `Quick, test_json_emitter);
     ("table emitter", `Quick, test_table_emitter);

@@ -342,41 +342,6 @@ let test_etree_depths_deep_path () =
   Alcotest.(check int) "leaf depth" (n - 1) depth.(0);
   Alcotest.(check int) "root depth" 0 depth.(n - 1)
 
-(* Bigstore: jagged round-trip and builder growth. The builder's [reserve]
-   once blitted the whole old buffer (capacity-sized) into a length-sized
-   view of the grown one — a dimension-mismatch crash on any regrowth with
-   a nonempty prefix, so small initial capacities cross several doublings
-   here on purpose. *)
-let test_bigstore_roundtrip_and_growth () =
-  let rows =
-    Array.init 64 (fun s -> Array.init (s mod 7) (fun i -> (s * 31) + i))
-  in
-  let store = Bigstore.of_arrays rows in
-  Alcotest.(check int) "segments" 64 (Bigstore.segments store);
-  Alcotest.(check bool)
-    "to_arrays round-trip" true
-    (Bigstore.to_arrays store = rows);
-  let b = Bigstore.Builder.create ~segments_hint:1 ~capacity:1 () in
-  Array.iter (fun r -> Bigstore.Builder.append_segment b r (Array.length r)) rows;
-  let grown = Bigstore.Builder.finish b in
-  Alcotest.(check bool)
-    "growth across doublings round-trip" true
-    (Bigstore.to_arrays grown = rows);
-  Alcotest.(check int)
-    "total length" (Array.fold_left (fun a r -> a + Array.length r) 0 rows)
-    (Bigstore.total_length grown);
-  let ptr = Bigstore.ptr grown in
-  Alcotest.(check int) "ptr length" 65 (Array.length ptr);
-  Alcotest.(check int) "get" rows.(5).(2) (Bigstore.get grown 5 2);
-  let flat = Bigstore.flatten grown in
-  Alcotest.(check int)
-    "flatten agrees with ptr" ptr.(Bigstore.segments grown)
-    (Array.length flat);
-  Alcotest.(check int) "flatten entry" rows.(5).(2) flat.(ptr.(5) + 2);
-  match Bigstore.Builder.append_segment b [| -1 |] 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative entry: expected Invalid_argument"
-
 let suite =
   [
     ("MM tabs and space runs", `Quick, test_mm_tabs_and_spaces);
@@ -404,7 +369,4 @@ let suite =
     prop_of_triplet_matches_oracle;
     ("dense materialization guards", `Quick, test_dense_guards);
     ("etree depths on 10^6 path tree", `Quick, test_etree_depths_deep_path);
-    ( "bigstore round-trip and builder growth",
-      `Quick,
-      test_bigstore_roundtrip_and_growth );
   ]

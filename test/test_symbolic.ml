@@ -112,7 +112,7 @@ let prop_fill_matches_children_union =
     (fun a ->
       let al = Csc.lower a in
       let fill = Fill_pattern.analyze al in
-      Csc.pattern_equal fill.Fill_pattern.l_pattern
+      Csc.pattern_equal (Fill_pattern.l_view fill)
         (Fill_pattern.pattern_by_children al))
 
 let prop_counts_consistent =
@@ -120,7 +120,7 @@ let prop_counts_consistent =
       let fill = Fill_pattern.analyze (Csc.lower a) in
       Array.for_all (fun ok -> ok)
         (Array.mapi
-           (fun j c -> c = Csc.col_nnz fill.Fill_pattern.l_pattern j)
+           (fun j c -> c = Csc.col_nnz (Fill_pattern.l_view fill) j)
            fill.Fill_pattern.counts))
 
 (* The counts-only pass shares its walk with the full analysis and must
@@ -155,9 +155,76 @@ let prop_fill_contains_a =
       let al = Csc.lower a in
       let fill = Fill_pattern.analyze al in
       let ok = ref true in
-      Csc.iter al (fun i j _ ->
-          if not (Csc.mem fill.Fill_pattern.l_pattern i j) then ok := false);
+      let l = Fill_pattern.l_view fill in
+      Csc.iter al (fun i j _ -> if not (Csc.mem l i j) then ok := false);
       !ok)
+
+(* The analysis' row lists are exactly the strictly-lower rows of its
+   column pattern, ascending (the transpose without the diagonal), its
+   counts are the column lengths, and [col_counts] agrees. *)
+let rows_are_transpose (al : Csc.t) =
+  let f = Fill_pattern.analyze al in
+  let n = f.Fill_pattern.n in
+  let lp = f.Fill_pattern.l_colptr and li = f.Fill_pattern.l_rowind in
+  let row_ptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
+      row_ptr.(li.(p) + 1) <- row_ptr.(li.(p) + 1) + 1
+    done
+  done;
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  let row_ind = Array.make row_ptr.(n) 0 in
+  let next = Array.sub row_ptr 0 n in
+  for j = 0 to n - 1 do
+    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
+      let i = li.(p) in
+      row_ind.(next.(i)) <- j;
+      next.(i) <- next.(i) + 1
+    done
+  done;
+  let parent, counts = Fill_pattern.col_counts al in
+  Array.length lp = n + 1
+  && Array.length li = lp.(n)
+  && row_ptr = f.Fill_pattern.row_ptr
+  && row_ind = f.Fill_pattern.row_ind
+  && Array.init n (fun j -> lp.(j + 1) - lp.(j)) = f.Fill_pattern.counts
+  && counts = f.Fill_pattern.counts
+  && parent = f.Fill_pattern.parent
+
+let prop_rows_are_transpose =
+  Helpers.qtest "row lists = transpose of the column pattern"
+    Helpers.arb_spd (fun a -> rows_are_transpose (Csc.lower a))
+
+(* The same on the suite's patterns, n = 0 and n = 1, and natural-order
+   grid2d 50x50, whose 122,549 row entries are over four times the row
+   buffer's starting capacity (4 nnz(lower(A)) = 29,600): the buffer
+   grows by doubling, and a growth that mishandled the filled prefix once
+   crashed the old packed store's builder. *)
+let test_rows_are_transpose_fixed () =
+  let one v =
+    Csc.create ~nrows:1 ~ncols:1 ~colptr:[| 0; 1 |] ~rowind:[| 0 |]
+      ~values:[| v |]
+  in
+  let grid = Csc.lower (Generators.grid2d ~stencil:`Five 50 50) in
+  let f = Fill_pattern.analyze grid in
+  Alcotest.(check bool)
+    "grid2d 50x50 rows exceed the starting capacity fourfold" true
+    (Array.length f.Fill_pattern.row_ind >= 4 * (4 * Csc.nnz grid));
+  List.iter
+    (fun (name, al) ->
+      Alcotest.(check bool) name true (rows_are_transpose al))
+    ([
+       ("n=0", Csc.zero ~nrows:0 ~ncols:0);
+       ("n=1", one 2.0);
+       ("n=1 no entries", Csc.zero ~nrows:1 ~ncols:1);
+       ("grid2d 50x50", grid);
+     ]
+    @ List.map
+        (fun (p : Sympiler.Suite.prepared) ->
+          (p.Sympiler.Suite.name, p.Sympiler.Suite.a_lower))
+        (Sympiler.Suite.all ()))
 
 let test_fill_flops_positive () =
   let fill = Fill_pattern.analyze (Csc.lower (Generators.grid2d ~stencil:`Five 5 5)) in
@@ -169,7 +236,7 @@ let prop_supernodes_exact_valid =
   Helpers.qtest "exact supernodes validate structurally" Helpers.arb_spd
     (fun a ->
       let fill = Fill_pattern.analyze (Csc.lower a) in
-      let l = fill.Fill_pattern.l_pattern in
+      let l = Fill_pattern.l_view fill in
       let sn = Supernodes.detect_exact l in
       Supernodes.validate_against l sn)
 
@@ -185,7 +252,7 @@ let prop_supernodes_etree_equals_exact_rule =
         Supernodes.detect_etree ~counts:fill.Fill_pattern.counts
           ~parent:fill.Fill_pattern.parent ()
       in
-      Supernodes.validate_against fill.Fill_pattern.l_pattern sn)
+      Supernodes.validate_against (Fill_pattern.l_view fill) sn)
 
 let test_supernodes_partition () =
   let fill = Fill_pattern.analyze (Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:4 ~block:5 ())) in
@@ -239,8 +306,10 @@ let test_inspectors_run () =
   | _ -> Alcotest.fail "wrong inspection set");
   let fill = Fill_pattern.analyze (Csc.lower (Generators.grid2d ~stencil:`Five 4 4)) in
   (match (Inspector.cholesky_vi_prune fill).Inspector.run () with
-  | Inspector.Prune_sets rows ->
-      Alcotest.(check int) "one prune set per row" 16 (Array.length rows)
+  | Inspector.Prune_sets (ptr, ind) ->
+      Alcotest.(check int) "one prune set per row" 16 (Array.length ptr - 1);
+      Alcotest.(check bool) "the analysis' own lists" true
+        (ptr == fill.Fill_pattern.row_ptr && ind == fill.Fill_pattern.row_ind)
   | _ -> Alcotest.fail "wrong inspection set");
   match (Inspector.cholesky_vs_block fill).Inspector.run () with
   | Inspector.Block_set _ -> ()
@@ -269,6 +338,10 @@ let suite =
     prop_counts_consistent;
     prop_col_counts_match_analyze;
     prop_fill_contains_a;
+    prop_rows_are_transpose;
+    ( "row lists = transpose: fixed patterns",
+      `Quick,
+      test_rows_are_transpose_fixed );
     ("fill flops positive", `Quick, test_fill_flops_positive);
     prop_supernodes_exact_valid;
     prop_supernodes_etree_equals_exact_rule;

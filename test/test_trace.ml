@@ -415,7 +415,7 @@ let test_explain_levels_suite () =
       in
       let fill = Sympiler_symbolic.Fill_pattern.analyze al in
       check "cholesky" (Sympiler.Explain.cholesky h)
-        fill.Sympiler_symbolic.Fill_pattern.l_pattern;
+        (Sympiler_symbolic.Fill_pattern.l_view fill);
       let l = Sympiler.Cholesky.factor h al in
       let th = Sympiler.Trisolve.compile (l, Sympiler.Suite.rhs_for p) in
       check "trisolve" (Sympiler.Explain.trisolve th) l)
