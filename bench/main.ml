@@ -605,6 +605,13 @@ let large () =
      major-GC debt left behind by the one before it. Without this the
      measured "symbolic" time at 10^6 rows inflates 2-4x run over run and
      the scaling exponent reads super-linear for a linear stack. *)
+  (* A block allocated during the current major cycle survives a
+     [Gc.compact] alone (OCaml 5.1); the full major cycle first frees it,
+     so the compaction can return its memory. *)
+  let settle () =
+    Gc.full_major ();
+    Gc.compact ()
+  in
   let time_min ?(prepare = fun () -> ()) reps f =
     let best = ref infinity in
     for _ = 1 to reps do
@@ -622,7 +629,7 @@ let large () =
         let name = g.Generators.name in
         (* Settle the heap before each instance so one problem's garbage
            never counts against the next one's assembly timing. *)
-        Gc.compact ();
+        settle ();
         let t0 = Prof.now_seconds () in
         let a = Lazy.force g.Generators.matrix in
         let al = Csc.lower a in
@@ -634,7 +641,7 @@ let large () =
           time_min reps
             ~prepare:(fun () ->
               fill := None;
-              Gc.compact ())
+              settle ())
             (fun () -> fill := Some (Fill_pattern.analyze al))
         in
         (* Bytes of the analysis' int row lists (row_ptr and row_ind). *)
@@ -648,7 +655,7 @@ let large () =
            rows never holds two: the compile runs its own analysis, and
            compile_seconds includes it. *)
         fill := None;
-        Gc.compact ();
+        settle ();
         let t0 = Prof.now_seconds () in
         let h = Sympiler.Cholesky.compile al in
         let compile_s = Prof.now_seconds () -. t0 in
@@ -725,8 +732,8 @@ let large () =
   write_json "large.json" doc;
   section_note
     "(each timing = min over 2-3 one-shot runs, sized to the instance,\n\
-    \ with a Gc.compact outside each timed window so repetitions never\n\
-    \ pay the previous run's collection debt;\n\
+    \ with a full major GC and a compaction outside each timed window\n\
+    \ so repetitions never pay the previous run's collection debt;\n\
     \ exponents = log-log least-squares slope over the 10^4/10^5/10^6\n\
     \ grid3d ladder, whose constant 5x5 cross-section makes work per row\n\
     \ constant — a linear stack measures ~1.0)\n"
@@ -949,29 +956,14 @@ let spawn_factor_ip (p : CP.plan) al =
   p.CP.a_lower <- p.CP.l
 
 (* TP.solve_ip with the pool barrier replaced by spawn/join; narrow levels
-   (< 64 columns) run as a plain column sweep. *)
+   (< 64 columns) run inline exactly like the real path. *)
 let spawn_solve_ip (p : TP.plan) (b : float array) =
   let c = p.TP.c in
-  let x = p.TP.x in
-  Array.blit b 0 x 0 (Array.length x);
-  let l = c.TP.l in
-  let lp = l.Csc.colptr and li = l.Csc.rowind and lxv = l.Csc.values in
+  Array.blit b 0 p.TP.x 0 (Array.length p.TP.x);
   for lv = 0 to c.TP.nlevels - 1 do
     let lo = c.TP.level_ptr.(lv) and hi = c.TP.level_ptr.(lv + 1) in
-    if hi - lo < 64 then
-      for t = lo to hi - 1 do
-        let j = c.TP.level_cols.(t) in
-        let xj = x.(j) /. lxv.(lp.(j)) in
-        x.(j) <- xj;
-        for e = lp.(j) + 1 to lp.(j + 1) - 1 do
-          x.(li.(e)) <- x.(li.(e)) -. (lxv.(e) *. xj)
-        done
-      done
+    if hi - lo < 64 then Stages.lower_range_ip c.TP.l c.TP.sched ~lo ~hi p.TP.x
     else begin
-      for t = lo to hi - 1 do
-        let j = c.TP.level_cols.(t) in
-        x.(j) <- x.(j) /. lxv.(lp.(j))
-      done;
       p.TP.lv <- lv;
       spawn_run ~nworkers:p.TP.ndomains p.TP.task
     end

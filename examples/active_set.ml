@@ -59,4 +59,5 @@ let () =
   let fresh = Sympiler.Cholesky.factor chol al in
   let drift = Utils.max_rel_diff fresh.Csc.values l.Csc.values in
   Printf.printf "factor drift after %d ops: %.2e %s\n" (2 * steps) drift
-    (if drift < 1e-6 then "(OK)" else "(UNEXPECTED)")
+    (if drift < 1e-6 then "(OK)" else "(UNEXPECTED)");
+  if not (drift < 1e-6) then exit 1

@@ -74,4 +74,11 @@ let () =
   Printf.printf
     "symbolic cost amortized over %d factorizations: %.1f%% of total time\n"
     iters
-    (100.0 *. t_symbolic /. (t_symbolic +. t_numeric))
+    (100.0 *. t_symbolic /. (t_symbolic +. t_numeric));
+  (* Newton stops after 25 iterations either way: exit non-zero unless it
+     stopped because it converged. *)
+  let nrm = Vector.norm_inf (f x) in
+  if not (nrm <= 1e-10) then begin
+    Printf.printf "UNEXPECTED: no convergence, |f(x)| = %.3e\n" nrm;
+    exit 1
+  end

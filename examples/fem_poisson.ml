@@ -69,4 +69,7 @@ let () =
   Printf.printf "u(center)=%.3f  u(corner)=%.6f\n" center corner;
   if center > corner && center > 0.0 then
     print_endline "OK: heat concentrated at the source and spreading"
-  else print_endline "UNEXPECTED temperature field"
+  else begin
+    print_endline "UNEXPECTED temperature field";
+    exit 1
+  end

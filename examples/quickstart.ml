@@ -27,17 +27,17 @@ let () =
   (* 3. Numeric factorization + solve — no symbolic work in here. *)
   let b = Array.init a.Csc.ncols (fun i -> 1.0 +. (0.1 *. float_of_int i)) in
   let x = Sympiler.Cholesky.solve chol a_lower b in
-  let r = Vector.sub (Csc.spmv a x) b in
-  Printf.printf "Solved A x = b: residual %.2e\n" (Vector.norm_inf r);
+  let r = Vector.norm_inf (Vector.sub (Csc.spmv a x) b) in
+  Printf.printf "Solved A x = b: residual %.2e\n" r;
 
   (* 4. Values change, pattern does not: refactor without re-analysis. *)
   let a_lower' = Csc.map_values a_lower (fun v -> 1.1 *. v) in
   let x' = Sympiler.Cholesky.solve chol a_lower' b in
   let r' =
-    Vector.sub (Csc.spmv (Csc.symmetrize_from_lower a_lower') x') b
+    Vector.norm_inf
+      (Vector.sub (Csc.spmv (Csc.symmetrize_from_lower a_lower') x') b)
   in
-  Printf.printf "Re-solved with new values (same pattern): residual %.2e\n"
-    (Vector.norm_inf r');
+  Printf.printf "Re-solved with new values (same pattern): residual %.2e\n" r';
 
   (* 5. Sparse triangular solve with a sparse right-hand side. *)
   let l = Sympiler.Cholesky.factor chol a_lower in
@@ -48,9 +48,9 @@ let () =
     a.Csc.ncols tri.Sympiler.Trisolve.flops;
   let y = Sympiler.Trisolve.solve tri rhs in
   let res =
-    Vector.sub (Csc.spmv l y) (Vector.sparse_to_dense rhs)
+    Vector.norm_inf (Vector.sub (Csc.spmv l y) (Vector.sparse_to_dense rhs))
   in
-  Printf.printf "Solved L y = b: residual %.2e\n" (Vector.norm_inf res);
+  Printf.printf "Solved L y = b: residual %.2e\n" res;
 
   (* 6. The generated C code for this exact structure. *)
   let c = Sympiler.Trisolve.c_code tri in
@@ -58,4 +58,11 @@ let () =
   String.split_on_char '\n' c
   |> List.filteri (fun i _ -> i < 12)
   |> List.iter print_endline;
-  Printf.printf "... (%d bytes total)\n" (String.length c)
+  Printf.printf "... (%d bytes total)\n" (String.length c);
+
+  (* The three solves must be accurate: exit non-zero otherwise. *)
+  let worst = List.fold_left Float.max 0.0 [ r; r'; res ] in
+  if worst > 1e-9 then begin
+    Printf.printf "UNEXPECTED: a residual of %.2e exceeds 1e-9\n" worst;
+    exit 1
+  end

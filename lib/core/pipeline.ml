@@ -651,6 +651,15 @@ let run_factor (p : plan) (a' : Csc.t) : unit =
 
 let buf (p : plan) = if p.cur = 0 then p.x else p.y
 
+(* The two ILU(0) sweeps over the combined CSR factor. *)
+let csr_lower (c : Ilu0.compiled) v x =
+  Stages.csr_lower_unit_ip ~rowptr:c.Ilu0.rowptr ~colind:c.Ilu0.colind
+    ~diag:c.Ilu0.diag v x
+
+let csr_upper (c : Ilu0.compiled) v x =
+  Stages.csr_upper_ip ~rowptr:c.Ilu0.rowptr ~colind:c.Ilu0.colind
+    ~diag:c.Ilu0.diag v x
+
 (* The fused executor: every vector stage runs in place on the one shared
    workspace; SpMV ping-pongs between the two chain buffers instead of
    copying back. [src = None] (no new matrix) skips the factor step. *)
@@ -667,8 +676,8 @@ let run_fused (p : plan) (src : Csc.t option) : unit =
     | SPairSched (l, s) -> Stages.solve_pair_sched_ip l s (buf p)
     | SUpper u -> Stages.upper_ip u (buf p)
     | SDiag d -> Stages.diag_ip d (buf p)
-    | SCsrLower (c, v) -> Stages.csr_lower_unit_ip c v (buf p)
-    | SCsrUpper (c, v) -> Stages.csr_upper_ip c v (buf p)
+    | SCsrLower (c, v) -> csr_lower c v (buf p)
+    | SCsrUpper (c, v) -> csr_upper c v (buf p)
     | SSpmv op ->
         let s = buf p in
         let d = if p.cur = 0 then p.y else p.x in
@@ -700,8 +709,8 @@ let run_staged (p : plan) (src : Csc.t option) : unit =
         | SPair l -> Stages.solve_pair_ip l p.sx
         | SUpper u -> Stages.upper_ip u p.sx
         | SDiag d -> Stages.diag_ip d p.sx
-        | SCsrLower (c, v) -> Stages.csr_lower_unit_ip c v p.sx
-        | SCsrUpper (c, v) -> Stages.csr_upper_ip c v p.sx
+        | SCsrLower (c, v) -> csr_lower c v p.sx
+        | SCsrUpper (c, v) -> csr_upper c v p.sx
         | SFactor | SSpmv _ | SLowerSched _ | SLtransSched _ | SPairSched _
           ->
             assert false);

@@ -233,10 +233,12 @@ module Trisolve : sig
   val plan : ?ndomains:int -> ?engine:engine -> t -> plan
   (** Without [ndomains]: the sequential reach-set executor. With
       [ndomains] (any value, including 1): the level-set executor on the
-      persistent domain pool — levelization happens here, at plan time,
-      and results are bitwise-identical across all [ndomains] (though the
-      level schedule's operation order differs from the reach-set
-      executor's). [ndomains] defaults the pool sizing rule to
+      persistent domain pool — levelization happens here, at plan time.
+      It gives every [x(i)] the operation sequence of the column sweep
+      {!Sympiler_kernels.Stages.lower_ip} over the handle's L, so its
+      results equal that sweep's bit for bit for all [ndomains] (the
+      reach-set executor's operation order differs). [ndomains] defaults
+      the pool sizing rule to
       {!Runtime.Pool.default_size} semantics; see that module. [?engine]
       selects the executor ({!type:engine}); a loaded native kernel takes
       precedence over [ndomains]. *)

@@ -129,24 +129,11 @@ let factorize (a : Csc.t) : factors = factor (compile a) a
 
 (* Apply the preconditioner: solve (L U) x = b with the ILU(0) factors. *)
 let solve (f : factors) (b : float array) : float array =
-  let c = f.c and v = f.values in
+  let c = f.c in
+  let rowptr = c.rowptr and colind = c.colind and diag = c.diag in
   let x = Array.copy b in
-  (* forward: L has implicit unit diagonal, row-wise *)
-  for i = 0 to c.n - 1 do
-    let s = ref x.(i) in
-    for p = c.rowptr.(i) to c.diag.(i) - 1 do
-      s := !s -. (v.(p) *. x.(c.colind.(p)))
-    done;
-    x.(i) <- !s
-  done;
-  (* backward: U rows *)
-  for i = c.n - 1 downto 0 do
-    let s = ref x.(i) in
-    for p = c.diag.(i) + 1 to c.rowptr.(i + 1) - 1 do
-      s := !s -. (v.(p) *. x.(c.colind.(p)))
-    done;
-    x.(i) <- !s /. v.(c.diag.(i))
-  done;
+  Stages.csr_lower_unit_ip ~rowptr ~colind ~diag f.values x;
+  Stages.csr_upper_ip ~rowptr ~colind ~diag f.values x;
   x
 
 (* On a matrix whose LU factors have no fill, ILU(0) is exact: used by the

@@ -114,25 +114,11 @@ let factor (c : compiled) (a_lower : Csc.t) : factors =
 
 let factorize (a_lower : Csc.t) : factors = factor (compile a_lower) a_lower
 
-(* Solve A x = b: forward (unit L), diagonal scale, backward (L^T). *)
+(* Solve A x = b: forward (unit L; its stored diagonal divides exactly),
+   diagonal scale, backward (L^T). *)
 let solve (f : factors) (b : float array) : float array =
-  let n = Array.length f.d in
   let x = Array.copy b in
-  let lp = f.l.Csc.colptr and li = f.l.Csc.rowind and lx = f.l.Csc.values in
-  for j = 0 to n - 1 do
-    let xj = x.(j) in
-    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-      x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
-    done
-  done;
-  for j = 0 to n - 1 do
-    x.(j) <- x.(j) /. f.d.(j)
-  done;
-  for j = n - 1 downto 0 do
-    let s = ref x.(j) in
-    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-      s := !s -. (lx.(p) *. x.(li.(p)))
-    done;
-    x.(j) <- !s
-  done;
+  Stages.lower_ip f.l x;
+  Stages.diag_ip f.d x;
+  Stages.ltrans_ip f.l x;
   x

@@ -230,24 +230,10 @@ module Ref = struct
     { l = Csc.of_triplet ltr; u = Csc.of_triplet utr }
 end
 
-(* Solve A x = b from LU factors: forward (unit L) then backward (U). *)
+(* Solve A x = b from LU factors: forward (unit L, diagonal stored first)
+   then backward (U, diagonal stored last). *)
 let solve (f : factors) (b : float array) : float array =
-  let n = f.l.Csc.ncols in
   let x = Array.copy b in
-  (* L has explicit unit diagonal first in each column. *)
-  for j = 0 to n - 1 do
-    let xj = x.(j) in
-    for p = f.l.Csc.colptr.(j) + 1 to f.l.Csc.colptr.(j + 1) - 1 do
-      x.(f.l.Csc.rowind.(p)) <- x.(f.l.Csc.rowind.(p)) -. (f.l.Csc.values.(p) *. xj)
-    done
-  done;
-  (* U columns have the diagonal last. *)
-  for j = n - 1 downto 0 do
-    let hi = f.u.Csc.colptr.(j + 1) - 1 in
-    let xj = x.(j) /. f.u.Csc.values.(hi) in
-    x.(j) <- xj;
-    for p = f.u.Csc.colptr.(j) to hi - 1 do
-      x.(f.u.Csc.rowind.(p)) <- x.(f.u.Csc.rowind.(p)) -. (f.u.Csc.values.(p) *. xj)
-    done
-  done;
+  Stages.lower_ip f.l x;
+  Stages.upper_ip f.u x;
   x

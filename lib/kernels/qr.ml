@@ -127,18 +127,21 @@ let factor_with_rhs (c : compiled) (a : Csc.t) (b : float array) : factors =
   Array.iteri (fun j occ -> if not occ then raise (Rank_deficient j)) occupied;
   { c; r_values = rx; z; residual_norm = sqrt !resid2 }
 
-(* Back substitution R x = z over the R^T layout. *)
+(* Back substitution R x = z: the R^T layout is a lower-triangular CSC
+   with the diagonal first, so this is the transposed sweep over it. *)
 let solve_r (f : factors) : float array =
   let c = f.c in
-  let rp = c.rt_colptr and ri = c.rt_rowind and rx = f.r_values in
-  let x = Array.make c.n 0.0 in
-  for j = c.n - 1 downto 0 do
-    let s = ref f.z.(j) in
-    for p = rp.(j) + 1 to rp.(j + 1) - 1 do
-      s := !s -. (rx.(p) *. x.(ri.(p)))
-    done;
-    x.(j) <- !s /. rx.(rp.(j))
-  done;
+  let rt =
+    {
+      Csc.nrows = c.n;
+      ncols = c.n;
+      colptr = c.rt_colptr;
+      rowind = c.rt_rowind;
+      values = f.r_values;
+    }
+  in
+  let x = Array.copy f.z in
+  Stages.ltrans_ip rt x;
   x
 
 (* Least-squares solve min ||A x - b|| in one call: symbolic analysis is

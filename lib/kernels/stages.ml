@@ -136,12 +136,13 @@ let check_schedule (s : schedule) n x who =
     && Array.length s.row_ptr = n + 1)
     who
 
-(* The forward row gather, shared by the two forward entry points. *)
-let lower_rows (l : Csc.t) (s : schedule) (x : float array) =
+(* The forward row gather over [order.(lo) .. order.(hi - 1)], shared by
+   the forward entry points. *)
+let lower_rows (l : Csc.t) (s : schedule) ~lo ~hi (x : float array) =
   let lp = l.Csc.colptr and lx = l.Csc.values in
   let order = s.order and rp = s.row_ptr in
   let rc = s.row_col and rpos = s.row_pos in
-  for k = 0 to Array.length order - 1 do
+  for k = lo to hi - 1 do
     let i = order.(k) in
     let acc = ref x.(i) in
     for q = rp.(i) to rp.(i + 1) - 1 do
@@ -163,17 +164,27 @@ let ltrans_cols (l : Csc.t) (s : schedule) (x : float array) =
   done
 
 let lower_sched_ip (l : Csc.t) (s : schedule) (x : float array) =
-  check_schedule s l.Csc.ncols x "Stages.lower_sched_ip: length mismatch";
-  lower_rows l s x
+  let n = l.Csc.ncols in
+  check_schedule s n x "Stages.lower_sched_ip: length mismatch";
+  lower_rows l s ~lo:0 ~hi:n x
+
+(* One slice of the schedule: a level-set executor's unit of work. *)
+let lower_range_ip (l : Csc.t) (s : schedule) ~lo ~hi (x : float array) =
+  let n = l.Csc.ncols in
+  check
+    (0 <= lo && lo <= hi && hi <= n)
+    "Stages.lower_range_ip: range outside the order";
+  check_schedule s n x "Stages.lower_range_ip: length mismatch";
+  lower_rows l s ~lo ~hi x
 
 let ltrans_sched_ip (l : Csc.t) (s : schedule) (x : float array) =
   check_schedule s l.Csc.ncols x "Stages.ltrans_sched_ip: length mismatch";
   ltrans_cols l s x
 
 let solve_pair_sched_ip (l : Csc.t) (s : schedule) (x : float array) =
-  check_schedule s l.Csc.ncols x
-    "Stages.solve_pair_sched_ip: length mismatch";
-  lower_rows l s x;
+  let n = l.Csc.ncols in
+  check_schedule s n x "Stages.solve_pair_sched_ip: length mismatch";
+  lower_rows l s ~lo:0 ~hi:n x;
   ltrans_cols l s x
 
 (* --------------------------- Other stage bodies -------------------------- *)
@@ -203,34 +214,36 @@ let diag_ip (d : float array) (x : float array) =
 
 (* ILU(0) applies run on the combined CSR L\U factor (unit L left of each
    diagonal position, U from it on): forward with implicit unit diagonal,
-   then backward. *)
-let check_csr (c : Ilu0.compiled) v x who =
+   then backward. [diag.(i)] is the position of row i's diagonal. *)
+let check_csr rowptr colind diag v x who =
+  let n = Array.length diag in
   check
-    (Array.length x = c.Ilu0.n && Array.length v >= c.Ilu0.rowptr.(c.Ilu0.n))
+    (Array.length x = n
+    && Array.length rowptr = n + 1
+    && Array.length colind >= rowptr.(n)
+    && Array.length v >= rowptr.(n))
     who
 
-let csr_lower_unit_ip (c : Ilu0.compiled) (v : float array) (x : float array) =
-  check_csr c v x "Stages.csr_lower_unit_ip: length mismatch";
-  let n = c.Ilu0.n in
-  let rp = c.Ilu0.rowptr and ci = c.Ilu0.colind and dg = c.Ilu0.diag in
-  for i = 0 to n - 1 do
+let csr_lower_unit_ip ~rowptr ~colind ~diag (v : float array)
+    (x : float array) =
+  check_csr rowptr colind diag v x
+    "Stages.csr_lower_unit_ip: length mismatch";
+  for i = 0 to Array.length diag - 1 do
     let s = ref x.(i) in
-    for p = rp.(i) to dg.(i) - 1 do
-      s := !s -. (v.(p) *. x.(ci.(p)))
+    for p = rowptr.(i) to diag.(i) - 1 do
+      s := !s -. (v.(p) *. x.(colind.(p)))
     done;
     x.(i) <- !s
   done
 
-let csr_upper_ip (c : Ilu0.compiled) (v : float array) (x : float array) =
-  check_csr c v x "Stages.csr_upper_ip: length mismatch";
-  let n = c.Ilu0.n in
-  let rp = c.Ilu0.rowptr and ci = c.Ilu0.colind and dg = c.Ilu0.diag in
-  for i = n - 1 downto 0 do
+let csr_upper_ip ~rowptr ~colind ~diag (v : float array) (x : float array) =
+  check_csr rowptr colind diag v x "Stages.csr_upper_ip: length mismatch";
+  for i = Array.length diag - 1 downto 0 do
     let s = ref x.(i) in
-    for p = dg.(i) + 1 to rp.(i + 1) - 1 do
-      s := !s -. (v.(p) *. x.(ci.(p)))
+    for p = diag.(i) + 1 to rowptr.(i + 1) - 1 do
+      s := !s -. (v.(p) *. x.(colind.(p)))
     done;
-    x.(i) <- !s /. v.(dg.(i))
+    x.(i) <- !s /. v.(diag.(i))
   done
 
 (* y <- A x, column-oriented (CSC): the SpMV stage. *)

@@ -58,6 +58,15 @@ val schedule : order:int array -> Csc.t -> schedule
 val lower_sched_ip : Csc.t -> schedule -> float array -> unit
 (** {!lower_ip} as a row gather in schedule order; bitwise-identical. *)
 
+val lower_range_ip :
+  Csc.t -> schedule -> lo:int -> hi:int -> float array -> unit
+(** [lower_range_ip l s ~lo ~hi x]: the row gather of {!lower_sched_ip}
+    over [s.order.(lo) .. s.order.(hi - 1)] only, each row's operation
+    sequence unchanged. Rows whose dependences are all final (one level
+    set of the order, or any slice of it) may run as separate calls,
+    concurrently on disjoint slices: {!Trisolve_parallel}'s unit of work.
+    Raises [Invalid_argument] unless [0 <= lo <= hi <= ncols]. *)
+
 val ltrans_sched_ip : Csc.t -> schedule -> float array -> unit
 (** {!ltrans_ip} in reverse schedule order; bitwise-identical. *)
 
@@ -73,11 +82,26 @@ val upper_ip : Csc.t -> float array -> unit
 val diag_ip : float array -> float array -> unit
 (** Diagonal solve [D x = x] (the middle stage of an LDL^T apply). *)
 
-val csr_lower_unit_ip : Ilu0.compiled -> float array -> float array -> unit
-(** ILU(0) forward: unit-lower part of the combined CSR L\U factor. *)
+val csr_lower_unit_ip :
+  rowptr:int array ->
+  colind:int array ->
+  diag:int array ->
+  float array ->
+  float array ->
+  unit
+(** [csr_lower_unit_ip ~rowptr ~colind ~diag v x]: ILU(0) forward over the
+    unit-lower part of the combined CSR L\U factor with values [v]
+    (columns ascending per row; [diag.(i)] is row [i]'s diagonal
+    position). *)
 
-val csr_upper_ip : Ilu0.compiled -> float array -> float array -> unit
-(** ILU(0) backward: upper part of the combined CSR L\U factor. *)
+val csr_upper_ip :
+  rowptr:int array ->
+  colind:int array ->
+  diag:int array ->
+  float array ->
+  float array ->
+  unit
+(** ILU(0) backward: upper part of the same combined CSR factor. *)
 
 val spmv_into : Csc.t -> float array -> float array -> unit
 (** [spmv_into a x y]: [y <- A x], column-oriented. *)

@@ -11,23 +11,18 @@ open Sympiler_runtime
    solve processes levels sequentially but each level in parallel, with no
    synchronization finer than a per-level barrier.
 
-   Parallel execution of a level is two-phase and *deterministic*:
+   The executor is [Stages]' forward row gather over a schedule whose
+   order is the level sets: x(i) collects its updates from its row list,
+   ascending column, then divides. Every x(i) a row of one level reads
+   belongs to an earlier level, so a level's rows are independent and
+   workers own disjoint slices of them (no races, no atomics, no merge
+   sweep). Each x(i) gets the same operation sequence as in
+   [Stages.lower_ip], so the result is bitwise-identical to the column
+   sweep for ANY domain count and ANY partition.
 
-   - Phase A (caller, O(width)): finalize x.(j) <- x.(j) / l_jj for every
-     column j of the level, in ascending j. Columns of one level never
-     depend on each other, so every x.(j) read below is final.
-
-   - Phase B (parallel): apply the below-diagonal updates grouped BY ROW —
-     a compile-time CSR-like structure holds, per level, the affected rows
-     and each row's (column, position) entries in ascending-column order.
-     Workers own disjoint row ranges, so there are no write conflicts and
-     no merge sweep; and because each row's updates are applied in the
-     same ascending-column order as the sequential column sweep, the
-     result is bitwise-identical to the sequential solve for ANY domain
-     count and ANY partition (floating-point order is fully pinned).
-
-   The row ranges are cost-balanced at plan time from the per-row entry
-   counts (the exact flop count of a row's gather), not split round-robin.
+   A level's slices are cost-balanced at plan time from the row-list
+   lengths (the exact flop count of a row's gather), not split
+   round-robin.
 
    The level sets are one more inspection set: computed once symbolically,
    consumed by a numeric phase with no symbolic work. On the single-core
@@ -39,97 +34,20 @@ type compiled = {
   nlevels : int;
   level_ptr : int array; (* level l = level_cols.[level_ptr.(l), level_ptr.(l+1)) *)
   level_cols : int array; (* columns ordered by level, ascending inside *)
-  (* Row-gather structure for deterministic phase-B updates: *)
-  lrow_ptr : int array; (* level l's rows = lrows.[lrow_ptr.(l), lrow_ptr.(l+1)) *)
-  lrows : int array; (* target row indices *)
-  lentry_ptr : int array; (* row slot k's entries = [lentry_ptr.(k), lentry_ptr.(k+1)) *)
-  lentry_col : int array; (* source column j, ascending within a row slot *)
-  lentry_pos : int array; (* position of L(i,j) in l.values *)
+  sched : Stages.schedule; (* order = level_cols *)
 }
 
 (* The global level sets of the full matrix (dense-RHS case) are
    [Dep_graph.level_order] in one window spanning every column: level.(j)
    = 1 + max over incoming edges, ascending j inside a level. An empty
-   matrix keeps one empty level. Then build the per-level row-gather
-   structure (three O(nnz) sweeps, all at compile time). *)
+   matrix keeps one empty level. *)
 let compile (l : Csc.t) : compiled =
   let n = l.Csc.ncols in
-  let lp = l.Csc.colptr and li = l.Csc.rowind in
   let level_ptr, level_cols =
     if n = 0 then ([| 0; 0 |], [||])
     else Sympiler_symbolic.Dep_graph.level_order ~window:n l
   in
   let nlevels = Array.length level_ptr - 1 in
-  (* Row-gather structure. Sweep 1: count distinct rows per level. *)
-  let stamp = Array.make n (-1) in
-  let lrow_ptr = Array.make (nlevels + 1) 0 in
-  for lv = 0 to nlevels - 1 do
-    for t = level_ptr.(lv) to level_ptr.(lv + 1) - 1 do
-      let j = level_cols.(t) in
-      for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-        let i = li.(p) in
-        if stamp.(i) <> lv then begin
-          stamp.(i) <- lv;
-          lrow_ptr.(lv + 1) <- lrow_ptr.(lv + 1) + 1
-        end
-      done
-    done
-  done;
-  for lv = 0 to nlevels - 1 do
-    lrow_ptr.(lv + 1) <- lrow_ptr.(lv + 1) + lrow_ptr.(lv)
-  done;
-  let nrows_total = lrow_ptr.(nlevels) in
-  let lrows = Array.make (max 1 nrows_total) 0 in
-  let slot = Array.make n 0 in
-  let lentry_ptr = Array.make (nrows_total + 1) 0 in
-  (* Sweep 2: assign row slots (first-appearance order within a level) and
-     count each slot's entries. *)
-  Array.fill stamp 0 n (-1);
-  let rcur = ref 0 in
-  for lv = 0 to nlevels - 1 do
-    for t = level_ptr.(lv) to level_ptr.(lv + 1) - 1 do
-      let j = level_cols.(t) in
-      for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-        let i = li.(p) in
-        if stamp.(i) <> lv then begin
-          stamp.(i) <- lv;
-          slot.(i) <- !rcur;
-          lrows.(!rcur) <- i;
-          incr rcur
-        end;
-        lentry_ptr.(slot.(i) + 1) <- lentry_ptr.(slot.(i) + 1) + 1
-      done
-    done
-  done;
-  for k = 0 to nrows_total - 1 do
-    lentry_ptr.(k + 1) <- lentry_ptr.(k + 1) + lentry_ptr.(k)
-  done;
-  let nentries = lentry_ptr.(nrows_total) in
-  let lentry_col = Array.make (max 1 nentries) 0 in
-  let lentry_pos = Array.make (max 1 nentries) 0 in
-  (* Sweep 3: fill each slot's entries; iterating columns in ascending j
-     per level pins the within-row order to the sequential sweep's. *)
-  Array.fill stamp 0 n (-1);
-  let ecur = Array.make (max 1 nrows_total) 0 in
-  Array.blit lentry_ptr 0 ecur 0 nrows_total;
-  rcur := 0;
-  for lv = 0 to nlevels - 1 do
-    for t = level_ptr.(lv) to level_ptr.(lv + 1) - 1 do
-      let j = level_cols.(t) in
-      for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-        let i = li.(p) in
-        if stamp.(i) <> lv then begin
-          stamp.(i) <- lv;
-          slot.(i) <- !rcur;
-          incr rcur
-        end;
-        let k = slot.(i) in
-        lentry_col.(ecur.(k)) <- j;
-        lentry_pos.(ecur.(k)) <- p;
-        ecur.(k) <- ecur.(k) + 1
-      done
-    done
-  done;
   if Metrics.enabled () then begin
     Metrics.inc Metrics.levels nlevels;
     let maxw = ref 0 in
@@ -143,25 +61,8 @@ let compile (l : Csc.t) : compiled =
     nlevels;
     level_ptr;
     level_cols;
-    lrow_ptr;
-    lrows;
-    lentry_ptr;
-    lentry_col;
-    lentry_pos;
+    sched = Stages.schedule ~order:level_cols l;
   }
-
-(* The sequential column sweep of one level. *)
-let solve_level_sequential (c : compiled) (x : float array) ~lo ~hi =
-  let l = c.l in
-  let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
-  for t = lo to hi - 1 do
-    let j = c.level_cols.(t) in
-    let xj = x.(j) /. lx.(lp.(j)) in
-    x.(j) <- xj;
-    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-      x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
-    done
-  done
 
 (* The dense-RHS solve visits every column: 2*nnz - n flops. *)
 let record_solve (c : compiled) =
@@ -170,32 +71,24 @@ let record_solve (c : compiled) =
   Metrics.inc Metrics.flops ((2 * nnz) - n);
   Metrics.inc Metrics.nnz_touched nnz
 
-(* Sequential reference over the level schedule (validates the schedule
-   itself). *)
-let solve_ip_sequential (c : compiled) (x : float array) =
-  for lv = 0 to c.nlevels - 1 do
-    solve_level_sequential c x ~lo:c.level_ptr.(lv) ~hi:c.level_ptr.(lv + 1)
-  done;
-  record_solve c
-
 (* Levels narrower than this run inline: a pool dispatch cannot pay off.
-   The inline path is the sequential sweep, which phase A + phase B
-   reproduce bitwise, so the threshold never changes results. *)
+   Inline or split, a row gets the same operations, so the threshold
+   never changes results. *)
 let par_min_width = 64
 
-(* A plan owns the dense solution buffer, the cost-balanced per-level row
-   partitions, and a preallocated phase-B worker closure, so steady-state
-   solves allocate nothing — sequential or parallel. [lv] is the dispatch
-   argument the closure reads; it and [row_part]/[task] are exposed so the
-   bench harness can drive the same chunks through a spawn-per-call
+(* A plan owns the dense solution buffer, the cost-balanced per-level
+   partitions, and a preallocated pool worker, so steady-state solves
+   allocate nothing — sequential or parallel. [lv] is the dispatch
+   argument the worker reads; it and [part]/[task] are exposed so the
+   bench harness can drive the same slices through a spawn-per-call
    baseline. *)
 type plan = {
   c : compiled;
   x : float array; (* plan-owned solution *)
   ndomains : int;
-  row_part : int array array; (* per level: ndomains+1 row-slot boundaries *)
+  part : int array array; (* per level: ndomains+1 boundaries into level_cols *)
   mutable lv : int; (* level being dispatched *)
-  task : int -> unit; (* preallocated phase-B pool worker *)
+  task : int -> unit; (* preallocated pool worker *)
 }
 
 (* [ndomains] defaults to the pool's size — the library's single sizing
@@ -205,67 +98,50 @@ let make_plan ?ndomains (c : compiled) : plan =
   let nd =
     match ndomains with Some k -> max 1 k | None -> Pool.default_size ()
   in
-  let n = c.l.Csc.ncols in
-  let row_part =
+  let rp = c.sched.Stages.row_ptr in
+  let part =
     Array.init c.nlevels (fun lv ->
-        let lo = c.lrow_ptr.(lv) in
-        let w = c.lrow_ptr.(lv + 1) - lo in
+        let lo = c.level_ptr.(lv) in
         let b =
-          Partition.balanced ~ntasks:w ~nparts:nd ~cost:(fun k ->
-              float_of_int
-                (c.lentry_ptr.(lo + k + 1) - c.lentry_ptr.(lo + k)))
+          Partition.balanced
+            ~ntasks:(c.level_ptr.(lv + 1) - lo)
+            ~nparts:nd
+            ~cost:(fun k ->
+              let i = c.level_cols.(lo + k) in
+              float_of_int (rp.(i + 1) - rp.(i) + 1))
         in
         Array.map (fun k -> lo + k) b)
   in
   let rec p =
     {
       c;
-      x = Array.make n 0.0;
+      x = Array.make c.l.Csc.ncols 0.0;
       ndomains = nd;
-      row_part;
+      part;
       lv = 0;
       task =
         (fun w ->
-          let c = p.c in
-          let x = p.x in
-          let lx = c.l.Csc.values in
-          let b = p.row_part.(p.lv) in
-          for k = b.(w) to b.(w + 1) - 1 do
-            let i = c.lrows.(k) in
-            let acc = ref x.(i) in
-            for e = c.lentry_ptr.(k) to c.lentry_ptr.(k + 1) - 1 do
-              acc := !acc -. (lx.(c.lentry_pos.(e)) *. x.(c.lentry_col.(e)))
-            done;
-            x.(i) <- !acc
-          done);
+          let b = p.part.(p.lv) in
+          Stages.lower_range_ip p.c.l p.c.sched ~lo:b.(w) ~hi:b.(w + 1) p.x);
     }
   in
   p
 
-(* Solve the plan's buffer in place (b already blitted into p.x). *)
+(* Solve the plan's buffer in place (b already loaded into p.x). *)
 let run_plan (p : plan) : unit =
   let c = p.c in
-  if p.ndomains <= 1 then solve_ip_sequential c p.x
-  else begin
-    let l = c.l in
-    let lp = l.Csc.colptr and lx = l.Csc.values in
-    let x = p.x in
+  if p.ndomains <= 1 then Stages.lower_sched_ip c.l c.sched p.x
+  else
     for lv = 0 to c.nlevels - 1 do
       let lo = c.level_ptr.(lv) and hi = c.level_ptr.(lv + 1) in
-      if hi - lo < par_min_width then solve_level_sequential c x ~lo ~hi
+      if hi - lo < par_min_width then
+        Stages.lower_range_ip c.l c.sched ~lo ~hi p.x
       else begin
-        (* Phase A: finalize the level's columns (ascending j). *)
-        for t = lo to hi - 1 do
-          let j = c.level_cols.(t) in
-          x.(j) <- x.(j) /. lx.(lp.(j))
-        done;
-        (* Phase B: row-partitioned update gather through the pool. *)
         p.lv <- lv;
         Pool.run ~nworkers:p.ndomains p.task
       end
     done;
-    record_solve c
-  end
+  record_solve c
 
 let solve_ip (p : plan) (b : float array) : float array =
   let n = Array.length p.x in
@@ -294,23 +170,9 @@ let solve_ip_sparse (p : plan) (b : Vector.sparse) : float array =
   Sympiler_trace.Trace.end_span ();
   p.x
 
-(* One-shot wrappers (fresh plan = fresh buffers + partitions). *)
-let solve_ip_parallel ?ndomains (c : compiled) (x : float array) =
-  match ndomains with
-  | Some k when k <= 1 -> solve_ip_sequential c x
-  | _ ->
-      let p = make_plan ?ndomains c in
-      Array.blit x 0 p.x 0 (Array.length x);
-      run_plan p;
-      Array.blit p.x 0 x 0 (Array.length x)
-
+(* One-shot: a fresh plan, whose buffer is the result. *)
 let solve ?ndomains (c : compiled) (b : float array) : float array =
-  let x = Array.copy b in
-  (match ndomains with
-  | Some k when k > 1 -> solve_ip_parallel ~ndomains:k c x
-  | Some _ -> solve_ip_sequential c x
-  | None -> solve_ip_sequential c x);
-  x
+  solve_ip (make_plan ?ndomains c) b
 
 (* Schedule validation used by tests: every dependence edge crosses levels
    forward. *)

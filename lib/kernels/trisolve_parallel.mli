@@ -3,15 +3,15 @@ open Sympiler_sparse
 (** Level-set (wavefront) parallel sparse triangular solve on the
     persistent domain pool ({!Sympiler_runtime.Pool}) — the shared-memory
     extension the paper's conclusion points to (and its ParSy follow-on
-    builds). The dependence graph is levelized at compile time; the
-    numeric solve runs levels sequentially, each wide level in two phases:
-    the caller finalizes the level's columns (the divisions), then workers
-    apply the below-diagonal updates grouped by row over a compile-time
-    row-gather structure with ascending-column order per row. Workers own
-    disjoint rows (no races, no atomics, no merge sweep), and the pinned
-    per-row update order makes results bitwise-identical to the sequential
-    sweep for any domain count. Row ranges are cost-balanced at plan time
-    from per-row entry counts. *)
+    builds). The dependence graph is levelized at compile time, and the
+    level sets are the order of a {!Stages.schedule}. The numeric solve is
+    that schedule's forward row gather ({!Stages.lower_range_ip}), run
+    level by level: a narrow level inline, a wide one split into
+    cost-balanced slices of rows that pool workers gather concurrently.
+    Rows of one level read only earlier levels, so workers own disjoint
+    rows (no races, no atomics, no merge sweep), and every [x(i)] gets the
+    operation sequence of {!Stages.lower_ip}: results are bitwise-identical
+    to the column sweep for any domain count. *)
 
 type compiled = {
   l : Csc.t;
@@ -19,31 +19,19 @@ type compiled = {
   level_ptr : int array;
       (** level [l] = [level_cols.\[level_ptr.(l), level_ptr.(l+1))] *)
   level_cols : int array;  (** columns ordered by level, ascending inside *)
-  lrow_ptr : int array;
-      (** level [l]'s updated rows = [lrows.\[lrow_ptr.(l), lrow_ptr.(l+1))] *)
-  lrows : int array;  (** target row indices *)
-  lentry_ptr : int array;
-      (** row slot [k]'s entries = [\[lentry_ptr.(k), lentry_ptr.(k+1))] *)
-  lentry_col : int array;  (** source column, ascending within a row slot *)
-  lentry_pos : int array;  (** position of the entry in [l.values] *)
+  sched : Stages.schedule;  (** L's row lists, in order [level_cols] *)
 }
 
 val compile : Csc.t -> compiled
 (** The global level sets
     ({!Sympiler_symbolic.Dep_graph.level_order} in one window; one empty
-    level when [n = 0]) plus the per-level row-gather structure —
-    inspection sets computed once. *)
-
-val solve_ip_sequential : compiled -> float array -> unit
-(** Sequential execution of the level schedule (validates the schedule). *)
-
-val solve_ip_parallel : ?ndomains:int -> compiled -> float array -> unit
-(** One-shot parallel execution (allocates a transient plan); levels
-    narrower than 64 columns run inline. [ndomains] defaults to
-    {!Sympiler_runtime.Pool.default_size}. *)
+    level when [n = 0]) and the schedule over them — inspection sets
+    computed once. *)
 
 val solve : ?ndomains:int -> compiled -> float array -> float array
-(** Functional wrapper over the in-place solvers. *)
+(** One-shot solve on a fresh plan ({!make_plan}, {!solve_ip}); the result
+    is that plan's buffer. Raises [Invalid_argument] on a wrong-length
+    right-hand side. *)
 
 (** {2 Plans} *)
 
@@ -51,26 +39,27 @@ type plan = {
   c : compiled;
   x : float array;  (** plan-owned solution *)
   ndomains : int;
-  row_part : int array array;
-      (** per level: [ndomains + 1] cost-balanced boundaries into the
-          level's row slots *)
+  part : int array array;
+      (** per level: [ndomains + 1] boundaries into [level_cols],
+          balanced on each row's cost (its row-list length plus 1) *)
   mutable lv : int;  (** level being dispatched (set before each run) *)
   task : int -> unit;
-      (** the preallocated phase-B pool worker; exposed (with
-          [lv]/[row_part]) for the bench harness's spawn-per-call
+      (** the preallocated pool worker: slice [w] of level [lv]; exposed
+          (with [lv]/[part]) for the bench harness's spawn-per-call
           baseline *)
 }
 
 val make_plan : ?ndomains:int -> compiled -> plan
 (** [ndomains] defaults to {!Sympiler_runtime.Pool.default_size} — the
     library's single sizing decision ([SYMPILER_NDOMAINS] override, else
-    [Domain.recommended_domain_count]). Pass 1 to force the sequential
-    path. *)
+    [Domain.recommended_domain_count]). With 1, a solve is one
+    {!Stages.lower_sched_ip} call. *)
 
 val solve_ip : plan -> float array -> float array
 (** Solve into the plan's buffer (valid until the next call). Zero
     steady-state allocation, sequential or parallel; results are
-    bitwise-identical across [ndomains]. *)
+    bitwise-identical to {!Stages.lower_ip} for every [ndomains]. Raises
+    [Invalid_argument] on a wrong-length right-hand side. *)
 
 val solve_ip_sparse : plan -> Vector.sparse -> float array
 (** Sparse-RHS entry used by the facade's level-set plans: scatters [b]

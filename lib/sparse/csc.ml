@@ -131,14 +131,18 @@ let to_dense ?(max_elements = default_max_dense_elements) t =
   iter t (fun i j v -> d.(i).(j) <- v);
   d
 
-let transpose t =
+(* Column pointers of the transpose, and a copy of their heads that the
+   fill loops advance as each column's cursor. *)
+let transpose_ptrs t =
   let counts = Array.make (t.nrows + 1) 0 in
   for p = 0 to nnz t - 1 do
     counts.(t.rowind.(p)) <- counts.(t.rowind.(p)) + 1
   done;
   let _ = Utils.cumsum counts in
-  let colptr = Array.copy counts in
-  let next = Array.sub counts 0 t.nrows in
+  (counts, Array.sub counts 0 t.nrows)
+
+let transpose t =
+  let colptr, next = transpose_ptrs t in
   let rowind = Array.make (nnz t) 0 in
   let values = Array.make (nnz t) 0.0 in
   for j = 0 to t.ncols - 1 do
@@ -152,19 +156,25 @@ let transpose t =
   done;
   { nrows = t.ncols; ncols = t.nrows; colptr; rowind; values }
 
+let transpose_pattern t =
+  let colptr, next = transpose_ptrs t in
+  let rowind = Array.make (nnz t) 0 in
+  for j = 0 to t.ncols - 1 do
+    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      let i = t.rowind.(p) in
+      rowind.(next.(i)) <- j;
+      next.(i) <- next.(i) + 1
+    done
+  done;
+  { nrows = t.ncols; ncols = t.nrows; colptr; rowind; values = [||] }
+
 (* Structure of the transpose together with a gather map: entry q of the
    transpose reads its value from [values.(map.(q))] of the original matrix.
    Sympiler's Cholesky uses this to hoist the numeric-phase transpose the
    paper attributes to Eigen/CHOLMOD into symbolic analysis: at run time a
    cheap gather through [map] replaces building the transpose. *)
 let transpose_map t =
-  let counts = Array.make (t.nrows + 1) 0 in
-  for p = 0 to nnz t - 1 do
-    counts.(t.rowind.(p)) <- counts.(t.rowind.(p)) + 1
-  done;
-  let _ = Utils.cumsum counts in
-  let colptr = Array.copy counts in
-  let next = Array.sub counts 0 t.nrows in
+  let colptr, next = transpose_ptrs t in
   let rowind = Array.make (nnz t) 0 in
   let map = Array.make (nnz t) 0 in
   for j = 0 to t.ncols - 1 do

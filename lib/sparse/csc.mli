@@ -66,6 +66,11 @@ val to_dense : ?max_elements:int -> t -> float array array
 val transpose : t -> t
 (** Transposed matrix, O(nnz + max dims); output rows are sorted. *)
 
+val transpose_pattern : t -> t
+(** The structure of {!transpose} alone, with [values = [||]]: for
+    pattern-only consumers (the etree and the ereach walk), which would
+    otherwise pay a copy of every value. *)
+
 val transpose_map : t -> int array * int array * int array
 (** [(colptr, rowind, map)]: the {e structure} of the transpose together
     with a gather map — entry [q] of the transpose reads its value from

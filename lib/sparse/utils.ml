@@ -35,59 +35,60 @@ let cumsum counts =
 (* In-place ascending sort of a.(lo..hi-1). Monomorphic quicksort (no
    polymorphic compare, no allocation): median-of-three pivots, insertion
    sort below a small cutoff, recursion only on the smaller side so the
-   stack stays O(log n) even on adversarial inputs. *)
-let sort_int_range (a : int array) lo hi =
-  let insertion lo hi =
-    for p = lo + 1 to hi - 1 do
-      let v = a.(p) in
-      let q = ref p in
-      while !q > lo && a.(!q - 1) > v do
-        a.(!q) <- a.(!q - 1);
-        decr q
+   stack stays O(log n) even on adversarial inputs. The helpers are
+   top-level functions of [a], not local closures over it, so a call
+   allocates nothing: the ereach walk sorts one row per call. *)
+let insertion_sort (a : int array) lo hi =
+  for p = lo + 1 to hi - 1 do
+    let v = a.(p) in
+    let q = ref p in
+    while !q > lo && a.(!q - 1) > v do
+      a.(!q) <- a.(!q - 1);
+      decr q
+    done;
+    a.(!q) <- v
+  done
+
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+let rec quicksort (a : int array) lo hi =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    (* Median-of-three into a.(lo). *)
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi - 1) < a.(lo) then swap a (hi - 1) lo;
+    if a.(hi - 1) < a.(mid) then swap a (hi - 1) mid;
+    let pivot = a.(mid) in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
       done;
-      a.(!q) <- v
-    done
-  in
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let rec qsort lo hi =
-    if hi - lo <= 16 then insertion lo hi
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      (* Median-of-three into a.(lo). *)
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi - 1) < a.(lo) then swap (hi - 1) lo;
-      if a.(hi - 1) < a.(mid) then swap (hi - 1) mid;
-      let pivot = a.(mid) in
-      let i = ref lo and j = ref (hi - 1) in
-      while !i <= !j do
-        while a.(!i) < pivot do
-          incr i
-        done;
-        while a.(!j) > pivot do
-          decr j
-        done;
-        if !i <= !j then begin
-          swap !i !j;
-          incr i;
-          decr j
-        end
+      while a.(!j) > pivot do
+        decr j
       done;
-      (* Recurse on the smaller partition first, loop on the larger. *)
-      if !j + 1 - lo < hi - !i then begin
-        qsort lo (!j + 1);
-        qsort !i hi
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
       end
-      else begin
-        qsort !i hi;
-        qsort lo (!j + 1)
-      end
+    done;
+    (* Recurse on the smaller partition first, loop on the larger. *)
+    if !j + 1 - lo < hi - !i then begin
+      quicksort a lo (!j + 1);
+      quicksort a !i hi
     end
-  in
-  if hi - lo > 1 then qsort lo hi
+    else begin
+      quicksort a !i hi;
+      quicksort a lo (!j + 1)
+    end
+  end
+
+let sort_int_range (a : int array) lo hi = if hi - lo > 1 then quicksort a lo hi
 
 let int_array_equal a b =
   Array.length a = Array.length b

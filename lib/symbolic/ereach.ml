@@ -17,12 +17,12 @@ let make_workspace n = { mark = Array.make n (-1); stack = Array.make n 0 }
 
 (* Pattern of row k of L, diagonal excluded, in discovery order: each
    nonzero of column k of [upper] climbs the etree until it reaches k or a
-   node already marked for row k. The result lives in
-   [work.stack.(0 .. len-1)] and is valid only until the next call on the
-   same workspace. Callers that only count entries (column counts) take it
-   as is. *)
+   node already marked for row k. The result is
+   [work.stack.(0 .. len-1)] for the returned [len], valid only until the
+   next call on the same workspace. Callers that only count entries
+   (column counts) take it as is. *)
 let row_reach_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
-    : int array * int =
+    : int =
   let len = ref 0 in
   for p = upper.Csc.colptr.(k) to upper.Csc.colptr.(k + 1) - 1 do
     let i = ref upper.Csc.rowind.(p) in
@@ -33,21 +33,17 @@ let row_reach_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
       i := parent.(!i)
     done
   done;
-  (work.stack, !len)
+  !len
+
+let stack (work : workspace) = work.stack
 
 (* The same pattern sorted ascending (which is a valid dependence order for
-   lower-triangular systems): one monomorphic in-place sort, no per-row
-   allocation. *)
-let row_pattern_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
-    : int array * int =
-  let stack, len = row_reach_ip ~upper ~parent ~work k in
-  Utils.sort_int_range stack 0 len;
-  (stack, len)
-
+   lower-triangular systems), copied out of the workspace. *)
 let row_pattern ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k :
     int array =
-  let stack, len = row_pattern_ip ~upper ~parent ~work k in
-  Array.sub stack 0 len
+  let len = row_reach_ip ~upper ~parent ~work k in
+  Utils.sort_int_range work.stack 0 len;
+  Array.sub work.stack 0 len
 
 (* Naive oracle used by tests: row pattern from an explicitly computed dense
    symbolic factorization. *)

@@ -20,18 +20,15 @@ val row_pattern :
     part of A (column [k] holds the row indices [i <= k]). *)
 
 val row_reach_ip :
-  upper:Csc.t -> parent:int array -> work:workspace -> int -> int array * int
-(** The set of {!row_pattern_ip} in discovery order, unsorted: [(stack,
-    len)] with the same lifetime rules. For callers that only count
-    entries (the column counts of {!Fill_pattern.col_counts}). *)
+  upper:Csc.t -> parent:int array -> work:workspace -> int -> int
+(** The set of {!row_pattern} in discovery order, unsorted and in place:
+    returns [len], and the set is [(stack work).(0 .. len-1)], valid until
+    the next call on the same workspace. For callers that only count
+    entries or sort in place (the walk of {!Fill_pattern}), with no
+    allocation per row. *)
 
-val row_pattern_ip :
-  upper:Csc.t -> parent:int array -> work:workspace -> int -> int array * int
-(** Zero-copy variant of {!row_pattern}: returns [(stack, len)] where the
-    pattern is [stack.(0 .. len-1)], sorted ascending. The array is the
-    workspace's own stack — read it before the next call on the same
-    workspace, and do not mutate it. This is the form the whole-matrix
-    analysis loop uses to avoid a per-row allocation. *)
+val stack : workspace -> int array
+(** The workspace's stack, where {!row_reach_ip} leaves each row's set. *)
 
 val row_pattern_naive : Csc.t -> int -> int array
 (** Test oracle via an explicit dense symbolic factorization; takes the

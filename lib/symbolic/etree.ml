@@ -32,7 +32,8 @@ let of_upper (upper : Csc.t) : int array =
   done;
   parent
 
-let compute (a_lower : Csc.t) : int array = of_upper (Csc.transpose a_lower)
+let compute (a_lower : Csc.t) : int array =
+  of_upper (Csc.transpose_pattern a_lower)
 
 (* Naive O(n^2)-ish oracle: build the filled pattern column by column with
    explicit sets and read parents off it. Used only in tests. *)

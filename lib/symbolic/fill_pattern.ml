@@ -24,19 +24,20 @@ type t = {
          diagonal) *)
 }
 
-(* The walk [analyze] and [col_counts] share: one transpose of lower(A)
-   feeds both the etree and the per-row ereach, which counts every entry
-   of L into its column and hands each row's pattern, in row order
-   (unsorted, in the workspace stack), to [row k stack len]. *)
+(* The walk [analyze] and [col_counts] share: one pattern-only transpose
+   of lower(A) feeds both the etree and the per-row ereach, which counts
+   every entry of L into its column and hands each row's pattern, in row
+   order (unsorted, in the workspace stack), to [row k stack len]. *)
 let walk (a_lower : Csc.t) ~row : int array * int array =
   let n = a_lower.Csc.ncols in
-  let upper = Csc.transpose a_lower in
+  let upper = Csc.transpose_pattern a_lower in
   let parent = Etree.of_upper upper in
   let work = Ereach.make_workspace n in
+  let stack = Ereach.stack work in
   let counts = Array.make n 1 in
   Sympiler_trace.Trace.begin_span "symbolic.col_counts";
   for k = 0 to n - 1 do
-    let stack, len = Ereach.row_reach_ip ~upper ~parent ~work k in
+    let len = Ereach.row_reach_ip ~upper ~parent ~work k in
     for q = 0 to len - 1 do
       let j = stack.(q) in
       counts.(j) <- counts.(j) + 1

@@ -117,14 +117,18 @@ if .bench_build/default/bench/main.exe --only steady > /dev/null 2>&1; then
 fi
 echo "bench --only steady: rejected"
 
-echo "== pipeline example gate =="
-# The PCG example exits non-zero unless it converges AND the fused and
-# staged residual trajectories are bitwise-identical.
-dune exec examples/precond_cg.exe > /dev/null || {
-  echo "FAIL: examples/precond_cg.exe (convergence or fused/staged divergence)" >&2
-  exit 1
-}
-echo "precond_cg: ok"
+echo "== examples =="
+# Each example exits non-zero when its own check fails: quickstart's
+# residuals, circuit_sim's Newton convergence, fem_poisson's temperature
+# field, precond_cg's convergence and fused/staged bitwise identity, and
+# active_set's factor drift after 400 rank-1 updates.
+for ex in quickstart circuit_sim fem_poisson precond_cg active_set; do
+  dune exec "examples/$ex.exe" > /dev/null || {
+    echo "FAIL: examples/$ex.exe (its printed check failed)" >&2
+    exit 1
+  }
+  echo "$ex: ok"
+done
 
 echo "== perf_gate smoke =="
 # The regression gate compares perfbench result lines under

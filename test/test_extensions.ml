@@ -120,7 +120,7 @@ let prop_parallel_matches_sequential =
       let n = l.Csc.ncols in
       let b = Array.init n (fun i -> sin (float_of_int i)) in
       let c = Trisolve_parallel.compile l in
-      let seq = Trisolve_parallel.solve c b in
+      let seq = Trisolve_parallel.solve ~ndomains:1 c b in
       let par = Trisolve_parallel.solve ~ndomains:3 c b in
       let oracle = Helpers.oracle_lower_solve l b in
       Helpers.close seq oracle && Helpers.close par oracle)

@@ -64,8 +64,8 @@ let all_fixtures () =
   let al, c, l = Lazy.force fixture in
   ("cbuckle", al, c, l) :: Lazy.force suite_fixtures
 
-(* A two-level lower pattern whose first level is wide enough (128 >= 64)
-   to exercise the pool's phase-B dispatch with real update work: columns
+(* A two-level lower pattern whose levels are both wide enough (128 >= 64)
+   to exercise the pool's dispatch with real gather work: columns
    [0, n/2) carry the diagonal plus one subdiagonal entry at row j + n/2. *)
 let wide_lower n =
   let half = n / 2 in
@@ -211,7 +211,7 @@ let test_trisolve_determinism_suite () =
       let n = l.Csc.ncols in
       let b = Array.init n (fun i -> cos (float_of_int i)) in
       let reference = Array.copy b in
-      Trisolve_parallel.solve_ip_sequential c reference;
+      Stages.lower_ip l reference;
       List.iter
         (fun nd ->
           let p = Trisolve_parallel.make_plan ~ndomains:nd c in
@@ -225,12 +225,12 @@ let test_trisolve_determinism_suite () =
     (all_fixtures ())
 
 let test_determinism_wide_level () =
-  (* Wide first level: the pool's phase-B path actually runs. *)
+  (* Two wide levels: the pool's dispatch path actually runs. *)
   let l = wide_lower 256 in
   let c = Trisolve_parallel.compile l in
   let b = Array.init 256 (fun i -> float_of_int ((i mod 7) - 3)) in
   let reference = Array.copy b in
-  Trisolve_parallel.solve_ip_sequential c reference;
+  Stages.lower_ip l reference;
   List.iter
     (fun nd ->
       let p = Trisolve_parallel.make_plan ~ndomains:nd c in
@@ -253,13 +253,14 @@ let test_determinism_degenerate () =
   let cp = Cholesky_parallel.make_plan ~ndomains:4 cc in
   Cholesky_parallel.factor_ip cp e;
   Alcotest.(check int) "0x0 factor" 0 cp.Cholesky_parallel.l.Csc.ncols;
-  (* Diagonal-only pattern, one level of 100 independent columns (wider
-     than the trisolve inline threshold, so the empty phase B dispatches). *)
+  (* Diagonal-only pattern, one level of 100 independent columns with
+     empty row lists (wider than the trisolve inline threshold, so the
+     pool dispatches). *)
   let d = Csc.map_values (Csc.identity 100) (fun _ -> 4.0) in
   let dc = Trisolve_parallel.compile d in
   let b = Array.make 100 2.0 in
   let reference = Array.copy b in
-  Trisolve_parallel.solve_ip_sequential dc reference;
+  Stages.lower_ip d reference;
   List.iter
     (fun nd ->
       let p = Trisolve_parallel.make_plan ~ndomains:nd dc in
@@ -392,6 +393,9 @@ let test_facade_trisolve_ndomains () =
   let x1 = Array.copy (Sympiler.Trisolve.execute_ip p1 b) in
   let x4 = Sympiler.Trisolve.execute_ip p4 b in
   Helpers.bitwise "facade trisolve ndomains:1 == ndomains:4" x1 x4;
+  let column_sweep = Vector.sparse_to_dense b in
+  Stages.lower_ip l column_sweep;
+  Helpers.bitwise "facade level-set solve == Stages.lower_ip" column_sweep x1;
   let x4' = Sympiler.Trisolve.execute_ip p4 b in
   Helpers.bitwise "facade trisolve pool reuse" x1 x4';
   let oracle = Helpers.oracle_lower_solve l (Vector.sparse_to_dense b) in

@@ -115,7 +115,7 @@ let test_trisolve_parallel_plan_bitwise () =
   let c = Trisolve_parallel.compile l in
   let b = Array.init 90 (fun i -> sin (float_of_int i)) in
   let fresh = Trisolve_parallel.solve c b in
-  let seq = Trisolve_parallel.make_plan c in
+  let seq = Trisolve_parallel.make_plan ~ndomains:1 c in
   Helpers.bitwise "parallel-trisolve sequential plan" fresh
     (Trisolve_parallel.solve_ip seq b);
   let par = Trisolve_parallel.make_plan ~ndomains:3 c in

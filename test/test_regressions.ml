@@ -230,6 +230,40 @@ let test_parallel_matches_reference () =
       check_l name (Sympiler.Cholesky.factor t (Csc.lower a)))
     [ List.nth (spd_zoo ()) 0; List.nth (spd_zoo ()) 3 ]
 
+(* ---- kernel solves reject a wrong-length right-hand side ---- *)
+
+(* The kernels build without bounds checks, so a short b must raise, not be
+   read and written past, and a long one must not be truncated: each solve
+   names the sweep that rejected it in every build profile. *)
+let test_kernel_solves_reject_wrong_length () =
+  let a = Generators.grid2d ~stencil:`Five 12 12 in
+  let al = Csc.lower a and n = a.Csc.ncols in
+  let ldlt = Ldlt.factorize al in
+  let lu = Lu.Sympiler.factor (Lu.Sympiler.compile a) a in
+  let ilu = Ilu0.factorize a in
+  let tp = Trisolve_parallel.compile ldlt.Ldlt.l in
+  let named msg =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix msg)
+      [ "Stages."; "Trisolve_parallel." ]
+  in
+  List.iter
+    (fun (name, solve) ->
+      List.iter
+        (fun len ->
+          match solve (Array.make len 1.0) with
+          | _ ->
+              Alcotest.failf "%s accepted a length-%d right-hand side (n = %d)"
+                name len n
+          | exception Invalid_argument msg when named msg -> ())
+        [ 1; n + 1 ])
+    [
+      ("Ldlt.solve", Ldlt.solve ldlt);
+      ("Lu.solve", Lu.solve lu);
+      ("Ilu0.solve", Ilu0.solve ilu);
+      ("Trisolve_parallel.solve", Trisolve_parallel.solve tp);
+    ]
+
 (* ---- Scaling bugfix regressions (10^6-row readiness round) ---- *)
 
 (* [Csc.of_triplet] against an independent list oracle, bit for bit:
@@ -366,6 +400,9 @@ let suite =
     ( "parallel trisolve matches reference",
       `Quick,
       test_parallel_matches_reference );
+    ( "kernel solves reject a wrong-length rhs",
+      `Quick,
+      test_kernel_solves_reject_wrong_length );
     prop_of_triplet_matches_oracle;
     ("dense materialization guards", `Quick, test_dense_guards);
     ("etree depths on 10^6 path tree", `Quick, test_etree_depths_deep_path);

@@ -326,7 +326,8 @@ let test_stage_lengths () =
   let l = Ic0.factorize (Csc.lower a) in
   let u = Csc.transpose l in
   let ilu = Ilu0.factorize a in
-  let c = ilu.Ilu0.c and v = ilu.Ilu0.values in
+  let rowptr = ilu.Ilu0.c.Ilu0.rowptr and colind = ilu.Ilu0.c.Ilu0.colind in
+  let diag = ilu.Ilu0.c.Ilu0.diag and v = ilu.Ilu0.values in
   let s = Stages.schedule ~order:(snd (Dep_graph.level_order ~window:n l)) l in
   let short = { s with Stages.order = Array.sub s.Stages.order 0 3 } in
   let ones k = Array.make k 1.0 in
@@ -348,10 +349,27 @@ let test_stage_lengths () =
       ("solve_pair_ip", fun () -> Stages.solve_pair_ip l (ones 3));
       ("upper_ip", fun () -> Stages.upper_ip u (ones 3));
       ("diag_ip", fun () -> Stages.diag_ip (ones n) (ones 3));
-      ("csr_lower_unit_ip", fun () -> Stages.csr_lower_unit_ip c v (ones 3));
-      ("csr_upper_ip", fun () -> Stages.csr_upper_ip c v (ones 3));
-      ("csr_upper_ip", fun () -> Stages.csr_upper_ip c [| 1.0 |] (ones n));
+      ( "csr_lower_unit_ip",
+        fun () -> Stages.csr_lower_unit_ip ~rowptr ~colind ~diag v (ones 3) );
+      ( "csr_upper_ip",
+        fun () -> Stages.csr_upper_ip ~rowptr ~colind ~diag v (ones 3) );
+      ( "csr_upper_ip",
+        fun () -> Stages.csr_upper_ip ~rowptr ~colind ~diag [| 1.0 |] (ones n)
+      );
+      ( "csr_upper_ip",
+        fun () ->
+          Stages.csr_upper_ip ~rowptr:(Array.sub rowptr 0 3) ~colind ~diag v
+            (ones n) );
       ("lower_sched_ip", fun () -> Stages.lower_sched_ip l s (ones 3));
+      ( "lower_range_ip",
+        fun () -> Stages.lower_range_ip l s ~lo:0 ~hi:n (ones 3) );
+      ( "lower_range_ip",
+        fun () -> Stages.lower_range_ip l s ~lo:2 ~hi:(n + 1) (ones n) );
+      ( "lower_range_ip",
+        fun () -> Stages.lower_range_ip l s ~lo:(-1) ~hi:2 (ones n) );
+      ("lower_range_ip", fun () -> Stages.lower_range_ip l s ~lo:3 ~hi:2 (ones n));
+      ( "lower_range_ip",
+        fun () -> Stages.lower_range_ip l short ~lo:0 ~hi:1 (ones n) );
       ("ltrans_sched_ip", fun () -> Stages.ltrans_sched_ip l s (ones 3));
       ( "solve_pair_sched_ip",
         fun () -> Stages.solve_pair_sched_ip l s (ones 3) );

@@ -321,6 +321,44 @@ let test_inspector_descriptions () =
   let d = Inspector.describe (Inspector.trisolve_vi_prune l b) in
   Alcotest.(check bool) "non-empty description" true (String.length d > 10)
 
+(* ---- no per-row garbage in the fill walk ---- *)
+
+(* Rows of 8 and 40 entries: the insertion-sort and the quicksort paths. *)
+let test_sort_int_range_no_alloc () =
+  List.iter
+    (fun len ->
+      let a = Array.init len (fun i -> (7919 * (i + 3)) land 1023) in
+      let expect = Array.copy a in
+      Array.sort compare expect;
+      Utils.sort_int_range a 0 len;
+      Alcotest.(check (array int)) (Printf.sprintf "%d entries sorted" len)
+        expect a;
+      let w0 = Gc.minor_words () in
+      for c = 1 to 1_600 do
+        for i = 0 to len - 1 do
+          a.(i) <- (c * 7919 * (i + 3)) land 1023
+        done;
+        Utils.sort_int_range a 0 len
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "minor words of 1,600 sorts of %d entries" len)
+        0
+        (int_of_float (Gc.minor_words () -. w0)))
+    [ 8; 40 ]
+
+(* Everything [analyze] returns is large enough for the major heap, so
+   the minor words it allocates are its per-call constants alone. *)
+let test_fill_walk_no_per_row_alloc () =
+  let al = Csc.lower (Generators.grid2d ~stencil:`Five 40 40) in
+  let w0 = Gc.minor_words () in
+  let f = Fill_pattern.analyze al in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "analyze of grid2d 40x40: %d minor words < 100" words)
+    true (words < 100);
+  Alcotest.(check int) "nnz(L)" (Fill_pattern.nnz_l f)
+    (Array.fold_left ( + ) 0 f.Fill_pattern.counts)
+
 let suite =
   [
     ("figure 1 reach set", `Quick, test_figure1_reach);
@@ -350,4 +388,8 @@ let suite =
     ("dense = one supernode", `Quick, test_supernodes_dense_is_one_block);
     ("inspectors run", `Quick, test_inspectors_run);
     ("inspector descriptions", `Quick, test_inspector_descriptions);
+    ("sort_int_range allocates nothing", `Quick, test_sort_int_range_no_alloc);
+    ( "fill walk: no per-row allocation",
+      `Quick,
+      test_fill_walk_no_per_row_alloc );
   ]
