@@ -58,8 +58,8 @@ let variant (c : compiled) =
 
 (* The variant decision is taken on the cheap supernode statistics of
    [fill] before any variant-specific planning is built. *)
-let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
-    compiled =
+let compile_fill ~(opts : Options.t) ?upper (fill : Fill.t) (a_lower : Csc.t)
+    : compiled =
   let n = a_lower.Csc.ncols in
   let nnz_l = Fill.nnz_l fill in
   let threshold =
@@ -106,7 +106,7 @@ let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
   {
     kernel =
       (if go_supernodal then Sup (Cholesky_supernodal.Sympiler.compile ~fill a_lower)
-       else Simp (Cholesky_ref.Decoupled.compile ~fill a_lower));
+       else Simp (Cholesky_ref.Decoupled.compile ~fill ?upper a_lower));
     pinned =
       opts.Options.simplicial || Option.is_some opts.Options.vs_block_threshold;
     flops = Fill.flops fill;
@@ -114,8 +114,12 @@ let compile_fill ~(opts : Options.t) (fill : Fill.t) (a_lower : Csc.t) :
     decisions = [ d_vi; d_vs ];
   }
 
-let compile (opts : Options.t) (a_lower : Csc.t) : compiled =
-  compile_fill ~opts (Fill.analyze a_lower) a_lower
+(* The fill analysis and the simplicial executor's gather map both read
+   the compiled pattern's upper triangle. *)
+let compile (opts : Options.t) (cp : Compile_common.compiled_pattern) :
+    compiled =
+  let upper = Lazy.force cp.Compile_common.upper in
+  compile_fill ~opts ~upper (Fill.of_upper upper) cp.Compile_common.pattern
 
 (* The two options the decision reads. *)
 let key (o : Options.t) =

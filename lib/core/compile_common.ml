@@ -100,16 +100,21 @@ type applied_ordering = {
 let natural_ordering = { o_perm = None; o_name = "natural"; o_map = [||] }
 
 (* Compute the requested permutation ([`Natural] is handled by callers
-   before getting here; [sym] is forced only by the graph algorithms). *)
-let resolve_ordering ~who (o : Options.ordering) (sym : Csc.t lazy_t) (n : int)
-    : Perm.t =
+   before getting here; [sym] is forced only by the graph algorithms, and
+   not by AMD when the checked [lower] it was symmetrized from is given:
+   AMD then reads lower(A) directly). *)
+let resolve_ordering ~who ?lower (o : Options.ordering) (sym : Csc.t lazy_t)
+    (n : int) : Perm.t =
   Trace.with_span "ordering"
     ~attrs:[ ("n", Trace.Int n); ("algorithm", Trace.Str (ordering_name o)) ]
   @@ fun () ->
   match o with
   | `Natural -> Perm.identity n
   | `Rcm -> Ordering.rcm (Lazy.force sym)
-  | `Amd -> Ordering.amd (Lazy.force sym)
+  | `Amd -> (
+      match lower with
+      | Some l -> Ordering.amd_lower l
+      | None -> Ordering.amd (Lazy.force sym))
   | `Min_degree -> Ordering.min_degree (Lazy.force sym)
   | `Given p ->
       if Array.length p <> n then
@@ -165,36 +170,79 @@ let ordered_input ~who (ord : applied_ordering) ~(pattern : Csc.t)
     ~(natural : Csc.t) (a : Csc.t) : Csc.t =
   plan_input ~who ord (ordering_scratch ord pattern) natural a
 
-(* Shared ordered-compile preamble for the symmetric families whose
-   compiled pattern is lower(A): resolve P on the symmetrized graph and
-   permute the lower pattern. *)
-let ordered_lower ~who (ordering : Options.ordering) (a_lower : Csc.t) :
-    Csc.t * applied_ordering =
+(* ------------------------ The facade's input check ----------------------- *)
+
+(* A caller's pattern after the one check a facade compile runs before
+   its plan-cache lookup ([check_input]): lower(A) for the symmetric
+   families, square A for the others. Values are not read. The symbolic
+   loops the compile runs next are unchecked, and they take the checked
+   pattern without checking it again. *)
+type checked = Lower of Csc.checked_lower | Square of Csc.t
+
+let check_input ~who ~lower (a : Csc.t) : checked =
+  if lower then Lower (Csc.check_lower ~who a)
+  else begin
+    Csc.check ~who ~values:false ~square:true a;
+    Square a
+  end
+
+(* What a family's symbolic phase reads: the compiled-order pattern and,
+   for the symmetric families, its upper triangle. An ordered compile gets
+   that triangle free from the permutation; a natural one transposes only
+   if the family asks. *)
+type compiled_pattern = { pattern : Csc.t; upper : Csc.upper_pattern Lazy.t }
+
+let no_upper =
+  lazy (invalid_arg "Compile_common: a square pattern has no upper triangle")
+
+(* Shared ordered-compile preamble for the symmetric families, whose
+   compiled pattern is lower(A): AMD reads the checked lower(A) directly,
+   the graph orderings the symmetrized copy, and the permutation builds
+   the permuted pattern with its upper triangle. *)
+let ordered_lower ~who (ordering : Options.ordering)
+    (a_lower : Csc.checked_lower) : compiled_pattern * applied_ordering =
   match ordering with
-  | `Natural -> (a_lower, natural_ordering)
+  | `Natural ->
+      ( {
+          pattern = (a_lower :> Csc.t);
+          upper = lazy (Csc.upper_pattern a_lower);
+        },
+        natural_ordering )
   | o ->
+      let a = (a_lower :> Csc.t) in
       let p =
-        resolve_ordering ~who o
-          (lazy (Csc.symmetrize_from_lower a_lower))
-          a_lower.Csc.ncols
+        resolve_ordering ~who ~lower:a_lower o
+          (lazy (Csc.symmetrize_from_lower a))
+          a.Csc.ncols
       in
-      let pl, map = Perm.permute_lower p a_lower in
-      (pl, { o_perm = Some p; o_name = ordering_name o; o_map = map })
+      let pl, map, upper =
+        Csc.permute_lower_by ~who ~pinv:(Perm.inverse p) a_lower
+      in
+      ( { pattern = (pl :> Csc.t); upper = Lazy.from_val upper },
+        { o_perm = Some p; o_name = ordering_name o; o_map = map } )
 
 (* Same for the square-pattern families (LU, ILU(0)): the ordering graph
    is the symmetrized pattern A + A^T. *)
 let ordered_square ~who (ordering : Options.ordering) (a : Csc.t) :
-    Csc.t * applied_ordering =
-  match ordering with
-  | `Natural -> (a, natural_ordering)
-  | o ->
-      let p =
-        resolve_ordering ~who o
-          (lazy (Csc.add a (Csc.transpose a)))
-          a.Csc.ncols
-      in
-      let pa, map = Perm.permute_pattern p a in
-      (pa, { o_perm = Some p; o_name = ordering_name o; o_map = map })
+    compiled_pattern * applied_ordering =
+  let pa, ord =
+    match ordering with
+    | `Natural -> (a, natural_ordering)
+    | o ->
+        let p =
+          resolve_ordering ~who o
+            (lazy (Csc.add a (Csc.transpose a)))
+            a.Csc.ncols
+        in
+        let pa, map = Perm.permute_pattern p a in
+        (pa, { o_perm = Some p; o_name = ordering_name o; o_map = map })
+  in
+  ({ pattern = pa; upper = no_upper }, ord)
+
+let ordered ~who (ordering : Options.ordering) :
+    checked -> compiled_pattern * applied_ordering = function
+  | Lower l -> ordered_lower ~who ordering l
+  | Square a -> ordered_square ~who ordering a
 
 (* ----------------------- Rank-update vector gather ---------------------- *)
 

@@ -63,9 +63,11 @@ module type FAMILY = sig
   (** Family-owned lazy rank-update state (the Cholesky and LDL^T update
       plans; [unit] elsewhere). *)
 
-  val compile : Options.t -> Csc.t -> compiled
-  (** The symbolic phase on the compiled-order pattern. Reads no option
-      but those {!key} fingerprints (the ordering is applied before). *)
+  val compile : Options.t -> compiled_pattern -> compiled
+  (** The symbolic phase on the compiled-order pattern, checked by the
+      facade (a lower family may force its upper triangle). Reads no
+      option but those {!key} fingerprints (the ordering is applied
+      before). *)
 
   val key : Options.t -> int array
   (** The options [compile] reads, as the family's slice of the cache
@@ -219,19 +221,15 @@ module Make (F : FAMILY) :
   let span_compile = "compile." ^ F.name
   let span_cached = "compile_cached." ^ F.name
 
-  let compile_base (opts : Options.t) (a : Csc.t) : t =
-    if F.lower && not (Csc.is_lower_triangular a) then
-      invalid_arg (who_compile ^ ": pass lower(A)");
+  let compile_base (opts : Options.t) (checked : checked) (a : Csc.t) : t =
     let t0 = Prof.now_seconds () in
-    let pattern, ord =
-      (if F.lower then ordered_lower else ordered_square)
-        ~who:who_compile opts.Options.ordering a
-    in
+    let cp, ord = ordered ~who:who_compile opts.Options.ordering checked in
+    let pattern = cp.pattern in
     let ord_seconds = Prof.now_seconds () -. t0 in
     Trace.with_span span_compile ~attrs:[ ("n", Trace.Int pattern.Csc.ncols) ]
     @@ fun () ->
     let compiled, symbolic_seconds =
-      time_symbolic (fun () -> F.compile opts pattern)
+      time_symbolic (fun () -> F.compile opts cp)
     in
     let symbolic_seconds = symbolic_seconds +. ord_seconds in
     observe_compile ~family:F.name ~ordering:ord.o_name symbolic_seconds;
@@ -250,12 +248,15 @@ module Make (F : FAMILY) :
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
   (* The cache key beyond the pattern is exactly what the compile reads:
-     the family's options, then the ordering. *)
+     the family's options, then the ordering. The caller's pattern is
+     checked once, before the lookup: the hash and the symbolic loops
+     behind it read it unchecked. *)
   let compile ?cache ?(opts = Options.default) (a : Csc.t) : t =
+    let checked = check_input ~who:who_compile ~lower:F.lower a in
     cached_compile ~span:span_cached ~default:default_cache ?cache ~opts
       ~pattern:a
       ~extra:(Array.append (F.key opts) (Options.fp_ordering opts.Options.ordering))
-      (fun () -> compile_base opts a)
+      (fun () -> compile_base opts checked a)
 
   let cache_stats () = Plan_cache.stats default_cache
   let cache_clear () = Plan_cache.clear default_cache

@@ -258,19 +258,13 @@ let sweep_schedule (fh : fhandle option) (vops : vop array)
   Trace.decision d;
   (sweep, d)
 
-let compile_raw ~(opts : Options.t) (d : dag) (a : Csc.t) : t =
+let compile_raw ~(opts : Options.t) (d : dag)
+    ~(checked : Compile_common.checked) (a : Csc.t) : t =
   let family, factor_at = validate d in
-  let square =
-    match family with Some (`Lu | `Ilu0) -> true | None | Some _ -> false
-  in
-  if (not square) && not (Csc.is_lower_triangular a) then
-    invalid_arg
-      "Sympiler.Pipeline.compile: pass lower(A) (LU/ILU(0) DAGs take A)";
   let who = "Sympiler.Pipeline.compile" in
   let t0 = Prof.now_seconds () in
   let pattern, ord =
-    if square then Compile_common.ordered_square ~who opts.ordering a
-    else if family = None then (
+    if family = None then (
       (* A factorless chain runs on the triangular input itself; permuting
          folds it into lower(P sym(A) P^T), a different operator — so
          orderings don't apply here. *)
@@ -279,7 +273,9 @@ let compile_raw ~(opts : Options.t) (d : dag) (a : Csc.t) : t =
           "Sympiler.Pipeline.compile: factorless pipelines support `Natural \
            ordering only";
       (a, Compile_common.natural_ordering))
-    else Compile_common.ordered_lower ~who opts.ordering a
+    else
+      let cp, ord = Compile_common.ordered ~who opts.ordering checked in
+      (cp.Compile_common.pattern, ord)
   in
   let ord_seconds = Prof.now_seconds () -. t0 in
   Trace.with_span "compile.pipeline"
@@ -386,10 +382,19 @@ let fingerprint (d : dag) (opts : Options.t) : int array =
     (Array.of_list (List.length d :: List.map stage_code d))
     (Options.fingerprint opts)
 
+(* The caller's pattern is checked once, before the lookup: lower(A),
+   or square A for LU/ILU(0) DAGs. *)
 let compile ?cache ?(opts = Options.default) (d : dag) (a : Csc.t) : t =
+  let square =
+    match validate d with Some (`Lu | `Ilu0), _ -> true | _ -> false
+  in
+  let checked =
+    Compile_common.check_input ~who:"Sympiler.Pipeline.compile"
+      ~lower:(not square) a
+  in
   Compile_common.cached_compile ~span:"compile_cached.pipeline"
     ~default:default_cache ?cache ~opts ~pattern:a ~extra:(fingerprint d opts)
-    (fun () -> compile_raw ~opts d a)
+    (fun () -> compile_raw ~opts d ~checked a)
 
 let cache_stats () = Plan_cache.stats default_cache
 let cache_clear () = Plan_cache.clear default_cache

@@ -148,8 +148,6 @@ module Trisolve = struct
      [`Given] etree postorder); anything else raises [Invalid_argument]. *)
   let compile_internal ?vs_block_threshold ~(ordering : ordering) (l : Csc.t)
       (b : Vector.sparse) : t =
-    if not (Csc.is_lower_triangular l) then
-      invalid_arg "Sympiler.Trisolve.compile: L must be lower triangular";
     let t0 = Prof.now_seconds () in
     let l, b, ord, ord_b_map =
       match ordering with
@@ -211,7 +209,21 @@ module Trisolve = struct
      work. *)
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
+  (* The patterns are checked once, before the lookup: L as a lower
+     triangle, b's indices against its dimension. *)
   let compile ?cache ?(opts = Options.default) ((l, b) : pattern) : t =
+    let who = "Sympiler.Trisolve.compile" in
+    ignore (Csc.check_lower ~who l : Csc.checked_lower);
+    let idx = b.Vector.indices in
+    if b.Vector.n <> l.Csc.ncols then
+      invalid_arg (who ^ ": b dimension does not match L");
+    if Array.length b.Vector.values <> Array.length idx then
+      invalid_arg (who ^ ": b values and indices differ in length");
+    Array.iter
+      (fun i ->
+        if i < 0 || i >= l.Csc.ncols then
+          invalid_arg (who ^ ": b index out of range"))
+      idx;
     let { Options.vs_block_threshold; ordering; _ } = opts in
     cached_compile ~span:"compile_cached.trisolve" ~default:default_cache
       ?cache ~opts ~pattern:l
@@ -560,7 +572,9 @@ module Ldlt = struct
     (* Rank-update state (GGMS C1): borrows the plan's factor views. *)
     type updown = Rank_update.ldlt_plan
 
-    let compile _ = K.compile
+    let compile _ (cp : compiled_pattern) =
+      K.compile ~upper:(Lazy.force cp.upper) cp.pattern
+
     let key _ = [||]
     let make_plan ?ndomains:_ = K.make_plan
     let factor_ip = K.factor_ip
@@ -612,7 +626,7 @@ module Lu = Factor.Make (struct
 
   include Factor.No_updown
 
-  let compile _ = K.Sympiler.compile
+  let compile _ (cp : compiled_pattern) = K.Sympiler.compile cp.pattern
   let key _ = [||]
   let make_plan ?ndomains:_ = K.Sympiler.make_plan
   let factor_ip = K.Sympiler.factor_ip
@@ -642,7 +656,7 @@ module Ic0 = Factor.Make (struct
 
   include Factor.No_updown
 
-  let compile _ = K.compile
+  let compile _ (cp : compiled_pattern) = K.compile cp.pattern
   let key _ = [||]
   let make_plan ?ndomains:_ = K.make_plan
   let factor_ip = K.factor_ip
@@ -669,7 +683,7 @@ module Ilu0 = Factor.Make (struct
 
   include Factor.No_updown
 
-  let compile _ = K.compile
+  let compile _ (cp : compiled_pattern) = K.compile cp.pattern
   let key _ = [||]
   let make_plan ?ndomains:_ = K.make_plan
   let factor_ip = K.factor_ip

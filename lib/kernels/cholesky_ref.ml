@@ -113,7 +113,11 @@ end
 (* The inspection sets of an up-looking factorization, shared by the
    decoupled Cholesky below and LDL^T: one fill analysis, whose row lists
    are the prune-sets and whose column pattern is L's storage, and the
-   transpose gather map of lower(A). Built once, read in place. *)
+   transpose gather map of lower(A). Built once, read in place. A caller
+   holding lower(A)'s upper triangle (the facade's permutation builds it)
+   passes it, and both read it: no transpose here, and none in the fill
+   analysis. The kernels only gather through it, so the order of the rows
+   within one of its columns does not matter. *)
 type up_looking = {
   fill : Fill_pattern.t;
   up_colptr : int array;
@@ -121,12 +125,16 @@ type up_looking = {
   up_map : int array; (* gather map into a_lower.values *)
 }
 
-let up_looking ?fill (a_lower : Csc.t) : up_looking =
-  let fill =
-    match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
+let up_looking ?fill ?upper (a_lower : Csc.t) : up_looking =
+  let u =
+    match upper with
+    | Some u -> u
+    | None ->
+        Csc.upper_pattern
+          (Csc.check_lower ~who:"Cholesky_ref.up_looking" a_lower)
   in
-  let up_colptr, up_rowind, up_map = Csc.transpose_map a_lower in
-  { fill; up_colptr; up_rowind; up_map }
+  let fill = match fill with Some f -> f | None -> Fill_pattern.of_upper u in
+  { fill; up_colptr = u.Csc.up_colptr; up_rowind = u.Csc.up_rowind; up_map = u.Csc.up_map }
 
 (* A factor view over plan-owned values and the analysis' own column
    pattern (no kernel writes a pattern array, so none is copied). *)
@@ -140,8 +148,8 @@ module Decoupled = struct
 
   (* "Compile time": full symbolic factorization + transpose gather map.
      [fill] lets callers share an already-computed symbolic analysis. *)
-  let compile ?fill (a_lower : Csc.t) : compiled =
-    let up = up_looking ?fill a_lower in
+  let compile ?fill ?upper (a_lower : Csc.t) : compiled =
+    let up = up_looking ?fill ?upper a_lower in
     { up; flops = Fill_pattern.flops up.fill }
 
   (* A plan owns the factor values, the per-column fill cursors, and the

@@ -37,9 +37,13 @@ type up_looking = {
       (** entry [q] of the transpose reads [values.(up_map.(q))] *)
 }
 
-val up_looking : ?fill:Fill_pattern.t -> Csc.t -> up_looking
+val up_looking :
+  ?fill:Fill_pattern.t -> ?upper:Csc.upper_pattern -> Csc.t -> up_looking
 (** The sets of lower(A); pass [fill] to share an already-computed
-    analysis. *)
+    analysis, and [upper] (lower(A)'s upper triangle, e.g. the by-row
+    bucket of {!Csc.permute_lower_by}) to share a transpose: the
+    analysis and the gather map then both read it. Without [upper],
+    lower(A) is checked ({!Csc.check_lower}) and transposed once. *)
 
 val l_over : Fill_pattern.t -> float array -> Csc.t
 (** [l_over fill lx]: the factor view over values [lx] and the analysis'
@@ -51,9 +55,10 @@ val l_over : Fill_pattern.t -> float array -> Csc.t
 module Decoupled : sig
   type compiled = { up : up_looking; flops : float }
 
-  val compile : ?fill:Fill_pattern.t -> Csc.t -> compiled
-  (** Compile-time symbolic factorization; pass [fill] to share an
-      already-computed analysis. *)
+  val compile :
+    ?fill:Fill_pattern.t -> ?upper:Csc.upper_pattern -> Csc.t -> compiled
+  (** Compile-time symbolic factorization; pass [fill] and [upper] to
+      share an already-computed analysis and transpose ({!up_looking}). *)
 
   val factor : compiled -> Csc.t -> Csc.t
   (** Numeric-only factorization: identical arithmetic to [Eigen.factor]

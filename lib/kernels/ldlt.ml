@@ -25,7 +25,8 @@ type factors = {
   d : float array;
 }
 
-let compile (a_lower : Csc.t) : compiled = Cholesky_ref.up_looking a_lower
+let compile ?upper (a_lower : Csc.t) : compiled =
+  Cholesky_ref.up_looking ?upper a_lower
 
 (* A plan owns the factor storage (shared with the [factors] view) and the
    numeric scratch, so repeated [factor_ip] calls allocate nothing. *)

@@ -22,8 +22,9 @@ type factors = {
   d : float array;  (** the diagonal of D (may contain negative pivots) *)
 }
 
-val compile : Csc.t -> compiled
-(** Symbolic phase over the lower-triangular part of A. *)
+val compile : ?upper:Csc.upper_pattern -> Csc.t -> compiled
+(** Symbolic phase over the lower-triangular part of A; [upper] shares
+    its upper triangle ({!Cholesky_ref.up_looking}). *)
 
 val factor : compiled -> Csc.t -> factors
 (** Numeric phase; raises {!Zero_pivot} on a structurally unlucky zero.

@@ -1,7 +1,10 @@
 (* Compressed sparse column (CSC) matrices: the storage format used by the
    paper ({n, Lp, Li, Lx}). Row indices are kept strictly increasing within
    each column; [validate] checks the invariant and every constructor
-   establishes it. *)
+   establishes it. The transposes and [check] index through [Ix]'s
+   operators: unchecked outside the [checked] profile, behind [check]. *)
+
+open Ix
 
 type t = {
   nrows : int;
@@ -13,24 +16,46 @@ type t = {
 
 let nnz t = t.colptr.(t.ncols)
 
-let validate t =
-  let ok =
-    Array.length t.colptr = t.ncols + 1
-    && t.colptr.(0) = 0
-    && Array.length t.rowind = nnz t
-    && Array.length t.values = nnz t
-  in
-  if not ok then invalid_arg "Csc.validate: malformed pointer/index arrays";
-  for j = 0 to t.ncols - 1 do
-    if t.colptr.(j) > t.colptr.(j + 1) then
-      invalid_arg "Csc.validate: decreasing colptr";
-    if not (Utils.array_is_sorted_strict t.rowind t.colptr.(j) t.colptr.(j + 1))
-    then invalid_arg "Csc.validate: unsorted or duplicate rows in a column";
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      if t.rowind.(p) < 0 || t.rowind.(p) >= t.nrows then
-        invalid_arg "Csc.validate: row index out of range"
-    done
+(* The invariant every unchecked loop of this library relies on, in one
+   O(ncols + nnz) pass. Once colptr is known to run from 0 up to the
+   length of rowind, every [p] of a column is a valid position, so the
+   row scan itself reads without bounds checks; a column's rows are in
+   range when they strictly increase from a first row >= 0 to a last row
+   below [nrows]. [lower] adds to [square]: no row above the diagonal. *)
+let check ~who ?(values = true) ?(square = false) ?(lower = false) t =
+  let fail reason = invalid_arg (who ^ ": " ^ reason) in
+  let n = t.ncols and cp = t.colptr and ri = t.rowind in
+  if t.nrows < 0 || n < 0 then fail "negative dimensions";
+  if (square || lower) && t.nrows <> n then fail "matrix is not square";
+  if Array.length cp <> n + 1 then fail "colptr length is not ncols + 1";
+  if cp.(0) <> 0 then fail "colptr does not start at 0";
+  for j = 0 to n - 1 do
+    if cp.!(j) > cp.!(j + 1) then fail "decreasing colptr"
+  done;
+  if Array.length ri <> cp.(n) then
+    fail "colptr.(ncols) does not match the rowind length";
+  if values && Array.length t.values <> cp.(n) then
+    fail "colptr.(ncols) does not match the values length";
+  for j = 0 to n - 1 do
+    let lo = cp.!(j) and hi = cp.!(j + 1) in
+    if lo < hi then begin
+      if ri.!(lo) < 0 || ri.!(hi - 1) >= t.nrows then
+        fail "row index out of range";
+      for p = lo + 1 to hi - 1 do
+        if ri.!(p) <= ri.!(p - 1) then
+          fail "unsorted or duplicate rows in a column"
+      done;
+      if lower && ri.!(lo) < j then fail "input is not lower triangular"
+    end
   done
+
+let validate t = check ~who:"Csc.validate" t
+
+type checked_lower = t
+
+let check_lower ~who ?(values = false) t =
+  check ~who ~values ~lower:true t;
+  t
 
 let create ~nrows ~ncols ~colptr ~rowind ~values =
   let t = { nrows; ncols; colptr; rowind; values } in
@@ -38,7 +63,10 @@ let create ~nrows ~ncols ~colptr ~rowind ~values =
   t
 
 let of_triplet (tr : Triplet.t) =
-  let colptr, rowind, values = Triplet.to_csc_arrays tr in
+  let colptr, rowind, values =
+    try Triplet.to_csc_arrays tr
+    with Invalid_argument m -> invalid_arg ("Csc.of_triplet: " ^ m)
+  in
   { nrows = tr.Triplet.nrows; ncols = tr.Triplet.ncols; colptr; rowind; values }
 
 let zero ~nrows ~ncols =
@@ -131,42 +159,46 @@ let to_dense ?(max_elements = default_max_dense_elements) t =
   iter t (fun i j v -> d.(i).(j) <- v);
   d
 
-(* Column pointers of the transpose, and a copy of their heads that the
-   fill loops advance as each column's cursor. *)
+(* The transposes. Each public entry checks its input, then runs one
+   unchecked builder: column pointers of the transpose from a counting
+   pass, and a copy of their heads that the fill loop advances as each
+   column's cursor. Rows of the result ascend because the source columns
+   are scanned in order. *)
 let transpose_ptrs t =
   let counts = Array.make (t.nrows + 1) 0 in
+  let ri = t.rowind in
   for p = 0 to nnz t - 1 do
-    counts.(t.rowind.(p)) <- counts.(t.rowind.(p)) + 1
+    let i = ri.!(p) in
+    counts.!(i) <- counts.!(i) + 1
   done;
   let _ = Utils.cumsum counts in
   (counts, Array.sub counts 0 t.nrows)
 
-let transpose t =
+let transpose_unchecked ~values ~map t =
   let colptr, next = transpose_ptrs t in
-  let rowind = Array.make (nnz t) 0 in
-  let values = Array.make (nnz t) 0.0 in
+  let nz = nnz t in
+  let cp = t.colptr and ri = t.rowind and v = t.values in
+  let rowind = Array.make nz 0 in
+  let tv = if values then Array.make nz 0.0 else [||] in
+  let tm = if map then Array.make nz 0 else [||] in
   for j = 0 to t.ncols - 1 do
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(p) in
-      let q = next.(i) in
-      rowind.(q) <- j;
-      values.(q) <- t.values.(p);
-      next.(i) <- q + 1
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
+      let q = next.!(i) in
+      rowind.!(q) <- j;
+      if values then tv.!.(q) <- v.!.(p);
+      if map then tm.!(q) <- p;
+      next.!(i) <- q + 1
     done
   done;
-  { nrows = t.ncols; ncols = t.nrows; colptr; rowind; values }
+  (colptr, rowind, tv, tm)
 
-let transpose_pattern t =
-  let colptr, next = transpose_ptrs t in
-  let rowind = Array.make (nnz t) 0 in
-  for j = 0 to t.ncols - 1 do
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(p) in
-      rowind.(next.(i)) <- j;
-      next.(i) <- next.(i) + 1
-    done
-  done;
-  { nrows = t.ncols; ncols = t.nrows; colptr; rowind; values = [||] }
+let transpose t =
+  check ~who:"Csc.transpose" t;
+  let colptr, rowind, values, _ =
+    transpose_unchecked ~values:true ~map:false t
+  in
+  { nrows = t.ncols; ncols = t.nrows; colptr; rowind; values }
 
 (* Structure of the transpose together with a gather map: entry q of the
    transpose reads its value from [values.(map.(q))] of the original matrix.
@@ -174,19 +206,97 @@ let transpose_pattern t =
    paper attributes to Eigen/CHOLMOD into symbolic analysis: at run time a
    cheap gather through [map] replaces building the transpose. *)
 let transpose_map t =
-  let colptr, next = transpose_ptrs t in
-  let rowind = Array.make (nnz t) 0 in
-  let map = Array.make (nnz t) 0 in
-  for j = 0 to t.ncols - 1 do
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(p) in
-      let q = next.(i) in
-      rowind.(q) <- j;
-      map.(q) <- p;
-      next.(i) <- q + 1
+  check ~who:"Csc.transpose_map" ~values:false t;
+  let colptr, rowind, _, map = transpose_unchecked ~values:false ~map:true t in
+  (colptr, rowind, map)
+
+(* The upper triangle of a checked lower(A), as the pattern of its
+   transpose with the gather map into lower(A)'s entries: built here by
+   [upper_pattern], or as the by-row bucket of [permute_lower_by]. *)
+type upper_pattern = {
+  up_colptr : int array;
+  up_rowind : int array;
+  up_map : int array;
+}
+
+let upper_pattern (l : checked_lower) : upper_pattern =
+  let up_colptr, up_rowind, _, up_map =
+    transpose_unchecked ~values:false ~map:true l
+  in
+  { up_colptr; up_rowind; up_map }
+
+(* lower(P sym(A) P^T) from a checked lower(A), [pinv] taking each old
+   index to its new one: stored entry (i, j) lands at
+   (max (pinv i) (pinv j), min (pinv i) (pinv j)). Two counting passes.
+   The first buckets the entries by permuted row; the second walks the
+   rows in order and places each entry in its permuted column, so every
+   column's rows come out ascending with no sort. The by-row bucket is the
+   upper triangle of the result: its map is rewritten from source to
+   result positions as the second pass places each entry. Values are
+   carried when the input has nnz of them, else zeros (a pattern-only
+   input). *)
+let permute_lower_by ~who ~pinv (a : checked_lower) :
+    checked_lower * int array * upper_pattern
+    =
+  let n = a.ncols in
+  if Array.length pinv <> n then
+    invalid_arg (who ^ ": permutation length does not match n");
+  let rowptr = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    let i = pinv.(k) in
+    if i < 0 || i >= n || rowptr.(i) <> 0 then
+      invalid_arg (who ^ ": not a valid permutation of [0, n)");
+    rowptr.(i) <- 1
+  done;
+  Array.fill rowptr 0 n 0;
+  let cp = a.colptr and ri = a.rowind in
+  let nz = cp.(n) in
+  for j = 0 to n - 1 do
+    let pj = pinv.!(j) in
+    for q = cp.!(j) to cp.!(j + 1) - 1 do
+      let pi = pinv.!(ri.!(q)) in
+      let r = if pi > pj then pi else pj in
+      rowptr.!(r) <- rowptr.!(r) + 1
     done
   done;
-  (colptr, rowind, map)
+  let _ = Utils.cumsum rowptr in
+  let next = Array.sub rowptr 0 n in
+  let colptr = Array.make (n + 1) 0 in
+  let up_rowind = Array.make nz 0 and up_map = Array.make nz 0 in
+  for j = 0 to n - 1 do
+    let pj = pinv.!(j) in
+    for q = cp.!(j) to cp.!(j + 1) - 1 do
+      let pi = pinv.!(ri.!(q)) in
+      let r = if pi > pj then pi else pj and c = if pi > pj then pj else pi in
+      let s = next.!(r) in
+      up_rowind.!(s) <- c;
+      up_map.!(s) <- q;
+      next.!(r) <- s + 1;
+      colptr.!(c) <- colptr.!(c) + 1
+    done
+  done;
+  let _ = Utils.cumsum colptr in
+  Array.blit colptr 0 next 0 n;
+  let rowind = Array.make nz 0 and map = Array.make nz 0 in
+  for r = 0 to n - 1 do
+    for s = rowptr.!(r) to rowptr.!(r + 1) - 1 do
+      let c = up_rowind.!(s) in
+      let k = next.!(c) in
+      rowind.!(k) <- r;
+      map.!(k) <- up_map.!(s);
+      up_map.!(s) <- k;
+      next.!(c) <- k + 1
+    done
+  done;
+  let av = a.values in
+  let values = Array.make nz 0.0 in
+  if Array.length av = nz then
+    for k = 0 to nz - 1 do
+      values.!.(k) <- av.!.(map.!(k))
+    done;
+  ( { nrows = n; ncols = n; colptr; rowind; values },
+    map,
+    { up_colptr = rowptr; up_rowind; up_map } )
 
 (* y = A * x *)
 let spmv t x =
@@ -274,19 +384,18 @@ let is_lower_triangular t =
    the mirror images (i, j), i < j, of the stored entries (j, i), scattered
    in column order i so their rows ascend, followed by column j of the
    input. An entry above the diagonal would be mirrored on top of its
-   stored twin, so it is rejected. *)
+   stored twin, so the check rejects it; after the check the mirror runs
+   unchecked, as the transposes do. *)
 let symmetrize_from_lower t =
-  if t.nrows <> t.ncols then invalid_arg "Csc.symmetrize_from_lower: square";
+  check ~who:"Csc.symmetrize_from_lower" ~lower:true t;
   let n = t.ncols in
+  let cp = t.colptr and ri = t.rowind and v = t.values in
   let colptr = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
-    colptr.(j) <- colptr.(j) + (t.colptr.(j + 1) - t.colptr.(j));
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(p) in
-      if i < j then
-        invalid_arg
-          "Csc.symmetrize_from_lower: input is not lower triangular";
-      if i > j then colptr.(i) <- colptr.(i) + 1
+    colptr.!(j) <- colptr.!(j) + (cp.!(j + 1) - cp.!(j));
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
+      if i > j then colptr.!(i) <- colptr.!(i) + 1
     done
   done;
   let nnz = Utils.cumsum colptr in
@@ -294,21 +403,21 @@ let symmetrize_from_lower t =
   let rowind = Array.make nnz 0 in
   let values = Array.make nnz 0.0 in
   for j = 0 to n - 1 do
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(p) in
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
       if i > j then begin
-        let q = next.(i) in
-        rowind.(q) <- j;
-        values.(q) <- t.values.(p);
-        next.(i) <- q + 1
+        let q = next.!(i) in
+        rowind.!(q) <- j;
+        values.!.(q) <- v.!.(p);
+        next.!(i) <- q + 1
       end
     done
   done;
   for j = 0 to n - 1 do
-    let dst = next.(j) - t.colptr.(j) in
-    for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      rowind.(dst + p) <- t.rowind.(p);
-      values.(dst + p) <- t.values.(p)
+    let dst = next.!(j) - cp.!(j) in
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      rowind.!(dst + p) <- ri.!(p);
+      values.!.(dst + p) <- v.!.(p)
     done
   done;
   { nrows = n; ncols = n; colptr; rowind; values }

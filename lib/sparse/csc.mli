@@ -15,8 +15,71 @@ val nnz : t -> int
 (** Number of stored entries. *)
 
 val validate : t -> unit
-(** Checks structural invariants (pointer monotonicity, sorted unique rows,
-    index ranges); raises [Invalid_argument] on violation. *)
+(** Checks the invariant: [colptr] of length [ncols + 1], starting at 0
+    and non-decreasing; [colptr.(ncols)] equal to the lengths of [rowind]
+    and [values]; rows in [\[0, nrows)] and strictly increasing within each
+    column. Raises [Invalid_argument "Csc.validate: …"] on a violation.
+    O(ncols + nnz). *)
+
+val check :
+  who:string -> ?values:bool -> ?square:bool -> ?lower:bool -> t -> unit
+(** {!validate} for an entry point named [who]: raises
+    [Invalid_argument (who ^ ": …")]. [~values:false] skips the value
+    count (pattern-only inputs); [~square:true] requires
+    [nrows = ncols]; [~lower:true] requires a square matrix with no entry
+    above the diagonal. *)
+
+(** {2 Checked lower(A) and its upper triangle}
+
+    The compile path's loops (the transposes, the symmetric permutation,
+    AMD, the etree and the fill walk) run without bounds checks outside
+    the [checked] dune profile, so each public entry checks what it reads
+    first. A pattern that has passed {!check_lower} is a
+    {!checked_lower}, and the structures this library builds from one are
+    valid by construction: entries that take them skip the O(nnz)
+    re-check. *)
+
+type checked_lower = private t
+(** A square lower-triangular pattern that satisfies the invariant
+    ({!check_lower}, or a builder below). Its [values] may be anything:
+    entries that read them check their length. Treat the arrays as
+    read-only. *)
+
+val check_lower : who:string -> ?values:bool -> t -> checked_lower
+(** [check ~who ~values ~lower:true] ([values] defaults to [false]),
+    returning the checked pattern (no copy). *)
+
+type upper_pattern = private {
+  up_colptr : int array;  (** length [n+1] *)
+  up_rowind : int array;
+      (** column [k] lists the [i <= k] with [(k, i)] stored in lower(A),
+          each once *)
+  up_map : int array;
+      (** entry [q] of the upper triangle is entry [up_map.(q)] of
+          lower(A) *)
+}
+(** The upper triangle of a {!checked_lower}: the transpose of its
+    pattern, with the gather map into its entries. Rows ascend within each
+    column when {!upper_pattern} built it; the by-row bucket of
+    {!permute_lower_by} keeps each column's rows in no particular
+    order. *)
+
+val upper_pattern : checked_lower -> upper_pattern
+(** The transpose of a checked lower(A), with its map. O(n + nnz). *)
+
+val permute_lower_by :
+  who:string ->
+  pinv:int array ->
+  checked_lower ->
+  checked_lower * int array * upper_pattern
+(** [permute_lower_by ~who ~pinv a] is [(b, map, u)]: [b] =
+    lower(P sym(A) P^T), where stored entry [(i, j)] lands at
+    [(max (pinv i) (pinv j), min (pinv i) (pinv j))]; entry [q] of [b]
+    takes its value from [a.values.(map.(q))]; and [u] is [b]'s upper
+    triangle, the by-row bucket the two counting passes leave behind.
+    [b] carries [a]'s values when their count is nnz, else zeros.
+    Raises [Invalid_argument (who ^ ": …")] unless [pinv] is a
+    permutation of [\[0, n)]. *)
 
 val create :
   nrows:int ->
@@ -28,7 +91,9 @@ val create :
 (** Builds and validates a CSC matrix from raw arrays (no copies taken). *)
 
 val of_triplet : Triplet.t -> t
-(** Converts a COO builder, sorting rows and summing duplicates. *)
+(** Converts a COO builder, sorting rows and summing duplicates. Raises
+    [Invalid_argument "Csc.of_triplet: …"] on a [len] past the entry
+    arrays or an index out of range ({!Triplet.to_csc_arrays}). *)
 
 val zero : nrows:int -> ncols:int -> t
 (** All-zero matrix (no stored entries). *)
@@ -64,12 +129,8 @@ val to_dense : ?max_elements:int -> t -> float array array
     sparse structure does, so the guard fails fast instead. *)
 
 val transpose : t -> t
-(** Transposed matrix, O(nnz + max dims); output rows are sorted. *)
-
-val transpose_pattern : t -> t
-(** The structure of {!transpose} alone, with [values = [||]]: for
-    pattern-only consumers (the etree and the ereach walk), which would
-    otherwise pay a copy of every value. *)
+(** Transposed matrix, O(nnz + max dims); output rows are sorted. Checks
+    its input ({!check}). *)
 
 val transpose_map : t -> int array * int array * int array
 (** [(colptr, rowind, map)]: the {e structure} of the transpose together
@@ -77,7 +138,7 @@ val transpose_map : t -> int array * int array * int array
     [values.(map.(q))] of the original. Sympiler uses this to hoist the
     numeric-phase transpose the paper attributes to Eigen/CHOLMOD into
     symbolic analysis: at run time a cheap gather replaces building the
-    transpose. *)
+    transpose. Checks the input's pattern. *)
 
 val spmv : t -> float array -> float array
 (** Sparse matrix-vector product [A x]. *)
@@ -102,8 +163,8 @@ val is_lower_triangular : t -> bool
 val symmetrize_from_lower : t -> t
 (** Rebuild the full symmetric matrix from lower-triangular storage, in
     O(n + nnz) with rows sorted. Raises [Invalid_argument] when the input
-    is not square or stores an entry above the diagonal (mirroring it would
-    double the off-diagonal values). *)
+    breaks the invariant, is not square or stores an entry above the
+    diagonal (mirroring it would double the off-diagonal values). *)
 
 val map_values : t -> (float -> float) -> t
 (** Same pattern, transformed values — the paper's core scenario of

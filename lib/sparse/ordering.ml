@@ -5,30 +5,83 @@
    of the compile pipeline. All are usable through
    [Perm.symmetric_permute]. Input is the full symmetric matrix. *)
 
+open Ix
+
 (* CSR adjacency (excluding self loops) of the symmetric pattern: vertex
    [v]'s neighbors are [ind.(ptr.(v) .. ptr.(v+1)-1)], ascending. Since the
    input is symmetric, each column IS a neighbor list, and CSC's
    strictly-increasing-rows invariant means no sorting or deduplication is
    needed — one counting pass and one fill pass, O(n + nnz) flat arrays
-   instead of n boxed lists. *)
-let adjacency_csr (a : Csc.t) : int array * int array =
-  let n = a.Csc.ncols in
+   instead of n boxed lists. Unchecked behind the callers' input check. *)
+let adjacency_of_full (a : Csc.t) : int array * int array =
+  let n = a.Csc.ncols and cp = a.Csc.colptr and ri = a.Csc.rowind in
   let ptr = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
     let c = ref 0 in
-    for p = a.Csc.colptr.(j) to a.Csc.colptr.(j + 1) - 1 do
-      if a.Csc.rowind.(p) <> j then incr c
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      if ri.!(p) <> j then incr c
     done;
-    ptr.(j) <- !c
+    ptr.!(j) <- !c
   done;
   let total = Utils.cumsum ptr in
   let ind = Array.make (max 1 total) 0 in
   let q = ref 0 in
   for j = 0 to n - 1 do
-    for p = a.Csc.colptr.(j) to a.Csc.colptr.(j + 1) - 1 do
-      let i = a.Csc.rowind.(p) in
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
       if i <> j then begin
-        ind.(!q) <- i;
+        ind.!(!q) <- i;
+        incr q
+      end
+    done
+  done;
+  (ptr, ind)
+
+let check_square ~who a = Csc.check ~who ~values:false ~square:true a
+
+let adjacency_csr (a : Csc.t) : int array * int array =
+  check_square ~who:"Ordering.adjacency_csr" a;
+  adjacency_of_full a
+
+(* The same adjacency of sym(A), read from a checked lower(A) with no
+   symmetrized copy: vertex [v]'s neighbours are the columns [j < v] whose
+   column stores row [v] (the mirror images, appended as the columns are
+   scanned in order, hence ascending), then the rows [i > v] of its own
+   column (ascending). That is column [v] of [Csc.symmetrize_from_lower]
+   without the diagonal, so the lists, and the ordering run on them, are
+   identical. *)
+let adjacency_of_lower (l : Csc.checked_lower) : int array * int array =
+  let a = (l :> Csc.t) in
+  let n = a.Csc.ncols and cp = a.Csc.colptr and ri = a.Csc.rowind in
+  let ptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
+      if i <> j then begin
+        ptr.!(i) <- ptr.!(i) + 1;
+        ptr.!(j) <- ptr.!(j) + 1
+      end
+    done
+  done;
+  let total = Utils.cumsum ptr in
+  let ind = Array.make (max 1 total) 0 in
+  let next = Array.sub ptr 0 n in
+  for j = 0 to n - 1 do
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
+      if i > j then begin
+        let q = next.!(i) in
+        ind.!(q) <- j;
+        next.!(i) <- q + 1
+      end
+    done
+  done;
+  for j = 0 to n - 1 do
+    let q = ref next.!(j) in
+    for p = cp.!(j) to cp.!(j + 1) - 1 do
+      let i = ri.!(p) in
+      if i > j then begin
+        ind.!(!q) <- i;
         incr q
       end
     done
@@ -228,16 +281,14 @@ let min_degree (a : Csc.t) : Perm.t =
 let imin (a : int) b = if a < b then a else b
 let imax (a : int) b = if a > b then a else b
 
-let amd (a : Csc.t) : Perm.t =
+let amd_core n (aptr : int array) (aind : int array) : Perm.t =
   Sympiler_metrics.Metrics.(inc orderings 1);
-  let n = a.Csc.ncols in
   if n = 0 then [||]
   else begin
     (* Variable lists A_v live in place in the CSR adjacency: A_v is
        [aind.(aptr.(v) .. aptr.(v) + alen.(v) - 1)] and only ever shrinks,
        so pruning compacts it inside its own segment. *)
-    let aptr, aind = adjacency_csr a in
-    let alen = Array.init n (fun v -> aptr.(v + 1) - aptr.(v)) in
+    let alen = Array.init n (fun v -> aptr.!(v + 1) - aptr.!(v)) in
     let elist = Array.make n [||] in
     let elen = Array.make n 0 in
     let emem = Array.make n [||] in
@@ -257,24 +308,24 @@ let amd (a : Csc.t) : Perm.t =
     let mindeg = ref 0 in
     let bucket_insert v d =
       let d = if d >= n then n - 1 else if d < 0 then 0 else d in
-      inbucket.(v) <- d;
-      dprev.(v) <- -1;
-      dnext.(v) <- head.(d);
-      if head.(d) >= 0 then dprev.(head.(d)) <- v;
-      head.(d) <- v;
+      inbucket.!(v) <- d;
+      dprev.!(v) <- -1;
+      dnext.!(v) <- head.!(d);
+      if head.!(d) >= 0 then dprev.!(head.!(d)) <- v;
+      head.!(d) <- v;
       if d < !mindeg then mindeg := d
     in
     let bucket_remove v =
-      let d = inbucket.(v) in
+      let d = inbucket.!(v) in
       if d >= 0 then begin
-        if dprev.(v) >= 0 then dnext.(dprev.(v)) <- dnext.(v)
-        else head.(d) <- dnext.(v);
-        if dnext.(v) >= 0 then dprev.(dnext.(v)) <- dprev.(v);
-        inbucket.(v) <- -1
+        if dprev.!(v) >= 0 then dnext.!(dprev.!(v)) <- dnext.!(v)
+        else head.!(d) <- dnext.!(v);
+        if dnext.!(v) >= 0 then dprev.!(dnext.!(v)) <- dprev.!(v);
+        inbucket.!(v) <- -1
       end
     in
     for v = 0 to n - 1 do
-      bucket_insert v deg.(v)
+      bucket_insert v deg.!(v)
     done;
     (* Supervariable hash groups: singly-linked lists per hash key,
        prepended to (so a group lists its members newest first) and
@@ -293,89 +344,93 @@ let amd (a : Csc.t) : Perm.t =
     let mbuf = Array.make n 0 in
     let nm = ref 0 and dmass = ref 0 in
     let add v =
-      if state.(v) = 0 && nv.(v) > 0 && stamp.(v) <> !cur then begin
-        stamp.(v) <- !cur;
-        mbuf.(!nm) <- v;
+      if state.!(v) = 0 && nv.!(v) > 0 && stamp.!(v) <> !cur then begin
+        stamp.!(v) <- !cur;
+        mbuf.!(!nm) <- v;
         incr nm;
-        dmass := !dmass + nv.(v)
+        dmass := !dmass + nv.!(v)
       end
     in
     let push_elem v e =
       let cap = Array.length elist.(v) in
-      if elen.(v) = cap then begin
+      if elen.!(v) = cap then begin
         let grown = Array.make (max 4 (2 * cap)) 0 in
         Array.blit elist.(v) 0 grown 0 cap;
         elist.(v) <- grown
       end;
-      elist.(v).(elen.(v)) <- e;
-      elen.(v) <- elen.(v) + 1
+      elist.(v).!(elen.!(v)) <- e;
+      elen.!(v) <- elen.!(v) + 1
     in
     let norder = ref 0 in
     let pivots = ref [] in
     while !norder < n do
-      while head.(!mindeg) < 0 do
+      while head.!(!mindeg) < 0 do
         incr mindeg
       done;
-      let p = head.(!mindeg) in
+      let p = head.!(!mindeg) in
       bucket_remove p;
       pivots := p :: !pivots;
       (* Form the pivot element L_p = (A_p U union of its elements'
          members) minus p and the dead; absorb those elements. *)
       incr cur;
       let c = !cur in
-      stamp.(p) <- c;
+      stamp.!(p) <- c;
       nm := 0;
       dmass := 0;
-      for k = 0 to alen.(p) - 1 do
-        add aind.(aptr.(p) + k)
+      for k = 0 to alen.!(p) - 1 do
+        add aind.!(aptr.!(p) + k)
       done;
-      for k = 0 to elen.(p) - 1 do
-        let e = elist.(p).(k) in
-        if state.(e) = 1 then begin
-          for m = 0 to emlen.(e) - 1 do
-            add emem.(e).(m)
+      let ep = elist.(p) in
+      for k = 0 to elen.!(p) - 1 do
+        let e = ep.!(k) in
+        if state.!(e) = 1 then begin
+          let me = emem.(e) in
+          for m = 0 to emlen.!(e) - 1 do
+            add me.!(m)
           done;
-          state.(e) <- 2
+          state.!(e) <- 2
         end
       done;
       (* L_p lists the members newest first. *)
       let nlp = !nm in
       let lp = Array.make nlp 0 in
       for k = 0 to nlp - 1 do
-        lp.(k) <- mbuf.(nlp - 1 - k)
+        lp.!(k) <- mbuf.!(nlp - 1 - k)
       done;
       let dp = !dmass in
-      state.(p) <- 1;
+      state.!(p) <- 1;
       emem.(p) <- lp;
-      emlen.(p) <- nlp;
-      alen.(p) <- 0;
-      elen.(p) <- 0;
-      norder := !norder + nv.(p);
+      emlen.!(p) <- nlp;
+      alen.!(p) <- 0;
+      elen.!(p) <- 0;
+      norder := !norder + nv.!(p);
       (* w(e) pass: after it, w.(e) = |L_e \ L_p| in supervariable mass for
          every element adjacent to a member of L_p. Member lists are
          compacted (dead entries dropped) when first touched. *)
       incr cur;
       let cw = !cur in
       for t = 0 to nlp - 1 do
-        let v = lp.(t) in
-        for k = 0 to elen.(v) - 1 do
-          let e = elist.(v).(k) in
-          if state.(e) = 1 then begin
-            if wstamp.(e) <> cw then begin
+        let v = lp.!(t) in
+        let ev = elist.(v) in
+        for k = 0 to elen.!(v) - 1 do
+          let e = ev.!(k) in
+          if state.!(e) = 1 then begin
+            if wstamp.!(e) <> cw then begin
               let len = ref 0 and sz = ref 0 in
-              for m = 0 to emlen.(e) - 1 do
-                let u = emem.(e).(m) in
-                if state.(u) = 0 && nv.(u) > 0 then begin
-                  emem.(e).(!len) <- u;
+              let me = emem.(e) in
+              for m = 0 to emlen.!(e) - 1 do
+                let u = me.!(m) in
+                if state.!(u) = 0 && nv.!(u) > 0 then begin
+                  me.!(!len) <- u;
                   incr len;
-                  sz := !sz + nv.(u)
+                  sz := !sz + nv.!(u)
                 end
               done;
-              emlen.(e) <- !len;
-              w.(e) <- !sz;
-              wstamp.(e) <- cw
+              emlen.!(e) <- !len;
+              w.!(e) <- !sz;
+              wstamp.!(e) <- cw
             end;
-            w.(e) <- w.(e) - nv.(v)
+            w.!(e) <- w.!(e) - nv.!(v)
           end
         done
       done;
@@ -383,58 +438,60 @@ let amd (a : Csc.t) : Perm.t =
          aggressive absorption, recompute the approximate degree, detect
          mass eliminations, and hash for supervariable detection. *)
       for t = 0 to nlp - 1 do
-        let v = lp.(t) in
-        let base = aptr.(v) in
+        let v = lp.!(t) in
+        let base = aptr.!(v) in
         let len = ref 0 and asz = ref 0 and h = ref p in
-        for k = 0 to alen.(v) - 1 do
-          let u = aind.(base + k) in
-          if state.(u) = 0 && nv.(u) > 0 && stamp.(u) <> c then begin
-            aind.(base + !len) <- u;
+        for k = 0 to alen.!(v) - 1 do
+          let u = aind.!(base + k) in
+          if state.!(u) = 0 && nv.!(u) > 0 && stamp.!(u) <> c then begin
+            aind.!(base + !len) <- u;
             incr len;
-            asz := !asz + nv.(u);
+            asz := !asz + nv.!(u);
             h := !h + u
           end
         done;
-        alen.(v) <- !len;
+        alen.!(v) <- !len;
         let el = ref 0 and sumw = ref 0 in
-        for k = 0 to elen.(v) - 1 do
-          let e = elist.(v).(k) in
-          if state.(e) = 1 then begin
-            if wstamp.(e) = cw && w.(e) <= 0 then
+        let ev = elist.(v) in
+        for k = 0 to elen.!(v) - 1 do
+          let e = ev.!(k) in
+          if state.!(e) = 1 then begin
+            if wstamp.!(e) = cw && w.!(e) <= 0 then
               (* Aggressive absorption: every live member of e is inside
                  L_p, so element e is redundant from now on. *)
-              state.(e) <- 2
+              state.!(e) <- 2
             else begin
-              elist.(v).(!el) <- e;
+              ev.!(!el) <- e;
               incr el;
-              sumw := !sumw + (if wstamp.(e) = cw then w.(e) else 0);
+              sumw := !sumw + (if wstamp.!(e) = cw then w.!(e) else 0);
               h := !h + e
             end
           end
         done;
-        elen.(v) <- !el;
+        elen.!(v) <- !el;
         push_elem v p;
         bucket_remove v;
-        hkey.(v) <- -1;
-        if alen.(v) = 0 && elen.(v) = 1 then begin
+        hkey.!(v) <- -1;
+        if alen.!(v) = 0 && elen.!(v) = 1 then begin
           (* Mass elimination: v's neighborhood is exactly L_p, so it can
              be eliminated with p at no extra fill; it is emitted right
              after p in the output ordering. *)
-          state.(v) <- 2;
-          parent.(v) <- p;
-          norder := !norder + nv.(v);
-          nv.(v) <- 0
+          state.!(v) <- 2;
+          parent.!(v) <- p;
+          norder := !norder + nv.!(v);
+          nv.!(v) <- 0
         end
         else begin
-          let ext_p = dp - nv.(v) in
+          let ext_p = dp - nv.!(v) in
           let d_new =
-            imin (n - !norder) (imin (deg.(v) + ext_p) (ext_p + !sumw + !asz))
+            imin (n - !norder) (imin (deg.!(v) + ext_p) (ext_p + !sumw + !asz))
           in
-          deg.(v) <- imax 0 d_new;
-          let key = (!h mod n) + if !h mod n < 0 then n else 0 in
-          hkey.(v) <- key;
-          hnext.(v) <- hhead.(key);
-          hhead.(key) <- v
+          deg.!(v) <- imax 0 d_new;
+          let r = !h mod n in
+          let key = if r < 0 then r + n else r in
+          hkey.!(v) <- key;
+          hnext.!(v) <- hhead.!(key);
+          hhead.!(key) <- v
         end
       done;
       (* Supervariable detection within each hash group: exact set
@@ -443,61 +500,63 @@ let amd (a : Csc.t) : Perm.t =
          are disjoint, so the order they are scanned in does not matter;
          each is scanned once, from its first member in L_p. *)
       for t = 0 to nlp - 1 do
-        let key = hkey.(lp.(t)) in
-        if key >= 0 && hhead.(key) >= 0 then begin
-          let vi = ref hhead.(key) in
-          hhead.(key) <- -1;
+        let key = hkey.!(lp.!(t)) in
+        if key >= 0 && hhead.!(key) >= 0 then begin
+          let vi = ref hhead.!(key) in
+          hhead.!(key) <- -1;
           while !vi >= 0 do
             let vi' = !vi in
-            if state.(vi') = 0 && nv.(vi') > 0 then begin
+            if state.!(vi') = 0 && nv.!(vi') > 0 then begin
               let stamped = ref false in
-              let vj = ref hnext.(vi') in
+              let vj = ref hnext.!(vi') in
               while !vj >= 0 do
                 let vj' = !vj in
                 if
-                  state.(vj') = 0
-                  && nv.(vj') > 0
-                  && alen.(vi') = alen.(vj')
-                  && elen.(vi') = elen.(vj')
+                  state.!(vj') = 0
+                  && nv.!(vj') > 0
+                  && alen.!(vi') = alen.!(vj')
+                  && elen.!(vi') = elen.!(vj')
                 then begin
                   if not !stamped then begin
                     incr cur;
-                    for k = 0 to alen.(vi') - 1 do
-                      stamp.(aind.(aptr.(vi') + k)) <- !cur
+                    for k = 0 to alen.!(vi') - 1 do
+                      stamp.!(aind.!(aptr.!(vi') + k)) <- !cur
                     done;
-                    for k = 0 to elen.(vi') - 1 do
-                      stamp.(elist.(vi').(k)) <- !cur
+                    let ei = elist.(vi') in
+                    for k = 0 to elen.!(vi') - 1 do
+                      stamp.!(ei.!(k)) <- !cur
                     done;
                     stamped := true
                   end;
                   let same = ref true in
-                  for k = 0 to alen.(vj') - 1 do
-                    if stamp.(aind.(aptr.(vj') + k)) <> !cur then same := false
+                  for k = 0 to alen.!(vj') - 1 do
+                    if stamp.!(aind.!(aptr.!(vj') + k)) <> !cur then same := false
                   done;
-                  for k = 0 to elen.(vj') - 1 do
-                    if stamp.(elist.(vj').(k)) <> !cur then same := false
+                  let ej = elist.(vj') in
+                  for k = 0 to elen.!(vj') - 1 do
+                    if stamp.!(ej.!(k)) <> !cur then same := false
                   done;
                   if !same then begin
-                    let mass = nv.(vj') in
-                    nv.(vi') <- nv.(vi') + mass;
-                    nv.(vj') <- 0;
-                    state.(vj') <- 2;
-                    parent.(vj') <- vi';
+                    let mass = nv.!(vj') in
+                    nv.!(vi') <- nv.!(vi') + mass;
+                    nv.!(vj') <- 0;
+                    state.!(vj') <- 2;
+                    parent.!(vj') <- vi';
                     bucket_remove vj';
-                    deg.(vi') <- imax 0 (deg.(vi') - mass)
+                    deg.!(vi') <- imax 0 (deg.!(vi') - mass)
                   end
                 end;
-                vj := hnext.(vj')
+                vj := hnext.!(vj')
               done
             end;
-            vi := hnext.(vi')
+            vi := hnext.!(vi')
           done
         end
       done;
       (* Reinsert the surviving members with their updated degrees. *)
       for t = 0 to nlp - 1 do
-        let v = lp.(t) in
-        if state.(v) = 0 && nv.(v) > 0 then bucket_insert v deg.(v)
+        let v = lp.!(t) in
+        if state.!(v) = 0 && nv.!(v) > 0 then bucket_insert v deg.!(v)
       done
     done;
     (* Output: pivots in elimination order; each absorbed or
@@ -505,12 +564,13 @@ let amd (a : Csc.t) : Perm.t =
        it (the absorption forest rooted at the pivots). *)
     let children = Array.make n [] in
     for x = n - 1 downto 0 do
-      if parent.(x) >= 0 then children.(parent.(x)) <- x :: children.(parent.(x))
+      let px = parent.!(x) in
+      if px >= 0 then children.(px) <- x :: children.(px)
     done;
     let perm = Array.make n 0 in
     let pos = ref 0 in
     let rec emit x =
-      perm.(!pos) <- x;
+      perm.!(!pos) <- x;
       incr pos;
       List.iter emit children.(x)
     in
@@ -518,6 +578,15 @@ let amd (a : Csc.t) : Perm.t =
     assert (!pos = n);
     perm
   end
+
+let amd (a : Csc.t) : Perm.t =
+  check_square ~who:"Ordering.amd" a;
+  let aptr, aind = adjacency_of_full a in
+  amd_core a.Csc.ncols aptr aind
+
+let amd_lower (l : Csc.checked_lower) : Perm.t =
+  let aptr, aind = adjacency_of_lower l in
+  amd_core (l :> Csc.t).Csc.ncols aptr aind
 
 (* Bandwidth of the symmetric pattern: used to test that RCM reduces it. *)
 let bandwidth (a : Csc.t) =

@@ -8,7 +8,9 @@ val adjacency_csr : Csc.t -> int array * int array
 (** [(ptr, ind)]: CSR adjacency of the symmetric pattern, self-loops
     removed. Vertex [v]'s neighbors are [ind.(ptr.(v) .. ptr.(v+1)-1)], in
     ascending order. O(n + nnz), two flat arrays — the representation the
-    ordering algorithms traverse (no per-vertex boxed lists). *)
+    ordering algorithms traverse (no per-vertex boxed lists). Raises
+    [Invalid_argument "Ordering.adjacency_csr: …"] unless the input is
+    square and satisfies the CSC invariant ({!Csc.check}). *)
 
 val adjacency : Csc.t -> int list array
 (** Sorted adjacency lists of the symmetric pattern, self-loops removed
@@ -35,7 +37,15 @@ val amd : Csc.t -> Perm.t
     external-degree approximation with iteration-stamped workspaces. Near
     linear-time in practice and the default fill-reducing ordering of the
     compile pipeline; fill quality tracks {!min_degree} closely (the
-    ordering tests check the tolerance on the suite). *)
+    ordering tests check the tolerance on the suite). Raises
+    [Invalid_argument "Ordering.amd: …"] unless the input is square and
+    satisfies the CSC invariant. *)
+
+val amd_lower : Csc.checked_lower -> Perm.t
+(** {!amd} of sym(A) read straight from a checked lower(A): the same
+    adjacency lists, hence the same permutation as
+    [amd (Csc.symmetrize_from_lower a_lower)], without the symmetrized
+    copy. *)
 
 val bandwidth : Csc.t -> int
 (** Maximum [|i - j|] over stored entries. *)

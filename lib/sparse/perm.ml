@@ -3,6 +3,8 @@
    where row k of P has its 1 in column p.(k). Fill-reducing orderings in
    [Ordering] return permutations in this convention. *)
 
+open Ix
+
 type t = int array
 
 let identity n = Array.init n (fun i -> i)
@@ -53,92 +55,80 @@ let symmetric_permute p (a : Csc.t) =
   Csc.iter a (fun i j v -> Triplet.add tr pinv.(i) pinv.(j) v);
   Csc.of_triplet tr
 
-(* Shared builder for the two permute-with-gather-map operations below:
-   source entry [q] lands at (rows.(q), cols.(q)); the result's entry [k]
-   reads its value from [values.(map.(k))] of the source matrix.
-   Column-major counting sort followed by an in-column sort keeps rows
-   strictly increasing. *)
-let build_permuted ~n ~(rows : int array) ~(cols : int array)
-    (src_values : float array) =
-  let nnz = Array.length rows in
-  let colptr = Array.make (n + 1) 0 in
-  for q = 0 to nnz - 1 do
-    colptr.(cols.(q)) <- colptr.(cols.(q)) + 1
-  done;
-  let _ = Utils.cumsum colptr in
-  let next = Array.sub colptr 0 n in
-  let rowind = Array.make nnz 0 and map = Array.make nnz 0 in
-  for q = 0 to nnz - 1 do
-    let c = cols.(q) in
-    let slot = next.(c) in
-    next.(c) <- slot + 1;
-    rowind.(slot) <- rows.(q);
-    map.(slot) <- q
-  done;
-  (* Sort each column by row, carrying the map along (compile-time code;
-     columns are short, insertion sort suffices and allocates nothing). *)
-  for c = 0 to n - 1 do
-    for k = colptr.(c) + 1 to colptr.(c + 1) - 1 do
-      let r = rowind.(k) and m = map.(k) in
-      let i = ref (k - 1) in
-      while !i >= colptr.(c) && rowind.(!i) > r do
-        rowind.(!i + 1) <- rowind.(!i);
-        map.(!i + 1) <- map.(!i);
-        decr i
-      done;
-      rowind.(!i + 1) <- r;
-      map.(!i + 1) <- m
-    done
-  done;
-  let values = Array.make nnz 0.0 in
-  for k = 0 to nnz - 1 do
-    values.(k) <- src_values.(map.(k))
-  done;
-  (Csc.create ~nrows:n ~ncols:n ~colptr ~rowind ~values, map)
-
-let check_square_perm ~who p (a : Csc.t) =
-  if a.Csc.nrows <> a.Csc.ncols then invalid_arg who;
-  if Array.length p <> a.Csc.ncols then
+(* The inverse of a caller's permutation, checked in the same pass: every
+   index in range and taken once. *)
+let checked_inverse ~who p n =
+  if Array.length p <> n then
     invalid_arg (who ^ ": permutation length does not match n");
-  if not (is_valid p) then
-    invalid_arg (who ^ ": not a valid permutation of [0, n)")
+  let q = Array.make n (-1) in
+  for k = 0 to n - 1 do
+    let i = p.(k) in
+    if i < 0 || i >= n || q.(i) >= 0 then
+      invalid_arg (who ^ ": not a valid permutation of [0, n)");
+    q.(i) <- k
+  done;
+  q
 
 (* B = P A P^T with a gather map: entry [q] of B takes its value from
    [a.values.(map.(q))], so a steady-state caller can refresh B's values
-   with one allocation-free gather when A's values change. *)
+   with one allocation-free gather when A's values change. Two counting
+   passes, unchecked behind the input check: bucket the entries by
+   permuted row, then walk the rows in order and place each entry in its
+   permuted column, so every column's rows come out ascending. *)
 let permute_pattern p (a : Csc.t) : Csc.t * int array =
-  check_square_perm ~who:"Perm.permute_pattern" p a;
-  let pinv = inverse p in
-  let nnz = Csc.nnz a in
-  let rows = Array.make nnz 0 and cols = Array.make nnz 0 in
-  for j = 0 to a.Csc.ncols - 1 do
-    for q = a.Csc.colptr.(j) to a.Csc.colptr.(j + 1) - 1 do
-      rows.(q) <- pinv.(a.Csc.rowind.(q));
-      cols.(q) <- pinv.(j)
+  let who = "Perm.permute_pattern" in
+  Csc.check ~who ~square:true a;
+  let n = a.Csc.ncols in
+  let pinv = checked_inverse ~who p n in
+  let cp = a.Csc.colptr and ri = a.Csc.rowind and av = a.Csc.values in
+  let nz = cp.(n) in
+  let rowptr = Array.make (n + 1) 0 in
+  for q = 0 to nz - 1 do
+    let r = pinv.!(ri.!(q)) in
+    rowptr.!(r) <- rowptr.!(r) + 1
+  done;
+  let _ = Utils.cumsum rowptr in
+  let next = Array.sub rowptr 0 n in
+  let colptr = Array.make (n + 1) 0 in
+  let bcol = Array.make nz 0 and bsrc = Array.make nz 0 in
+  for j = 0 to n - 1 do
+    let c = pinv.!(j) in
+    colptr.!(c) <- cp.!(j + 1) - cp.!(j);
+    for q = cp.!(j) to cp.!(j + 1) - 1 do
+      let r = pinv.!(ri.!(q)) in
+      let s = next.!(r) in
+      bcol.!(s) <- c;
+      bsrc.!(s) <- q;
+      next.!(r) <- s + 1
     done
   done;
-  build_permuted ~n:a.Csc.ncols ~rows ~cols a.Csc.values
+  let _ = Utils.cumsum colptr in
+  Array.blit colptr 0 next 0 n;
+  let rowind = Array.make nz 0 and map = Array.make nz 0 in
+  let values = Array.make nz 0.0 in
+  for r = 0 to n - 1 do
+    for s = rowptr.!(r) to rowptr.!(r + 1) - 1 do
+      let c = bcol.!(s) in
+      let k = next.!(c) in
+      rowind.!(k) <- r;
+      map.!(k) <- bsrc.!(s);
+      values.!.(k) <- av.!.(bsrc.!(s));
+      next.!(c) <- k + 1
+    done
+  done;
+  ({ Csc.nrows = n; ncols = n; colptr; rowind; values }, map)
 
 (* lower(P sym(A) P^T) from lower(A), with the same gather-map contract:
    each stored lower entry (i, j), i >= j, lands at
    (max(pinv i, pinv j), min(pinv i, pinv j)) — the permuted coordinates
-   folded back into the lower triangle. *)
+   folded back into the lower triangle. [Csc.permute_lower_by] builds
+   it. *)
 let permute_lower p (a_lower : Csc.t) : Csc.t * int array =
-  check_square_perm ~who:"Perm.permute_lower" p a_lower;
-  let pinv = inverse p in
-  let nnz = Csc.nnz a_lower in
-  let rows = Array.make nnz 0 and cols = Array.make nnz 0 in
-  for j = 0 to a_lower.Csc.ncols - 1 do
-    for q = a_lower.Csc.colptr.(j) to a_lower.Csc.colptr.(j + 1) - 1 do
-      let i = a_lower.Csc.rowind.(q) in
-      if i < j then
-        invalid_arg "Perm.permute_lower: input is not lower triangular";
-      let r = pinv.(i) and c = pinv.(j) in
-      rows.(q) <- (if r > c then r else c);
-      cols.(q) <- (if r > c then c else r)
-    done
-  done;
-  build_permuted ~n:a_lower.Csc.ncols ~rows ~cols a_lower.Csc.values
+  let who = "Perm.permute_lower" in
+  let l = Csc.check_lower ~who ~values:true a_lower in
+  let pinv = checked_inverse ~who p a_lower.Csc.ncols in
+  let b, map, _ = Csc.permute_lower_by ~who ~pinv l in
+  ((b :> Csc.t), map)
 
 let random rng n =
   let p = identity n in

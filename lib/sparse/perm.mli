@@ -36,15 +36,19 @@ val permute_pattern : t -> Csc.t -> Csc.t * int array
     [a.values.(map.(q))]. Refreshing [b.values] with the gather is the
     allocation-free way to track value changes of [a] under a fixed
     permutation (the ordered plans' steady state). Raises
-    [Invalid_argument] on a non-square matrix or invalid permutation. *)
+    [Invalid_argument "Perm.permute_pattern: …"] on a matrix that breaks
+    the CSC invariant ({!Csc.check}), a non-square matrix or an invalid
+    permutation. *)
 
 val permute_lower : t -> Csc.t -> Csc.t * int array
 (** [permute_lower p a_lower] is [(b, map)] where [b] is
     [lower(P sym(A) P^T)] computed directly from lower-triangular storage:
     each stored entry [(i, j)] of [a_lower] lands at
     [(max (pinv i) (pinv j), min (pinv i) (pinv j))]. Same gather-map
-    contract as {!permute_pattern}. Raises [Invalid_argument] when the
-    input is not lower triangular or the permutation is invalid. *)
+    contract as {!permute_pattern}. Raises
+    [Invalid_argument "Perm.permute_lower: …"] when the input breaks the
+    CSC invariant, is not lower triangular or the permutation is
+    invalid. *)
 
 val random : Utils.Rng.t -> int -> t
 (** Uniformly random permutation (deterministic given the RNG state). *)

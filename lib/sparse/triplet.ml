@@ -2,6 +2,8 @@
    before conversion to CSC. Duplicate entries are summed on conversion, the
    convention used by FEM assembly and by Matrix Market readers. *)
 
+open Ix
+
 type t = {
   nrows : int;
   ncols : int;
@@ -49,68 +51,87 @@ let add t i j v =
   t.vals.(t.len) <- v;
   t.len <- t.len + 1
 
-(* The (colptr, rowind, values) arrays of a CSC matrix with row indices
-   strictly increasing within each column: two stable counting passes —
-   by row, then by column — sort the entries, and a compaction pass sums
-   duplicates. O(len + nrows + ncols) whatever the column lengths. Both
-   passes keep insertion order among equal keys, so duplicates of one
-   (row, col) reach the compaction in the order they were added and are
-   summed left to right. *)
-let to_csc_arrays t =
-  let len = t.len and n = t.ncols in
-  (* Pass 1: bucket by row. Only the column and value travel; the row of a
-     slot is implied by its bucket. *)
-  let rowptr = Array.make (t.nrows + 1) 0 in
-  for k = 0 to len - 1 do
-    rowptr.(t.rows.(k)) <- rowptr.(t.rows.(k)) + 1
-  done;
-  let _ = Utils.cumsum rowptr in
-  let next = Array.sub rowptr 0 t.nrows in
-  let by_row_col = Array.make len 0 and by_row_val = Array.make len 0.0 in
-  for k = 0 to len - 1 do
-    let i = t.rows.(k) in
-    let q = next.(i) in
-    by_row_col.(q) <- t.cols.(k);
-    by_row_val.(q) <- t.vals.(k);
-    next.(i) <- q + 1
-  done;
-  (* Pass 2: bucket by column, walking rows in ascending order. *)
-  let colptr = Array.make (n + 1) 0 in
-  for k = 0 to len - 1 do
-    colptr.(t.cols.(k)) <- colptr.(t.cols.(k)) + 1
-  done;
-  let _ = Utils.cumsum colptr in
-  let next = Array.sub colptr 0 n in
-  let rowind = Array.make len 0 and values = Array.make len 0.0 in
-  for i = 0 to t.nrows - 1 do
-    for q = rowptr.(i) to rowptr.(i + 1) - 1 do
-      let j = by_row_col.(q) in
-      let p = next.(j) in
-      rowind.(p) <- i;
-      values.(p) <- by_row_val.(q);
-      next.(j) <- p + 1
-    done
-  done;
-  (* Compact duplicates, summing their values; column starts only move
-     down, so colptr is rewritten in place. *)
+(* Sum runs of duplicate rows within each column; column starts only
+   move down, so colptr is rewritten in place. *)
+let compact n colptr rowind values =
   let out = ref 0 and lo = ref 0 in
   for j = 0 to n - 1 do
-    let hi = colptr.(j + 1) in
-    colptr.(j) <- !out;
+    let hi = colptr.!(j + 1) in
+    colptr.!(j) <- !out;
     let p = ref !lo in
     while !p < hi do
-      let r = rowind.(!p) in
+      let r = rowind.!(!p) in
       let v = ref 0.0 in
-      while !p < hi && rowind.(!p) = r do
-        v := !v +. values.(!p);
+      while !p < hi && rowind.!(!p) = r do
+        v := !v +. values.!.(!p);
         incr p
       done;
-      rowind.(!out) <- r;
-      values.(!out) <- !v;
+      rowind.!(!out) <- r;
+      values.!.(!out) <- !v;
       incr out
     done;
     lo := hi
   done;
-  colptr.(n) <- !out;
-  if !out = len then (colptr, rowind, values)
-  else (colptr, Array.sub rowind 0 !out, Array.sub values 0 !out)
+  colptr.!(n) <- !out;
+  (colptr, Array.sub rowind 0 !out, Array.sub values 0 !out)
+
+(* The (colptr, rowind, values) arrays of a CSC matrix with row indices
+   strictly increasing within each column: two stable counting passes —
+   by row, then by column — sort the entries, and a compaction pass sums
+   duplicates when the second pass met any. O(len + nrows + ncols) whatever the column lengths. Both
+   passes keep insertion order among equal keys, so duplicates of one
+   (row, col) reach the compaction in the order they were added and are
+   summed left to right. The record's fields are public, so [len] and
+   every index are checked here (the indices in the counting pass that
+   first reads them); the passes then run unchecked. *)
+let to_csc_arrays t =
+  let fail reason = invalid_arg ("Triplet.to_csc_arrays: " ^ reason) in
+  let len = t.len and m = t.nrows and n = t.ncols in
+  let rows = t.rows and cols = t.cols and vals = t.vals in
+  if m < 0 || n < 0 then fail "negative dimensions";
+  if
+    len < 0
+    || len > Array.length rows
+    || len > Array.length cols
+    || len > Array.length vals
+  then fail "len exceeds the entry arrays";
+  (* Counts of both passes. *)
+  let rowptr = Array.make (m + 1) 0 and colptr = Array.make (n + 1) 0 in
+  for k = 0 to len - 1 do
+    let i = rows.!(k) and j = cols.!(k) in
+    if i < 0 || i >= m || j < 0 || j >= n then fail "index out of range";
+    rowptr.!(i) <- rowptr.!(i) + 1;
+    colptr.!(j) <- colptr.!(j) + 1
+  done;
+  (* Pass 1: bucket by row. Only the column and value travel; the row of a
+     slot is implied by its bucket. *)
+  let _ = Utils.cumsum rowptr in
+  let next = Array.sub rowptr 0 m in
+  let by_row_col = Array.make len 0 and by_row_val = Array.make len 0.0 in
+  for k = 0 to len - 1 do
+    let i = rows.!(k) in
+    let q = next.!(i) in
+    by_row_col.!(q) <- cols.!(k);
+    by_row_val.!.(q) <- vals.!.(k);
+    next.!(i) <- q + 1
+  done;
+  (* Pass 2: bucket by column, walking rows in ascending order. A row
+     equal to the one just placed in its column is a duplicate. Each
+     value is stored as a sum from 0.0, the sum the compaction forms, so
+     with or without duplicates the arrays are the same (a lone -0.0
+     stores as 0.0). *)
+  let _ = Utils.cumsum colptr in
+  let next = Array.sub colptr 0 n in
+  let rowind = Array.make len 0 and values = Array.make len 0.0 in
+  let dups = ref false in
+  for i = 0 to m - 1 do
+    for q = rowptr.!(i) to rowptr.!(i + 1) - 1 do
+      let j = by_row_col.!(q) in
+      let p = next.!(j) in
+      if p > colptr.!(j) && rowind.!(p - 1) = i then dups := true;
+      rowind.!(p) <- i;
+      values.!.(p) <- 0.0 +. by_row_val.!.(q);
+      next.!(j) <- p + 1
+    done
+  done;
+  if !dups then compact n colptr rowind values else (colptr, rowind, values)

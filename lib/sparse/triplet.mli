@@ -29,4 +29,7 @@ val to_csc_arrays : t -> int array * int array * float array
 (** [(colptr, rowind, values)] of the equivalent CSC matrix: entries sorted
     by column then strictly by row, duplicates summed left to right in
     insertion order. Two stable counting passes (by row, then by column):
-    O(len + nrows + ncols). Normally used via {!Csc.of_triplet}. *)
+    O(len + nrows + ncols). Normally used via {!Csc.of_triplet}. Raises
+    [Invalid_argument "Triplet.to_csc_arrays: …"] when [len] is negative
+    or past any of the three arrays, or an entry's row or column is out
+    of range (a record built by hand, not by {!add}). *)

@@ -19,8 +19,7 @@ let make_workspace n = { mark = Array.make n (-1); stack = Array.make n 0 }
    nonzero of column k of [upper] climbs the etree until it reaches k or a
    node already marked for row k. The result is
    [work.stack.(0 .. len-1)] for the returned [len], valid only until the
-   next call on the same workspace. Callers that only count entries
-   (column counts) take it as is. *)
+   next call on the same workspace. *)
 let row_reach_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
     : int =
   let len = ref 0 in
@@ -34,8 +33,6 @@ let row_reach_ip ~(upper : Csc.t) ~(parent : int array) ~(work : workspace) k
     done
   done;
   !len
-
-let stack (work : workspace) = work.stack
 
 (* The same pattern sorted ascending (which is a valid dependence order for
    lower-triangular systems), copied out of the workspace. *)

@@ -5,35 +5,15 @@ open Sympiler_sparse
    column j is min{ i > j : L(i,j) <> 0 }. Input is the lower-triangular
    part of A in CSC form. *)
 
-(* parent.(j) = parent column, or -1 for roots, from [upper] = the
-   transpose of the stored lower part: column k of [upper] lists the
-   i <= k with A(k,i) <> 0 (the row pattern of the lower triangle).
-   Callers that already hold the transpose (the fill analysis) pass it
-   here instead of paying for a second one. *)
-let of_upper (upper : Csc.t) : int array =
-  Sympiler_trace.Trace.with_span "symbolic.etree" @@ fun () ->
-  let n = upper.Csc.ncols in
-  let parent = Array.make n (-1) in
-  let ancestor = Array.make n (-1) in
-  for k = 0 to n - 1 do
-    for p = upper.Csc.colptr.(k) to upper.Csc.colptr.(k + 1) - 1 do
-      (* Walk from i up the current forest to its root, compressing. *)
-      let i = ref upper.Csc.rowind.(p) in
-      while !i < k && !i >= 0 do
-        let next = ancestor.(!i) in
-        ancestor.(!i) <- k;
-        if next = -1 then begin
-          parent.(!i) <- k;
-          i := -1
-        end
-        else i := next
-      done
-    done
-  done;
-  parent
-
+(* parent.(j) = parent column, or -1 for roots. The loop is
+   [Walk.etree], which the fill analysis runs too, over the transpose of
+   the stored lower part; it is unchecked, so the input is checked
+   here. *)
 let compute (a_lower : Csc.t) : int array =
-  of_upper (Csc.transpose_pattern a_lower)
+  let u =
+    Csc.upper_pattern (Csc.check_lower ~who:"Etree.compute" a_lower)
+  in
+  Walk.etree a_lower.Csc.ncols u.Csc.up_colptr u.Csc.up_rowind
 
 (* Naive O(n^2)-ish oracle: build the filled pattern column by column with
    explicit sets and read parents off it. Used only in tests. *)

@@ -8,13 +8,9 @@ open Sympiler_sparse
 val compute : Csc.t -> int array
 (** [compute a_lower]: parent array of the etree ([-1] for roots), from the
     lower-triangular part of A. Liu's algorithm with path-compressed
-    virtual ancestors, nearly O(|A|). *)
-
-val of_upper : Csc.t -> int array
-(** [of_upper upper]: the same parent array from the transpose of the
-    stored lower part (column [k] holds the row indices [i <= k] of
-    [A(k,i)]), for callers that already hold it — {!Fill_pattern} hands
-    its one transpose to both this and {!Ereach}. *)
+    virtual ancestors, nearly O(|A|). Raises
+    [Invalid_argument "Etree.compute: …"] unless the input is a square
+    lower-triangular pattern that satisfies the CSC invariant. *)
 
 val compute_naive : Csc.t -> int array
 (** Test oracle: parents read off an explicit set-based symbolic

@@ -1,4 +1,5 @@
 open Sympiler_sparse
+open Ix
 
 (* Symbolic Cholesky factorization: the full nonzero pattern of L (fill-ins
    included) computed before any numeric work, so that storage for L can be
@@ -24,91 +25,173 @@ type t = {
          diagonal) *)
 }
 
-(* The walk [analyze] and [col_counts] share: one pattern-only transpose
-   of lower(A) feeds both the etree and the per-row ereach, which counts
-   every entry of L into its column and hands each row's pattern, in row
-   order (unsorted, in the workspace stack), to [row k stack len]. *)
-let walk (a_lower : Csc.t) ~row : int array * int array =
-  let n = a_lower.Csc.ncols in
-  let upper = Csc.transpose_pattern a_lower in
-  let parent = Etree.of_upper upper in
-  let work = Ereach.make_workspace n in
-  let stack = Ereach.stack work in
-  let counts = Array.make n 1 in
-  Sympiler_trace.Trace.begin_span "symbolic.col_counts";
-  for k = 0 to n - 1 do
-    let len = Ereach.row_reach_ip ~upper ~parent ~work k in
-    for q = 0 to len - 1 do
-      let j = stack.(q) in
-      counts.(j) <- counts.(j) + 1
-    done;
-    row k stack len
-  done;
-  Sympiler_trace.Trace.end_span ();
-  (parent, counts)
-
 (* Etree and column counts alone: no row lists, no pattern of L. The
    cheap baseline for decisions that only need nnz(L) or the flop model
    (the ordering stage's natural-order comparison, [Explain]). *)
 let col_counts (a_lower : Csc.t) : int array * int array =
-  walk a_lower ~row:(fun _ _ _ -> ())
-
-(* O(|L|) analysis from the lower-triangular part of A via [Ereach],
-   timed by its "symbolic.fill" span. *)
-let analyze (a_lower : Csc.t) : t =
-  Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
-  let n = a_lower.Csc.ncols in
-  (* First pass: each row's pattern, sorted, appended to a buffer that
-     grows by doubling (nnz(L) is known only once the walk ends), and the
-     column counts. The buffer packs an entry in 4 bytes (a column index
-     is below n < 2^31) and is decoded once into the exact-size row
-     lists, after which it is garbage: packing halves that garbage and
-     the walk's memory traffic. *)
-  let buf = ref (Bytes.create (4 * max 16 (4 * Csc.nnz a_lower))) in
-  let row_ptr = Array.make (n + 1) 0 in
-  let parent, counts =
-    walk a_lower ~row:(fun k stack len ->
-        Utils.sort_int_range stack 0 len;
-        let top = row_ptr.(k) in
-        let cap = Bytes.length !buf in
-        if 4 * (top + len) > cap then begin
-          let grown = Bytes.create (max (4 * (top + len)) (2 * cap)) in
-          Bytes.blit !buf 0 grown 0 (4 * top);
-          buf := grown
-        end;
-        let b = !buf in
-        for i = 0 to len - 1 do
-          Bytes.set_int32_ne b (4 * (top + i)) (Int32.of_int stack.(i))
-        done;
-        row_ptr.(k + 1) <- top + len)
+  let u =
+    Csc.upper_pattern (Csc.check_lower ~who:"Fill_pattern.col_counts" a_lower)
   in
-  let b = !buf in
-  let row_ind = Array.make row_ptr.(n) 0 in
-  for q = 0 to row_ptr.(n) - 1 do
-    row_ind.(q) <- Int32.to_int (Bytes.get_int32_ne b (4 * q))
-  done;
-  (* Second pass: scatter into column-major storage. Column j receives
-     its diagonal at row j and then rows k > j in increasing k, hence
-     sorted with the diagonal first. *)
+  Walk.walk a_lower.Csc.ncols u.Csc.up_colptr u.Csc.up_rowind
+    ~row:(fun _ _ _ -> ())
+
+(* The walk's row buffer: nnz(L) is known only once the walk ends, so
+   the rows go to a list of fixed-size chunks, each entry packed in 4
+   bytes (a column index is below n < 2^31). A chunk holds [chunk >= n]
+   entries, so a row (fewer than n entries) is never split: a row that
+   does not fit the current chunk opens the next one, and the decoder
+   replays that rule to find each row's chunk. The buffer is garbage once
+   decoded; the chunks keep it within one chunk of its payload, with no
+   copy as it grows. *)
+type row_buffer = {
+  chunk : int;
+  mutable chunks : Bytes.t array;
+  mutable nchunks : int;
+  mutable base : int;  (** index of the current chunk's first entry *)
+}
+
+(* Whether a row of [len] entries from index [top] opens a new chunk. *)
+let opens (b : row_buffer) ~base top len = top - base + len > b.chunk
+
+let new_chunk (b : row_buffer) top =
+  if b.nchunks = Array.length b.chunks then begin
+    let grown = Array.make (2 * b.nchunks) Bytes.empty in
+    Array.blit b.chunks 0 grown 0 b.nchunks;
+    b.chunks <- grown
+  end;
+  b.chunks.(b.nchunks) <- Bytes.create (4 * b.chunk);
+  b.nchunks <- b.nchunks + 1;
+  b.base <- top
+
+(* O(|L|) analysis from the upper triangle of lower(A), timed by its
+   "symbolic.fill" span. The walk yields each row's pattern unsorted and
+   appends it to the row buffer; no row is sorted by comparison:
+   - When some row came out unsorted, the buffer is scattered into the
+     column pattern in row order, which sorts every column by
+     construction, and the row lists are the transpose of that pattern
+     without its diagonal, sorted by construction too.
+   - When every row came out sorted (a chain-like etree: cliques, blocks,
+     banded natural orders), the buffer is decoded as the row lists and
+     they are scattered into the column pattern, with no transpose.
+   Both paths give the same arrays. The loops run unchecked: the input
+   is a checked lower(A)'s upper triangle. *)
+let analyze_upper n (uc : int array) (ur : int array) : t =
+  Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
+  let buf =
+    {
+      chunk = max n 4096;
+      chunks = Array.make 16 Bytes.empty;
+      nchunks = 0;
+      base = 0;
+    }
+  in
+  new_chunk buf 0;
+  let row_ptr = Array.make (n + 1) 0 in
+  let sorted = ref true in
+  let parent, counts =
+    Walk.walk n uc ur ~row:(fun k stack len ->
+        let top = row_ptr.!(k) in
+        if opens buf ~base:buf.base top len then new_chunk buf top;
+        let b = buf.chunks.(buf.nchunks - 1) and off = top - buf.base in
+        let prev = ref (-1) in
+        for i = 0 to len - 1 do
+          let j = stack.!(i) in
+          if j < !prev then sorted := false;
+          prev := j;
+          set_int32 b (4 * (off + i)) (Int32.of_int j)
+        done;
+        row_ptr.!(k + 1) <- top + len)
+  in
+  let nrow = row_ptr.!(n) in
+  (* Row k's entries are [get_int32 b (4 * (q - !base))] for q in
+     [row_ptr.(k), row_ptr.(k+1)), b the chunk [chunk_of k] returns after
+     replaying the walk's rule to advance [c] and [base]. *)
+  let c = ref 0 and base = ref 0 in
+  let chunk_of k =
+    let lo = row_ptr.!(k) in
+    if opens buf ~base:!base lo (row_ptr.!(k + 1) - lo) then begin
+      incr c;
+      base := lo
+    end;
+    buf.chunks.(!c)
+  in
   let l_colptr = Array.make (n + 1) 0 in
   Array.blit counts 0 l_colptr 0 n;
   let nnz = Utils.cumsum l_colptr in
-  let l_rowind = Array.make nnz 0 in
-  let next = Array.sub l_colptr 0 n in
-  for k = 0 to n - 1 do
-    l_rowind.(next.(k)) <- k;
-    next.(k) <- next.(k) + 1;
-    for q = row_ptr.(k) to row_ptr.(k + 1) - 1 do
-      let j = row_ind.(q) in
-      l_rowind.(next.(j)) <- k;
-      next.(j) <- next.(j) + 1
-    done
-  done;
+  (* Column j starts with its diagonal, then receives the rows k > j in
+     increasing k: sorted, diagonal first. *)
+  let next = Array.make n 0 in
+  let new_columns () =
+    let l_rowind = Array.make nnz 0 in
+    for j = 0 to n - 1 do
+      let p = l_colptr.!(j) in
+      l_rowind.!(p) <- j;
+      next.!(j) <- p + 1
+    done;
+    l_rowind
+  in
+  (* Each path allocates its second |L|-sized array once the buffer is
+     decoded, so the peak holds the buffer beside one of them only. *)
+  let l_rowind, row_ind =
+    if !sorted then begin
+      let row_ind = Array.make nrow 0 in
+      for k = 0 to n - 1 do
+        let b = chunk_of k in
+        let off = !base in
+        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
+          row_ind.!(q) <- Int32.to_int (get_int32 b (4 * (q - off)))
+        done
+      done;
+      let l_rowind = new_columns () in
+      for k = 0 to n - 1 do
+        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
+          let j = row_ind.!(q) in
+          let p = next.!(j) in
+          l_rowind.!(p) <- k;
+          next.!(j) <- p + 1
+        done
+      done;
+      (l_rowind, row_ind)
+    end
+    else begin
+      let l_rowind = new_columns () in
+      for k = 0 to n - 1 do
+        let b = chunk_of k in
+        let off = !base in
+        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
+          let j = Int32.to_int (get_int32 b (4 * (q - off))) in
+          let p = next.!(j) in
+          l_rowind.!(p) <- k;
+          next.!(j) <- p + 1
+        done
+      done;
+      let row_ind = Array.make nrow 0 in
+      Array.blit row_ptr 0 next 0 n;
+      for j = 0 to n - 1 do
+        for p = l_colptr.!(j) + 1 to l_colptr.!(j + 1) - 1 do
+          let k = l_rowind.!(p) in
+          let q = next.!(k) in
+          row_ind.!(q) <- j;
+          next.!(k) <- q + 1
+        done
+      done;
+      (l_rowind, row_ind)
+    end
+  in
   if Sympiler_trace.Trace.enabled () then begin
     Sympiler_trace.Trace.set_attr "n" (Sympiler_trace.Trace.Int n);
     Sympiler_trace.Trace.set_attr "nnz_l" (Sympiler_trace.Trace.Int nnz)
   end;
   { n; parent; counts; l_colptr; l_rowind; row_ptr; row_ind }
+
+let of_upper (u : Csc.upper_pattern) : t =
+  analyze_upper
+    (Array.length u.Csc.up_colptr - 1)
+    u.Csc.up_colptr u.Csc.up_rowind
+
+let analyze (a_lower : Csc.t) : t =
+  of_upper
+    (Csc.upper_pattern (Csc.check_lower ~who:"Fill_pattern.analyze" a_lower))
 
 (* The column pattern as a [Csc.t] for the pattern-only consumers
    ([Dep_graph], [Stages.schedule], [Supernodes]): it shares the two

@@ -27,12 +27,22 @@ type t = {
 
 val analyze : Csc.t -> t
 (** O(|L|) symbolic factorization of the lower-triangular part of A, via
-    {!Etree} + {!Ereach}. *)
+    the etree and the ereach walk ({!Etree}, {!Ereach}). Raises
+    [Invalid_argument "Fill_pattern.analyze: …"] unless the input is a
+    square lower-triangular pattern that satisfies the CSC invariant
+    ({!Csc.check_lower}); values are not read. *)
+
+val of_upper : Csc.upper_pattern -> t
+(** {!analyze} from the upper triangle of a checked lower(A) (its
+    transpose, or the by-row bucket of {!Csc.permute_lower_by}),
+    without a re-check or a transpose of its own. The order of the rows
+    within each column of the upper triangle does not change the result. *)
 
 val col_counts : Csc.t -> int array * int array
 (** [col_counts a_lower] is [(parent, counts)], equal to the [parent] and
     [counts] of {!analyze}, from the same etree and ereach walk but with
-    no row lists and no pattern of L. nnz(L) is the sum of [counts]. *)
+    no row lists and no pattern of L. nnz(L) is the sum of [counts].
+    Checks its input as {!analyze} does. *)
 
 val l_view : t -> Csc.t
 (** The column pattern as a [Csc.t] that shares [l_colptr] and [l_rowind]

@@ -195,15 +195,21 @@ let attr_json = function
 
 (* Chrome trace-event format: complete ("X") events carry microsecond
    ts/dur and nest by time containment, which Perfetto renders as a flame
-   chart; instants are "i" events with thread scope. *)
+   chart; instants are "i" events with thread scope. [ts] counts from the
+   earliest exported span, not from the monotonic clock's origin (boot):
+   JSON floats print with 9 significant digits, so after about 17 minutes
+   of uptime a from-boot ts would lose whole microseconds and misplace
+   short spans and their nesting. *)
 let to_chrome_json () =
+  let all = spans () in
+  let t0 = List.fold_left (fun m s -> min m s.start_ns) max_int all in
   let event s =
     let common =
       [
         ("name", Json.Str s.name);
         ("cat", Json.Str "sympiler");
         ("ph", Json.Str (match s.kind with Span -> "X" | Instant -> "i"));
-        ("ts", Json.Float (float_of_int s.start_ns /. 1e3));
+        ("ts", Json.Float (float_of_int (s.start_ns - t0) /. 1e3));
         ("pid", Json.Int 1);
         ("tid", Json.Int 1);
       ]
@@ -223,7 +229,7 @@ let to_chrome_json () =
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.List (List.map event (spans ())));
+         ("traceEvents", Json.List (List.map event all));
          ("displayTimeUnit", Json.Str "ns");
        ])
 

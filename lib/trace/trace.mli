@@ -105,7 +105,9 @@ val to_chrome_json : unit -> string
 (** The recorded spans as a Chrome trace-event JSON document
     ([{"traceEvents":[...]}]): spans are complete ("X") events with
     microsecond [ts]/[dur], instants are "i" events, attributes become
-    [args]. Loadable in Perfetto or [chrome://tracing]. *)
+    [args]. [ts] counts from the earliest exported span, so it keeps
+    sub-microsecond precision however long the host has been up.
+    Loadable in Perfetto or [chrome://tracing]. *)
 
 val to_folded : unit -> string
 (** Folded-stacks text: one [root;child;leaf self_ns] line per stack path

@@ -43,11 +43,12 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== dune runtest, kernels bounds-checked =="
-# The kernels build with -unsafe everywhere except the `checked` profile
-# (lib/kernels/dune): run the suite once there, in its own build dir, so
-# any out-of-bounds access a test reaches raises instead of reading or
-# writing past an array.
+echo "== dune runtest, bounds-checked =="
+# The kernels build with -unsafe, and the compile path's symbolic loops
+# index through lib/sparse/ix.unchecked.ml, everywhere except the
+# `checked` profile (lib/kernels/dune, lib/sparse/dune): run the suite
+# once there, in its own build dir, so any out-of-bounds access a test
+# reaches raises instead of reading or writing past an array.
 dune runtest --profile checked --build-dir _build_checked
 
 echo "== test suite under forced domain counts =="

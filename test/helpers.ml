@@ -266,3 +266,34 @@ let switch_off_and_on f =
   f "metrics off";
   Metrics.enable ();
   f "metrics on"
+
+(* [f ()] must raise [Invalid_argument] whose message names [entry]
+   ("entry: …"): the check a public entry runs before its unchecked
+   loops, not a bounds check or nothing at all. *)
+let expect_named entry f =
+  let prefix = entry ^ ":" in
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" entry
+  | exception Invalid_argument m
+    when String.length m >= String.length prefix
+         && String.sub m 0 (String.length prefix) = prefix ->
+      ()
+  | exception e -> Alcotest.failf "%s: raised %s" entry (Printexc.to_string e)
+
+(* One defect of the CSC invariant each, on a matrix whose column 0
+   stores three rows or more: the last row of column 0 set to nrows, the
+   last two rows of column 0 swapped, and one value too few. *)
+let row_out_of_range (a : Csc.t) =
+  let r = Array.copy a.Csc.rowind in
+  r.(a.Csc.colptr.(1) - 1) <- a.Csc.nrows;
+  { a with Csc.rowind = r }
+
+let rows_unsorted (a : Csc.t) =
+  let r = Array.copy a.Csc.rowind and p = a.Csc.colptr.(1) - 2 in
+  let t = r.(p) in
+  r.(p) <- r.(p + 1);
+  r.(p + 1) <- t;
+  { a with Csc.rowind = r }
+
+let values_short (a : Csc.t) =
+  { a with Csc.values = Array.sub a.Csc.values 0 (Csc.nnz a - 1) }

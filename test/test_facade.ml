@@ -187,6 +187,90 @@ let test_malformed_cholesky_solve () =
         (fun () -> S.Cholesky.solve t spd_lower (Array.sub b 1 (Array.length b - 1))))
     orderings
 
+(* Each defect of the CSC invariant on its own, on lower(A) or on A: a row
+   index equal to n, a decreasing colptr, colptr.(n) <> nnz, a short
+   rowind, unsorted rows in a column, a duplicated row in a column. *)
+let malformed_patterns (a : Csc.t) : (string * Csc.t) list =
+  let n = a.Csc.ncols and cp = a.Csc.colptr and ri = a.Csc.rowind in
+  let nz = Csc.nnz a in
+  (* A column with three entries or more, its rows below the diagonal
+     from the second on (so swapping them keeps lower(A) lower). *)
+  let j =
+    let rec find j = if cp.(j + 1) - cp.(j) >= 3 then j else find (j + 1) in
+    find 0
+  in
+  let p = cp.(j + 1) - 2 in
+  let rows f =
+    let r = Array.copy ri in
+    f r;
+    { a with Csc.rowind = r }
+  in
+  let ptrs f =
+    let c = Array.copy cp in
+    f c;
+    { a with Csc.colptr = c }
+  in
+  [
+    ("row index = n", rows (fun r -> r.(cp.(j + 1) - 1) <- n));
+    ("decreasing colptr", ptrs (fun c -> c.(1) <- c.(2) + 1));
+    ("colptr.(n) <> nnz", ptrs (fun c -> c.(n) <- nz - 1));
+    ("short rowind", { a with Csc.rowind = Array.sub ri 0 (nz - 1) });
+    ( "unsorted rows",
+      rows (fun r ->
+          let t = r.(p) in
+          r.(p) <- r.(p + 1);
+          r.(p + 1) <- t) );
+    ("duplicated row", rows (fun r -> r.(p + 1) <- r.(p)));
+  ]
+
+(* Every facade compile rejects each malformed pattern with one
+   documented error, before its plan-cache lookup and before any
+   unchecked loop reads it. *)
+let test_malformed_pattern_compile () =
+  let b = Generators.sparse_rhs ~seed:7 ~n:spd_lower.Csc.ncols ~fill:0.1 () in
+  let with_opts ordering = S.Options.make ~ordering () in
+  let compiles =
+    [
+      ("cholesky natural", true, fun a -> ignore (S.Cholesky.compile a));
+      ( "cholesky amd",
+        true,
+        fun a -> ignore (S.Cholesky.compile ~opts:(with_opts `Amd) a) );
+      ("ldlt", true, fun a -> ignore (S.Ldlt.compile a));
+      ( "ldlt amd",
+        true,
+        fun a -> ignore (S.Ldlt.compile ~opts:(with_opts `Amd) a) );
+      ("lu", false, fun a -> ignore (S.Lu.compile a));
+      ("lu amd", false, fun a -> ignore (S.Lu.compile ~opts:(with_opts `Amd) a));
+      ("ic0", true, fun a -> ignore (S.Ic0.compile a));
+      ("ilu0", false, fun a -> ignore (S.Ilu0.compile a));
+      ("trisolve", true, fun a -> ignore (S.Trisolve.compile (a, b)));
+      ( "pipeline cholesky",
+        true,
+        fun a ->
+          ignore
+            (S.Pipeline.compile ~opts:(with_opts `Amd)
+               (S.Pipeline.factor_solve `Cholesky) a) );
+      ( "pipeline lu",
+        false,
+        fun a -> ignore (S.Pipeline.compile (S.Pipeline.factor_solve `Lu) a) );
+      ( "pipeline cached",
+        true,
+        fun a ->
+          ignore
+            (S.Pipeline.compile ~opts:(S.Options.make ~cache:true ())
+               (S.Pipeline.factor_solve `Ldlt) a) );
+    ]
+  in
+  List.iter
+    (fun (name, lower, compile) ->
+      let a = if lower then spd_lower else spd in
+      compile a;
+      List.iter
+        (fun (kind, bad) ->
+          expect_rejected (name ^ ": " ^ kind) (fun () -> compile bad))
+        (malformed_patterns a))
+    compiles
+
 (* Trisolve: a natural and an etree-postordered handle (an ordering that
    keeps L lower triangular), each RHS defect on its own. *)
 let test_malformed_trisolve_rhs () =
@@ -454,6 +538,7 @@ let suite =
     ("factor families zero allocation", `Slow, test_zero_alloc);
     ("malformed factor input rejected", `Slow, test_malformed_factor_input);
     ("malformed cholesky solve rejected", `Quick, test_malformed_cholesky_solve);
+    ("malformed pattern rejected at compile", `Quick, test_malformed_pattern_compile);
     ("malformed trisolve rhs rejected", `Slow, test_malformed_trisolve_rhs);
     ("threshold cache key is exact", `Quick, test_threshold_key_exact);
     ("ignored options share a cache entry", `Quick, test_ignored_options_share_entry);

@@ -204,6 +204,97 @@ let test_perm_compose () =
   (* (compose p q).(k) = q.(p.(k)) *)
   Alcotest.(check (array int)) "compose" [| 0; 1; 2 |] (Perm.compose p q)
 
+(* Every public entry of lib/sparse that runs an unchecked loop checks its
+   input first and names itself when it rejects it. *)
+let test_unchecked_entries_check_input () =
+  let open Helpers in
+  let a = Generators.grid2d ~stencil:`Five 4 4 in
+  let l = Csc.lower a in
+  let tr = Triplet.create ~nrows:3 ~ncols:3 () in
+  Triplet.add tr 0 0 1.0;
+  Triplet.add tr 2 1 2.0;
+  let past_len = { tr with Triplet.len = Array.length tr.Triplet.rows + 1 } in
+  let row_oor =
+    let rows = Array.copy tr.Triplet.rows in
+    rows.(1) <- 3;
+    { tr with Triplet.rows }
+  in
+  let col_oor =
+    let cols = Array.copy tr.Triplet.cols in
+    cols.(0) <- -1;
+    { tr with Triplet.cols }
+  in
+  List.iter
+    (fun bad ->
+      expect_named "Triplet.to_csc_arrays" (fun () -> Triplet.to_csc_arrays bad);
+      expect_named "Csc.of_triplet" (fun () -> Csc.of_triplet bad))
+    [ past_len; row_oor; col_oor ];
+  expect_named "Csc.validate" (fun () -> Csc.validate (row_out_of_range a));
+  expect_named "Csc.validate" (fun () -> Csc.validate (values_short a));
+  expect_named "Csc.transpose" (fun () -> Csc.transpose (values_short a));
+  expect_named "Csc.transpose_map" (fun () -> Csc.transpose_map (row_out_of_range a));
+  expect_named "Csc.transpose_map" (fun () -> Csc.transpose_map (rows_unsorted a));
+  expect_named "Csc.symmetrize_from_lower" (fun () ->
+      Csc.symmetrize_from_lower (rows_unsorted l));
+  expect_named "Csc.symmetrize_from_lower" (fun () ->
+      Csc.symmetrize_from_lower (values_short l));
+  expect_named "Ordering.amd" (fun () -> Ordering.amd (row_out_of_range a));
+  expect_named "Ordering.amd" (fun () -> Ordering.amd (Csc.zero ~nrows:3 ~ncols:2));
+  expect_named "Ordering.adjacency_csr" (fun () ->
+      Ordering.adjacency_csr (rows_unsorted a));
+  let p = Perm.identity a.Csc.ncols in
+  expect_named "Perm.permute_lower" (fun () -> Perm.permute_lower p (row_out_of_range l));
+  expect_named "Perm.permute_lower" (fun () -> Perm.permute_lower p a);
+  expect_named "Perm.permute_lower" (fun () ->
+      Perm.permute_lower (Array.make a.Csc.ncols 0) l);
+  expect_named "Perm.permute_pattern" (fun () ->
+      Perm.permute_pattern p (rows_unsorted a));
+  expect_named "Perm.permute_pattern" (fun () ->
+      Perm.permute_pattern (Array.sub p 1 (a.Csc.ncols - 1)) a);
+  let checked = Csc.check_lower ~who:"test" l in
+  expect_named "Csc.permute_lower_by" (fun () ->
+      Csc.permute_lower_by ~who:"Csc.permute_lower_by"
+        ~pinv:(Array.map (fun i -> i + 1) p) checked);
+  expect_named "Csc.check_lower" (fun () ->
+      Csc.check_lower ~who:"Csc.check_lower" a)
+
+(* The one-pass permutation and its by-row bucket: the same matrix and
+   map as sorting the permuted entries, and a bucket that is the result's
+   upper triangle with its map into the result. *)
+let test_permute_lower_by () =
+  let a = Generators.grid2d ~stencil:`Nine 7 6 in
+  let l = Csc.lower a in
+  let p = Perm.random (Utils.Rng.create 11) a.Csc.ncols in
+  let pl, map = Perm.permute_lower p l in
+  let full = Csc.lower (Perm.symmetric_permute p a) in
+  Alcotest.(check bool) "lower(P A P^T)" true (Csc.equal ~eps:0.0 pl full);
+  Array.iteri
+    (fun k q ->
+      Alcotest.(check (float 0.0)) "map gathers" pl.Csc.values.(k) l.Csc.values.(q))
+    map;
+  let b, map', u =
+    Csc.permute_lower_by ~who:"test" ~pinv:(Perm.inverse p)
+      (Csc.check_lower ~who:"test" l)
+  in
+  let b = (b :> Csc.t) in
+  Alcotest.(check bool) "same pattern" true (Csc.pattern_equal b pl);
+  Alcotest.(check (array int)) "same map" map map';
+  let tc, tr, tm = Csc.transpose_map b in
+  Alcotest.(check (array int)) "bucket pointers" tc u.Csc.up_colptr;
+  for k = 0 to b.Csc.ncols - 1 do
+    let sorted lo hi a = List.sort compare (Array.to_list (Array.sub a lo (hi - lo))) in
+    let lo = tc.(k) and hi = tc.(k + 1) in
+    Alcotest.(check (list int)) "bucket rows" (sorted lo hi tr) (sorted lo hi u.Csc.up_rowind);
+    (* Entry q of column k of the upper triangle is B's entry (k, c). *)
+    for q = lo to hi - 1 do
+      let c = u.Csc.up_rowind.(q) and m = u.Csc.up_map.(q) in
+      Alcotest.(check int) "bucket map row" k b.Csc.rowind.(m);
+      Alcotest.(check bool) "bucket map column" true
+        (m >= b.Csc.colptr.(c) && m < b.Csc.colptr.(c + 1))
+    done
+  done;
+  Alcotest.(check int) "map covers B" (Array.length tm) (Array.length u.Csc.up_map)
+
 let suite =
   [
     ("cumsum", `Quick, test_cumsum);
@@ -230,6 +321,8 @@ let suite =
     prop_perm_inverse;
     ("symmetric permute", `Quick, test_symmetric_permute_preserves_spd_values);
     ("perm compose", `Quick, test_perm_compose);
+    ("unchecked entries check their input", `Quick, test_unchecked_entries_check_input);
+    ("permute_lower_by and its bucket", `Quick, test_permute_lower_by);
   ]
 
 let test_multiply_dims_checked () =

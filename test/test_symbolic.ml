@@ -359,9 +359,58 @@ let test_fill_walk_no_per_row_alloc () =
   Alcotest.(check int) "nnz(L)" (Fill_pattern.nnz_l f)
     (Array.fold_left ( + ) 0 f.Fill_pattern.counts)
 
+(* Every public entry of lib/symbolic that runs an unchecked loop checks
+   its input first and names itself when it rejects it. *)
+let test_unchecked_entries_check_input () =
+  let open Helpers in
+  let a = Generators.grid2d ~stencil:`Five 4 4 in
+  let l = Csc.lower a in
+  List.iter
+    (fun (entry, f) ->
+      List.iter
+        (fun bad -> expect_named entry (fun () -> f bad))
+        [ row_out_of_range l; rows_unsorted l; a ])
+    [
+      ("Etree.compute", fun m -> ignore (Etree.compute m : int array));
+      ("Fill_pattern.analyze", fun m -> ignore (Fill_pattern.analyze m : Fill_pattern.t));
+      ( "Fill_pattern.col_counts",
+        fun m -> ignore (Fill_pattern.col_counts m : int array * int array) );
+    ]
+
+(* The fill analysis reads the upper triangle's rows in any order: the
+   by-row bucket of the permutation gives the arrays that analyzing the
+   permuted lower(A) gives, on patterns whose rows come out of the walk
+   sorted and unsorted. *)
+let test_fill_of_bucket () =
+  List.iter
+    (fun (name, a) ->
+      let l = Csc.lower a in
+      let checked = Csc.check_lower ~who:"test" l in
+      List.iter
+        (fun p ->
+          let pl, _, u =
+            Csc.permute_lower_by ~who:"test" ~pinv:(Perm.inverse p) checked
+          in
+          let f = Fill_pattern.of_upper u
+          and g = Fill_pattern.analyze (pl :> Csc.t) in
+          Alcotest.(check bool) (name ^ ": same analysis") true (f = g);
+          let h = Fill_pattern.pattern_by_children (pl :> Csc.t) in
+          Alcotest.(check (array int)) (name ^ ": oracle colptr")
+            h.Csc.colptr f.Fill_pattern.l_colptr;
+          Alcotest.(check (array int)) (name ^ ": oracle rows")
+            h.Csc.rowind f.Fill_pattern.l_rowind)
+        [ Perm.identity a.Csc.ncols; Ordering.amd a ])
+    [
+      ("grid2d", Generators.grid2d ~stencil:`Nine 9 7);
+      ("clique_chain", Generators.clique_chain ~seed:2 ~n:60 ~clique:8 ~overlap:3 ());
+      ("random_banded", Generators.random_banded ~seed:4 ~n:80 ~band:6 ~density:0.3 ());
+    ]
+
 let suite =
   [
     ("figure 1 reach set", `Quick, test_figure1_reach);
+    ("unchecked entries check their input", `Quick, test_unchecked_entries_check_input);
+    ("fill analysis of the permutation's bucket", `Quick, test_fill_of_bucket);
     ("reach of empty beta", `Quick, test_reach_empty_beta);
     ("reach of chain", `Quick, test_reach_full_when_chain);
     prop_reach_matches_naive;

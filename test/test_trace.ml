@@ -87,6 +87,53 @@ let test_chrome_escaping () =
   Alcotest.(check bool) "instant phase" true (is_infix {|"ph":"i"|} j);
   Alcotest.(check bool) "complete phase" true (is_infix {|"ph":"X"|} j)
 
+(* Every exported ts and dur matches the recorded nanoseconds to within
+   half a microsecond. Counted from the monotonic clock's origin (boot),
+   ts printed with 9 significant digits loses whole microseconds once the
+   host has been up about 17 minutes. *)
+let test_chrome_timestamps () =
+  with_trace @@ fun () ->
+  for _ = 1 to 3 do
+    Trace.with_span "outer" (fun () ->
+        Trace.with_span "inner" (fun () ->
+            Trace.with_span "leaf" (fun () -> ignore (Sys.opaque_identity 1))))
+  done;
+  let recorded = Trace.spans () in
+  let events =
+    match Sympiler_prof.Prof.Json.of_string (Trace.to_chrome_json ()) with
+    | Ok (Sympiler_prof.Prof.Json.Obj fs) -> (
+        match List.assoc "traceEvents" fs with
+        | Sympiler_prof.Prof.Json.List es -> es
+        | _ -> Alcotest.fail "traceEvents is not a list")
+    | _ -> Alcotest.fail "chrome JSON does not parse"
+  in
+  let num k = function
+    | Sympiler_prof.Prof.Json.Obj fs -> (
+        match List.assoc k fs with
+        | Sympiler_prof.Prof.Json.Float f -> f
+        | Sympiler_prof.Prof.Json.Int i -> float_of_int i
+        | _ -> Alcotest.failf "%s is not a number" k)
+    | _ -> Alcotest.fail "event is not an object"
+  in
+  Alcotest.(check int) "one event per span" (List.length recorded)
+    (List.length events);
+  let s0 = List.hd recorded and e0 = List.hd events in
+  List.iter2
+    (fun s e ->
+      let want_ts = float_of_int (s.Trace.start_ns - s0.Trace.start_ns) /. 1e3 in
+      let got_ts = num "ts" e -. num "ts" e0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s ts %.3f vs %.3f us" s.Trace.name got_ts want_ts)
+        true
+        (Float.abs (got_ts -. want_ts) <= 0.5);
+      let want_dur = float_of_int s.Trace.dur_ns /. 1e3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s dur %.3f vs %.3f us" s.Trace.name (num "dur" e)
+           want_dur)
+        true
+        (Float.abs (num "dur" e -. want_dur) <= 0.5))
+    recorded events
+
 (* ---- ring buffer ---- *)
 
 let test_wraparound () =
@@ -436,6 +483,7 @@ let suite =
   [
     ("span nesting and ordering", `Quick, test_nesting_and_ordering);
     ("span exception safety", `Quick, test_exception_safety);
+    ("chrome ts and dur keep microseconds", `Quick, test_chrome_timestamps);
     ("span attributes", `Quick, test_attrs);
     ("chrome JSON escaping", `Quick, test_chrome_escaping);
     ("ring wraparound drops oldest", `Quick, test_wraparound);
