@@ -16,9 +16,9 @@ open Sympiler_prof
    `gates` (the CI timing verdicts, written to _build/bench/gates.json)
    and `large` (the 10^4..10^6-row tier, written to
    _build/bench/large.json; `--large` adds it to the default sweep). An
-   unknown section name exits 2. `gates` and `large` run each gate part
-   and each large instance in a fresh process of this executable
-   (`--gate-part NAME`, `--large-instance ID`). *)
+   unknown section name exits 2. `large` runs each instance in a fresh
+   process of this executable (`--large-instance ID`), so each row's rss
+   is its own peak. *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 
@@ -1224,9 +1224,11 @@ let gate_updown () =
   in
   { verdicts = [ ("update_faster_than_refactor_below_crossover", !ok) ]; rows }
 
-let gate_parts () =
+let gates () =
+  header "Gates: CI timing verdicts (writes _build/bench/gates.json)";
   let native = Sympiler.Native.available () in
-  [
+  let parts =
+    [
       ("steady", gate_steady);
       ( "native",
         if native then gate_native
@@ -1240,58 +1242,17 @@ let gate_parts () =
       ("pipeline", gate_pipeline);
       ("updown", gate_updown);
     ]
-
-(* `--gate-part NAME`: run the one gate part [gates] asked this process
-   for, print its rows, then its verdicts and rows as one JSON line. *)
-let gate_part =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--gate-part" then Some Sys.argv.(i + 1)
-    else find (i + 1)
   in
-  find 1
-
-let run_gate_part name =
-  let g = (List.assoc name (gate_parts ())) () in
-  print_endline
-    (Json.to_string
-       (Json.Obj
-          [
-            ( "verdicts",
-              Json.Obj (List.map (fun (v, ok) -> (v, Json.Bool ok)) g.verdicts) );
-            ("rows", Json.List g.rows);
-          ]))
-
-(* Each part runs in a process of its own: a part's leftovers (a live
-   domain pool, a grown heap, registered metrics) would otherwise land on
-   the arms of the parts after it. Run in one process, overhead_ok read
-   1.000 to 1.028 and fused_not_slower's Cholesky rows 0.96 to 1.09
-   across runs, while the same arms in fresh processes stayed within
-   1.007 and 1.012. *)
-let gates () =
-  header "Gates: CI timing verdicts (writes _build/bench/gates.json)";
-  let native = Sympiler.Native.available () in
   let t_all = Prof.now_seconds () in
   let results =
     List.map
-      (fun (name, _) ->
-        Printf.printf "%s\n%!" name;
+      (fun (name, gate) ->
+        Printf.printf "%s\n" name;
         let t0 = Prof.now_seconds () in
-        let doc = in_child ~what:("gate " ^ name) [ "--gate-part"; name ] in
-        let field k =
-          match doc with
-          | Json.Obj fs -> List.assoc k fs
-          | _ -> failwith ("bench: gate " ^ name ^ ": not an object")
-        in
-        let verdicts =
-          match field "verdicts" with
-          | Json.Obj vs -> List.map (fun (v, ok) -> (v, ok = Json.Bool true)) vs
-          | _ -> []
-        in
-        let rows = match field "rows" with Json.List rs -> rs | _ -> [] in
+        let g = gate () in
         Printf.printf "  (%.1f s)\n%!" (Prof.now_seconds () -. t0);
-        (name, { verdicts; rows }))
-      (gate_parts ())
+        (name, g))
+      parts
   in
   let verdicts = List.concat_map (fun (_, g) -> g.verdicts) results in
   List.iter (fun (v, ok) -> Printf.printf "%s=%b\n" v ok) verdicts;
@@ -1339,9 +1300,8 @@ let run_sections () =
       if large_requested then large ()
 
 let () =
-  match (large_instance, gate_part) with
-  | Some id, _ ->
+  match large_instance with
+  | Some id ->
       let g = List.find (fun g -> g.Generators.id = id) Generators.large_suite in
       print_endline (Prof.Json.to_string (large_row g))
-  | None, Some name -> run_gate_part name
-  | None, None -> run_sections ()
+  | None -> run_sections ()

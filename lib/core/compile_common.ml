@@ -113,7 +113,7 @@ let resolve_ordering ~who ?lower (o : Options.ordering) (sym : Csc.t lazy_t)
   | `Rcm -> Ordering.rcm (Lazy.force sym)
   | `Amd -> (
       match lower with
-      | Some l -> Ordering.amd_lower l
+      | Some l -> Ordering.Unsafe.amd_lower l
       | None -> Ordering.amd (Lazy.force sym))
   | `Min_degree -> Ordering.min_degree (Lazy.force sym)
   | `Given p ->
@@ -177,10 +177,10 @@ let ordered_input ~who (ord : applied_ordering) ~(pattern : Csc.t)
    families, square A for the others. Values are not read. The symbolic
    loops the compile runs next are unchecked, and they take the checked
    pattern without checking it again. *)
-type checked = Lower of Csc.checked_lower | Square of Csc.t
+type checked = Lower of Csc.Unsafe.checked_lower | Square of Csc.t
 
 let check_input ~who ~lower (a : Csc.t) : checked =
-  if lower then Lower (Csc.check_lower ~who a)
+  if lower then Lower (Csc.Unsafe.check_lower ~who a)
   else begin
     Csc.check ~who ~values:false ~square:true a;
     Square a
@@ -188,9 +188,13 @@ let check_input ~who ~lower (a : Csc.t) : checked =
 
 (* What a family's symbolic phase reads: the compiled-order pattern and,
    for the symmetric families, its upper triangle. An ordered compile gets
-   that triangle free from the permutation; a natural one transposes only
-   if the family asks. *)
-type compiled_pattern = { pattern : Csc.t; upper : Csc.upper_pattern Lazy.t }
+   that triangle, map included, free from the permutation; a natural one
+   transposes only if the family asks, and builds the map only if the
+   up-looking compile forces it. *)
+type compiled_pattern = {
+  pattern : Csc.t;
+  upper : Csc.Unsafe.upper_pattern Lazy.t;
+}
 
 let no_upper =
   lazy (invalid_arg "Compile_common: a square pattern has no upper triangle")
@@ -200,12 +204,12 @@ let no_upper =
    the graph orderings the symmetrized copy, and the permutation builds
    the permuted pattern with its upper triangle. *)
 let ordered_lower ~who (ordering : Options.ordering)
-    (a_lower : Csc.checked_lower) : compiled_pattern * applied_ordering =
+    (a_lower : Csc.Unsafe.checked_lower) : compiled_pattern * applied_ordering =
   match ordering with
   | `Natural ->
       ( {
           pattern = (a_lower :> Csc.t);
-          upper = lazy (Csc.upper_pattern a_lower);
+          upper = lazy (Csc.Unsafe.upper_pattern a_lower);
         },
         natural_ordering )
   | o ->
@@ -216,7 +220,7 @@ let ordered_lower ~who (ordering : Options.ordering)
           a.Csc.ncols
       in
       let pl, map, upper =
-        Csc.permute_lower_by ~who ~pinv:(Perm.inverse p) a_lower
+        Csc.Unsafe.permute_lower ~who ~pinv:(Perm.inverse p) a_lower
       in
       ( { pattern = (pl :> Csc.t); upper = Lazy.from_val upper },
         { o_perm = Some p; o_name = ordering_name o; o_map = map } )

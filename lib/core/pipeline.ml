@@ -165,17 +165,23 @@ let count_fusable ~(fbefore : int) (vops : vop array) : int =
   !c
 
 (* Cholesky's variant decision is the facade's own, fed from the one fill
-   pattern every stage shares. *)
+   pattern every stage shares. The symmetric families read the compiled
+   pattern's upper triangle as the facade compiles do: the analysis and
+   the up-looking gather map take it from the permutation, or from one
+   transpose of a natural pattern. *)
 let compile_factor ~(opts : Options.t) ~analysis (family : family)
-    (pattern : Csc.t) : fhandle * Trace.decision list =
+    (cp : Compile_common.compiled_pattern) : fhandle * Trace.decision list =
+  let pattern = cp.Compile_common.pattern in
   match family with
   | `Cholesky ->
       let c =
-        Cholesky_family.compile_fill ~opts (Shared_analysis.fill analysis)
-          pattern
+        Cholesky_family.compile_fill ~opts
+          ~upper:(Lazy.force cp.Compile_common.upper)
+          (Shared_analysis.fill analysis) pattern
       in
       (FChol c, c.Cholesky_family.decisions)
-  | `Ldlt -> (FLdlt (Ldlt.compile pattern), [])
+  | `Ldlt ->
+      (FLdlt (Ldlt.compile ~upper:(Lazy.force cp.Compile_common.upper) pattern), [])
   | `Lu -> (FLu (Lu.Sympiler.compile pattern), [])
   | `Ic0 -> (FIc0 (Ic0.compile pattern), [])
   | `Ilu0 -> (FIlu0 (Ilu0.compile pattern), [])
@@ -263,20 +269,15 @@ let compile_raw ~(opts : Options.t) (d : dag)
   let family, factor_at = validate d in
   let who = "Sympiler.Pipeline.compile" in
   let t0 = Prof.now_seconds () in
-  let pattern, ord =
-    if family = None then (
-      (* A factorless chain runs on the triangular input itself; permuting
-         folds it into lower(P sym(A) P^T), a different operator — so
-         orderings don't apply here. *)
-      if opts.ordering <> `Natural then
-        invalid_arg
-          "Sympiler.Pipeline.compile: factorless pipelines support `Natural \
-           ordering only";
-      (a, Compile_common.natural_ordering))
-    else
-      let cp, ord = Compile_common.ordered ~who opts.ordering checked in
-      (cp.Compile_common.pattern, ord)
-  in
+  (* A factorless chain runs on the triangular input itself; permuting
+     folds it into lower(P sym(A) P^T), a different operator — so
+     orderings don't apply here. *)
+  if family = None && opts.ordering <> `Natural then
+    invalid_arg
+      "Sympiler.Pipeline.compile: factorless pipelines support `Natural \
+       ordering only";
+  let cp, ord = Compile_common.ordered ~who opts.ordering checked in
+  let pattern = cp.Compile_common.pattern in
   let ord_seconds = Prof.now_seconds () -. t0 in
   Trace.with_span "compile.pipeline"
     ~attrs:
@@ -286,12 +287,14 @@ let compile_raw ~(opts : Options.t) (d : dag)
   @@ fun () ->
   let r, symbolic_seconds =
     Compile_common.time_symbolic (fun () ->
-        let analysis = Shared_analysis.create pattern in
+        let analysis =
+          Shared_analysis.create ~upper:cp.Compile_common.upper pattern
+        in
         let fhandle, decisions =
           match family with
           | None -> (None, [])
           | Some f ->
-              let fh, ds = compile_factor ~opts ~analysis f pattern in
+              let fh, ds = compile_factor ~opts ~analysis f cp in
               (Some fh, ds)
         in
         let vops = Array.of_list (List.concat_map (expand family) d) in

@@ -213,7 +213,7 @@ module Trisolve = struct
      triangle, b's indices against its dimension. *)
   let compile ?cache ?(opts = Options.default) ((l, b) : pattern) : t =
     let who = "Sympiler.Trisolve.compile" in
-    ignore (Csc.check_lower ~who l : Csc.checked_lower);
+    Csc.check ~who ~values:false ~lower:true l;
     let idx = b.Vector.indices in
     if b.Vector.n <> l.Csc.ncols then
       invalid_arg (who ^ ": b dimension does not match L");

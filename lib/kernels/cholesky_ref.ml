@@ -126,15 +126,25 @@ type up_looking = {
 }
 
 let up_looking ?fill ?upper (a_lower : Csc.t) : up_looking =
+  let who = "Cholesky_ref.up_looking" in
   let u =
     match upper with
-    | Some u -> u
-    | None ->
-        Csc.upper_pattern
-          (Csc.check_lower ~who:"Cholesky_ref.up_looking" a_lower)
+    | Some (u : Csc.Unsafe.upper_pattern) ->
+        let n = a_lower.Csc.ncols in
+        if
+          Array.length u.up_colptr <> n + 1
+          || u.up_colptr.(n) <> Array.length a_lower.Csc.rowind
+        then invalid_arg (who ^ ": upper triangle does not match lower(A)");
+        u
+    | None -> Csc.Unsafe.(upper_pattern (check_lower ~who a_lower))
   in
   let fill = match fill with Some f -> f | None -> Fill_pattern.of_upper u in
-  { fill; up_colptr = u.Csc.up_colptr; up_rowind = u.Csc.up_rowind; up_map = u.Csc.up_map }
+  {
+    fill;
+    up_colptr = u.up_colptr;
+    up_rowind = u.up_rowind;
+    up_map = Lazy.force u.up_map;
+  }
 
 (* A factor view over plan-owned values and the analysis' own column
    pattern (no kernel writes a pattern array, so none is copied). *)

@@ -38,12 +38,16 @@ type up_looking = {
 }
 
 val up_looking :
-  ?fill:Fill_pattern.t -> ?upper:Csc.upper_pattern -> Csc.t -> up_looking
+  ?fill:Fill_pattern.t -> ?upper:Csc.Unsafe.upper_pattern -> Csc.t -> up_looking
 (** The sets of lower(A); pass [fill] to share an already-computed
     analysis, and [upper] (lower(A)'s upper triangle, e.g. the by-row
-    bucket of {!Csc.permute_lower_by}) to share a transpose: the
+    bucket of {!Csc.Unsafe.permute_lower}) to share a transpose: the
     analysis and the gather map then both read it. Without [upper],
-    lower(A) is checked ({!Csc.check_lower}) and transposed once. *)
+    lower(A) is checked and transposed once, and
+    [Invalid_argument "Cholesky_ref.up_looking: …"] is raised unless it is
+    a square lower-triangular pattern that satisfies the CSC invariant.
+    With [upper], whose type says lower(A) was checked when it was built
+    ({!Csc.Unsafe}), only its size is checked against lower(A)'s. *)
 
 val l_over : Fill_pattern.t -> float array -> Csc.t
 (** [l_over fill lx]: the factor view over values [lx] and the analysis'
@@ -56,7 +60,7 @@ module Decoupled : sig
   type compiled = { up : up_looking; flops : float }
 
   val compile :
-    ?fill:Fill_pattern.t -> ?upper:Csc.upper_pattern -> Csc.t -> compiled
+    ?fill:Fill_pattern.t -> ?upper:Csc.Unsafe.upper_pattern -> Csc.t -> compiled
   (** Compile-time symbolic factorization; pass [fill] and [upper] to
       share an already-computed analysis and transpose ({!up_looking}). *)
 

@@ -22,7 +22,7 @@ type factors = {
   d : float array;  (** the diagonal of D (may contain negative pivots) *)
 }
 
-val compile : ?upper:Csc.upper_pattern -> Csc.t -> compiled
+val compile : ?upper:Csc.Unsafe.upper_pattern -> Csc.t -> compiled
 (** Symbolic phase over the lower-triangular part of A; [upper] shares
     its upper triangle ({!Cholesky_ref.up_looking}). *)
 

@@ -51,12 +51,6 @@ let check ~who ?(values = true) ?(square = false) ?(lower = false) t =
 
 let validate t = check ~who:"Csc.validate" t
 
-type checked_lower = t
-
-let check_lower ~who ?(values = false) t =
-  check ~who ~values ~lower:true t;
-  t
-
 let create ~nrows ~ncols ~colptr ~rowind ~values =
   let t = { nrows; ncols; colptr; rowind; values } in
   validate t;
@@ -210,93 +204,125 @@ let transpose_map t =
   let colptr, rowind, _, map = transpose_unchecked ~values:false ~map:true t in
   (colptr, rowind, map)
 
-(* The upper triangle of a checked lower(A), as the pattern of its
-   transpose with the gather map into lower(A)'s entries: built here by
-   [upper_pattern], or as the by-row bucket of [permute_lower_by]. *)
-type upper_pattern = {
-  up_colptr : int array;
-  up_rowind : int array;
-  up_map : int array;
-}
+(* The compile path's entries that trust a pattern checked once (see
+   csc.mli): a checked lower(A), its upper triangle, and the permutation
+   that builds both. *)
+module Unsafe = struct
+  type checked_lower = t
 
-let upper_pattern (l : checked_lower) : upper_pattern =
-  let up_colptr, up_rowind, _, up_map =
-    transpose_unchecked ~values:false ~map:true l
-  in
-  { up_colptr; up_rowind; up_map }
+  let check_lower ~who ?(values = false) t =
+    check ~who ~values ~lower:true t;
+    t
 
-(* lower(P sym(A) P^T) from a checked lower(A), [pinv] taking each old
-   index to its new one: stored entry (i, j) lands at
-   (max (pinv i) (pinv j), min (pinv i) (pinv j)). Two counting passes.
-   The first buckets the entries by permuted row; the second walks the
-   rows in order and places each entry in its permuted column, so every
-   column's rows come out ascending with no sort. The by-row bucket is the
-   upper triangle of the result: its map is rewritten from source to
-   result positions as the second pass places each entry. Values are
-   carried when the input has nnz of them, else zeros (a pattern-only
-   input). *)
-let permute_lower_by ~who ~pinv (a : checked_lower) :
-    checked_lower * int array * upper_pattern
-    =
-  let n = a.ncols in
-  if Array.length pinv <> n then
-    invalid_arg (who ^ ": permutation length does not match n");
-  let rowptr = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    let i = pinv.(k) in
-    if i < 0 || i >= n || rowptr.(i) <> 0 then
-      invalid_arg (who ^ ": not a valid permutation of [0, n)");
-    rowptr.(i) <- 1
-  done;
-  Array.fill rowptr 0 n 0;
-  let cp = a.colptr and ri = a.rowind in
-  let nz = cp.(n) in
-  for j = 0 to n - 1 do
-    let pj = pinv.!(j) in
-    for q = cp.!(j) to cp.!(j + 1) - 1 do
-      let pi = pinv.!(ri.!(q)) in
-      let r = if pi > pj then pi else pj in
-      rowptr.!(r) <- rowptr.!(r) + 1
-    done
-  done;
-  let _ = Utils.cumsum rowptr in
-  let next = Array.sub rowptr 0 n in
-  let colptr = Array.make (n + 1) 0 in
-  let up_rowind = Array.make nz 0 and up_map = Array.make nz 0 in
-  for j = 0 to n - 1 do
-    let pj = pinv.!(j) in
-    for q = cp.!(j) to cp.!(j + 1) - 1 do
-      let pi = pinv.!(ri.!(q)) in
-      let r = if pi > pj then pi else pj and c = if pi > pj then pj else pi in
-      let s = next.!(r) in
-      up_rowind.!(s) <- c;
-      up_map.!(s) <- q;
-      next.!(r) <- s + 1;
-      colptr.!(c) <- colptr.!(c) + 1
-    done
-  done;
-  let _ = Utils.cumsum colptr in
-  Array.blit colptr 0 next 0 n;
-  let rowind = Array.make nz 0 and map = Array.make nz 0 in
-  for r = 0 to n - 1 do
-    for s = rowptr.!(r) to rowptr.!(r + 1) - 1 do
-      let c = up_rowind.!(s) in
-      let k = next.!(c) in
-      rowind.!(k) <- r;
-      map.!(k) <- up_map.!(s);
-      up_map.!(s) <- k;
-      next.!(c) <- k + 1
-    done
-  done;
-  let av = a.values in
-  let values = Array.make nz 0.0 in
-  if Array.length av = nz then
-    for k = 0 to nz - 1 do
-      values.!.(k) <- av.!.(map.!(k))
+  (* The upper triangle of a checked lower(A), as the pattern of its
+     transpose with the gather map into lower(A)'s entries: built here by
+     [upper_pattern], or as the by-row bucket of [permute_lower]. *)
+  type upper_pattern = {
+    up_colptr : int array;
+    up_rowind : int array;
+    up_map : int array Lazy.t;
+  }
+
+  (* The gather map of an upper triangle [(uc, ur)] of [l]: entry q,
+     (row i, column k), is entry (k, i) of [l]. Column i of [l] stores its
+     rows k ascending and the columns k of the upper triangle are scanned
+     in ascending order, so a cursor per column of [l] meets the entries
+     in storage order, whatever the order of the rows within a column of
+     the upper triangle. *)
+  let upper_map (l : checked_lower) uc ur =
+    let n = l.ncols in
+    let next = Array.sub l.colptr 0 n in
+    let map = Array.make (nnz l) 0 in
+    for k = 0 to n - 1 do
+      for q = uc.!(k) to uc.!(k + 1) - 1 do
+        let i = ur.!(q) in
+        let p = next.!(i) in
+        map.!(q) <- p;
+        next.!(i) <- p + 1
+      done
     done;
-  ( { nrows = n; ncols = n; colptr; rowind; values },
-    map,
-    { up_colptr = rowptr; up_rowind; up_map } )
+    map
+
+  (* The pattern now, the map when a consumer forces it: the fill
+     analysis and the etree read no map. *)
+  let upper_pattern (l : checked_lower) : upper_pattern =
+    let up_colptr, up_rowind, _, _ =
+      transpose_unchecked ~values:false ~map:false l
+    in
+    { up_colptr; up_rowind; up_map = lazy (upper_map l up_colptr up_rowind) }
+
+  (* lower(P sym(A) P^T) from a checked lower(A), [pinv] taking each old
+     index to its new one: stored entry (i, j) lands at
+     (max (pinv i) (pinv j), min (pinv i) (pinv j)). Two counting passes.
+     The first buckets the entries by permuted row; the second walks the
+     rows in order and places each entry in its permuted column, so every
+     column's rows come out ascending with no sort. The by-row bucket is
+     the upper triangle of the result: its map is rewritten from source to
+     result positions as the second pass places each entry. Values are
+     carried when the input has nnz of them, else zeros (a pattern-only
+     input). *)
+  let permute_lower ~who ~pinv (a : checked_lower) :
+      checked_lower * int array * upper_pattern =
+    let n = a.ncols in
+    if Array.length pinv <> n then
+      invalid_arg (who ^ ": permutation length does not match n");
+    let rowptr = Array.make (n + 1) 0 in
+    for k = 0 to n - 1 do
+      let i = pinv.(k) in
+      if i < 0 || i >= n || rowptr.(i) <> 0 then
+        invalid_arg (who ^ ": not a valid permutation of [0, n)");
+      rowptr.(i) <- 1
+    done;
+    Array.fill rowptr 0 n 0;
+    let cp = a.colptr and ri = a.rowind in
+    let nz = cp.(n) in
+    for j = 0 to n - 1 do
+      let pj = pinv.!(j) in
+      for q = cp.!(j) to cp.!(j + 1) - 1 do
+        let pi = pinv.!(ri.!(q)) in
+        let r = if pi > pj then pi else pj in
+        rowptr.!(r) <- rowptr.!(r) + 1
+      done
+    done;
+    let _ = Utils.cumsum rowptr in
+    let next = Array.sub rowptr 0 n in
+    let colptr = Array.make (n + 1) 0 in
+    let up_rowind = Array.make nz 0 and up_map = Array.make nz 0 in
+    for j = 0 to n - 1 do
+      let pj = pinv.!(j) in
+      for q = cp.!(j) to cp.!(j + 1) - 1 do
+        let pi = pinv.!(ri.!(q)) in
+        let r = if pi > pj then pi else pj and c = if pi > pj then pj else pi in
+        let s = next.!(r) in
+        up_rowind.!(s) <- c;
+        up_map.!(s) <- q;
+        next.!(r) <- s + 1;
+        colptr.!(c) <- colptr.!(c) + 1
+      done
+    done;
+    let _ = Utils.cumsum colptr in
+    Array.blit colptr 0 next 0 n;
+    let rowind = Array.make nz 0 and map = Array.make nz 0 in
+    for r = 0 to n - 1 do
+      for s = rowptr.!(r) to rowptr.!(r + 1) - 1 do
+        let c = up_rowind.!(s) in
+        let k = next.!(c) in
+        rowind.!(k) <- r;
+        map.!(k) <- up_map.!(s);
+        up_map.!(s) <- k;
+        next.!(c) <- k + 1
+      done
+    done;
+    let av = a.values in
+    let values = Array.make nz 0.0 in
+    if Array.length av = nz then
+      for k = 0 to nz - 1 do
+        values.!.(k) <- av.!.(map.!(k))
+      done;
+    ( { nrows = n; ncols = n; colptr; rowind; values },
+      map,
+      { up_colptr = rowptr; up_rowind; up_map = Lazy.from_val up_map } )
+end
 
 (* y = A * x *)
 let spmv t x =

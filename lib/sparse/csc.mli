@@ -29,57 +29,66 @@ val check :
     [nrows = ncols]; [~lower:true] requires a square matrix with no entry
     above the diagonal. *)
 
-(** {2 Checked lower(A) and its upper triangle}
+(** {2 Entries that trust a checked pattern}
 
     The compile path's loops (the transposes, the symmetric permutation,
     AMD, the etree and the fill walk) run without bounds checks outside
-    the [checked] dune profile, so each public entry checks what it reads
-    first. A pattern that has passed {!check_lower} is a
-    {!checked_lower}, and the structures this library builds from one are
-    valid by construction: entries that take them skip the O(nnz)
-    re-check. *)
+    the [checked] dune profile, so every public entry that runs one checks
+    what it reads first. The entries here skip that O(nnz) check, because
+    their argument was checked once already ({!Unsafe.check_lower}) or
+    built by this library from a checked pattern. They are for the
+    facade's compile path, which checks the caller's pattern once before
+    its plan-cache lookup, and for the library's public entries, which
+    call them right after their own check ({!Perm.permute_lower},
+    [Sympiler_symbolic.Fill_pattern.analyze]); other callers use those
+    checked entries.
 
-type checked_lower = private t
-(** A square lower-triangular pattern that satisfies the invariant
-    ({!check_lower}, or a builder below). Its [values] may be anything:
-    entries that read them check their length. Treat the arrays as
-    read-only. *)
+    A checked pattern holds the caller's arrays, not copies. Writing to
+    them (or to the arrays of an {!Unsafe.upper_pattern}) after the check
+    voids it: the loops that trust it may then read and write out of
+    bounds. *)
+module Unsafe : sig
+  type checked_lower = private t
+  (** A square lower-triangular pattern that passed {!check_lower}, or one
+      this library built from such a pattern. Its [values] may be
+      anything: entries that read them check their length. *)
 
-val check_lower : who:string -> ?values:bool -> t -> checked_lower
-(** [check ~who ~values ~lower:true] ([values] defaults to [false]),
-    returning the checked pattern (no copy). *)
+  val check_lower : who:string -> ?values:bool -> t -> checked_lower
+  (** [check ~who ~values ~lower:true] ([values] defaults to [false]),
+      returning the checked pattern (no copy). *)
 
-type upper_pattern = private {
-  up_colptr : int array;  (** length [n+1] *)
-  up_rowind : int array;
-      (** column [k] lists the [i <= k] with [(k, i)] stored in lower(A),
-          each once *)
-  up_map : int array;
-      (** entry [q] of the upper triangle is entry [up_map.(q)] of
-          lower(A) *)
-}
-(** The upper triangle of a {!checked_lower}: the transpose of its
-    pattern, with the gather map into its entries. Rows ascend within each
-    column when {!upper_pattern} built it; the by-row bucket of
-    {!permute_lower_by} keeps each column's rows in no particular
-    order. *)
+  type upper_pattern = private {
+    up_colptr : int array;  (** length [n+1] *)
+    up_rowind : int array;
+        (** column [k] lists the [i <= k] with [(k, i)] stored in
+            lower(A), each once *)
+    up_map : int array Lazy.t;
+        (** entry [q] of the upper triangle is entry [up_map.(q)] of
+            lower(A); built when first forced *)
+  }
+  (** The upper triangle of a {!checked_lower}: the transpose of its
+      pattern, with the gather map into its entries. Rows ascend within
+      each column when {!upper_pattern} built it; the by-row bucket of
+      {!permute_lower} keeps each column's rows in no particular order. *)
 
-val upper_pattern : checked_lower -> upper_pattern
-(** The transpose of a checked lower(A), with its map. O(n + nnz). *)
+  val upper_pattern : checked_lower -> upper_pattern
+  (** The transpose of a checked lower(A), O(n + nnz). The map is built
+      (O(n + nnz), one int array) only when a consumer forces it. *)
 
-val permute_lower_by :
-  who:string ->
-  pinv:int array ->
-  checked_lower ->
-  checked_lower * int array * upper_pattern
-(** [permute_lower_by ~who ~pinv a] is [(b, map, u)]: [b] =
-    lower(P sym(A) P^T), where stored entry [(i, j)] lands at
-    [(max (pinv i) (pinv j), min (pinv i) (pinv j))]; entry [q] of [b]
-    takes its value from [a.values.(map.(q))]; and [u] is [b]'s upper
-    triangle, the by-row bucket the two counting passes leave behind.
-    [b] carries [a]'s values when their count is nnz, else zeros.
-    Raises [Invalid_argument (who ^ ": …")] unless [pinv] is a
-    permutation of [\[0, n)]. *)
+  val permute_lower :
+    who:string ->
+    pinv:int array ->
+    checked_lower ->
+    checked_lower * int array * upper_pattern
+  (** [permute_lower ~who ~pinv a] is [(b, map, u)]: [b] =
+      lower(P sym(A) P^T), where stored entry [(i, j)] lands at
+      [(max (pinv i) (pinv j), min (pinv i) (pinv j))]; entry [q] of [b]
+      takes its value from [a.values.(map.(q))]; and [u] is [b]'s upper
+      triangle, the by-row bucket the two counting passes leave behind.
+      [b] carries [a]'s values when their count is nnz, else zeros.
+      Raises [Invalid_argument (who ^ ": …")] unless [pinv] is a
+      permutation of [\[0, n)]. *)
+end
 
 val create :
   nrows:int ->

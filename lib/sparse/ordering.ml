@@ -50,7 +50,7 @@ let adjacency_csr (a : Csc.t) : int array * int array =
    column (ascending). That is column [v] of [Csc.symmetrize_from_lower]
    without the diagonal, so the lists, and the ordering run on them, are
    identical. *)
-let adjacency_of_lower (l : Csc.checked_lower) : int array * int array =
+let adjacency_of_lower (l : Csc.Unsafe.checked_lower) : int array * int array =
   let a = (l :> Csc.t) in
   let n = a.Csc.ncols and cp = a.Csc.colptr and ri = a.Csc.rowind in
   let ptr = Array.make (n + 1) 0 in
@@ -584,9 +584,13 @@ let amd (a : Csc.t) : Perm.t =
   let aptr, aind = adjacency_of_full a in
   amd_core a.Csc.ncols aptr aind
 
-let amd_lower (l : Csc.checked_lower) : Perm.t =
-  let aptr, aind = adjacency_of_lower l in
-  amd_core (l :> Csc.t).Csc.ncols aptr aind
+(* AMD for the facade's compile path, which has checked lower(A) once
+   ([Csc.Unsafe]). *)
+module Unsafe = struct
+  let amd_lower (l : Csc.Unsafe.checked_lower) : Perm.t =
+    let aptr, aind = adjacency_of_lower l in
+    amd_core (l :> Csc.t).Csc.ncols aptr aind
+end
 
 (* Bandwidth of the symmetric pattern: used to test that RCM reduces it. *)
 let bandwidth (a : Csc.t) =

@@ -41,11 +41,14 @@ val amd : Csc.t -> Perm.t
     [Invalid_argument "Ordering.amd: …"] unless the input is square and
     satisfies the CSC invariant. *)
 
-val amd_lower : Csc.checked_lower -> Perm.t
-(** {!amd} of sym(A) read straight from a checked lower(A): the same
-    adjacency lists, hence the same permutation as
-    [amd (Csc.symmetrize_from_lower a_lower)], without the symmetrized
-    copy. *)
+(** An entry that trusts a checked pattern ({!Csc.Unsafe}). *)
+module Unsafe : sig
+  val amd_lower : Csc.Unsafe.checked_lower -> Perm.t
+  (** {!amd} of sym(A) read straight from a checked lower(A), with no
+      re-check: the same adjacency lists, hence the same permutation as
+      [amd (Csc.symmetrize_from_lower a_lower)], without the symmetrized
+      copy. *)
+end
 
 val bandwidth : Csc.t -> int
 (** Maximum [|i - j|] over stored entries. *)

@@ -121,13 +121,13 @@ let permute_pattern p (a : Csc.t) : Csc.t * int array =
 (* lower(P sym(A) P^T) from lower(A), with the same gather-map contract:
    each stored lower entry (i, j), i >= j, lands at
    (max(pinv i, pinv j), min(pinv i, pinv j)) — the permuted coordinates
-   folded back into the lower triangle. [Csc.permute_lower_by] builds
-   it. *)
+   folded back into the lower triangle. [Csc.Unsafe.permute_lower] builds
+   it, behind the input check. *)
 let permute_lower p (a_lower : Csc.t) : Csc.t * int array =
   let who = "Perm.permute_lower" in
-  let l = Csc.check_lower ~who ~values:true a_lower in
+  let l = Csc.Unsafe.check_lower ~who ~values:true a_lower in
   let pinv = checked_inverse ~who p a_lower.Csc.ncols in
-  let b, map, _ = Csc.permute_lower_by ~who ~pinv l in
+  let b, map, _ = Csc.Unsafe.permute_lower ~who ~pinv l in
   ((b :> Csc.t), map)
 
 let random rng n =

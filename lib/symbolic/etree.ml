@@ -11,9 +11,9 @@ open Sympiler_sparse
    here. *)
 let compute (a_lower : Csc.t) : int array =
   let u =
-    Csc.upper_pattern (Csc.check_lower ~who:"Etree.compute" a_lower)
+    Csc.Unsafe.(upper_pattern (check_lower ~who:"Etree.compute" a_lower))
   in
-  Walk.etree a_lower.Csc.ncols u.Csc.up_colptr u.Csc.up_rowind
+  Walk.etree a_lower.Csc.ncols u.Csc.Unsafe.up_colptr u.Csc.Unsafe.up_rowind
 
 (* Naive O(n^2)-ish oracle: build the filled pattern column by column with
    explicit sets and read parents off it. Used only in tests. *)

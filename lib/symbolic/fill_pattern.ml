@@ -1,5 +1,5 @@
+open Ix (* this library's own copy: lib/sparse's is private *)
 open Sympiler_sparse
-open Ix
 
 (* Symbolic Cholesky factorization: the full nonzero pattern of L (fill-ins
    included) computed before any numeric work, so that storage for L can be
@@ -30,9 +30,10 @@ type t = {
    (the ordering stage's natural-order comparison, [Explain]). *)
 let col_counts (a_lower : Csc.t) : int array * int array =
   let u =
-    Csc.upper_pattern (Csc.check_lower ~who:"Fill_pattern.col_counts" a_lower)
+    Csc.Unsafe.(
+      upper_pattern (check_lower ~who:"Fill_pattern.col_counts" a_lower))
   in
-  Walk.walk a_lower.Csc.ncols u.Csc.up_colptr u.Csc.up_rowind
+  Walk.walk a_lower.Csc.ncols u.Csc.Unsafe.up_colptr u.Csc.Unsafe.up_rowind
     ~row:(fun _ _ _ -> ())
 
 (* The walk's row buffer: nnz(L) is known only once the walk ends, so
@@ -63,18 +64,17 @@ let new_chunk (b : row_buffer) top =
   b.nchunks <- b.nchunks + 1;
   b.base <- top
 
-(* O(|L|) analysis from the upper triangle of lower(A), timed by its
+(* O(|L|) analysis from the upper triangle of lower(A) (column k lists
+   the rows i <= k of row k of lower(A), in any order), timed by its
    "symbolic.fill" span. The walk yields each row's pattern unsorted and
-   appends it to the row buffer; no row is sorted by comparison:
-   - When some row came out unsorted, the buffer is scattered into the
-     column pattern in row order, which sorts every column by
-     construction, and the row lists are the transpose of that pattern
-     without its diagonal, sorted by construction too.
-   - When every row came out sorted (a chain-like etree: cliques, blocks,
-     banded natural orders), the buffer is decoded as the row lists and
-     they are scattered into the column pattern, with no transpose.
-   Both paths give the same arrays. The loops run unchecked: the input
-   is a checked lower(A)'s upper triangle. *)
+   appends it to the row buffer. No row is sorted by comparison: the
+   buffer is scattered into the column pattern in row order, which sorts
+   every column by construction, and the row lists are the transpose of
+   that pattern without its diagonal, sorted by construction too. The
+   loops run unchecked. They stay in bounds on any row array once the
+   column pointers are valid: the walk climbs the etree only from rows
+   i < k of column k, so it visits fewer than n distinct nodes per row,
+   and the scatters place exactly what the walk counted. *)
 let analyze_upper n (uc : int array) (ur : int array) : t =
   Sympiler_trace.Trace.with_span "symbolic.fill" @@ fun () ->
   let buf =
@@ -87,111 +87,82 @@ let analyze_upper n (uc : int array) (ur : int array) : t =
   in
   new_chunk buf 0;
   let row_ptr = Array.make (n + 1) 0 in
-  let sorted = ref true in
   let parent, counts =
     Walk.walk n uc ur ~row:(fun k stack len ->
         let top = row_ptr.!(k) in
         if opens buf ~base:buf.base top len then new_chunk buf top;
         let b = buf.chunks.(buf.nchunks - 1) and off = top - buf.base in
-        let prev = ref (-1) in
         for i = 0 to len - 1 do
-          let j = stack.!(i) in
-          if j < !prev then sorted := false;
-          prev := j;
-          set_int32 b (4 * (off + i)) (Int32.of_int j)
+          set_int32 b (4 * (off + i)) (Int32.of_int stack.!(i))
         done;
         row_ptr.!(k + 1) <- top + len)
   in
   let nrow = row_ptr.!(n) in
-  (* Row k's entries are [get_int32 b (4 * (q - !base))] for q in
-     [row_ptr.(k), row_ptr.(k+1)), b the chunk [chunk_of k] returns after
-     replaying the walk's rule to advance [c] and [base]. *)
-  let c = ref 0 and base = ref 0 in
-  let chunk_of k =
-    let lo = row_ptr.!(k) in
-    if opens buf ~base:!base lo (row_ptr.!(k + 1) - lo) then begin
-      incr c;
-      base := lo
-    end;
-    buf.chunks.(!c)
-  in
   let l_colptr = Array.make (n + 1) 0 in
   Array.blit counts 0 l_colptr 0 n;
   let nnz = Utils.cumsum l_colptr in
   (* Column j starts with its diagonal, then receives the rows k > j in
-     increasing k: sorted, diagonal first. *)
-  let next = Array.make n 0 in
-  let new_columns () =
-    let l_rowind = Array.make nnz 0 in
-    for j = 0 to n - 1 do
-      let p = l_colptr.!(j) in
-      l_rowind.!(p) <- j;
+     increasing k: sorted, diagonal first. Row k's entries are
+     [get_int32 b (4 * (q - !base))] for q in [row_ptr.(k),
+     row_ptr.(k+1)), b the chunk found by replaying the walk's rule to
+     advance [c] and [base]. *)
+  let l_rowind = Array.make nnz 0 and next = Array.make n 0 in
+  for j = 0 to n - 1 do
+    let p = l_colptr.!(j) in
+    l_rowind.!(p) <- j;
+    next.!(j) <- p + 1
+  done;
+  let c = ref 0 and base = ref 0 in
+  for k = 0 to n - 1 do
+    let lo = row_ptr.!(k) and hi = row_ptr.!(k + 1) in
+    if opens buf ~base:!base lo (hi - lo) then begin
+      incr c;
+      base := lo
+    end;
+    let b = buf.chunks.(!c) and off = !base in
+    for q = lo to hi - 1 do
+      let j = Int32.to_int (get_int32 b (4 * (q - off))) in
+      let p = next.!(j) in
+      l_rowind.!(p) <- k;
       next.!(j) <- p + 1
-    done;
-    l_rowind
-  in
-  (* Each path allocates its second |L|-sized array once the buffer is
-     decoded, so the peak holds the buffer beside one of them only. *)
-  let l_rowind, row_ind =
-    if !sorted then begin
-      let row_ind = Array.make nrow 0 in
-      for k = 0 to n - 1 do
-        let b = chunk_of k in
-        let off = !base in
-        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
-          row_ind.!(q) <- Int32.to_int (get_int32 b (4 * (q - off)))
-        done
-      done;
-      let l_rowind = new_columns () in
-      for k = 0 to n - 1 do
-        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
-          let j = row_ind.!(q) in
-          let p = next.!(j) in
-          l_rowind.!(p) <- k;
-          next.!(j) <- p + 1
-        done
-      done;
-      (l_rowind, row_ind)
-    end
-    else begin
-      let l_rowind = new_columns () in
-      for k = 0 to n - 1 do
-        let b = chunk_of k in
-        let off = !base in
-        for q = row_ptr.!(k) to row_ptr.!(k + 1) - 1 do
-          let j = Int32.to_int (get_int32 b (4 * (q - off))) in
-          let p = next.!(j) in
-          l_rowind.!(p) <- k;
-          next.!(j) <- p + 1
-        done
-      done;
-      let row_ind = Array.make nrow 0 in
-      Array.blit row_ptr 0 next 0 n;
-      for j = 0 to n - 1 do
-        for p = l_colptr.!(j) + 1 to l_colptr.!(j + 1) - 1 do
-          let k = l_rowind.!(p) in
-          let q = next.!(k) in
-          row_ind.!(q) <- j;
-          next.!(k) <- q + 1
-        done
-      done;
-      (l_rowind, row_ind)
-    end
-  in
+    done
+  done;
+  (* The row lists, allocated once the buffer is decoded, so the peak
+     holds the buffer beside one |L|-sized array only. *)
+  let row_ind = Array.make nrow 0 in
+  Array.blit row_ptr 0 next 0 n;
+  for j = 0 to n - 1 do
+    for p = l_colptr.!(j) + 1 to l_colptr.!(j + 1) - 1 do
+      let k = l_rowind.!(p) in
+      let q = next.!(k) in
+      row_ind.!(q) <- j;
+      next.!(k) <- q + 1
+    done
+  done;
   if Sympiler_trace.Trace.enabled () then begin
     Sympiler_trace.Trace.set_attr "n" (Sympiler_trace.Trace.Int n);
     Sympiler_trace.Trace.set_attr "nnz_l" (Sympiler_trace.Trace.Int nnz)
   end;
   { n; parent; counts; l_colptr; l_rowind; row_ptr; row_ind }
 
-let of_upper (u : Csc.upper_pattern) : t =
-  analyze_upper
-    (Array.length u.Csc.up_colptr - 1)
-    u.Csc.up_colptr u.Csc.up_rowind
+(* The column pointers are all [analyze_upper] needs checked: O(n). *)
+let of_upper (u : Csc.Unsafe.upper_pattern) : t =
+  let uc = u.Csc.Unsafe.up_colptr and ur = u.Csc.Unsafe.up_rowind in
+  let n = Array.length uc - 1 in
+  let malformed () =
+    invalid_arg "Fill_pattern.of_upper: malformed column pointers"
+  in
+  if n < 0 || uc.(0) <> 0 || uc.(n) <> Array.length ur then malformed ();
+  for k = 0 to n - 1 do
+    if uc.!(k) > uc.!(k + 1) then malformed ()
+  done;
+  analyze_upper n uc ur
 
 let analyze (a_lower : Csc.t) : t =
-  of_upper
-    (Csc.upper_pattern (Csc.check_lower ~who:"Fill_pattern.analyze" a_lower))
+  let u =
+    Csc.Unsafe.(upper_pattern (check_lower ~who:"Fill_pattern.analyze" a_lower))
+  in
+  analyze_upper a_lower.Csc.ncols u.Csc.Unsafe.up_colptr u.Csc.Unsafe.up_rowind
 
 (* The column pattern as a [Csc.t] for the pattern-only consumers
    ([Dep_graph], [Stages.schedule], [Supernodes]): it shares the two

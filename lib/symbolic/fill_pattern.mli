@@ -30,13 +30,17 @@ val analyze : Csc.t -> t
     the etree and the ereach walk ({!Etree}, {!Ereach}). Raises
     [Invalid_argument "Fill_pattern.analyze: …"] unless the input is a
     square lower-triangular pattern that satisfies the CSC invariant
-    ({!Csc.check_lower}); values are not read. *)
+    ({!Csc.check}); values are not read. *)
 
-val of_upper : Csc.upper_pattern -> t
+val of_upper : Csc.Unsafe.upper_pattern -> t
 (** {!analyze} from the upper triangle of a checked lower(A) (its
-    transpose, or the by-row bucket of {!Csc.permute_lower_by}),
-    without a re-check or a transpose of its own. The order of the rows
-    within each column of the upper triangle does not change the result. *)
+    transpose, or the by-row bucket of {!Csc.Unsafe.permute_lower}),
+    with no transpose of its own. The order of the rows within each
+    column of the upper triangle does not change the result. It checks
+    only the column pointers (O(n)), and raises
+    [Invalid_argument "Fill_pattern.of_upper: …"] when they are
+    malformed: the walk reads the rows only as etree starting points
+    below the diagonal, so no row array makes it index out of bounds. *)
 
 val col_counts : Csc.t -> int array * int array
 (** [col_counts a_lower] is [(parent, counts)], equal to the [parent] and

@@ -11,6 +11,7 @@ open Sympiler_sparse
 
 type t = {
   pattern : Csc.t;
+  upper : Csc.Unsafe.upper_pattern Lazy.t option;
   mutable etree_ : int array option;
   mutable fill_ : Fill_pattern.t option;
   mutable levels_ : (int array * int array) option;
@@ -21,9 +22,10 @@ type t = {
   mutable full_runs : int;
 }
 
-let create (pattern : Csc.t) : t =
+let create ?upper (pattern : Csc.t) : t =
   {
     pattern;
+    upper;
     etree_ = None;
     fill_ = None;
     levels_ = None;
@@ -49,7 +51,11 @@ let fill (t : t) : Fill_pattern.t =
   match t.fill_ with
   | Some f -> f
   | None ->
-      let f = Fill_pattern.analyze t.pattern in
+      let f =
+        match t.upper with
+        | Some u -> Fill_pattern.of_upper (Lazy.force u)
+        | None -> Fill_pattern.analyze t.pattern
+      in
       t.fill_ <- Some f;
       t.fill_runs <- t.fill_runs + 1;
       f

@@ -12,8 +12,11 @@ open Sympiler_sparse
 
 type t
 
-val create : Csc.t -> t
-(** Wrap a pattern; no analysis runs until an accessor forces it. *)
+val create : ?upper:Csc.Unsafe.upper_pattern Lazy.t -> Csc.t -> t
+(** Wrap a pattern; no analysis runs until an accessor forces it. [upper]
+    is the pattern's upper triangle when the caller holds it (a facade
+    compile's permutation builds it): {!fill} then reads it, with no check
+    or transpose of its own. *)
 
 val pattern : t -> Csc.t
 
@@ -21,8 +24,9 @@ val etree : t -> int array
 (** Elimination tree (memoized {!Etree.compute}). *)
 
 val fill : t -> Fill_pattern.t
-(** Fill analysis (memoized {!Fill_pattern.analyze}); the pattern must be
-    lower triangular. *)
+(** Fill analysis (memoized {!Fill_pattern.analyze}, or
+    {!Fill_pattern.of_upper} of [upper]); the pattern must be lower
+    triangular. *)
 
 val levels : t -> int array * int array
 (** Level schedule [(level_ptr, level_cols)] of the lower-triangular

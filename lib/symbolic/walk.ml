@@ -1,12 +1,12 @@
-open Sympiler_sparse
 open Ix
 
 (* The unchecked loops of the symbolic analysis: the elimination tree
    and the row-by-row ereach walk over the upper triangle of lower(A),
    given as pattern arrays. A private module: the public entries of
-   [Etree] and [Fill_pattern] check their input first, or take a
-   [Csc.upper_pattern] that lib/sparse built from a checked lower(A), so
-   every index these loops form is in range. *)
+   [Etree] and [Fill_pattern] check their input first, or the column
+   pointers of a [Csc.Unsafe.upper_pattern]: these loops climb the etree
+   only from rows i < k of column k, so every index they form is in
+   range. *)
 
 (* parent.(j) = parent column, or -1 for roots (Liu's algorithm with
    path-compressed virtual ancestors): column k of the upper triangle

@@ -251,17 +251,19 @@ let test_unchecked_entries_check_input () =
       Perm.permute_pattern p (rows_unsorted a));
   expect_named "Perm.permute_pattern" (fun () ->
       Perm.permute_pattern (Array.sub p 1 (a.Csc.ncols - 1)) a);
-  let checked = Csc.check_lower ~who:"test" l in
-  expect_named "Csc.permute_lower_by" (fun () ->
-      Csc.permute_lower_by ~who:"Csc.permute_lower_by"
+  let checked = Csc.Unsafe.check_lower ~who:"test" l in
+  expect_named "Csc.Unsafe.permute_lower" (fun () ->
+      Csc.Unsafe.permute_lower ~who:"Csc.Unsafe.permute_lower"
         ~pinv:(Array.map (fun i -> i + 1) p) checked);
-  expect_named "Csc.check_lower" (fun () ->
-      Csc.check_lower ~who:"Csc.check_lower" a)
+  expect_named "Csc.Unsafe.check_lower" (fun () ->
+      Csc.Unsafe.check_lower ~who:"Csc.Unsafe.check_lower" a)
 
 (* The one-pass permutation and its by-row bucket: the same matrix and
    map as sorting the permuted entries, and a bucket that is the result's
-   upper triangle with its map into the result. *)
-let test_permute_lower_by () =
+   upper triangle with its map into the result. The transpose of a
+   checked lower(A) builds its map when forced: the map of
+   [Csc.transpose_map]. *)
+let test_permute_lower_bucket () =
   let a = Generators.grid2d ~stencil:`Nine 7 6 in
   let l = Csc.lower a in
   let p = Perm.random (Utils.Rng.create 11) a.Csc.ncols in
@@ -272,28 +274,34 @@ let test_permute_lower_by () =
     (fun k q ->
       Alcotest.(check (float 0.0)) "map gathers" pl.Csc.values.(k) l.Csc.values.(q))
     map;
+  let checked = Csc.Unsafe.check_lower ~who:"test" l in
   let b, map', u =
-    Csc.permute_lower_by ~who:"test" ~pinv:(Perm.inverse p)
-      (Csc.check_lower ~who:"test" l)
+    Csc.Unsafe.permute_lower ~who:"test" ~pinv:(Perm.inverse p) checked
   in
-  let b = (b :> Csc.t) in
+  let b = (b :> Csc.t) and um = Lazy.force u.Csc.Unsafe.up_map in
   Alcotest.(check bool) "same pattern" true (Csc.pattern_equal b pl);
   Alcotest.(check (array int)) "same map" map map';
   let tc, tr, tm = Csc.transpose_map b in
-  Alcotest.(check (array int)) "bucket pointers" tc u.Csc.up_colptr;
+  Alcotest.(check (array int)) "bucket pointers" tc u.Csc.Unsafe.up_colptr;
   for k = 0 to b.Csc.ncols - 1 do
     let sorted lo hi a = List.sort compare (Array.to_list (Array.sub a lo (hi - lo))) in
     let lo = tc.(k) and hi = tc.(k + 1) in
-    Alcotest.(check (list int)) "bucket rows" (sorted lo hi tr) (sorted lo hi u.Csc.up_rowind);
+    Alcotest.(check (list int)) "bucket rows" (sorted lo hi tr)
+      (sorted lo hi u.Csc.Unsafe.up_rowind);
     (* Entry q of column k of the upper triangle is B's entry (k, c). *)
     for q = lo to hi - 1 do
-      let c = u.Csc.up_rowind.(q) and m = u.Csc.up_map.(q) in
+      let c = u.Csc.Unsafe.up_rowind.(q) and m = um.(q) in
       Alcotest.(check int) "bucket map row" k b.Csc.rowind.(m);
       Alcotest.(check bool) "bucket map column" true
         (m >= b.Csc.colptr.(c) && m < b.Csc.colptr.(c + 1))
     done
   done;
-  Alcotest.(check int) "map covers B" (Array.length tm) (Array.length u.Csc.up_map)
+  Alcotest.(check int) "map covers B" (Array.length tm) (Array.length um);
+  let tc, tr, tm = Csc.transpose_map l in
+  let u = Csc.Unsafe.upper_pattern checked in
+  Alcotest.(check (array int)) "upper pointers" tc u.Csc.Unsafe.up_colptr;
+  Alcotest.(check (array int)) "upper rows" tr u.Csc.Unsafe.up_rowind;
+  Alcotest.(check (array int)) "upper map" tm (Lazy.force u.Csc.Unsafe.up_map)
 
 let suite =
   [
@@ -322,7 +330,7 @@ let suite =
     ("symmetric permute", `Quick, test_symmetric_permute_preserves_spd_values);
     ("perm compose", `Quick, test_perm_compose);
     ("unchecked entries check their input", `Quick, test_unchecked_entries_check_input);
-    ("permute_lower_by and its bucket", `Quick, test_permute_lower_by);
+    ("permute_lower and its bucket", `Quick, test_permute_lower_bucket);
   ]
 
 let test_multiply_dims_checked () =

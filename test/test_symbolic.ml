@@ -375,7 +375,23 @@ let test_unchecked_entries_check_input () =
       ("Fill_pattern.analyze", fun m -> ignore (Fill_pattern.analyze m : Fill_pattern.t));
       ( "Fill_pattern.col_counts",
         fun m -> ignore (Fill_pattern.col_counts m : int array * int array) );
-    ]
+    ];
+  (* [of_upper] checks the column pointers only: no row array makes its
+     walk leave its arrays (the checked profile would raise here), and
+     [up_looking] checks a given upper triangle's size. *)
+  let checked = Csc.Unsafe.check_lower ~who:"test" l in
+  let u = Csc.Unsafe.upper_pattern checked in
+  u.Csc.Unsafe.up_colptr.(1) <- -1;
+  expect_named "Fill_pattern.of_upper" (fun () -> Fill_pattern.of_upper u);
+  let u = Csc.Unsafe.upper_pattern checked in
+  let ur = u.Csc.Unsafe.up_rowind in
+  Array.iteri (fun q _ -> ur.(q) <- [| -3; l.Csc.ncols + 5; max_int; 0 |].(q mod 4)) ur;
+  ignore (Fill_pattern.of_upper u : Fill_pattern.t);
+  let other =
+    Csc.Unsafe.(upper_pattern (check_lower ~who:"test" (Csc.lower (Generators.grid2d 3 3))))
+  in
+  expect_named "Cholesky_ref.up_looking" (fun () ->
+      Sympiler_kernels.Cholesky_ref.up_looking ~upper:other l)
 
 (* The fill analysis reads the upper triangle's rows in any order: the
    by-row bucket of the permutation gives the arrays that analyzing the
@@ -385,11 +401,11 @@ let test_fill_of_bucket () =
   List.iter
     (fun (name, a) ->
       let l = Csc.lower a in
-      let checked = Csc.check_lower ~who:"test" l in
+      let checked = Csc.Unsafe.check_lower ~who:"test" l in
       List.iter
         (fun p ->
           let pl, _, u =
-            Csc.permute_lower_by ~who:"test" ~pinv:(Perm.inverse p) checked
+            Csc.Unsafe.permute_lower ~who:"test" ~pinv:(Perm.inverse p) checked
           in
           let f = Fill_pattern.of_upper u
           and g = Fill_pattern.analyze (pl :> Csc.t) in
