@@ -332,10 +332,10 @@ let explain matrix problem kernel ordering rhs_fill json trace metrics =
 
 (* ---- pipeline ---- *)
 
-(* Compile a whole solver DAG through one shared symbolic analysis and
-   drive the fused plan against the staged baseline: per-call time for
-   both executors, allocation per fused apply, bitwise identity, and the
-   analysis ledger. With -o, also emit the fused C kernel. *)
+(* Compile a whole solver DAG through one symbolic analysis and drive the
+   fused plan against the staged baseline: per-call time for both
+   executors, allocation per fused apply, and bitwise identity (exit 1
+   unless fused == staged). *)
 
 let parse_stages (family : Sympiler.Pipeline.family option) (s : string) :
     Sympiler.Pipeline.stage_spec list =
@@ -358,7 +358,7 @@ let parse_stages (family : Sympiler.Pipeline.family option) (s : string) :
                   "unknown stage %S (factor, lower, diag, upper, solve, spmv)"
                   t))
 
-let pipeline matrix problem family stages ordering repeat out profile trace
+let pipeline matrix problem family stages ordering repeat profile trace
     metrics =
   with_metrics metrics @@ fun () ->
   with_trace trace @@ fun () ->
@@ -413,9 +413,6 @@ let pipeline matrix problem family stages ordering repeat out profile trace
   Printf.printf "  %-22s %d%s\n" "minor words/apply" words
     (if words = 0 then " (allocation-free)" else "");
   Printf.printf "  %-22s %b\n" "fused == staged" bitwise;
-  (match out with
-  | None -> ()
-  | Some _ -> output out (Pl.c_code t));
   if bitwise then 0 else 1
 
 (* ---- rank update / downdate ---- *)
@@ -835,13 +832,12 @@ let pipeline_cmd =
   Cmd.v
     (Cmd.info "pipeline"
        ~doc:
-         "Compile a whole solver DAG through one shared symbolic analysis \
-          and race the fused plan against the staged baseline (optionally \
-          emitting the fused C kernel with -o)")
+         "Compile a whole solver DAG through one symbolic analysis and race \
+          the fused plan against the staged baseline (exit 1 unless their \
+          results agree bit for bit)")
     Term.(
       const pipeline $ matrix_arg $ problem_arg $ family_arg $ stages_arg
-      $ ordering_arg $ repeat_arg $ out_arg $ profile_arg $ trace_arg
-      $ metrics_arg)
+      $ ordering_arg $ repeat_arg $ profile_arg $ trace_arg $ metrics_arg)
 
 let () =
   let doc = "Sympiler: sparsity-specific code generation for sparse kernels" in

@@ -9,8 +9,8 @@ module Trace = Sympiler_trace.Trace
    supernode statistics of one fill analysis) and the three executors it
    chooses between — supernodal, simplicial, and the level-parallel
    supernodal one. [Sympiler.Cholesky] is the {!Factor.Make} instance over
-   this module, and [Pipeline] calls {!compile_fill} on its shared
-   analysis, so the decision is taken in one place.
+   this module, and a [Pipeline]'s Cholesky stage runs it too, so the
+   decision is taken in one place.
 
    VS-Block is decided per executor. The handle's decision picks the OCaml
    executor. The emitted C runs dense loops that the OCaml ones do not, so
@@ -56,10 +56,15 @@ let native_width = 6.0
 let variant (c : compiled) =
   match c.kernel with Sup _ -> Supernodal | Simp _ -> Simplicial
 
-(* The variant decision is taken on the cheap supernode statistics of
-   [fill] before any variant-specific planning is built. *)
-let compile_fill ~(opts : Options.t) ?upper (fill : Fill.t) (a_lower : Csc.t)
-    : compiled =
+(* The fill analysis and the simplicial executor's gather map both read
+   the compiled pattern's upper triangle. The variant decision is taken on
+   the cheap supernode statistics of the fill before any variant-specific
+   planning is built. *)
+let compile (opts : Options.t) (cp : Compile_common.compiled_pattern) :
+    compiled =
+  let upper = Lazy.force cp.Compile_common.upper in
+  let fill = Fill.of_upper upper in
+  let a_lower = cp.Compile_common.pattern in
   let n = a_lower.Csc.ncols in
   let nnz_l = Fill.nnz_l fill in
   let threshold =
@@ -106,20 +111,13 @@ let compile_fill ~(opts : Options.t) ?upper (fill : Fill.t) (a_lower : Csc.t)
   {
     kernel =
       (if go_supernodal then Sup (Cholesky_supernodal.Sympiler.compile ~fill a_lower)
-       else Simp (Cholesky_ref.Decoupled.compile ~fill ?upper a_lower));
+       else Simp (Cholesky_ref.Decoupled.compile ~fill ~upper a_lower));
     pinned =
       opts.Options.simplicial || Option.is_some opts.Options.vs_block_threshold;
     flops = Fill.flops fill;
     nnz_l;
     decisions = [ d_vi; d_vs ];
   }
-
-(* The fill analysis and the simplicial executor's gather map both read
-   the compiled pattern's upper triangle. *)
-let compile (opts : Options.t) (cp : Compile_common.compiled_pattern) :
-    compiled =
-  let upper = Lazy.force cp.Compile_common.upper in
-  compile_fill ~opts ~upper (Fill.of_upper upper) cp.Compile_common.pattern
 
 (* The two options the decision reads. *)
 let key (o : Options.t) =
@@ -205,6 +203,22 @@ let native (c : compiled) (pattern : Csc.t) (omap : int array option) =
         ~row_ptr:f.Fill.row_ptr ~row_set:f.Fill.row_ind
 
 let outputs (p : kplan) = [| (view p).Csc.values |]
+let operands (p : kplan) = Factor.L (view p)
+
+(* The fill's L structure, which the supernodal analysis shares. *)
+let sweep_l (c : compiled) _ =
+  let n, colptr, rowind =
+    match c.kernel with
+    | Sup s ->
+        let an = s.Cholesky_supernodal.Sympiler.an in
+        (an.Cholesky_supernodal.n, an.l_colptr, an.l_rowind)
+    | Simp s ->
+        let f = s.Cholesky_ref.Decoupled.up.Cholesky_ref.fill in
+        (f.Fill.n, f.l_colptr, f.l_rowind)
+  in
+  Some
+    (Factor.positional
+       { Csc.nrows = n; ncols = n; colptr; rowind; values = [||] })
 
 let pivot j = Cholesky_ref.Not_positive_definite j
 

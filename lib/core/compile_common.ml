@@ -170,6 +170,14 @@ let ordered_input ~who (ord : applied_ordering) ~(pattern : Csc.t)
     ~(natural : Csc.t) (a : Csc.t) : Csc.t =
   plan_input ~who ord (ordering_scratch ord pattern) natural a
 
+(* A caller's values in compiled order, fresh on an ordered handle: what a
+   handle that binds values (a trisolve, a pipeline's factorless chain or
+   SpMV operand) takes from the caller whose cache hit returned it. *)
+let compiled_values (ord : applied_ordering) (a : Csc.t) : float array =
+  match ord.o_perm with
+  | None -> a.Csc.values
+  | Some _ -> Array.map (fun s -> a.Csc.values.(s)) ord.o_map
+
 (* ------------------------ The facade's input check ----------------------- *)
 
 (* A caller's pattern after the one check a facade compile runs before

@@ -43,6 +43,23 @@ module type KERNEL = sig
   val c_code : t -> string
 end
 
+(** A plan's factor as the operands of a pipeline's sweeps: views into the
+    plan's storage, which each [factor_ip] refreshes in place. *)
+type operands =
+  | L of Csc.t  (** Cholesky, IC(0): [L], diagonal first per column *)
+  | L_d of Csc.t * float array  (** LDL^T: unit [L] and the diagonal of [D] *)
+  | L_u of Csc.t * Csc.t  (** LU: unit [L] and [U] *)
+  | Csr_lu of Sympiler_kernels.Ilu0.factors  (** ILU(0): the CSR [L\U] *)
+
+(** The L structure a pipeline's level-sweep rule reads, and the sweep
+    schedule over it for a topological order. *)
+type sweep_l = Csc.t * (order:int array -> Sympiler_kernels.Stages.schedule)
+
+(** The [sweep_l] of an [L] whose row lists {!Sympiler_kernels.Stages.schedule}
+    builds from its structure. *)
+let positional (l : Csc.t) : sweep_l =
+  (l, fun ~order -> Sympiler_kernels.Stages.schedule ~order l)
+
 (** What one factor family contributes: its kernel and the few facts the
     shared scaffold cannot derive. *)
 module type FAMILY = sig
@@ -109,6 +126,14 @@ module type FAMILY = sig
 
   val refactored : updown -> Csc.t -> unit
   (** Told the compiled-order input of every full refactor. *)
+
+  val operands : kplan -> operands
+  (** The plan's factor as a pipeline's sweep operands. *)
+
+  val sweep_l : compiled -> Csc.t -> sweep_l option
+  (** The compiled factor's [L], given the compiled pattern, for a
+      pipeline's level-sweep rule; [None] where its sweeps keep column
+      order (LU, ILU(0)). *)
 end
 
 (** The rank-update slot of the families without one. *)

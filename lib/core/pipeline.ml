@@ -1,23 +1,23 @@
 open Sympiler_sparse
 open Sympiler_kernels
 module Prof = Sympiler_prof.Prof
-module Shared_analysis = Sympiler_symbolic.Shared_analysis
 module Dep_graph = Sympiler_symbolic.Dep_graph
 module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
 
 (* Solver-pipeline fusion: compile a whole DAG of kernel stages through one
-   shared symbolic analysis, into one fused plan.
+   symbolic analysis, into one fused plan.
 
    Compiling each stage of a solver pipeline in isolation pays the symbolic
    phase N times and the stage boundaries forever: every hand-off is a
    vector copy, a dispatch, and a loop restart. A pipeline compiles the DAG
-   as one unit — one [Shared_analysis] serves every stage (the elimination
-   tree, fill pattern, level schedule and symmetrized full pattern are each
-   computed at most once, and the {!analysis_runs} ledger proves it), the
-   plan owns one shared vector workspace threaded through the whole chain,
-   and adjacent stages fuse where the schedule allows (L then L^T collapses
-   into [Stages.solve_pair_ip], one pass with no boundary).
+   as one unit — the factor family's compile is the one symbolic analysis,
+   and every stage reads its result (the solve stages sweep its factor, the
+   level-sweep rule reads its L); the plan owns one shared vector workspace
+   threaded through the whole chain, and adjacent stages fuse where the
+   schedule allows (L then L^T collapses into [Stages.solve_pair_ip], one
+   pass with no boundary). The factor stage runs through the family's
+   {!Factor.FAMILY} instance, the one the facade's [Factor.Make] wraps.
 
    Fusion never reorders floating-point arithmetic. Operation order is
    canonical per entry: every x(i) receives the same operations in the
@@ -82,12 +82,22 @@ let expand (family : family option) (s : stage_spec) : vop list =
 
 (* ----------------------------- Compiled DAG ----------------------------- *)
 
-type fhandle =
-  | FChol of Cholesky_family.compiled
-  | FLdlt of Ldlt.compiled
-  | FLu of Lu.Sympiler.compiled
-  | FIc0 of Ic0.compiled
-  | FIlu0 of Ilu0.compiled
+let family_module : family -> (module Factor.FAMILY) = function
+  | `Cholesky -> (module Cholesky_family)
+  | `Ldlt -> (module Families.Ldlt)
+  | `Lu -> (module Families.Lu)
+  | `Ic0 -> (module Families.Ic0)
+  | `Ilu0 -> (module Families.Ilu0)
+
+(* The factor stage's family, packed with its compiled handle, and with
+   the plan made from it. *)
+type compiled_factor =
+  | Compiled :
+      (module Factor.FAMILY with type compiled = 'c) * 'c
+      -> compiled_factor
+
+type factor_plan =
+  | Planned : (module Factor.FAMILY with type kplan = 'k) * 'k -> factor_plan
 
 type t = {
   dag : stage_spec list;
@@ -99,16 +109,13 @@ type t = {
   pattern : Csc.t;  (* compiled (permuted when ordered) pattern *)
   natural_pattern : Csc.t;
   ord : Compile_common.applied_ordering;
-  analysis : Shared_analysis.t;  (* the one analysis every stage shares *)
-  chain_analysis : Shared_analysis.t;
-      (* analysis of the chain's L pattern: physically [analysis] when the
-         factor keeps the input pattern (no fill), separate for the filled
-         factors *)
-  chain_l : Csc.t option;  (* structural L the fused C emission runs on *)
-  fhandle : fhandle option;
+  factor : compiled_factor option;
+  spmv : (Csc.t * int array) option;
+      (* the SpMV operand's pattern and the gather map from [pattern]'s
+         values, when the DAG has an Spmv stage *)
   fused_boundaries : int;  (* stage boundaries removed by merging *)
   sweep : Stages.schedule option;
-      (* the fused path's level-ordered sweep over [chain_l], when the
+      (* the fused path's level-ordered sweep over the chain's L, when the
          rule selects it *)
   symbolic_seconds : float;
   decisions : Trace.decision list;
@@ -164,46 +171,54 @@ let count_fusable ~(fbefore : int) (vops : vop array) : int =
   done;
   !c
 
-(* Cholesky's variant decision is the facade's own, fed from the one fill
-   pattern every stage shares. The symmetric families read the compiled
-   pattern's upper triangle as the facade compiles do: the analysis and
-   the up-looking gather map take it from the permutation, or from one
-   transpose of a natural pattern. *)
-let compile_factor ~(opts : Options.t) ~analysis (family : family)
-    (cp : Compile_common.compiled_pattern) : fhandle * Trace.decision list =
-  let pattern = cp.Compile_common.pattern in
-  match family with
-  | `Cholesky ->
-      let c =
-        Cholesky_family.compile_fill ~opts
-          ~upper:(Lazy.force cp.Compile_common.upper)
-          (Shared_analysis.fill analysis) pattern
-      in
-      (FChol c, c.Cholesky_family.decisions)
-  | `Ldlt ->
-      (FLdlt (Ldlt.compile ~upper:(Lazy.force cp.Compile_common.upper) pattern), [])
-  | `Lu -> (FLu (Lu.Sympiler.compile pattern), [])
-  | `Ic0 -> (FIc0 (Ic0.compile pattern), [])
-  | `Ilu0 -> (FIlu0 (Ilu0.compile pattern), [])
-
-(* Structural view of the factor L the fused C emission runs on, plus the
-   analysis record that owns its level schedule (None for the CSR-side
-   families, whose chains have no CSC L). *)
-let chain_l_of ~analysis (fh : fhandle option) (pattern : Csc.t) :
-    Csc.t option * Shared_analysis.t =
-  let filled fill =
-    let l = Sympiler_symbolic.Fill_pattern.l_view fill in
-    (Some l, Shared_analysis.create l)
-  in
-  match fh with
-  | None -> (Some pattern, analysis)
-  | Some (FIc0 _) ->
-      (* IC(0) keeps the input pattern: the shared analysis of the input
-         *is* the chain analysis — its level schedule serves both. *)
-      (Some pattern, analysis)
-  | Some (FChol _) -> filled (Shared_analysis.fill analysis)
-  | Some (FLdlt c) -> filled c.Ldlt.fill
-  | Some (FLu _ | FIlu0 _) -> (None, analysis)
+(* The SpMV operand of a symmetric family, whose input is lower(A): the
+   symmetrized A = L + L^T (diagonal once) and the gather map from the
+   lower values — full entry [k] reads [lower.values.(map.(k))]. *)
+let full_of_lower (l : Csc.t) : Csc.t * int array =
+  let n = l.Csc.ncols in
+  let lp = l.Csc.colptr and li = l.Csc.rowind in
+  (* Column counts of the full matrix: each strictly-lower entry (i, j)
+     contributes to columns j and i; diagonal entries to their own. *)
+  let counts = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for p = lp.(j) to lp.(j + 1) - 1 do
+      let i = li.(p) in
+      counts.(j) <- counts.(j) + 1;
+      if i <> j then counts.(i) <- counts.(i) + 1
+    done
+  done;
+  let colptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    colptr.(j + 1) <- colptr.(j) + counts.(j)
+  done;
+  let nnz = colptr.(n) in
+  let rowind = Array.make nnz 0 in
+  let map = Array.make nnz 0 in
+  let cursor = Array.copy colptr in
+  (* Upper part of column j is the transpose of rows [< j]: emitting by
+     ascending source column keeps every destination column sorted,
+     because within column c the strictly-lower rows are ascending and all
+     upper entries (row c) of later source columns come later. *)
+  for c = 0 to n - 1 do
+    for p = lp.(c) to lp.(c + 1) - 1 do
+      (* entry (c, i) of the upper part, in column i; the diagonal (i = c)
+         lands between column c's upper and lower runs *)
+      let i = li.(p) in
+      rowind.(cursor.(i)) <- c;
+      map.(cursor.(i)) <- p;
+      cursor.(i) <- cursor.(i) + 1
+    done;
+    (* now the strictly-lower run of column c itself *)
+    for p = lp.(c) to lp.(c + 1) - 1 do
+      let i = li.(p) in
+      if i > c then begin
+        rowind.(cursor.(c)) <- i;
+        map.(cursor.(c)) <- p;
+        cursor.(c) <- cursor.(c) + 1
+      end
+    done
+  done;
+  ({ Csc.nrows = n; ncols = n; colptr; rowind; values = [||] }, map)
 
 (* Level-ordered sweeps. A preconditioner's triangular solves run
    thousands of times on one pattern (paper §4.3), so an order inspected
@@ -219,37 +234,26 @@ let chain_l_of ~analysis (fh : fhandle option) (pattern : Csc.t) :
    - natural order is a dependence chain: L(j+1, j) is stored for at
      least [chain_threshold] of the columns;
    - the schedule has width: at most n/2 levels.
-   IC(0) reuses its compiled row lists (when every column stores its
-   diagonal, its row lists are exactly the positional ones); the other
-   families build theirs only when selected. *)
+   The family's [sweep_l] gives L and how to schedule it: IC(0) reuses
+   its compiled row lists, the other families build theirs only when
+   selected. *)
 let sweep_window = 2048
 let chain_threshold = 0.875
 
-let sweep_schedule (fh : fhandle option) (vops : vop array)
-    (chain_l : Csc.t option) : Stages.schedule option * Trace.decision =
+let sweep_schedule (chain : Factor.sweep_l option) (vops : vop array) :
+    Stages.schedule option * Trace.decision =
   let sweeps =
     Array.exists (function VLower | VLtrans -> true | _ -> false) vops
   in
   let share =
-    match chain_l with Some l -> Dep_graph.chain_share l | None -> Float.nan
+    match chain with Some (l, _) -> Dep_graph.chain_share l | None -> Float.nan
   in
   let sweep =
-    match chain_l with
-    | Some l when sweeps && share >= chain_threshold ->
-        let n = l.Csc.ncols in
+    match chain with
+    | Some (l, schedule) when sweeps && share >= chain_threshold ->
         let level_ptr, order = Dep_graph.level_order ~window:sweep_window l in
-        if 2 * (Array.length level_ptr - 1) > n then None
-        else
-          Some
-            (match fh with
-            | Some (FIc0 c) when c.Ic0.row_ptr.(n) + n = Csc.nnz l ->
-                {
-                  Stages.order;
-                  row_ptr = c.Ic0.row_ptr;
-                  row_col = c.Ic0.row_col;
-                  row_pos = c.Ic0.row_pos;
-                }
-            | _ -> Stages.schedule ~order l)
+        if 2 * (Array.length level_ptr - 1) > l.Csc.ncols then None
+        else Some (schedule ~order)
     | _ -> None
   in
   let d =
@@ -287,15 +291,15 @@ let compile_raw ~(opts : Options.t) (d : dag)
   @@ fun () ->
   let r, symbolic_seconds =
     Compile_common.time_symbolic (fun () ->
-        let analysis =
-          Shared_analysis.create ~upper:cp.Compile_common.upper pattern
-        in
-        let fhandle, decisions =
+        let factor, decisions, chain =
           match family with
-          | None -> (None, [])
+          | None -> (None, [], Some (Factor.positional pattern))
           | Some f ->
-              let fh, ds = compile_factor ~opts ~analysis f cp in
-              (Some fh, ds)
+              let (module F) = family_module f in
+              let c = F.compile opts cp in
+              ( Some (Compiled ((module F), c)),
+                F.decisions c,
+                F.sweep_l c pattern )
         in
         let vops = Array.of_list (List.concat_map (expand family) d) in
         let fbefore =
@@ -305,8 +309,17 @@ let compile_raw ~(opts : Options.t) (d : dag)
             |> List.concat_map (expand family)
             |> List.length
         in
-        let chain_l, chain_analysis = chain_l_of ~analysis fhandle pattern in
-        let sweep, d_sweep = sweep_schedule fhandle vops chain_l in
+        (* lower(A) of a symmetric family is symmetrized; a square or
+           factorless chain's input is its own operand *)
+        let spmv =
+          if not (Array.mem VSpmv vops) then None
+          else
+            match family with
+            | Some (`Cholesky | `Ldlt | `Ic0) -> Some (full_of_lower pattern)
+            | Some (`Lu | `Ilu0) | None ->
+                Some (pattern, Array.init (Csc.nnz pattern) Fun.id)
+        in
+        let sweep, d_sweep = sweep_schedule chain vops in
         let fused_boundaries = count_fusable ~fbefore vops in
         let d_fuse =
           {
@@ -318,27 +331,15 @@ let compile_raw ~(opts : Options.t) (d : dag)
           }
         in
         Trace.decision d_fuse;
-        ( analysis,
-          fhandle,
+        ( factor,
           vops,
           fbefore,
-          chain_l,
-          chain_analysis,
+          spmv,
           fused_boundaries,
           sweep,
           decisions @ [ d_fuse; d_sweep ] ))
   in
-  let ( analysis,
-        fhandle,
-        vops,
-        fbefore,
-        chain_l,
-        chain_analysis,
-        fused_boundaries,
-        sweep,
-        decisions ) =
-    r
-  in
+  let factor, vops, fbefore, spmv, fused_boundaries, sweep, decisions = r in
   let symbolic_seconds = symbolic_seconds +. ord_seconds in
   Compile_common.observe_compile ~family:"pipeline" ~ordering:ord.o_name
     symbolic_seconds;
@@ -350,10 +351,8 @@ let compile_raw ~(opts : Options.t) (d : dag)
     pattern;
     natural_pattern = a;
     ord;
-    analysis;
-    chain_analysis;
-    chain_l;
-    fhandle;
+    factor;
+    spmv;
     fused_boundaries;
     sweep;
     symbolic_seconds;
@@ -386,7 +385,9 @@ let fingerprint (d : dag) (opts : Options.t) : int array =
     (Options.fingerprint opts)
 
 (* The caller's pattern is checked once, before the lookup: lower(A),
-   or square A for LU/ILU(0) DAGs. *)
+   or square A for LU/ILU(0) DAGs. A hit on another matrix of the pattern
+   is rebound to the caller's values, which a factorless chain and the
+   SpMV operand read from the handle. *)
 let compile ?cache ?(opts = Options.default) (d : dag) (a : Csc.t) : t =
   let square =
     match validate d with Some (`Lu | `Ilu0), _ -> true | _ -> false
@@ -395,27 +396,33 @@ let compile ?cache ?(opts = Options.default) (d : dag) (a : Csc.t) : t =
     Compile_common.check_input ~who:"Sympiler.Pipeline.compile"
       ~lower:(not square) a
   in
-  Compile_common.cached_compile ~span:"compile_cached.pipeline"
-    ~default:default_cache ?cache ~opts ~pattern:a ~extra:(fingerprint d opts)
-    (fun () -> compile_raw ~opts d ~checked a)
+  let t =
+    Compile_common.cached_compile ~span:"compile_cached.pipeline"
+      ~default:default_cache ?cache ~opts ~pattern:a
+      ~extra:(fingerprint d opts)
+      (fun () -> compile_raw ~opts d ~checked a)
+  in
+  if t.natural_pattern.Csc.values == a.Csc.values then t
+  else
+    {
+      t with
+      pattern =
+        {
+          t.pattern with
+          Csc.values = Compile_common.compiled_values t.ord a;
+        };
+      natural_pattern = a;
+    }
 
 let cache_stats () = Plan_cache.stats default_cache
 let cache_clear () = Plan_cache.clear default_cache
 let symbolic_seconds (t : t) = t.symbolic_seconds
-let analysis_runs (t : t) = Shared_analysis.runs t.analysis
 let dag_of (t : t) = t.dag
 let input_pattern (t : t) = t.natural_pattern
 let fused_boundaries (t : t) = t.fused_boundaries
 let decisions (t : t) = t.decisions
 
 (* --------------------------------- Plans -------------------------------- *)
-
-type fplan =
-  | PChol of Cholesky_family.kplan
-  | PLdlt of Ldlt.plan
-  | PLu of Lu.Sympiler.plan
-  | PIc0 of Ic0.plan
-  | PIlu0 of Ilu0.plan
 
 (* One executed step. Factor views ([SLower]'s [Csc.t], [SDiag]'s array...)
    point into the factor plan's storage, which [factor_ip] refreshes in
@@ -430,13 +437,13 @@ type step =
   | SPairSched of Csc.t * Stages.schedule
   | SUpper of Csc.t
   | SDiag of float array
-  | SCsrLower of Ilu0.compiled * float array
-  | SCsrUpper of Ilu0.compiled * float array
+  | SCsrLower of Ilu0.factors
+  | SCsrUpper of Ilu0.factors
   | SSpmv of Csc.t
 
 type plan = {
   handle : t;
-  fplan : fplan option;
+  fplan : factor_plan option;
   fused : step array;  (* adjacent L / L^T merged *)
   staged : step array;  (* one step per stage: the baseline *)
   x : float array;  (* the shared chain workspace (permuted order) *)
@@ -456,61 +463,28 @@ type plan = {
   m_stages : Metrics.histogram array;  (* staged per-stage latency *)
 }
 
-let make_fplan = function
-  | FChol c -> PChol (Cholesky_family.make_plan c)
-  | FLdlt c -> PLdlt (Ldlt.make_plan c)
-  | FLu c -> PLu (Lu.Sympiler.make_plan c)
-  | FIc0 c -> PIc0 (Ic0.make_plan c)
-  | FIlu0 c -> PIlu0 (Ilu0.make_plan c)
-
-(* The factor views each vop reads, resolved against the factor plan. *)
-let step_of_vop (fp : fplan option) (lvals : Csc.t option)
-    (spmv_op : (Csc.t * int array) option) (v : vop) : step =
-  let l_view () =
-    match (fp, lvals) with
-    | Some (PChol p), _ -> Cholesky_family.view p
-    | Some (PLdlt p), _ -> p.Ldlt.f.Ldlt.l
-    | Some (PLu p), _ -> p.Lu.Sympiler.f.Lu.l
-    | Some (PIc0 p), _ -> p.Ic0.l
-    | Some (PIlu0 _), _ | None, None ->
-        invalid_arg "Sympiler.Pipeline.plan: no CSC L for this stage"
-    | None, Some lv -> lv
-  in
-  match v with
-  | VLower -> SLower (l_view ())
-  | VLtrans -> SLtrans (l_view ())
-  | VUpper -> (
-      match fp with
-      | Some (PLu p) -> SUpper p.Lu.Sympiler.f.Lu.u
-      | _ ->
-          invalid_arg "Sympiler.Pipeline.plan: Upper_solve needs an LU factor")
-  | VDiag -> (
-      match fp with
-      | Some (PLdlt p) -> SDiag p.Ldlt.f.Ldlt.d
-      | _ -> invalid_arg "Sympiler.Pipeline.plan: Diag_solve needs LDL^T")
-  | VCsrLower -> (
-      match fp with
-      | Some (PIlu0 p) -> SCsrLower (p.Ilu0.f.Ilu0.c, p.Ilu0.f.Ilu0.values)
-      | _ -> invalid_arg "Sympiler.Pipeline.plan: CSR solve needs ILU(0)")
-  | VCsrUpper -> (
-      match fp with
-      | Some (PIlu0 p) -> SCsrUpper (p.Ilu0.f.Ilu0.c, p.Ilu0.f.Ilu0.values)
-      | _ -> invalid_arg "Sympiler.Pipeline.plan: CSR solve needs ILU(0)")
-  | VSpmv -> (
-      match spmv_op with
-      | Some (op, _) -> SSpmv op
-      | None -> assert false)
+(* The step each vop runs on the chain's operands: the factor plan's, or
+   a factorless chain's own L. *)
+let step_of_vop (ops : Factor.operands) (spmv_op : (Csc.t * int array) option)
+    (v : vop) : step =
+  match (v, ops, spmv_op) with
+  | VLower, (L l | L_d (l, _) | L_u (l, _)), _ -> SLower l
+  | VLtrans, (L l | L_d (l, _) | L_u (l, _)), _ -> SLtrans l
+  | VUpper, L_u (_, u), _ -> SUpper u
+  | VDiag, L_d (_, d), _ -> SDiag d
+  | VCsrLower, Csr_lu f, _ -> SCsrLower f
+  | VCsrUpper, Csr_lu f, _ -> SCsrUpper f
+  | VSpmv, _, Some (op, _) -> SSpmv op
+  | _ -> invalid_arg "Sympiler.Pipeline.plan: no operand for this stage"
 
 (* Interleave the factor back into the executed step sequence at its dag
    position (so mid-chain refactorization honors dag order), then merge
    adjacent L / L^T steps on the same view — the factor slot is a barrier,
    a pair straddling it stays split — and, given a [sweep], run the L
    sweeps over it. *)
-let steps_of (t : t) fp lvals spmv_op ~(merge : bool)
+let steps_of (t : t) ops spmv_op ~(merge : bool)
     ~(sweep : Stages.schedule option) : step array =
-  let vsteps =
-    Array.to_list (Array.map (step_of_vop fp lvals spmv_op) t.vops)
-  in
+  let vsteps = Array.to_list (Array.map (step_of_vop ops spmv_op) t.vops) in
   let with_factor =
     if t.fbefore < 0 then vsteps
     else
@@ -552,42 +526,29 @@ let step_name = function
 let plan (t : t) : plan =
   Trace.with_span "plan.pipeline" ~attrs:[ ("n", Trace.Int t.n) ] @@ fun () ->
   let n = t.n in
-  let fp = Option.map make_fplan t.fhandle in
-  let nnz = Csc.nnz t.pattern in
   let scratch = Compile_common.ordering_scratch t.ord t.pattern in
-  (* Values the chain reads when there is no factor: captured from the
-     compiled matrix (like a trisolve plan), refreshed by [?a]. *)
-  let lvals =
-    match t.fhandle with
-    | Some _ -> None
+  let fp, ops, lvals =
+    match t.factor with
+    | Some (Compiled ((module F), c)) ->
+        let k = F.make_plan c in
+        (Some (Planned ((module F), k)), F.operands k, None)
     | None ->
-        Some { t.pattern with Csc.values = Array.copy t.pattern.Csc.values }
+        (* Values the chain reads when there is no factor: captured from
+           the compiled matrix (like a trisolve plan), refreshed by [?a]. *)
+        let l = { t.pattern with Csc.values = Array.copy t.pattern.Csc.values } in
+        (None, Factor.L l, Some l)
   in
+  (* The SpMV operand owns its values, gathered from the compiled matrix
+     and refreshed by [?a]. *)
   let spmv_op =
-    if not (Array.exists (fun v -> v = VSpmv) t.vops) then None
-    else
-      match t.family with
-      | Some (`Lu | `Ilu0) | None ->
-          (* square input (or a factorless triangular chain): the operand
-             is the input matrix itself *)
-          let op =
-            { t.pattern with Csc.values = Array.copy t.pattern.Csc.values }
-          in
-          Some (op, Array.init nnz (fun k -> k))
-      | Some (`Cholesky | `Ldlt | `Ic0) ->
-          (* symmetric input given as lower(A): the operand is the
-             symmetrized A, refreshed through the shared analysis's gather
-             map *)
-          let full, map = Shared_analysis.full t.analysis in
-          let op = { full with Csc.values = Array.make (Csc.nnz full) 0.0 } in
-          let src = t.pattern.Csc.values and dst_v = op.Csc.values in
-          for k = 0 to Array.length dst_v - 1 do
-            dst_v.(k) <- src.(map.(k))
-          done;
-          Some (op, map)
+    Option.map
+      (fun ((full : Csc.t), map) ->
+        let src = t.pattern.Csc.values in
+        ({ full with Csc.values = Array.map (fun k -> src.(k)) map }, map))
+      t.spmv
   in
-  let fused = steps_of t fp lvals spmv_op ~merge:true ~sweep:t.sweep in
-  let staged = steps_of t fp lvals spmv_op ~merge:false ~sweep:None in
+  let fused = steps_of t ops spmv_op ~merge:true ~sweep:t.sweep in
+  let staged = steps_of t ops spmv_op ~merge:false ~sweep:None in
   (* the SpMV buffers only where a stage writes them *)
   let spmv_buf () =
     if Option.is_some spmv_op then Array.make n 0.0 else [||]
@@ -646,27 +607,22 @@ let prepare (p : plan) (a : Csc.t) : Csc.t =
 let run_factor (p : plan) (a' : Csc.t) : unit =
   match p.fplan with
   | None -> ()
-  | Some fp ->
+  | Some (Planned ((module F), k)) ->
       let t0 = if Metrics.enabled () then Prof.now_ns () else 0 in
-      (match fp with
-      | PChol sp -> Cholesky_family.factor_ip sp a'
-      | PLdlt sp -> Ldlt.factor_ip sp a'
-      | PLu sp -> Lu.Sympiler.factor_ip sp a'
-      | PIc0 sp -> Ic0.factor_ip sp a'
-      | PIlu0 sp -> Ilu0.factor_ip sp a');
+      F.factor_ip k a';
       if Metrics.enabled () then
         Metrics.observe_ns p.m_factor (Prof.now_ns () - t0)
 
 let buf (p : plan) = if p.cur = 0 then p.x else p.y
 
 (* The two ILU(0) sweeps over the combined CSR factor. *)
-let csr_lower (c : Ilu0.compiled) v x =
+let csr_lower ({ c; values } : Ilu0.factors) x =
   Stages.csr_lower_unit_ip ~rowptr:c.Ilu0.rowptr ~colind:c.Ilu0.colind
-    ~diag:c.Ilu0.diag v x
+    ~diag:c.Ilu0.diag values x
 
-let csr_upper (c : Ilu0.compiled) v x =
+let csr_upper ({ c; values } : Ilu0.factors) x =
   Stages.csr_upper_ip ~rowptr:c.Ilu0.rowptr ~colind:c.Ilu0.colind
-    ~diag:c.Ilu0.diag v x
+    ~diag:c.Ilu0.diag values x
 
 (* The fused executor: every vector stage runs in place on the one shared
    workspace; SpMV ping-pongs between the two chain buffers instead of
@@ -684,8 +640,8 @@ let run_fused (p : plan) (src : Csc.t option) : unit =
     | SPairSched (l, s) -> Stages.solve_pair_sched_ip l s (buf p)
     | SUpper u -> Stages.upper_ip u (buf p)
     | SDiag d -> Stages.diag_ip d (buf p)
-    | SCsrLower (c, v) -> csr_lower c v (buf p)
-    | SCsrUpper (c, v) -> csr_upper c v (buf p)
+    | SCsrLower f -> csr_lower f (buf p)
+    | SCsrUpper f -> csr_upper f (buf p)
     | SSpmv op ->
         let s = buf p in
         let d = if p.cur = 0 then p.y else p.x in
@@ -717,8 +673,8 @@ let run_staged (p : plan) (src : Csc.t option) : unit =
         | SPair l -> Stages.solve_pair_ip l p.sx
         | SUpper u -> Stages.upper_ip u p.sx
         | SDiag d -> Stages.diag_ip d p.sx
-        | SCsrLower (c, v) -> csr_lower c v p.sx
-        | SCsrUpper (c, v) -> csr_upper c v p.sx
+        | SCsrLower f -> csr_lower f p.sx
+        | SCsrUpper f -> csr_upper f p.sx
         | SFactor | SSpmv _ | SLowerSched _ | SLtransSched _ | SPairSched _
           ->
             assert false);
@@ -797,45 +753,6 @@ let stage_latencies (p : plan) : (string * Metrics.histogram_snapshot) array =
         Metrics.snapshot p.m_stages.(i) ))
     p.staged
 
-(* ------------------------------ C emission ------------------------------ *)
-
-(* Fused C for the vector chain: one kernel, stage bodies back to back,
-   both triangular sweeps driven by the shared analysis's level schedule.
-   The CSR-side families (LU, ILU(0)) have no CSC L to schedule — their
-   chains stay executor-only for now. *)
-let c_code (t : t) : string =
-  let stages =
-    Array.to_list t.vops
-    |> List.map (function
-         | VLower -> Sympiler_ir.Fuse.Lower
-         | VLtrans -> Sympiler_ir.Fuse.Ltrans
-         | VDiag -> Sympiler_ir.Fuse.Diag
-         | VSpmv -> Sympiler_ir.Fuse.Spmv
-         | VUpper | VCsrLower | VCsrUpper ->
-             invalid_arg
-               "Sympiler.Pipeline.c_code: LU/ILU(0) chains have no fused C \
-                emission")
-  in
-  if stages = [] then
-    invalid_arg "Sympiler.Pipeline.c_code: the DAG has no vector stages";
-  let l =
-    match t.chain_l with
-    | Some l -> l
-    | None -> invalid_arg "Sympiler.Pipeline.c_code: no CSC L in this DAG"
-  in
-  let level_ptr, level_cols = Shared_analysis.levels t.chain_analysis in
-  let full =
-    if List.mem Sympiler_ir.Fuse.Spmv stages then
-      match t.family with
-      | Some (`Cholesky | `Ldlt | `Ic0) ->
-          let f, _ = Shared_analysis.full t.analysis in
-          Some f
-      | _ -> Some t.pattern
-    else None
-  in
-  Sympiler_ir.Pretty_c.kernel_to_c
-    (Sympiler_ir.Fuse.chain ~kname:"pipeline_apply" ~level_ptr ~level_cols ?full l stages)
-
 (* ------------------------------- Reporting ------------------------------ *)
 
 let describe (t : t) : string =
@@ -849,11 +766,6 @@ let describe (t : t) : string =
   kv "ordering" t.ord.o_name;
   kv "fused_boundaries" (string_of_int t.fused_boundaries);
   kv "symbolic_seconds" (Printf.sprintf "%.6f" t.symbolic_seconds);
-  kv "analysis_runs"
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-          (Shared_analysis.runs t.analysis)));
   List.iter
     (fun (d : Trace.decision) ->
       kv

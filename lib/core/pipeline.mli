@@ -3,22 +3,22 @@ module Trace = Sympiler_trace.Trace
 module Metrics = Sympiler_metrics.Metrics
 
 (** Solver-pipeline fusion: compile whole DAGs of kernel stages through one
-    shared symbolic analysis, into one fused plan.
+    symbolic analysis, into one fused plan.
 
     Compiling each stage of a solver pipeline in isolation pays the
     symbolic phase N times and the stage boundaries forever: every hand-off
     is a vector copy, a dispatch, and a loop restart. A pipeline compiles
     the DAG as one unit:
 
-    - one {!Sympiler_symbolic.Shared_analysis} serves every stage — the
-      elimination tree, fill pattern, level schedule and symmetrized full
-      pattern are each computed at most once ({!analysis_runs} proves it);
+    - the factor family's symbolic result is the chain's: the factor stage
+      compiles, plans and factors through the family's {!Factor.FAMILY}
+      instance (the one the facade's families are made of), the solve
+      stages sweep its factor, and the level-sweep rule reads its [L];
     - the plan owns one shared vector workspace threaded through the whole
       chain — zero intermediate vectors between stages, zero steady-state
       allocation in {!execute_ip};
     - adjacent stages fuse where the schedule allows: an L solve followed
-      by an L^T solve collapses into one merged pass, and the emitted C
-      ({!c_code}) crosses the same boundaries.
+      by an L^T solve collapses into one merged pass.
 
     Fusion never reorders floating-point arithmetic. Operation order is
     canonical per entry: every [x(i)] receives the same operations in the
@@ -59,7 +59,7 @@ val pair : dag -> dag -> dag
     [s] must not (raises [Invalid_argument] otherwise). *)
 
 val factor_solve : family -> dag
-(** [stage (Factor f) |> then_ (stage Solve)] — the common pair. *)
+(** [then_ (stage (Factor f)) (stage Solve)] — the common pair. *)
 
 val of_stages : stage_spec list -> dag
 val to_stages : dag -> stage_spec list
@@ -67,19 +67,21 @@ val to_stages : dag -> stage_spec list
 (** {1 Compilation} *)
 
 type t
-(** A compiled pipeline: one shared analysis, at most one compiled factor
-    kernel, the family-resolved vector chain. *)
+(** A compiled pipeline: at most one compiled factor family, the
+    family-resolved vector chain. *)
 
 val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> dag -> Csc.t -> t
 (** Compile the DAG for one pattern: lower(A) for the symmetric families
     and factorless chains, square A for LU/ILU(0). Runs the symbolic
     analysis {e once} for the whole DAG. [?opts] is the shared
     {!Options.t}; factorless chains support [`Natural] ordering only. A
-    Cholesky stage takes the facade's own variant decision on the shared
-    fill analysis. Passing
+    Cholesky stage takes the facade's own variant decision. Passing
     [?cache] (or [opts.cache = true], which uses the module's default
     cache) routes the compile through a {!Plan_cache} keyed on the pattern
-    structure, the stage sequence and the options.
+    structure, the stage sequence and the options. A hit on the matrix
+    that compiled the entry returns that handle; a hit on another matrix
+    of the pattern returns a copy bound to the caller's values, which
+    plans of a factorless chain or an SpMV stage read.
 
     Raises [Invalid_argument] on an empty DAG, more than one factor stage,
     [Diag_solve] without [Factor `Ldlt], or a pattern of the wrong shape. *)
@@ -88,12 +90,7 @@ val cache_stats : unit -> Plan_cache.stats
 val cache_clear : unit -> unit
 
 val symbolic_seconds : t -> float
-(** Wall-clock of the one shared symbolic phase (ordering included). *)
-
-val analysis_runs : t -> (string * int) list
-(** The shared analysis's computation ledger ([("etree", _); ("fill", _);
-    ("levels", _); ("full", _)]) — each count stays [<= 1] no matter how
-    many stages consumed the artifact. *)
+(** Wall-clock of the one symbolic phase (ordering included). *)
 
 val dag_of : t -> stage_spec list
 val input_pattern : t -> Csc.t
@@ -111,14 +108,8 @@ val decisions : t -> Trace.decision list
     [n/2] levels. *)
 
 val describe : t -> string
-(** Human-readable report: stages, family, sizes, ordering, fusion and
-    analysis-sharing counters, decisions. *)
-
-val c_code : t -> string
-(** Fused C for the vector chain: one kernel ([pipeline_apply]), stage
-    bodies back to back, both triangular sweeps driven by the shared level
-    schedule. Raises [Invalid_argument] for LU/ILU(0) chains (no CSC L) and
-    for DAGs with no vector stages. *)
+(** Human-readable report: stages, family, sizes, ordering, the fusion
+    counter, decisions. *)
 
 (** {1 Plans} *)
 

@@ -125,6 +125,7 @@ module Trisolve = struct
 
   type t = {
     l : Csc.t;
+    natural_l : Csc.t;
     b_pattern : int array;
     compiled : Trisolve_sympiler.compiled;
     symbolic_seconds : float;
@@ -149,6 +150,7 @@ module Trisolve = struct
   let compile_internal ?vs_block_threshold ~(ordering : ordering) (l : Csc.t)
       (b : Vector.sparse) : t =
     let t0 = Prof.now_seconds () in
+    let natural_l = l in
     let l, b, ord, ord_b_map =
       match ordering with
       | `Natural -> (l, b, natural_ordering, [||])
@@ -192,6 +194,7 @@ module Trisolve = struct
       (symbolic_seconds +. ord_seconds);
     {
       l;
+      natural_l;
       b_pattern = b.Vector.indices;
       compiled;
       symbolic_seconds = symbolic_seconds +. ord_seconds;
@@ -210,7 +213,9 @@ module Trisolve = struct
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
   (* The patterns are checked once, before the lookup: L as a lower
-     triangle, b's indices against its dimension. *)
+     triangle, b's indices against its dimension. The handle binds L's
+     values, so a hit on another matrix of the pattern is rebound to the
+     caller's. *)
   let compile ?cache ?(opts = Options.default) ((l, b) : pattern) : t =
     let who = "Sympiler.Trisolve.compile" in
     Csc.check ~who ~values:false ~lower:true l;
@@ -225,17 +230,28 @@ module Trisolve = struct
           invalid_arg (who ^ ": b index out of range"))
       idx;
     let { Options.vs_block_threshold; ordering; _ } = opts in
-    cached_compile ~span:"compile_cached.trisolve" ~default:default_cache
-      ?cache ~opts ~pattern:l
-      ~extra:
-        (Array.concat
-           [
-             [| b.Vector.n |];
-             b.Vector.indices;
-             Options.fp_threshold vs_block_threshold;
-             Options.fp_ordering ordering;
-           ])
-      (fun () -> compile_internal ?vs_block_threshold ~ordering l b)
+    let t =
+      cached_compile ~span:"compile_cached.trisolve" ~default:default_cache
+        ?cache ~opts ~pattern:l
+        ~extra:
+          (Array.concat
+             [
+               [| b.Vector.n |];
+               b.Vector.indices;
+               Options.fp_threshold vs_block_threshold;
+               Options.fp_ordering ordering;
+             ])
+        (fun () -> compile_internal ?vs_block_threshold ~ordering l b)
+    in
+    if t.natural_l.Csc.values == l.Csc.values then t
+    else
+      let l' = { t.l with Csc.values = compiled_values t.ord l } in
+      {
+        t with
+        l = l';
+        natural_l = l;
+        compiled = { t.compiled with Trisolve_sympiler.l = l' };
+      }
 
   let cache_stats () = Plan_cache.stats default_cache
   let cache_clear () = Plan_cache.clear default_cache
@@ -559,37 +575,7 @@ module Cholesky = struct
 end
 
 module Ldlt = struct
-  module K = Sympiler_kernels.Ldlt
-
-  include Factor.Make (struct
-    let name = "ldlt"
-    let lower = true
-
-    type compiled = K.compiled
-    type kplan = K.plan
-    type output = K.factors
-
-    (* Rank-update state (GGMS C1): borrows the plan's factor views. *)
-    type updown = Rank_update.ldlt_plan
-
-    let compile _ (cp : compiled_pattern) =
-      K.compile ~upper:(Lazy.force cp.upper) cp.pattern
-
-    let key _ = [||]
-    let make_plan ?ndomains:_ = K.make_plan
-    let factor_ip = K.factor_ip
-    let view (p : kplan) = p.K.f
-    let factor = K.factor
-    let flops _ = Float.nan
-    let nnz_l (c : compiled) = Sympiler_symbolic.Fill_pattern.nnz_l c.K.fill
-    let decisions _ = []
-
-    let native c _ omap = Codegen_static.ldlt c omap
-    let outputs (p : kplan) = [| p.K.lx; p.K.f.K.d |]
-    let pivot rc = K.Zero_pivot rc
-    let updown (p : kplan) _ = Rank_update.make_ldlt_plan p.K.f.K.l p.K.f.K.d
-    let refactored _ _ = ()
-  end)
+  include Factor.Make (Families.Ldlt)
 
   (* In-place rank-1 update of the plan's factors (GGMS C1): L D L^T
      becomes A + sigma w w^T. [w] is natural-order; ordered plans gather
@@ -614,89 +600,9 @@ module Ldlt = struct
     updown_body p ~neg:true ~sigma w
 end
 
-module Lu = Factor.Make (struct
-  module K = Sympiler_kernels.Lu
-
-  let name = "lu"
-  let lower = false
-
-  type compiled = K.Sympiler.compiled
-  type kplan = K.Sympiler.plan
-  type output = K.factors
-
-  include Factor.No_updown
-
-  let compile _ (cp : compiled_pattern) = K.Sympiler.compile cp.pattern
-  let key _ = [||]
-  let make_plan ?ndomains:_ = K.Sympiler.make_plan
-  let factor_ip = K.Sympiler.factor_ip
-  let view (p : kplan) = p.K.Sympiler.f
-  let factor = K.Sympiler.factor
-  let flops (c : compiled) = c.K.Sympiler.flops
-
-  let nnz_l (c : compiled) =
-    c.K.Sympiler.l_colptr.(c.K.Sympiler.n) + c.K.Sympiler.u_colptr.(c.K.Sympiler.n)
-
-  let decisions _ = []
-
-  let native = Codegen_static.lu
-  let outputs (p : kplan) = [| p.K.Sympiler.lx; p.K.Sympiler.ux |]
-  let pivot rc = K.Zero_pivot rc
-end)
-
-module Ic0 = Factor.Make (struct
-  module K = Sympiler_kernels.Ic0
-
-  let name = "ic0"
-  let lower = true
-
-  type compiled = K.compiled
-  type kplan = K.plan
-  type output = Csc.t
-
-  include Factor.No_updown
-
-  let compile _ (cp : compiled_pattern) = K.compile cp.pattern
-  let key _ = [||]
-  let make_plan ?ndomains:_ = K.make_plan
-  let factor_ip = K.factor_ip
-  let view (p : kplan) = p.K.l
-  let factor = K.factor
-  let flops (c : compiled) = float_of_int c.K.flops
-  let nnz_l (c : compiled) = c.K.colptr.(c.K.n)
-  let decisions _ = []
-
-  let native c _ omap = Codegen_static.ic0 c omap
-  let outputs (p : kplan) = [| p.K.lx |]
-  let pivot rc = K.Not_positive_definite rc
-end)
-
-module Ilu0 = Factor.Make (struct
-  module K = Sympiler_kernels.Ilu0
-
-  let name = "ilu0"
-  let lower = false
-
-  type compiled = K.compiled
-  type kplan = K.plan
-  type output = K.factors
-
-  include Factor.No_updown
-
-  let compile _ (cp : compiled_pattern) = K.compile cp.pattern
-  let key _ = [||]
-  let make_plan ?ndomains:_ = K.make_plan
-  let factor_ip = K.factor_ip
-  let view (p : kplan) = p.K.f
-  let factor = K.factor
-  let flops (c : compiled) = float_of_int c.K.flops
-  let nnz_l (c : compiled) = c.K.rowptr.(c.K.n)
-  let decisions _ = []
-
-  let native c _ omap = Codegen_static.ilu0 c omap
-  let outputs (p : kplan) = [| p.K.f.K.values |]
-  let pivot rc = K.Zero_pivot rc
-end)
+module Lu = Factor.Make (Families.Lu)
+module Ic0 = Factor.Make (Families.Ic0)
+module Ilu0 = Factor.Make (Families.Ilu0)
 
 (* Symbolic "explain" reports: what the inspectors measured and what the
    transformations decided, for one compiled handle. Everything here is

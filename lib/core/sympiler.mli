@@ -161,6 +161,7 @@ module Trisolve : sig
 
   type t = {
     l : Csc.t;  (** the compiled (ordered handles: permuted) L pattern *)
+    natural_l : Csc.t;  (** the caller's L, whose values the handle binds *)
     b_pattern : int array;  (** compiled RHS pattern (permuted likewise) *)
     compiled : Trisolve_sympiler.compiled;
     symbolic_seconds : float;  (** one-time inspection + planning cost *)
@@ -187,8 +188,10 @@ module Trisolve : sig
       or when [l] is not lower triangular. [?cache] (or [opts.cache],
       which uses the module-wide default cache) routes the compile through
       a pattern-keyed {!Plan_cache}: a hit (same structure of [l], same
-      RHS pattern, same [vs_block_threshold] and [ordering]) returns the
-      earlier handle physically equal, with no symbolic work. *)
+      RHS pattern, same [vs_block_threshold] and [ordering]) does no
+      symbolic work. It returns the earlier handle, physically equal, on
+      the matrix that compiled it, and a copy bound to [l]'s values on
+      another matrix of the pattern. *)
 
   val cache_stats : unit -> Plan_cache.stats
   (** Hit/miss/length counters of the default cache. *)

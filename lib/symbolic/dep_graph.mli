@@ -35,6 +35,5 @@ val level_order : window:int -> Csc.t -> int array * int array
     the run (edges from earlier runs are already satisfied), ascending
     index within a level, and level [l] (counted over all runs) occupies
     [order.(level_ptr.(l)) .. order.(level_ptr.(l+1) - 1)]. With
-    [window >= n] this is the global level schedule
-    ({!Shared_analysis.levels}). Raises [Invalid_argument] when
-    [window < 1]. *)
+    [window >= n] this is the global level schedule. Raises
+    [Invalid_argument] when [window < 1]. *)

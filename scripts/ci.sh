@@ -220,6 +220,25 @@ EOF
   done
 done
 
+echo "== pipeline CLI, one run per family =="
+# `pipeline` exits 1 unless the fused apply equals the staged baseline bit
+# for bit: run it once per factor family on cbuckle, and once on an
+# AMD-ordered Cholesky chain with an SpMV stage.
+for fam in cholesky ldlt lu ic0 ilu0; do
+  dune exec bin/sympiler_cli.exe -- pipeline --problem cbuckle \
+    --family "$fam" > /dev/null || {
+    echo "FAIL: pipeline --problem cbuckle --family $fam" >&2
+    exit 1
+  }
+  echo "pipeline cbuckle $fam: ok"
+done
+dune exec bin/sympiler_cli.exe -- pipeline --problem Dubcova2 \
+  --family cholesky --ordering amd --stages spmv,factor,solve > /dev/null || {
+  echo "FAIL: pipeline --problem Dubcova2 --ordering amd --stages spmv,factor,solve" >&2
+  exit 1
+}
+echo "pipeline Dubcova2 amd spmv,factor,solve: ok"
+
 echo "== --profile smoke =="
 # --profile turns the metrics switch on and prints the registry's table
 # to stderr: the flop counter must be non-zero and the plan's

@@ -2,12 +2,13 @@ open Sympiler_sparse
 open Sympiler_kernels
 module Pl = Sympiler.Pipeline
 
-(* Pipelines: whole solver DAGs compiled through one shared symbolic
-   analysis into one fused plan. The fused executor must be
-   bitwise-identical to the staged baseline (fusion removes copies and
-   dispatch, never reorders arithmetic), allocate nothing in steady state,
-   share each analysis artifact across stages (ledger <= 1), and survive
-   the degenerate DAGs (single stage, factor-only, 0x0, repeated stages). *)
+(* Pipelines: whole solver DAGs compiled through one symbolic analysis
+   into one fused plan. The factor stage must be the facade family's, bit
+   for bit; the fused executor must be bitwise-identical to the staged
+   baseline (fusion removes copies and dispatch, never reorders
+   arithmetic), allocate nothing in steady state, run one fill analysis
+   for every stage, and survive the degenerate DAGs (single stage,
+   factor-only, 0x0, repeated stages). *)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -56,15 +57,77 @@ let test_cholesky_zoo () =
       residual_ok ("cholesky pipeline solves " ^ name) a x b)
     (Helpers.spd_zoo ())
 
+(* Every family, natural and AMD-ordered: a factor+solve pipeline equals
+   the facade plan's factor followed by the family's Stages sweeps on the
+   compiled-order vector, bit for bit (Cholesky: the facade's own solve). *)
 let test_matches_facade () =
+  let module S = Sympiler in
   let a = spd () in
   let al = Csc.lower a in
-  let b = rhs a.Csc.ncols in
-  let t = Pl.compile (Pl.factor_solve `Cholesky) al in
-  let x = Pl.execute_ip (Pl.plan t) ~a:al b in
-  let h = Sympiler.Cholesky.compile al in
-  let x' = Sympiler.Cholesky.solve h al b in
-  Helpers.check_close ~eps:1e-8 "pipeline == facade solve" x' x
+  let n = a.Csc.ncols in
+  let b = rhs n in
+  let swept (ord : S.applied_ordering) sweeps =
+    match ord.S.o_perm with
+    | None ->
+        let x = Array.copy b in
+        sweeps x;
+        x
+    | Some p ->
+        let x = Array.init n (fun k -> b.(p.(k))) in
+        sweeps x;
+        let out = Array.make n 0.0 in
+        Array.iteri (fun k v -> out.(p.(k)) <- v) x;
+        out
+  in
+  let facade opts = function
+    | `Cholesky -> S.Cholesky.solve (S.Cholesky.compile ~opts al) al b
+    | `Ldlt ->
+        let h = S.Ldlt.compile ~opts al in
+        let f = S.Ldlt.execute_ip (S.Ldlt.plan h) al in
+        swept h.S.Ldlt.ord (fun x ->
+            Stages.lower_ip f.Ldlt.l x;
+            Stages.diag_ip f.Ldlt.d x;
+            Stages.ltrans_ip f.Ldlt.l x)
+    | `Lu ->
+        let h = S.Lu.compile ~opts a in
+        let f = S.Lu.execute_ip (S.Lu.plan h) a in
+        swept h.S.Lu.ord (fun x ->
+            Stages.lower_ip f.Lu.l x;
+            Stages.upper_ip f.Lu.u x)
+    | `Ic0 ->
+        let h = S.Ic0.compile ~opts al in
+        let l = S.Ic0.execute_ip (S.Ic0.plan h) al in
+        swept h.S.Ic0.ord (fun x ->
+            Stages.lower_ip l x;
+            Stages.ltrans_ip l x)
+    | `Ilu0 ->
+        let h = S.Ilu0.compile ~opts a in
+        let f = S.Ilu0.execute_ip (S.Ilu0.plan h) a in
+        let { Ilu0.rowptr; colind; diag; _ } = f.Ilu0.c in
+        swept h.S.Ilu0.ord (fun x ->
+            Stages.csr_lower_unit_ip ~rowptr ~colind ~diag f.Ilu0.values x;
+            Stages.csr_upper_ip ~rowptr ~colind ~diag f.Ilu0.values x)
+  in
+  List.iter
+    (fun ordering ->
+      let opts = S.Options.make ~ordering () in
+      List.iter
+        (fun (name, family) ->
+          let m = match family with `Lu | `Ilu0 -> a | _ -> al in
+          let t = Pl.compile ~opts (Pl.factor_solve family) m in
+          Helpers.bitwise
+            (Printf.sprintf "%s, %s: pipeline == facade" name
+               (S.Options.ordering_name ordering))
+            (facade opts family)
+            (Pl.execute_ip (Pl.plan t) ~a:m b))
+        [
+          ("cholesky", `Cholesky);
+          ("ldlt", `Ldlt);
+          ("lu", `Lu);
+          ("ic0", `Ic0);
+          ("ilu0", `Ilu0);
+        ])
+    [ `Natural; `Amd ]
 
 (* The factor+solve DAGs the fusion laws also run on: Cholesky on suite
    problems 1, 2 and 5 (column sweeps) and IC(0) on natural 5-point grids
@@ -167,8 +230,7 @@ let test_factor_only () =
   let p = Pl.plan t in
   let b = rhs al.Csc.ncols in
   Helpers.bitwise "factor-only DAG passes b through"
-    b (Pl.execute_ip p ~a:al b);
-  raises_invalid "factor-only DAG has no fused C" (fun () -> Pl.c_code t)
+    b (Pl.execute_ip p ~a:al b)
 
 let empty_csc () =
   Csc.create ~nrows:0 ~ncols:0 ~colptr:[| 0 |] ~rowind:[||] ~values:[||]
@@ -208,9 +270,7 @@ let test_validation () =
         (Pl.stage (Pl.Factor `Cholesky))
         (Pl.stage (Pl.Factor `Cholesky)));
   let p = Pl.plan (Pl.compile (Pl.factor_solve `Cholesky) al) in
-  raises_invalid "wrong b length" (fun () -> Pl.execute_ip p (rhs 3));
-  raises_invalid "LU chains have no fused C" (fun () ->
-      Pl.c_code (Pl.compile (Pl.factor_solve `Lu) a))
+  raises_invalid "wrong b length" (fun () -> Pl.execute_ip p (rhs 3))
 
 (* A call rejected for its [b] must leave the plan as it was: the next
    apply-only call equals a fresh plan's, bit for bit. [~a] carries new
@@ -276,26 +336,33 @@ let test_zero_alloc () =
   Pl.factor_ip p al;
   row "cholesky staged apply" (fun () -> ignore (Pl.staged_execute_ip p b))
 
-(* ---- shared analysis and metadata ---- *)
+(* ---- one analysis and metadata ---- *)
+
+(* The fill analyses ("symbolic.fill" spans) that compiling, planning and
+   running [f] records. *)
+let fill_runs f =
+  let module Trace = Sympiler.Trace in
+  Trace.reset ();
+  Trace.enable ();
+  let r = f () in
+  Trace.disable ();
+  let runs =
+    List.length
+      (List.filter (fun s -> s.Trace.name = "symbolic.fill") (Trace.spans ()))
+  in
+  Trace.reset ();
+  (r, runs)
 
 let test_analysis_shared () =
   let al = spd_lower () in
   let dag = Pl.of_stages [ Pl.Spmv; Pl.Factor `Cholesky; Pl.Solve; Pl.Spmv ] in
-  let t = Pl.compile dag al in
-  (* The plan forces the remaining artifacts (the SpMV operand needs the
-     symmetrized full pattern); run it so the ledger is complete. *)
-  let p = Pl.plan t in
-  ignore (Pl.execute_ip p ~a:al (rhs al.Csc.ncols));
-  List.iter
-    (fun (k, v) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "analysis artifact %s ran <= once (%d)" k v)
-        true (v <= 1))
-    (Pl.analysis_runs t);
-  Alcotest.(check bool) "fill ran once" true
-    (List.assoc "fill" (Pl.analysis_runs t) = 1);
-  Alcotest.(check bool) "full ran once (SpMV operand)" true
-    (List.assoc "full" (Pl.analysis_runs t) = 1);
+  let t, fills =
+    fill_runs (fun () ->
+        let t = Pl.compile dag al in
+        ignore (Pl.execute_ip (Pl.plan t) ~a:al (rhs al.Csc.ncols));
+        t)
+  in
+  Alcotest.(check int) "one fill analysis serves every stage" 1 fills;
   Alcotest.(check bool) "symbolic time recorded" true
     (Pl.symbolic_seconds t >= 0.0);
   Alcotest.(check bool) "dag round-trips" true (Pl.dag_of t = Pl.to_stages dag);
@@ -314,15 +381,15 @@ let test_analysis_shared () =
     && contains_sub d "pipeline");
   List.iter
     (fun (name, family, al) ->
-      let t = Pl.compile (Pl.factor_solve family) al in
-      let p = Pl.plan t in
-      ignore (Pl.execute_ip p ~a:al (rhs al.Csc.ncols));
-      List.iter
-        (fun (k, v) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: analysis artifact %s ran <= once (%d)" name k v)
-            true (v <= 1))
-        (Pl.analysis_runs t))
+      let _, fills =
+        fill_runs (fun () ->
+            let p = Pl.plan (Pl.compile (Pl.factor_solve family) al) in
+            ignore (Pl.execute_ip p ~a:al (rhs al.Csc.ncols)))
+      in
+      Alcotest.(check int)
+        (name ^ ": fill analyses (IC(0) keeps A's pattern)")
+        (if family = `Ic0 then 0 else 1)
+        fills)
     (factor_solve_cases ())
 
 (* ---- ordering ---- *)
@@ -367,25 +434,6 @@ let test_cache () =
   Alcotest.(check bool) "default cache populated" true
     ((Pl.cache_stats ()).Sympiler.Plan_cache.length >= 1);
   Pl.cache_clear ()
-
-(* ---- fused C emission ---- *)
-
-let test_c_code () =
-  let al = spd_lower () in
-  let dag = Pl.of_stages [ Pl.Factor `Cholesky; Pl.Solve; Pl.Spmv ] in
-  let c = Pl.c_code (Pl.compile dag al) in
-  Alcotest.(check bool) "one fused kernel" true
-    (contains_sub c "pipeline_apply");
-  Helpers.require_cmd "cc";
-  Helpers.with_temp_dir (fun dir ->
-      let path = Filename.concat dir "pipeline.c" in
-      let oc = open_out path in
-      output_string oc c;
-      close_out oc;
-      Alcotest.(check int) "fused C parses" 0
-        (Sys.command
-           (Printf.sprintf "cc -fsyntax-only -Wall -Werror %s"
-              (Filename.quote path))))
 
 (* ---- latency plumbing ---- *)
 
@@ -453,7 +501,7 @@ let suite =
   [
     Alcotest.test_case "cholesky factor+solve across the zoo" `Quick
       test_cholesky_zoo;
-    Alcotest.test_case "pipeline matches the facade solve" `Quick
+    Alcotest.test_case "factor stage == facade, bit for bit" `Quick
       test_matches_facade;
     Alcotest.test_case "fused == staged across families" `Quick
       test_fused_staged_bitwise;
@@ -469,7 +517,6 @@ let suite =
     Alcotest.test_case "one shared analysis" `Quick test_analysis_shared;
     Alcotest.test_case "AMD-ordered pipeline" `Quick test_ordering_amd;
     Alcotest.test_case "compilation cache" `Quick test_cache;
-    Alcotest.test_case "fused C emission" `Quick test_c_code;
     Alcotest.test_case "latency histograms" `Quick test_latency_histograms;
     qcheck_factor_position;
     qcheck_fused_is_staged;

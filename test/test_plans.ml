@@ -327,6 +327,53 @@ let test_trisolve_cache_keyed_on_rhs () =
   Alcotest.(check bool) "same L + different RHS pattern misses" true
     (h2 != h1)
 
+(* A hit on another matrix of the pattern computes with the caller's
+   values: a trisolve, a factorless chain and an SpMV stage read them from
+   the handle. Each result equals its uncached twin, bit for bit; the
+   ordered rows gather the values through the ordering. *)
+let test_cache_hit_caller_values () =
+  let module Pl = Sympiler.Pipeline in
+  let l1 = Generators.random_lower ~seed:51 ~n:60 ~density:0.15 () in
+  let al1 = spd_lower () in
+  let other (m : Csc.t) = Csc.map_values m (fun v -> (2.0 *. v) +. 0.5) in
+  let b = Generators.sparse_rhs ~seed:52 ~n:60 ~fill:0.1 () in
+  let x n = Array.init n (fun i -> cos (float_of_int i)) in
+  let cached (o : Sympiler.Options.t) = { o with Sympiler.Options.cache = true } in
+  let given = Sympiler.Options.make ~ordering:(`Given (Array.init 60 Fun.id)) () in
+  let amd = Sympiler.Options.make ~ordering:`Amd () in
+  let tri opts l =
+    Sympiler.Trisolve.solve (Sympiler.Trisolve.compile ~opts (l, b)) b
+  in
+  let pl opts stages (m : Csc.t) =
+    Array.copy
+      (Pl.execute_ip
+         (Pl.plan (Pl.compile ~opts (Pl.of_stages stages) m))
+         (x m.Csc.ncols))
+  in
+  Sympiler.Trisolve.cache_clear ();
+  Pl.cache_clear ();
+  let natural = Sympiler.Options.default in
+  List.iter
+    (fun (name, run, m1, opts) ->
+      ignore (run (cached opts) m1 : float array);
+      let m2 = other m1 in
+      Helpers.bitwise
+        (Printf.sprintf "%s, %s: hit == uncached" name
+           (Sympiler.Options.ordering_name opts.Sympiler.Options.ordering))
+        (run opts m2) (run (cached opts) m2))
+    [
+      ("trisolve", tri, l1, natural);
+      ("trisolve", tri, l1, given);
+      ("lower_solve pipeline", (fun o -> pl o [ Pl.Lower_solve ]), l1, natural);
+      ("spmv pipeline", (fun o -> pl o [ Pl.Spmv ]), l1, natural);
+      ( "spmv+cholesky pipeline",
+        (fun o -> pl o [ Pl.Spmv; Pl.Factor `Cholesky ]),
+        al1,
+        amd );
+    ];
+  Sympiler.Trisolve.cache_clear ();
+  Pl.cache_clear ()
+
 (* ---- degenerate inputs through plans ---- *)
 
 let empty_csc () =
@@ -389,6 +436,8 @@ let suite =
       test_cache_lru_eviction;
     Alcotest.test_case "trisolve cache keyed on RHS pattern" `Quick
       test_trisolve_cache_keyed_on_rhs;
+    Alcotest.test_case "cache hit computes with the caller's values" `Quick
+      test_cache_hit_caller_values;
     Alcotest.test_case "degenerate inputs through plans" `Quick
       test_empty_inputs_through_plans;
   ]

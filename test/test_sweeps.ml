@@ -2,7 +2,6 @@ open Sympiler_sparse
 open Sympiler_kernels
 module Pl = Sympiler.Pipeline
 module Dep_graph = Sympiler_symbolic.Dep_graph
-module Shared_analysis = Sympiler_symbolic.Shared_analysis
 
 (* Level-ordered triangular sweeps. The scheduled executors must equal the
    column sweeps bit for bit under any topological order (NaN, infinities
@@ -170,12 +169,9 @@ let test_level_order_oracle () =
       ("random", Generators.random_lower ~seed:3 ~n:70 ~density:0.1 ());
       ("empty", diagonal 0);
     ];
-  (* the library's level schedule is the one-window order *)
-  let l = grid_lower 10 in
-  let sa = Shared_analysis.levels (Shared_analysis.create l) in
-  Alcotest.(check bool) "Shared_analysis.levels = level_order ~window:n" true
-    (sa = Dep_graph.level_order ~window:100 l);
-  Alcotest.(check int) "grid 10x10: 19 levels" 20 (Array.length (fst sa))
+  (* the one-window order is the global level schedule *)
+  let level_ptr, _ = Dep_graph.level_order ~window:100 (grid_lower 10) in
+  Alcotest.(check int) "grid 10x10: 19 levels" 20 (Array.length level_ptr)
 
 (* ---- the pipeline rule: which chains it selects ---- *)
 
@@ -254,13 +250,7 @@ let test_selected_fused_is_staged () =
         (Pl.staged_execute_ip p ~a:m b);
       let xf' = Array.copy (Pl.execute_ip p b) in
       Helpers.bitwise (name ^ ": apply-only fused == staged") xf'
-        (Pl.staged_execute_ip p b);
-      List.iter
-        (fun (k, v) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s ran <= once (%d)" name k v)
-            true (v <= 1))
-        (Pl.analysis_runs t))
+        (Pl.staged_execute_ip p b))
     [
       ("IC(0)", [ Pl.Factor `Ic0; Pl.Solve ], al);
       ("Spmv then IC(0)", [ Pl.Spmv; Pl.Factor `Ic0; Pl.Solve ], al);
