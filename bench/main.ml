@@ -168,10 +168,10 @@ let fig6 () =
             f ())
       in
       let t_eigen = bench (fun () -> Trisolve_ref.library_ip l x) in
-      let c = d.tri_compiled in
-      let t_vs = bench (fun () -> Trisolve_sympiler.solve_vs_block_ip c x) in
-      let t_vsvi = bench (fun () -> Trisolve_sympiler.solve_vs_vi_ip c x) in
-      let t_full = bench (fun () -> Trisolve_sympiler.solve_full_ip c x) in
+      let p = Trisolve_sympiler.make_plan d.tri_compiled in
+      let t_vs = bench (fun () -> Trisolve_sympiler.solve_vs_block_ip p x) in
+      let t_vsvi = bench (fun () -> Trisolve_sympiler.solve_vs_vi_ip p x) in
+      let t_full = bench (fun () -> Trisolve_sympiler.solve_full_ip p x) in
       let gf t = d.tri_flops /. t /. 1e9 in
       let sp = t_eigen /. t_full in
       speedups := sp :: !speedups;
@@ -279,10 +279,11 @@ let fig8 () =
       let c = Trisolve_sympiler.compile l b in
       let t_compile = Prof.now_seconds () -. t0 in
       let t_codegen = Float.max 0.0 (t_compile -. t_symbolic) in
+      let p = Trisolve_sympiler.make_plan c in
       let t_numeric =
         measure (fun () ->
             load ();
-            Trisolve_sympiler.solve_full_ip c x)
+            Trisolve_sympiler.solve_full_ip p x)
       in
       let r_num = t_numeric /. t_eigen in
       let r_sym = t_symbolic /. t_eigen in
@@ -376,11 +377,11 @@ let intro () =
             load ();
             Trisolve_ref.library_ip l x)
       in
-      let c = d.tri_compiled in
+      let p = Trisolve_sympiler.make_plan d.tri_compiled in
       let t_full =
         measure (fun () ->
             load ();
-            Trisolve_sympiler.solve_full_ip c x)
+            Trisolve_sympiler.solve_full_ip p x)
       in
       vs_naive := (t_naive /. t_full) :: !vs_naive;
       vs_lib := (t_lib /. t_full) :: !vs_lib;
@@ -448,16 +449,16 @@ let ablation_lowlevel () =
         Array.iteri (fun i _ -> x.(i) <- 0.0) x;
         Array.iteri (fun k i -> x.(i) <- b.Vector.values.(k)) b.Vector.indices
       in
-      let c = d.tri_compiled in
+      let p = Trisolve_sympiler.make_plan d.tri_compiled in
       let t_gen =
         measure (fun () ->
             load ();
-            Trisolve_sympiler.solve_vs_vi_ip c x)
+            Trisolve_sympiler.solve_vs_vi_ip p x)
       in
       let t_spec =
         measure (fun () ->
             load ();
-            Trisolve_sympiler.solve_full_ip c x)
+            Trisolve_sympiler.solve_full_ip p x)
       in
       let al = d.p.Sympiler.Suite.a_lower in
       let cg = Cholesky_supernodal.Sympiler.compile ~specialized:false al in

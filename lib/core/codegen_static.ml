@@ -96,13 +96,14 @@ let ldlt (c : Ldlt.compiled) (omap : int array option) : Pretty_c.shaped =
     iwork = [ n ];
     fwork = [ n ];
     entry =
-      Pretty_c.entry
-        ~signature:
-          "int ldlt_factor(const double *restrict ax, double *restrict lx,\n\
-          \                double *restrict d)"
-        ~statics:[ ("int", "nzcount", n); ("double", "y", n) ]
-        ~ret:true ~kname:"ldlt_kernel" ~n ~data
-        [ "nzcount"; "ax"; "lx"; "d"; "y" ];
+      Some
+        (Pretty_c.entry
+          ~signature:
+            "int ldlt_factor(const double *restrict ax, double *restrict lx,\n\
+            \                double *restrict d)"
+          ~statics:[ ("int", "nzcount", n); ("double", "y", n) ]
+          ~ret:true ~kname:"ldlt_kernel" ~n ~data
+          [ "nzcount"; "ax"; "lx"; "d"; "y" ]);
   }
 
 let lu_text ~ordered =
@@ -168,13 +169,14 @@ let lu (c : Lu.Sympiler.compiled) (a : Csc.t) (omap : int array option) :
     iwork = [];
     fwork = [ n ];
     entry =
-      Pretty_c.entry
-        ~signature:
-          "int lu_factor(const double *restrict ax, double *restrict lx,\n\
-          \              double *restrict ux)"
-        ~statics:[ ("double", "x", n) ]
-        ~ret:true ~kname:"lu_kernel" ~n ~data
-        [ "ax"; "lx"; "ux"; "x" ];
+      Some
+        (Pretty_c.entry
+          ~signature:
+            "int lu_factor(const double *restrict ax, double *restrict lx,\n\
+            \              double *restrict ux)"
+          ~statics:[ ("double", "x", n) ]
+          ~ret:true ~kname:"lu_kernel" ~n ~data
+          [ "ax"; "lx"; "ux"; "x" ]);
   }
 
 let ic0_text ~ordered =
@@ -234,12 +236,13 @@ let ic0 (c : Ic0.compiled) (omap : int array option) : Pretty_c.shaped =
     iwork = [ n ];
     fwork = [];
     entry =
-      Pretty_c.entry
-        ~signature:
-          "int ic0_factor(const double *restrict ax, double *restrict \
-           lx)"
-        ~statics:[ ("int", "pos", n) ]
-        ~ret:true ~kname:"ic0_kernel" ~n ~data [ "pos"; "ax"; "lx" ];
+      Some
+        (Pretty_c.entry
+          ~signature:
+            "int ic0_factor(const double *restrict ax, double *restrict \
+             lx)"
+          ~statics:[ ("int", "pos", n) ]
+          ~ret:true ~kname:"ic0_kernel" ~n ~data [ "pos"; "ax"; "lx" ]);
   }
 
 let ilu0_text =
@@ -291,10 +294,11 @@ let ilu0 (c : Ilu0.compiled) (omap : int array option) : Pretty_c.shaped =
     iwork = [ n ];
     fwork = [];
     entry =
-      Pretty_c.entry
-        ~signature:
-          "int ilu0_factor(const double *restrict ax, double *restrict \
-           v)"
-        ~statics:[ ("int", "pos", n) ]
-        ~ret:true ~kname:"ilu0_kernel" ~n ~data [ "pos"; "ax"; "v" ];
+      Some
+        (Pretty_c.entry
+          ~signature:
+            "int ilu0_factor(const double *restrict ax, double *restrict \
+             v)"
+          ~statics:[ ("int", "pos", n) ]
+          ~ret:true ~kname:"ilu0_kernel" ~n ~data [ "pos"; "ax"; "v" ]);
   }

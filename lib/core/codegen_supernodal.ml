@@ -162,13 +162,14 @@ let shaped (c : Cholesky_supernodal.Sympiler.compiled) (a_lower : Csc.t)
     iwork = [ n ];
     fwork = [ wlen ];
     entry =
-      Pretty_c.entry
-        ~signature:
-          "void cholesky_supernodal(const double *restrict Ax, double \
-           *restrict Lx)"
-        ~statics:[ ("int", "relpos", n); ("double", "W", wlen) ]
-        ~ret:false ~kname:"cholesky_supernodal_kernel" ~n:nsuper ~data
-        [ "relpos"; "Ax"; "Lx"; "W" ];
+      Some
+        (Pretty_c.entry
+          ~signature:
+            "void cholesky_supernodal(const double *restrict Ax, double \
+             *restrict Lx)"
+          ~statics:[ ("int", "relpos", n); ("double", "W", wlen) ]
+          ~ret:false ~kname:"cholesky_supernodal_kernel" ~n:nsuper ~data
+          [ "relpos"; "Ax"; "Lx"; "W" ]);
   }
 
 let to_c c a_lower = Pretty_c.artifact (shaped c a_lower None)

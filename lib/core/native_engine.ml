@@ -1,6 +1,6 @@
 (* Facade-side glue for the native engine: the uniform entry appended to a
-   factor kernel's shape text, the int32 copies of a handle's pattern
-   arrays, and the [exec] record a plan embeds. *)
+   kernel's text, the int32 copies of a handle's pattern arrays, and the
+   [exec] record a plan embeds. *)
 
 module Native = Sympiler_native.Native
 module Pretty_c = Sympiler_ir.Pretty_c
@@ -29,8 +29,8 @@ let ints (a : int array) : Native.ints =
   b
 
 (* The entry [Native.run] calls: unpack the argument arrays into the
-   kernel's parameters. The kernel text plus this entry depend on the
-   shape alone, so every pattern of a shape shares one object. *)
+   kernel's parameters. A factor kernel's text plus this entry depend on
+   the shape alone, so every pattern of a shape shares one object. *)
 let entry_name = "sympiler_kernel"
 
 let wrapper ~kname ~nix ~nf =
@@ -70,58 +70,3 @@ let load (s : Pretty_c.shaped) ~(inputs : int) ~(outputs : float array array)
     | Some nk -> Some { nk; n = s.n; x = Array.make inputs 0.0; f; ix }
 
 let call e = Native.run e.nk e.n e.x e.f e.ix
-
-(* ---------------- the four-buffer trampoline (trisolve) ---------------- *)
-
-type buf = Native.buf
-type buffers = { bk : Native.kernel; bufs : buf array }
-
-(* [sympiler_entry] forwarding the first [nargs] buffers to a void
-   kernel. *)
-let buffers_wrapper ~kname ~nargs =
-  let b i = Printf.sprintf "b%d" i in
-  let unused =
-    List.init (4 - nargs) (fun i ->
-        Printf.sprintf "  (void)%s;\n" (b (nargs + i)))
-  in
-  Printf.sprintf
-    "\n\
-     int sympiler_entry(double *b0, double *b1, double *b2, double *b3) {\n\
-     %s  %s(%s);\n\
-     return -1;\n\
-     }\n"
-    (String.concat "" unused) kname
-    (String.concat ", " (List.init nargs b))
-
-let load_buffers ~kname (bufs : buf array) source =
-  let nargs = Array.length bufs in
-  if nargs > 4 then
-    invalid_arg "Native_engine.load_buffers: more than four buffers";
-  let pad i = if i < nargs then bufs.(i) else Native.dummy in
-  Option.map
-    (fun bk -> { bk; bufs = Array.init 4 pad })
-    (Native.load ~entry:"sympiler_entry"
-       (source ^ buffers_wrapper ~kname ~nargs))
-
-let call_buffers e =
-  Native.call e.bk e.bufs.(0) e.bufs.(1) e.bufs.(2) e.bufs.(3)
-
-(* Bounds-checked on purpose: [scatter] writes caller-controlled sparse
-   indices, and an out-of-range index must raise like the OCaml executor
-   would, not scribble past the kernel's buffer. The loop lives here so
-   the floats never cross a module boundary (which would box them). *)
-let scatter (b : buf) (idx : int array) (v : float array) =
-  for t = 0 to Array.length idx - 1 do
-    Bigarray.Array1.set b idx.(t) (Array.unsafe_get v t)
-  done
-
-let fill0_at (b : buf) (idx : int array) =
-  for t = 0 to Array.length idx - 1 do
-    Bigarray.Array1.set b idx.(t) 0.0
-  done
-
-let gather (src : buf) (idx : int array) (dst : float array) =
-  for t = 0 to Array.length idx - 1 do
-    let i = idx.(t) in
-    dst.(i) <- Bigarray.Array1.get src i
-  done

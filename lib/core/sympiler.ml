@@ -295,16 +295,18 @@ module Trisolve = struct
         Array.iteri (fun k v -> out.(p.(k)) <- v) xp;
         out
 
-  (* In-place numeric solve: [x] holds b on entry, the solution on exit. *)
+  (* In-place numeric solve: [x] holds b on entry, the solution on exit.
+     A one-shot solve runs on a fresh plan, so it shares no scratch. *)
   let solve_ip (t : t) (x : float array) : unit =
     if Array.length x <> t.l.Csc.ncols then
       invalid_arg "Sympiler.Trisolve.solve_ip: x length does not match n";
+    let p = Trisolve_sympiler.make_plan t.compiled in
     match t.ord.o_perm with
-    | None -> Trisolve_sympiler.solve_full_ip t.compiled x
-    | Some p ->
-        let px = Perm.apply_vec p x in
-        Trisolve_sympiler.solve_full_ip t.compiled px;
-        let xn = Perm.apply_inv_vec p px in
+    | None -> Trisolve_sympiler.solve_full_ip p x
+    | Some q ->
+        let px = Perm.apply_vec q x in
+        Trisolve_sympiler.solve_full_ip p px;
+        let xn = Perm.apply_inv_vec q px in
         Array.blit xn 0 x 0 (Array.length x)
 
   (* Plans: allocate the numeric workspaces once, then solve repeatedly
@@ -317,42 +319,23 @@ module Trisolve = struct
         (* permuted-b scratch of an ordered plan: fixed (permuted) indices,
            values refreshed by each execute *)
     ord_x : float array option; (* natural-order output buffer *)
-    native : Native_engine.buffers option;
-        (* compiled-C executor: buffers Lx (filled at plan time), x, and
-           tmp when VS-Block added one *)
+    native : Native_engine.exec option;
+        (* the compiled solve: input L's values, output [p]'s x, and its
+           own tmp workspace when VS-Block added one *)
     m_exec : Metrics.histogram; (* per-call solve latency *)
   }
 
-  (* The emitted C binds L's values as a runtime parameter, so the plan
-     loads them into the Lx buffer once — same binding time as the OCaml
-     executor, whose compiled plan captured [t.l]'s values at compile.
-     The code text itself depends on L's pattern (peeling), so it is
-     compiled per pattern. *)
-  let native_exec (t : t) : Native_engine.buffers option =
-    let b =
-      {
-        Vector.n = t.l.Csc.ncols;
-        indices = t.b_pattern;
-        values = Array.map (fun _ -> 1.0) t.b_pattern;
-      }
-    in
-    let r = Sympiler_ir.Pipeline.trisolve t.l b in
-    let nargs = List.length r.Sympiler_ir.Pipeline.kernel.Sympiler_ir.Ast.params in
-    let f64 = Bigarray.float64 and c = Bigarray.c_layout in
-    let zeros n =
-      let z = Bigarray.Array1.create f64 c (max 1 n) in
-      Bigarray.Array1.fill z 0.0;
-      z
-    in
-    let bufs =
-      [|
-        Bigarray.Array1.of_array f64 c t.l.Csc.values;
-        zeros t.l.Csc.ncols;
-        zeros r.Sympiler_ir.Pipeline.tmp_size;
-      |]
-    in
-    Native_engine.load_buffers ~kname:"trisolve" (Array.sub bufs 0 nargs)
-      r.Sympiler_ir.Pipeline.c_code
+  (* What the IR lowers for a handle: its RHS pattern (the values are
+     never read) and its own VS-Block decision, so the C runs the
+     granularity the OCaml executor runs. *)
+  let ir_rhs (t : t) : Vector.sparse =
+    {
+      Vector.n = t.l.Csc.ncols;
+      indices = t.b_pattern;
+      values = Array.map (fun _ -> 1.0) t.b_pattern;
+    }
+
+  let vs_block (t : t) = not t.compiled.Trisolve_sympiler.columnwise
 
   (* [~ndomains] switches the plan to the level-set executor on the
      persistent domain pool; the levelization (one more inspection set) is
@@ -361,6 +344,7 @@ module Trisolve = struct
      across [ndomains]; they may differ in operation order (hence in last
      bits) from the reach-set executor of a plain plan. *)
   let plan ?ndomains ?(engine : engine = `Ocaml) (t : t) : plan =
+    let p = Trisolve_sympiler.make_plan t.compiled in
     let par =
       match ndomains with
       | None -> None
@@ -369,7 +353,17 @@ module Trisolve = struct
             (Trisolve_parallel.make_plan ~ndomains:nd
                (Trisolve_parallel.compile t.l))
     in
-    let native = if engine = `Native then native_exec t else None in
+    (* The kernel's text holds L's pattern, so it compiles per pattern;
+       its input is bound at each call (as the OCaml executor reads
+       [t.l]'s values) and its output is the OCaml plan's own x. *)
+    let native =
+      if engine = `Native then
+        Native_engine.load
+          (Sympiler_ir.Pipeline.trisolve_shaped ~vs_block:(vs_block t) t.l
+             (ir_rhs t))
+          ~inputs:0 ~outputs:[| p.Trisolve_sympiler.x |]
+      else None
+    in
     let ord_b, ord_x =
       match t.ord.o_perm with
       | None -> (None, None)
@@ -384,7 +378,7 @@ module Trisolve = struct
     in
     {
       handle = t;
-      p = Trisolve_sympiler.make_plan t.compiled;
+      p;
       par;
       ord_b;
       ord_x;
@@ -395,26 +389,16 @@ module Trisolve = struct
     }
 
   (* The inner executor dispatch shared by the natural and ordered paths.
-     A native plan zeroes the dense x buffer and scatters b into it — the
-     same per-call work [Trisolve_sympiler.solve_ip] does on its plan
-     array — then blits the solution into the OCaml plan's buffer so the
-     returned view is the same array whichever engine ran. *)
+     A native plan loads b into the OCaml plan's buffer, as
+     [Trisolve_sympiler.solve_ip] does, and the kernel solves in it, so
+     the returned view is the same array whichever engine ran. *)
   let run_inner (p : plan) (b : Vector.sparse) : float array =
     match p.native with
     | Some e ->
-        (* The solution's nonzero set is exactly the reach-set (pruned
-           supernode columns compute exact FP zeros), so resetting and
-           copying out only reach entries is sound — and keeps the native
-           per-call cost O(|reach|), below the OCaml executor's O(n)
-           scatter reset. *)
-        let xb = e.Native_engine.bufs.(1) in
-        let reach = p.handle.reach in
-        Native_engine.fill0_at xb reach;
-        Native_engine.scatter xb b.Vector.indices b.Vector.values;
-        ignore (Native_engine.call_buffers e : int);
-        let x = p.p.Trisolve_sympiler.x in
-        Native_engine.gather xb reach x;
-        x
+        Trisolve_sympiler.load_rhs p.p b;
+        e.Native_engine.x <- p.handle.l.Csc.values;
+        ignore (Native_engine.call e : int);
+        p.p.Trisolve_sympiler.x
     | None -> (
         match p.par with
         | Some pp -> Trisolve_parallel.solve_ip_sparse pp b
@@ -444,16 +428,11 @@ module Trisolve = struct
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
   (* Generated C source implementing the same specialized solve
-     (VS-Block + VI-Prune + low-level transformations). *)
+     (VI-Prune + low-level transformations, and VS-Block where the handle
+     took it): the kernel its native plans run. *)
   let c_code (t : t) : string =
-    let b =
-      {
-        Vector.n = t.l.Csc.ncols;
-        indices = t.b_pattern;
-        values = Array.map (fun _ -> 1.0) t.b_pattern;
-      }
-    in
-    (Sympiler_ir.Pipeline.trisolve t.l b).Sympiler_ir.Pipeline.c_code
+    (Sympiler_ir.Pipeline.trisolve ~vs_block:(vs_block t) t.l (ir_rhs t))
+      .Sympiler_ir.Pipeline.c_code
 end
 
 (* The five factor families: one [Factor.Make] instance each, around the

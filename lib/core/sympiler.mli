@@ -64,10 +64,11 @@ module Native = Sympiler_native.Native
     overrides. *)
 
 module Native_engine = Native_engine
-(** Facade-side glue for the native engine: the uniform entry of the
-    factor kernels (one per kernel shape, the pattern passed as int32
-    arguments and the values without copies), and the four-buffer
-    trampoline of the triangular solve. *)
+(** Facade-side glue for the native engine: the one entry every native
+    plan runs ([sympiler_kernel]), for the factor kernels (one text per
+    kernel shape, the pattern passed as int32 arguments) and the
+    triangular solve (one text per pattern), with the values and the
+    plan's outputs passed without copies. *)
 
 module Factor = Factor
 (** The five factor families as one functor: {!Factor.FAMILY} holds what
@@ -221,9 +222,13 @@ module Trisolve : sig
         (** ordered plans: the permuted-b scratch (fixed indices, values
             refreshed per execute) *)
     ord_x : float array option;  (** ordered plans: natural-order output *)
-    native : Native_engine.buffers option;
+    native : Native_engine.exec option;
         (** populated when [plan ~engine:`Native] loaded the compiled-C
-            executor (buffers Lx, x, and tmp when VS-Block added one) *)
+            executor: the handle's {!c_code} kernel run through the one
+            [sympiler_kernel] entry, whose input is L's values as the
+            handle holds them at each call, whose one output is [p]'s own
+            [x], and whose float workspace is the VS-Block [tmp] when the
+            handle took VS-Block *)
     m_exec : Metrics.histogram;
         (** the plan's [sympiler_execute_seconds] latency series *)
   }
@@ -256,8 +261,9 @@ module Trisolve : sig
       (see {!KERNEL.plan_latency}). *)
 
   val c_code : t -> string
-  (** Specialized C implementing the same solve (VS-Block + VI-Prune +
-      low-level transformations), from the {!Sympiler_ir.Pipeline}. *)
+  (** Specialized C implementing the same solve (VI-Prune + low-level
+      transformations, and VS-Block when the handle's decision took it),
+      from the {!Sympiler_ir.Pipeline}: the kernel a native plan runs. *)
 end
 
 (** Sparse Cholesky factorization [A = L L^T]: a {!Factor.Make} instance.
@@ -479,7 +485,10 @@ module Explain : sig
     native_kernel : string;
         (** the kernel a native plan of the handle runs: "supernodal" or
             "simplicial" (Cholesky: {!Cholesky.native_variant}; a
-            triangular solve follows its own VS-Block decision) *)
+            triangular solve's C is lowered with the handle's own
+            VS-Block decision, so "supernodal" exactly when its
+            [vs-block] decision fired and its {!Trisolve.c_code} loops
+            over a [blockSet]) *)
     level_depth : int;  (** level sets of L's dependence graph *)
     max_level_width : int;
     decisions : Trace.decision list;

@@ -32,7 +32,7 @@ type result = {
    defaults build the full Figure 1e pipeline. VS-Block is applied before
    VI-Prune, the ordering §4.2 finds superior. *)
 let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
-    ?(peel_threshold = 2) ?max_width (l : Csc.t) (b : Vector.sparse) : result =
+    (l : Csc.t) (b : Vector.sparse) : result =
   Trace.with_span "pipeline.trisolve" @@ fun () ->
   let kernel =
     Trace.with_span "codegen:lower" (fun () -> Build.lower_trisolve l)
@@ -40,7 +40,7 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
   let inspectors = ref [] in
   let kernel, tmp_size, prune_set, peel =
     if vs_block then begin
-      let insp = Inspector.trisolve_vs_block ?max_width l in
+      let insp = Inspector.trisolve_vs_block l in
       inspectors := Inspector.describe insp :: !inspectors;
       let sn =
         match inspect insp.Inspector.run with
@@ -82,12 +82,14 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
           value = pruned_ratio ~n:(Supernodes.nsuper sn) (Array.length prune_set);
           threshold = 0.0;
         };
-      (* Peel width-1 blocks: they reduce to the scalar column update. *)
+      (* Peel width-1 blocks: they reduce to the scalar column update.
+         Wider blocks keep the loop, whose bounds stay variables. *)
       let peel =
-        Vi_prune.peel_positions
-          ~col_nnz:(fun s -> Supernodes.width sn s)
-          ~threshold:1 prune_set
-        |> List.filter (fun _ -> low_level)
+        if low_level then
+          List.filter
+            (fun pos -> Supernodes.width sn prune_set.(pos) = 1)
+            (List.init (Array.length prune_set) Fun.id)
+        else []
       in
       (kernel, Vs_block.max_below l sn, prune_set, peel)
     end
@@ -116,11 +118,10 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
           threshold = 0.0;
         };
       (* Figure 1e peels reach-set iterations whose column count exceeds
-         the threshold. *)
+         2. *)
       let peel =
         if low_level then
-          Vi_prune.peel_positions ~col_nnz:(Csc.col_nnz l)
-            ~threshold:peel_threshold reach
+          Vi_prune.peel_positions ~col_nnz:(Csc.col_nnz l) ~threshold:2 reach
         else []
       in
       (kernel, 0, reach, peel)
@@ -209,7 +210,37 @@ let cholesky_shaped (k : Ast.kernel) ?amap (a_lower : Csc.t) ~lp ~li ~row_ptr
     data;
     iwork = [];
     fwork = [ n ];
-    entry;
+    entry = Some entry;
+  }
+
+(* The solve's kernel file already holds its pattern as constants, so the
+   shaped form carries no pattern data and no artifact entry; the
+   adapter only puts the kernel's arguments in the native engine's
+   order (size, input Lx, output x, float workspace tmp). *)
+let trisolve_shaped ~vs_block (l : Csc.t) (b : Vector.sparse) :
+    Pretty_c.shaped =
+  let r = trisolve ~vs_block l b in
+  let k = r.kernel in
+  let text =
+    Printf.sprintf
+      "%s\n\
+       /* The native engine's entry: the input is Lx, the output x. */\n\
+       int trisolve_native(int n, %s) {\n\
+      \  (void)n;\n\
+      \  %s(%s);\n\
+      \  return -1;\n\
+       }\n"
+      r.c_code (Pretty_c.params_to_c k) k.Ast.kname
+      (String.concat ", " (List.map fst k.Ast.params))
+  in
+  {
+    Pretty_c.kname = "trisolve_native";
+    text;
+    n = l.Csc.ncols;
+    data = [];
+    iwork = [];
+    fwork = (if List.mem_assoc "tmp" k.Ast.params then [ r.tmp_size ] else []);
+    entry = None;
   }
 
 let cholesky ?low_level (a_lower : Csc.t) : result =

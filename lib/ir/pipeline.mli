@@ -18,14 +18,22 @@ val trisolve :
   ?vs_block:bool ->
   ?vi_prune:bool ->
   ?low_level:bool ->
-  ?peel_threshold:int ->
-  ?max_width:int ->
   Csc.t ->
   Vector.sparse ->
   result
 (** Build the triangular-solve kernel with any subset of the three
     transformation layers (defaults: all three, VS-Block before VI-Prune as
-    §4.2 prefers). *)
+    §4.2 prefers). The low-level layer peels the width-1 blocks of the
+    VS-Block loop, or, without VS-Block, the reach-set columns with more
+    than two entries (Figure 1e). *)
+
+val trisolve_shaped : vs_block:bool -> Csc.t -> Vector.sparse -> Pretty_c.shaped
+(** [trisolve_shaped ~vs_block l b]: the native engine's form of the
+    {!trisolve} kernel with all three layers ([vs_block] as given: the
+    handle's own decision). Its text is the kernel's file, which holds the
+    pattern, then [int trisolve_native(int n, Lx, x[, tmp])], returning
+    -1: no pattern data, one output ([x]), the VS-Block [tmp] as its float
+    workspace when the kernel has one, and no artifact ([entry = None]). *)
 
 val cholesky_kernel : ?low_level:bool -> ordered:bool -> unit -> Ast.kernel
 (** The left-looking Cholesky kernel of one shape ({!Build.lower_cholesky}

@@ -168,7 +168,7 @@ type shaped = {
   data : (string * int array) list;
   iwork : int list;
   fwork : int list;
-  entry : string;
+  entry : string option;
 }
 
 let entry ~signature ?(statics = []) ~ret ~kname ~n ~data args =
@@ -187,6 +187,11 @@ let entry ~signature ?(statics = []) ~ret ~kname ~n ~data args =
   Buffer.contents buf
 
 let artifact (s : shaped) : string =
+  let entry =
+    match s.entry with
+    | Some e -> e
+    | None -> invalid_arg "Pretty_c.artifact: the kernel has no entry"
+  in
   let buf = Buffer.create (String.length s.text + 4096) in
   Buffer.add_string buf s.text;
   Buffer.add_string buf
@@ -194,5 +199,5 @@ let artifact (s : shaped) : string =
     \   on it. */\n";
   List.iter (const_array buf) s.data;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf s.entry;
+  Buffer.add_string buf entry;
   Buffer.contents buf

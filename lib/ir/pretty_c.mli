@@ -30,10 +30,10 @@ val kernel_to_c : Ast.kernel -> string
 
 (** A kernel of one shape bound to one pattern: what the native engine
     compiles (the text, once per shape) and runs (the data, per handle),
-    and what [c_code] prints. The kernel function [kname] takes, in order,
-    the size argument, the [data] arrays, the int workspaces, the input
-    values, the factor arrays, then the float workspaces, and returns -1
-    or a failing pivot index. *)
+    and what a factor family's [c_code] prints. The kernel function
+    [kname] takes, in order, the size argument, the [data] arrays, the int
+    workspaces, the input values, the output arrays, then the float
+    workspaces, and returns -1 or a failing pivot index. *)
 type shaped = {
   kname : string;  (** the kernel function [text] defines *)
   text : string;
@@ -43,9 +43,11 @@ type shaped = {
       (** the pattern arrays, named and in parameter order *)
   iwork : int list;  (** lengths of the int workspaces after the data *)
   fwork : int list;  (** lengths of the float workspaces after the factors *)
-  entry : string;
+  entry : string option;
       (** a C entry with the artifact's public name and signature, calling
-          the kernel on the [data] arrays by name *)
+          the kernel on the [data] arrays by name; [None] for a text that
+          holds its own pattern (the triangular solve), which has no
+          artifact *)
 }
 
 val entry :
@@ -64,4 +66,5 @@ val entry :
 
 val artifact : shaped -> string
 (** A self-contained translation unit: the kernel text, then the data as
-    [static const] arrays, then the entry. *)
+    [static const] arrays, then the entry ([Invalid_argument] when there
+    is none). *)

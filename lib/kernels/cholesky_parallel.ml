@@ -67,11 +67,8 @@ let levelize (sym : Cholesky_supernodal.Sympiler.compiled) : compiled =
   done;
   { sym; nlevels; level_ptr; level_sn; cost }
 
-let compile ?fill ?max_width (a_lower : Csc.t) : compiled =
-  let fill =
-    match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
-  in
-  levelize (Cholesky_supernodal.Sympiler.compile ~fill ?max_width a_lower)
+let compile (a_lower : Csc.t) : compiled =
+  levelize (Cholesky_supernodal.Sympiler.compile a_lower)
 
 (* Process one target supernode (panel init, scheduled updates, panel
    factorization) with the specialized kernels and a caller-provided

@@ -25,8 +25,7 @@ type compiled = {
           the plan's cost-balanced partitions *)
 }
 
-val compile :
-  ?fill:Sympiler_symbolic.Fill_pattern.t -> ?max_width:int -> Csc.t -> compiled
+val compile : Csc.t -> compiled
 (** Supernodal compilation plus DAG levelization (one more inspection
     set). *)
 

@@ -22,8 +22,7 @@ type compiled = {
   sn : Supernodes.t; (* block-set (VS-Block inspection set) *)
   sn_sequence : int array; (* supernodes hit by the reach-set, ascending *)
   all_sn : int array; (* every supernode, ascending (for VS-Block only) *)
-  max_below : int; (* max below-block height, sizes the scratch buffer *)
-  tmp : float array;
+  max_below : int; (* max below-block height, sizes each plan's scratch *)
   flops : float; (* useful numeric flops of the pruned solve *)
   columnwise : bool;
       (* compile-time decision: process the reach-set column by column
@@ -37,17 +36,19 @@ type compiled = {
    enough; the paper hand-tunes this threshold (set to 160 there for the
    average *supernode work size*; our executor uses average width — the
    ablation bench explores this). When the average width of reached
-   supernodes is below [vs_block_threshold], [compile] records supernodes of
-   width 1 everywhere, making the block variants degenerate to column code,
-   exactly as Sympiler skips VS-Block for matrices 3,4,5,7. *)
-let compile ?(vs_block_threshold = 1.6) ?(waste_threshold = 0.1) ?max_width
-    (l : Csc.t) (b : Vector.sparse) : compiled =
+   supernodes is below [vs_block_threshold], or block processing would
+   spend more than 10% extra flops on unreached columns of hit supernodes,
+   [compile] records supernodes of width 1 everywhere, making the block
+   variants degenerate to column code, exactly as Sympiler skips VS-Block
+   for matrices 3,4,5,7. *)
+let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
+    compiled =
   let reach = Dep_graph.reach l b.Vector.indices in
   (* Ascending column order is also a valid dependence order for forward
      substitution and gives the numeric loop sequential memory access; the
      compiler sorts the inspection set once, for free at run time. *)
   Array.sort compare reach;
-  let sn = Supernodes.detect_exact ?max_width l in
+  let sn = Supernodes.detect_exact l in
   let col_flops j = float_of_int ((2 * Csc.col_nnz l j) - 1) in
   (* Work accounting, all at compile time: block processing runs every
      column of a hit supernode, useful or not. *)
@@ -72,7 +73,7 @@ let compile ?(vs_block_threshold = 1.6) ?(waste_threshold = 0.1) ?max_width
   in
   let waste = (!block_work -. useful) /. Float.max useful 1.0 in
   let columnwise =
-    avg_reached_width < vs_block_threshold || waste > waste_threshold
+    avg_reached_width < vs_block_threshold || waste > 0.1
   in
   let sn = if columnwise then Supernodes.detect_exact ~max_width:1 l else sn in
   let hit = Array.make (Supernodes.nsuper sn) false in
@@ -133,26 +134,35 @@ let compile ?(vs_block_threshold = 1.6) ?(waste_threshold = 0.1) ?max_width
     sn_sequence;
     all_sn;
     max_below = !max_below;
-    (* Exact size: [max_below] is clamped non-negative above, and every
-       block path bounds its scratch use by the per-supernode below height,
-       itself <= max_below — so the old [max 1] guard (which masked the
-       possibility of a negative size) is no longer needed; a 0-length
-       scratch is legal for patterns with no below-blocks at all. *)
-    tmp = Array.make !max_below 0.0;
     flops = Trisolve_ref.flops l reach;
     columnwise;
     decisions = [ d_vi; d_vs ];
   }
 
+(* ------------------------------- Plans ------------------------------- *)
+
+(* A plan owns every array a solve writes: the dense solution buffer of
+   [solve_ip] and the block scratch [tmp], so plans of one compiled
+   pattern may solve on different domains at once. [tmp] has the exact
+   size: [max_below] is clamped non-negative, and every block path bounds
+   its scratch use by the per-supernode below height, itself <=
+   max_below; a 0-length scratch is legal for patterns with no
+   below-blocks at all. *)
+type plan = { c : compiled; x : float array; tmp : float array }
+
+let make_plan (c : compiled) : plan =
+  { c; x = Array.make c.l.Csc.ncols 0.0; tmp = Array.make c.max_below 0.0 }
+
 (* Process one supernode with generic block kernels. *)
-let process_supernode_generic c x s =
+let process_supernode_generic p x s =
+  let c = p.c in
   let l = c.l and sn = c.sn in
   let c0 = sn.Supernodes.sn_ptr.(s) and c1 = sn.Supernodes.sn_ptr.(s + 1) in
   let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
   let nb = lp.(c0 + 1) - lp.(c0) - (c1 - c0) in
   Dense_blas.diag_solve_generic lp lx ~c0 ~c1 x;
   if nb > 0 then begin
-    let tmp = c.tmp in
+    let tmp = p.tmp in
     Array.fill tmp 0 nb 0.0;
     Dense_blas.below_gemv_generic lp lx ~c0 ~c1 ~nb x tmp;
     let below_start = lp.(c0) + (c1 - c0) in
@@ -163,7 +173,8 @@ let process_supernode_generic c x s =
 
 (* Process one supernode with low-level transformations applied: peeled
    width-1 path and width-specialized unrolled GEMV. *)
-let process_supernode_specialized c x s =
+let process_supernode_specialized p x s =
+  let c = p.c in
   let l = c.l and sn = c.sn in
   let c0 = sn.Supernodes.sn_ptr.(s) and c1 = sn.Supernodes.sn_ptr.(s + 1) in
   let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
@@ -179,7 +190,7 @@ let process_supernode_specialized c x s =
     let nb = lp.(c0 + 1) - lp.(c0) - (c1 - c0) in
     Dense_blas.diag_solve_generic lp lx ~c0 ~c1 x;
     if nb > 0 then begin
-      let tmp = c.tmp in
+      let tmp = p.tmp in
       Array.fill tmp 0 nb 0.0;
       Dense_blas.below_gemv_specialized lp lx ~c0 ~c1 ~nb x tmp;
       let below_start = lp.(c0) + (c1 - c0) in
@@ -203,26 +214,27 @@ let record_solve c =
    everywhere below: an [Array.iter] over a partial application would
    allocate a closure per solve, breaking the plans' zero-allocation
    steady state. *)
-let solve_vs_block_ip c (x : float array) =
-  let seq = c.all_sn in
+let solve_vs_block_ip p (x : float array) =
+  let seq = p.c.all_sn in
   for i = 0 to Array.length seq - 1 do
-    process_supernode_generic c x seq.(i)
+    process_supernode_generic p x seq.(i)
   done;
-  record_solve c
+  record_solve p.c
 
 (* VS-Block + VI-Prune: only supernodes reached from the RHS pattern. *)
-let solve_vs_vi_ip c (x : float array) =
-  let seq = c.sn_sequence in
+let solve_vs_vi_ip p (x : float array) =
+  let seq = p.c.sn_sequence in
   for i = 0 to Array.length seq - 1 do
-    process_supernode_generic c x seq.(i)
+    process_supernode_generic p x seq.(i)
   done;
-  record_solve c
+  record_solve p.c
 
 (* VS-Block + VI-Prune + low-level transformations (the Figure 1e code).
    When compilation decided on column granularity, the loop is the flat
    decoupled code of Figure 1d over the reach-set (no supernode dispatch),
    which peeling/specialization reduce to in that regime. *)
-let solve_full_ip c (x : float array) =
+let solve_full_ip p (x : float array) =
+  let c = p.c in
   if c.columnwise then begin
     let l = c.l in
     let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
@@ -240,32 +252,10 @@ let solve_full_ip c (x : float array) =
   else begin
     let seq = c.sn_sequence in
     for i = 0 to Array.length seq - 1 do
-      process_supernode_specialized c x seq.(i)
+      process_supernode_specialized p x seq.(i)
     done;
     record_solve c
   end
-
-let run ip c (b : Vector.sparse) =
-  let x = Vector.sparse_to_dense b in
-  ip c x;
-  x
-
-let solve_vs_block c b = run solve_vs_block_ip c b
-let solve_vs_vi c b = run solve_vs_vi_ip c b
-let solve_full c b = run solve_full_ip c b
-
-(* ------------------------------- Plans ------------------------------- *)
-
-(* A plan wraps a compiled solve with a plan-owned dense solution buffer,
-   making repeated numeric solves allocation-free: [solve_ip] scatters the
-   RHS into the buffer, runs the full specialized solve in place, and
-   returns the buffer itself (overwritten by the next call). The compiled
-   value already owns the block scratch [tmp]; the plan adds the only other
-   per-solve array the functional wrappers used to allocate. *)
-type plan = { c : compiled; x : float array }
-
-let make_plan (c : compiled) : plan =
-  { c; x = Array.make c.l.Csc.ncols 0.0 }
 
 (* Scatter b over a zeroed buffer. The previous solution's nonzeros are not
    tracked, so the reset is a full O(n) fill — branch-free, allocation-free,
@@ -282,6 +272,17 @@ let load_rhs (p : plan) (b : Vector.sparse) =
 let solve_ip (p : plan) (b : Vector.sparse) : float array =
   load_rhs p b;
   Sympiler_trace.Trace.begin_span "solve_ip.trisolve";
-  solve_full_ip p.c p.x;
+  solve_full_ip p p.x;
   Sympiler_trace.Trace.end_span ();
   p.x
+
+(* The one-shot solves: a fresh plan each, so they share nothing. *)
+let run ip c (b : Vector.sparse) =
+  let p = make_plan c in
+  load_rhs p b;
+  ip p p.x;
+  p.x
+
+let solve_vs_block c b = run solve_vs_block_ip c b
+let solve_vs_vi c b = run solve_vs_vi_ip c b
+let solve_full c b = run solve_full_ip c b

@@ -17,8 +17,7 @@ type compiled = {
   sn : Supernodes.t;  (** block-set (VS-Block inspection set) *)
   sn_sequence : int array;  (** supernodes hit by the reach-set, ascending *)
   all_sn : int array;  (** every supernode (for the VS-Block-only variant) *)
-  max_below : int;  (** max below-block height, sizes the scratch buffer *)
-  tmp : float array;  (** shared block scratch *)
+  max_below : int;  (** max below-block height, sizes each plan's scratch *)
   flops : float;  (** useful numeric flops of the pruned solve *)
   columnwise : bool;
       (** compile-time decision: process the reach-set column by column
@@ -30,45 +29,58 @@ type compiled = {
           (fired/declined with the measured average reached-supernode
           width) and VI-Prune (with the pruned-iteration ratio) *)
 }
+(** Nothing here is written by a solve: every array a solve writes
+    belongs to a {!plan}. *)
 
-val compile :
-  ?vs_block_threshold:float ->
-  ?waste_threshold:float ->
-  ?max_width:int ->
-  Csc.t ->
-  Vector.sparse ->
-  compiled
+val compile : ?vs_block_threshold:float -> Csc.t -> Vector.sparse -> compiled
 (** Symbolic inspection + planning for [L x = b] with the given RHS
     pattern. Numeric values of L and b are free to change afterwards.
     [vs_block_threshold] (default 1.6): minimum average width of reached
-    supernodes for block processing; [waste_threshold] (default 0.1):
-    maximum tolerated fraction of extra flops from unreached columns inside
-    hit supernodes. *)
+    supernodes for block processing, which is also declined when it would
+    add more than 10% extra flops from unreached columns inside hit
+    supernodes. *)
 
-val solve_vs_block_ip : compiled -> float array -> unit
-(** VS-Block only: every supernode, generic block kernels. *)
+(** {2 Plans}
 
-val solve_vs_vi_ip : compiled -> float array -> unit
+    A plan owns the dense solution buffer and the block scratch, so
+    steady-state solves allocate nothing and plans of one compiled
+    pattern may run on different domains at once: create once per
+    compiled pattern, then call {!solve_ip} as many times as values
+    change. *)
+
+type plan = {
+  c : compiled;
+  x : float array;  (** plan-owned solution *)
+  tmp : float array;  (** plan-owned block scratch, [max_below] long *)
+}
+
+val make_plan : compiled -> plan
+
+val solve_vs_block_ip : plan -> float array -> unit
+(** [solve_vs_block_ip p x]: [x] holds b on entry, the solution on exit;
+    the block scratch is [p]'s. VS-Block only: every supernode, generic
+    block kernels. *)
+
+val solve_vs_vi_ip : plan -> float array -> unit
 (** VS-Block + VI-Prune: only supernodes hit by the reach-set. *)
 
-val solve_full_ip : compiled -> float array -> unit
+val solve_full_ip : plan -> float array -> unit
 (** Full Figure 1e pipeline: + peeled width-1 path, specialized narrow
     kernels, or the flat column loop when compilation chose
     [columnwise]. *)
 
 val solve_vs_block : compiled -> Vector.sparse -> float array
 val solve_vs_vi : compiled -> Vector.sparse -> float array
+
 val solve_full : compiled -> Vector.sparse -> float array
+(** The one-shot solves: each runs on a fresh plan and returns its
+    solution buffer. *)
 
-(** {2 Plans}
-
-    A plan owns the dense solution buffer, so steady-state solves allocate
-    nothing: create once per compiled pattern, then call {!solve_ip} as
-    many times as values change. *)
-
-type plan = { c : compiled; x : float array  (** plan-owned solution *) }
-
-val make_plan : compiled -> plan
+val load_rhs : plan -> Vector.sparse -> unit
+(** Zero the plan's solution buffer and scatter [b] into it: the input
+    half of {!solve_ip}, which an executor that solves in the same buffer
+    (the native kernel) shares. Raises [Invalid_argument] when [b]'s
+    dimension is not the pattern's. *)
 
 val solve_ip : plan -> Vector.sparse -> float array
 (** Numeric-only solve into the plan's buffer; returns that buffer (valid

@@ -229,10 +229,10 @@ let fnv1a_fold h s =
 let default_cflags =
   [ "-O3"; "-march=native"; "-ffp-contract=off"; "-fPIC"; "-shared" ]
 
-let cache_key ~salt ~entry ~cflags ~ccid source =
+let cache_key ~salt ~entry ~ccid source =
   let h = fnv1a_fold (salt land max_int) source in
   let h = fnv1a_fold h entry in
-  let h = List.fold_left fnv1a_fold h cflags in
+  let h = List.fold_left fnv1a_fold h default_cflags in
   fnv1a_fold h ccid
 
 (* ------------------------------- Loading ------------------------------ *)
@@ -253,25 +253,26 @@ let resolve so_path entry =
 
 let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
 
-let run_compile ~cc_path ~cflags ~src_path ~out_path =
+let run_compile ~cc_path ~src_path ~out_path =
   let log_path = out_path ^ ".log" in
   let cmd flags =
     Printf.sprintf "%s %s -o %s %s > %s 2>&1" (quote cc_path)
       (String.concat " " (List.map quote flags))
       (quote out_path) (quote src_path) (quote log_path)
   in
-  let rc = Sys.command (cmd cflags) in
+  let rc = Sys.command (cmd default_cflags) in
   let rc =
     (* -march=native can fail on exotic hosts/emulators; retry portable. *)
-    if rc <> 0 && List.mem "-march=native" cflags then
-      Sys.command (cmd (List.filter (fun f -> f <> "-march=native") cflags))
+    if rc <> 0 then
+      Sys.command
+        (cmd (List.filter (fun f -> f <> "-march=native") default_cflags))
     else rc
   in
   let first = if rc = 0 then "" else first_line_of_file log_path in
   remove_quiet log_path;
   if rc = 0 then Ok () else Error (Printf.sprintf "cc exited %d (%s)" rc first)
 
-let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
+let compile_and_load ~cc_path ~entry ~hexkey source =
   let dir = cache_dir () in
   let so_path = Filename.concat dir (hexkey ^ ".so") in
   if Sys.file_exists so_path then begin
@@ -300,7 +301,7 @@ let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
       (fun () ->
         Out_channel.with_open_text src_path (fun oc ->
             Out_channel.output_string oc source);
-        match run_compile ~cc_path ~cflags ~src_path ~out_path:tmp_out with
+        match run_compile ~cc_path ~src_path ~out_path:tmp_out with
         | Error _ as e -> e
         | Ok () ->
             Sys.rename tmp_out so_path;
@@ -312,7 +313,7 @@ let compile_and_load ~cc_path ~cflags ~entry ~hexkey source =
             Ok { fn; so_path; origin = Compiled; compile_seconds = dt })
   end
 
-let load ?(cflags = default_cflags) ?(key = 0) ~entry source =
+let load ?(key = 0) ~entry source =
   match cc () with
   | None ->
       with_lock (fun () -> note_fallback "no C compiler found");
@@ -321,7 +322,7 @@ let load ?(cflags = default_cflags) ?(key = 0) ~entry source =
       let ccid = compiler_identity cc_path in
       let hexkey =
         Printf.sprintf "%016x"
-          (cache_key ~salt:key ~entry ~cflags ~ccid source)
+          (cache_key ~salt:key ~entry ~ccid source)
       in
       with_lock (fun () ->
           match Hashtbl.find_opt memory_cache hexkey with
@@ -331,7 +332,7 @@ let load ?(cflags = default_cflags) ?(key = 0) ~entry source =
               Some k
           | None -> (
               match
-                try compile_and_load ~cc_path ~cflags ~entry ~hexkey source
+                try compile_and_load ~cc_path ~entry ~hexkey source
                 with Failure msg | Sys_error msg -> Error msg
               with
               | Ok k ->

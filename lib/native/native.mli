@@ -5,24 +5,26 @@
 
     This module is deliberately family-agnostic: it knows nothing about
     trisolve or Cholesky, only about "a C translation unit exporting one
-    entry point, compiled with the configured flags", and two calling
+    entry point, compiled with {!default_cflags}", and two calling
     conventions for that entry:
 
     {[
-      int sympiler_entry(double *b0, double *b1, double *b2, double *b3);
       int sympiler_kernel(int n, double *x, double *const *f, int *const *ix);
+      int sympiler_entry(double *b0, double *b1, double *b2, double *b3);
     ]}
 
-    The first ({!call}) takes four Bigarray buffers; the second ({!run})
-    takes OCaml float arrays and int32 Bigarrays without copying them.
-    The per-family glue (which emitted source, which array goes in which
-    slot, how a non-negative return maps to a pivot exception) lives in
-    the facade's [Native_engine]. *)
+    Every plan's kernel, of every family and the triangular solve, is a
+    [sympiler_kernel] run by {!run}, which takes OCaml float arrays and
+    int32 Bigarrays without copying them. The per-family glue (which
+    emitted source, which array goes in which slot, how a non-negative
+    return maps to a pivot exception) lives in the facade's
+    [Native_engine]. [sympiler_entry] ({!call} on four Bigarray buffers)
+    serves only the repository benchmark's machine-ceiling probes. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A C-layout float64 Bigarray, the argument type of {!call}. Its payload
-    lives outside the OCaml heap, so the stub can hand the raw pointer to
-    the kernel without pinning. *)
+(** A C-layout float64 Bigarray, the argument type of {!call} (the
+    ceiling probes). Its payload lives outside the OCaml heap, so the stub
+    can hand the raw pointer to the kernel without pinning. *)
 
 type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** A C-layout int32 Bigarray: the pattern arrays and int workspaces of
@@ -34,7 +36,7 @@ type origin =
   | Memory_cache  (** the already-loaded kernel was returned, no dlopen *)
 
 type kernel = {
-  fn : nativeint;  (** resolved [sympiler_entry] function pointer *)
+  fn : nativeint;  (** the resolved entry point's function pointer *)
   so_path : string;  (** the shared object backing [fn] *)
   origin : origin;  (** how the {e first} load of this key was served *)
   compile_seconds : float;
@@ -75,15 +77,15 @@ val default_cflags : string list
     the emitted operation sequence and factors stay bit-comparable to the
     OCaml executors. *)
 
-val load :
-  ?cflags:string list -> ?key:int -> entry:string -> string -> kernel option
+val load : ?key:int -> entry:string -> string -> kernel option
 (** [load ~entry source] returns the entry point of [source] compiled as a
-    shared object, or [None] when no C compiler is available or the
-    compile/load failed (each such fallback bumps a counter and emits a
-    one-time note; callers are expected to fall back to the OCaml
-    executor).
+    shared object with {!default_cflags} (retried once without
+    [-march=native] when that fails), or [None] when no C compiler is
+    available or the compile/load failed (each such fallback bumps a
+    counter and emits a one-time note; callers are expected to fall back
+    to the OCaml executor).
 
-    The cache key is a content hash of [source], [entry], [cflags] and
+    The cache key is a content hash of [source], [entry], the flags and
     {!compiler_identity}, folded into [key] (a caller salt, default 0) —
     so any change to the emitted code, the flags, or the toolchain
     compiles a fresh object, while an identical source is served from
@@ -94,7 +96,8 @@ val load :
 
 val call : kernel -> buf -> buf -> buf -> buf -> int
 (** Invoke a [sympiler_entry] kernel on the raw data of four buffers (pass
-    {!dummy} for unused slots). Allocation-free. *)
+    {!dummy} for unused slots). Allocation-free. Only the machine-ceiling
+    probes of the repository benchmark call it; no plan does. *)
 
 val run : kernel -> int -> float array -> float array array -> ints array -> int
 (** [run k n x f ix] invokes a [sympiler_kernel] entry on the payloads of
@@ -106,7 +109,7 @@ val run : kernel -> int -> float array -> float array array -> ints array -> int
     float arrays (the default configuration; the caller checks). *)
 
 val dummy : buf
-(** A shared 1-element buffer for unused trampoline slots. *)
+(** A shared 1-element buffer for unused {!call} slots. *)
 
 val stats : unit -> stats
 

@@ -9,16 +9,16 @@
  *
  *   int sympiler_entry(double *b0, double *b1, double *b2, double *b3);
  *
- * (the triangular solve, whose code text depends on its pattern, and the
- * machine-ceiling probes use it).
+ * (only the repository benchmark's machine-ceiling probes use it).
  *
- * sympiler_native_run serves the factor kernels, whose text is one per
- * kernel shape and whose pattern arrives as arguments:
+ * sympiler_native_run serves every plan's kernel: the factor kernels,
+ * whose text is one per kernel shape and whose pattern arrives as
+ * arguments, and the triangular solve, whose text holds its pattern:
  *
  *   int sympiler_kernel(int n, double *x, double *const *f, int *const *ix);
  *
  * [x] is an OCaml float array (flat, so its payload is contiguous
- * doubles), [f] an OCaml array of float arrays (the factor arrays, then
+ * doubles), [f] an OCaml array of float arrays (the output arrays, then
  * the float workspaces), [ix] an OCaml array of int32 Bigarrays (the
  * pattern arrays, then the int workspaces). The stub collects the data
  * pointers on its own stack and passes them on: nothing is copied.

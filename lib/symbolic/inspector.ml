@@ -57,12 +57,12 @@ let trisolve_vi_prune (l : Csc.t) (b : Vector.sparse) : t =
   }
 
 (* VS-Block inspector: supernodes of L by node equivalence. *)
-let trisolve_vs_block ?max_width (l : Csc.t) : t =
+let trisolve_vs_block (l : Csc.t) : t =
   {
     graph = Dependence_graph;
     strategy = Node_equivalence;
     description = "triangular solve supernodes";
-    run = (fun () -> Block_set (Supernodes.detect_exact ?max_width l));
+    run = (fun () -> Block_set (Supernodes.detect_exact l));
   }
 
 (* --- Inspectors for Cholesky factorization (§3.2) --- *)
@@ -79,7 +79,7 @@ let cholesky_vi_prune (fill : Fill_pattern.t) : t =
   }
 
 (* VS-Block inspector: supernodes from etree + column counts. *)
-let cholesky_vs_block ?max_width (fill : Fill_pattern.t) : t =
+let cholesky_vs_block (fill : Fill_pattern.t) : t =
   {
     graph = Elimination_tree;
     strategy = Up_traversal;
@@ -87,6 +87,6 @@ let cholesky_vs_block ?max_width (fill : Fill_pattern.t) : t =
     run =
       (fun () ->
         Block_set
-          (Supernodes.detect_etree ?max_width ~counts:fill.Fill_pattern.counts
+          (Supernodes.detect_etree ~counts:fill.Fill_pattern.counts
              ~parent:fill.Fill_pattern.parent ()));
   }

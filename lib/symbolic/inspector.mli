@@ -40,11 +40,11 @@ val describe : t -> string
 val trisolve_vi_prune : Csc.t -> Vector.sparse -> t
 (** Reach-set inspector for triangular solve (Table 1, row 1). *)
 
-val trisolve_vs_block : ?max_width:int -> Csc.t -> t
+val trisolve_vs_block : Csc.t -> t
 (** Node-equivalence supernode inspector for triangular solve. *)
 
 val cholesky_vi_prune : Fill_pattern.t -> t
 (** Row-pattern (prune-set) inspector for Cholesky. *)
 
-val cholesky_vs_block : ?max_width:int -> Fill_pattern.t -> t
+val cholesky_vs_block : Fill_pattern.t -> t
 (** Etree + column-count supernode inspector for Cholesky. *)

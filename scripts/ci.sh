@@ -265,11 +265,14 @@ echo "== native shape smoke =="
 # second only dlopens, which proves the upgraded plan runs the supernodal
 # shape. Then four processes compile one shape at once into another
 # fresh cache: each must run native, and the directory must end with one
-# object and no temp files.
+# object and no temp files. Last, `stats` on cbuckle in a fresh process
+# and cache runs a native triangular-solve plan: its execute series must
+# count the calls, with no fallback, so the solve's kernel is shown to
+# compile and run on the plans' one native path.
 if [ "$have_cc" = "1" ]; then
   cli=_build/default/bin/sympiler_cli.exe
   smoke=$(mktemp -d _build/native-smoke.XXXXXX)
-  mkdir "$smoke/seq" "$smoke/conc"
+  mkdir "$smoke/seq" "$smoke/conc" "$smoke/stats"
   for step in "parabolic_fem:cc+dlopen" "cbuckle:dlopen of cached .so"; do
     prob=${step%%:*}
     want=${step#*:}
@@ -302,6 +305,15 @@ if [ "$have_cc" = "1" ]; then
     exit 1
   fi
   echo "4 concurrent compiles of one shape: one object, no temp files"
+  SYMPILER_NATIVE_CACHE="$smoke/stats" "$cli" stats --problem cbuckle \
+    --engine native --repeat 3 > "$smoke/stats.txt"
+  grep -Eq '^sympiler_execute_seconds\{engine="native",family="trisolve",[^}]*\} +count=[1-9]' \
+    "$smoke/stats.txt" && grep -Eq '^sympiler_native_fallbacks +0$' "$smoke/stats.txt" || {
+    echo "FAIL: stats --engine native on cbuckle ran no native trisolve plan" >&2
+    cat "$smoke/stats.txt" >&2
+    exit 1
+  }
+  echo "stats --engine native cbuckle: native trisolve, no fallback"
   rm -rf "$smoke"
 else
   echo "skipped: no cc (native shape smoke)"

@@ -502,6 +502,38 @@ let test_golden_c_digests () =
            = Int64.bits_of_float pl.S.Trace.value))
     golden_c_digests
 
+(* One VS-Block decision per trisolve handle: on every suite problem
+   (its factor, the paper's right-hand side) the emitted C loops over a
+   [blockSet] exactly when the handle's [vs-block] decision fired, and
+   [explain] names the kernel that C runs. *)
+let test_trisolve_c_code_follows_vs_block () =
+  List.iter
+    (fun (p : S.Suite.prepared) ->
+      let al = p.S.Suite.a_lower in
+      let l = S.Cholesky.factor (S.Cholesky.compile al) al in
+      let t = S.Trisolve.compile (l, S.Suite.rhs_for p) in
+      let fired =
+        List.exists
+          (fun d -> d.S.Trace.pass = "vs-block" && d.S.Trace.fired)
+          t.S.Trisolve.decisions
+      in
+      let c = S.Trisolve.c_code t in
+      let has_block_set =
+        let key = "blockSet" and m = String.length c in
+        let rec go i =
+          i + 8 <= m && (String.sub c i 8 = key || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (p.S.Suite.name ^ ": c_code declares blockSet iff VS-Block fired")
+        fired has_block_set;
+      Alcotest.(check string)
+        (p.S.Suite.name ^ ": explain's native_kernel")
+        (if fired then "supernodal" else "simplicial")
+        (S.Explain.trisolve t).S.Explain.native_kernel)
+    (S.Suite.all ())
+
 let suite =
   [
     ("factor families zero allocation", `Slow, test_zero_alloc);
@@ -512,4 +544,6 @@ let suite =
     ("threshold cache key is exact", `Quick, test_threshold_key_exact);
     ("ignored options share a cache entry", `Quick, test_ignored_options_share_entry);
     ("golden c_code digests, one VS-Block decision", `Slow, test_golden_c_digests);
+    ("trisolve c_code follows the handle's VS-Block", `Slow,
+     test_trisolve_c_code_follows_vs_block);
   ]

@@ -159,6 +159,42 @@ let test_trisolve_native_ordered () =
     (Array.copy (Sympiler.Trisolve.execute_ip po b))
     (Sympiler.Trisolve.execute_ip pn b)
 
+(* A trisolve handle reads L's values where it holds them: over a
+   Cholesky plan's own factor, both engines' plans solve with what an
+   in-place refactor wrote there. *)
+let test_trisolve_native_refactor () =
+  require_native ();
+  let al = Csc.lower (Generators.grid2d ~stencil:`Five 12 12) in
+  let p = Sympiler.Cholesky.plan (Sympiler.Cholesky.compile al) in
+  ignore (Sympiler.Cholesky.execute_ip p al : Csc.t);
+  let l = Sympiler.Cholesky.plan_factor p in
+  let b = Generators.sparse_rhs ~seed:95 ~n:l.Csc.ncols ~fill:0.1 () in
+  let t = Sympiler.Trisolve.compile (l, b) in
+  let po = Sympiler.Trisolve.plan t in
+  let pn = Sympiler.Trisolve.plan ~engine:`Native t in
+  Alcotest.(check bool) "native loaded" true
+    (pn.Sympiler.Trisolve.native <> None);
+  let before = Array.copy (Sympiler.Trisolve.execute_ip po b) in
+  check_vals "before the refactor" before (Sympiler.Trisolve.execute_ip pn b);
+  (* new values on the same pattern: the diagonal raised by one *)
+  let values = Array.copy al.Csc.values in
+  for j = 0 to al.Csc.ncols - 1 do
+    for q = al.Csc.colptr.(j) to al.Csc.colptr.(j + 1) - 1 do
+      if al.Csc.rowind.(q) = j then values.(q) <- values.(q) +. 1.0
+    done
+  done;
+  ignore (Sympiler.Cholesky.execute_ip p { al with Csc.values } : Csc.t);
+  let xo = Array.copy (Sympiler.Trisolve.execute_ip po b) in
+  let xn = Sympiler.Trisolve.execute_ip pn b in
+  check_vals "after the refactor" xo xn;
+  List.iter
+    (fun (engine, x) ->
+      Alcotest.(check bool)
+        (engine ^ " plan solves with the refactored factor")
+        true
+        (Utils.max_rel_diff before x > 1e-3))
+    [ ("ocaml", xo); ("native", xn) ]
+
 (* The handle whose OCaml plan a native Cholesky plan of [t] agrees with:
    [t] itself, or, when the native plan of a simplicial handle runs the
    supernodal kernel, the same pattern compiled with threshold 0, whose
@@ -957,6 +993,7 @@ let suite =
   [
     ("trisolve native = ocaml", `Slow, test_trisolve_native);
     ("trisolve native ordered", `Slow, test_trisolve_native_ordered);
+    ("trisolve native after a refactor", `Slow, test_trisolve_native_refactor);
     ("cholesky native = ocaml", `Slow, test_cholesky_native);
     ("ldlt native = ocaml", `Slow, test_ldlt_native);
     ("lu native = ocaml", `Slow, test_lu_native);

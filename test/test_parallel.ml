@@ -401,6 +401,61 @@ let test_facade_trisolve_ndomains () =
   let oracle = Helpers.oracle_lower_solve l (Vector.sparse_to_dense b) in
   Helpers.check_close "level-set facade solve is correct" oracle x4
 
+(* A trisolve plan owns every array a solve writes: two plans of one
+   VS-Block handle over suite problem 1's factor solve different
+   right-hand sides 2,000 times each on two domains, then two domains run
+   the one-shot [solve] on the handle, and every result equals the
+   sequential one bit for bit. *)
+let test_trisolve_plans_on_two_domains () =
+  let _, _, l = Lazy.force fixture in
+  let b1 = Sympiler.Suite.rhs_for (Sympiler.Suite.problem 1) in
+  let b2 =
+    {
+      b1 with
+      Vector.values =
+        Array.mapi (fun k v -> (-2.5 *. v) +. float_of_int k) b1.Vector.values;
+    }
+  in
+  let t = Sympiler.Trisolve.compile (l, b1) in
+  Alcotest.(check bool) "the handle took VS-Block" true
+    (List.exists
+       (fun (d : Sympiler.Trace.decision) ->
+         d.Sympiler.Trace.pass = "vs-block" && d.Sympiler.Trace.fired)
+       t.Sympiler.Trisolve.decisions);
+  let sequential b =
+    Array.copy (Sympiler.Trisolve.execute_ip (Sympiler.Trisolve.plan t) b)
+  in
+  let e1 = sequential b1 and e2 = sequential b2 in
+  let wrong solve expected =
+    let bad = ref 0 in
+    for _ = 1 to 2000 do
+      let x = solve () in
+      if
+        not
+          (Array.for_all2
+             (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+             x expected)
+      then incr bad
+    done;
+    !bad
+  in
+  let on_two_domains s1 s2 =
+    let d = Domain.spawn (fun () -> wrong s2 e2) in
+    let bad1 = wrong s1 e1 in
+    (bad1, Domain.join d)
+  in
+  let p1 = Sympiler.Trisolve.plan t and p2 = Sympiler.Trisolve.plan t in
+  Alcotest.(check (pair int int))
+    "wrong solves of two plans (b1, b2)" (0, 0)
+    (on_two_domains
+       (fun () -> Sympiler.Trisolve.execute_ip p1 b1)
+       (fun () -> Sympiler.Trisolve.execute_ip p2 b2));
+  Alcotest.(check (pair int int))
+    "wrong one-shot solves (b1, b2)" (0, 0)
+    (on_two_domains
+       (fun () -> Sympiler.Trisolve.solve t b1)
+       (fun () -> Sympiler.Trisolve.solve t b2))
+
 let test_facade_ldlt () =
   let al =
     Csc.lower (Generators.clique_chain ~seed:3 ~n:80 ~clique:8 ~overlap:2 ())
@@ -525,6 +580,8 @@ let suite =
       test_facade_simplicial_ignores_ndomains;
     Alcotest.test_case "facade: trisolve ?ndomains" `Quick
       test_facade_trisolve_ndomains;
+    Alcotest.test_case "facade: trisolve plans on two domains" `Quick
+      test_trisolve_plans_on_two_domains;
     Alcotest.test_case "facade: ldlt" `Quick test_facade_ldlt;
     Alcotest.test_case "facade: lu" `Quick test_facade_lu;
     Alcotest.test_case "facade: ic0" `Quick test_facade_ic0;

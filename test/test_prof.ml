@@ -140,7 +140,8 @@ let test_trisolve_counters () =
   let nnz0 = value Metrics.nnz_touched in
   Alcotest.(check int) "solve adds its flops"
     (int_of_float c.Trisolve_sympiler.flops)
-    (counted Metrics.flops (fun () -> Trisolve_sympiler.solve_full_ip c x));
+    (counted Metrics.flops (fun () ->
+         Trisolve_sympiler.solve_full_ip (Trisolve_sympiler.make_plan c) x));
   Alcotest.(check bool) "nnz touched" true (value Metrics.nnz_touched > nnz0)
 
 let test_levels_counter () =
@@ -168,7 +169,7 @@ let test_counters_untouched_when_disabled () =
   let b = fig1_rhs () in
   let c = Trisolve_sympiler.compile l b in
   let x = Vector.sparse_to_dense b in
-  Trisolve_sympiler.solve_full_ip c x;
+  Trisolve_sympiler.solve_full_ip (Trisolve_sympiler.make_plan c) x;
   ignore (Trisolve_parallel.compile l);
   List.iter2
     (fun (name, c) v0 -> Alcotest.(check int) name v0 (value c))
