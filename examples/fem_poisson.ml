@@ -37,12 +37,10 @@ let () =
   let t0 = Unix.gettimeofday () in
   let chol = Sympiler.Cholesky.compile sp_lower in
   let l = Sympiler.Cholesky.factor chol sp_lower in
-  Printf.printf "analysis+factorization: %.1f ms, nnz(L)=%d, variant %s\n"
+  Printf.printf "analysis+factorization: %.1f ms, nnz(L)=%d, C kernel %s\n"
     ((Unix.gettimeofday () -. t0) *. 1e3)
     chol.Sympiler.Cholesky.nnz_l
-    (match Sympiler.Cholesky.variant chol with
-    | Sympiler.Cholesky.Supernodal -> "supernodal"
-    | Sympiler.Cholesky.Simplicial -> "simplicial");
+    Sympiler.Cholesky.(variant_name (variant chol));
 
   (* Heat source in the grid center; initial condition zero. *)
   let q = Array.make n 0.0 in

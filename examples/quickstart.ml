@@ -18,11 +18,9 @@ let () =
   (* 2. Compile Cholesky for A's pattern (symbolic analysis happens here,
      once). *)
   let chol = Sympiler.Cholesky.compile a_lower in
-  Printf.printf "Cholesky compiled: %d nnz in L, %.0f flops, variant %s\n"
+  Printf.printf "Cholesky compiled: %d nnz in L, %.0f flops, C kernel %s\n"
     chol.Sympiler.Cholesky.nnz_l chol.Sympiler.Cholesky.flops
-    (match Sympiler.Cholesky.variant chol with
-    | Sympiler.Cholesky.Supernodal -> "supernodal"
-    | Sympiler.Cholesky.Simplicial -> "simplicial");
+    Sympiler.Cholesky.(variant_name (variant chol));
 
   (* 3. Numeric factorization + solve — no symbolic work in here. *)
   let b = Array.init a.Csc.ncols (fun i -> 1.0 +. (0.1 *. float_of_int i)) in

@@ -155,8 +155,10 @@ module type S = sig
 
   type t = {
     compiled : compiled;
-    pattern : Csc.t;  (** compiled (ordered handles: permuted) pattern *)
-    natural_pattern : Csc.t;  (** the caller's pattern before ordering *)
+    pattern : Csc.t;
+        (** compiled (ordered handles: permuted) pattern, without values *)
+    natural_pattern : Csc.t;
+        (** the caller's pattern before ordering, without values *)
     symbolic_seconds : float;
     flops : float;  (** the kernel's flop model; [nan] without one *)
     nnz_l : int;  (** stored entries of the factor *)
@@ -258,10 +260,13 @@ module Make (F : FAMILY) :
     in
     let symbolic_seconds = symbolic_seconds +. ord_seconds in
     observe_compile ~family:F.name ~ordering:ord.o_name symbolic_seconds;
+    (* Patterns only: a cached handle must not keep the value arrays of
+       the caller that compiled it alive. *)
+    let shape (m : Csc.t) = { m with Csc.values = [||] } in
     {
       compiled;
-      pattern;
-      natural_pattern = a;
+      pattern = shape pattern;
+      natural_pattern = shape a;
       symbolic_seconds;
       flops = F.flops compiled;
       nnz_l = F.nnz_l compiled;

@@ -7,27 +7,13 @@ open Sympiler_sparse
 
 type ordering = [ `Natural | `Rcm | `Amd | `Min_degree | `Given of Perm.t ]
 type engine = [ `Ocaml | `Native ]
+type t = { ordering : ordering; cache : bool; simplicial : bool }
 
-type t = {
-  ordering : ordering;
-  cache : bool;
-  vs_block_threshold : float option;
-  simplicial : bool;
-}
-
-let default =
-  {
-    ordering = `Natural;
-    cache = false;
-    vs_block_threshold = None;
-    simplicial = false;
-  }
-
+let default = { ordering = `Natural; cache = false; simplicial = false }
 let cached = { default with cache = true }
 
-let make ?(ordering = `Natural) ?(cache = false) ?vs_block_threshold
-    ?(simplicial = false) () =
-  { ordering; cache; vs_block_threshold; simplicial }
+let make ?(ordering = `Natural) ?(cache = false) ?(simplicial = false) () =
+  { ordering; cache; simplicial }
 
 let ordering_name : ordering -> string = function
   | `Natural -> "natural"
@@ -35,19 +21,6 @@ let ordering_name : ordering -> string = function
   | `Amd -> "amd"
   | `Min_degree -> "min-degree"
   | `Given _ -> "given"
-
-(* The threshold keys by its exact IEEE bits, split into two non-negative
-   32-bit halves (an OCaml int cannot hold all 64), and "not given" by a
-   negative half no bit pattern produces: two thresholds that could decide
-   VS-Block differently never share a cache entry. *)
-let fp_threshold : float option -> int array = function
-  | None -> [| -1; 0 |]
-  | Some x ->
-      let b = Int64.bits_of_float x in
-      [|
-        Int64.to_int (Int64.shift_right_logical b 32);
-        Int64.to_int (Int64.logand b 0xFFFF_FFFFL);
-      |]
 
 (* A [`Given] permutation fingerprints by content. *)
 let fp_ordering : ordering -> int array = function
@@ -60,9 +33,4 @@ let fp_ordering : ordering -> int array = function
 (* [cache] is excluded: it selects where the handle lives, not what it
    is. *)
 let fingerprint (o : t) : int array =
-  Array.concat
-    [
-      fp_threshold o.vs_block_threshold;
-      [| Bool.to_int o.simplicial |];
-      fp_ordering o.ordering;
-    ]
+  Array.append [| Bool.to_int o.simplicial |] (fp_ordering o.ordering)

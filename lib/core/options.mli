@@ -17,25 +17,19 @@ type t = {
   ordering : ordering;  (** default [`Natural] *)
   cache : bool;
       (** route the compile through the family's default {!Plan_cache} *)
-  vs_block_threshold : float option;
-      (** minimum average supernode width for VS-Block to pay off;
-          [None] = the family's default (2.0 for Cholesky) *)
-  simplicial : bool;  (** force the simplicial Cholesky variant *)
+  simplicial : bool;
+      (** pin the simplicial Cholesky kernel on every engine (the OCaml
+          plans run it anyway; native and [ndomains] plans then skip
+          VS-Block) *)
 }
 
 val default : t
-(** Natural ordering, uncached, family-default thresholds, supernodal. *)
+(** Natural ordering, uncached, VS-Block decided by Cholesky's rule. *)
 
 val cached : t
 (** {!default} with [cache = true]. *)
 
-val make :
-  ?ordering:ordering ->
-  ?cache:bool ->
-  ?vs_block_threshold:float ->
-  ?simplicial:bool ->
-  unit ->
-  t
+val make : ?ordering:ordering -> ?cache:bool -> ?simplicial:bool -> unit -> t
 
 val ordering_name : ordering -> string
 (** "natural", "rcm", "amd", "min-degree", or "given". *)
@@ -45,10 +39,6 @@ val ordering_name : ordering -> string
     Encoders mapping option values to integer arrays for {!Plan_cache}
     keys; distinct values that could compile differently never share an
     encoding. *)
-
-val fp_threshold : float option -> int array
-(** The threshold's exact bits ("not given" is distinct from every given
-    value). *)
 
 val fp_ordering : ordering -> int array
 

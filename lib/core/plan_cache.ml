@@ -17,8 +17,8 @@ let m_evictions =
    twice should never pay it twice. The cache keys compiled handles by the
    *structure* of the input — [Csc.pattern_hash] over
    (nrows, ncols, colptr, rowind) — plus an [extra] integer fingerprint for
-   anything else that shaped compilation (variant, thresholds, RHS
-   pattern). Values never participate: a hit is returned for any numeric
+   anything else that shaped compilation (the options a family reads, the
+   RHS pattern). Values never participate: a hit is returned for any numeric
    values sharing the pattern, which is exactly the contract of the
    compiled handles themselves.
 

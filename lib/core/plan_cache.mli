@@ -3,10 +3,11 @@ open Sympiler_sparse
 (** Pattern-keyed compilation cache (LRU): compiled handles keyed by the
     {e structure} of the input — {!Csc.pattern_hash} over
     [(nrows, ncols, colptr, rowind)] — plus an [extra] integer fingerprint
-    for anything else that shaped compilation (variant, thresholds, RHS
-    pattern). Values never participate in the key, matching the contract
-    of the compiled handles themselves. A cache hit skips the compile
-    function — and with it the entire symbolic phase — entirely. *)
+    for anything else that shaped compilation (the options a family
+    reads, the RHS pattern). Values never participate in the key,
+    matching the contract of the compiled handles themselves. A cache
+    hit skips the compile function — and with it the entire symbolic
+    phase — entirely. *)
 
 type 'a t
 

@@ -147,8 +147,8 @@ module Trisolve = struct
      caller keeps natural-order vectors throughout. Orderings must keep
      P L P^T lower triangular (a dependence-respecting relabeling, e.g. a
      [`Given] etree postorder); anything else raises [Invalid_argument]. *)
-  let compile_internal ?vs_block_threshold ~(ordering : ordering) (l : Csc.t)
-      (b : Vector.sparse) : t =
+  let compile_internal ~(ordering : ordering) (l : Csc.t) (b : Vector.sparse) :
+      t =
     let t0 = Prof.now_seconds () in
     let natural_l = l in
     let l, b, ord, ord_b_map =
@@ -187,8 +187,7 @@ module Trisolve = struct
       ~attrs:[ ("n", Trace.Int l.Csc.ncols) ]
     @@ fun () ->
     let compiled, symbolic_seconds =
-      time_symbolic (fun () ->
-          Trisolve_sympiler.compile ?vs_block_threshold l b)
+      time_symbolic (fun () -> Trisolve_sympiler.compile l b)
     in
     observe_compile ~family:"trisolve" ~ordering:ord.o_name
       (symbolic_seconds +. ord_seconds);
@@ -206,10 +205,9 @@ module Trisolve = struct
     }
 
   (* Compilation cache: keyed on L's structure plus the RHS pattern and
-     the two options a solve consumes (the VS-Block threshold and the
-     ordering; [fill] and [simplicial] mean nothing here) — a hit returns
-     the previously compiled handle, physically equal, with no symbolic
-     work. *)
+     the one option a solve consumes, the ordering ([simplicial] means
+     nothing here) — a hit returns the previously compiled handle,
+     physically equal, with no symbolic work. *)
   let default_cache : t Plan_cache.t = Plan_cache.create ()
 
   (* The patterns are checked once, before the lookup: L as a lower
@@ -229,19 +227,16 @@ module Trisolve = struct
         if i < 0 || i >= l.Csc.ncols then
           invalid_arg (who ^ ": b index out of range"))
       idx;
-    let { Options.vs_block_threshold; ordering; _ } = opts in
+    let ordering = opts.Options.ordering in
     let t =
       cached_compile ~span:"compile_cached.trisolve" ~default:default_cache
         ?cache ~opts ~pattern:l
         ~extra:
           (Array.concat
              [
-               [| b.Vector.n |];
-               b.Vector.indices;
-               Options.fp_threshold vs_block_threshold;
-               Options.fp_ordering ordering;
+               [| b.Vector.n |]; b.Vector.indices; Options.fp_ordering ordering;
              ])
-        (fun () -> compile_internal ?vs_block_threshold ~ordering l b)
+        (fun () -> compile_internal ~ordering l b)
     in
     if t.natural_l.Csc.values == l.Csc.values then t
     else
@@ -277,11 +272,11 @@ module Trisolve = struct
   (* Numeric solve (no symbolic work): x such that L x = b. [b] must have
      the pattern given at compile time (values free to differ) — in natural
      order even on an ordered handle: b is permuted in and x permuted back
-     out here. *)
+     out here. Every OCaml solve runs the reach-set column executor. *)
   let solve (t : t) (b : Vector.sparse) : float array =
     check_rhs ~who:"Sympiler.Trisolve.solve" t b;
     match t.ord.o_perm with
-    | None -> Trisolve_sympiler.solve_full t.compiled b
+    | None -> Trisolve_sympiler.solve_reach t.compiled b
     | Some p ->
         let pb =
           {
@@ -290,7 +285,7 @@ module Trisolve = struct
             values = Array.map (fun m -> b.Vector.values.(m)) t.ord_b_map;
           }
         in
-        let xp = Trisolve_sympiler.solve_full t.compiled pb in
+        let xp = Trisolve_sympiler.solve_reach t.compiled pb in
         let out = Array.make (Array.length xp) 0.0 in
         Array.iteri (fun k v -> out.(p.(k)) <- v) xp;
         out
@@ -302,10 +297,10 @@ module Trisolve = struct
       invalid_arg "Sympiler.Trisolve.solve_ip: x length does not match n";
     let p = Trisolve_sympiler.make_plan t.compiled in
     match t.ord.o_perm with
-    | None -> Trisolve_sympiler.solve_full_ip p x
+    | None -> Trisolve_sympiler.solve_reach_ip p x
     | Some q ->
         let px = Perm.apply_vec q x in
-        Trisolve_sympiler.solve_full_ip p px;
+        Trisolve_sympiler.solve_reach_ip p px;
         let xn = Perm.apply_inv_vec q px in
         Array.blit xn 0 x 0 (Array.length x)
 
@@ -326,8 +321,7 @@ module Trisolve = struct
   }
 
   (* What the IR lowers for a handle: its RHS pattern (the values are
-     never read) and its own VS-Block decision, so the C runs the
-     granularity the OCaml executor runs. *)
+     never read) and its VS-Block decision, which only the C follows. *)
   let ir_rhs (t : t) : Vector.sparse =
     {
       Vector.n = t.l.Csc.ncols;
@@ -428,8 +422,8 @@ module Trisolve = struct
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
   (* Generated C source implementing the same specialized solve
-     (VI-Prune + low-level transformations, and VS-Block where the handle
-     took it): the kernel its native plans run. *)
+     (VI-Prune + low-level transformations, and VS-Block where the handle's
+     decision took it): the kernel its native plans run. *)
   let c_code (t : t) : string =
     (Sympiler_ir.Pipeline.trisolve ~vs_block:(vs_block t) t.l (ir_rhs t))
       .Sympiler_ir.Pipeline.c_code
@@ -445,7 +439,6 @@ module Cholesky = struct
   type variant = Cholesky_family.variant = Supernodal | Simplicial
 
   let variant (t : t) = Cholesky_family.variant t.compiled
-  let native_variant (t : t) = Cholesky_family.native_variant t.compiled
 
   let variant_name = function
     | Supernodal -> "supernodal"
@@ -601,7 +594,7 @@ module Explain = struct
     col_count_hist : histogram;
     supernode_width_hist : histogram;
     avg_supernode_width : float;
-    flop_weighted_width : float; (* what the native VS-Block rule reads *)
+    flop_weighted_width : float; (* what Cholesky's VS-Block rule reads *)
     native_kernel : string; (* "supernodal" | "simplicial" *)
     level_depth : int; (* level sets of L's dependence graph *)
     max_level_width : int;
@@ -738,7 +731,7 @@ module Explain = struct
       flop_weighted_width =
         Sympiler_symbolic.Supernodes.flop_weighted_width sn
           ~counts:fill.Sympiler_symbolic.Fill_pattern.counts;
-      native_kernel = Cholesky.variant_name (Cholesky.native_variant t);
+      native_kernel = Cholesky.variant_name (Cholesky.variant t);
       level_depth = depth;
       max_level_width = maxw;
       decisions;

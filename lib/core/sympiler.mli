@@ -134,7 +134,8 @@ type applied_ordering = Compile_common.applied_ordering = {
       option records differing only in an ignored field share one entry.
     - [plan] allocates the numeric workspaces once; [?ndomains] requests
       the level-parallel executor on the persistent domain pool where one
-      exists (Trisolve, supernodal Cholesky) and is ignored elsewhere;
+      exists (Trisolve, Cholesky where VS-Block fired) and is ignored
+      elsewhere;
       [?engine] selects the executor (see {!type:engine}) — a native
       request takes precedence over [?ndomains], and falls back to the
       OCaml executor when no C compiler is available.
@@ -179,20 +180,23 @@ module Trisolve : sig
 
   val compile : ?cache:t Plan_cache.t -> ?opts:Options.t -> pattern -> t
   (** Symbolic inspection and inspector-guided planning for the patterns
-      of [l] and [b]; numeric values are free to change afterwards.
-      [opts.vs_block_threshold] moves the VS-Block profitability bar.
-      [opts.ordering] relabels the system to [P L P^T (P x) = P b] at
-      compile time; the numeric entry points keep taking natural-order [b]
-      and returning natural-order [x]. The ordering must keep [P L P^T]
+      of [l] and [b]; numeric values are free to change afterwards. The
+      handle's VS-Block decision (average reached supernode width against
+      {!Sympiler_kernels.Trisolve_sympiler.vs_block_width}) picks the
+      lowering of {!c_code} and of native plans only: every OCaml solve
+      runs the reach-set column executor. [opts.ordering] relabels the
+      system to [P L P^T (P x) = P b] at compile time; the numeric entry
+      points keep taking natural-order [b] and returning natural-order
+      [x]. The ordering must keep [P L P^T]
       lower triangular (a dependence-respecting relabeling such as an
       etree postorder via [`Given]); raises [Invalid_argument] otherwise,
       or when [l] is not lower triangular. [?cache] (or [opts.cache],
       which uses the module-wide default cache) routes the compile through
       a pattern-keyed {!Plan_cache}: a hit (same structure of [l], same
-      RHS pattern, same [vs_block_threshold] and [ordering]) does no
-      symbolic work. It returns the earlier handle, physically equal, on
-      the matrix that compiled it, and a copy bound to [l]'s values on
-      another matrix of the pattern. *)
+      RHS pattern, same [ordering]) does no symbolic work. It returns the
+      earlier handle, physically equal, on the matrix that compiled it,
+      and a copy bound to [l]'s values on another matrix of the
+      pattern. *)
 
   val cache_stats : unit -> Plan_cache.stats
   (** Hit/miss/length counters of the default cache. *)
@@ -239,7 +243,8 @@ module Trisolve : sig
   type output = float array
 
   val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** Without [ndomains]: the sequential reach-set executor. With
+  (** Without [ndomains]: the sequential reach-set executor
+      ({!Sympiler_kernels.Trisolve_sympiler.solve_reach_ip}). With
       [ndomains] (any value, including 1): the level-set executor on the
       persistent domain pool — levelization happens here, at plan time.
       It gives every [x(i)] the operation sequence of the column sweep
@@ -249,12 +254,16 @@ module Trisolve : sig
       the pool sizing rule to
       {!Runtime.Pool.default_size} semantics; see that module. [?engine]
       selects the executor ({!type:engine}); a loaded native kernel takes
-      precedence over [ndomains]. *)
+      precedence over [ndomains]. A native plan agrees, to the last bits,
+      with the OCaml executor of its lowering: the reach-set one, or
+      {!Sympiler_kernels.Trisolve_sympiler.solve_full} where VS-Block
+      fired. *)
 
   val execute_ip : plan -> Vector.sparse -> float array
   (** Solve into the plan's buffer (valid until the next call on the same
-      plan); zero allocation in steady state. Rejects a malformed [b] as
-      {!solve} does, leaving the plan usable. *)
+      plan, and not to be written: each call resets only the entries a
+      solve writes); zero allocation in steady state. Rejects a malformed
+      [b] as {!solve} does, leaving the plan usable. *)
 
   val plan_latency : plan -> Metrics.histogram_snapshot
   (** Per-call solve-latency distribution of this plan's metric series
@@ -268,26 +277,31 @@ end
 
 (** Sparse Cholesky factorization [A = L L^T]: a {!Factor.Make} instance.
 
-    [compile] takes the variant decision on one fill analysis of
-    lower(A): the supernodal (VS-Block + low-level) variant when the
-    average supernode width reaches the paper's hand-tuned 2.0 threshold
-    (§4.2), the simplicial (VI-Prune-only) code below it — as Sympiler
-    does for matrices 3,4,5,7. [opts.simplicial] forces the simplicial
-    variant, [opts.vs_block_threshold] moves the bar; both are in the
-    cache key. [opts.ordering] runs the whole analysis on [P A P^T] (the
+    [compile] runs one fill analysis of lower(A) and compiles the
+    simplicial (VI-Prune) executor, which every sequential OCaml plan
+    runs. VS-Block is a decision of the native engine alone: a native
+    plan runs the supernodal (VS-Block + low-level) C kernel when the
+    handle's flop-weighted supernode width
+    ({!Sympiler_symbolic.Supernodes.flop_weighted_width}) reaches the
+    measured C crossover, 6, and its predicted flops reach 75,000
+    (EXPERIMENTS.md, A1), and the simplicial C kernel otherwise — as
+    Sympiler skips VS-Block for matrices 3,4,5,7. [opts.simplicial] pins
+    the simplicial kernel on every engine; it is in the cache key.
+    [opts.ordering] runs the whole analysis on [P A P^T] (the
     numeric entry points keep taking natural-order values; the factor
     produced is that of the permuted matrix). The handle's [decisions]
     log VI-Prune (pruned-iteration ratio vs the dense update count) and
-    VS-Block (fired/declined with the measured average supernode width;
-    [nan] when [Simplicial] was forced); the ordering's fill ratio is
-    reported by {!Explain.cholesky}. Raises [Invalid_argument] on
+    VS-Block (fired/declined with the measured flop-weighted width; [nan]
+    when [opts.simplicial] pinned the kernel); the ordering's fill ratio
+    is reported by {!Explain.cholesky}. Raises [Invalid_argument] on
     non-lower-triangular input.
 
-    [plan ~ndomains] on a supernodal handle runs the level-parallel
-    executor on the persistent domain pool (the supernode DAG is levelized
-    at plan time); factors are bitwise-identical across all [ndomains].
-    Simplicial handles ignore [ndomains]. On a non-positive pivot every
-    plan, OCaml or native, simplicial or supernodal, raises
+    [plan ~ndomains] where VS-Block fired runs the level-parallel
+    supernodal executor on the persistent domain pool (the supernodal
+    analysis of the handle's L and its DAG levels are built at plan
+    time); factors are bitwise-identical across all [ndomains] and equal
+    the native plan's. Elsewhere [ndomains] is ignored. On a non-positive
+    pivot every plan, OCaml or native, simplicial or supernodal, raises
     {!Sympiler_kernels.Dense_blas.Not_positive_definite} at the same
     column (the native simplicial kernel checks the diagonal after the
     factorization, so a NaN pivot counts as well). It is the one
@@ -306,18 +320,13 @@ module Cholesky : sig
   include Factor.S with type output = Csc.t and type updown := updown
 
   val variant : t -> variant
-  (** What [compile] chose: the kernel of the handle's OCaml plans. *)
-
-  val native_variant : t -> variant
-  (** The kernel of the handle's native plans. A simplicial handle's
-      native plan runs the supernodal C kernel when the handle's
-      flop-weighted supernode width
-      ({!Sympiler_symbolic.Supernodes.flop_weighted_width}) reaches the
-      measured C crossover, 6, and the caller pinned no variant
-      ([opts.simplicial] or an explicit [opts.vs_block_threshold]); its
-      factor is then the one an OCaml plan compiled with
-      [vs_block_threshold = 0.] gives, bit for bit. Otherwise it is
-      {!variant}. *)
+  (** The handle's VS-Block decision: the kernel of its native plans, and
+      [Supernodal] also where [plan ~ndomains] runs the level-parallel
+      supernodal executor. A supernodal native plan's factor is, bit for
+      bit, the one {!Sympiler_kernels.Cholesky_supernodal.Sympiler} gives
+      over the supernodal analysis of the handle's L
+      ({!Sympiler_kernels.Cholesky_supernodal.of_pattern}); sequential
+      OCaml plans run the simplicial executor whatever the decision. *)
 
   val variant_name : variant -> string
   (** ["supernodal"] or ["simplicial"]. *)
@@ -481,10 +490,10 @@ module Explain : sig
     flop_weighted_width : float;
         (** supernode width averaged over the flop model
             ({!Sympiler_symbolic.Supernodes.flop_weighted_width}): what
-            the native engine's VS-Block rule reads *)
+            Cholesky's VS-Block rule reads *)
     native_kernel : string;
         (** the kernel a native plan of the handle runs: "supernodal" or
-            "simplicial" (Cholesky: {!Cholesky.native_variant}; a
+            "simplicial" (Cholesky: {!Cholesky.variant}; a
             triangular solve's C is lowered with the handle's own
             VS-Block decision, so "supernodal" exactly when its
             [vs-block] decision fired and its {!Trisolve.c_code} loops

@@ -61,10 +61,8 @@ let of_supernodes ~sn ~parent ~counts ~l_colptr ~l_rowind : analysis =
     nnz_l = l_colptr.(n);
   }
 
-let analyze ?fill ?max_width (a_lower : Csc.t) : analysis =
-  let fill =
-    match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
-  in
+let analyze ?max_width (a_lower : Csc.t) : analysis =
+  let fill = Fill_pattern.analyze a_lower in
   let counts = fill.Fill_pattern.counts and parent = fill.Fill_pattern.parent in
   of_supernodes
     ~sn:(Supernodes.detect_etree ?max_width ~counts ~parent ())
@@ -85,12 +83,6 @@ let of_pattern ~(l_colptr : int array) ~(l_rowind : int array) : analysis =
   of_supernodes
     ~sn:(Supernodes.detect_etree ~counts ~parent ())
     ~parent ~counts ~l_colptr ~l_rowind
-
-(* Supernode width averaged over the flop model rather than over
-   supernodes: what VS-Block's dense loops see. *)
-let flop_weighted_width (an : analysis) =
-  Supernodes.flop_weighted_width an.sn
-    ~counts:(Array.init an.n (fun j -> an.l_colptr.(j + 1) - an.l_colptr.(j)))
 
 (* Index into l_rowind where supernode s's below-block row list begins. *)
 let below_rows_start an s =
@@ -305,8 +297,8 @@ module Sympiler = struct
     { an; schedule = compute_schedule an; specialized }
 
   (* "Compile time": symbolic analysis + full update schedule. *)
-  let compile ?fill ?max_width ?specialized (a_lower : Csc.t) : compiled =
-    of_analysis ?specialized (analyze ?fill ?max_width a_lower)
+  let compile ?max_width ?specialized (a_lower : Csc.t) : compiled =
+    of_analysis ?specialized (analyze ?max_width a_lower)
 
   (* A plan owns every numeric workspace the factorization needs — the
      factor's values array, the row-offset scratch and the update buffer,

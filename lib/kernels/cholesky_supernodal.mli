@@ -22,7 +22,7 @@ type analysis = {
     remaining [m] rows land in the target's diagonal block. *)
 type update = { d : int; first : int; t : int; m : int }
 
-val analyze : ?fill:Fill_pattern.t -> ?max_width:int -> Csc.t -> analysis
+val analyze : ?max_width:int -> Csc.t -> analysis
 (** Symbolic analysis: fill pattern, supernodes, panel geometry. *)
 
 val of_pattern : l_colptr:int array -> l_rowind:int array -> analysis
@@ -30,9 +30,6 @@ val of_pattern : l_colptr:int array -> l_rowind:int array -> analysis
     diagonal first, as {!Fill_pattern} builds it): counts are the column
     lengths and each column's etree parent is its first below-diagonal
     row. The arrays are shared, not copied. *)
-
-val flop_weighted_width : analysis -> float
-(** {!Supernodes.flop_weighted_width} of the analysis' supernodes. *)
 
 val below_rows_start : analysis -> int -> int
 (** Index into [l_rowind] of a supernode's below-block row list. *)
@@ -78,7 +75,7 @@ val factor_panel_specialized : analysis -> float array -> int -> unit
 module Cholmod : sig
   type t = analysis
 
-  val analyze : ?fill:Fill_pattern.t -> ?max_width:int -> Csc.t -> t
+  val analyze : ?max_width:int -> Csc.t -> t
   val factor : t -> Csc.t -> Csc.t
 end
 
@@ -97,7 +94,6 @@ module Sympiler : sig
   (** The update schedule over an existing analysis. *)
 
   val compile :
-    ?fill:Fill_pattern.t ->
     ?max_width:int ->
     ?specialized:bool ->
     Csc.t ->

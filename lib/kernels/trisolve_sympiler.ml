@@ -7,7 +7,13 @@ module Metrics = Sympiler_metrics.Metrics
    solve iterates over — is computed once at "compile time" and baked into
    a [compiled] value whose numeric routines contain no symbolic work.
 
-   Three variants mirror the stacked bars of Figure 6:
+   The reach-set executor ([solve_reach]) is VI-Prune alone: the flat
+   column loop of Figure 1d over the reach set. It is what every OCaml
+   plan runs, because VS-Block's dense block loops do not pay without
+   vector code (1.03-1.36x slower on the suite); the VS-Block decision
+   taken here picks the lowering of the emitted C. Three more variants
+   mirror the stacked bars of Figure 6; [solve_full] is the reference the
+   native tests hold a VS-Block kernel to:
    - [solve_vs_block]: VS-Block only — all supernodes processed with dense
      block kernels, no pruning.
    - [solve_vs_vi]: VS-Block + VI-Prune — only supernodes intersecting the
@@ -25,9 +31,14 @@ type compiled = {
   max_below : int; (* max below-block height, sizes each plan's scratch *)
   flops : float; (* useful numeric flops of the pruned solve *)
   columnwise : bool;
-      (* compile-time decision: process the reach-set column by column
-         (scalar code) instead of block by block — chosen when supernodes
-         are too narrow or would waste too much work on unreached columns *)
+      (* the VS-Block decision, declined: the lowered C and [solve_full]
+         process the reach-set column by column (scalar code) instead of
+         block by block — chosen when supernodes are too narrow or would
+         waste too much work on unreached columns *)
+  written : int array;
+      (* the columns of the hit supernodes, ascending: every entry the
+         reach-set executor or the lowered C writes (the reach set itself
+         when [columnwise]) *)
   decisions : Sympiler_trace.Trace.decision list;
       (* decision log: VS-Block and VI-Prune, with measured quantities *)
 }
@@ -36,13 +47,15 @@ type compiled = {
    enough; the paper hand-tunes this threshold (set to 160 there for the
    average *supernode work size*; our executor uses average width — the
    ablation bench explores this). When the average width of reached
-   supernodes is below [vs_block_threshold], or block processing would
-   spend more than 10% extra flops on unreached columns of hit supernodes,
-   [compile] records supernodes of width 1 everywhere, making the block
-   variants degenerate to column code, exactly as Sympiler skips VS-Block
-   for matrices 3,4,5,7. *)
-let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
-    compiled =
+   supernodes is below [vs_block_width], or block processing would spend
+   more than [vs_block_waste] extra flops on unreached columns of hit
+   supernodes, [compile] records supernodes of width 1 everywhere, making
+   the block variants degenerate to column code, exactly as Sympiler skips
+   VS-Block for matrices 3,4,5,7. *)
+let vs_block_width = 1.6
+let vs_block_waste = 0.1
+
+let compile (l : Csc.t) (b : Vector.sparse) : compiled =
   let reach = Dep_graph.reach l b.Vector.indices in
   (* Ascending column order is also a valid dependence order for forward
      substitution and gives the numeric loop sequential memory access; the
@@ -73,7 +86,7 @@ let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
   in
   let waste = (!block_work -. useful) /. Float.max useful 1.0 in
   let columnwise =
-    avg_reached_width < vs_block_threshold || waste > 0.1
+    avg_reached_width < vs_block_width || waste > vs_block_waste
   in
   let sn = if columnwise then Supernodes.detect_exact ~max_width:1 l else sn in
   let hit = Array.make (Supernodes.nsuper sn) false in
@@ -84,6 +97,13 @@ let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
     let acc = ref [] in
     for s = Supernodes.nsuper sn - 1 downto 0 do
       if hit.(s) then acc := s :: !acc
+    done;
+    Array.of_list !acc
+  in
+  let written =
+    let acc = ref [] in
+    for j = l.Csc.ncols - 1 downto 0 do
+      if hit.(sn.Supernodes.col_to_sn.(j)) then acc := j :: !acc
     done;
     Array.of_list !acc
   in
@@ -109,7 +129,7 @@ let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
       fired = not columnwise;
       metric = "avg_reached_supernode_width";
       value = avg_reached_width;
-      threshold = vs_block_threshold;
+      threshold = vs_block_width;
     }
   in
   let d_vi =
@@ -136,6 +156,7 @@ let compile ?(vs_block_threshold = 1.6) (l : Csc.t) (b : Vector.sparse) :
     max_below = !max_below;
     flops = Trisolve_ref.flops l reach;
     columnwise;
+    written;
     decisions = [ d_vi; d_vs ];
   }
 
@@ -229,26 +250,29 @@ let solve_vs_vi_ip p (x : float array) =
   done;
   record_solve p.c
 
+(* VI-Prune alone: the flat decoupled code of Figure 1d over the
+   reach-set, no supernode dispatch. *)
+let solve_reach_ip p (x : float array) =
+  let c = p.c in
+  let l = c.l in
+  let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
+  let reach = c.reach in
+  for px = 0 to Array.length reach - 1 do
+    let j = reach.(px) in
+    let xj = x.(j) /. lx.(lp.(j)) in
+    x.(j) <- xj;
+    for p = lp.(j) + 1 to lp.(j + 1) - 1 do
+      x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
+    done
+  done;
+  record_solve c
+
 (* VS-Block + VI-Prune + low-level transformations (the Figure 1e code).
-   When compilation decided on column granularity, the loop is the flat
-   decoupled code of Figure 1d over the reach-set (no supernode dispatch),
+   When compilation declined VS-Block, the loop is the reach-set one,
    which peeling/specialization reduce to in that regime. *)
 let solve_full_ip p (x : float array) =
   let c = p.c in
-  if c.columnwise then begin
-    let l = c.l in
-    let lp = l.Csc.colptr and li = l.Csc.rowind and lx = l.Csc.values in
-    let reach = c.reach in
-    for px = 0 to Array.length reach - 1 do
-      let j = reach.(px) in
-      let xj = x.(j) /. lx.(lp.(j)) in
-      x.(j) <- xj;
-      for p = lp.(j) + 1 to lp.(j + 1) - 1 do
-        x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. xj)
-      done
-    done;
-    record_solve c
-  end
+  if c.columnwise then solve_reach_ip p x
   else begin
     let seq = c.sn_sequence in
     for i = 0 to Array.length seq - 1 do
@@ -257,22 +281,27 @@ let solve_full_ip p (x : float array) =
     record_solve c
   end
 
-(* Scatter b over a zeroed buffer. The previous solution's nonzeros are not
-   tracked, so the reset is a full O(n) fill — branch-free, allocation-free,
-   and cheap next to the solve itself. *)
+(* Scatter b over the solution buffer after zeroing what the last solve
+   wrote: the plan's buffer is zero everywhere else, so the reset is
+   O(|written|), not O(n). The hit supernodes' columns cover the -0.0 that
+   a block solve writes at an unreached column with a negative
+   diagonal. *)
 let load_rhs (p : plan) (b : Vector.sparse) =
   if b.Vector.n <> Array.length p.x then
     invalid_arg "Trisolve_sympiler.solve_ip: RHS dimension mismatch";
-  Array.fill p.x 0 (Array.length p.x) 0.0;
+  let x = p.x and w = p.c.written in
+  for k = 0 to Array.length w - 1 do
+    x.(w.(k)) <- 0.0
+  done;
   let idx = b.Vector.indices and v = b.Vector.values in
   for k = 0 to Array.length idx - 1 do
-    p.x.(idx.(k)) <- v.(k)
+    x.(idx.(k)) <- v.(k)
   done
 
 let solve_ip (p : plan) (b : Vector.sparse) : float array =
   load_rhs p b;
   Sympiler_trace.Trace.begin_span "solve_ip.trisolve";
-  solve_full_ip p p.x;
+  solve_reach_ip p p.x;
   Sympiler_trace.Trace.end_span ();
   p.x
 
@@ -283,6 +312,7 @@ let run ip c (b : Vector.sparse) =
   ip p p.x;
   p.x
 
+let solve_reach c b = run solve_reach_ip c b
 let solve_vs_block c b = run solve_vs_block_ip c b
 let solve_vs_vi c b = run solve_vs_vi_ip c b
 let solve_full c b = run solve_full_ip c b

@@ -258,12 +258,11 @@ echo "steady --profile: ok"
 
 echo "== native shape smoke =="
 # A factor kernel's C is one text per kernel shape, so patterns of one
-# shape share one compiled object. parabolic_fem is a simplicial handle
-# whose flop-weighted supernode width upgrades its native plan to the
-# supernodal kernel, and cbuckle is a supernodal handle, both naturally
-# ordered: with one fresh native cache the first run compiles and the
-# second only dlopens, which proves the upgraded plan runs the supernodal
-# shape. Then four processes compile one shape at once into another
+# shape share one compiled object. parabolic_fem and cbuckle, both
+# naturally ordered, are handles whose VS-Block rule sends their native
+# plans to the supernodal kernel: with one fresh native cache the first
+# run compiles and the second only dlopens, which proves both run the
+# one supernodal shape. Then four processes compile one shape at once into another
 # fresh cache: each must run native, and the directory must end with one
 # object and no temp files. Last, `stats` on cbuckle in a fresh process
 # and cache runs a native triangular-solve plan: its execute series must

@@ -61,13 +61,15 @@ let () =
     (Printf.sprintf "steady refactor allocation-free (%d words/call)" per_call)
     (per_call = 0);
 
-  (* Pool-parallel factors must be bitwise-identical to sequential ones. *)
+  (* Pool-parallel factors must be bitwise-identical to sequential ones:
+     AMD-ordered, the grid's work sits in wide supernodes, so [?ndomains]
+     plans run the level-parallel supernodal executor. *)
   let hs =
-    Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
-      al
+    Sympiler.Cholesky.compile ~opts:(Sympiler.Options.make ~ordering:`Amd ()) al
   in
-  let p_seq = Sympiler.Cholesky.plan hs in
+  check "VS-Block fires"
+    (Sympiler.Cholesky.variant hs = Sympiler.Cholesky.Supernodal);
+  let p_seq = Sympiler.Cholesky.plan ~ndomains:1 hs in
   let p_par = Sympiler.Cholesky.plan ~ndomains:2 hs in
   ignore (Sympiler.Cholesky.execute_ip p_seq al);
   ignore (Sympiler.Cholesky.execute_ip p_par al);

@@ -62,35 +62,56 @@ let test_cholesky_api_variants () =
   let r = Vector.sub (Csc.spmv a x) b in
   Alcotest.(check bool) "solve residual" true (Vector.norm_inf r < 1e-8)
 
+(* The VS-Block rule: a grid of narrow supernodes and little work falls
+   back to the simplicial kernel, as the paper skips VS-Block for matrices
+   3,4,5,7; wide supernodes carrying enough flops take the supernodal one;
+   [simplicial] pins the simplicial kernel without measuring. *)
 let test_cholesky_threshold_fallback () =
-  (* Small-supernode matrix + huge threshold -> simplicial fallback, as the
-     paper skips VS-Block for matrices 3,4,5,7. *)
-  let al = Csc.lower (Generators.grid2d ~stencil:`Five 6 6) in
-  let t =
+  let vs (t : Sympiler.Cholesky.t) =
+    List.find
+      (fun d -> d.Sympiler.Trace.pass = "vs-block")
+      t.Sympiler.Cholesky.decisions
+  in
+  let narrow =
     Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~vs_block_threshold:1e9 ())
-      al
+      (Csc.lower (Generators.grid2d ~stencil:`Five 6 6))
   in
   Alcotest.(check bool) "fell back to simplicial" true
-    (Sympiler.Cholesky.variant t = Sympiler.Cholesky.Simplicial);
-  let t2 =
+    (Sympiler.Cholesky.variant narrow = Sympiler.Cholesky.Simplicial);
+  Alcotest.(check bool) "declined" false (vs narrow).Sympiler.Trace.fired;
+  let al =
+    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
+  in
+  let wide = Sympiler.Cholesky.compile al in
+  Alcotest.(check bool) "supernodal on wide supernodes" true
+    (Sympiler.Cholesky.variant wide = Sympiler.Cholesky.Supernodal);
+  Alcotest.(check bool) "fired at the width threshold" true
+    ((vs wide).Sympiler.Trace.fired
+    && (vs wide).Sympiler.Trace.value >= (vs wide).Sympiler.Trace.threshold);
+  let pinned =
     Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
+      ~opts:(Sympiler.Options.make ~simplicial:true ())
       al
   in
-  Alcotest.(check bool) "supernodal when threshold 0" true
-    (Sympiler.Cholesky.variant t2 = Sympiler.Cholesky.Supernodal)
+  Alcotest.(check bool) "pinned simplicial" true
+    (Sympiler.Cholesky.variant pinned = Sympiler.Cholesky.Simplicial);
+  Alcotest.(check bool) "pinned: never measured" true
+    (Float.is_nan (vs pinned).Sympiler.Trace.value)
 
 let test_cholesky_c_code_supernodal () =
-  let al = Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:3 ~block:4 ()) in
-  let t =
-    Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
-      al
+  let al =
+    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
   in
-  let c = Sympiler.Cholesky.c_code t in
+  let c = Sympiler.Cholesky.c_code (Sympiler.Cholesky.compile al) in
   Alcotest.(check bool) "supernodal C generated" true
-    (String.length c > 500)
+    (String.length c > 500
+    &&
+    let key = "cholesky_supernodal" in
+    let m = String.length key in
+    let rec go i =
+      i + m <= String.length c && (String.sub c i m = key || go (i + 1))
+    in
+    go 0)
 
 (* Compile the emitted supernodal C with gcc and compare factors. *)
 let test_supernodal_c_gcc_roundtrip () =

@@ -75,13 +75,25 @@ let test_trisolve_flops_counts () =
   (* columns 0,5,6,7,8,9 have nnz 2,4,2,3,2,1 -> flops = sum (2nnz-1) = 3+7+3+5+3+1 = 22 *)
   Alcotest.(check (float 0.0)) "useful flops" 22.0 (Trisolve_ref.flops l r)
 
+(* A random pattern's reached supernodes average under the width
+   threshold: VS-Block declines, every supernode is a single column and
+   the solve writes only the reach-set. *)
 let test_trisolve_threshold_disables_blocks () =
   let l = Generators.random_lower ~seed:12 ~n:60 ~density:0.08 () in
   let b = Generators.sparse_rhs ~seed:13 ~n:60 ~fill:0.1 () in
-  let c = Trisolve_sympiler.compile ~vs_block_threshold:1e9 l b in
-  (* with an impossible threshold every supernode is a single column *)
+  let c = Trisolve_sympiler.compile l b in
+  let vs =
+    List.find
+      (fun d -> d.Sympiler_trace.Trace.pass = "vs-block")
+      c.Trisolve_sympiler.decisions
+  in
+  Alcotest.(check bool) "below the width threshold" true
+    (vs.Sympiler_trace.Trace.value < Trisolve_sympiler.vs_block_width);
+  Alcotest.(check bool) "declined" true c.Trisolve_sympiler.columnwise;
   Alcotest.(check int) "degenerate blocks" l.Csc.ncols
-    (Supernodes.nsuper c.Trisolve_sympiler.sn)
+    (Supernodes.nsuper c.Trisolve_sympiler.sn);
+  Alcotest.(check (array int)) "writes the reach-set" c.Trisolve_sympiler.reach
+    c.Trisolve_sympiler.written
 
 (* ---- Cholesky ---- *)
 

@@ -5,9 +5,13 @@ open Sympiler_kernels
    raced against the OCaml executor, plus the cache/fallback machinery.
 
    Differential law: a plan with [~engine:`Native] must produce the same
-   values as the default OCaml plan of the same handle — bitwise in practice (the C follows the same operation order
-   and is compiled with -ffp-contract=off), checked at 1e-15 relative to
-   allow a stray last-bit difference without hiding real divergence. *)
+   values as the OCaml executor of the same kernel — the handle's default
+   OCaml plan, or, where VS-Block fired (which only the C runs), the
+   supernodal Cholesky executor of its [~ndomains] plan and the VS-Block
+   solve called directly — bitwise in practice (the C follows the same
+   operation order and is compiled with -ffp-contract=off), checked at
+   1e-15 relative to allow a stray last-bit difference without hiding
+   real divergence. *)
 
 module N = Sympiler.Native
 module NE = Sympiler.Native_engine
@@ -35,9 +39,10 @@ let diff_zoo () =
       List.mem name [ "grid5_8x8"; "clique"; "blocktri"; "dense-ish"; "tiny" ])
     (Helpers.spd_zoo ())
 
-(* Every factor family, Cholesky once per variant (forced), behind one
-   record: [build ordering engine a] compiles [a]'s pattern and makes one
-   plan. [square] families take A, the others lower(A). *)
+(* Every factor family, Cholesky twice (its VS-Block rule deciding, and
+   pinned simplicial), behind one record: [build ordering engine a]
+   compiles [a]'s pattern and makes one plan. [square] families take A,
+   the others lower(A). *)
 type plan = {
   exec : Csc.t -> unit;  (** [execute_ip], result discarded *)
   values : Csc.t -> float array;  (** [execute_ip], factor values copied *)
@@ -52,7 +57,7 @@ type family = {
 }
 
 let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
-    fname
+    ?ndomains fname
     (module F : Sympiler.Factor.S with type output = o)
     (vals : o -> float array) =
   let compile ordering a =
@@ -63,7 +68,7 @@ let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
     square;
     build =
       (fun ordering engine a ->
-        let p = F.plan ~engine (compile ordering a) in
+        let p = F.plan ?ndomains ~engine (compile ordering a) in
         {
           exec = (fun i -> ignore (F.execute_ip p i : o));
           values = (fun i -> Array.copy (vals (F.execute_ip p i)));
@@ -72,10 +77,12 @@ let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
     c_code = (fun ordering a -> F.c_code (compile ordering a));
   }
 
+(* [~ndomains:1] makes the OCaml arm of "cholesky" the native kernel's
+   reference whichever way the rule went: the supernodal executor where
+   VS-Block fired, the simplicial one elsewhere. *)
 let families =
   [
-    family "cholesky supernodal"
-      ~base:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
+    family ~ndomains:1 "cholesky"
       (module Sympiler.Cholesky)
       (fun l -> l.Csc.values);
     family "cholesky simplicial"
@@ -95,6 +102,30 @@ let find name = List.find (fun f -> f.fname = name) families
 
 (* ---------------- per-family differential checks ---------------- *)
 
+(* What a native solve must give: the OCaml executor of its lowering —
+   the VS-Block one, called directly, where the handle's decision fired
+   (OCaml plans solve by columns), else the plan's own reach-set
+   executor. *)
+let trisolve_oracle (t : Sympiler.Trisolve.t) (b : Vector.sparse) =
+  let module T = Sympiler.Trisolve in
+  let c = t.T.compiled in
+  if c.Trisolve_sympiler.columnwise then Array.copy (T.execute_ip (T.plan t) b)
+  else
+    match t.T.ord.Sympiler.o_perm with
+    | None -> Trisolve_sympiler.solve_full c b
+    | Some p ->
+        let pb =
+          {
+            b with
+            Vector.indices = t.T.b_pattern;
+            values = Array.map (fun m -> b.Vector.values.(m)) t.T.ord_b_map;
+          }
+        in
+        let xp = Trisolve_sympiler.solve_full c pb in
+        let x = Array.make (Array.length xp) 0.0 in
+        Array.iteri (fun k v -> x.(p.(k)) <- v) xp;
+        x
+
 let test_trisolve_native () =
   require_native ();
   let cases =
@@ -104,7 +135,7 @@ let test_trisolve_native () =
         Generators.random_lower ~seed:91 ~n:150 ~density:0.07 (),
         Generators.sparse_rhs ~seed:92 ~n:150 ~fill:0.06 () );
       (* a Cholesky factor: supernodal L so VS-Block (and the tmp
-         buffer) participates *)
+         buffer) participates in the C *)
       ( "supernodal-L",
         (let a = Generators.block_tridiagonal ~seed:4 ~nblocks:5 ~block:6 () in
          let al = Csc.lower a in
@@ -115,7 +146,6 @@ let test_trisolve_native () =
   List.iter
     (fun (name, l, b) ->
       let t = Sympiler.Trisolve.compile (l, b) in
-      let po = Sympiler.Trisolve.plan t in
       let pn = Sympiler.Trisolve.plan ~engine:`Native t in
       Alcotest.(check bool) (name ^ ": native loaded") true
         (pn.Sympiler.Trisolve.native <> None);
@@ -129,9 +159,10 @@ let test_trisolve_native () =
               Array.map (fun v -> v *. float_of_int round) b.Vector.values;
           }
         in
-        let xo = Array.copy (Sympiler.Trisolve.execute_ip po b') in
-        let xn = Sympiler.Trisolve.execute_ip pn b' in
-        check_vals (Printf.sprintf "%s round %d" name round) xo xn
+        check_vals
+          (Printf.sprintf "%s round %d" name round)
+          (trisolve_oracle t b')
+          (Sympiler.Trisolve.execute_ip pn b')
       done)
     cases
 
@@ -151,12 +182,10 @@ let test_trisolve_native_ordered () =
       ~opts:(Sympiler.Options.make ~ordering:(`Given p) ())
       (l, b)
   in
-  let po = Sympiler.Trisolve.plan t in
   let pn = Sympiler.Trisolve.plan ~engine:`Native t in
   Alcotest.(check bool) "native loaded" true
     (pn.Sympiler.Trisolve.native <> None);
-  check_vals "ordered trisolve"
-    (Array.copy (Sympiler.Trisolve.execute_ip po b))
+  check_vals "ordered trisolve" (trisolve_oracle t b)
     (Sympiler.Trisolve.execute_ip pn b)
 
 (* A trisolve handle reads L's values where it holds them: over a
@@ -175,7 +204,8 @@ let test_trisolve_native_refactor () =
   Alcotest.(check bool) "native loaded" true
     (pn.Sympiler.Trisolve.native <> None);
   let before = Array.copy (Sympiler.Trisolve.execute_ip po b) in
-  check_vals "before the refactor" before (Sympiler.Trisolve.execute_ip pn b);
+  check_vals "before the refactor" (trisolve_oracle t b)
+    (Sympiler.Trisolve.execute_ip pn b);
   (* new values on the same pattern: the diagonal raised by one *)
   let values = Array.copy al.Csc.values in
   for j = 0 to al.Csc.ncols - 1 do
@@ -185,8 +215,8 @@ let test_trisolve_native_refactor () =
   done;
   ignore (Sympiler.Cholesky.execute_ip p { al with Csc.values } : Csc.t);
   let xo = Array.copy (Sympiler.Trisolve.execute_ip po b) in
-  let xn = Sympiler.Trisolve.execute_ip pn b in
-  check_vals "after the refactor" xo xn;
+  let xn = Array.copy (Sympiler.Trisolve.execute_ip pn b) in
+  check_vals "after the refactor" (trisolve_oracle t b) xn;
   List.iter
     (fun (engine, x) ->
       Alcotest.(check bool)
@@ -195,25 +225,22 @@ let test_trisolve_native_refactor () =
         (Utils.max_rel_diff before x > 1e-3))
     [ ("ocaml", xo); ("native", xn) ]
 
-(* The handle whose OCaml plan a native Cholesky plan of [t] agrees with:
-   [t] itself, or, when the native plan of a simplicial handle runs the
-   supernodal kernel, the same pattern compiled with threshold 0, whose
-   OCaml executor the C follows operation for operation (so the law is
-   then bitwise). *)
+(* The OCaml plan a native Cholesky plan of [t] agrees with: the
+   [~ndomains:1] plan runs the supernodal executor where VS-Block fired,
+   which the C follows operation for operation (so the law is then
+   bitwise), and the simplicial one elsewhere. *)
 let cholesky_oracle (t : Sympiler.Cholesky.t) =
-  let module C = Sympiler.Cholesky in
-  if C.native_variant t = C.variant t then t
-  else
-    C.compile
-      ~opts:
-        { t.C.opts with Sympiler.Options.vs_block_threshold = Some 0.0 }
-      t.C.natural_pattern
+  Sympiler.Cholesky.plan ~ndomains:1 t
 
 let upgraded (t : Sympiler.Cholesky.t) =
-  Sympiler.Cholesky.(native_variant t <> variant t)
+  Sympiler.Cholesky.(variant t = Supernodal)
+
+(* Wide supernodes carrying enough flops: VS-Block fires. *)
+let wide_lower () =
+  Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
 
 let cholesky_diff name t al =
-  let po = Sympiler.Cholesky.plan (cholesky_oracle t) in
+  let po = cholesky_oracle t in
   let pn = Sympiler.Cholesky.plan ~engine:`Native t in
   Alcotest.(check bool) (name ^ ": native loaded") true
     (pn.Sympiler.Cholesky.native <> None);
@@ -229,14 +256,12 @@ let test_cholesky_native () =
       let al = Csc.lower a in
       cholesky_diff name (Sympiler.Cholesky.compile al) al)
     (diff_zoo ());
-  (* both variants forced on the same matrix *)
-  let al = Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:5 ~block:6 ()) in
-  cholesky_diff "forced supernodal"
-    (Sympiler.Cholesky.compile
-       ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
-       al)
-    al;
-  cholesky_diff "forced simplicial"
+  (* both kernels on the same matrix: the rule's, and the pinned one *)
+  let al = wide_lower () in
+  let t = Sympiler.Cholesky.compile al in
+  Alcotest.(check bool) "wide: supernodal" true (upgraded t);
+  cholesky_diff "supernodal" t al;
+  cholesky_diff "pinned simplicial"
     (Sympiler.Cholesky.compile
        ~opts:(Sympiler.Options.make ~simplicial:true ())
        al)
@@ -311,11 +336,7 @@ let qcheck_cholesky_native =
       ||
       let al = Csc.lower a in
       let t = Sympiler.Cholesky.compile al in
-      let lo =
-        Sympiler.Cholesky.execute_ip
-          (Sympiler.Cholesky.plan (cholesky_oracle t))
-          al
-      in
+      let lo = Sympiler.Cholesky.execute_ip (cholesky_oracle t) al in
       let ln =
         Sympiler.Cholesky.execute_ip
           (Sympiler.Cholesky.plan ~engine:`Native t)
@@ -426,10 +447,10 @@ let test_native_degenerate () =
     families
 
 (* One [Not_positive_definite] for every Cholesky plan: on cbuckle with
-   its last diagonal entry negated, the OCaml supernodal, OCaml simplicial
-   and both native plans raise it at the same column, one handler catches
-   them all, and each plan then factors as a fresh one. The kernels'
-   other spellings name the same exception. *)
+   its last diagonal entry negated, the OCaml supernodal ([~ndomains]),
+   OCaml simplicial and both native plans raise it at the same column,
+   one handler catches them all, and each plan then factors as a fresh
+   one. The kernels' other spellings name the same exception. *)
 let test_native_cholesky_pivot () =
   require_native ();
   let al = (Sympiler.Suite.problem 1).Sympiler.Suite.a_lower in
@@ -460,9 +481,9 @@ let test_native_cholesky_pivot () =
         (Helpers.same_bits (p.values al)
            ((fam.build `Natural engine al).values al)))
     [
-      ("cholesky supernodal", `Ocaml);
+      ("cholesky", `Ocaml);
       ("cholesky simplicial", `Ocaml);
-      ("cholesky supernodal", `Native);
+      ("cholesky", `Native);
       ("cholesky simplicial", `Native);
     ];
   List.iter
@@ -485,7 +506,7 @@ let test_native_cholesky_pivot () =
 let test_artifact_bitwise () =
   require_native ();
   let cc = Option.get (N.cc ()) in
-  let a = Generators.clique_chain ~seed:3 ~n:60 ~clique:8 ~overlap:2 () in
+  let a = Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 () in
   Helpers.with_temp_dir (fun dir ->
       List.iteri
         (fun case (name, ordering, entry, k) ->
@@ -542,7 +563,7 @@ let test_artifact_bitwise () =
                 f.(i) g)
             got)
         [
-          ("cholesky supernodal", `Natural, "cholesky_supernodal", 1);
+          ("cholesky", `Natural, "cholesky_supernodal", 1);
           ("cholesky simplicial", `Amd, "cholesky", 2);
           ("ldlt", `Amd, "ldlt_factor", 2);
           ("lu", `Natural, "lu_factor", 2);
@@ -550,16 +571,16 @@ let test_artifact_bitwise () =
           ("ilu0", `Amd, "ilu0_factor", 1);
         ])
 
-(* ------------ VS-Block per executor: upgraded native plans ------------ *)
+(* ---------- VS-Block in the emitted C only: upgraded native plans ---------- *)
 
 module C = Sympiler.Cholesky
 
-let chol_opts ?simplicial ?vs_block_threshold ordering =
-  Sympiler.Options.make ?simplicial ?vs_block_threshold ~ordering ()
+let chol_opts ?simplicial ordering =
+  Sympiler.Options.make ?simplicial ~ordering ()
 
-(* Simplicial handles whose native plans run the supernodal kernel: an
-   AMD-ordered grid (flop-weighted width 9.0) and a suite mesh problem,
-   natural and ordered. *)
+(* Handles whose native plans run the supernodal kernel while their OCaml
+   plans run the simplicial one: an AMD-ordered grid (flop-weighted width
+   9.0) and a suite mesh problem, natural and ordered. *)
 let upgraded_cases () =
   let dub = (Sympiler.Suite.problem 5).Sympiler.Suite.a_lower in
   [
@@ -602,30 +623,35 @@ let backward_error (a : Csc.t) (l : Csc.t) =
   norm r /. ((norm rowsum *. norm x) +. norm b)
 
 (* An upgraded native plan gives, bit for bit, the factor of the OCaml
-   plan of the same pattern compiled with threshold 0; the handle's own
-   (simplicial) OCaml plan is a different algorithm, so against it both
-   factors pass the scaled backward-error bound. *)
+   supernodal executor over the supernodal analysis of the handle's L,
+   called directly, and of the handle's [~ndomains] plan; the handle's
+   own (simplicial) OCaml plan is a different algorithm, so against it
+   both factors pass the scaled backward-error bound. *)
 let test_upgraded_bitwise () =
   require_native ();
   List.iter
     (fun (name, al, ordering) ->
       let t = C.compile ~opts:(chol_opts ordering) al in
-      Alcotest.(check bool) (name ^ ": simplicial handle") true
-        (C.variant t = C.Simplicial);
       Alcotest.(check bool) (name ^ ": supernodal native kernel") true
-        (C.native_variant t = C.Supernodal);
+        (upgraded t);
       let pn = C.plan ~engine:`Native t in
       Alcotest.(check bool) (name ^ ": native loaded") true
         (pn.C.native <> None);
-      let p0 =
-        C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 ordering) al)
-      in
       let ln = Array.copy (C.execute_ip pn al).Csc.values in
-      Helpers.bitwise
-        (name ^ ": native = OCaml plan with threshold 0")
-        (C.execute_ip p0 al).Csc.values ln;
-      let lo = C.execute_ip (C.plan t) al in
+      let l = C.factor t al in
+      let sup =
+        Cholesky_supernodal.Sympiler.of_analysis
+          (Cholesky_supernodal.of_pattern ~l_colptr:l.Csc.colptr
+             ~l_rowind:l.Csc.rowind)
+      in
       let a = compiled_input t al in
+      Helpers.bitwise
+        (name ^ ": native = the OCaml supernodal executor")
+        (Cholesky_supernodal.Sympiler.factor sup a).Csc.values ln;
+      Helpers.bitwise
+        (name ^ ": native = the ndomains plan")
+        (C.execute_ip (C.plan ~ndomains:2 t) al).Csc.values ln;
+      let lo = C.execute_ip (C.plan t) al in
       let bound = 10.0 *. float_of_int al.Csc.ncols *. epsilon_float in
       List.iter
         (fun (which, l) ->
@@ -643,46 +669,46 @@ let test_upgraded_bitwise () =
 let test_pinned_keep_simplicial () =
   require_native ();
   let al = Csc.lower (Generators.grid2d 24 24) in
-  List.iter
-    (fun (name, opts) ->
-      let t = C.compile ~opts al in
-      Alcotest.(check bool) (name ^ ": simplicial native kernel") true
-        (C.native_variant t = C.Simplicial);
-      Alcotest.(check bool) (name ^ ": c_code is the simplicial artifact") false
-        (contains (C.c_code t) "cholesky_supernodal_kernel");
-      let pn = C.plan ~engine:`Native t in
-      Alcotest.(check bool) (name ^ ": native loaded") true
-        (pn.C.native <> None);
-      check_vals name
-        (Array.copy (C.execute_ip (C.plan t) al).Csc.values)
-        (C.execute_ip pn al).Csc.values)
-    [
-      ("simplicial = true", chol_opts ~simplicial:true `Amd);
-      ("threshold 1e9", chol_opts ~vs_block_threshold:1e9 `Amd);
-    ]
+  let t = C.compile ~opts:(chol_opts ~simplicial:true `Amd) al in
+  Alcotest.(check bool) "simplicial native kernel" true
+    (C.variant t = C.Simplicial);
+  Alcotest.(check bool) "c_code is the simplicial artifact" false
+    (contains (C.c_code t) "cholesky_supernodal_kernel");
+  let pn = C.plan ~engine:`Native t in
+  Alcotest.(check bool) "native loaded" true (pn.C.native <> None);
+  check_vals "simplicial = true"
+    (Array.copy (C.execute_ip (C.plan t) al).Csc.values)
+    (C.execute_ip pn al).Csc.values
 
-(* Both sides of the constant: AMD-ordered grids whose flop-weighted
-   widths are 5.55 (36 x 18) and 6.32 (21 x 21). *)
+(* Both sides of the rule, AMD-ordered grids: 36 x 18 is below the width
+   (5.55); 21 x 21 reaches it (6.32) but is below the flop floor (0.057
+   Mflop), where the supernodal C loses; 24 x 24 clears both (9.0, 0.097
+   Mflop). *)
 let test_upgrade_threshold () =
   List.iter
-    (fun (name, al, below) ->
+    (fun (name, al, want) ->
       let t = C.compile ~opts:(chol_opts `Amd) al in
       let r = Sympiler.Explain.cholesky t in
+      let vs =
+        List.find (fun d -> d.Sympiler.Trace.pass = "vs-block") t.C.decisions
+      in
       let fw = r.Sympiler.Explain.flop_weighted_width in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: flop-weighted width %.2f %s 6" name fw
-           (if below then "<" else ">="))
-        below (fw < 6.0);
-      Alcotest.(check bool) (name ^ ": simplicial handle") true
-        (C.variant t = C.Simplicial);
-      let want = if below then "simplicial" else "supernodal" in
+        (Printf.sprintf "%s: the decision records the width %.2f" name fw)
+        true
+        (vs.Sympiler.Trace.value = fw && vs.Sympiler.Trace.threshold = 6.0);
       Alcotest.(check string) (name ^ ": native kernel") want
         r.Sympiler.Explain.native_kernel;
-      Alcotest.(check bool) (name ^ ": native_variant agrees") true
-        (C.native_variant t = if below then C.Simplicial else C.Supernodal))
+      Alcotest.(check string) (name ^ ": variant agrees") want
+        (C.variant_name (C.variant t));
+      Alcotest.(check bool) (name ^ ": decision agrees") (want = "supernodal")
+        vs.Sympiler.Trace.fired;
+      Alcotest.(check bool) (name ^ ": c_code agrees") (want = "supernodal")
+        (contains (C.c_code t) "cholesky_supernodal_kernel"))
     [
-      ("grid2d 36x18", Csc.lower (Generators.grid2d 36 18), true);
-      ("grid2d 21x21", Csc.lower (Generators.grid2d 21 21), false);
+      ("grid2d 36x18", Csc.lower (Generators.grid2d 36 18), "simplicial");
+      ("grid2d 21x21", Csc.lower (Generators.grid2d 21 21), "simplicial");
+      ("grid2d 24x24", Csc.lower (Generators.grid2d 24 24), "supernodal");
     ]
 
 (* A negated diagonal: the upgraded plan raises at the column the OCaml
@@ -695,9 +721,7 @@ let test_upgraded_pivot () =
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
   Alcotest.(check bool) "native loaded" true (pn.C.native <> None);
-  let p0 =
-    C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 `Amd) al)
-  in
+  let p0 = cholesky_oracle t in
   let values = Array.copy al.Csc.values in
   (* lower(A), rows sorted: the diagonal leads its column *)
   let d = al.Csc.colptr.(300) in
@@ -728,9 +752,7 @@ let test_upgraded_update () =
   let t = C.compile ~opts:(chol_opts `Amd) al in
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
-  let p0 =
-    C.plan (C.compile ~opts:(chol_opts ~vs_block_threshold:0.0 `Amd) al)
-  in
+  let p0 = cholesky_oracle t in
   ignore (C.execute_ip pn al : Csc.t);
   ignore (C.execute_ip p0 al : Csc.t);
   Helpers.bitwise "plan_factor" (C.plan_factor p0).Csc.values
@@ -833,6 +855,47 @@ let test_so_cache () =
           let ln = Sympiler.Ic0.execute_ip p3 al in
           check_vals "disk-loaded kernel factors" lo.Csc.values ln.Csc.values))
 
+(* The repository benchmark's [refactor] set-up: its five native plans
+   (Cholesky on cbuckle, on thermomech_dM pinned simplicial and on an
+   AMD-ordered 90 x 90 grid, LDL^T on msc23052, LU on gyro) must load five
+   distinct kernel texts, or the set-up fails every request; in a fresh
+   cache that is five compiles and no memory hit. *)
+let test_refactor_five_kernels () =
+  require_native ();
+  Helpers.with_temp_dir (fun dir ->
+      Unix.putenv "SYMPILER_NATIVE_CACHE" dir;
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "SYMPILER_NATIVE_CACHE" "")
+        (fun () ->
+          N.clear_memory_cache ();
+          N.reset_stats ();
+          let suite id = Sympiler.Suite.problem id in
+          let chol opts al =
+            (C.plan ~engine:`Native (C.compile ~opts al)).C.native <> None
+          in
+          let loaded =
+            [
+              chol Sympiler.Options.default (suite 1).Sympiler.Suite.a_lower;
+              chol (chol_opts ~simplicial:true `Natural)
+                (suite 7).Sympiler.Suite.a_lower;
+              chol (chol_opts `Amd) (Csc.lower (Generators.grid2d 90 90));
+              (Sympiler.Ldlt.plan ~engine:`Native
+                 (Sympiler.Ldlt.compile (suite 6).Sympiler.Suite.a_lower))
+                .Sympiler.Ldlt.native
+              <> None;
+              (Sympiler.Lu.plan ~engine:`Native
+                 (Sympiler.Lu.compile (suite 3).Sympiler.Suite.a_full))
+                .Sympiler.Lu.native
+              <> None;
+            ]
+          in
+          Alcotest.(check bool) "five native plans" true
+            (List.for_all Fun.id loaded);
+          let st = N.stats () in
+          Alcotest.(check int) "five compiles" 5 st.N.compiles;
+          Alcotest.(check int) "no memory hit" 0 st.N.memory_hits;
+          Alcotest.(check int) "no fallback" 0 st.N.fallbacks))
+
 (* ------------------------- steady-state allocation ------------------------- *)
 
 let minor_words_per_call (f : unit -> unit) =
@@ -915,7 +978,6 @@ let test_native_zero_alloc () =
       ("ic0", `Natural);
       ("ilu0", `Natural);
       ("cholesky simplicial", `Amd);
-      ("cholesky supernodal", `Amd);
     ];
   (* a simplicial handle whose native plan runs the supernodal kernel *)
   let al = Csc.lower (Generators.grid2d 24 24) in
@@ -958,7 +1020,14 @@ let test_escalated_ordered_refused () =
       (escalated ()).C.pattern
   in
   let pn = C.plan ~engine:`Native natural in
-  ignore (C.execute_ip pn natural.C.pattern : Csc.t);
+  (* the identity's values on the pattern: lower(A) leads each column
+     with its diagonal *)
+  let p = natural.C.pattern in
+  let values = Array.make (Csc.nnz p) 0.0 in
+  for j = 0 to p.Csc.ncols - 1 do
+    values.(p.Csc.colptr.(j)) <- 1.0
+  done;
+  ignore (C.execute_ip pn { p with Csc.values } : Csc.t);
   Alcotest.(check bool) "native plan of the escalated handle refused" true
     (match C.plan ~engine:`Native (escalated ()) with
     | _ -> false
@@ -1005,7 +1074,8 @@ let suite =
     ("native degenerate sizes", `Slow, test_native_degenerate);
     ("native zero pivot", `Slow, test_native_zero_pivot);
     ("native cholesky pivot", `Slow, test_native_cholesky_pivot);
-    ("upgraded native = threshold-0 ocaml, bitwise", `Slow, test_upgraded_bitwise);
+    ("upgraded native = OCaml supernodal executor, bitwise", `Slow,
+     test_upgraded_bitwise);
     ("pinned handles keep the simplicial kernel", `Slow, test_pinned_keep_simplicial);
     ("native kernel on both sides of the width rule", `Quick, test_upgrade_threshold);
     ("upgraded native pivot", `Slow, test_upgraded_pivot);
@@ -1013,6 +1083,7 @@ let suite =
     ("artifact = native plan, bitwise", `Slow, test_artifact_bitwise);
     ("so cache accounting", `Slow, test_so_cache);
     ("one object per kernel shape", `Slow, test_shape_sharing);
+    ("refactor set-up: five distinct kernels", `Slow, test_refactor_five_kernels);
     ("native zero allocation", `Slow, test_native_zero_alloc);
     ("escalated ordered handle refused", `Slow, test_escalated_ordered_refused);
     ("fallback without cc", `Quick, test_fallback_no_cc);

@@ -344,20 +344,30 @@ let test_imbalance_with_metrics_only () =
 
 (* ---- the unified facade ---- *)
 
+(* Where VS-Block fires, [?ndomains] plans run the level-parallel
+   supernodal executor: bitwise the sequential supernodal executor over
+   the analysis of the handle's L for every domain count, and the native
+   supernodal kernel. *)
 let test_facade_cholesky_ndomains () =
-  let al = Csc.lower (Generators.grid2d ~stencil:`Five 12 12) in
-  let h =
-    Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~vs_block_threshold:0.0 ())
+  let al =
+    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
+  in
+  let h = Sympiler.Cholesky.compile al in
+  Alcotest.(check bool) "VS-Block fired" true
+    (Sympiler.Cholesky.variant h = Sympiler.Cholesky.Supernodal);
+  let l = Sympiler.Cholesky.factor h al in
+  let fseq =
+    Cholesky_supernodal.Sympiler.factor
+      (Cholesky_supernodal.Sympiler.of_analysis
+         (Cholesky_supernodal.of_pattern ~l_colptr:l.Csc.colptr
+            ~l_rowind:l.Csc.rowind))
       al
   in
-  let pseq = Sympiler.Cholesky.plan h in
   let p1 = Sympiler.Cholesky.plan ~ndomains:1 h in
   let p4 = Sympiler.Cholesky.plan ~ndomains:4 h in
-  let fseq = Sympiler.Cholesky.execute_ip pseq al in
   let f1 = Sympiler.Cholesky.execute_ip p1 al in
   let f4 = Sympiler.Cholesky.execute_ip p4 al in
-  Helpers.bitwise "facade sequential == ndomains:1"
+  Helpers.bitwise "supernodal executor == facade ndomains:1"
     fseq.Csc.values f1.Csc.values;
   Helpers.bitwise "facade ndomains:1 == ndomains:4" f1.Csc.values f4.Csc.values;
   let f4' = Sympiler.Cholesky.execute_ip p4 al in
@@ -371,18 +381,22 @@ let test_facade_cholesky_ndomains () =
   Alcotest.(check bool) "plan_factor view is the executed factor" true
     (Sympiler.Cholesky.plan_factor p4 == f4')
 
+(* Below the rule, or pinned simplicial, the column code has no level
+   schedule: [?ndomains] is ignored. *)
 let test_facade_simplicial_ignores_ndomains () =
   let al = Csc.lower (Generators.grid2d ~stencil:`Five 8 8) in
-  let h =
-    Sympiler.Cholesky.compile
-      ~opts:(Sympiler.Options.make ~simplicial:true ())
-      al
-  in
-  let p = Sympiler.Cholesky.plan ~ndomains:4 h in
-  let f = Sympiler.Cholesky.execute_ip p al in
-  let fresh = Sympiler.Cholesky.factor h al in
-  Helpers.bitwise "simplicial plan ignores ndomains"
-    fresh.Csc.values f.Csc.values
+  List.iter
+    (fun (name, opts) ->
+      let h = Sympiler.Cholesky.compile ~opts al in
+      let p = Sympiler.Cholesky.plan ~ndomains:4 h in
+      let f = Sympiler.Cholesky.execute_ip p al in
+      let fresh = Sympiler.Cholesky.factor h al in
+      Helpers.bitwise (name ^ ": plan ignores ndomains") fresh.Csc.values
+        f.Csc.values)
+    [
+      ("below the rule", Sympiler.Options.default);
+      ("simplicial", Sympiler.Options.make ~simplicial:true ());
+    ]
 
 let test_facade_trisolve_ndomains () =
   let l = Generators.random_lower ~seed:51 ~n:300 ~density:0.03 () in

@@ -196,8 +196,8 @@ let test_incomplete_flops () =
       ignore (Sympiler.Ilu0.execute_ip p a : Ilu0.factors))
 
 (* One [Cholesky.solve] adds the factorization's flops and both sweeps',
-   2 (2 nnz(L) - n), on natural and ordered, simplicial and supernodal
-   handles, and gives the Figure 1 baseline sweeps' solution bitwise. *)
+   2 (2 nnz(L) - n), on natural and ordered handles, pinned simplicial or
+   not, and gives the Figure 1 baseline sweeps' solution bitwise. *)
 let test_cholesky_solve_flops () =
   let module C = Sympiler.Cholesky in
   let al = spd_lower () in
@@ -223,10 +223,9 @@ let test_cholesky_solve_flops () =
       bitwise (name ^ ": the baseline sweeps' solution") y !x)
     [
       ("natural", Sympiler.Options.default);
+      ("amd", Sympiler.Options.make ~ordering:`Amd ());
       ( "amd simplicial",
         Sympiler.Options.make ~ordering:`Amd ~simplicial:true () );
-      ( "amd supernodal",
-        Sympiler.Options.make ~ordering:`Amd ~vs_block_threshold:0.0 () );
     ]
 
 let test_reset () =

@@ -398,17 +398,19 @@ let test_failed_escalation_preserves_plan () =
   Alcotest.(check bool) "handle kept" true (p.SC.handle == t);
   Helpers.bitwise "factor untouched" before (SC.plan_factor p).Csc.values
 
-(* Two wide-clique blocks: supernodal by default, and an update coupling
-   column 0 with column 64 lies outside the factor pattern. *)
+(* Two wide-clique blocks: VS-Block fires by default, and an update
+   coupling column 0 with the second block's first column lies outside
+   the factor pattern. *)
 let two_cliques () =
-  let b = Generators.clique_chain ~n:64 ~clique:16 ~overlap:4 () in
+  let b = Generators.clique_chain ~n:128 ~clique:32 ~overlap:8 () in
   Helpers.block_diag [ b; b ]
 
 let coupling_w n =
-  { Vector.n; indices = [| 0; 64 |]; values = [| 1.0; -1.0 |] }
+  { Vector.n; indices = [| 0; n / 2 |]; values = [| 1.0; -1.0 |] }
 
-(* The escalated plan is compiled with the handle's own options: a plan
-   that chose (or was forced to) the simplicial variant keeps it. *)
+(* The escalated plan is compiled with the handle's own options: the
+   rule's decision on a default handle, and a handle pinned simplicial
+   keeps the pin. *)
 let test_escalation_keeps_options () =
   let a = two_cliques () in
   let al = Csc.lower a in
@@ -427,9 +429,7 @@ let test_escalation_keeps_options () =
   Alcotest.(check bool) "default options stay supernodal" true
     (escalated Sympiler.Options.default = SC.Supernodal);
   Alcotest.(check bool) "forced simplicial stays simplicial" true
-    (escalated (Sympiler.Options.make ~simplicial:true ()) = SC.Simplicial);
-  Alcotest.(check bool) "threshold 1e9 stays simplicial" true
-    (escalated (Sympiler.Options.make ~vs_block_threshold:1e9 ()) = SC.Simplicial)
+    (escalated (Sympiler.Options.make ~simplicial:true ()) = SC.Simplicial)
 
 (* The escalated handle carries its own input map: a fresh plan of it
    takes the caller's original natural pattern and factors it like the
