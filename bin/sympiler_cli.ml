@@ -7,7 +7,6 @@
      sympiler_cli trisolve --matrix m.mtx --rhs-fill 0.03 -o tri.c
      sympiler_cli analyze  --problem ecology2
      sympiler_cli steady   --problem ecology2 --repeat 100
-     sympiler_cli steady   --problem ecology2 --ndomains 4
      sympiler_cli updown   --problem ecology2 --repeat 200 --sigma 0.5
      sympiler_cli explain  --problem ecology2 --json
      sympiler_cli steady   --problem ecology2 --trace trace.json *)
@@ -190,8 +189,7 @@ let trisolve matrix problem rhs_fill out profile trace metrics =
    refactorizations into the same plan, reporting steady-state time per
    call, the GC minor-heap words each call allocates (0 = allocation-free),
    and the compilation cache's behaviour on a recompile. *)
-let steady matrix problem ordering repeat ndomains engine profile trace metrics
-    =
+let steady matrix problem ordering repeat engine profile trace metrics =
   with_metrics metrics @@ fun () ->
   with_trace trace @@ fun () ->
   with_profile profile @@ fun () ->
@@ -206,7 +204,7 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
   let t0 = now () in
   let opts = Sympiler.Options.make ~ordering:ord ~cache:true () in
   let h = Sympiler.Cholesky.compile ~opts al in
-  let p = Sympiler.Cholesky.plan ?ndomains ~engine h in
+  let p = Sympiler.Cholesky.plan ~engine h in
   ignore (Sympiler.Cholesky.execute_ip p al);
   let first = now () -. t0 in
   let reps = max 1 repeat in
@@ -224,7 +222,7 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
   Printf.printf "n                : %d\n" a.Csc.ncols;
   Printf.printf "ordering         : %s\n" (ordering_flag_name ordering);
   Printf.printf "nnz(L)           : %d\n" h.Sympiler.Cholesky.nnz_l;
-  Printf.printf "variant          : %s (native and ndomains plans)\n"
+  Printf.printf "variant          : %s (native plans)\n"
     Sympiler.Cholesky.(variant_name (variant h));
   Printf.printf "engine           : %s\n"
     (match (engine, p.Sympiler.Cholesky.native) with
@@ -252,12 +250,6 @@ let steady matrix problem ordering repeat ndomains engine profile trace metrics
     (if words = 0 then " (allocation-free)" else "");
   Printf.printf "recompile hit    : %b (cache %d hits / %d misses)\n"
     (h' == h) stats.Sympiler.Plan_cache.hits stats.Sympiler.Plan_cache.misses;
-  (match ndomains with
-  | None -> ()
-  | Some nd ->
-      Printf.printf "parallel         : ndomains=%d (pool domains spawned: %d)\n"
-        nd
-        (Sympiler.Runtime.Pool.spawned ()));
   0
 
 (* ---- explain ---- *)
@@ -567,7 +559,7 @@ let updown matrix problem ordering repeat sigma col profile trace metrics =
    solve plan driven the same way) with the metrics registry on, and print
    the resulting snapshot: an aligned table by default, the OpenMetrics
    text exposition, or the JSON snapshot. *)
-let stats matrix problem ordering repeat ndomains engine format trace =
+let stats matrix problem ordering repeat engine format trace =
   with_trace trace @@ fun () ->
   Sympiler.Metrics.enable ();
   let a = load ~matrix ~problem in
@@ -579,14 +571,14 @@ let stats matrix problem ordering repeat ndomains engine format trace =
       ~opts:(Sympiler.Options.make ~ordering:ord ~cache:true ())
       al
   in
-  let p = Sympiler.Cholesky.plan ?ndomains ~engine h in
+  let p = Sympiler.Cholesky.plan ~engine h in
   for _ = 1 to reps do
     ignore (Sympiler.Cholesky.execute_ip p al)
   done;
   let l = Sympiler.Cholesky.factor h al in
   let b = Generators.sparse_rhs ~seed:1 ~n:l.Csc.ncols ~fill:0.03 () in
   let ts = Sympiler.Trisolve.compile (l, b) in
-  let tp = Sympiler.Trisolve.plan ?ndomains ~engine ts in
+  let tp = Sympiler.Trisolve.plan ~engine ts in
   for _ = 1 to reps do
     ignore (Sympiler.Trisolve.execute_ip tp b)
   done;
@@ -644,17 +636,6 @@ let repeat_arg =
   Arg.(
     value & opt int 100
     & info [ "repeat"; "n" ] ~doc:"Steady-state refactorization count")
-
-let ndomains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "ndomains" ]
-        ~doc:
-          "Execute through the persistent domain pool with $(docv) domains \
-           (default: the sequential plan). Results are bitwise-identical \
-           either way."
-        ~docv:"N")
 
 let engine_arg =
   Arg.(
@@ -779,7 +760,7 @@ let steady_cmd =
           plan (compile once, execute many)")
     Term.(
       const steady $ matrix_arg $ problem_arg $ ordering_arg $ repeat_arg
-      $ ndomains_arg $ engine_arg $ profile_arg $ trace_arg $ metrics_arg)
+      $ engine_arg $ profile_arg $ trace_arg $ metrics_arg)
 
 let cholesky_cmd =
   Cmd.v (Cmd.info "cholesky" ~doc:"Emit specialized Cholesky C code")
@@ -824,7 +805,7 @@ let stats_cmd =
           JSON, or OpenMetrics)")
     Term.(
       const stats $ matrix_arg $ problem_arg $ ordering_arg $ repeat_arg
-      $ ndomains_arg $ engine_arg $ format_arg $ trace_arg)
+      $ engine_arg $ format_arg $ trace_arg)
 
 let pipeline_cmd =
   Cmd.v

@@ -14,9 +14,8 @@ module Trace = Sympiler_trace.Trace
    whose supernodal kernel beats its simplicial one once the work sits in
    wide supernodes, and not in OCaml, whose supernodal executor loses to
    the simplicial one on every pattern measured (EXPERIMENTS.md, A1). So
-   the sequential OCaml plan always runs the simplicial executor; the
-   native plan runs the supernodal kernel, and a plan with [ndomains] the
-   level-parallel supernodal executor, when the decision fired. *)
+   the OCaml plan always runs the simplicial executor, and the native
+   plan runs the supernodal kernel when the decision fired. *)
 
 type variant = Supernodal | Simplicial
 
@@ -28,9 +27,7 @@ type compiled = {
   decisions : Trace.decision list;
 }
 
-type kplan =
-  | PSimp of Cholesky_ref.Decoupled.plan
-  | PPar of Cholesky_parallel.plan
+type kplan = Cholesky_ref.Decoupled.plan
 
 type output = Csc.t
 
@@ -120,28 +117,9 @@ let supernodal_executor (c : compiled) :
     (Cholesky_supernodal.of_pattern ~l_colptr:f.Fill.l_colptr
        ~l_rowind:f.Fill.l_rowind)
 
-(* [?ndomains] where the decision fired: levelize the supernode DAG
-   (plan-time inspection) and run levels on the persistent domain pool,
-   with the sequential executor's operation sequence per target
-   supernode — factors are bitwise-identical for any domain count.
-   Elsewhere the simplicial column code, which has no level schedule,
-   ignores [ndomains]. *)
-let make_plan ?ndomains (c : compiled) : kplan =
-  match ndomains with
-  | Some nd when c.supernodal ->
-      PPar
-        (Cholesky_parallel.make_plan ~ndomains:nd
-           (Cholesky_parallel.levelize (supernodal_executor c)))
-  | _ -> PSimp (Cholesky_ref.Decoupled.make_plan c.simp)
-
-let factor_ip (p : kplan) (a_lower : Csc.t) : unit =
-  match p with
-  | PSimp p -> Cholesky_ref.Decoupled.factor_ip p a_lower
-  | PPar p -> Cholesky_parallel.factor_ip p a_lower
-
-let view : kplan -> Csc.t = function
-  | PSimp p -> p.Cholesky_ref.Decoupled.l
-  | PPar p -> p.Cholesky_parallel.l
+let make_plan (c : compiled) : kplan = Cholesky_ref.Decoupled.make_plan c.simp
+let factor_ip = Cholesky_ref.Decoupled.factor_ip
+let view (p : kplan) : Csc.t = p.Cholesky_ref.Decoupled.l
 
 let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
   Cholesky_ref.Decoupled.factor c.simp a_lower

@@ -31,7 +31,7 @@ module type KERNEL = sig
   val symbolic_seconds : t -> float
   (** One-time inspection + planning cost of this handle. *)
 
-  val plan : ?ndomains:int -> ?engine:Options.engine -> t -> plan
+  val plan : ?engine:Options.engine -> t -> plan
   val execute_ip : plan -> input -> output
 
   val plan_latency : plan -> Metrics.histogram_snapshot
@@ -90,7 +90,7 @@ module type FAMILY = sig
   (** The options [compile] reads, as the family's slice of the cache
       key ([[||]] when it reads none). *)
 
-  val make_plan : ?ndomains:int -> compiled -> kplan
+  val make_plan : compiled -> kplan
   val factor_ip : kplan -> Csc.t -> unit
 
   val view : kplan -> output
@@ -303,8 +303,8 @@ module Make (F : FAMILY) :
           invalid_arg (who ^ ": an escalated handle has no native kernel");
         Some t.ord.o_map
 
-  let plan ?ndomains ?(engine : Options.engine = `Ocaml) (t : t) : plan =
-    let p = F.make_plan ?ndomains t.compiled in
+  let plan ?(engine : Options.engine = `Ocaml) (t : t) : plan =
+    let p = F.make_plan t.compiled in
     let native =
       match engine with
       | `Ocaml -> None

@@ -24,7 +24,7 @@ module Ldlt = struct
     K.compile ~upper:(Lazy.force cp.upper) cp.pattern
 
   let key _ = [||]
-  let make_plan ?ndomains:_ = K.make_plan
+  let make_plan = K.make_plan
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.f
   let factor = K.factor
@@ -57,7 +57,7 @@ module Lu = struct
 
   let compile _ (cp : compiled_pattern) = K.Sympiler.compile cp.pattern
   let key _ = [||]
-  let make_plan ?ndomains:_ = K.Sympiler.make_plan
+  let make_plan = K.Sympiler.make_plan
   let factor_ip = K.Sympiler.factor_ip
   let view (p : kplan) = p.K.Sympiler.f
   let factor = K.Sympiler.factor
@@ -89,7 +89,7 @@ module Ic0 = struct
 
   let compile _ (cp : compiled_pattern) = K.compile cp.pattern
   let key _ = [||]
-  let make_plan ?ndomains:_ = K.make_plan
+  let make_plan = K.make_plan
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.l
   let factor = K.factor
@@ -134,7 +134,7 @@ module Ilu0 = struct
 
   let compile _ (cp : compiled_pattern) = K.compile cp.pattern
   let key _ = [||]
-  let make_plan ?ndomains:_ = K.make_plan
+  let make_plan = K.make_plan
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.f
   let factor = K.factor

@@ -19,8 +19,7 @@ type t = {
       (** route the compile through the family's default {!Plan_cache} *)
   simplicial : bool;
       (** pin the simplicial Cholesky kernel on every engine (the OCaml
-          plans run it anyway; native and [ndomains] plans then skip
-          VS-Block) *)
+          plans run it anyway; native plans then skip VS-Block) *)
 }
 
 val default : t

@@ -15,7 +15,6 @@ open Sympiler_kernels
 module Suite = Suite
 module Codegen_supernodal = Codegen_supernodal
 module Plan_cache = Plan_cache
-module Runtime = Sympiler_runtime
 module Native = Sympiler_native.Native
 module Native_engine = Native_engine
 module Options = Options
@@ -309,7 +308,6 @@ module Trisolve = struct
   type plan = {
     handle : t;
     p : Trisolve_sympiler.plan;
-    par : Trisolve_parallel.plan option;
     ord_b : Vector.sparse option;
         (* permuted-b scratch of an ordered plan: fixed (permuted) indices,
            values refreshed by each execute *)
@@ -320,41 +318,30 @@ module Trisolve = struct
     m_exec : Metrics.histogram; (* per-call solve latency *)
   }
 
-  (* What the IR lowers for a handle: its RHS pattern (the values are
-     never read) and its VS-Block decision, which only the C follows. *)
-  let ir_rhs (t : t) : Vector.sparse =
-    {
-      Vector.n = t.l.Csc.ncols;
-      indices = t.b_pattern;
-      values = Array.map (fun _ -> 1.0) t.b_pattern;
-    }
+  (* The handle's lowering, the one its native plans run and [c_code]
+     prints: VS-Block as the handle decided, with its width-1 blocks
+     peeled; the column code of a handle that declined it, with the
+     low-level passes off (peeled, it compiled for tens of seconds and ran
+     slower than the OCaml plan), over the reach set in the OCaml
+     executor's ascending order. The RHS values are never read. *)
+  let lowering (t : t) : Sympiler_ir.Pipeline.result =
+    let vs_block = not t.compiled.Trisolve_sympiler.columnwise in
+    Sympiler_ir.Pipeline.trisolve ~vs_block ~low_level:vs_block t.l
+      {
+        Vector.n = t.l.Csc.ncols;
+        indices = t.b_pattern;
+        values = Array.map (fun _ -> 1.0) t.b_pattern;
+      }
 
-  let vs_block (t : t) = not t.compiled.Trisolve_sympiler.columnwise
-
-  (* [~ndomains] switches the plan to the level-set executor on the
-     persistent domain pool; the levelization (one more inspection set) is
-     paid here, at plan time. Any requested domain count — including 1 —
-     goes through the level schedule, so results are bitwise-identical
-     across [ndomains]; they may differ in operation order (hence in last
-     bits) from the reach-set executor of a plain plan. *)
-  let plan ?ndomains ?(engine : engine = `Ocaml) (t : t) : plan =
+  let plan ?(engine : engine = `Ocaml) (t : t) : plan =
     let p = Trisolve_sympiler.make_plan t.compiled in
-    let par =
-      match ndomains with
-      | None -> None
-      | Some nd ->
-          Some
-            (Trisolve_parallel.make_plan ~ndomains:nd
-               (Trisolve_parallel.compile t.l))
-    in
     (* The kernel's text holds L's pattern, so it compiles per pattern;
        its input is bound at each call (as the OCaml executor reads
        [t.l]'s values) and its output is the OCaml plan's own x. *)
     let native =
       if engine = `Native then
         Native_engine.load
-          (Sympiler_ir.Pipeline.trisolve_shaped ~vs_block:(vs_block t) t.l
-             (ir_rhs t))
+          (Sympiler_ir.Pipeline.trisolve_shaped t.l (lowering t))
           ~inputs:0 ~outputs:[| p.Trisolve_sympiler.x |]
       else None
     in
@@ -373,7 +360,6 @@ module Trisolve = struct
     {
       handle = t;
       p;
-      par;
       ord_b;
       ord_x;
       native;
@@ -393,10 +379,7 @@ module Trisolve = struct
         e.Native_engine.x <- p.handle.l.Csc.values;
         ignore (Native_engine.call e : int);
         p.p.Trisolve_sympiler.x
-    | None -> (
-        match p.par with
-        | Some pp -> Trisolve_parallel.solve_ip_sparse pp b
-        | None -> Trisolve_sympiler.solve_ip p.p b)
+    | None -> Trisolve_sympiler.solve_ip p.p b
 
   let execute_ip_raw (p : plan) (b : Vector.sparse) : float array =
     check_rhs ~who:"Sympiler.Trisolve.execute_ip" p.handle b;
@@ -421,12 +404,9 @@ module Trisolve = struct
 
   let plan_latency (p : plan) = Metrics.snapshot p.m_exec
 
-  (* Generated C source implementing the same specialized solve
-     (VI-Prune + low-level transformations, and VS-Block where the handle's
-     decision took it): the kernel its native plans run. *)
-  let c_code (t : t) : string =
-    (Sympiler_ir.Pipeline.trisolve ~vs_block:(vs_block t) t.l (ir_rhs t))
-      .Sympiler_ir.Pipeline.c_code
+  (* Generated C source implementing the same specialized solve: the
+     kernel its native plans run. *)
+  let c_code (t : t) : string = (lowering t).Sympiler_ir.Pipeline.c_code
 end
 
 (* The five factor families: one [Factor.Make] instance each, around the

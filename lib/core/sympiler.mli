@@ -51,11 +51,6 @@ module Metrics = Sympiler_metrics.Metrics
     [Metrics.to_openmetrics] / [to_json] / [to_table]. See DESIGN.md
     "Instrumentation" for the metrics (counts) / trace (spans) split. *)
 
-module Runtime = Sympiler_runtime
-(** The persistent domain-pool parallel runtime ({!Runtime.Pool}) behind
-    every [?ndomains] argument, re-exported for sizing control
-    ([Pool.default_size], the [SYMPILER_NDOMAINS] override) and shutdown. *)
-
 module Native = Sympiler_native.Native
 (** The native kernel engine behind every [?engine:`Native] argument
     (re-exported): compiles emitted C to a shared object with the system C
@@ -132,21 +127,18 @@ type applied_ordering = Compile_common.applied_ordering = {
       routes the compile through a pattern-keyed {!Plan_cache}; the key
       holds the options the family consumes and nothing else, so two
       option records differing only in an ignored field share one entry.
-    - [plan] allocates the numeric workspaces once; [?ndomains] requests
-      the level-parallel executor on the persistent domain pool where one
-      exists (Trisolve, Cholesky where VS-Block fired) and is ignored
-      elsewhere;
-      [?engine] selects the executor (see {!type:engine}) — a native
-      request takes precedence over [?ndomains], and falls back to the
-      OCaml executor when no C compiler is available.
+    - [plan] allocates the numeric workspaces once; [?engine] selects the
+      executor (see {!type:engine}), and a native request falls back to
+      the OCaml executor when no C compiler is available. Every plan is
+      sequential, and plans stay safe to run on the caller's own
+      domains: each owns every array its execution writes.
     - [execute_ip] is the steady-state numeric phase: no symbolic work,
       zero allocation, results written into plan-owned storage (the
       returned [output] is a view valid until the next call on the same
       plan). A factor view's values are the plan's own; its [colptr] and
       [rowind] are the handle's own pattern arrays, shared by every plan
-      of the handle and not copied, so treat them as read-only.
-      Bitwise-identical results for any [ndomains]. An input that
-      does not match the compiled pattern's shape raises
+      of the handle and not copied, so treat them as read-only. An input
+      that does not match the compiled pattern's shape raises
       [Invalid_argument] before anything is read, and the plan stays
       usable.
     - [c_code] emits the specialized C executor as one self-contained
@@ -219,9 +211,6 @@ module Trisolve : sig
   type plan = {
     handle : t;
     p : Trisolve_sympiler.plan;
-    par : Trisolve_parallel.plan option;
-        (** populated when [plan ~ndomains] requested the level-set
-            executor *)
     ord_b : Vector.sparse option;
         (** ordered plans: the permuted-b scratch (fixed indices, values
             refreshed per execute) *)
@@ -242,22 +231,15 @@ module Trisolve : sig
   type input = Vector.sparse
   type output = float array
 
-  val plan : ?ndomains:int -> ?engine:engine -> t -> plan
-  (** Without [ndomains]: the sequential reach-set executor
-      ({!Sympiler_kernels.Trisolve_sympiler.solve_reach_ip}). With
-      [ndomains] (any value, including 1): the level-set executor on the
-      persistent domain pool — levelization happens here, at plan time.
-      It gives every [x(i)] the operation sequence of the column sweep
-      {!Sympiler_kernels.Stages.lower_ip} over the handle's L, so its
-      results equal that sweep's bit for bit for all [ndomains] (the
-      reach-set executor's operation order differs). [ndomains] defaults
-      the pool sizing rule to
-      {!Runtime.Pool.default_size} semantics; see that module. [?engine]
-      selects the executor ({!type:engine}); a loaded native kernel takes
-      precedence over [ndomains]. A native plan agrees, to the last bits,
-      with the OCaml executor of its lowering: the reach-set one, or
-      {!Sympiler_kernels.Trisolve_sympiler.solve_full} where VS-Block
-      fired. *)
+  val plan : ?engine:engine -> t -> plan
+  (** The OCaml plan runs the reach-set executor
+      ({!Sympiler_kernels.Trisolve_sympiler.solve_reach_ip}); [?engine]
+      selects the executor ({!type:engine}). A native plan runs {!c_code}'s
+      kernel. Where the handle declined VS-Block, that is the reach-set
+      column loop in the executor's ascending order, so its results equal
+      the OCaml plan's bit for bit; where VS-Block fired, they agree to
+      the last bits with
+      {!Sympiler_kernels.Trisolve_sympiler.solve_full}. *)
 
   val execute_ip : plan -> Vector.sparse -> float array
   (** Solve into the plan's buffer (valid until the next call on the same
@@ -270,16 +252,17 @@ module Trisolve : sig
       (see {!KERNEL.plan_latency}). *)
 
   val c_code : t -> string
-  (** Specialized C implementing the same solve (VI-Prune + low-level
-      transformations, and VS-Block when the handle's decision took it),
-      from the {!Sympiler_ir.Pipeline}: the kernel a native plan runs. *)
+  (** Specialized C implementing the same solve, from the
+      {!Sympiler_ir.Pipeline}: the kernel a native plan runs. Where the
+      handle's decision took VS-Block, the VS-Block + VI-Prune kernel
+      with its width-1 blocks peeled; elsewhere the VI-Prune column loop
+      without the low-level passes, which lose in C on these handles. *)
 end
 
 (** Sparse Cholesky factorization [A = L L^T]: a {!Factor.Make} instance.
 
     [compile] runs one fill analysis of lower(A) and compiles the
-    simplicial (VI-Prune) executor, which every sequential OCaml plan
-    runs. VS-Block is a decision of the native engine alone: a native
+    simplicial (VI-Prune) executor, which every OCaml plan runs. VS-Block is a decision of the native engine alone: a native
     plan runs the supernodal (VS-Block + low-level) C kernel when the
     handle's flop-weighted supernode width
     ({!Sympiler_symbolic.Supernodes.flop_weighted_width}) reaches the
@@ -296,12 +279,8 @@ end
     is reported by {!Explain.cholesky}. Raises [Invalid_argument] on
     non-lower-triangular input.
 
-    [plan ~ndomains] where VS-Block fired runs the level-parallel
-    supernodal executor on the persistent domain pool (the supernodal
-    analysis of the handle's L and its DAG levels are built at plan
-    time); factors are bitwise-identical across all [ndomains] and equal
-    the native plan's. Elsewhere [ndomains] is ignored. On a non-positive
-    pivot every plan, OCaml or native, simplicial or supernodal, raises
+    On a non-positive pivot every plan, OCaml or native, simplicial or
+    supernodal, raises
     {!Sympiler_kernels.Dense_blas.Not_positive_definite} at the same
     column (the native simplicial kernel checks the diagonal after the
     factorization, so a NaN pivot counts as well). It is the one
@@ -320,13 +299,12 @@ module Cholesky : sig
   include Factor.S with type output = Csc.t and type updown := updown
 
   val variant : t -> variant
-  (** The handle's VS-Block decision: the kernel of its native plans, and
-      [Supernodal] also where [plan ~ndomains] runs the level-parallel
-      supernodal executor. A supernodal native plan's factor is, bit for
-      bit, the one {!Sympiler_kernels.Cholesky_supernodal.Sympiler} gives
-      over the supernodal analysis of the handle's L
-      ({!Sympiler_kernels.Cholesky_supernodal.of_pattern}); sequential
-      OCaml plans run the simplicial executor whatever the decision. *)
+  (** The handle's VS-Block decision: the kernel of its native plans. A
+      supernodal native plan's factor is, bit for bit, the one
+      {!Sympiler_kernels.Cholesky_supernodal.Sympiler} gives over the
+      supernodal analysis of the handle's L
+      ({!Sympiler_kernels.Cholesky_supernodal.of_pattern}); OCaml plans
+      run the simplicial executor whatever the decision. *)
 
   val variant_name : variant -> string
   (** ["supernodal"] or ["simplicial"]. *)
@@ -352,8 +330,8 @@ module Cholesky : sig
       structural zeros the caller never passes; on a natural handle the
       permutation becomes the identity), so the plan, and any fresh plan
       of that handle, still take inputs with the original natural
-      pattern. [ndomains]/[engine] requests are dropped back to the
-      sequential OCaml executor, {!plan_latency} follows it (the
+      pattern. An [engine] request is dropped back to the OCaml
+      executor, {!plan_latency} follows it (the
       [engine="ocaml"] series), and a native plan or [c_code] of the
       escalated handle raises [Invalid_argument].
 
@@ -393,8 +371,7 @@ end
     key. [opts.ordering] compiles for [P A P^T] — on the symmetrized graph
     for the lower(A) families, on [A + A^T] for the square ones — and the
     numeric entry points keep taking natural-order values and return the
-    permuted system's factors. [?ndomains] is accepted and ignored
-    (sequential executors). [execute_ip] raises the family's pivot
+    permuted system's factors. [execute_ip] raises the family's pivot
     exception on a pivot failure; the plan stays reusable. *)
 
 (** [A = L D L^T] factorization for symmetric indefinite but strongly

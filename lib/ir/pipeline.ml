@@ -101,6 +101,11 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
         | Inspector.Prune_set r -> r
         | _ -> assert false
       in
+      (* Ascending, as the OCaml reach-set executor iterates it: a
+         topological order of a lower-triangular solve, and the same
+         operation order, so the column kernel's x is that executor's bit
+         for bit. *)
+      Array.sort compare reach;
       Trace.decision
         {
           Trace.pass = "vs-block";
@@ -217,9 +222,7 @@ let cholesky_shaped (k : Ast.kernel) ?amap (a_lower : Csc.t) ~lp ~li ~row_ptr
    shaped form carries no pattern data and no artifact entry; the
    adapter only puts the kernel's arguments in the native engine's
    order (size, input Lx, output x, float workspace tmp). *)
-let trisolve_shaped ~vs_block (l : Csc.t) (b : Vector.sparse) :
-    Pretty_c.shaped =
-  let r = trisolve ~vs_block l b in
+let trisolve_shaped (l : Csc.t) (r : result) : Pretty_c.shaped =
   let k = r.kernel in
   let text =
     Printf.sprintf

@@ -23,17 +23,18 @@ val trisolve :
   result
 (** Build the triangular-solve kernel with any subset of the three
     transformation layers (defaults: all three, VS-Block before VI-Prune as
-    §4.2 prefers). The low-level layer peels the width-1 blocks of the
-    VS-Block loop, or, without VS-Block, the reach-set columns with more
-    than two entries (Figure 1e). *)
+    §4.2 prefers). Without VS-Block the loop runs over the reach set in
+    ascending order, as {!Sympiler_kernels.Trisolve_sympiler} does. The
+    low-level layer peels the width-1 blocks of the VS-Block loop, or,
+    without VS-Block, the reach-set columns with more than two entries
+    (Figure 1e). *)
 
-val trisolve_shaped : vs_block:bool -> Csc.t -> Vector.sparse -> Pretty_c.shaped
-(** [trisolve_shaped ~vs_block l b]: the native engine's form of the
-    {!trisolve} kernel with all three layers ([vs_block] as given: the
-    handle's own decision). Its text is the kernel's file, which holds the
-    pattern, then [int trisolve_native(int n, Lx, x[, tmp])], returning
-    -1: no pattern data, one output ([x]), the VS-Block [tmp] as its float
-    workspace when the kernel has one, and no artifact ([entry = None]). *)
+val trisolve_shaped : Csc.t -> result -> Pretty_c.shaped
+(** [trisolve_shaped l r]: the native engine's form of [r], a {!trisolve}
+    kernel of [l]. Its text is [r]'s C file, which holds the pattern, then
+    [int trisolve_native(int n, Lx, x[, tmp])], returning -1: no pattern
+    data, one output ([x]), the VS-Block [tmp] as its float workspace when
+    the kernel has one, and no artifact ([entry = None]). *)
 
 val cholesky_kernel : ?low_level:bool -> ordered:bool -> unit -> Ast.kernel
 (** The left-looking Cholesky kernel of one shape ({!Build.lower_cholesky}

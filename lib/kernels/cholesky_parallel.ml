@@ -25,9 +25,8 @@ type compiled = {
   cost : float array; (* per-supernode symbolic flop estimate *)
 }
 
-(* Levelize an already-compiled supernodal handle (the facade reuses the
-   handle it compiled for the sequential path): level(s) = 1 + max level
-   over schedule dependencies; ascending s visits descendants first since
+(* Levelize a compiled supernodal handle: level(s) = 1 + max level over
+   schedule dependencies; ascending s visits descendants first since
    updates flow forward. The per-supernode costs come from the symbolic
    counts^2 flop model — the input to the plan's cost-balanced partitions. *)
 let levelize (sym : Cholesky_supernodal.Sympiler.compiled) : compiled =

@@ -11,9 +11,10 @@ open Sympiler_sparse
     panel and reads descendant panels finalized at earlier levels — and
     because each target runs the same operation sequence as the sequential
     engine, factors are bitwise-identical for any domain count. Steady
-    state allocates nothing (the worker closure lives in the plan). On the
-    single-core evaluation container the parallel path shows no speedup;
-    correctness is exercised with several domains regardless. *)
+    state allocates nothing (the worker closure lives in the plan). It is
+    a kernel, not a facade plan: on the 2-vCPU evaluation host the
+    facade's sequential plans beat it (DESIGN.md, "Parallel runtime"),
+    and correctness is exercised with several domains regardless. *)
 
 type compiled = {
   sym : Cholesky_supernodal.Sympiler.compiled;
@@ -28,10 +29,6 @@ type compiled = {
 val compile : Csc.t -> compiled
 (** Supernodal compilation plus DAG levelization (one more inspection
     set). *)
-
-val levelize : Cholesky_supernodal.Sympiler.compiled -> compiled
-(** Levelize an already-compiled supernodal handle (no re-analysis); used
-    by the facade to derive a parallel plan from its sequential handle. *)
 
 val factor : ?ndomains:int -> compiled -> Csc.t -> Csc.t
 (** Numeric factorization; levels narrower than 8 supernodes run inline.

@@ -155,21 +155,6 @@ let solve_ip (p : plan) (b : float array) : float array =
   Sympiler_trace.Trace.end_span ();
   p.x
 
-(* Sparse-RHS entry used by the facade's level-set plans: scatter b into
-   the (zeroed) buffer, then the same dense solve. Allocation-free. *)
-let solve_ip_sparse (p : plan) (b : Vector.sparse) : float array =
-  if b.Vector.n <> Array.length p.x then
-    invalid_arg "Trisolve_parallel.solve_ip_sparse: RHS dimension mismatch";
-  Sympiler_trace.Trace.begin_span "solve_ip.trisolve_parallel";
-  Array.fill p.x 0 (Array.length p.x) 0.0;
-  let idx = b.Vector.indices and vals = b.Vector.values in
-  for t = 0 to Array.length idx - 1 do
-    p.x.(idx.(t)) <- vals.(t)
-  done;
-  run_plan p;
-  Sympiler_trace.Trace.end_span ();
-  p.x
-
 (* One-shot: a fresh plan, whose buffer is the result. *)
 let solve ?ndomains (c : compiled) (b : float array) : float array =
   solve_ip (make_plan ?ndomains c) b

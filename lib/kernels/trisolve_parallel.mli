@@ -61,9 +61,5 @@ val solve_ip : plan -> float array -> float array
     bitwise-identical to {!Stages.lower_ip} for every [ndomains]. Raises
     [Invalid_argument] on a wrong-length right-hand side. *)
 
-val solve_ip_sparse : plan -> Vector.sparse -> float array
-(** Sparse-RHS entry used by the facade's level-set plans: scatters [b]
-    into the zeroed buffer, then solves as {!solve_ip}. Allocation-free. *)
-
 val valid_schedule : compiled -> bool
 (** Every dependence edge crosses levels forward (test helper). *)

@@ -271,7 +271,7 @@ echo "== native shape smoke =="
 if [ "$have_cc" = "1" ]; then
   cli=_build/default/bin/sympiler_cli.exe
   smoke=$(mktemp -d _build/native-smoke.XXXXXX)
-  mkdir "$smoke/seq" "$smoke/conc" "$smoke/stats"
+  mkdir "$smoke/seq" "$smoke/conc" "$smoke/stats" "$smoke/stats-col"
   for step in "parabolic_fem:cc+dlopen" "cbuckle:dlopen of cached .so"; do
     prob=${step%%:*}
     want=${step#*:}
@@ -304,15 +304,21 @@ if [ "$have_cc" = "1" ]; then
     exit 1
   fi
   echo "4 concurrent compiles of one shape: one object, no temp files"
-  SYMPILER_NATIVE_CACHE="$smoke/stats" "$cli" stats --problem cbuckle \
-    --engine native --repeat 3 > "$smoke/stats.txt"
-  grep -Eq '^sympiler_execute_seconds\{engine="native",family="trisolve",[^}]*\} +count=[1-9]' \
-    "$smoke/stats.txt" && grep -Eq '^sympiler_native_fallbacks +0$' "$smoke/stats.txt" || {
-    echo "FAIL: stats --engine native on cbuckle ran no native trisolve plan" >&2
-    cat "$smoke/stats.txt" >&2
-    exit 1
-  }
-  echo "stats --engine native cbuckle: native trisolve, no fallback"
+  # cbuckle's solve takes VS-Block, gyro's declines it: both lowerings
+  # compile and run in a fresh process.
+  for step in "cbuckle:stats" "gyro:stats-col"; do
+    prob=${step%%:*}
+    cache=$smoke/${step#*:}
+    SYMPILER_NATIVE_CACHE="$cache" "$cli" stats --problem "$prob" \
+      --engine native --repeat 3 > "$cache.txt"
+    grep -Eq '^sympiler_execute_seconds\{engine="native",family="trisolve",[^}]*\} +count=[1-9]' \
+      "$cache.txt" && grep -Eq '^sympiler_native_fallbacks +0$' "$cache.txt" || {
+      echo "FAIL: stats --engine native on $prob ran no native trisolve plan" >&2
+      cat "$cache.txt" >&2
+      exit 1
+    }
+    echo "stats --engine native $prob: native trisolve, no fallback"
+  done
   rm -rf "$smoke"
 else
   echo "skipped: no cc (native shape smoke)"

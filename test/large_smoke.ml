@@ -5,8 +5,8 @@
 
    Checks: symbolic + numeric success at scale, a small residual, zero
    steady-state allocation of the plan path (the same Gc protocol the
-   steady bench gates), and bitwise identity of pool-parallel factors
-   against the sequential executor. *)
+   steady bench gates), and bitwise identity of the level-parallel
+   supernodal kernel's factors on two domains against one. *)
 
 open Sympiler_sparse
 
@@ -61,20 +61,28 @@ let () =
     (Printf.sprintf "steady refactor allocation-free (%d words/call)" per_call)
     (per_call = 0);
 
-  (* Pool-parallel factors must be bitwise-identical to sequential ones:
-     AMD-ordered, the grid's work sits in wide supernodes, so [?ndomains]
-     plans run the level-parallel supernodal executor. *)
+  (* The level-parallel kernel's factor on two domains must be the
+     sequential one's, bit for bit: AMD-ordered (the facade's permutation),
+     the grid's etree has wide levels, so the pool dispatches. *)
   let hs =
     Sympiler.Cholesky.compile ~opts:(Sympiler.Options.make ~ordering:`Amd ()) al
   in
-  check "VS-Block fires"
-    (Sympiler.Cholesky.variant hs = Sympiler.Cholesky.Supernodal);
-  let p_seq = Sympiler.Cholesky.plan ~ndomains:1 hs in
-  let p_par = Sympiler.Cholesky.plan ~ndomains:2 hs in
-  ignore (Sympiler.Cholesky.execute_ip p_seq al);
-  ignore (Sympiler.Cholesky.execute_ip p_par al);
-  let vs = (Sympiler.Cholesky.plan_factor p_seq).Csc.values in
-  let vp = (Sympiler.Cholesky.plan_factor p_par).Csc.values in
+  let perm = Option.get hs.Sympiler.Cholesky.ord.Sympiler.o_perm in
+  let pal, _ = Perm.permute_lower perm al in
+  let module CP = Sympiler_kernels.Cholesky_parallel in
+  let cp = CP.compile pal in
+  let widest = ref 0 in
+  for lv = 0 to cp.CP.nlevels - 1 do
+    widest := max !widest (cp.CP.level_ptr.(lv + 1) - cp.CP.level_ptr.(lv))
+  done;
+  (* levels narrower than 8 supernodes run inline *)
+  check (Printf.sprintf "a level the pool dispatches (%d supernodes)" !widest)
+    (!widest >= 8);
+  let p_seq = CP.make_plan ~ndomains:1 cp in
+  let p_par = CP.make_plan ~ndomains:2 cp in
+  CP.factor_ip p_seq pal;
+  CP.factor_ip p_par pal;
+  let vs = p_seq.CP.l.Csc.values and vp = p_par.CP.l.Csc.values in
   let same =
     Array.length vs = Array.length vp
     && begin

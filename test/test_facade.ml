@@ -30,12 +30,12 @@ type family = {
          [factor] values *)
 }
 
-let family (type o) ?ndomains ?simplicial name input
+let family (type o) ?simplicial name input
     (module F : FAMILY with type output = o) (vals : o -> float array) =
   let build engine ordering =
     let opts = S.Options.make ~ordering ?simplicial () in
     let t = F.compile ~opts input in
-    let p = F.plan ?ndomains ~engine t in
+    let p = F.plan ~engine t in
     ( (fun a -> ignore (F.execute_ip p a : o)),
       (fun a -> Array.copy (vals (F.execute_ip p a))),
       fun a -> vals (F.factor t a) )
@@ -58,14 +58,14 @@ let factor_families =
   ]
 
 (* Wide supernodes carrying enough flops: VS-Block fires, natural and
-   AMD-ordered, so native plans run the supernodal C and [~ndomains:1]
-   plans the OCaml supernodal executor. *)
+   AMD-ordered, so native plans run the supernodal C (and OCaml plans the
+   simplicial executor). *)
 let wide_lower =
   Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
 
 let cholesky_families =
   [
-    family ~ndomains:1 "cholesky-supernodal" wide_lower
+    family "cholesky-supernodal" wide_lower
       (module S.Cholesky)
       (fun l -> l.Csc.values);
     family ~simplicial:true "cholesky-simplicial" spd_lower

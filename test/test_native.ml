@@ -7,11 +7,12 @@ open Sympiler_kernels
    Differential law: a plan with [~engine:`Native] must produce the same
    values as the OCaml executor of the same kernel — the handle's default
    OCaml plan, or, where VS-Block fired (which only the C runs), the
-   supernodal Cholesky executor of its [~ndomains] plan and the VS-Block
-   solve called directly — bitwise in practice (the C follows the same
-   operation order and is compiled with -ffp-contract=off), checked at
-   1e-15 relative to allow a stray last-bit difference without hiding
-   real divergence. *)
+   supernodal Cholesky executor over the handle's L and the VS-Block
+   solve, called directly. The C follows the same operation order and is
+   compiled with -ffp-contract=off, so the law is bitwise for the
+   supernodal Cholesky kernel and the column solve; elsewhere it is
+   checked at 1e-15 relative, to allow a stray last-bit difference
+   without hiding real divergence. *)
 
 module N = Sympiler.Native
 module NE = Sympiler.Native_engine
@@ -57,7 +58,7 @@ type family = {
 }
 
 let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
-    ?ndomains fname
+    fname
     (module F : Sympiler.Factor.S with type output = o)
     (vals : o -> float array) =
   let compile ordering a =
@@ -68,7 +69,7 @@ let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
     square;
     build =
       (fun ordering engine a ->
-        let p = F.plan ?ndomains ~engine (compile ordering a) in
+        let p = F.plan ~engine (compile ordering a) in
         {
           exec = (fun i -> ignore (F.execute_ip p i : o));
           values = (fun i -> Array.copy (vals (F.execute_ip p i)));
@@ -77,14 +78,73 @@ let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
     c_code = (fun ordering a -> F.c_code (compile ordering a));
   }
 
-(* [~ndomains:1] makes the OCaml arm of "cholesky" the native kernel's
-   reference whichever way the rule went: the supernodal executor where
-   VS-Block fired, the simplicial one elsewhere. *)
+module C = Sympiler.Cholesky
+
+let upgraded (t : C.t) = C.(variant t = Supernodal)
+
+(* The caller's values in the handle's compiled order. *)
+let compiled_input (t : C.t) (al : Csc.t) =
+  match t.C.ord.Sympiler.o_perm with
+  | None -> al
+  | Some _ ->
+      {
+        t.C.pattern with
+        Csc.values =
+          Array.map (fun q -> al.Csc.values.(q)) t.C.ord.Sympiler.o_map;
+      }
+
+(* The supernodal executor over the supernodal analysis of [t]'s L (its
+   pattern read off one factorization of [al]), as a plan that takes its
+   input in compiled order: the reference an upgraded native plan follows
+   operation for operation, so that law is bitwise. *)
+let supernodal_plan (t : C.t) (al : Csc.t) =
+  let l = C.factor t al in
+  Cholesky_supernodal.Sympiler.make_plan
+    (Cholesky_supernodal.Sympiler.of_analysis
+       (Cholesky_supernodal.of_pattern ~l_colptr:l.Csc.colptr
+          ~l_rowind:l.Csc.rowind))
+
+let supernodal_run sp (t : C.t) (al : Csc.t) =
+  Cholesky_supernodal.Sympiler.factor_ip sp (compiled_input t al)
+
+let supernodal_values sp = sp.Cholesky_supernodal.Sympiler.l.Csc.values
+
+(* The OCaml factor values a native Cholesky plan of [t] agrees with on
+   [al]: the supernodal executor's where VS-Block fired, else the
+   handle's own (simplicial) plan's. *)
+let cholesky_oracle (t : C.t) (al : Csc.t) : float array =
+  if upgraded t then begin
+    let sp = supernodal_plan t al in
+    supernodal_run sp t al;
+    supernodal_values sp
+  end
+  else Array.copy (C.execute_ip (C.plan t) al).Csc.values
+
+(* "cholesky"'s OCaml arm is the native kernel's reference whichever way
+   the rule went: the supernodal executor where VS-Block fired, the
+   handle's own simplicial plan elsewhere. *)
+let cholesky_family =
+  let plain = family "cholesky" (module C) (fun l -> l.Csc.values) in
+  let build ordering engine a =
+    let t = C.compile ~opts:(Sympiler.Options.make ~ordering ()) a in
+    if engine = `Native || not (upgraded t) then plain.build ordering engine a
+    else
+      let sp = supernodal_plan t a in
+      let exec i = supernodal_run sp t i in
+      {
+        exec;
+        values =
+          (fun i ->
+            exec i;
+            Array.copy (supernodal_values sp));
+        native = None;
+      }
+  in
+  { plain with build }
+
 let families =
   [
-    family ~ndomains:1 "cholesky"
-      (module Sympiler.Cholesky)
-      (fun l -> l.Csc.values);
+    cholesky_family;
     family "cholesky simplicial"
       ~base:(Sympiler.Options.make ~simplicial:true ())
       (module Sympiler.Cholesky)
@@ -126,6 +186,14 @@ let trisolve_oracle (t : Sympiler.Trisolve.t) (b : Vector.sparse) =
         Array.iteri (fun k v -> x.(p.(k)) <- v) xp;
         x
 
+(* The law a native solve of [t] keeps against [trisolve_oracle]: bitwise
+   for a handle that declined VS-Block, whose C is the OCaml executor's
+   column loop in its ascending order; 1e-15 for a VS-Block kernel. *)
+let check_solve msg (t : Sympiler.Trisolve.t) expected got =
+  if t.Sympiler.Trisolve.compiled.Trisolve_sympiler.columnwise then
+    Helpers.bitwise msg expected got
+  else check_vals msg expected got
+
 let test_trisolve_native () =
   require_native ();
   let cases =
@@ -159,9 +227,9 @@ let test_trisolve_native () =
               Array.map (fun v -> v *. float_of_int round) b.Vector.values;
           }
         in
-        check_vals
+        check_solve
           (Printf.sprintf "%s round %d" name round)
-          (trisolve_oracle t b')
+          t (trisolve_oracle t b')
           (Sympiler.Trisolve.execute_ip pn b')
       done)
     cases
@@ -185,7 +253,7 @@ let test_trisolve_native_ordered () =
   let pn = Sympiler.Trisolve.plan ~engine:`Native t in
   Alcotest.(check bool) "native loaded" true
     (pn.Sympiler.Trisolve.native <> None);
-  check_vals "ordered trisolve" (trisolve_oracle t b)
+  check_solve "ordered trisolve" t (trisolve_oracle t b)
     (Sympiler.Trisolve.execute_ip pn b)
 
 (* A trisolve handle reads L's values where it holds them: over a
@@ -204,7 +272,7 @@ let test_trisolve_native_refactor () =
   Alcotest.(check bool) "native loaded" true
     (pn.Sympiler.Trisolve.native <> None);
   let before = Array.copy (Sympiler.Trisolve.execute_ip po b) in
-  check_vals "before the refactor" (trisolve_oracle t b)
+  check_solve "before the refactor" t (trisolve_oracle t b)
     (Sympiler.Trisolve.execute_ip pn b);
   (* new values on the same pattern: the diagonal raised by one *)
   let values = Array.copy al.Csc.values in
@@ -216,7 +284,7 @@ let test_trisolve_native_refactor () =
   ignore (Sympiler.Cholesky.execute_ip p { al with Csc.values } : Csc.t);
   let xo = Array.copy (Sympiler.Trisolve.execute_ip po b) in
   let xn = Array.copy (Sympiler.Trisolve.execute_ip pn b) in
-  check_vals "after the refactor" (trisolve_oracle t b) xn;
+  check_solve "after the refactor" t (trisolve_oracle t b) xn;
   List.iter
     (fun (engine, x) ->
       Alcotest.(check bool)
@@ -225,29 +293,18 @@ let test_trisolve_native_refactor () =
         (Utils.max_rel_diff before x > 1e-3))
     [ ("ocaml", xo); ("native", xn) ]
 
-(* The OCaml plan a native Cholesky plan of [t] agrees with: the
-   [~ndomains:1] plan runs the supernodal executor where VS-Block fired,
-   which the C follows operation for operation (so the law is then
-   bitwise), and the simplicial one elsewhere. *)
-let cholesky_oracle (t : Sympiler.Cholesky.t) =
-  Sympiler.Cholesky.plan ~ndomains:1 t
-
-let upgraded (t : Sympiler.Cholesky.t) =
-  Sympiler.Cholesky.(variant t = Supernodal)
-
 (* Wide supernodes carrying enough flops: VS-Block fires. *)
 let wide_lower () =
   Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
 
 let cholesky_diff name t al =
-  let po = cholesky_oracle t in
+  let lo = cholesky_oracle t al in
   let pn = Sympiler.Cholesky.plan ~engine:`Native t in
   Alcotest.(check bool) (name ^ ": native loaded") true
     (pn.Sympiler.Cholesky.native <> None);
-  let lo = Sympiler.Cholesky.execute_ip po al in
   let ln = Sympiler.Cholesky.execute_ip pn al in
-  if upgraded t then Helpers.bitwise name lo.Csc.values ln.Csc.values
-  else check_vals name lo.Csc.values ln.Csc.values
+  if upgraded t then Helpers.bitwise name lo ln.Csc.values
+  else check_vals name lo ln.Csc.values
 
 let test_cholesky_native () =
   require_native ();
@@ -336,14 +393,14 @@ let qcheck_cholesky_native =
       ||
       let al = Csc.lower a in
       let t = Sympiler.Cholesky.compile al in
-      let lo = Sympiler.Cholesky.execute_ip (cholesky_oracle t) al in
+      let lo = cholesky_oracle t al in
       let ln =
         Sympiler.Cholesky.execute_ip
           (Sympiler.Cholesky.plan ~engine:`Native t)
           al
       in
-      if upgraded t then Helpers.same_bits lo.Csc.values ln.Csc.values
-      else Utils.max_rel_diff lo.Csc.values ln.Csc.values <= 1e-15)
+      if upgraded t then Helpers.same_bits lo ln.Csc.values
+      else Utils.max_rel_diff lo ln.Csc.values <= 1e-15)
 
 let qcheck_ldlt_native =
   Helpers.qtest ~count:12 "ldlt native = ocaml (random SPD)" Helpers.arb_spd
@@ -447,10 +504,11 @@ let test_native_degenerate () =
     families
 
 (* One [Not_positive_definite] for every Cholesky plan: on cbuckle with
-   its last diagonal entry negated, the OCaml supernodal ([~ndomains]),
-   OCaml simplicial and both native plans raise it at the same column,
-   one handler catches them all, and each plan then factors as a fresh
-   one. The kernels' other spellings name the same exception. *)
+   its last diagonal entry negated, the OCaml supernodal executor (called
+   directly: "cholesky"'s OCaml arm), the OCaml simplicial plan and both
+   native plans raise it at the same column, one handler catches them
+   all, and each plan then factors as a fresh one. The kernels' other
+   spellings name the same exception. *)
 let test_native_cholesky_pivot () =
   require_native ();
   let al = (Sympiler.Suite.problem 1).Sympiler.Suite.a_lower in
@@ -573,8 +631,6 @@ let test_artifact_bitwise () =
 
 (* ---------- VS-Block in the emitted C only: upgraded native plans ---------- *)
 
-module C = Sympiler.Cholesky
-
 let chol_opts ?simplicial ordering =
   Sympiler.Options.make ?simplicial ~ordering ()
 
@@ -588,17 +644,6 @@ let upgraded_cases () =
     ("Dubcova2", dub, `Natural);
     ("Dubcova2 amd", dub, `Amd);
   ]
-
-(* The caller's values in the handle's compiled order. *)
-let compiled_input (t : C.t) (al : Csc.t) =
-  match t.C.ord.Sympiler.o_perm with
-  | None -> al
-  | Some _ ->
-      {
-        t.C.pattern with
-        Csc.values =
-          Array.map (fun q -> al.Csc.values.(q)) t.C.ord.Sympiler.o_map;
-      }
 
 (* ||A x - b|| / (||A|| ||x|| + ||b||) (infinity norms) for the solve
    with factor [l] of the symmetric matrix whose lower part is [a]. *)
@@ -624,9 +669,9 @@ let backward_error (a : Csc.t) (l : Csc.t) =
 
 (* An upgraded native plan gives, bit for bit, the factor of the OCaml
    supernodal executor over the supernodal analysis of the handle's L,
-   called directly, and of the handle's [~ndomains] plan; the handle's
-   own (simplicial) OCaml plan is a different algorithm, so against it
-   both factors pass the scaled backward-error bound. *)
+   called directly; the handle's own (simplicial) OCaml plan is a
+   different algorithm, so against it both factors pass the scaled
+   backward-error bound. *)
 let test_upgraded_bitwise () =
   require_native ();
   List.iter
@@ -648,9 +693,6 @@ let test_upgraded_bitwise () =
       Helpers.bitwise
         (name ^ ": native = the OCaml supernodal executor")
         (Cholesky_supernodal.Sympiler.factor sup a).Csc.values ln;
-      Helpers.bitwise
-        (name ^ ": native = the ndomains plan")
-        (C.execute_ip (C.plan ~ndomains:2 t) al).Csc.values ln;
       let lo = C.execute_ip (C.plan t) al in
       let bound = 10.0 *. float_of_int al.Csc.ncols *. epsilon_float in
       List.iter
@@ -712,7 +754,7 @@ let test_upgrade_threshold () =
     ]
 
 (* A negated diagonal: the upgraded plan raises at the column the OCaml
-   supernodal plan reports, then refactors the original input bit for
+   supernodal executor reports, then refactors the original input bit for
    bit. *)
 let test_upgraded_pivot () =
   require_native ();
@@ -721,15 +763,15 @@ let test_upgraded_pivot () =
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
   Alcotest.(check bool) "native loaded" true (pn.C.native <> None);
-  let p0 = cholesky_oracle t in
+  let sp = supernodal_plan t al in
   let values = Array.copy al.Csc.values in
   (* lower(A), rows sorted: the diagonal leads its column *)
   let d = al.Csc.colptr.(300) in
   values.(d) <- -.values.(d);
   let bad = { al with Csc.values } in
   let ocaml_col =
-    match C.execute_ip p0 bad with
-    | _ -> -1
+    match supernodal_run sp t bad with
+    | () -> -1
     | exception Dense_blas.Not_positive_definite j -> j
   in
   let native_col =
@@ -737,36 +779,37 @@ let test_upgraded_pivot () =
     | _ -> -1
     | exception Dense_blas.Not_positive_definite j -> j
   in
-  Alcotest.(check bool) "the OCaml supernodal plan fails" true (ocaml_col >= 0);
+  Alcotest.(check bool) "the OCaml supernodal executor fails" true
+    (ocaml_col >= 0);
   Alcotest.(check int) "native raises at the same column" ocaml_col native_col;
-  Helpers.bitwise "then refactors the original input"
-    (Array.copy (C.execute_ip p0 al).Csc.values)
+  supernodal_run sp t al;
+  Helpers.bitwise "then refactors the original input" (supernodal_values sp)
     (C.execute_ip pn al).Csc.values
 
 (* Rank updates and [plan_factor] work on an upgraded plan: the kernels
-   share the factor arrays, so an update of the native factor equals one
-   of the OCaml supernodal factor. *)
+   share the factor arrays, so an update of the native factor equals
+   [Rank_update]'s over the OCaml supernodal executor's factor. *)
 let test_upgraded_update () =
   require_native ();
   let al = Csc.lower (Generators.grid2d 24 24) in
   let t = C.compile ~opts:(chol_opts `Amd) al in
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
-  let p0 = cholesky_oracle t in
+  let sp = supernodal_plan t al in
   ignore (C.execute_ip pn al : Csc.t);
-  ignore (C.execute_ip p0 al : Csc.t);
-  Helpers.bitwise "plan_factor" (C.plan_factor p0).Csc.values
-    (C.plan_factor pn).Csc.values;
-  (* a natural-order w inside the pattern: a factor column's rows mapped
-     back through the permutation *)
+  supernodal_run sp t al;
+  let l0 = sp.Cholesky_supernodal.Sympiler.l in
+  Helpers.bitwise "plan_factor" l0.Csc.values (C.plan_factor pn).Csc.values;
+  (* a factor column's rows, inside the pattern: in compiled order for
+     the executor's factor, mapped back through the permutation for the
+     plan's natural-order w *)
   let perm = Option.get t.C.ord.Sympiler.o_perm in
   let l = C.plan_factor pn in
   let j = l.Csc.ncols / 3 in
   let lo = l.Csc.colptr.(j) and hi = l.Csc.colptr.(j + 1) in
-  let pairs =
-    Array.init (hi - lo) (fun k ->
-        (perm.(l.Csc.rowind.(lo + k)), 0.2 *. l.Csc.values.(lo + k)))
-  in
+  let wi = Array.sub l.Csc.rowind lo (hi - lo) in
+  let wv = Array.init (hi - lo) (fun k -> 0.2 *. l.Csc.values.(lo + k)) in
+  let pairs = Array.mapi (fun k i -> (perm.(i), wv.(k))) wi in
   Array.sort compare pairs;
   let w =
     {
@@ -775,15 +818,15 @@ let test_upgraded_update () =
       values = Array.map snd pairs;
     }
   in
+  let rk = Rank_update.make_plan ~a_pattern:t.C.pattern l0 in
+  let len = Array.length wi in
   C.update_ip pn ~sigma:0.5 w;
-  C.update_ip p0 ~sigma:0.5 w;
+  Rank_update.update_raw rk ~neg:false ~sigma:0.5 wi wv len;
   Alcotest.(check bool) "no escalation" true (pn.C.handle == t);
-  Helpers.bitwise "update_ip" (C.plan_factor p0).Csc.values
-    (C.plan_factor pn).Csc.values;
+  Helpers.bitwise "update_ip" l0.Csc.values (C.plan_factor pn).Csc.values;
   C.downdate_ip pn ~sigma:0.5 w;
-  C.downdate_ip p0 ~sigma:0.5 w;
-  Helpers.bitwise "downdate_ip" (C.plan_factor p0).Csc.values
-    (C.plan_factor pn).Csc.values
+  Rank_update.update_raw rk ~neg:true ~sigma:0.5 wi wv len;
+  Helpers.bitwise "downdate_ip" l0.Csc.values (C.plan_factor pn).Csc.values
 
 (* --------------------------- cache accounting --------------------------- *)
 

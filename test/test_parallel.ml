@@ -329,91 +329,18 @@ let test_pool_metrics_counters () =
     (Metrics.gauge_value pool_imbalance >= 100.0)
 
 (* The imbalance gauge needs only the metrics switch: a two-domain
-   facade solve with nothing else turned on sets it. *)
+   level-set solve with nothing else turned on sets it. *)
 let test_imbalance_with_metrics_only () =
   let l = Csc.map_values (Csc.identity 100) (fun _ -> 2.0) in
-  let b = Generators.sparse_rhs ~seed:4 ~n:100 ~fill:0.5 () in
-  let p =
-    Sympiler.Trisolve.plan ~ndomains:2 (Sympiler.Trisolve.compile (l, b))
-  in
+  let p = Trisolve_parallel.make_plan ~ndomains:2 (Trisolve_parallel.compile l) in
+  let b = Array.make 100 1.0 in
   Helpers.with_metrics @@ fun () ->
   Metrics.set pool_imbalance 0.0;
-  ignore (Sympiler.Trisolve.execute_ip p b);
+  ignore (Trisolve_parallel.solve_ip p b : float array);
   Alcotest.(check bool) "imbalance gauge >= 100" true
     (Metrics.gauge_value pool_imbalance >= 100.0)
 
 (* ---- the unified facade ---- *)
-
-(* Where VS-Block fires, [?ndomains] plans run the level-parallel
-   supernodal executor: bitwise the sequential supernodal executor over
-   the analysis of the handle's L for every domain count, and the native
-   supernodal kernel. *)
-let test_facade_cholesky_ndomains () =
-  let al =
-    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
-  in
-  let h = Sympiler.Cholesky.compile al in
-  Alcotest.(check bool) "VS-Block fired" true
-    (Sympiler.Cholesky.variant h = Sympiler.Cholesky.Supernodal);
-  let l = Sympiler.Cholesky.factor h al in
-  let fseq =
-    Cholesky_supernodal.Sympiler.factor
-      (Cholesky_supernodal.Sympiler.of_analysis
-         (Cholesky_supernodal.of_pattern ~l_colptr:l.Csc.colptr
-            ~l_rowind:l.Csc.rowind))
-      al
-  in
-  let p1 = Sympiler.Cholesky.plan ~ndomains:1 h in
-  let p4 = Sympiler.Cholesky.plan ~ndomains:4 h in
-  let f1 = Sympiler.Cholesky.execute_ip p1 al in
-  let f4 = Sympiler.Cholesky.execute_ip p4 al in
-  Helpers.bitwise "supernodal executor == facade ndomains:1"
-    fseq.Csc.values f1.Csc.values;
-  Helpers.bitwise "facade ndomains:1 == ndomains:4" f1.Csc.values f4.Csc.values;
-  let f4' = Sympiler.Cholesky.execute_ip p4 al in
-  Helpers.bitwise "facade parallel plan reuse" fseq.Csc.values f4'.Csc.values;
-  (* the emitted C forms each update's buffer in the executors' order *)
-  if Sympiler.Native.available () then
-    Helpers.bitwise "facade ndomains:4 == native"
-      f4'.Csc.values
-      (Sympiler.Cholesky.execute_ip (Sympiler.Cholesky.plan ~engine:`Native h) al)
-        .Csc.values;
-  Alcotest.(check bool) "plan_factor view is the executed factor" true
-    (Sympiler.Cholesky.plan_factor p4 == f4')
-
-(* Below the rule, or pinned simplicial, the column code has no level
-   schedule: [?ndomains] is ignored. *)
-let test_facade_simplicial_ignores_ndomains () =
-  let al = Csc.lower (Generators.grid2d ~stencil:`Five 8 8) in
-  List.iter
-    (fun (name, opts) ->
-      let h = Sympiler.Cholesky.compile ~opts al in
-      let p = Sympiler.Cholesky.plan ~ndomains:4 h in
-      let f = Sympiler.Cholesky.execute_ip p al in
-      let fresh = Sympiler.Cholesky.factor h al in
-      Helpers.bitwise (name ^ ": plan ignores ndomains") fresh.Csc.values
-        f.Csc.values)
-    [
-      ("below the rule", Sympiler.Options.default);
-      ("simplicial", Sympiler.Options.make ~simplicial:true ());
-    ]
-
-let test_facade_trisolve_ndomains () =
-  let l = Generators.random_lower ~seed:51 ~n:300 ~density:0.03 () in
-  let b = Generators.sparse_rhs ~seed:52 ~n:300 ~fill:0.05 () in
-  let t = Sympiler.Trisolve.compile (l, b) in
-  let p1 = Sympiler.Trisolve.plan ~ndomains:1 t in
-  let p4 = Sympiler.Trisolve.plan ~ndomains:4 t in
-  let x1 = Array.copy (Sympiler.Trisolve.execute_ip p1 b) in
-  let x4 = Sympiler.Trisolve.execute_ip p4 b in
-  Helpers.bitwise "facade trisolve ndomains:1 == ndomains:4" x1 x4;
-  let column_sweep = Vector.sparse_to_dense b in
-  Stages.lower_ip l column_sweep;
-  Helpers.bitwise "facade level-set solve == Stages.lower_ip" column_sweep x1;
-  let x4' = Sympiler.Trisolve.execute_ip p4 b in
-  Helpers.bitwise "facade trisolve pool reuse" x1 x4';
-  let oracle = Helpers.oracle_lower_solve l (Vector.sparse_to_dense b) in
-  Helpers.check_close "level-set facade solve is correct" oracle x4
 
 (* A trisolve plan owns every array a solve writes: two plans of one
    VS-Block handle over suite problem 1's factor solve different
@@ -476,7 +403,7 @@ let test_facade_ldlt () =
   in
   let h = Sympiler.Ldlt.compile al in
   let fresh = Sympiler.Ldlt.factor h al in
-  let p = Sympiler.Ldlt.plan ~ndomains:4 h in
+  let p = Sympiler.Ldlt.plan h in
   let f = Sympiler.Ldlt.execute_ip p al in
   Helpers.bitwise "ldlt facade L" fresh.Ldlt.l.Csc.values f.Ldlt.l.Csc.values;
   Helpers.bitwise "ldlt facade D" fresh.Ldlt.d f.Ldlt.d;
@@ -588,12 +515,6 @@ let suite =
       test_pool_metrics_counters;
     Alcotest.test_case "imbalance, metrics only" `Quick
       test_imbalance_with_metrics_only;
-    Alcotest.test_case "facade: cholesky ?ndomains" `Quick
-      test_facade_cholesky_ndomains;
-    Alcotest.test_case "facade: simplicial ignores ?ndomains" `Quick
-      test_facade_simplicial_ignores_ndomains;
-    Alcotest.test_case "facade: trisolve ?ndomains" `Quick
-      test_facade_trisolve_ndomains;
     Alcotest.test_case "facade: trisolve plans on two domains" `Quick
       test_trisolve_plans_on_two_domains;
     Alcotest.test_case "facade: ldlt" `Quick test_facade_ldlt;
