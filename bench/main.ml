@@ -431,9 +431,9 @@ let ablation_threshold () =
     ids;
   section_note
     "(the OCaml supernodal executor wins on no pattern: VS-Block runs only\n\
-    \ in the emitted C, above a flop-weighted supernode width of 6 and\n\
-    \ 75,000 flops, the measured counterpart of the paper's hand-tuned\n\
-    \ threshold of 160; EXPERIMENTS.md A1)\n"
+    \ in the emitted C, for Cholesky and LDL^T, above a flop-weighted\n\
+    \ supernode width of 6 and 200,000 flops, the measured counterpart of\n\
+    \ the paper's hand-tuned threshold of 160; EXPERIMENTS.md A1)\n"
 
 (* Ablation A2: low-level transformations on/off. *)
 
@@ -921,15 +921,15 @@ let gate_steady () =
   in
   { verdicts = [ ("steady_not_slower", !ok) ]; rows }
 
-(* native_not_slower_{trisolve,cholesky}: a native plan's steady call
-   takes at most 1.10x the OCaml plan's, for the triangular solve on every
-   suite problem (VS-Block kernels and the unpeeled column code alike) and
-   for Cholesky on every suite problem whose native plan runs the
-   supernodal C (VS-Block's one Cholesky decision; the OCaml side is the
-   simplicial plan). This is not a speed-up claim: the compiled C must
-   only not lose. *)
+(* native_not_slower_{trisolve,cholesky,ldlt}: a native plan's steady call
+   takes at most 1.10x the OCaml plan's, on every suite problem: for the
+   triangular solve (VS-Block kernels and the unpeeled column code alike),
+   and for Cholesky and LDL^T whichever kernel the VS-Block decision gave
+   the native plan (the supernodal or the up-looking simplicial C; the
+   OCaml side is the simplicial plan). This is not a speed-up claim: the
+   compiled C must only not lose. *)
 let gate_native () =
-  let tri_ok = ref true and chol_ok = ref true in
+  let tri_ok = ref true and chol_ok = ref true and ldlt_ok = ref true in
   let loaded family = function
     | Some _ -> ()
     | None -> failwith (family ^ ": native load failed although cc exists")
@@ -957,17 +957,20 @@ let gate_native () =
                   ignore (Sympiler.Trisolve.execute_ip p b : float array)))
         in
         let chol =
-          if Sympiler.Cholesky.variant h <> Sympiler.Cholesky.Supernodal then []
-          else
-            [
-              race chol_ok ~name ~kernel:"cholesky" (fun engine ->
-                  let p = Sympiler.Cholesky.plan ~engine h in
-                  if engine = `Native then
-                    loaded "cholesky" p.Sympiler.Cholesky.native;
-                  repeat (fun () -> ignore (Sympiler.Cholesky.execute_ip p al)));
-            ]
+          race chol_ok ~name ~kernel:"cholesky" (fun engine ->
+              let p = Sympiler.Cholesky.plan ~engine h in
+              if engine = `Native then
+                loaded "cholesky" p.Sympiler.Cholesky.native;
+              repeat (fun () -> ignore (Sympiler.Cholesky.execute_ip p al)))
         in
-        tri :: chol)
+        let lh = Sympiler.Ldlt.compile al in
+        let ldlt =
+          race ldlt_ok ~name ~kernel:"ldlt" (fun engine ->
+              let p = Sympiler.Ldlt.plan ~engine lh in
+              if engine = `Native then loaded "ldlt" p.Sympiler.Ldlt.native;
+              repeat (fun () -> ignore (Sympiler.Ldlt.execute_ip p al)))
+        in
+        [ tri; chol; ldlt ])
       ids
   in
   {
@@ -975,6 +978,7 @@ let gate_native () =
       [
         ("native_not_slower_trisolve", !tri_ok);
         ("native_not_slower_cholesky", !chol_ok);
+        ("native_not_slower_ldlt", !ldlt_ok);
       ];
     rows;
   }

@@ -2,17 +2,19 @@ open Sympiler_sparse
 open Sympiler_kernels
 module Pretty_c = Sympiler_ir.Pretty_c
 
-(* C emission for the "other matrix methods" of §3.3 (LDL^T, LU, IC0,
-   ILU0). Each kernel mirrors its OCaml [factor_ip_body] line by line and
-   takes every index array the symbolic phase computed as an argument, so
-   the emitted numeric phase contains no symbolic work and its text is one
-   per kernel shape: every pattern shares one compiled object. Pivot
-   failures return the failing index, success returns -1.
+(* C emission for the simplicial kernels: the up-looking loop of the
+   symmetric families (Cholesky and LDL^T) and the "other matrix methods"
+   of §3.3 (LU, IC0, ILU0). Each kernel mirrors its OCaml [factor_ip_body]
+   line by line and takes every index array the symbolic phase computed
+   as an argument, so the emitted numeric phase contains no symbolic work
+   and its text is one per kernel shape: every pattern shares one
+   compiled object. Pivot failures return the failing index, success
+   returns -1.
 
    Ordered handles take natural-order input. LU and IC(0) read their input
    in place, so they have an ordered variant that reads it through the
-   ordering's gather map [amap]; LDL^T and ILU(0) already read it through
-   a gather map, into which the ordering is composed. *)
+   ordering's gather map [amap]; the up-looking kernel and ILU(0) already
+   read it through a gather map, into which the ordering is composed. *)
 
 (* Input value [idx] of a kernel that reads [ax] in place. *)
 let ax ~ordered idx =
@@ -34,15 +36,20 @@ let header kernel =
     \   one kernel shape: the sparsity pattern is passed as arguments. */\n"
     kernel
 
-let ldlt_text =
-  header "LDL^T factorization"
-  ^ {|/* ax: values of lower(A), read through umap; lx: values of L; d: the
-   diagonal. Returns -1 on success, k on a zero pivot at column k. */
-int ldlt_kernel(int n, const int *restrict lp, const int *restrict li,
+(* The up-looking kernel of both symmetric families, one text function
+   with two shapes: LDL^T, and Cholesky, [Cholesky_ref.Decoupled]'s loop
+   line by line (a square root per pivot, a non-positive pivot fails).
+   Each reads lower(A) through [umap], the upper triangle's gather map
+   with the ordering composed in, so natural and ordered handles share
+   one text. *)
+let up_looking_template =
+  {|${include}/* ax: values of lower(A), read through umap; lx: values of L${dout}
+   ${returns} */
+int ${kname}(int n, const int *restrict lp, const int *restrict li,
   const int *restrict up, const int *restrict ui, const int *restrict umap,
   const int *restrict rp_ptr, const int *restrict rp_ind,
   int *restrict nzcount, const double *restrict ax, double *restrict lx,
-  double *restrict d, double *restrict y) {
+  ${dparam}double *restrict y) {
   for (int i = 0; i < n; i++) { nzcount[i] = 0; y[i] = 0.0; }
   for (int k = 0; k < n; k++) {
     double dk = 0.0;
@@ -55,55 +62,94 @@ int ldlt_kernel(int n, const int *restrict lp, const int *restrict li,
       int j = rp_ind[t];
       double yj = y[j];
       y[j] = 0.0;
-      double lkj = yj / d[j];
+      double lkj = yj / ${pivot_j};
       /* row indices within a column are distinct: the scatter is safe */
 #pragma GCC ivdep
       for (int p = lp[j] + 1; p < lp[j] + nzcount[j]; p++)
-        y[li[p]] -= lx[p] * yj;
-      dk -= lkj * yj;
+        y[li[p]] -= lx[p] * ${scatter};
+      dk -= lkj * ${scatter};
       lx[lp[j] + nzcount[j]] = lkj;
       nzcount[j]++;
     }
-    if (dk == 0.0) return k;
-    d[k] = dk;
-    lx[lp[k]] = 1.0;
+${finish}
     nzcount[k] = 1;
   }
   return -1;
 }
 |}
 
-let ldlt (c : Ldlt.compiled) (omap : int array option) : Pretty_c.shaped =
+let up_looking_kname ~cholesky =
+  if cholesky then "cholesky_kernel" else "ldlt_kernel"
+
+let up_looking_text ~cholesky =
+  let b = Buffer.create 2048 in
+  Buffer.add_substitute b
+    (function
+      | "include" ->
+          if cholesky then
+            "#include <math.h>\n"
+            ^ header "Cholesky factorization (up-looking, simplicial)"
+          else header "LDL^T factorization"
+      | "kname" -> up_looking_kname ~cholesky
+      | "dout" -> if cholesky then "." else "; d: the"
+      | "returns" ->
+          if cholesky then
+            "Returns -1 on success, k when the pivot at column k is not\n\
+            \   positive."
+          else "diagonal. Returns -1 on success, k on a zero pivot at column k."
+      | "dparam" -> if cholesky then "" else "double *restrict d, "
+      | "pivot_j" -> if cholesky then "lx[lp[j]]" else "d[j]"
+      | "scatter" -> if cholesky then "lkj" else "yj"
+      | "finish" ->
+          if cholesky then
+            "    if (dk <= 0.0) return k;\n    lx[lp[k]] = sqrt(dk);"
+          else
+            "    if (dk == 0.0) return k;\n    d[k] = dk;\n    lx[lp[k]] = 1.0;"
+      | v -> invalid_arg ("Codegen_static.up_looking_text: " ^ v))
+    up_looking_template;
+  Buffer.contents b
+
+let up_looking ~cholesky (up : Cholesky_ref.up_looking)
+    (omap : int array option) : Pretty_c.shaped =
   let module F = Sympiler_symbolic.Fill_pattern in
-  let f = c.Ldlt.fill in
+  let f = up.Cholesky_ref.fill in
   let n = f.F.n in
   let data =
     [
       ("lp", f.F.l_colptr);
       ("li", f.F.l_rowind);
-      ("up", c.Ldlt.up_colptr);
-      ("ui", c.Ldlt.up_rowind);
-      ("umap", compose omap c.Ldlt.up_map);
+      ("up", up.Cholesky_ref.up_colptr);
+      ("ui", up.Cholesky_ref.up_rowind);
+      ("umap", compose omap up.Cholesky_ref.up_map);
       ("rp_ptr", f.F.row_ptr);
       ("rp_ind", f.F.row_ind);
     ]
   in
+  let kname = up_looking_kname ~cholesky in
+  let statics = [ ("int", "nzcount", n); ("double", "y", n) ] in
   {
-    kname = "ldlt_kernel";
-    text = ldlt_text;
+    kname;
+    text = up_looking_text ~cholesky;
     n;
     data;
     iwork = [ n ];
     fwork = [ n ];
     entry =
       Some
-        (Pretty_c.entry
-          ~signature:
-            "int ldlt_factor(const double *restrict ax, double *restrict lx,\n\
-            \                double *restrict d)"
-          ~statics:[ ("int", "nzcount", n); ("double", "y", n) ]
-          ~ret:true ~kname:"ldlt_kernel" ~n ~data
-          [ "nzcount"; "ax"; "lx"; "d"; "y" ]);
+        (if cholesky then
+           Pretty_c.entry
+             ~signature:
+               "int cholesky_factor(const double *restrict ax, double \
+                *restrict lx)"
+             ~statics ~ret:true ~kname ~n ~data
+             [ "nzcount"; "ax"; "lx"; "y" ]
+         else
+           Pretty_c.entry
+             ~signature:
+               "int ldlt_factor(const double *restrict ax, double *restrict lx,\n\
+               \                double *restrict d)"
+             ~statics ~ret:true ~kname ~n ~data
+             [ "nzcount"; "ax"; "lx"; "d"; "y" ]);
   }
 
 let lu_text ~ordered =

@@ -7,32 +7,51 @@ open Compile_common
    {!Factor.Make} to each, and a [Pipeline]'s factor stage compiles, plans
    and factors through them. *)
 
+(* LDL^T takes Cholesky's VS-Block decision through the same rule on the
+   same fill: its OCaml plans run the simplicial executor, and its native
+   plan the supernodal kernel's LDL^T shape where the decision fired
+   (writing the simplicial plan's [lx] and [d]), the up-looking kernel
+   elsewhere. *)
 module Ldlt = struct
   module K = Sympiler_kernels.Ldlt
+  module Fill = Sympiler_symbolic.Fill_pattern
 
   let name = "ldlt"
   let lower = true
 
-  type compiled = K.compiled
+  type compiled = {
+    k : K.compiled;
+    supernodal : bool;  (* the VS-Block decision *)
+    decisions : Trace.decision list;
+  }
+
   type kplan = K.plan
   type output = K.factors
 
   (* Rank-update state (GGMS C1): borrows the plan's factor views. *)
   type updown = Rank_update.ldlt_plan
 
-  let compile _ (cp : compiled_pattern) =
-    K.compile ~upper:(Lazy.force cp.upper) cp.pattern
+  let compile opts (cp : compiled_pattern) =
+    let k = K.compile ~upper:(Lazy.force cp.upper) cp.pattern in
+    let supernodal, decisions = Cholesky_family.vs_block opts k.K.fill in
+    { k; supernodal; decisions }
 
-  let key _ = [||]
-  let make_plan = K.make_plan
+  let key = Cholesky_family.key
+  let make_plan (c : compiled) = K.make_plan c.k
   let factor_ip = K.factor_ip
   let view (p : kplan) = p.K.f
-  let factor = K.factor
-  let flops _ = Float.nan
-  let nnz_l (c : compiled) = Sympiler_symbolic.Fill_pattern.nnz_l c.K.fill
-  let decisions _ = []
+  let factor (c : compiled) = K.factor c.k
+  let flops (c : compiled) = Fill.flops c.k.K.fill
+  let nnz_l (c : compiled) = Fill.nnz_l c.k.K.fill
+  let decisions (c : compiled) = c.decisions
 
-  let native c _ omap = Codegen_static.ldlt c omap
+  let native (c : compiled) pattern omap =
+    if c.supernodal then
+      Codegen_supernodal.shaped ~ldlt:true
+        (Cholesky_family.supernodal_executor c.k.K.fill)
+        pattern omap
+    else Codegen_static.up_looking ~cholesky:false c.k omap
+
   let outputs (p : kplan) = [| p.K.lx; p.K.f.K.d |]
   let pivot rc = K.Zero_pivot rc
   let updown (p : kplan) _ = Rank_update.make_ldlt_plan p.K.f.K.l p.K.f.K.d
@@ -40,7 +59,7 @@ module Ldlt = struct
   let operands (p : kplan) = Factor.L_d (p.K.f.K.l, p.K.f.K.d)
 
   let sweep_l (c : compiled) _ =
-    Some (Factor.positional (Sympiler_symbolic.Fill_pattern.l_view c.K.fill))
+    Some (Factor.positional (Fill.l_view c.k.K.fill))
 end
 
 module Lu = struct

@@ -18,12 +18,14 @@ type t = {
   cache : bool;
       (** route the compile through the family's default {!Plan_cache} *)
   simplicial : bool;
-      (** pin the simplicial Cholesky kernel on every engine (the OCaml
-          plans run it anyway; native plans then skip VS-Block) *)
+      (** pin the simplicial kernel of both symmetric families, Cholesky
+          and LDL^T, on every engine (the OCaml plans run it anyway;
+          native plans then skip VS-Block) *)
 }
 
 val default : t
-(** Natural ordering, uncached, VS-Block decided by Cholesky's rule. *)
+(** Natural ordering, uncached, VS-Block decided by the symmetric
+    families' rule. *)
 
 val cached : t
 (** {!default} with [cache = true]. *)

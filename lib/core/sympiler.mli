@@ -262,14 +262,17 @@ end
 (** Sparse Cholesky factorization [A = L L^T]: a {!Factor.Make} instance.
 
     [compile] runs one fill analysis of lower(A) and compiles the
-    simplicial (VI-Prune) executor, which every OCaml plan runs. VS-Block is a decision of the native engine alone: a native
-    plan runs the supernodal (VS-Block + low-level) C kernel when the
-    handle's flop-weighted supernode width
+    simplicial (VI-Prune) executor, which every OCaml plan runs. VS-Block
+    is a decision of the native engine alone, taken by the one rule
+    {!Ldlt} shares: a native plan runs the supernodal (VS-Block +
+    low-level) C kernel when the handle's flop-weighted supernode width
     ({!Sympiler_symbolic.Supernodes.flop_weighted_width}) reaches the
-    measured C crossover, 6, and its predicted flops reach 75,000
-    (EXPERIMENTS.md, A1), and the simplicial C kernel otherwise — as
-    Sympiler skips VS-Block for matrices 3,4,5,7. [opts.simplicial] pins
-    the simplicial kernel on every engine; it is in the cache key.
+    measured C crossover, 6, and its predicted flops reach 200,000
+    (EXPERIMENTS.md, A1), and otherwise the up-looking simplicial C
+    kernel, the OCaml plan's loop, whose factor equals the OCaml plan's
+    bit for bit — as Sympiler skips VS-Block for matrices 3,4,5,7.
+    [opts.simplicial] pins the simplicial kernel on every engine; it is
+    in the cache key.
     [opts.ordering] runs the whole analysis on [P A P^T] (the
     numeric entry points keep taking natural-order values; the factor
     produced is that of the permuted matrix). The handle's [decisions]
@@ -282,8 +285,7 @@ end
     On a non-positive pivot every plan, OCaml or native, simplicial or
     supernodal, raises
     {!Sympiler_kernels.Dense_blas.Not_positive_definite} at the same
-    column (the native simplicial kernel checks the diagonal after the
-    factorization, so a NaN pivot counts as well). It is the one
+    column (a NaN pivot is not caught, on any plan). It is the one
     exception of Cholesky, IC(0) and rejected downdates: the kernels'
     [Cholesky_ref], [Cholesky_leftlooking], [Ic0] and [Rank_update]
     spellings name it too, so one handler catches them all. The plan
@@ -366,9 +368,9 @@ module Cholesky : sig
 end
 
 (** The four §3.3 families below are {!Factor.Make} instances too. Each
-    [compile] consumes only [opts.ordering] (and [opts.cache]); the other
-    fields are ignored for {!KERNEL} uniformity and stay out of the cache
-    key. [opts.ordering] compiles for [P A P^T] — on the symmetrized graph
+    [compile] consumes [opts.ordering] (and [opts.cache]), and LDL^T
+    [opts.simplicial] as well; the other fields are ignored for {!KERNEL}
+    uniformity and stay out of the cache key. [opts.ordering] compiles for [P A P^T] — on the symmetrized graph
     for the lower(A) families, on [A + A^T] for the square ones — and the
     numeric entry points keep taking natural-order values and return the
     permuted system's factors. [execute_ip] raises the family's pivot
@@ -376,15 +378,28 @@ end
 
 (** [A = L D L^T] factorization for symmetric indefinite but strongly
     regular matrices (§3.3); pass lower(A) (raises [Invalid_argument]
-    otherwise). Pivot failure: {!Sympiler_kernels.Ldlt.Zero_pivot}. *)
+    otherwise). Pivot failure: {!Sympiler_kernels.Ldlt.Zero_pivot}, on
+    every plan, at the column of an exactly zero pivot.
+
+    [compile] runs Cholesky's fill analysis and takes {!Cholesky}'s
+    VS-Block decision by the same rule on the same fill, so its
+    [decisions] hold the same [vi-prune] and [vs-block] records (the
+    latter's [fired] is the decision) and [opts.simplicial] pins it (it
+    is in the cache key); [t.flops] is the fill's flop model. OCaml plans run the simplicial up-looking
+    executor. A native plan runs the supernodal kernel's LDL^T shape
+    where the decision fired — bit for bit the factor of
+    {!Sympiler_kernels.Cholesky_supernodal.Sympiler}'s [factor_ip ~d]
+    over {!Sympiler_kernels.Cholesky_supernodal.of_pattern} of the
+    handle's L — and the simplicial kernel, the OCaml plan's loop,
+    elsewhere. Every plan writes the same [l] and [d], so rank updates
+    work on each. *)
 module Ldlt : sig
   type updown
   (** Lazily-built rank-update state (GGMS C1 recurrence). *)
 
   include
     Factor.S
-      with type compiled = Sympiler_kernels.Ldlt.compiled
-       and type kplan = Sympiler_kernels.Ldlt.plan
+      with type kplan = Sympiler_kernels.Ldlt.plan
        and type output = Sympiler_kernels.Ldlt.factors
        and type updown := updown
 
@@ -410,9 +425,9 @@ module Ldlt : sig
 end
 
 (** Sparse LU (left-looking Gilbert-Peierls, no pivoting) for matrices
-    that are numerically safe without pivoting (§3.3); the only family
-    here with a flop model ([t.flops], from the reach-set simulation over
-    DG_L). Pivot failure: {!Sympiler_kernels.Lu.Zero_pivot}. *)
+    that are numerically safe without pivoting (§3.3); its flop model
+    ([t.flops]) comes from the reach-set simulation over DG_L. Pivot
+    failure: {!Sympiler_kernels.Lu.Zero_pivot}. *)
 module Lu :
   Factor.S
     with type compiled = Sympiler_kernels.Lu.Sympiler.compiled

@@ -142,22 +142,24 @@ let init_panel_from_a an (a_lower : Csc.t) (lx : float array)
 
 (* The update of every executor (CHOLMOD-style): one dense product into a
    work buffer, W(mm, tt) = sum over the columns j of d, ascending, of
-   Ld(first+mm, j) * Ld(first+tt, j) (a zero Ld(first+tt, j) skipped), then
-   one scatter-subtract of W into the target panel. The emitted C forms
-   the same sums in the same order. *)
-let apply_update_generic an (lx : float array) (relpos : int array) ~s u
+   Ld(first+mm, j) * ltop, where ltop = Ld(first+tt, j), times D(j) with
+   the diagonal [d] of an LDL^T (a zero ltop skipped), then one
+   scatter-subtract of W into the target panel. The emitted C forms the
+   same sums in the same order. *)
+let apply_update_generic ?d an (lx : float array) (relpos : int array) ~s u
     (wbuf : float array) =
   let d0 = an.sn.Supernodes.sn_ptr.(u.d)
   and d1 = an.sn.Supernodes.sn_ptr.(u.d + 1) in
   let c0 = an.sn.Supernodes.sn_ptr.(s) in
   let lp = an.l_colptr in
   let m = u.m and t = u.t in
+  let ldlt = Option.is_some d and dv = Option.value d ~default:lx in
   Array.fill wbuf 0 (m * t) 0.0;
-  (* W(mm, tt) = sum over cols j of d of Ld(first+mm, j) * Ld(first+tt, j). *)
+  (* W(mm, tt) = sum over cols j of d of Ld(first+mm, j) * ltop. *)
   for j = d0 to d1 - 1 do
     let base = lp.(j) + (d1 - j) + u.first in
     for tt = 0 to t - 1 do
-      let ltop = lx.(base + tt) in
+      let ltop = if ldlt then lx.(base + tt) *. dv.(j) else lx.(base + tt) in
       if ltop <> 0.0 then begin
         let out = tt * m in
         for mm = tt to m - 1 do
@@ -199,6 +201,35 @@ let factor_panel_specialized an (lx : float array) s =
   and c1 = an.sn.Supernodes.sn_ptr.(s + 1) in
   if c1 - c0 = 1 then Dense_blas.potrf_w1 an.l_colptr lx ~c0 ~nb:an.nb.(s)
   else Dense_blas.panel_factor_fused an.l_colptr lx ~c0 ~c1 ~nb:an.nb.(s)
+
+(* The LDL^T panel, the order of [Dense_blas.panel_factor_fused] with the
+   diagonal: column j of the panel subtracts L(j:, k) * (L(j, k) * D(k))
+   for each earlier column k of the supernode (a zero scale skipped),
+   then its pivot becomes D(j), its diagonal 1 and the rest is divided by
+   the pivot. An exactly zero pivot raises [Ldlt.Zero_pivot]. *)
+let factor_panel_ldlt an (lx : float array) (d : float array) s =
+  let c0 = an.sn.Supernodes.sn_ptr.(s)
+  and c1 = an.sn.Supernodes.sn_ptr.(s + 1) in
+  let colptr = an.l_colptr and nb = an.nb.(s) in
+  for j = c0 to c1 - 1 do
+    let base_j = colptr.(j) in
+    let len = c1 - j + nb in
+    for k = c0 to j - 1 do
+      let base_k = colptr.(k) + (j - k) in
+      let a = lx.(base_k) *. d.(k) in
+      if a <> 0.0 then
+        for i = 0 to len - 1 do
+          lx.(base_j + i) <- lx.(base_j + i) -. (lx.(base_k + i) *. a)
+        done
+    done;
+    let dj = lx.(base_j) in
+    if dj = 0.0 then raise (Ldlt.Zero_pivot j);
+    d.(j) <- dj;
+    lx.(base_j) <- 1.0;
+    for i = 1 to len - 1 do
+      lx.(base_j + i) <- lx.(base_j + i) /. dj
+    done
+  done
 
 (* A work buffer for any update: m is at most a below-block height, t at
    most a supernode width (the baseline discovers its updates at numeric
@@ -325,8 +356,9 @@ module Sympiler = struct
     { c; lx; relpos; wbuf; l = factor_view an lx }
 
   (* Numeric phase: no transpose, no list maintenance — just arithmetic
-     driven by the baked-in schedule, writing into the plan's storage. *)
-  let factor_ip_body (p : plan) (a_lower : Csc.t) : unit =
+     driven by the baked-in schedule, writing into the plan's storage.
+     With a diagonal [d], the same schedule factors L D L^T. *)
+  let factor_ip_body ?d (p : plan) (a_lower : Csc.t) : unit =
     let c = p.c in
     let an = c.an in
     let nsuper = Supernodes.nsuper an.sn in
@@ -337,19 +369,29 @@ module Sympiler = struct
       init_panel_from_a an a_lower lx relpos s;
       let ups = c.schedule.(s) in
       for i = 0 to Array.length ups - 1 do
-        apply_update_generic an lx relpos ~s ups.(i) wbuf
+        apply_update_generic ?d an lx relpos ~s ups.(i) wbuf
       done;
-      if c.specialized then factor_panel_specialized an lx s
-      else factor_panel_generic an lx s
+      match d with
+      | Some d -> factor_panel_ldlt an lx d s
+      | None ->
+          if c.specialized then factor_panel_specialized an lx s
+          else factor_panel_generic an lx s
     done;
     record_factor an
 
   (* Spanned entry point: the begin/end pair is a single-bool no-op while
      tracing is disabled, so the steady state stays allocation-free; the
-     [try] keeps the span stack balanced across [Not_positive_definite]. *)
-  let factor_ip (p : plan) (a_lower : Csc.t) : unit =
-    Sympiler_trace.Trace.begin_span "factor_ip.cholesky_supernodal";
-    (try factor_ip_body p a_lower
+     [try] keeps the span stack balanced across a pivot failure. *)
+  let factor_ip ?d (p : plan) (a_lower : Csc.t) : unit =
+    (match d with
+    | Some d when Array.length d <> p.c.an.n ->
+        invalid_arg
+          "Cholesky_supernodal.Sympiler.factor_ip: d is not of length n"
+    | _ -> ());
+    Sympiler_trace.Trace.begin_span
+      (if Option.is_some d then "factor_ip.ldlt_supernodal"
+       else "factor_ip.cholesky_supernodal");
+    (try factor_ip_body ?d p a_lower
      with e ->
        Sympiler_trace.Trace.end_span ();
        raise e);
@@ -357,8 +399,8 @@ module Sympiler = struct
 
   (* One-shot allocating wrapper: a fresh plan per call keeps the original
      value semantics (every factor owns its values). *)
-  let factor (c : compiled) (a_lower : Csc.t) : Csc.t =
+  let factor ?d (c : compiled) (a_lower : Csc.t) : Csc.t =
     let p = make_plan c in
-    factor_ip p a_lower;
+    factor_ip ?d p a_lower;
     p.l
 end

@@ -50,10 +50,13 @@ val init_panel_from_a :
     row-offset scratch [relpos]. *)
 
 val apply_update_generic :
+  ?d:float array ->
   analysis -> float array -> int array -> s:int -> update -> float array -> unit
 (** The update of every executor: one dense product into the work buffer
-    ([m * t] entries), then one scatter-subtract into the target panel.
-    The emitted supernodal C forms the same sums in the same order. *)
+    ([m * t] entries), then one scatter-subtract into the target panel;
+    with the diagonal [d] of an LDL^T, each descendant column is scaled
+    by its D entry. The emitted supernodal C forms the same sums in the
+    same order. *)
 
 val factor_view : analysis -> float array -> Csc.t
 (** [factor_view an lx]: the factor over values [lx] and [an]'s own
@@ -99,10 +102,11 @@ module Sympiler : sig
     Csc.t ->
     compiled
 
-  val factor : compiled -> Csc.t -> Csc.t
+  val factor : ?d:float array -> compiled -> Csc.t -> Csc.t
   (** Numeric phase: no transpose, no list maintenance, just arithmetic
       driven by the baked-in schedule. Allocates a fresh factor per call;
-      for allocation-free steady state use a {!plan}. *)
+      for allocation-free steady state use a {!plan}. [d] as for
+      {!factor_ip}. *)
 
   (** {2 Plans} — reusable numeric workspaces for the compile-once /
       execute-many regime. *)
@@ -120,8 +124,15 @@ module Sympiler : sig
   val make_plan : compiled -> plan
   (** Allocate all numeric workspaces once for the compiled pattern. *)
 
-  val factor_ip : plan -> Csc.t -> unit
+  val factor_ip : ?d:float array -> plan -> Csc.t -> unit
   (** Numeric factorization into the plan's storage ([plan.l] afterwards
       holds L): zero allocation in steady state. The input must share the
-      compiled pattern; values are free to differ between calls. *)
+      compiled pattern; values are free to differ between calls.
+
+      With [d] (length n) it factors [A = L D L^T] on the same schedule
+      instead: every update scaled by D, each panel a dense LDL^T with no
+      square root. [plan.l] then holds the unit L (its diagonal stored as
+      1) and [d] the diagonal of D; an exactly zero pivot raises
+      {!Ldlt.Zero_pivot} at its column. This is the emitted LDL^T
+      supernodal C's bitwise twin. *)
 end

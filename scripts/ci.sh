@@ -91,7 +91,8 @@ for verdict in steady_not_slower disabled_overhead_ok \
   }
 done
 if [ "$have_cc" = "1" ]; then
-  for verdict in native_not_slower_trisolve native_not_slower_cholesky; do
+  for verdict in native_not_slower_trisolve native_not_slower_cholesky \
+    native_not_slower_ldlt; do
     grep -q "\"$verdict\":true" "$gates" || {
       echo "FAIL: $verdict is not true in $gates" >&2
       exit 1

@@ -80,7 +80,7 @@ let test_cholesky_threshold_fallback () =
     (Sympiler.Cholesky.variant narrow = Sympiler.Cholesky.Simplicial);
   Alcotest.(check bool) "declined" false (vs narrow).Sympiler.Trace.fired;
   let al =
-    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
+    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 ())
   in
   let wide = Sympiler.Cholesky.compile al in
   Alcotest.(check bool) "supernodal on wide supernodes" true
@@ -100,7 +100,7 @@ let test_cholesky_threshold_fallback () =
 
 let test_cholesky_c_code_supernodal () =
   let al =
-    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
+    Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 ())
   in
   let c = Sympiler.Cholesky.c_code (Sympiler.Cholesky.compile al) in
   Alcotest.(check bool) "supernodal C generated" true

@@ -7,12 +7,13 @@ open Sympiler_kernels
    Differential law: a plan with [~engine:`Native] must produce the same
    values as the OCaml executor of the same kernel — the handle's default
    OCaml plan, or, where VS-Block fired (which only the C runs), the
-   supernodal Cholesky executor over the handle's L and the VS-Block
-   solve, called directly. The C follows the same operation order and is
-   compiled with -ffp-contract=off, so the law is bitwise for the
-   supernodal Cholesky kernel and the column solve; elsewhere it is
-   checked at 1e-15 relative, to allow a stray last-bit difference
-   without hiding real divergence. *)
+   supernodal executor over the handle's L (with the diagonal for LDL^T)
+   and the VS-Block solve, called directly. The C follows the same
+   operation order and is compiled with -ffp-contract=off, so the law is
+   bitwise for every Cholesky and LDL^T kernel and the column solve;
+   elsewhere (LU, IC(0), ILU(0), the VS-Block solve) it is checked at
+   1e-15 relative, to allow a stray last-bit difference without hiding
+   real divergence. *)
 
 module N = Sympiler.Native
 module NE = Sympiler.Native_engine
@@ -53,12 +54,13 @@ type plan = {
 type family = {
   fname : string;
   square : bool;
+  exact : bool;  (** native = OCaml bit for bit *)
   build : Sympiler.ordering -> Sympiler.engine -> Csc.t -> plan;
   c_code : Sympiler.ordering -> Csc.t -> string;
 }
 
-let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
-    fname
+let family (type o) ?(square = false) ?(exact = false)
+    ?(base = Sympiler.Options.default) fname
     (module F : Sympiler.Factor.S with type output = o)
     (vals : o -> float array) =
   let compile ordering a =
@@ -67,6 +69,7 @@ let family (type o) ?(square = false) ?(base = Sympiler.Options.default)
   {
     fname;
     square;
+    exact;
     build =
       (fun ordering engine a ->
         let p = F.plan ~engine (compile ordering a) in
@@ -82,27 +85,31 @@ module C = Sympiler.Cholesky
 
 let upgraded (t : C.t) = C.(variant t = Supernodal)
 
-(* The caller's values in the handle's compiled order. *)
-let compiled_input (t : C.t) (al : Csc.t) =
-  match t.C.ord.Sympiler.o_perm with
+(* The caller's values in a handle's compiled order. *)
+let compiled_input_of (ord : Sympiler.applied_ordering) (pattern : Csc.t)
+    (al : Csc.t) =
+  match ord.Sympiler.o_perm with
   | None -> al
   | Some _ ->
       {
-        t.C.pattern with
-        Csc.values =
-          Array.map (fun q -> al.Csc.values.(q)) t.C.ord.Sympiler.o_map;
+        pattern with
+        Csc.values = Array.map (fun q -> al.Csc.values.(q)) ord.Sympiler.o_map;
       }
 
-(* The supernodal executor over the supernodal analysis of [t]'s L (its
-   pattern read off one factorization of [al]), as a plan that takes its
-   input in compiled order: the reference an upgraded native plan follows
-   operation for operation, so that law is bitwise. *)
-let supernodal_plan (t : C.t) (al : Csc.t) =
-  let l = C.factor t al in
+let compiled_input (t : C.t) = compiled_input_of t.C.ord t.C.pattern
+
+(* The supernodal executor over the supernodal analysis of a factor
+   pattern [l], as a plan that takes its input in compiled order. *)
+let supernodal_of (l : Csc.t) =
   Cholesky_supernodal.Sympiler.make_plan
     (Cholesky_supernodal.Sympiler.of_analysis
        (Cholesky_supernodal.of_pattern ~l_colptr:l.Csc.colptr
           ~l_rowind:l.Csc.rowind))
+
+(* ... over [t]'s L (its pattern read off one factorization of [al]): the
+   reference an upgraded native plan follows operation for operation, so
+   that law is bitwise. *)
+let supernodal_plan (t : C.t) (al : Csc.t) = supernodal_of (C.factor t al)
 
 let supernodal_run sp (t : C.t) (al : Csc.t) =
   Cholesky_supernodal.Sympiler.factor_ip sp (compiled_input t al)
@@ -124,7 +131,7 @@ let cholesky_oracle (t : C.t) (al : Csc.t) : float array =
    the rule went: the supernodal executor where VS-Block fired, the
    handle's own simplicial plan elsewhere. *)
 let cholesky_family =
-  let plain = family "cholesky" (module C) (fun l -> l.Csc.values) in
+  let plain = family ~exact:true "cholesky" (module C) (fun l -> l.Csc.values) in
   let build ordering engine a =
     let t = C.compile ~opts:(Sympiler.Options.make ~ordering ()) a in
     if engine = `Native || not (upgraded t) then plain.build ordering engine a
@@ -142,15 +149,58 @@ let cholesky_family =
   in
   { plain with build }
 
+module LD = Sympiler.Ldlt
+
+(* LDL^T takes Cholesky's decision: its [vs-block] record fired. *)
+let ldlt_upgraded (t : LD.t) =
+  List.exists
+    (fun d -> d.Sympiler.Trace.pass = "vs-block" && d.Sympiler.Trace.fired)
+    t.LD.decisions
+
+(* The supernodal executor with the diagonal over the supernodal analysis
+   of [t]'s L (read off a plan, no factorization): an upgraded native
+   LDL^T plan's bitwise reference. [ldlt_supernodal_run] factors [al]
+   into it and returns L's values then D, as the "ldlt" families do. *)
+let ldlt_supernodal_plan (t : LD.t) =
+  let l = (LD.plan t).LD.p.Ldlt.f.Ldlt.l in
+  (supernodal_of l, Array.make l.Csc.ncols 0.0)
+
+let ldlt_supernodal_run (sp, d) (t : LD.t) (al : Csc.t) =
+  Cholesky_supernodal.Sympiler.factor_ip ~d sp
+    (compiled_input_of t.LD.ord t.LD.pattern al);
+  Array.append (supernodal_values sp) d
+
+(* "ldlt"'s OCaml arm, like "cholesky"'s: the supernodal executor with the
+   diagonal where VS-Block fired, the handle's own plan elsewhere. *)
+let ldlt_family ?(base = Sympiler.Options.default) fname =
+  let plain =
+    family ~exact:true ~base fname (module LD) (fun f ->
+        Array.append f.Ldlt.l.Csc.values f.Ldlt.d)
+  in
+  let build ordering engine a =
+    let t = LD.compile ~opts:{ base with Sympiler.Options.ordering } a in
+    if engine = `Native || not (ldlt_upgraded t) then
+      plain.build ordering engine a
+    else
+      let sp = ldlt_supernodal_plan t in
+      {
+        exec = (fun i -> ignore (ldlt_supernodal_run sp t i : float array));
+        values = ldlt_supernodal_run sp t;
+        native = None;
+      }
+  in
+  { plain with build }
+
 let families =
   [
     cholesky_family;
-    family "cholesky simplicial"
+    family ~exact:true "cholesky simplicial"
       ~base:(Sympiler.Options.make ~simplicial:true ())
       (module Sympiler.Cholesky)
       (fun l -> l.Csc.values);
-    family "ldlt" (module Sympiler.Ldlt) (fun f ->
-        Array.append f.Ldlt.l.Csc.values f.Ldlt.d);
+    ldlt_family "ldlt";
+    ldlt_family ~base:(Sympiler.Options.make ~simplicial:true ())
+      "ldlt simplicial";
     family ~square:true "lu" (module Sympiler.Lu) (fun f ->
         Array.append f.Lu.l.Csc.values f.Lu.u.Csc.values);
     family "ic0" (module Sympiler.Ic0) (fun l -> l.Csc.values);
@@ -159,6 +209,11 @@ let families =
 
 let input fam a = if fam.square then a else Csc.lower a
 let find name = List.find (fun f -> f.fname = name) families
+
+(* The family's law between its native plan and its OCaml arm. *)
+let check_family fam msg expected got =
+  if fam.exact then Helpers.bitwise msg expected got
+  else check_vals msg expected got
 
 (* ---------------- per-family differential checks ---------------- *)
 
@@ -295,16 +350,14 @@ let test_trisolve_native_refactor () =
 
 (* Wide supernodes carrying enough flops: VS-Block fires. *)
 let wide_lower () =
-  Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 ())
+  Csc.lower (Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 ())
 
 let cholesky_diff name t al =
   let lo = cholesky_oracle t al in
   let pn = Sympiler.Cholesky.plan ~engine:`Native t in
   Alcotest.(check bool) (name ^ ": native loaded") true
     (pn.Sympiler.Cholesky.native <> None);
-  let ln = Sympiler.Cholesky.execute_ip pn al in
-  if upgraded t then Helpers.bitwise name lo ln.Csc.values
-  else check_vals name lo ln.Csc.values
+  Helpers.bitwise name lo (Sympiler.Cholesky.execute_ip pn al).Csc.values
 
 let test_cholesky_native () =
   require_native ();
@@ -324,21 +377,29 @@ let test_cholesky_native () =
        al)
     al
 
+(* Both LDL^T kernels, bit for bit: the zoo under the rule (its "dense-ish"
+   pattern, and the wide block-tridiagonal one, upgrade) and pinned
+   simplicial. *)
 let test_ldlt_native () =
   require_native ();
   List.iter
-    (fun (name, a) ->
-      let al = Csc.lower a in
-      let t = Sympiler.Ldlt.compile al in
-      let po = Sympiler.Ldlt.plan t in
-      let pn = Sympiler.Ldlt.plan ~engine:`Native t in
-      Alcotest.(check bool) (name ^ ": native loaded") true
-        (pn.Sympiler.Ldlt.native <> None);
-      let fo = Sympiler.Ldlt.execute_ip po al in
-      let fn = Sympiler.Ldlt.execute_ip pn al in
-      check_vals (name ^ " L") fo.Ldlt.l.Csc.values fn.Ldlt.l.Csc.values;
-      check_vals (name ^ " D") fo.Ldlt.d fn.Ldlt.d)
-    (diff_zoo ())
+    (fun fname ->
+      let fam = find fname in
+      List.iter
+        (fun (name, a) ->
+          let al = Csc.lower a in
+          let msg = Printf.sprintf "%s %s" fname name in
+          let pn = fam.build `Natural `Native al in
+          Alcotest.(check bool) (msg ^ ": native loaded") true
+            (pn.native <> None);
+          Helpers.bitwise msg
+            ((fam.build `Natural `Ocaml al).values al)
+            (pn.values al))
+        (("wide", Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 ())
+        :: diff_zoo ()))
+    [ "ldlt"; "ldlt simplicial" ];
+  Alcotest.(check bool) "wide: supernodal" true
+    (ldlt_upgraded (LD.compile (wide_lower ())))
 
 let test_lu_native () =
   require_native ();
@@ -399,22 +460,17 @@ let qcheck_cholesky_native =
           (Sympiler.Cholesky.plan ~engine:`Native t)
           al
       in
-      if upgraded t then Helpers.same_bits lo ln.Csc.values
-      else Utils.max_rel_diff lo ln.Csc.values <= 1e-15)
+      Helpers.same_bits lo ln.Csc.values)
 
 let qcheck_ldlt_native =
   Helpers.qtest ~count:12 "ldlt native = ocaml (random SPD)" Helpers.arb_spd
     (fun a ->
       (not (N.available ()))
       ||
-      let al = Csc.lower a in
-      let t = Sympiler.Ldlt.compile al in
-      let fo = Sympiler.Ldlt.execute_ip (Sympiler.Ldlt.plan t) al in
-      let fn =
-        Sympiler.Ldlt.execute_ip (Sympiler.Ldlt.plan ~engine:`Native t) al
-      in
-      Utils.max_rel_diff fo.Ldlt.l.Csc.values fn.Ldlt.l.Csc.values <= 1e-15
-      && Utils.max_rel_diff fo.Ldlt.d fn.Ldlt.d <= 1e-15)
+      let fam = find "ldlt" and al = Csc.lower a in
+      Helpers.same_bits
+        ((fam.build `Natural `Ocaml al).values al)
+        ((fam.build `Natural `Native al).values al))
 
 (* ----------------------- failure-path semantics ----------------------- *)
 
@@ -435,9 +491,9 @@ let test_native_zero_pivot () =
   (* the plan stays reusable after the failure *)
   let fo = Sympiler.Ldlt.execute_ip (Sympiler.Ldlt.plan t) al in
   let fn = Sympiler.Ldlt.execute_ip pn al in
-  check_vals "reusable after zero pivot (L)" fo.Ldlt.l.Csc.values
+  Helpers.bitwise "reusable after zero pivot (L)" fo.Ldlt.l.Csc.values
     fn.Ldlt.l.Csc.values;
-  check_vals "reusable after zero pivot (D)" fo.Ldlt.d fn.Ldlt.d
+  Helpers.bitwise "reusable after zero pivot (D)" fo.Ldlt.d fn.Ldlt.d
 
 (* An ordered plan's kernel reads the caller's natural-order values
    through the ordering's gather map (or the map composed into its own):
@@ -454,7 +510,7 @@ let test_native_ordered () =
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: native loaded" fam.fname name)
             true (pn.native <> None);
-          check_vals
+          check_family fam
             (Printf.sprintf "%s %s amd" fam.fname name)
             (po.values a) (pn.values a))
         (diff_zoo ()))
@@ -564,7 +620,7 @@ let test_native_cholesky_pivot () =
 let test_artifact_bitwise () =
   require_native ();
   let cc = Option.get (N.cc ()) in
-  let a = Generators.block_tridiagonal ~seed:4 ~nblocks:10 ~block:20 () in
+  let a = Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 () in
   Helpers.with_temp_dir (fun dir ->
       List.iteri
         (fun case (name, ordering, entry, k) ->
@@ -622,8 +678,9 @@ let test_artifact_bitwise () =
             got)
         [
           ("cholesky", `Natural, "cholesky_supernodal", 1);
-          ("cholesky simplicial", `Amd, "cholesky", 2);
+          ("cholesky simplicial", `Amd, "cholesky_factor", 1);
           ("ldlt", `Amd, "ldlt_factor", 2);
+          ("ldlt simplicial", `Natural, "ldlt_factor", 2);
           ("lu", `Natural, "lu_factor", 2);
           ("ic0", `Amd, "ic0_factor", 1);
           ("ilu0", `Amd, "ilu0_factor", 1);
@@ -636,21 +693,21 @@ let chol_opts ?simplicial ordering =
 
 (* Handles whose native plans run the supernodal kernel while their OCaml
    plans run the simplicial one: an AMD-ordered grid (flop-weighted width
-   9.0) and a suite mesh problem, natural and ordered. *)
+   12.6, 0.307 Mflop) and a suite mesh problem, natural and ordered. *)
 let upgraded_cases () =
   let dub = (Sympiler.Suite.problem 5).Sympiler.Suite.a_lower in
   [
-    ("grid2d 24 amd", Csc.lower (Generators.grid2d 24 24), `Amd);
+    ("grid2d 34 amd", Csc.lower (Generators.grid2d 34 34), `Amd);
     ("Dubcova2", dub, `Natural);
     ("Dubcova2 amd", dub, `Amd);
   ]
 
-(* ||A x - b|| / (||A|| ||x|| + ||b||) (infinity norms) for the solve
-   with factor [l] of the symmetric matrix whose lower part is [a]. *)
-let backward_error (a : Csc.t) (l : Csc.t) =
+(* ||A x - b|| / (||A|| ||x|| + ||b||) (infinity norms) for [x = solve b]
+   on the symmetric matrix whose lower part is [a]. *)
+let backward_error_of (solve : float array -> float array) (a : Csc.t) =
   let n = a.Csc.ncols in
   let b = Array.init n (fun i -> 1.0 +. (0.1 *. float_of_int (i mod 7))) in
-  let x = Cholesky_ref.solve_with_factor l b in
+  let x = solve b in
   let r = Array.map (fun v -> -.v) b in
   let rowsum = Array.make n 0.0 in
   for j = 0 to n - 1 do
@@ -666,6 +723,17 @@ let backward_error (a : Csc.t) (l : Csc.t) =
   done;
   let norm v = Array.fold_left (fun m e -> Float.max m (Float.abs e)) 0.0 v in
   norm r /. ((norm rowsum *. norm x) +. norm b)
+
+(* ... for the solve with a Cholesky factor [l]. *)
+let backward_error (a : Csc.t) (l : Csc.t) =
+  backward_error_of (Cholesky_ref.solve_with_factor l) a
+
+(* The scaled backward-error bound every factor here must meet. *)
+let check_backward name which (a : Csc.t) e =
+  let bound = 10.0 *. float_of_int a.Csc.ncols *. epsilon_float in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %s backward error %.3g <= %.3g" name which e bound)
+    true (e <= bound)
 
 (* An upgraded native plan gives, bit for bit, the factor of the OCaml
    supernodal executor over the supernodal analysis of the handle's L,
@@ -694,14 +762,8 @@ let test_upgraded_bitwise () =
         (name ^ ": native = the OCaml supernodal executor")
         (Cholesky_supernodal.Sympiler.factor sup a).Csc.values ln;
       let lo = C.execute_ip (C.plan t) al in
-      let bound = 10.0 *. float_of_int al.Csc.ncols *. epsilon_float in
       List.iter
-        (fun (which, l) ->
-          let e = backward_error a l in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s backward error %.3g <= %.3g" name which e
-               bound)
-            true (e <= bound))
+        (fun (which, l) -> check_backward name which a (backward_error a l))
         [ ("native", C.plan_factor pn); ("own OCaml plan", lo) ];
       Alcotest.(check bool) (name ^ ": c_code is the supernodal artifact") true
         (contains (C.c_code t) "cholesky_supernodal_kernel"))
@@ -710,7 +772,7 @@ let test_upgraded_bitwise () =
 (* A pinned variant binds the native plan too. *)
 let test_pinned_keep_simplicial () =
   require_native ();
-  let al = Csc.lower (Generators.grid2d 24 24) in
+  let al = Csc.lower (Generators.grid2d 34 34) in
   let t = C.compile ~opts:(chol_opts ~simplicial:true `Amd) al in
   Alcotest.(check bool) "simplicial native kernel" true
     (C.variant t = C.Simplicial);
@@ -723,9 +785,9 @@ let test_pinned_keep_simplicial () =
     (C.execute_ip pn al).Csc.values
 
 (* Both sides of the rule, AMD-ordered grids: 36 x 18 is below the width
-   (5.55); 21 x 21 reaches it (6.32) but is below the flop floor (0.057
-   Mflop), where the supernodal C loses; 24 x 24 clears both (9.0, 0.097
-   Mflop). *)
+   (5.55); 21 x 21 and 24 x 24 reach it (6.32, 9.0) but are below the
+   flop floor (0.057, 0.097 Mflop), where the supernodal C loses; 31 x 31
+   clears both (11.35, 0.227 Mflop). *)
 let test_upgrade_threshold () =
   List.iter
     (fun (name, al, want) ->
@@ -750,7 +812,8 @@ let test_upgrade_threshold () =
     [
       ("grid2d 36x18", Csc.lower (Generators.grid2d 36 18), "simplicial");
       ("grid2d 21x21", Csc.lower (Generators.grid2d 21 21), "simplicial");
-      ("grid2d 24x24", Csc.lower (Generators.grid2d 24 24), "supernodal");
+      ("grid2d 24x24", Csc.lower (Generators.grid2d 24 24), "simplicial");
+      ("grid2d 31x31", Csc.lower (Generators.grid2d 31 31), "supernodal");
     ]
 
 (* A negated diagonal: the upgraded plan raises at the column the OCaml
@@ -758,7 +821,7 @@ let test_upgrade_threshold () =
    bit. *)
 let test_upgraded_pivot () =
   require_native ();
-  let al = Csc.lower (Generators.grid2d 24 24) in
+  let al = Csc.lower (Generators.grid2d 34 34) in
   let t = C.compile ~opts:(chol_opts `Amd) al in
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
@@ -791,7 +854,7 @@ let test_upgraded_pivot () =
    [Rank_update]'s over the OCaml supernodal executor's factor. *)
 let test_upgraded_update () =
   require_native ();
-  let al = Csc.lower (Generators.grid2d 24 24) in
+  let al = Csc.lower (Generators.grid2d 34 34) in
   let t = C.compile ~opts:(chol_opts `Amd) al in
   Alcotest.(check bool) "upgraded" true (upgraded t);
   let pn = C.plan ~engine:`Native t in
@@ -828,10 +891,84 @@ let test_upgraded_update () =
   Rank_update.update_raw rk ~neg:true ~sigma:0.5 wi wv len;
   Helpers.bitwise "downdate_ip" l0.Csc.values (C.plan_factor pn).Csc.values
 
+(* The same for LDL^T, which takes Cholesky's decision: an upgraded native
+   plan gives, bit for bit, L and D of the OCaml supernodal executor with
+   the diagonal, and both it and the handle's own (simplicial) OCaml plan
+   pass the scaled backward-error bound. *)
+let test_upgraded_ldlt_bitwise () =
+  require_native ();
+  List.iter
+    (fun (name, al, ordering) ->
+      let t = LD.compile ~opts:(chol_opts ordering) al in
+      Alcotest.(check bool) (name ^ ": supernodal native kernel") true
+        (ldlt_upgraded t);
+      let pn = LD.plan ~engine:`Native t in
+      Alcotest.(check bool) (name ^ ": native loaded") true
+        (pn.LD.native <> None);
+      let fn = LD.execute_ip pn al in
+      Helpers.bitwise
+        (name ^ ": native = the OCaml supernodal executor with the diagonal")
+        (ldlt_supernodal_run (ldlt_supernodal_plan t) t al)
+        (Array.append fn.Ldlt.l.Csc.values fn.Ldlt.d);
+      let a = compiled_input_of t.LD.ord t.LD.pattern al in
+      List.iter
+        (fun (which, f) ->
+          check_backward name which a (backward_error_of (Ldlt.solve f) a))
+        [ ("native", fn); ("own OCaml plan", LD.execute_ip (LD.plan t) al) ];
+      Alcotest.(check bool) (name ^ ": c_code is the supernodal artifact") true
+        (contains (LD.c_code t) "ldlt_supernodal_kernel"))
+    (upgraded_cases ())
+
+(* An exactly zero pivot on an upgraded LDL^T plan: the identity with one
+   zero diagonal entry (natural column 300) raises [Ldlt.Zero_pivot] at
+   the column the OCaml supernodal executor and the simplicial plan
+   report; the plan then refactors the original input bit for bit. An
+   indefinite matrix (a grid beside its negation) factors, with negative
+   pivots, bit for bit as the OCaml executor does. *)
+let test_upgraded_ldlt_pivot () =
+  require_native ();
+  let al = Csc.lower (Generators.grid2d 34 34) in
+  let t = LD.compile ~opts:(chol_opts `Amd) al in
+  Alcotest.(check bool) "upgraded" true (ldlt_upgraded t);
+  let pn = LD.plan ~engine:`Native t in
+  Alcotest.(check bool) "native loaded" true (pn.LD.native <> None);
+  let values = Array.map (fun _ -> 0.0) al.Csc.values in
+  for j = 0 to al.Csc.ncols - 1 do
+    (* lower(A), rows sorted: the diagonal leads its column *)
+    if j <> 300 then values.(al.Csc.colptr.(j)) <- 1.0
+  done;
+  let bad = { al with Csc.values } in
+  let col f = match f () with _ -> -1 | exception Ldlt.Zero_pivot k -> k in
+  let sp = ldlt_supernodal_plan t in
+  let ocaml_col = col (fun () -> ldlt_supernodal_run sp t bad) in
+  let native_col = col (fun () -> LD.execute_ip pn bad) in
+  Alcotest.(check int) "the OCaml supernodal executor fails at column 300"
+    (Perm.inverse (Option.get t.LD.ord.Sympiler.o_perm)).(300) ocaml_col;
+  Alcotest.(check int) "native raises at the same column" ocaml_col native_col;
+  Alcotest.(check int) "as the simplicial plan does" ocaml_col
+    (col (fun () -> LD.execute_ip (LD.plan t) bad));
+  let fn = LD.execute_ip pn al in
+  Helpers.bitwise "then refactors the original input"
+    (ldlt_supernodal_run sp t al)
+    (Array.append fn.Ldlt.l.Csc.values fn.Ldlt.d);
+  let g = Generators.grid2d 34 34 in
+  let ind = Csc.lower (Helpers.block_diag [ g; Csc.map_values g Float.neg ]) in
+  let t = LD.compile ~opts:(chol_opts `Amd) ind in
+  Alcotest.(check bool) "indefinite: upgraded" true (ldlt_upgraded t);
+  let fn = LD.execute_ip (LD.plan ~engine:`Native t) ind in
+  Alcotest.(check bool) "indefinite: negative pivots" true
+    (Array.exists (fun d -> d < 0.0) fn.Ldlt.d);
+  Helpers.bitwise "indefinite: native = the OCaml supernodal executor"
+    (ldlt_supernodal_run (ldlt_supernodal_plan t) t ind)
+    (Array.append fn.Ldlt.l.Csc.values fn.Ldlt.d);
+  let a = compiled_input_of t.LD.ord t.LD.pattern ind in
+  check_backward "indefinite" "native" a (backward_error_of (Ldlt.solve fn) a)
+
 (* --------------------------- cache accounting --------------------------- *)
 
-(* Patterns of one shape share one object; the ordered variant is a shape
-   of its own. *)
+(* Patterns of one shape share one object. The simplicial Cholesky kernel
+   reads its input through a gather map with the ordering composed in, so
+   a natural and an ordered handle are one shape too. *)
 let test_shape_sharing () =
   require_native ();
   Helpers.with_temp_dir (fun dir ->
@@ -854,7 +991,7 @@ let test_shape_sharing () =
               Alcotest.(check bool) "one kernel" true (e1.NE.nk == e2.NE.nk)
           | _ -> Alcotest.fail "native exec missing");
           ignore (simp.build `Amd `Native (grid 5) : plan);
-          Alcotest.(check int) "natural and ordered: two compiles" 2
+          Alcotest.(check int) "natural and ordered: one compile" 1
             (N.stats ()).N.compiles))
 
 
@@ -1023,7 +1160,7 @@ let test_native_zero_alloc () =
       ("cholesky simplicial", `Amd);
     ];
   (* a simplicial handle whose native plan runs the supernodal kernel *)
-  let al = Csc.lower (Generators.grid2d 24 24) in
+  let al = Csc.lower (Generators.grid2d 34 34) in
   let t = C.compile ~opts:(chol_opts `Amd) al in
   let p = C.plan ~engine:`Native t in
   Alcotest.(check bool) "upgraded cholesky native loaded" true
@@ -1123,6 +1260,9 @@ let suite =
     ("native kernel on both sides of the width rule", `Quick, test_upgrade_threshold);
     ("upgraded native pivot", `Slow, test_upgraded_pivot);
     ("upgraded native rank updates", `Slow, test_upgraded_update);
+    ("upgraded LDL^T native = OCaml supernodal executor, bitwise", `Slow,
+     test_upgraded_ldlt_bitwise);
+    ("upgraded LDL^T native pivots", `Slow, test_upgraded_ldlt_pivot);
     ("artifact = native plan, bitwise", `Slow, test_artifact_bitwise);
     ("so cache accounting", `Slow, test_so_cache);
     ("one object per kernel shape", `Slow, test_shape_sharing);

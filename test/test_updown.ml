@@ -402,7 +402,7 @@ let test_failed_escalation_preserves_plan () =
    coupling column 0 with the second block's first column lies outside
    the factor pattern. *)
 let two_cliques () =
-  let b = Generators.clique_chain ~n:128 ~clique:32 ~overlap:8 () in
+  let b = Generators.clique_chain ~n:384 ~clique:32 ~overlap:8 () in
   Helpers.block_diag [ b; b ]
 
 let coupling_w n =
@@ -630,15 +630,13 @@ let test_refactor_cols_supernodal_close () =
 
 (* ---- LDL^T updates (GGMS C1) ---- *)
 
-let test_ldlt_update_matches_fresh () =
-  let a = spd () in
-  let al = Csc.lower a in
-  let t = SL.compile al in
-  let p = SL.plan t in
-  let f = SL.execute_ip p al in
+(* An update of a natural plan [p] of [a] along factor column [j]: L D L^T
+   becomes A + 0.6 w w^T, and the downdate recovers the factors. *)
+let check_ldlt_update msg (a : Csc.t) (p : SL.plan) ~j =
+  let f = SL.execute_ip p (Csc.lower a) in
   let lu = f.Ldlt.l and d = f.Ldlt.d in
   let v0 = Array.copy lu.Csc.values and d0 = Array.copy d in
-  let w = Rank_update.vector_like lu ~j:6 ~scale:0.5 in
+  let w = Rank_update.vector_like lu ~j ~scale:0.5 in
   SL.update_ip p ~sigma:0.6 w;
   (* L D L^T = A + 0.6 w w^T *)
   let n = a.Csc.ncols in
@@ -647,7 +645,7 @@ let test_ldlt_update_matches_fresh () =
   Array.iteri (fun i v -> Dense.set dd i i v) d;
   let prod = Dense.matmul (Dense.matmul ld dd) (Dense.transpose ld) in
   let a' = dense_updated a ~sigma:0.6 w in
-  Alcotest.(check bool) "L D L^T = A + 0.6 w w^T" true
+  Alcotest.(check bool) (msg ^ ": L D L^T = A + 0.6 w w^T") true
     (Dense.max_abs_diff prod (Dense.of_csc (Csc.of_dense a')) < 1e-7);
   (* Downdate recovers the original factors. *)
   SL.downdate_ip p ~sigma:0.6 w;
@@ -658,8 +656,26 @@ let test_ldlt_update_matches_fresh () =
   Array.iteri
     (fun i v -> worst := Float.max !worst (Float.abs (v -. d.(i))))
     d0;
-  Alcotest.(check bool) "update; downdate recovers LDL^T (<= 1e-10)" true
-    (!worst < 1e-10)
+  Alcotest.(check bool) (msg ^ ": update; downdate recovers LDL^T (<= 1e-10)")
+    true (!worst < 1e-10)
+
+let test_ldlt_update_matches_fresh () =
+  let a = spd () in
+  check_ldlt_update "simplicial" a (SL.plan (SL.compile (Csc.lower a))) ~j:6
+
+(* The rank updates run on the factors an upgraded native plan wrote (the
+   supernodal kernel's LDL^T shape): the same laws hold. *)
+let test_ldlt_update_upgraded () =
+  if not (Sympiler.Native.available ()) then Alcotest.skip ();
+  let a = Generators.block_tridiagonal ~seed:4 ~nblocks:15 ~block:20 () in
+  let t = SL.compile (Csc.lower a) in
+  Alcotest.(check bool) "upgraded" true
+    (List.exists
+       (fun d -> d.Sympiler.Trace.pass = "vs-block" && d.Sympiler.Trace.fired)
+       t.SL.decisions);
+  let p = SL.plan ~engine:`Native t in
+  Alcotest.(check bool) "native plan" true (p.SL.native <> None);
+  check_ldlt_update "upgraded native" a p ~j:45
 
 let test_ldlt_zero_pivot_rollback () =
   (* d' = d + a p^2 = 4 - 4 = 0 exactly: Zero_pivot, factors rolled back. *)
@@ -716,6 +732,7 @@ let suite =
       `Quick,
       test_refactor_cols_supernodal_close );
     ("LDL^T update matches fresh", `Quick, test_ldlt_update_matches_fresh);
+    ("LDL^T updates on an upgraded native plan", `Slow, test_ldlt_update_upgraded);
     ("LDL^T zero-pivot rollback", `Quick, test_ldlt_zero_pivot_rollback);
     ("LDL^T zero-alloc updates", `Quick, test_ldlt_zero_alloc);
   ]
